@@ -16,6 +16,7 @@ byte before it.  Backbone matrices are never serialized.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import tempfile
@@ -67,54 +68,71 @@ def pack(model: Model, extra: dict | None = None) -> bytes:
 
 
 def unpack(blob: bytes) -> tuple[dict, dict]:
-    """Validate and decode an artifact into (header, {name: f32 array})."""
+    """Validate and decode an artifact into (header, {name: f32 array}).
+
+    Every malformed blob raises ``FormatError``, ``IntegrityError`` or
+    ``IncompatibilityError``: each table read is bounds-checked against the
+    CRC, and the tensors must tile the payload back to back up to it.
+    """
     if len(blob) < 14 or blob[:4] != MAGIC:
         raise FormatError(f"not a LTLR artifact (magic {blob[:4]!r})")
     version, header_len = struct.unpack_from("<HI", blob, 4)
     if version != FORMAT_VERSION:
         raise IncompatibilityError(f"artifact format version {version}; this build reads {FORMAT_VERSION}")
-    body, crc_bytes = blob[:-4], blob[-4:]
-    (stored_crc,) = struct.unpack("<I", crc_bytes)
-    if zlib.crc32(body) & 0xFFFFFFFF != stored_crc:
+    end = len(blob) - 4
+    (stored_crc,) = struct.unpack_from("<I", blob, end)
+    if zlib.crc32(blob[:end]) & 0xFFFFFFFF != stored_crc:
         raise IntegrityError("artifact checksum mismatch; the file is corrupt")
 
     pos = 10
+
+    def take(size: int, what: str) -> bytes:
+        nonlocal pos
+        if size > end - pos:
+            raise FormatError(f"artifact truncated: {what} at byte {pos} runs past the payload end {end}")
+        pos += size
+        return blob[pos - size:pos]
+
     try:
-        header = json.loads(blob[pos:pos + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as err:
+        header = json.loads(take(header_len, "header").decode("utf-8"))
+    except ValueError as err:  # covers UnicodeDecodeError and JSONDecodeError
         raise FormatError(f"artifact header is not valid JSON: {err}") from err
-    pos += header_len
+    if not isinstance(header, dict):
+        raise FormatError(f"artifact header must be a JSON object, got {type(header).__name__}")
 
     if header.get("algorithm_id") != ALGORITHM_ID:
         raise IncompatibilityError(
             f"artifact was generated with {header.get('algorithm_id')!r}; this build expects {ALGORITHM_ID!r}"
         )
 
-    (count,) = struct.unpack_from("<I", blob, pos)
-    pos += 4
+    (count,) = struct.unpack("<I", take(4, "tensor count"))
     entries = []
+    payload_len = 0
     for _ in range(count):
-        (name_len,) = struct.unpack_from("<H", blob, pos)
-        pos += 2
-        name = blob[pos:pos + name_len].decode("utf-8")
-        pos += name_len
-        (ndim,) = struct.unpack_from("<B", blob, pos)
-        pos += 1
-        shape = struct.unpack_from(f"<{ndim}I", blob, pos) if ndim else ()
-        pos += 4 * ndim
-        offset, nbytes = struct.unpack_from("<QQ", blob, pos)
-        pos += 16
-        entries.append((name, shape, offset, nbytes))
+        (name_len,) = struct.unpack("<H", take(2, "tensor name length"))
+        try:
+            name = take(name_len, "tensor name").decode("utf-8")
+        except UnicodeDecodeError as err:
+            raise FormatError(f"tensor name at byte {pos - name_len} is not UTF-8: {err}") from err
+        (ndim,) = struct.unpack("<B", take(1, f"ndim of {name!r}"))
+        shape = struct.unpack(f"<{ndim}I", take(4 * ndim, f"shape of {name!r}"))
+        offset, nbytes = struct.unpack("<QQ", take(16, f"extent of {name!r}"))
+        if offset != payload_len or nbytes != 4 * math.prod(shape):
+            raise FormatError(
+                f"tensor {name!r} has extent ({offset}, {nbytes}); expected ({payload_len}, "
+                f"{4 * math.prod(shape)}) for shape {shape} packed back to back"
+            )
+        payload_len += nbytes
+        entries.append((name, shape))
+    if len({name for name, _ in entries}) != len(entries):
+        raise FormatError("artifact tensor table repeats a tensor name")
+    if payload_len != end - pos:
+        raise FormatError(f"payload holds {end - pos} bytes; the tensor table declares {payload_len}")
 
-    payload_start = pos
     tensors = {}
-    for name, shape, offset, nbytes in entries:
-        start = payload_start + offset
-        raw = blob[start:start + nbytes]
-        if len(raw) != nbytes:
-            raise FormatError(f"payload truncated for tensor {name!r}")
-        arr = np.frombuffer(raw, dtype="<f4").reshape(shape).astype(np.float32)
-        tensors[name] = arr
+    for name, shape in entries:
+        raw = take(4 * math.prod(shape), f"payload of {name!r}")
+        tensors[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).astype(np.float32)
     return header, tensors
 
 

@@ -219,6 +219,13 @@ def _quantize(x: np.ndarray, sigma: float, bits: int) -> np.ndarray:
     return -half + (idx + 0.5) * width
 
 
+def _scaled_gaussians(stream: Stream, n: int, scale: float) -> np.ndarray:
+    # scaled in place: the block is the largest array of a scaffold draw
+    g = stream.gaussian_block(n)
+    np.multiply(g, scale, out=g)
+    return g
+
+
 def _entrywise_sample(stream: Stream, fam: InitFamily, n: int, fan_in: int, fan_out: int) -> np.ndarray:
     """Draw n entries (f64) for any family that is entrywise i.i.d."""
     name = fam.name
@@ -228,7 +235,7 @@ def _entrywise_sample(stream: Stream, fam: InitFamily, n: int, fan_in: int, fan_
             sigma = math.sqrt(2.0 / (fan_in * (1.0 + p["a"] ** 2)))
         else:
             sigma = p["gain"] * math.sqrt(2.0 / (fan_in + fan_out))
-        return sigma * stream.gaussian_block(n)
+        return _scaled_gaussians(stream, n, sigma)
     if name in ("kaiming_uniform", "xavier_uniform"):
         if name == "kaiming_uniform":
             bound = math.sqrt(6.0 / (fan_in * (1.0 + p["a"] ** 2)))
@@ -238,7 +245,7 @@ def _entrywise_sample(stream: Stream, fam: InitFamily, n: int, fan_in: int, fan_
 
     s = _scale_knob(fam, fan_in)
     if name == "normal":
-        return s * stream.gaussian_block(n)
+        return _scaled_gaussians(stream, n, s)
     if name == "truncated_normal":
         return s * np.clip(stream.gaussian_block(n), -2.0, 2.0)
     if name == "uniform":

@@ -18,7 +18,16 @@ Draw conventions (frozen by the algorithm tag, do not change):
 
 Block draws (``u64_block`` and friends) produce the exact same sequence as
 repeated scalar calls; the scalar methods are defined as 1-element blocks
-so there is a single code path.
+so there is a single code path.  A block is evaluated in chunks of
+``_CHUNK`` entries by one in-place kernel, so a chunk's intermediates stay
+in cache and no block-sized temporaries are allocated.  Chunking cannot
+change a bit.  The k-th raw output is ``mix64(state + k*gamma)``, a pure
+function of its flat index in exact 64-bit integer arithmetic.  The unit
+and Box-Muller steps apply the same elementwise numpy ufuncs to the same
+float64 values as a whole-array evaluation would.  Every transcendental
+runs on a contiguous operand, because numpy may pick a differently
+rounding loop for strided ones; so Box-Muller reads u1 from the odd and u2
+from the even stream offsets as two contiguous stride-2 runs.
 """
 
 from __future__ import annotations
@@ -35,9 +44,21 @@ MIX_MULT_2 = 0x94D049BB133111EB
 ALGORITHM_ID = "splitmix64-boxmuller-v1"
 
 _INV_2_53 = 2.0 ** -53
-_U64_GAMMA = np.uint64(GOLDEN_GAMMA)
-_U64_M1 = np.uint64(MIX_MULT_1)
-_U64_M2 = np.uint64(MIX_MULT_2)
+_UNIT_SHIFT = np.uint64(11)
+# the finalizer as (shift, multiplier) rounds of z ^= z >> shift; z *= mult
+_MIX_ROUNDS = (
+    (np.uint64(30), np.uint64(MIX_MULT_1)),
+    (np.uint64(27), np.uint64(MIX_MULT_2)),
+    (np.uint64(31), None),
+)
+
+# entries per chunk: a chunk's uint64 values plus scratch fit in L2 cache
+_CHUNK = 8192
+# j*stride*gamma for j < _CHUNK, for the two strides the draws use
+_RAMPS = {
+    stride: np.arange(_CHUNK, dtype=np.uint64) * np.uint64(stride * GOLDEN_GAMMA & MASK64)
+    for stride in (1, 2)
+}
 
 
 class DrawKind(enum.IntEnum):
@@ -62,11 +83,35 @@ def mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def _mix64_array(z: np.ndarray) -> np.ndarray:
-    # uint64 arithmetic wraps mod 2**64, matching the scalar path
-    z = (z ^ (z >> np.uint64(30))) * _U64_M1
-    z = (z ^ (z >> np.uint64(27))) * _U64_M2
-    return z ^ (z >> np.uint64(31))
+def _mix64_fill(out: np.ndarray, state: int, offset: int, stride: int) -> None:
+    """Set ``out[j] = mix64(state + (offset + j*stride)*gamma)`` in place.
+
+    ``out`` is a contiguous uint64 array; uint64 arithmetic wraps mod 2**64,
+    matching the scalar path.  Works through ``out`` in chunks with one
+    scratch array.
+    """
+    ramp = _RAMPS[stride]
+    scratch = np.empty(min(len(out), _CHUNK), dtype=np.uint64)
+    for lo in range(0, len(out), _CHUNK):
+        z = out[lo:lo + _CHUNK]
+        t = scratch[:len(z)]
+        base = (state + (offset + lo * stride) * GOLDEN_GAMMA) & MASK64
+        np.add(ramp[:len(z)], np.uint64(base), out=z)
+        for shift, mult in _MIX_ROUNDS:
+            np.right_shift(z, shift, out=t)
+            np.bitwise_xor(z, t, out=z)
+            if mult is not None:
+                np.multiply(z, mult, out=z)
+
+
+def _to_unit(bits: np.ndarray) -> np.ndarray:
+    """Top 53 bits of each uint64 scaled into [0, 1), in the same buffer."""
+    units = bits.view(np.float64)
+    for lo in range(0, len(bits), _CHUNK):
+        z = bits[lo:lo + _CHUNK]
+        np.right_shift(z, _UNIT_SHIFT, out=z)
+        np.multiply(z, _INV_2_53, out=units[lo:lo + _CHUNK])
+    return units
 
 
 class Stream:
@@ -94,18 +139,17 @@ class Stream:
         """Next ``n`` raw 64-bit outputs as a uint64 array."""
         if n < 0:
             raise ValueError("block size must be nonnegative")
-        steps = np.arange(1, n + 1, dtype=np.uint64) * _U64_GAMMA
-        states = np.uint64(self.state) + steps
+        out = np.empty(n, dtype=np.uint64)
+        _mix64_fill(out, self.state, 1, 1)
         self.state = (self.state + n * GOLDEN_GAMMA) & MASK64
-        return _mix64_array(states)
+        return out
 
     def next_u64(self) -> int:
         return int(self.u64_block(1)[0])
 
     def unit_block(self, n: int) -> np.ndarray:
         """Next ``n`` uniform draws in [0, 1) with 53-bit mantissas."""
-        bits = self.u64_block(n) >> np.uint64(11)
-        return bits.astype(np.float64) * _INV_2_53
+        return _to_unit(self.u64_block(n))
 
     def next_unit(self) -> float:
         return float(self.unit_block(1)[0])
@@ -118,19 +162,32 @@ class Stream:
             out[0] = self._gauss_cache
             self._gauss_cache = None
             i = 1
+        # pair p takes u1 from stream offset 2p+1 and u2 from offset 2p+2
         m = n - i
-        if m > 0:
-            pairs = (m + 1) // 2
-            u = self.unit_block(2 * pairs).reshape(pairs, 2)
+        pairs = (m + 1) // 2
+        radius, angle, tmp = np.empty((3, min(pairs, _CHUNK)), dtype=np.float64)
+        for lo in range(0, pairs, _CHUNK):
+            k = min(_CHUNK, pairs - lo)
+            r, a, t = radius[:k], angle[:k], tmp[:k]
+            _mix64_fill(r.view(np.uint64), self.state, 2 * lo + 1, 2)
+            _to_unit(r.view(np.uint64))
             # 1-u1 lies in (0, 1], so the log is always finite
-            radius = np.sqrt(-2.0 * np.log1p(-u[:, 0]))
-            angle = (2.0 * np.pi) * u[:, 1]
-            z = np.empty(2 * pairs, dtype=np.float64)
-            z[0::2] = radius * np.cos(angle)
-            z[1::2] = radius * np.sin(angle)
-            out[i:] = z[:m]
-            if m % 2 == 1:
-                self._gauss_cache = float(z[m])
+            np.negative(r, out=r)
+            np.log1p(r, out=r)
+            np.multiply(r, -2.0, out=r)
+            np.sqrt(r, out=r)
+            _mix64_fill(a.view(np.uint64), self.state, 2 * lo + 2, 2)
+            _to_unit(a.view(np.uint64))
+            np.multiply(a, 2.0 * np.pi, out=a)
+            z = out[i + 2 * lo:i + 2 * (lo + k)]
+            np.cos(a, out=t)
+            np.multiply(r, t, out=z[0::2])
+            np.sin(a, out=a)
+            sines = z[1::2]
+            np.multiply(r[:len(sines)], a[:len(sines)], out=sines)
+            if len(sines) < k:  # odd count: the last sine is carried
+                self._gauss_cache = float(r[k - 1] * a[k - 1])
+        self.state = (self.state + 2 * pairs * GOLDEN_GAMMA) & MASK64
         return out
 
     def next_gaussian(self) -> float:

@@ -1,5 +1,6 @@
 import json
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -154,3 +155,61 @@ def test_atomic_save_and_load(tmp_path):
     assert load(str(path)) == blob
     assert blob[:4] == MAGIC
     assert not list(tmp_path.glob("*.tmp"))
+
+
+# -- malformed blobs whose CRC is valid ---------------------------------------
+
+
+def with_crc(body: bytes) -> bytes:
+    return body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
+
+
+def table_start(blob: bytes) -> int:
+    return 10 + struct.unpack_from("<I", blob, 6)[0]
+
+
+def test_cut_tensor_table_is_format_error():
+    blob = pack(fresh_model())
+    # cut right after the count, then inside the first name length, name and dims
+    for cut in (4, 4 + 1, 4 + 2 + 3, 4 + 2 + len("layer0.A") + 1 + 6):
+        with pytest.raises(FormatError):
+            unpack(with_crc(blob[:table_start(blob) + cut]))
+
+
+def test_bogus_tensor_count_is_format_error():
+    body = bytearray(pack(fresh_model())[:-4])
+    struct.pack_into("<I", body, table_start(body), 0xFFFFFFFF)
+    with pytest.raises(FormatError):
+        unpack(with_crc(bytes(body)))
+
+
+def test_non_utf8_tensor_name_is_format_error():
+    body = bytearray(pack(fresh_model())[:-4])
+    body[table_start(body) + 4 + 2] = 0xFF
+    with pytest.raises(FormatError, match="UTF-8"):
+        unpack(with_crc(bytes(body)))
+
+
+def test_header_that_is_not_an_object_is_format_error():
+    blob = pack(fresh_model())
+    header = b'["algorithm_id"]'
+    body = MAGIC + struct.pack("<HI", FORMAT_VERSION, len(header)) + header + blob[table_start(blob):-4]
+    with pytest.raises(FormatError, match="JSON object"):
+        unpack(with_crc(body))
+
+
+def test_trailing_bytes_after_payload_are_format_error():
+    blob = pack(fresh_model())
+    with pytest.raises(FormatError, match="payload holds"):
+        unpack(with_crc(blob[:-4] + b"\x00"))
+
+
+def test_tensor_extent_must_match_its_shape():
+    body = bytearray(pack(fresh_model())[:-4])
+    name_len = struct.unpack_from("<H", body, table_start(body) + 4)[0]
+    pos = table_start(body) + 4 + 2 + name_len
+    ndim = body[pos]
+    size_at = pos + 1 + 4 * ndim + 8
+    struct.pack_into("<Q", body, size_at, struct.unpack_from("<Q", body, size_at)[0] - 4)
+    with pytest.raises(FormatError, match="back to back"):
+        unpack(with_crc(bytes(body)))

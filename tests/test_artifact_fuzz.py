@@ -1,0 +1,55 @@
+"""Fuzzing ``artifact.unpack``: a malformed blob may only raise the
+artifact error categories, never a raw Python exception."""
+
+import struct
+import zlib
+
+from hypothesis import given, settings, strategies as st
+
+from lottalora.artifact import pack, unpack
+from lottalora.errors import FormatError, IncompatibilityError, IntegrityError
+from lottalora.model import BackboneSpec, ModelConfig, build_model
+
+ARTIFACT_ERRORS = (FormatError, IntegrityError, IncompatibilityError)
+
+_CFG = ModelConfig(preset="tiny", rank=2)
+BLOB = pack(build_model(_CFG, BackboneSpec.from_config(_CFG, 7)))
+BODY = BLOB[:-4]
+
+FUZZ = settings(max_examples=300, deadline=None)
+
+
+def seal(body: bytes, recompute_crc: bool) -> bytes:
+    """``body`` followed by its own CRC, or by the original blob's CRC."""
+    return body + (struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF) if recompute_crc else BLOB[-4:])
+
+
+def unpack_or_artifact_error(blob: bytes) -> bool:
+    """True if ``blob`` unpacks; False if it raises an artifact error."""
+    try:
+        unpack(blob)
+    except ARTIFACT_ERRORS:
+        return False
+    return True
+
+
+@FUZZ
+@given(cut=st.integers(0, len(BODY) - 1), recompute_crc=st.booleans())
+def test_any_truncation_is_rejected(cut, recompute_crc):
+    assert not unpack_or_artifact_error(seal(BODY[:cut], recompute_crc))
+
+
+@FUZZ
+@given(at=st.integers(0, len(BODY) - 1), mask=st.integers(1, 255), recompute_crc=st.booleans())
+def test_any_byte_flip_unpacks_or_raises_an_artifact_error(at, mask, recompute_crc):
+    body = bytearray(BODY)
+    body[at] ^= mask
+    ok = unpack_or_artifact_error(seal(bytes(body), recompute_crc))
+    assert recompute_crc or not ok
+
+
+@FUZZ
+@given(extra=st.binary(min_size=1, max_size=64), recompute_crc=st.booleans())
+def test_any_append_is_rejected(extra, recompute_crc):
+    blob = seal(BODY + extra, True) if recompute_crc else BLOB + extra
+    assert not unpack_or_artifact_error(blob)

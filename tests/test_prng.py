@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lottalora.prng import (
+    _CHUNK,
     ALGORITHM_ID,
     DrawKind,
     GOLDEN_GAMMA,
@@ -142,3 +143,84 @@ def test_mix64_matches_reference_finalizer():
 def test_algorithm_id_is_versioned():
     assert ALGORITHM_ID == "splitmix64-boxmuller-v1"
     assert Stream(0).algorithm_id == ALGORITHM_ID
+
+
+# -- oracle: the whole-array block draws the chunked kernel replaced --------
+
+
+def oracle_u64_block(stream, n):
+    steps = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(GOLDEN_GAMMA)
+    z = np.uint64(stream.state) + steps
+    stream.state = (stream.state + n * GOLDEN_GAMMA) & MASK64
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def oracle_unit_block(stream, n):
+    return (oracle_u64_block(stream, n) >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+
+
+def oracle_gaussian_block(stream, n):
+    out = np.empty(n, dtype=np.float64)
+    i = 0
+    if stream._gauss_cache is not None and n > 0:
+        out[0], stream._gauss_cache, i = stream._gauss_cache, None, 1
+    m = n - i
+    if m > 0:
+        pairs = (m + 1) // 2
+        u = oracle_unit_block(stream, 2 * pairs).reshape(pairs, 2)
+        radius = np.sqrt(-2.0 * np.log1p(-u[:, 0]))
+        angle = (2.0 * np.pi) * u[:, 1]
+        z = np.empty(2 * pairs, dtype=np.float64)
+        z[0::2] = radius * np.cos(angle)
+        z[1::2] = radius * np.sin(angle)
+        out[i:] = z[:m]
+        if m % 2 == 1:
+            stream._gauss_cache = float(z[m])
+    return out
+
+
+ORACLES = {"u64": oracle_u64_block, "unit": oracle_unit_block, "gaussian": oracle_gaussian_block}
+ORACLE_SEEDS = [0, 1, MASK64, GOLDEN_GAMMA]
+ORACLE_SIZES = [0, 1, 2, 3, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1, 573440]
+
+
+def draw_both(new, old, kind, n):
+    """Draw ``n`` of ``kind`` from both streams; assert equal bytes and state."""
+    got = getattr(new, f"{kind}_block")(n)
+    want = ORACLES[kind](old, n)
+    assert got.dtype == want.dtype and got.shape == (n,)
+    assert got.tobytes() == want.tobytes(), (kind, n)
+    assert new.state == old.state
+    assert new._gauss_cache == old._gauss_cache
+    assert type(new._gauss_cache) is type(old._gauss_cache)
+
+
+@pytest.mark.parametrize("seed", ORACLE_SEEDS)
+@pytest.mark.parametrize("kind", sorted(ORACLES))
+def test_block_draws_match_whole_array_oracle(seed, kind):
+    for n in ORACLE_SIZES:
+        draw_both(Stream(seed), Stream(seed), kind, n)
+
+
+@pytest.mark.parametrize("seed", ORACLE_SEEDS)
+def test_interleaved_draws_with_odd_carry_match_oracle(seed):
+    new, old = Stream(seed), Stream(seed)
+    calls = [
+        ("gaussian", 3), ("gaussian", _CHUNK), ("unit", 5), ("gaussian", 1),
+        ("gaussian", 2 * _CHUNK + 1), ("u64", _CHUNK + 1), ("gaussian", 0),
+        ("gaussian", 2 * _CHUNK), ("gaussian", _CHUNK - 1), ("unit", 1), ("gaussian", 3),
+    ]
+    for kind, n in calls:
+        draw_both(new, old, kind, n)
+    assert new._gauss_cache is not None  # the sequence ends on an odd carry
+
+
+def test_scalar_draws_match_oracle_at_wraparound():
+    new, old = Stream(MASK64), Stream(MASK64)
+    assert new.next_u64() == int(oracle_u64_block(old, 1)[0])
+    assert new.next_unit() == float(oracle_unit_block(old, 1)[0])
+    for _ in range(3):
+        assert new.next_gaussian() == float(oracle_gaussian_block(old, 1)[0])
+    assert (new.state, new._gauss_cache) == (old.state, old._gauss_cache)
