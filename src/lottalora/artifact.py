@@ -48,7 +48,7 @@ def pack(model: Model, extra: dict | None = None) -> bytes:
 
     table = bytearray()
     payload = bytearray()
-    tensors = model.state_tensors()
+    tensors = model.trainable_params()
     table += struct.pack("<I", len(tensors))
     for name, t in tensors:
         data = np.asarray(t.data, dtype="<f4")
@@ -143,10 +143,13 @@ def reconstruct(header: dict, tensors: dict) -> Model:
         raise IncompatibilityError(
             f"artifact was generated with {header.get('algorithm_id')!r}; this build expects {ALGORITHM_ID!r}"
         )
-    cfg = ModelConfig.from_dict(header["model"])
-    spec = BackboneSpec.from_dict(header["backbone"])
+    try:
+        cfg = ModelConfig.from_dict(header["model"])
+        spec = BackboneSpec.from_dict(header["backbone"])
+    except (KeyError, TypeError, ValueError) as err:
+        raise FormatError(f"artifact header has a missing or malformed model/backbone field: {err!r}") from err
     model = build_model(cfg, spec)
-    expected = model.state_tensors()
+    expected = model.trainable_params()
     if [n for n, _ in expected] != list(tensors):
         raise FormatError("artifact tensor table does not match the declared architecture")
     for name, t in expected:

@@ -95,7 +95,13 @@ def _apply_config_file(args: argparse.Namespace) -> None:
     if not path:
         return
     with open(path, "r", encoding="utf-8") as fh:
-        config = json.load(fh)
+        try:
+            config = json.load(fh)
+        except ValueError as err:  # covers UnicodeDecodeError and JSONDecodeError
+            raise ConfigError(f"config file {path} is not valid JSON: {err}") from err
+    if not isinstance(config, dict):
+        raise ConfigError(f"config file {path} must hold a JSON object, got {type(config).__name__}")
+    actions = {action.dest: action for action in args._parser._actions}
     for key, value in config.items():
         if key.startswith("family."):
             args.family_param = list(getattr(args, "family_param", []) or [])
@@ -104,6 +110,15 @@ def _apply_config_file(args: argparse.Namespace) -> None:
         dest = key.replace("-", "_").replace(".", "_")
         if not hasattr(args, dest):
             raise ConfigError(f"unknown config key {key!r}")
+        action = actions.get(dest)
+        if action is not None and action.type is not None:
+            # the same conversion the flag's command-line text goes through
+            try:
+                value = action.type(str(value))
+            except (TypeError, ValueError) as err:
+                raise ConfigError(f"config key {key!r}: invalid value {value!r}") from err
+        if action is not None and action.choices is not None and value not in action.choices:
+            raise ConfigError(f"config key {key!r}: {value!r} is not one of {list(action.choices)}")
         if getattr(args, dest) == args._parser.get_default(dest):
             setattr(args, dest, value)
 

@@ -143,72 +143,56 @@ class Model:
         self.spec = spec
         self.hidden: list = []
         self.head = None
-        self._backbone_streams: list[Stream | None] = []
+        self.head_bias: Tensor | None = None  # trainable head offset (head_mode "lora_bias")
+        self._n_lotta = 0  # leading layers that are LottaLayers
+        self._backbone_streams: list[Stream] = []  # one per LottaLayer, advancing across redraws
         self._dropout_streams: list[Stream] = []
         self._build()
 
     # -- construction ------------------------------------------------------
 
-    def _frozen_bias(self, stream: Stream, d_out: int, d_in: int) -> np.ndarray | None:
-        # frozen counterpart of a dense layer's bias: U(+-1/sqrt(d_in))
-        if not self.cfg.frozen_bias:
-            return None
-        bound = 1.0 / float(d_in) ** 0.5
-        return (bound * (2.0 * stream.unit_block(d_out) - 1.0)).astype(np.float32)
-
-    def _draw_backbone(self, layer_index: int, d_out: int, d_in: int):
-        stream = derive_stream(self.spec.seed, layer_index, DrawKind.BACKBONE_WEIGHT)
+    def _draw_frozen(self, i: int, stream: Stream, seed: int):
+        """Layer i's frozen matrix and bias, drawn from ``stream``."""
+        d_out, d_in = self.cfg.layer_shapes()[i]
         if self.cfg.zero_scaffold:
             matrix = BackboneMatrix(d_out, d_in, np.zeros((d_out, d_in), dtype=np.float32),
-                                    provenance=(self.spec.seed, layer_index, "zero"))
+                                    provenance=(seed, i, "zero"))
         else:
-            matrix = draw_matrix(stream, self.spec.family, d_out, d_in,
-                                 provenance=(self.spec.seed, layer_index, self.spec.family))
-        bias = self._frozen_bias(stream, d_out, d_in)
-        # the stream keeps advancing across resample events
-        self._backbone_streams.append(stream)
-        return matrix, bias
+            matrix = draw_matrix(stream, self.spec.family, d_out, d_in, provenance=(seed, i, self.spec.family))
+        if not self.cfg.frozen_bias:
+            return matrix, None
+        # frozen counterpart of a dense layer's bias: U(+-1/sqrt(d_in))
+        bound = 1.0 / float(d_in) ** 0.5
+        return matrix, (bound * (2.0 * stream.unit_block(d_out) - 1.0)).astype(np.float32)
 
     def _build(self):
-        cfg = self.cfg
+        cfg, seed = self.cfg, self.spec.seed
         shapes = cfg.layer_shapes()
         if self.spec.layer_shapes and tuple(self.spec.layer_shapes) != shapes:
             raise ConfigError(
                 f"backbone spec shapes {self.spec.layer_shapes} do not match config shapes {shapes}"
             )
-        n_hidden = len(shapes) - 1
-        for i, (d_out, d_in) in enumerate(shapes[:-1]):
-            if cfg.mode == "full_training":
-                self.hidden.append(DenseLayer(d_in, d_out, derive_stream(self.spec.seed, i, DrawKind.HEAD_INIT)))
-                self._backbone_streams.append(None)
-            else:
-                backbone, frozen_bias = self._draw_backbone(i, d_out, d_in)
-                adapter = init_adapter(
-                    cfg.rank, d_in, d_out, cfg.alpha, cfg.scaling_mode,
-                    derive_stream(self.spec.seed, i, DrawKind.ADAPTER_A_INIT),
-                    b_init=cfg.b_init,
-                )
-                self.hidden.append(
-                    LottaLayer(backbone, adapter, use_layernorm=cfg.layernorm, frozen_bias=frozen_bias)
-                )
-            self._dropout_streams.append(derive_stream(self.spec.seed, i, DrawKind.DROPOUT_MASK))
-
-        d_out, d_in = shapes[-1]
-        if cfg.mode == "full_training" or cfg.head_mode == "full":
-            self.head = DenseLayer(d_in, d_out, derive_stream(self.spec.seed, n_hidden, DrawKind.HEAD_INIT))
-            self._backbone_streams.append(None)
-            self.head_bias = None
-        else:
-            backbone, frozen_bias = self._draw_backbone(n_hidden, d_out, d_in)
+        if cfg.mode == "lottalora":
+            self._n_lotta = len(shapes) - (cfg.head_mode == "full")
+        layers = []
+        for i, (d_out, d_in) in enumerate(shapes):
+            if i >= self._n_lotta:
+                layers.append(DenseLayer(d_in, d_out, derive_stream(seed, i, DrawKind.HEAD_INIT)))
+                continue
+            stream = derive_stream(seed, i, DrawKind.BACKBONE_WEIGHT)
+            self._backbone_streams.append(stream)
+            backbone, frozen_bias = self._draw_frozen(i, stream, seed)
             adapter = init_adapter(
                 cfg.rank, d_in, d_out, cfg.alpha, cfg.scaling_mode,
-                derive_stream(self.spec.seed, n_hidden, DrawKind.ADAPTER_A_INIT),
-                b_init=cfg.b_init,
+                derive_stream(seed, i, DrawKind.ADAPTER_A_INIT), b_init=cfg.b_init,
             )
-            self.head = LottaLayer(backbone, adapter, use_layernorm=False, frozen_bias=frozen_bias)
-            self.head_bias = (
-                tensor(np.zeros(d_out), requires_grad=True) if cfg.head_mode == "lora_bias" else None
-            )
+            is_hidden = i < len(shapes) - 1
+            layers.append(LottaLayer(backbone, adapter, use_layernorm=cfg.layernorm and is_hidden,
+                                     frozen_bias=frozen_bias))
+        *self.hidden, self.head = layers
+        self._dropout_streams = [derive_stream(seed, i, DrawKind.DROPOUT_MASK) for i in range(len(self.hidden))]
+        if cfg.head_mode == "lora_bias" and self._n_lotta == len(shapes):
+            self.head_bias = tensor(np.zeros(shapes[-1][0]), requires_grad=True)
 
     # -- inference ---------------------------------------------------------
 
@@ -222,21 +206,24 @@ class Model:
             if training and self.cfg.dropout > 0.0:
                 h = dropout(h, self.cfg.dropout, self._dropout_streams[i], training=True)
         logits = self.head.forward(h)
-        if getattr(self, "head_bias", None) is not None:
+        if self.head_bias is not None:
             logits = add_bias(logits, self.head_bias)
         return logits
 
     # -- bookkeeping -------------------------------------------------------
 
-    def all_layers(self) -> list:
-        return self.hidden + [self.head]
+    def lotta_layers(self) -> list[LottaLayer]:
+        """The layers with a frozen backbone and an adapter, in layer order
+        (dense layers, when present, always come after them)."""
+        return [*self.hidden, self.head][:self._n_lotta]
 
     def trainable_params(self) -> list[tuple[str, Tensor]]:
+        """Trainable tensors in canonical artifact order."""
         named = []
         for i, layer in enumerate(self.hidden):
             named += [(f"layer{i}.{n}", t) for n, t in layer.trainable()]
         named += [(f"head.{n}", t) for n, t in self.head.trainable()]
-        if getattr(self, "head_bias", None) is not None:
+        if self.head_bias is not None:
             named.append(("head.bias", self.head_bias))
         return named
 
@@ -250,53 +237,33 @@ class Model:
     def backbone_hashes(self) -> list[str]:
         """SHA-256 of each layer's frozen bytes (matrix + bias), in order."""
         out = []
-        for layer in self.all_layers():
-            if isinstance(layer, LottaLayer):
-                digest = hashlib.sha256(layer.backbone.data.tobytes())
-                if layer.frozen_bias is not None:
-                    digest.update(layer.frozen_bias.tobytes())
-                out.append(digest.hexdigest())
+        for layer in self.lotta_layers():
+            digest = hashlib.sha256(layer.backbone.data.tobytes())
+            if layer.frozen_bias is not None:
+                digest.update(layer.frozen_bias.tobytes())
+            out.append(digest.hexdigest())
         return out
+
+    def _redraw(self, seed: int) -> None:
+        for i, (layer, stream) in enumerate(zip(self.lotta_layers(), self._backbone_streams)):
+            layer.set_backbone(*self._draw_frozen(i, stream, seed))
 
     def resample_backbones(self) -> None:
         """Redraw every layer's frozen state from its continuing stream."""
         if self.cfg.zero_scaffold or self.cfg.mode == "full_training":
             return
-        for i, layer in enumerate(self.all_layers()):
-            if isinstance(layer, LottaLayer):
-                stream = self._backbone_streams[i]
-                matrix = draw_matrix(stream, self.spec.family, layer.d_out, layer.d_in,
-                                     provenance=(self.spec.seed, i, self.spec.family))
-                layer.set_backbone(matrix, self._frozen_bias(stream, layer.d_out, layer.d_in))
+        self._redraw(self.spec.seed)
 
     def swap_seed_backbones(self, seed: int) -> None:
         """Regenerate all frozen state from a different global seed
         (seed gating); adapters and heads are untouched."""
         if self.cfg.mode == "full_training":
             raise ConfigError("seed swapping requires lottalora mode")
-        for i, layer in enumerate(self.all_layers()):
-            if isinstance(layer, LottaLayer):
-                stream = derive_stream(seed, i, DrawKind.BACKBONE_WEIGHT)
-                if self.cfg.zero_scaffold:
-                    matrix = layer.backbone  # stays zero under every seed
-                else:
-                    matrix = draw_matrix(stream, self.spec.family, layer.d_out, layer.d_in,
-                                         provenance=(seed, i, self.spec.family))
-                layer.set_backbone(matrix, self._frozen_bias(stream, layer.d_out, layer.d_in))
-                self._backbone_streams[i] = stream
-
-    def state_tensors(self) -> list[tuple[str, Tensor]]:
-        """Trainable tensors in canonical artifact order."""
-        return self.trainable_params()
+        self._backbone_streams = [
+            derive_stream(seed, i, DrawKind.BACKBONE_WEIGHT) for i in range(self._n_lotta)
+        ]
+        self._redraw(seed)
 
 
 def build_model(cfg: ModelConfig, backbone: BackboneSpec) -> Model:
     return Model(cfg, backbone)
-
-
-def count_trainable(model: Model) -> tuple[int, dict]:
-    return model.count_trainable()
-
-
-def forward_logits(model: Model, batch: np.ndarray, training: bool = False) -> Tensor:
-    return model.forward_logits(batch, training=training)

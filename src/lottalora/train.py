@@ -1,5 +1,6 @@
-"""Optimization loops: AdamW with cosine annealing, static-scaffold
-training, scaffold-resampling schedules, and seed-gated multitask training.
+"""Optimization: AdamW with cosine annealing, and the one training loop
+behind static-scaffold training, the scaffold-resampling schedules and
+seed-gated multitask training.
 
 Every run is deterministic given (run seed, configs): data order comes
 from the shuffle stream derived from the run seed, dropout masks from
@@ -116,10 +117,6 @@ class AdamW:
             p.data -= (lr / bc1) * m / (np.sqrt(v / bc2) + self.eps)
 
 
-def adamw_step(optimizer: AdamW, lr_t: float) -> None:
-    optimizer.step(lr_t)
-
-
 def cosine_lr(step: int, total_steps: int, lr0: float) -> float:
     """lr0 * (1 + cos(pi * step / total)) / 2."""
     if not 0 <= step <= total_steps:
@@ -144,73 +141,88 @@ def evaluate(model: Model, dataset: Dataset, batch_size: int = 2048) -> tuple[fl
     return total_loss / n, correct / n
 
 
-def resample_backbone(model: Model, schedule: str) -> None:
-    """Redraw every frozen matrix unless the schedule is static."""
-    if schedule == "static":
-        return
-    model.resample_backbones()
+def _lr(cfg: TrainConfig, step: int, total_steps: int) -> float:
+    return cosine_lr(step, total_steps, cfg.lr) if cfg.schedule == "cosine" else cfg.lr
 
 
 def _layer_betas(model: Model) -> list[float]:
-    betas = []
-    for layer in model.all_layers():
-        if hasattr(layer, "adapter"):
-            betas.append(float(layer.adapter.beta.data))
-    return betas
+    return [float(layer.adapter.beta.data) for layer in model.lotta_layers()]
 
 
-def _train_one_batch(model, optimizer, x, y, lr_t, cfg: TrainConfig):
-    """One optimizer step under the configured resampling schedule.
+def _train_step(model, optimizer, x, y, lr_t, resample: str, k: int):
+    """One optimizer step: one pass over the step's sub-batches.
 
-    Returns (mean loss over the bunch, correct count).  For per_batch the
-    same batch is pushed through k freshly resampled scaffolds; for
-    microbatch the batch is split into k sub-batches, each under its own
-    fresh scaffold.  Accumulated gradients are averaged, keeping the lr
-    meaningful across schedules.
+    The sub-batches are the batch itself (static), k copies of it
+    (per_batch) or its non-empty k-way splits (microbatch).  Under the two
+    within-step schedules every sub-batch runs on a freshly redrawn
+    scaffold.  Gradients accumulate over the pass and are averaged, keeping
+    the lr meaningful across schedules.  Returns (mean loss over the
+    forward rows, correct count, forward rows).
     """
+    if resample == "per_batch":
+        parts = [slice(None)] * k
+    elif resample == "microbatch":
+        parts = [idx for idx in np.array_split(np.arange(len(y)), k) if len(idx)]
+    else:
+        parts = [slice(None)]
     optimizer.zero_grad()
-    if cfg.resample == "per_batch":
-        k = cfg.resample_k
-        losses = 0.0
-        correct = 0
-        for _ in range(k):
+    loss_sum = 0.0
+    correct = rows = 0
+    for part in parts:
+        if resample in ("per_batch", "microbatch"):
             model.resample_backbones()
-            logits = model.forward_logits(x, training=True)
-            loss = softmax_xent(logits, y)
-            loss.backward()
-            losses += loss.item()
-            correct += int((logits.data.argmax(axis=1) == y).sum())
-        for p in optimizer.params:
-            if p.grad is not None:
-                p.grad /= k
-        optimizer.step(lr_t)
-        return losses / k, correct // k
-    if cfg.resample == "microbatch":
-        k = cfg.resample_k
-        chunks = np.array_split(np.arange(len(y)), k)
-        losses = 0.0
-        correct = 0
-        used = 0
-        for idx in chunks:
-            if len(idx) == 0:
-                continue
-            model.resample_backbones()
-            logits = model.forward_logits(x[idx], training=True)
-            loss = softmax_xent(logits, y[idx])
-            loss.backward()
-            losses += loss.item() * len(idx)
-            correct += int((logits.data.argmax(axis=1) == y[idx]).sum())
-            used += 1
-        for p in optimizer.params:
-            if p.grad is not None:
-                p.grad /= used
-        optimizer.step(lr_t)
-        return losses / len(y), correct
-    logits = model.forward_logits(x, training=True)
-    loss = softmax_xent(logits, y)
-    loss.backward()
+        ys = y[part]
+        logits = model.forward_logits(x[part], training=True)
+        loss = softmax_xent(logits, ys)
+        loss.backward()
+        loss_sum += loss.item() * len(ys)
+        correct += int((logits.data.argmax(axis=1) == ys).sum())
+        rows += len(ys)
+    for p in optimizer.params:
+        if p.grad is not None:
+            p.grad /= len(parts)
     optimizer.step(lr_t)
-    return loss.item(), int((logits.data.argmax(axis=1) == y).sum())
+    return loss_sum / rows, correct, rows
+
+
+def _train_loop(model: Model, cfg: TrainConfig, resample: str, segments, shuffle):
+    """The one training loop behind ``train_run`` and ``seed_gated_train``.
+
+    Every epoch runs the ``(dataset, prepare)`` segments in order:
+    ``prepare(epoch)`` sets up the scaffold, then the dataset is shuffled
+    and cut into batches, each one ``_train_step`` under ``resample``.
+    Yields ``(epoch, train_loss, train_accuracy, lr)`` after each epoch;
+    the train metrics are row-weighted means over every forward row.
+    """
+    optimizer = AdamW(
+        [p for _, p in model.trainable_params()], lr=cfg.lr, weight_decay=cfg.weight_decay,
+        beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps,
+    )
+    total_steps = cfg.epochs * sum(math.ceil(len(data) / cfg.batch_size) for data, _ in segments)
+    step = 0
+    for epoch in range(cfg.epochs):
+        loss_sum = 0.0
+        correct = rows = batch_rows = 0
+        for data, prepare in segments:
+            prepare(epoch)
+            perm = shuffle.permutation(len(data))
+            for start in range(0, len(data), cfg.batch_size):
+                idx = perm[start:start + cfg.batch_size]
+                y = data.labels[idx]
+                loss, step_correct, step_rows = _train_step(
+                    model, optimizer, data.images[idx], y, _lr(cfg, step, total_steps), resample, cfg.resample_k
+                )
+                if not math.isfinite(loss):
+                    raise RunError(
+                        f"training diverged at epoch {epoch}, step {step} (non-finite loss)",
+                        last_finite_epoch=epoch - 1,
+                    )
+                loss_sum += loss * len(y)
+                correct += step_correct
+                rows += step_rows
+                batch_rows += len(y)
+                step += 1
+        yield epoch, loss_sum / batch_rows, correct / rows, _lr(cfg, step, total_steps)
 
 
 def train_run(
@@ -227,55 +239,26 @@ def train_run(
     shuffle = derive_stream(backbone_spec.seed, 0, DrawKind.DATA_SHUFFLE)
     train_split, val_split = split_train_val(train_dataset, shuffle, train_cfg.val_fraction)
 
-    trainables = [p for _, p in model.trainable_params()]
-    optimizer = AdamW(
-        trainables, lr=train_cfg.lr, weight_decay=train_cfg.weight_decay,
-        beta1=train_cfg.beta1, beta2=train_cfg.beta2, eps=train_cfg.eps,
-    )
+    def redraw_per_epoch(epoch):
+        if train_cfg.resample == "per_epoch" and epoch > 0:
+            model.resample_backbones()
 
-    n = len(train_split)
-    steps_per_epoch = math.ceil(n / train_cfg.batch_size)
-    total_steps = train_cfg.epochs * steps_per_epoch
+    trainables = [p for _, p in model.trainable_params()]
     metrics = RunMetrics()
     best_val = -1.0
     best_snapshot = None
-    global_step = 0
-
-    for epoch in range(train_cfg.epochs):
-        if train_cfg.resample == "per_epoch" and epoch > 0:
-            model.resample_backbones()
-        perm = shuffle.permutation(n)
-        epoch_loss = 0.0
-        epoch_correct = 0
-        for start in range(0, n, train_cfg.batch_size):
-            idx = perm[start:start + train_cfg.batch_size]
-            x = train_split.images[idx]
-            y = train_split.labels[idx]
-            lr_t = (
-                cosine_lr(global_step, total_steps, train_cfg.lr)
-                if train_cfg.schedule == "cosine"
-                else train_cfg.lr
-            )
-            loss, correct = _train_one_batch(model, optimizer, x, y, lr_t, train_cfg)
-            if not math.isfinite(loss):
-                raise RunError(
-                    f"training diverged at epoch {epoch} (non-finite loss)",
-                    last_finite_epoch=epoch - 1,
-                )
-            epoch_loss += loss * len(y)
-            epoch_correct += correct
-            global_step += 1
-
+    epochs = _train_loop(model, train_cfg, train_cfg.resample, [(train_split, redraw_per_epoch)], shuffle)
+    for epoch, train_loss, train_acc, lr in epochs:
         val_loss, val_acc = evaluate(model, val_split)
         betas = _layer_betas(model)
         metrics.beta_trajectory.append(betas)
         metrics.epochs.append({
             "epoch": epoch,
-            "train_loss": epoch_loss / n,
-            "train_accuracy": epoch_correct / n,
+            "train_loss": train_loss,
+            "train_accuracy": train_acc,
             "val_loss": val_loss,
             "val_accuracy": val_acc,
-            "lr": cosine_lr(global_step, total_steps, train_cfg.lr) if train_cfg.schedule == "cosine" else train_cfg.lr,
+            "lr": lr,
             "beta_min": min(betas) if betas else None,
             "beta_median": float(np.median(betas)) if betas else None,
         })
@@ -284,11 +267,7 @@ def train_run(
             metrics.best_epoch = epoch
             # snapshot the frozen state too: the adapters are only
             # meaningful with the scaffold they were trained against
-            frozen = [
-                (layer, layer.backbone, layer.frozen_bias)
-                for layer in model.all_layers()
-                if hasattr(layer, "backbone")
-            ]
+            frozen = [(layer, layer.backbone, layer.frozen_bias) for layer in model.lotta_layers()]
             best_snapshot = ([p.data.copy() for p in trainables], frozen)
 
     # best-val selection applies to the static schedule only; resampling
@@ -338,35 +317,13 @@ def seed_gated_train(
     model = build_model(cfg, spec)
     shuffle = derive_stream(partition.seeds[0], 0, DrawKind.DATA_SHUFFLE)
 
-    trainables = [p for _, p in model.trainable_params()]
-    optimizer = AdamW(
-        trainables, lr=train_cfg.lr, weight_decay=train_cfg.weight_decay,
-        beta1=train_cfg.beta1, beta2=train_cfg.beta2, eps=train_cfg.eps,
-    )
-
     views = [partition.training_view(train_dataset, g) for g in range(len(partition.groups))]
-    steps_per_epoch = sum(math.ceil(len(v) / train_cfg.batch_size) for v in views)
-    total_steps = train_cfg.epochs * steps_per_epoch
-    global_step = 0
-    static_cfg = TrainConfig(**{**train_cfg.to_dict(), "resample": "static"})
-
-    for _ in range(train_cfg.epochs):
-        for g, view in enumerate(views):
-            model.swap_seed_backbones(partition.seeds[g])
-            perm = shuffle.permutation(len(view))
-            for start in range(0, len(view), train_cfg.batch_size):
-                idx = perm[start:start + train_cfg.batch_size]
-                lr_t = (
-                    cosine_lr(global_step, total_steps, train_cfg.lr)
-                    if train_cfg.schedule == "cosine"
-                    else train_cfg.lr
-                )
-                loss, _ = _train_one_batch(
-                    model, optimizer, view.images[idx], view.labels[idx], lr_t, static_cfg
-                )
-                if not math.isfinite(loss):
-                    raise RunError("seed-gated training diverged", last_finite_epoch=None)
-                global_step += 1
+    segments = [
+        (view, lambda _epoch, seed=seed: model.swap_seed_backbones(seed))
+        for view, seed in zip(views, partition.seeds)
+    ]
+    for _ in _train_loop(model, train_cfg, "static", segments, shuffle):
+        pass  # nothing to record between epochs
 
     confusion = []
     assigned = []

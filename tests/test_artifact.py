@@ -51,9 +51,9 @@ def test_payload_size_is_four_bytes_per_trainable():
     blob = pack(model)
     header_len = struct.unpack_from("<I", blob, 6)[0]
     # everything after the table is payload + 4-byte crc
-    tensor_count = len(model.state_tensors())
-    names = sum(len(n.encode()) for n, _ in model.state_tensors())
-    ndims = sum(t.data.ndim for _, t in model.state_tensors())
+    tensor_count = len(model.trainable_params())
+    names = sum(len(n.encode()) for n, _ in model.trainable_params())
+    ndims = sum(t.data.ndim for _, t in model.trainable_params())
     table_len = 4 + tensor_count * (2 + 1 + 16) + names + 4 * ndims
     payload_len = len(blob) - 10 - header_len - table_len - 4
     assert payload_len == 4 * total
@@ -213,3 +213,48 @@ def test_tensor_extent_must_match_its_shape():
     struct.pack_into("<Q", body, size_at, struct.unpack_from("<Q", body, size_at)[0] - 4)
     with pytest.raises(FormatError, match="back to back"):
         unpack(with_crc(bytes(body)))
+
+
+# -- CRC-valid artifacts whose header fields are missing or mistyped ------------
+
+
+def reheader(blob: bytes, edit) -> bytes:
+    """Re-pack ``blob`` with its JSON header changed by ``edit`` and a valid CRC."""
+    header, _ = unpack(blob)
+    edit(header)
+    raw = json.dumps(header).encode("utf-8")
+    return with_crc(MAGIC + struct.pack("<HI", FORMAT_VERSION, len(raw)) + raw + blob[table_start(blob):-4])
+
+
+def reconstruct_edited(edit):
+    return reconstruct(*unpack(reheader(pack(fresh_model()), edit)))
+
+
+def test_header_without_model_is_format_error():
+    with pytest.raises(FormatError, match="model"):
+        reconstruct_edited(lambda h: h.pop("model"))
+
+
+def test_header_without_backbone_is_format_error():
+    with pytest.raises(FormatError, match="backbone"):
+        reconstruct_edited(lambda h: h.pop("backbone"))
+
+
+def test_backbone_without_seed_is_format_error():
+    with pytest.raises(FormatError, match="seed"):
+        reconstruct_edited(lambda h: h["backbone"].pop("seed"))
+
+
+def test_unknown_model_key_is_format_error():
+    with pytest.raises(FormatError):
+        reconstruct_edited(lambda h: h["model"].update(width=3))
+
+
+def test_layer_shapes_that_are_not_a_list_is_format_error():
+    with pytest.raises(FormatError):
+        reconstruct_edited(lambda h: h["backbone"].update(layer_shapes=5))
+
+
+def test_non_numeric_rank_is_format_error():
+    with pytest.raises(FormatError):
+        reconstruct_edited(lambda h: h["model"].update(rank="x"))

@@ -106,6 +106,21 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     assert payload["header"]["backbone"]["family"]["params"]["sigma"] == 0.5
 
 
+@pytest.mark.parametrize("text", [
+    '{"rank": 4',  # not JSON
+    '[{"rank": 4}]',  # not an object
+    '{"rank": "x"}',  # rejected by the flag's type
+    '{"scaling": "wide"}',  # not one of the flag's choices
+])
+def test_malformed_config_file_is_config_error(tmp_path, capsys, text):
+    config = tmp_path / "conf.json"
+    config.write_text(text)
+    code = run(["pack", "--preset", "tiny", "--config", str(config), "--output", str(tmp_path / "m.ltlr")])
+    assert code == 3
+    assert json.loads(capsys.readouterr().err)["error"] == "config"
+    assert not (tmp_path / "m.ltlr").exists()
+
+
 @requires_mnist
 def test_metalora_command_short(tmp_path, capsys, mnist_dir):
     out = tmp_path / "meta"

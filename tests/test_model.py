@@ -4,7 +4,7 @@ import pytest
 from lottalora.errors import ConfigError, DimensionError
 from lottalora.initfam import InitFamily
 from lottalora.layers import LottaLayer
-from lottalora.model import BackboneSpec, ModelConfig, build_model, count_trainable
+from lottalora.model import BackboneSpec, ModelConfig, build_model
 
 NORMAL_01 = InitFamily("normal", {"sigma": 0.1}, scaling="explicit")
 
@@ -37,36 +37,36 @@ LORA_COUNTS = {
 @pytest.mark.parametrize("preset,expected", sorted(FULL_COUNTS.items()))
 def test_full_training_counts(preset, expected):
     model = build(preset, mode="full_training")
-    total, _ = count_trainable(model)
+    total, _ = model.count_trainable()
     assert total == expected
 
 
 @pytest.mark.parametrize("preset,rank", sorted(LORA_COUNTS))
 def test_lottalora_counts(preset, rank):
     model = build(preset, rank=rank)
-    total, breakdown = count_trainable(model)
+    total, breakdown = model.count_trainable()
     assert total == LORA_COUNTS[(preset, rank)]
     assert breakdown["head"] == 10 * model.cfg.dims()[-1] + 10
 
 
 def test_per_layer_count_formula():
     model = build("medium", rank=8)
-    _, breakdown = count_trainable(model)
+    _, breakdown = model.count_trainable()
     dims = (784, 512, 256, 128, 64)
     for i in range(4):
         assert breakdown[f"layer{i}"] == 8 * (dims[i] + dims[i + 1]) + 1
 
 
 def test_layernorm_adds_two_d_per_layer():
-    base, _ = count_trainable(build("tiny", rank=4))
-    with_ln, _ = count_trainable(build("tiny", rank=4, layernorm=True))
+    base, _ = build("tiny", rank=4).count_trainable()
+    with_ln, _ = build("tiny", rank=4, layernorm=True).count_trainable()
     assert with_ln - base == 2 * (128 + 64)
 
 
 def test_head_mode_counts():
-    full, _ = count_trainable(build("tiny", rank=4, head_mode="full"))
-    lora, _ = count_trainable(build("tiny", rank=4, head_mode="lora"))
-    lora_bias, _ = count_trainable(build("tiny", rank=4, head_mode="lora_bias"))
+    full, _ = build("tiny", rank=4, head_mode="full").count_trainable()
+    lora, _ = build("tiny", rank=4, head_mode="lora").count_trainable()
+    lora_bias, _ = build("tiny", rank=4, head_mode="lora_bias").count_trainable()
     # frozen random head + adapter replaces the 650-parameter dense head
     assert lora == full - 650 + (4 * (64 + 10) + 1)
     assert lora_bias == lora + 10

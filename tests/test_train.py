@@ -3,19 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from lottalora.data import make_partition, synthetic_blobs
+from lottalora.data import make_partition, split_train_val, synthetic_blobs
 from lottalora.errors import ConfigError, RunError
 from lottalora.initfam import InitFamily
-from lottalora.model import BackboneSpec, ModelConfig
-from lottalora.numerics import tensor
+from lottalora.model import BackboneSpec, ModelConfig, build_model
+from lottalora.numerics import softmax_xent, tensor
+from lottalora.prng import DrawKind, derive_stream
 from lottalora.train import (
     AdamW,
-    adamw_step,
+    _train_step,
     RunMetrics,
     TrainConfig,
     beta_summary,
     cosine_lr,
-    resample_backbone,
     seed_gated_train,
     train_run,
     write_metrics_csv,
@@ -67,7 +67,7 @@ def test_adamw_single_scalar_step_matches_hand_arithmetic():
     p = tensor(np.asarray(value), requires_grad=True, dtype=np.float64)
     p.grad = np.asarray(grad, dtype=np.float64)
     opt = AdamW([p], lr=lr, weight_decay=wd, beta1=b1, beta2=b2, eps=eps)
-    adamw_step(opt, lr)
+    opt.step(lr)
     assert float(p.data) == pytest.approx(expected, rel=1e-12)
 
 
@@ -162,19 +162,6 @@ def test_per_epoch_resample_restores_coherent_scaffold():
     assert metrics.model.backbone_hashes() == replay.backbone_hashes()
 
 
-def test_resample_helper_respects_static():
-    cfg = blob_model_cfg()
-    spec = BackboneSpec.from_config(cfg, 3, InitFamily("normal"))
-    from lottalora.model import build_model
-
-    model = build_model(cfg, spec)
-    before = model.backbone_hashes()
-    resample_backbone(model, "static")
-    assert model.backbone_hashes() == before
-    resample_backbone(model, "per_epoch")
-    assert model.backbone_hashes() != before
-
-
 def test_resampled_schedules_still_step():
     train, test = blob_data(n=300)
     cfg = blob_model_cfg()
@@ -187,6 +174,105 @@ def test_resampled_schedules_still_step():
         assert math.isfinite(metrics.final_test_loss)
 
 
+# -- the one-pass step against the former per-schedule step ---------------------
+
+def reference_train_one_batch(model, optimizer, x, y, lr_t, cfg: TrainConfig):
+    """The step as it was before the schedules shared one pass: a separate
+    branch per schedule.  Kept as the oracle for ``_train_step``."""
+    optimizer.zero_grad()
+    if cfg.resample == "per_batch":
+        k = cfg.resample_k
+        losses = 0.0
+        correct = 0
+        for _ in range(k):
+            model.resample_backbones()
+            logits = model.forward_logits(x, training=True)
+            loss = softmax_xent(logits, y)
+            loss.backward()
+            losses += loss.item()
+            correct += int((logits.data.argmax(axis=1) == y).sum())
+        for p in optimizer.params:
+            if p.grad is not None:
+                p.grad /= k
+        optimizer.step(lr_t)
+        return losses / k, correct // k
+    if cfg.resample == "microbatch":
+        k = cfg.resample_k
+        chunks = np.array_split(np.arange(len(y)), k)
+        losses = 0.0
+        correct = 0
+        used = 0
+        for idx in chunks:
+            if len(idx) == 0:
+                continue
+            model.resample_backbones()
+            logits = model.forward_logits(x[idx], training=True)
+            loss = softmax_xent(logits, y[idx])
+            loss.backward()
+            losses += loss.item() * len(idx)
+            correct += int((logits.data.argmax(axis=1) == y[idx]).sum())
+            used += 1
+        for p in optimizer.params:
+            if p.grad is not None:
+                p.grad /= used
+        optimizer.step(lr_t)
+        return losses / len(y), correct
+    logits = model.forward_logits(x, training=True)
+    loss = softmax_xent(logits, y)
+    loss.backward()
+    optimizer.step(lr_t)
+    return loss.item(), int((logits.data.argmax(axis=1) == y).sum())
+
+
+@pytest.mark.parametrize("resample,k,rows", [
+    ("static", 2, 64),
+    ("per_batch", 3, 64),
+    ("microbatch", 4, 50),
+    ("microbatch", 5, 3),  # fewer rows than splits: two chunks are empty
+])
+def test_one_pass_step_matches_reference_bitwise(resample, k, rows):
+    train, _ = blob_data()
+    x, y = train.images[:rows], train.labels[:rows]
+    cfg = blob_model_cfg(dropout=0.1, head_mode="lora_bias", layernorm=True)
+    spec = BackboneSpec.from_config(cfg, 21, InitFamily("normal"))
+
+    def state_after_two_steps(step):
+        model = build_model(cfg, spec)
+        opt = AdamW([p for _, p in model.trainable_params()], lr=1e-2)
+        for _ in range(2):  # the second step runs on non-zero moments and B
+            step(model, opt)
+        return (model.backbone_hashes(), [p.data.tobytes() for p in opt.params],
+                [m.tobytes() for m in opt.m], [v.tobytes() for v in opt.v])
+
+    reference = state_after_two_steps(lambda model, opt: reference_train_one_batch(
+        model, opt, x, y, 1e-2, TrainConfig(resample=resample, resample_k=k)))
+    one_pass = state_after_two_steps(lambda model, opt: _train_step(model, opt, x, y, 1e-2, resample, k))
+    assert one_pass == reference
+
+
+def test_per_batch_train_accuracy_counts_every_forward_row():
+    # one epoch, one full batch, k=2: the step sees the batch under two
+    # fresh scaffolds before any update, so it can be replayed by hand
+    train, test = blob_data()
+    cfg = blob_model_cfg()
+    seed = 2
+    spec = BackboneSpec.from_config(cfg, seed, InitFamily("normal"))
+    tcfg = quick_train_cfg(epochs=1, batch_size=len(train), resample="per_batch", resample_k=2)
+    metrics = train_run(cfg, spec, tcfg, train, test)
+
+    split, _ = split_train_val(train, derive_stream(seed, 0, DrawKind.DATA_SHUFFLE), tcfg.val_fraction)
+    replay = build_model(cfg, spec)
+    correct, losses = [], []
+    for _ in range(2):
+        replay.resample_backbones()
+        logits = replay.forward_logits(split.images)
+        correct.append(int((logits.data.argmax(axis=1) == split.labels).sum()))
+        losses.append(softmax_xent(logits, split.labels).item())
+    assert sum(correct) % 2 == 1  # a floored per-step count would lose half a row
+    assert metrics.epochs[0]["train_accuracy"] == sum(correct) / (2 * len(split))
+    assert metrics.epochs[0]["train_loss"] == pytest.approx(sum(losses) / 2, rel=1e-12)
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
 def test_divergence_raises_run_error():
     train, test = blob_data()
@@ -194,6 +280,18 @@ def test_divergence_raises_run_error():
     spec = BackboneSpec.from_config(cfg, 1)
     with pytest.raises(RunError) as exc:
         train_run(cfg, spec, quick_train_cfg(lr=1e12, epochs=3), train, test)
+    assert exc.value.last_finite_epoch is not None
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_seed_gated_divergence_names_epoch_and_step():
+    full = synthetic_blobs(450, 16, 3, 8.0, seed=2)
+    train = full.subset(np.arange(300), "train")
+    test = full.subset(np.arange(300, 450), "test")
+    partition = make_partition([{0}, {1, 2}], [42, 43])
+    cfg = blob_model_cfg(num_classes=10)
+    with pytest.raises(RunError, match=r"epoch \d+, step \d+") as exc:
+        seed_gated_train(partition, cfg, quick_train_cfg(lr=1e12, epochs=3), train, test)
     assert exc.value.last_finite_epoch is not None
 
 
