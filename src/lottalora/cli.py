@@ -10,6 +10,7 @@ category on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -22,7 +23,7 @@ import numpy as np
 from . import artifact as artifact_mod
 from .cost import ARCHS, cost_report, rank_star
 from .data import load_mnist, make_partition
-from .errors import ConfigError, DataError, LottaError
+from .errors import ConfigError, DataError, LottaError, RunError
 from .initfam import InitFamily
 from .model import BackboneSpec, ModelConfig, build_model
 from .train import (
@@ -63,14 +64,12 @@ def _parse_family_params(pairs) -> dict:
     return params
 
 
-def _resolve_family(args) -> InitFamily:
-    params = _parse_family_params(getattr(args, "family_param", None))
-    scaling = getattr(args, "family_scaling", None)
-    return InitFamily(args.family, params, scaling)
+def _resolve_family(args, name: str) -> InitFamily:
+    return InitFamily(name, _parse_family_params(args.family_param), args.family_scaling)
 
 
 def _resolve_data_dir(args) -> str:
-    path = getattr(args, "data_dir", None) or os.environ.get("LOTTALORA_DATA_DIR")
+    path = args.data_dir or os.environ.get("LOTTALORA_DATA_DIR")
     if not path:
         raise DataError("no MNIST directory: pass --data-dir or set LOTTALORA_DATA_DIR")
     return path
@@ -88,12 +87,13 @@ def _parse_resample(text: str) -> tuple[str, int]:
     raise ConfigError(f"bad --resample {text!r}; expected static|epoch|batch:k|micro:k")
 
 
-def _apply_config_file(args: argparse.Namespace) -> None:
-    """Flat JSON config; dotted family.* keys feed --family-param; explicit
-    command-line flags win over file values."""
-    path = getattr(args, "config", None)
-    if not path:
-        return
+def _int_list(text: str) -> list[int]:
+    return [int(item) for item in text.split(",")]
+
+
+def _config_defaults(parser: argparse.ArgumentParser, path: str) -> dict:
+    """Read a flat JSON config as parser defaults; dotted family.* keys feed
+    --family-param."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             config = json.load(fh)
@@ -101,41 +101,41 @@ def _apply_config_file(args: argparse.Namespace) -> None:
             raise ConfigError(f"config file {path} is not valid JSON: {err}") from err
     if not isinstance(config, dict):
         raise ConfigError(f"config file {path} must hold a JSON object, got {type(config).__name__}")
-    actions = {action.dest: action for action in args._parser._actions}
+    actions = {action.dest: action for action in parser._actions}
+    defaults = {}
     for key, value in config.items():
         if key.startswith("family."):
-            args.family_param = list(getattr(args, "family_param", []) or [])
-            args.family_param.append(f"{key.split('.', 1)[1]}={value}")
+            defaults.setdefault("family_param", []).append(f"{key.split('.', 1)[1]}={value}")
             continue
         dest = key.replace("-", "_").replace(".", "_")
-        if not hasattr(args, dest):
-            raise ConfigError(f"unknown config key {key!r}")
         action = actions.get(dest)
-        if action is not None and action.type is not None:
+        if action is None:
+            raise ConfigError(f"unknown config key {key!r}")
+        if action.type is not None:
             # the same conversion the flag's command-line text goes through
             try:
                 value = action.type(str(value))
             except (TypeError, ValueError) as err:
                 raise ConfigError(f"config key {key!r}: invalid value {value!r}") from err
-        if action is not None and action.choices is not None and value not in action.choices:
+        if action.choices is not None and value not in action.choices:
             raise ConfigError(f"config key {key!r}: {value!r} is not one of {list(action.choices)}")
-        if getattr(args, dest) == args._parser.get_default(dest):
-            setattr(args, dest, value)
+        defaults[dest] = value
+    return defaults
 
 
-def _model_config(args) -> ModelConfig:
+def _model_config(args, rank: int) -> ModelConfig:
     scaling = "rank_stabilized" if args.scaling == "rslora" else "standard"
     return ModelConfig(
         preset=args.preset,
-        rank=args.rank,
+        rank=rank,
         alpha=args.alpha,
         scaling_mode=scaling,
         head_mode=args.head,
         dropout=args.dropout,
         layernorm=args.layernorm,
-        mode="full_training" if getattr(args, "full", False) else "lottalora",
-        zero_scaffold=getattr(args, "zero_scaffold", False),
-        b_init=getattr(args, "b_init", "zeros"),
+        mode="full_training" if args.full else "lottalora",
+        zero_scaffold=args.zero_scaffold,
+        b_init=args.b_init,
     )
 
 
@@ -150,85 +150,18 @@ def _train_config(args, resample="static", resample_k=2) -> TrainConfig:
     )
 
 
+def _write_json(path: str, payload) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+
+
 def _write_manifest(out_dir: str, command: str, resolved: dict) -> None:
     os.makedirs(out_dir, exist_ok=True)
     manifest = {"command": command, "resolved": resolved, "written_at": time.strftime("%Y-%m-%dT%H:%M:%S")}
-    with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+    _write_json(os.path.join(out_dir, "manifest.json"), manifest)
 
 
-def _write_summary(out_dir: str, metrics: RunMetrics, task: dict) -> None:
-    summary = {"task": task, **metrics.summary()}
-    with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-
-
-# -- parallel sweep machinery -----------------------------------------------------
-
-_WORKER_DATA = {}
-
-
-def _worker_init(data_dir: str):
-    _WORKER_DATA["mnist"] = load_mnist(data_dir)
-
-
-def run_single(task: dict, datasets=None) -> dict:
-    """One training run described by a flat task dict (picklable)."""
-    if datasets is None:
-        datasets = _WORKER_DATA["mnist"]
-    train_ds, test_ds = datasets
-    cfg = ModelConfig.from_dict(task["model"])
-    family = InitFamily.from_dict(task["family"])
-    spec = BackboneSpec.from_config(cfg, task["seed"], family)
-    tcfg = TrainConfig(**task["train"])
-    metrics = train_run(cfg, spec, tcfg, train_ds, test_ds)
-    result = {
-        "task": task,
-        "final_test_accuracy": metrics.final_test_accuracy,
-        "final_test_loss": metrics.final_test_loss,
-        "final_betas": metrics.final_betas,
-        "best_epoch": metrics.best_epoch,
-        "wall_time": metrics.wall_time,
-        "epochs": metrics.epochs,
-    }
-    out_dir = task.get("out_dir")
-    if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
-        write_metrics_csv(metrics, os.path.join(out_dir, "metrics.csv"))
-        _write_summary(out_dir, metrics, task)
-    return result
-
-
-def run_grid(tasks: list[dict], jobs: int, data_dir: str) -> list[dict]:
-    """Run a task grid, up to ``jobs`` processes; results in task order.
-
-    Workers are spawned with single-threaded BLAS so parallel runs do not
-    oversubscribe each other; each worker loads the dataset once.
-    """
-    if jobs <= 1 or len(tasks) <= 1:
-        datasets = load_mnist(data_dir)
-        return [run_single(task, datasets) for task in tasks]
-    saved = {}
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS"):
-        saved[var] = os.environ.get(var)
-        os.environ[var] = "1"
-    try:
-        with ProcessPoolExecutor(
-            max_workers=jobs,
-            mp_context=get_context("spawn"),
-            initializer=_worker_init,
-            initargs=(data_dir,),
-        ) as pool:
-            return list(pool.map(run_single, tasks))
-    finally:
-        for var, old in saved.items():
-            if old is None:
-                os.environ.pop(var, None)
-            else:
-                os.environ[var] = old
-
-
-def _task(args, model_cfg: ModelConfig, family: InitFamily, seed: int, train_cfg: TrainConfig, out_dir=None) -> dict:
+def _task(model_cfg: ModelConfig, family: InitFamily, seed: int, train_cfg: TrainConfig, out_dir=None) -> dict:
     return {
         "model": model_cfg.to_dict(),
         "family": family.to_dict(),
@@ -238,25 +171,75 @@ def _task(args, model_cfg: ModelConfig, family: InitFamily, seed: int, train_cfg
     }
 
 
+# -- runs and grids -----------------------------------------------------------------
+
+
+def _train_task(task: dict, datasets) -> RunMetrics:
+    """Train one flat task dict; writes metrics.csv and summary.json to its
+    out_dir when it has one."""
+    cfg = ModelConfig.from_dict(task["model"])
+    spec = BackboneSpec.from_config(cfg, task["seed"], InitFamily.from_dict(task["family"]))
+    metrics = train_run(cfg, spec, TrainConfig(**task["train"]), *datasets)
+    out_dir = task.get("out_dir")
+    if out_dir:
+        os.makedirs(out_dir, exist_ok=True)
+        write_metrics_csv(metrics, os.path.join(out_dir, "metrics.csv"))
+        _write_json(os.path.join(out_dir, "summary.json"), {"task": task, **metrics.summary()})
+    return metrics
+
+
+@functools.lru_cache(maxsize=1)
+def _worker_datasets(data_dir: str):
+    return load_mnist(data_dir)
+
+
+def run_single(task: dict, data_dir: str) -> dict:
+    """One grid cell, run in a pool worker.  A cell that raises a LottaError
+    is reported as failed instead of aborting the grid; a data error is not
+    a cell failure and propagates."""
+    datasets = _worker_datasets(data_dir)
+    try:
+        metrics = _train_task(task, datasets)
+    except LottaError as err:
+        return {"task": task, "status": f"failed:{err.category}", "message": str(err)}
+    return {"task": task, "status": "ok", **metrics.summary()}
+
+
+def run_grid(tasks: list[dict], jobs: int, data_dir: str) -> list[dict]:
+    """Run a task grid in up to ``jobs`` spawned processes; results in task
+    order.
+
+    Every cell runs in a worker with single-threaded BLAS, whatever
+    ``jobs`` is, so a grid's numbers do not depend on it and parallel
+    workers do not oversubscribe each other.  Workers are spawned, so a
+    script that calls this needs the ``if __name__ == "__main__"`` guard.
+    """
+    saved = {}
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS"):
+        saved[var] = os.environ.get(var)
+        os.environ[var] = "1"
+    try:
+        with ProcessPoolExecutor(
+            max_workers=max(1, min(jobs, len(tasks))), mp_context=get_context("spawn"),
+        ) as pool:
+            return list(pool.map(run_single, tasks, [data_dir] * len(tasks)))
+    finally:
+        for var, old in saved.items():
+            if old is None:
+                os.environ.pop(var, None)
+            else:
+                os.environ[var] = old
+
+
 # -- commands ----------------------------------------------------------------------
 
 
 def cmd_train(args) -> int:
     data_dir = _resolve_data_dir(args)
-    family = _resolve_family(args)
-    model_cfg = _model_config(args)
     resample, k = _parse_resample(args.resample)
-    train_cfg = _train_config(args, resample, k)
-    datasets = load_mnist(data_dir)
-    task = _task(args, model_cfg, family, args.seed, train_cfg, out_dir=args.out_dir)
-
-    cfg = ModelConfig.from_dict(task["model"])
-    spec = BackboneSpec.from_config(cfg, args.seed, family)
-    metrics = train_run(cfg, spec, train_cfg, datasets[0], datasets[1])
-
-    os.makedirs(args.out_dir, exist_ok=True)
-    write_metrics_csv(metrics, os.path.join(args.out_dir, "metrics.csv"))
-    _write_summary(args.out_dir, metrics, task)
+    task = _task(_model_config(args, args.rank), _resolve_family(args, args.family), args.seed,
+                 _train_config(args, resample, k), out_dir=args.out_dir)
+    metrics = _train_task(task, load_mnist(data_dir))
     _write_manifest(args.out_dir, "train", task)
     blob = artifact_mod.pack(
         metrics.model,
@@ -270,107 +253,69 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _grid_tasks(args, families, seeds, ranks, out_root) -> list[dict]:
-    resample, k = _parse_resample(args.resample)
-    tasks = []
-    for fam_name in families:
-        family = InitFamily(fam_name) if isinstance(fam_name, str) else fam_name
-        for rank in ranks:
-            for seed in seeds:
-                model_cfg = ModelConfig.from_dict({**_model_config(args).to_dict(), "rank": rank})
-                tag = f"{model_cfg.preset}_{family.name}_r{rank}_s{seed}_{resample}"
-                tasks.append(
-                    _task(args, model_cfg, family, seed, _train_config(args, resample, k),
-                          out_dir=os.path.join(out_root, "runs", tag))
-                )
-    return tasks
-
-
-def cmd_sweep(args) -> int:
+def cmd_grid(args) -> int:
+    """families x schedules x ranks x seeds; ``sweep`` and ``metalora``
+    differ only in their defaults."""
     data_dir = _resolve_data_dir(args)
-    seeds = [int(s) for s in args.seeds.split(",")]
-    ranks = [int(r) for r in args.ranks.split(",")]
-    families = args.families.split(",") if args.families else [args.family]
-    if args.families:
-        tasks = _grid_tasks(args, families, seeds, ranks, args.out_dir)
-    else:
-        tasks = _grid_tasks(args, [_resolve_family(args)], seeds, ranks, args.out_dir)
-    results = run_grid(tasks, args.jobs, data_dir)
-    _write_manifest(args.out_dir, "sweep", {"tasks": tasks})
-    with open(os.path.join(args.out_dir, "sweep_summary.json"), "w", encoding="utf-8") as fh:
-        json.dump(results, fh, indent=2, sort_keys=True)
-    print(json.dumps([
-        {"tag": os.path.basename(r["task"]["out_dir"]), "acc": r["final_test_accuracy"]} for r in results
-    ], indent=2))
-    return 0
-
-
-def cmd_metalora(args) -> int:
-    data_dir = _resolve_data_dir(args)
-    seeds = [int(s) for s in args.seeds.split(",")]
-    ranks = [int(r) for r in args.ranks.split(",")]
+    families = [_resolve_family(args, name) for name in (args.families or args.family).split(",")]
     tasks = []
-    for schedule in args.schedules.split(","):
-        resample, k = _parse_resample(schedule)
-        for rank in ranks:
-            for seed in seeds:
-                model_cfg = ModelConfig.from_dict({**_model_config(args).to_dict(), "rank": rank})
-                tag = f"{model_cfg.preset}_r{rank}_s{seed}_{schedule.replace(':', '')}"
-                tasks.append(
-                    _task(args, model_cfg, _resolve_family(args), seed,
-                          _train_config(args, resample, k),
-                          out_dir=os.path.join(args.out_dir, "runs", tag))
-                )
+    for family in families:
+        for schedule in args.schedules.split(","):
+            train_cfg = _train_config(args, *_parse_resample(schedule))
+            for rank in args.ranks:
+                model_cfg = _model_config(args, rank)
+                for seed in args.seeds:
+                    tag = f"{args.preset}_{family.name}_r{rank}_s{seed}_{schedule.replace(':', '')}"
+                    tasks.append(_task(model_cfg, family, seed, train_cfg,
+                                       out_dir=os.path.join(args.out_dir, "runs", tag)))
     results = run_grid(tasks, args.jobs, data_dir)
-    _write_manifest(args.out_dir, "metalora", {"tasks": tasks})
-    with open(os.path.join(args.out_dir, "metalora_summary.json"), "w", encoding="utf-8") as fh:
-        json.dump(results, fh, indent=2, sort_keys=True)
+    _write_manifest(args.out_dir, args.command, {"tasks": tasks})
+    summary_path = os.path.join(args.out_dir, f"{args.command}_summary.json")
+    _write_json(summary_path, results)
     table = {}
     for r in results:
-        key = f"{r['task']['train']['resample']}_r{r['task']['model']['rank']}"
-        table.setdefault(key, []).append(r["final_test_accuracy"])
+        if r["status"] == "ok":
+            prefix = f"{r['task']['family']['name']}_" if len(families) > 1 else ""
+            key = f"{prefix}{r['task']['train']['resample']}_r{r['task']['model']['rank']}"
+            table.setdefault(key, []).append(r["final_test_accuracy"])
     print(json.dumps({k: float(np.mean(v)) for k, v in table.items()}, indent=2, sort_keys=True))
+    failed = sum(r["status"] != "ok" for r in results)
+    if failed:
+        raise RunError(f"{failed} of {len(results)} grid cells failed; see {summary_path}")
     return 0
 
 
 def cmd_seedgate(args) -> int:
     data_dir = _resolve_data_dir(args)
     groups = [set(int(d) for d in g.split(",")) for g in args.groups.split(";")]
-    seeds = [int(s) for s in args.seeds.split(",")]
-    partition = make_partition(groups, seeds, ooc_mode=args.ooc)
-    model_cfg = _model_config(args)
+    partition = make_partition(groups, args.seeds, ooc_mode=args.ooc)
+    model_cfg = _model_config(args, args.rank)
     train_cfg = _train_config(args)
     train_ds, test_ds = load_mnist(data_dir)
     result = seed_gated_train(partition, model_cfg, train_cfg, train_ds, test_ds,
-                              family=_resolve_family(args))
+                              family=_resolve_family(args, args.family))
     payload = {
         "groups": [sorted(g) for g in groups],
-        "seeds": seeds,
+        "seeds": args.seeds,
         "ooc_mode": args.ooc,
         "assigned_accuracy": result.assigned_accuracy,
         "non_assigned_accuracy": result.non_assigned_accuracy,
         "ooc_digit0_rate": result.ooc_digit0_rate,
         "confusion": [c.tolist() for c in result.confusion],
     }
-    os.makedirs(args.out_dir, exist_ok=True)
-    with open(os.path.join(args.out_dir, "seedgate.json"), "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
     _write_manifest(args.out_dir, "seedgate", {
         "model": model_cfg.to_dict(), "train": train_cfg.to_dict(),
-        "groups": [sorted(g) for g in groups], "seeds": seeds, "ooc": args.ooc,
+        "groups": [sorted(g) for g in groups], "seeds": args.seeds, "ooc": args.ooc,
     })
-    print(json.dumps({
-        "assigned_accuracy": result.assigned_accuracy,
-        "non_assigned_accuracy": result.non_assigned_accuracy,
-        "ooc_digit0_rate": result.ooc_digit0_rate,
-    }, indent=2))
+    _write_json(os.path.join(args.out_dir, "seedgate.json"), payload)
+    print(json.dumps({k: payload[k] for k in ("assigned_accuracy", "non_assigned_accuracy", "ooc_digit0_rate")},
+                     indent=2))
     return 0
 
 
 def cmd_pack(args) -> int:
-    family = _resolve_family(args)
-    cfg = _model_config(args)
-    model = build_model(cfg, BackboneSpec.from_config(cfg, args.seed, family))
+    cfg = _model_config(args, args.rank)
+    model = build_model(cfg, BackboneSpec.from_config(cfg, args.seed, _resolve_family(args, args.family)))
     blob = artifact_mod.pack(model)
     artifact_mod.save(args.output, blob)
     print(json.dumps({"written": args.output, "bytes": len(blob)}))
@@ -455,9 +400,10 @@ def cmd_betastats(args) -> int:
 # -- parser -------------------------------------------------------------------------
 
 
-def _add_model_flags(p: argparse.ArgumentParser):
+def _add_model_flags(p: argparse.ArgumentParser, rank: bool = True):
     p.add_argument("--preset", default="medium", choices=["tiny", "small", "medium", "large"])
-    p.add_argument("--rank", type=int, default=8)
+    if rank:
+        p.add_argument("--rank", type=int, default=8)
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--scaling", default="standard", choices=["standard", "rslora"])
     p.add_argument("--family", default="normal")
@@ -470,52 +416,51 @@ def _add_model_flags(p: argparse.ArgumentParser):
     p.add_argument("--zero-scaffold", action="store_true")
     p.add_argument("--b-init", default="zeros", choices=["zeros", "kaiming"],
                    help="adapter B init; use kaiming with --zero-scaffold")
+    p.add_argument("--config", default=None, help="flat JSON config; flags override")
 
 
 def _add_train_flags(p: argparse.ArgumentParser):
-    p.add_argument("--seed", type=int, default=42)
     p.add_argument("--epochs", type=int, default=20)
     p.add_argument("--batch-size", type=int, default=128)
     p.add_argument("--lr", type=float, default=1e-3)
     p.add_argument("--weight-decay", type=float, default=1e-2)
-    p.add_argument("--resample", default="static", help="static|epoch|batch:k|micro:k")
     p.add_argument("--data-dir", default=None)
     p.add_argument("--out-dir", default="out")
-    p.add_argument("--config", default=None, help="flat JSON config; flags override")
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="lottalora")
-    sub = parser.add_subparsers(dest="command", required=True)
+    # no abbreviations: a removed flag such as sweep's --seed must not
+    # silently turn into a prefix match (--seeds)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=functools.partial(argparse.ArgumentParser, allow_abbrev=False))
 
     p = sub.add_parser("train", help="one training run; writes metrics, summary, artifact")
     _add_model_flags(p)
     _add_train_flags(p)
+    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--resample", default="static", help="static|epoch|batch:k|micro:k")
     p.set_defaults(func=cmd_train, _parser=p)
 
-    p = sub.add_parser("sweep", help="preset x rank x family x seed grid")
-    _add_model_flags(p)
-    _add_train_flags(p)
-    p.add_argument("--ranks", default="8")
-    p.add_argument("--seeds", default="42")
-    p.add_argument("--families", default=None, help="comma list; default params per family")
-    p.add_argument("--jobs", type=int, default=1)
-    p.set_defaults(func=cmd_sweep, _parser=p)
-
-    p = sub.add_parser("metalora", help="scaffold resampling schedule grid")
-    _add_model_flags(p)
-    _add_train_flags(p)
-    p.add_argument("--schedules", default="static,epoch,batch:2,micro:4")
-    p.add_argument("--ranks", default="2,4,8")
-    p.add_argument("--seeds", default="42")
-    p.add_argument("--jobs", type=int, default=1)
-    p.set_defaults(func=cmd_metalora, _parser=p)
+    for name, help_text, schedules, ranks in (
+        ("sweep", "family x rank x seed grid", "static", "8"),
+        ("metalora", "scaffold resampling schedule grid", "static,epoch,batch:2,micro:4", "2,4,8"),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        _add_model_flags(p, rank=False)
+        _add_train_flags(p)
+        p.add_argument("--families", default=None, help="comma list; default: --family")
+        p.add_argument("--schedules", default=schedules, help="comma list of static|epoch|batch:k|micro:k")
+        p.add_argument("--ranks", type=_int_list, default=ranks)
+        p.add_argument("--seeds", type=_int_list, default="42")
+        p.add_argument("--jobs", type=int, default=1)
+        p.set_defaults(func=cmd_grid, _parser=p)
 
     p = sub.add_parser("seedgate", help="shared adapter across label partitions")
     _add_model_flags(p)
     _add_train_flags(p)
     p.add_argument("--groups", default="1,2,3;4,5,6;7,8,9")
-    p.add_argument("--seeds", default="42,43,44")
+    p.add_argument("--seeds", type=_int_list, default="42,43,44")
     p.add_argument("--ooc", action="store_true")
     p.set_defaults(func=cmd_seedgate, _parser=p)
 
@@ -523,33 +468,32 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_flags(p)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--output", default="model.ltlr")
-    p.add_argument("--config", default=None, help="flat JSON config; flags override")
     p.set_defaults(func=cmd_pack, _parser=p)
 
     p = sub.add_parser("unpack", help="print an artifact's header and tensor shapes")
     p.add_argument("artifact")
-    p.set_defaults(func=cmd_unpack, _parser=p)
+    p.set_defaults(func=cmd_unpack)
 
     p = sub.add_parser("verify", help="reconstruct an artifact and re-evaluate")
     p.add_argument("artifact")
     p.add_argument("--data-dir", default=None)
-    p.set_defaults(func=cmd_verify, _parser=p)
+    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("cost", help="closed-form cost analytics")
     p.add_argument("--arch", default="900M")
     p.add_argument("--rank", type=int, default=8)
     p.add_argument("--tokens", type=float, default=None)
-    p.set_defaults(func=cmd_cost, _parser=p)
+    p.set_defaults(func=cmd_cost)
 
     p = sub.add_parser("rankstar", help="minimum sufficient rank from a loss table")
     p.add_argument("--losses", required=True, help="JSON file mapping rank -> loss")
     p.add_argument("--full", type=float, required=True)
     p.add_argument("--eps", type=float, required=True)
-    p.set_defaults(func=cmd_rankstar, _parser=p)
+    p.set_defaults(func=cmd_rankstar)
 
     p = sub.add_parser("betastats", help="aggregate backbone-gain stats from run summaries")
     p.add_argument("summaries", nargs="+")
-    p.set_defaults(func=cmd_betastats, _parser=p)
+    p.set_defaults(func=cmd_betastats)
 
     return parser
 
@@ -558,7 +502,11 @@ def run(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        _apply_config_file(args)
+        if getattr(args, "config", None):
+            # file values become the subcommand's defaults, so every flag
+            # given on the command line wins over them
+            args._parser.set_defaults(**_config_defaults(args._parser, args.config))
+            args = parser.parse_args(argv)
         return args.func(args)
     except LottaError as err:
         print(json.dumps({"error": err.category, "message": str(err)}), file=sys.stderr)

@@ -33,28 +33,27 @@ from .prng import Stream
 
 KAIMING_DEFAULT_A = math.sqrt(5.0)
 
-# families whose nominal scale parameter is replaced under fan_in scaling
-_SIGMA_FAMILIES = {
-    "normal",
-    "truncated_normal",
-    "sparse_normal",
-    "sparse_erdos_renyi",
-    "lowbit16",
-    "lowbit8",
-    "lowbit4",
-    "lowbit2",
-    "binary",
-}
-
-# families that derive their scale from the matrix dims; scaling mode is
-# irrelevant for them
-_SELF_SCALED_FAMILIES = {
-    "kaiming_normal",
-    "kaiming_uniform",
-    "xavier_normal",
-    "xavier_uniform",
-    "orthogonal",
-    "spectral_radius",
+# the parameter that sets a scale-driven family's spread (exponential's is
+# the rate lam, so its scale is 1/lam; the gaussian mixture has none).
+# fan_in scaling replaces it by 1/sqrt(d_in), and is the default for the
+# families whose parameter is sigma, a placeholder nominal value.
+_SCALE_PARAM: dict[str, str | None] = {
+    "normal": "sigma",
+    "truncated_normal": "sigma",
+    "uniform": "a",
+    "cauchy": "s",
+    "laplace": "b",
+    "student_t": "scale",
+    "gaussian_mixture": None,
+    "sparse_normal": "sigma",
+    "sparse_erdos_renyi": "sigma",
+    "beta": "scale",
+    "exponential": "lam",
+    "lowbit16": "sigma",
+    "lowbit8": "sigma",
+    "lowbit4": "sigma",
+    "lowbit2": "sigma",
+    "binary": "sigma",
 }
 
 _DEFAULT_PARAMS: dict[str, dict[str, float]] = {
@@ -106,7 +105,7 @@ class InitFamily:
         object.__setattr__(self, "params", merged)
         scaling = self.scaling
         if scaling is None:
-            scaling = "fan_in" if self.name in _SIGMA_FAMILIES else "explicit"
+            scaling = "fan_in" if _SCALE_PARAM.get(self.name) == "sigma" else "explicit"
         if scaling not in ("fan_in", "explicit"):
             raise ConfigError(f"scaling must be 'fan_in' or 'explicit', got {scaling!r}")
         object.__setattr__(self, "scaling", scaling)
@@ -188,25 +187,10 @@ def _scale_knob(fam: InitFamily, fan_in: int) -> float:
     """Effective scale multiplier for scale-driven families."""
     if fam.scaling == "fan_in":
         return 1.0 / math.sqrt(fan_in)
-    p = fam.params
-    return {
-        "normal": lambda: p["sigma"],
-        "truncated_normal": lambda: p["sigma"],
-        "uniform": lambda: p["a"],
-        "cauchy": lambda: p["s"],
-        "laplace": lambda: p["b"],
-        "student_t": lambda: p["scale"],
-        "gaussian_mixture": lambda: 1.0,
-        "sparse_normal": lambda: p["sigma"],
-        "sparse_erdos_renyi": lambda: p["sigma"],
-        "beta": lambda: p["scale"],
-        "exponential": lambda: 1.0 / p["lam"],
-        "lowbit16": lambda: p["sigma"],
-        "lowbit8": lambda: p["sigma"],
-        "lowbit4": lambda: p["sigma"],
-        "lowbit2": lambda: p["sigma"],
-        "binary": lambda: p["sigma"],
-    }[fam.name]()
+    key = _SCALE_PARAM[fam.name]
+    if key is None:
+        return 1.0
+    return 1.0 / fam.params[key] if key == "lam" else fam.params[key]
 
 
 def _quantize(x: np.ndarray, sigma: float, bits: int) -> np.ndarray:

@@ -2,7 +2,10 @@ import json
 
 import pytest
 
-from lottalora.cli import run
+from lottalora.cli import run, run_grid
+from lottalora.initfam import InitFamily
+from lottalora.model import ModelConfig
+from lottalora.train import TrainConfig
 
 from conftest import requires_mnist
 
@@ -106,6 +109,19 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     assert payload["header"]["backbone"]["family"]["params"]["sigma"] == 0.5
 
 
+def test_explicit_flag_beats_config_file(tmp_path, capsys):
+    # the flag equals its default, so only "was it given" can tell them apart
+    config = tmp_path / "conf.json"
+    config.write_text(json.dumps({"rank": 4, "preset": "small"}))
+    path = tmp_path / "m.ltlr"
+    assert run(["pack", "--preset", "tiny", "--rank", "8", "--config", str(config),
+                "--output", str(path)]) == 0
+    capsys.readouterr()
+    run(["unpack", str(path)])
+    model = json.loads(capsys.readouterr().out)["header"]["model"]
+    assert (model["rank"], model["preset"]) == (8, "tiny")
+
+
 @pytest.mark.parametrize("text", [
     '{"rank": 4',  # not JSON
     '[{"rank": 4}]',  # not an object
@@ -169,3 +185,125 @@ def test_train_verify_cycle_short(tmp_path, capsys, mnist_dir):
     assert run(["verify", str(out / "model.ltlr"), "--data-dir", mnist_dir]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["verified"] is True
+
+
+# -- data commands on a fake IDX set (tests/conftest.py:write_fake_idx) -------------
+
+
+def _summaries(path):
+    """A grid summary without the fields that name the run or its duration."""
+    cells = json.loads(path.read_text())
+    for cell in cells:
+        del cell["wall_time"], cell["task"]["out_dir"]
+    return cells
+
+
+def test_train_verify_cycle_on_fake_idx(tmp_path, capsys, fake_mnist_dir):
+    out = tmp_path / "run"
+    assert run(["train", "--preset", "tiny", "--rank", "2", "--seed", "1", "--epochs", "2",
+                "--data-dir", fake_mnist_dir, "--out-dir", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["task"] == json.loads((out / "manifest.json").read_text())["resolved"]
+    assert (out / "metrics.csv").read_text().splitlines()[-1].startswith("1,val,")
+    capsys.readouterr()
+    assert run(["verify", str(out / "model.ltlr"), "--data-dir", fake_mnist_dir]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["verified"] is True
+    assert payload["test_accuracy"] == summary["final_test_accuracy"]
+
+
+def test_sweep_summary_does_not_depend_on_jobs(tmp_path, capsys, fake_mnist_dir):
+    for jobs in ("1", "2"):
+        assert run(["sweep", "--preset", "tiny", "--ranks", "2,4", "--seeds", "1,2", "--epochs", "1",
+                    "--jobs", jobs, "--data-dir", fake_mnist_dir, "--out-dir", str(tmp_path / jobs)]) == 0
+    one, two = _summaries(tmp_path / "1" / "sweep_summary.json"), _summaries(tmp_path / "2" / "sweep_summary.json")
+    assert one == two
+    assert [cell["status"] for cell in one] == ["ok"] * 4
+
+
+def test_metalora_run_dirs_and_table_keys(tmp_path, capsys, fake_mnist_dir):
+    out = tmp_path / "meta"
+    assert run(["metalora", "--preset", "tiny", "--ranks", "2,4", "--seeds", "1", "--epochs", "1",
+                "--schedules", "static,micro:2", "--data-dir", fake_mnist_dir, "--out-dir", str(out)]) == 0
+    assert set(json.loads(capsys.readouterr().out)) == {"static_r2", "static_r4", "microbatch_r2", "microbatch_r4"}
+    assert sorted(p.name for p in (out / "runs").iterdir()) == [
+        "tiny_normal_r2_s1_micro2", "tiny_normal_r2_s1_static",
+        "tiny_normal_r4_s1_micro2", "tiny_normal_r4_s1_static",
+    ]
+    assert json.loads((out / "manifest.json").read_text())["command"] == "metalora"
+    assert len(json.loads((out / "metalora_summary.json").read_text())) == 4
+
+
+def test_families_take_family_params(tmp_path, capsys, fake_mnist_dir):
+    out = tmp_path / "fams"
+    assert run(["sweep", "--preset", "tiny", "--families", "normal,binary", "--ranks", "2", "--epochs", "1",
+                "--family-param", "sigma=0.5", "--family-scaling", "explicit",
+                "--data-dir", fake_mnist_dir, "--out-dir", str(out)]) == 0
+    assert set(json.loads(capsys.readouterr().out)) == {"normal_static_r2", "binary_static_r2"}
+    families = [cell["task"]["family"] for cell in json.loads((out / "sweep_summary.json").read_text())]
+    assert families == [
+        {"name": "normal", "params": {"sigma": 0.5}, "scaling": "explicit"},
+        {"name": "binary", "params": {"sigma": 0.5}, "scaling": "explicit"},
+    ]
+
+
+def test_seedgate_on_fake_idx(tmp_path, capsys, fake_mnist_dir):
+    out = tmp_path / "gate"
+    assert run(["seedgate", "--preset", "tiny", "--rank", "2", "--epochs", "1", "--groups", "1,2;3,4",
+                "--seeds", "5,6", "--ooc", "--data-dir", fake_mnist_dir, "--out-dir", str(out)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert len(payload["assigned_accuracy"]) == 2
+    assert json.loads((out / "seedgate.json").read_text())["seeds"] == [5, 6]
+
+
+def _grid_task(lr):
+    return {
+        "model": ModelConfig(preset="tiny", rank=2).to_dict(),
+        "family": InitFamily("normal").to_dict(),
+        "seed": 1,
+        "train": TrainConfig(epochs=1, lr=lr).to_dict(),
+        "out_dir": None,
+    }
+
+
+def test_run_grid_survives_a_failing_cell(fake_mnist_dir):
+    diverging, fine = run_grid([_grid_task(1e30), _grid_task(1e-3)], 2, fake_mnist_dir)
+    assert diverging["status"] == "failed:run"
+    assert "diverged at epoch 0, step 1" in diverging["message"]
+    assert fine["status"] == "ok"
+    assert fine["task"] == _grid_task(1e-3)
+    assert 0.0 <= fine["final_test_accuracy"] <= 1.0
+
+
+def test_failed_cells_are_summarized_then_exit_run(tmp_path, capsys, fake_mnist_dir):
+    out = tmp_path / "bad"
+    code = run(["sweep", "--preset", "tiny", "--ranks", "2", "--seeds", "1,2", "--epochs", "1", "--lr", "1e30",
+                "--data-dir", fake_mnist_dir, "--out-dir", str(out)])
+    assert code == 8
+    assert json.loads(capsys.readouterr().err)["error"] == "run"
+    cells = json.loads((out / "sweep_summary.json").read_text())
+    assert [cell["status"] for cell in cells] == ["failed:run", "failed:run"]
+
+
+def test_grid_data_error_is_not_a_cell_failure(tmp_path, capsys):
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    code = run(["sweep", "--preset", "tiny", "--ranks", "2,4", "--epochs", "1", "--jobs", "2",
+                "--data-dir", str(empty), "--out-dir", str(tmp_path / "out")])
+    assert code == 4
+    assert json.loads(capsys.readouterr().err)["error"] == "data"
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--seed", "1"],
+    ["sweep", "--rank", "4"],
+    ["sweep", "--resample", "epoch"],
+    ["metalora", "--seed", "1"],
+    ["metalora", "--resample", "epoch"],
+    ["seedgate", "--seed", "1"],
+    ["seedgate", "--resample", "epoch"],
+])
+def test_flags_a_command_does_not_read_are_usage_errors(argv, fake_mnist_dir):
+    with pytest.raises(SystemExit) as exc:
+        run(argv + ["--data-dir", fake_mnist_dir])
+    assert exc.value.code == 2
