@@ -75,16 +75,22 @@ def _resolve_data_dir(args) -> str:
     return path
 
 
+def _parse_int(text: str, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError as err:
+        raise ConfigError(f"{what}: not an integer: {text!r}") from err
+
+
 def _parse_resample(text: str) -> tuple[str, int]:
     if text == "static":
         return "static", 2
     if text == "epoch":
         return "per_epoch", 2
-    if text.startswith("batch:"):
-        return "per_batch", int(text.split(":", 1)[1])
-    if text.startswith("micro:"):
-        return "microbatch", int(text.split(":", 1)[1])
-    raise ConfigError(f"bad --resample {text!r}; expected static|epoch|batch:k|micro:k")
+    for prefix, kind in (("batch:", "per_batch"), ("micro:", "microbatch")):
+        if text.startswith(prefix):
+            return kind, _parse_int(text[len(prefix):], f"schedule {text!r}")
+    raise ConfigError(f"bad schedule {text!r}; expected static|epoch|batch:k|micro:k")
 
 
 def _int_list(text: str) -> list[int]:
@@ -235,11 +241,10 @@ def run_grid(tasks: list[dict], jobs: int, data_dir: str) -> list[dict]:
 
 
 def cmd_train(args) -> int:
-    data_dir = _resolve_data_dir(args)
     resample, k = _parse_resample(args.resample)
     task = _task(_model_config(args, args.rank), _resolve_family(args, args.family), args.seed,
                  _train_config(args, resample, k), out_dir=args.out_dir)
-    metrics = _train_task(task, load_mnist(data_dir))
+    metrics = _train_task(task, load_mnist(_resolve_data_dir(args)))
     _write_manifest(args.out_dir, "train", task)
     blob = artifact_mod.pack(
         metrics.model,
@@ -256,27 +261,27 @@ def cmd_train(args) -> int:
 def cmd_grid(args) -> int:
     """families x schedules x ranks x seeds; ``sweep`` and ``metalora``
     differ only in their defaults."""
-    data_dir = _resolve_data_dir(args)
     families = [_resolve_family(args, name) for name in (args.families or args.family).split(",")]
-    tasks = []
+    tasks, keys = [], []
     for family in families:
         for schedule in args.schedules.split(","):
             train_cfg = _train_config(args, *_parse_resample(schedule))
+            name = schedule.replace(":", "")  # names the schedule in run dirs and table keys
             for rank in args.ranks:
                 model_cfg = _model_config(args, rank)
+                key = f"{family.name}_{name}_r{rank}" if len(families) > 1 else f"{name}_r{rank}"
                 for seed in args.seeds:
-                    tag = f"{args.preset}_{family.name}_r{rank}_s{seed}_{schedule.replace(':', '')}"
+                    tag = f"{args.preset}_{family.name}_r{rank}_s{seed}_{name}"
                     tasks.append(_task(model_cfg, family, seed, train_cfg,
                                        out_dir=os.path.join(args.out_dir, "runs", tag)))
-    results = run_grid(tasks, args.jobs, data_dir)
+                    keys.append(key)
+    results = run_grid(tasks, args.jobs, _resolve_data_dir(args))
     _write_manifest(args.out_dir, args.command, {"tasks": tasks})
     summary_path = os.path.join(args.out_dir, f"{args.command}_summary.json")
     _write_json(summary_path, results)
     table = {}
-    for r in results:
+    for key, r in zip(keys, results):
         if r["status"] == "ok":
-            prefix = f"{r['task']['family']['name']}_" if len(families) > 1 else ""
-            key = f"{prefix}{r['task']['train']['resample']}_r{r['task']['model']['rank']}"
             table.setdefault(key, []).append(r["final_test_accuracy"])
     print(json.dumps({k: float(np.mean(v)) for k, v in table.items()}, indent=2, sort_keys=True))
     failed = sum(r["status"] != "ok" for r in results)
@@ -286,12 +291,11 @@ def cmd_grid(args) -> int:
 
 
 def cmd_seedgate(args) -> int:
-    data_dir = _resolve_data_dir(args)
-    groups = [set(int(d) for d in g.split(",")) for g in args.groups.split(";")]
+    groups = [{_parse_int(d, "--groups") for d in g.split(",")} for g in args.groups.split(";")]
     partition = make_partition(groups, args.seeds, ooc_mode=args.ooc)
     model_cfg = _model_config(args, args.rank)
     train_cfg = _train_config(args)
-    train_ds, test_ds = load_mnist(data_dir)
+    train_ds, test_ds = load_mnist(_resolve_data_dir(args))
     result = seed_gated_train(partition, model_cfg, train_cfg, train_ds, test_ds,
                               family=_resolve_family(args, args.family))
     payload = {

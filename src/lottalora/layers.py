@@ -7,6 +7,14 @@ B is [d_out, r], and s = alpha/r (standard) or alpha/sqrt(r)
 (rank-stabilized).  B starts at zero so a fresh layer computes exactly the
 backbone projection; beta starts at 1.  Gradients reach A, B, beta (and
 the optional combined-path LayerNorm affine) but never W.
+
+Since only A, B, beta and the head learn, each layer's gradient is a fixed
+rule, so layers are array-level: ``forward(h, cache)`` returns the output
+array and, given a ``cache`` dict, keeps what ``backward(g, cache)``
+needs; ``backward`` adds the trainables' gradients into their ``grad`` and
+returns the input's gradient.  The rules keep the op order and dtypes of
+the same layer built from the generic tape ops in ``numerics``, so both
+give the same bits; the tests hold them to that.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ import numpy as np
 
 from .errors import ConfigError, DimensionError
 from .initfam import BackboneMatrix
-from .numerics import Tensor, add, add_bias, const_scale, layernorm, linear, scalar_scale, tensor
+from .numerics import Tensor, add_grad, layernorm_backward, layernorm_forward, tensor
 from .prng import Stream
 
 SCALING_MODES = ("standard", "rank_stabilized")
@@ -90,7 +98,6 @@ class LottaLayer:
                 f"{backbone.rows}x{backbone.cols}"
             )
         self.backbone = backbone
-        self.w = Tensor(backbone.data, requires_grad=False)
         self.adapter = adapter
         self.frozen_bias = None
         if frozen_bias is not None:
@@ -121,22 +128,57 @@ class LottaLayer:
                 f"{self.d_out}x{self.d_in}"
             )
         self.backbone = backbone
-        self.w = Tensor(backbone.data, requires_grad=False)
         if frozen_bias is not None:
             fb = frozen_bias.astype(np.float32)
             fb.setflags(write=False)
             self.frozen_bias = fb
 
-    def forward(self, h: Tensor) -> Tensor:
-        """Pre-activation output; LayerNorm (when enabled) wraps the sum."""
-        backbone_path = scalar_scale(linear(h, self.w), self.adapter.beta)
-        low_rank = linear(linear(h, self.adapter.a), self.adapter.b)
-        out = add(backbone_path, const_scale(low_rank, self.adapter.scale))
+    def forward(self, h: np.ndarray, cache: dict | None = None) -> np.ndarray:
+        """Pre-activation output; LayerNorm (when enabled) wraps the sum.
+
+        With a ``cache`` dict, keeps the input and the two unscaled path
+        products for ``backward``.
+        """
+        if h.ndim != 2 or h.shape[1] != self.d_in:
+            raise DimensionError(f"layer input {h.shape} does not match d_in {self.d_in}")
+        adapter = self.adapter
+        backbone_path = h @ self.backbone.data.T
+        low = h @ adapter.a.data.T
+        out = low @ adapter.b.data.T
+        out *= adapter.scale
+        if cache is None:
+            backbone_path *= adapter.beta.data
+        else:
+            cache.update(h=h, backbone_path=backbone_path, low=low)
+            backbone_path = backbone_path * adapter.beta.data
+        out += backbone_path
         if self.frozen_bias is not None:
-            out = add_bias(out, Tensor(self.frozen_bias, requires_grad=False))
+            out += self.frozen_bias
         if self.ln_gamma is not None:
-            out = layernorm(out, self.ln_gamma, self.ln_bias)
+            out, xhat, inv = layernorm_forward(out, self.ln_gamma.data, self.ln_bias.data)
+            if cache is not None:
+                cache.update(xhat=xhat, inv=inv)
         return out
+
+    def backward(self, g: np.ndarray, cache: dict, need_dx: bool = True) -> np.ndarray | None:
+        """Add the gradients of A, B, beta (and the LayerNorm affine) for the
+        output gradient ``g``; return the input's gradient if ``need_dx``."""
+        adapter = self.adapter
+        if self.ln_gamma is not None:
+            dx, dgamma, dbias = layernorm_backward(g, cache["xhat"], cache["inv"], self.ln_gamma.data)
+            add_grad(self.ln_gamma, dgamma)
+            add_grad(self.ln_bias, dbias)
+            g = dx.astype(g.dtype)
+        add_grad(adapter.beta, np.asarray(np.sum(cache["backbone_path"] * g, dtype=np.float64)))
+        g_out = adapter.scale * g
+        g_low = g_out @ adapter.b.data
+        add_grad(adapter.b, g_out.T @ cache["low"])
+        add_grad(adapter.a, g_low.T @ cache["h"])
+        if not need_dx:
+            return None
+        dh = (adapter.beta.data * g) @ self.backbone.data
+        dh += g_low @ adapter.a.data
+        return dh
 
     def trainable(self) -> list[tuple[str, Tensor]]:
         named = [("A", self.adapter.a), ("B", self.adapter.b), ("beta", self.adapter.beta)]
@@ -162,8 +204,21 @@ class DenseLayer:
         self.d_in = d_in
         self.d_out = d_out
 
-    def forward(self, h: Tensor) -> Tensor:
-        return add_bias(linear(h, self.w), self.b)
+    def forward(self, h: np.ndarray, cache: dict | None = None) -> np.ndarray:
+        """h W^T + bias; with a ``cache`` dict, keeps ``h`` for ``backward``."""
+        if h.ndim != 2 or h.shape[1] != self.d_in:
+            raise DimensionError(f"layer input {h.shape} does not match d_in {self.d_in}")
+        out = h @ self.w.data.T
+        out += self.b.data
+        if cache is not None:
+            cache["h"] = h
+        return out
+
+    def backward(self, g: np.ndarray, cache: dict, need_dx: bool = True) -> np.ndarray | None:
+        """Add the gradients of W and bias; return the input's gradient if ``need_dx``."""
+        add_grad(self.b, g.sum(axis=0, dtype=np.float64))
+        add_grad(self.w, g.T @ cache["h"])
+        return g @ self.w.data if need_dx else None
 
     def trainable(self) -> list[tuple[str, Tensor]]:
         return [("W", self.w), ("bias", self.b)]

@@ -8,6 +8,7 @@ frozen matrix, which is what makes models reconstructible from a header.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -15,7 +16,7 @@ import numpy as np
 from .errors import ConfigError, DimensionError
 from .initfam import BackboneMatrix, InitFamily, draw_matrix
 from .layers import SCALING_MODES, DenseLayer, LottaLayer, init_adapter
-from .numerics import Tensor, add_bias, dropout, relu, tensor
+from .numerics import Tensor, add_grad, tensor
 from .prng import ALGORITHM_ID, DrawKind, Stream, derive_stream
 
 PRESETS = {
@@ -27,6 +28,21 @@ PRESETS = {
 
 HEAD_MODES = ("full", "lora", "lora_bias")
 MODES = ("lottalora", "full_training")
+
+
+def _dropout_scale(stream: Stream, shape: tuple, p: float, dtype: np.dtype) -> np.ndarray:
+    """Inverted-dropout multipliers: 1/(1-p) where an entry is kept, else 0.
+
+    An entry is kept when the top 53 bits of its raw draw reach
+    ceil(p * 2**53).  A unit draw is those bits times 2**-53, so this keeps
+    exactly the entries that ``unit_block(n) >= p`` keeps, from the same
+    draws, without float64 uniforms.
+    """
+    bits = stream.u64_block(math.prod(shape)).reshape(shape)
+    bits >>= np.uint64(11)
+    scale = (bits >= np.uint64(math.ceil(p * 2.0 ** 53))).astype(dtype)
+    scale *= dtype.type(1.0 / (1.0 - p))
+    return scale
 
 
 @dataclass(frozen=True)
@@ -197,18 +213,52 @@ class Model:
     # -- inference ---------------------------------------------------------
 
     def forward_logits(self, batch: np.ndarray, training: bool = False) -> Tensor:
-        """Logits for a [batch, input_dim] array; dropout only in training."""
+        """Logits for a [batch, input_dim] array; dropout only in training.
+
+        Runs each layer's explicit forward rule.  Eval mode keeps nothing
+        for a backward pass.  In training mode the returned tensor is one
+        tape node whose backward rule walks the layers in reverse, so
+        ``softmax_xent(logits, y).backward()`` fills every trainable's
+        ``grad``.
+        """
         if batch.ndim != 2 or batch.shape[1] != self.cfg.input_dim:
             raise DimensionError(f"batch must be [n, {self.cfg.input_dim}], got {batch.shape}")
-        h = tensor(batch)
+        p = self.cfg.dropout if training else 0.0
+        layers = [*self.hidden, self.head]
+        caches = [{} if training else None for _ in layers]
+        scales = []
+        h = np.ascontiguousarray(batch, dtype=np.float32)
         for i, layer in enumerate(self.hidden):
-            h = relu(layer.forward(h))
-            if training and self.cfg.dropout > 0.0:
-                h = dropout(h, self.cfg.dropout, self._dropout_streams[i], training=True)
-        logits = self.head.forward(h)
+            h = layer.forward(h, caches[i])
+            np.maximum(h, 0, out=h)
+            if p > 0.0:
+                scales.append(_dropout_scale(self._dropout_streams[i], h.shape, p, h.dtype))
+                h *= scales[-1]
+        logits = self.head.forward(h, caches[-1])
         if self.head_bias is not None:
-            logits = add_bias(logits, self.head_bias)
-        return logits
+            logits += self.head_bias.data
+        if not training:
+            return Tensor(logits)
+
+        def backward_fn():
+            g = out.grad
+            if self.head_bias is not None:
+                add_grad(self.head_bias, g.sum(axis=0, dtype=np.float64))
+            for i in reversed(range(len(layers))):
+                cache = caches.pop()
+                if i < len(self.hidden):
+                    # ReLU then dropout followed layer i; a post-dropout
+                    # entry is positive exactly where the ReLU passed and
+                    # the mask kept it, and a dropped entry's gradient is
+                    # zeroed by its scale either way
+                    if scales:
+                        g *= scales.pop()
+                    g *= next_input > 0
+                next_input = cache["h"]
+                g = layers[i].backward(g, cache, need_dx=i > 0)
+
+        out = Tensor(logits, requires_grad=True, backward_fn=backward_fn)
+        return out
 
     # -- bookkeeping -------------------------------------------------------
 

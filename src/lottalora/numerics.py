@@ -1,11 +1,22 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
-Just enough machinery for MLP training: matmul / linear, bias-row add,
-ReLU, inverted dropout, LayerNorm, and softmax cross-entropy.  A forward
-pass records a tape through ``_parents``/``_backward_fn``; ``backward()``
-walks it once in reverse topological order.  Closures are only created on
-paths that reach a ``requires_grad`` leaf, so frozen matrices never get a
-weight-gradient GEMM.
+``Tensor`` is the container for every trainable: AdamW reads ``data`` and
+``grad``.  The model itself does not build its graph from the ops here.
+Its layers run explicit array-level forward/backward rules, and a
+training forward hands back one tape node (the logits), so a step's tape
+is two nodes: logits and loss (see ``Model.forward_logits``).
+
+The generic ops stay: matmul / linear, bias-row add, ReLU, inverted
+dropout, LayerNorm, and softmax cross-entropy.  ``softmax_xent`` is the
+loss on both paths.  Together the ops are the reference the explicit rules
+are tested against bit for bit, and they back the finite-difference
+checks.  A forward pass over them records a tape through
+``_parents``/``_backward_fn``; ``backward()`` walks it once in reverse
+topological order.  Closures are only created on paths that reach a
+``requires_grad`` leaf, so frozen matrices never get a weight-gradient
+GEMM.  LayerNorm's math lives in ``layernorm_forward`` /
+``layernorm_backward``, array helpers that the tape op and the layers
+share.
 
 Storage follows the training pipeline: f32 weights and activations, with
 loss and normalization statistics accumulated in f64.  Gradient checking
@@ -93,6 +104,17 @@ def _accumulate(t: Tensor, g: np.ndarray):
     if t.grad is None:
         t.grad = np.zeros_like(t.data)
     t.grad += g
+
+
+def add_grad(t: Tensor, g: np.ndarray) -> None:
+    """Add ``g`` into ``t.grad`` in ``t``'s dtype; an explicit backward rule
+    hands each trainable its gradient this way, without a zero-filled start."""
+    if g.dtype != t.data.dtype:
+        g = g.astype(t.data.dtype)
+    if t.grad is None:
+        t.grad = g
+    else:
+        t.grad += g
 
 
 def _result(data, parents, backward_fn):
@@ -220,32 +242,50 @@ def dropout(x: Tensor, p: float, stream: Stream, training: bool = True) -> Tenso
     return out
 
 
-def layernorm(x: Tensor, gamma: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """LayerNorm over the last dim with trainable affine; f64 statistics."""
-    d = x.data.shape[-1]
-    if gamma.data.shape != (d,) or bias.data.shape != (d,):
-        raise DimensionError(f"layernorm affine must have shape ({d},)")
-    x64 = x.data.astype(np.float64)
+def layernorm_forward(x: np.ndarray, gamma: np.ndarray, bias: np.ndarray, eps: float = 1e-5):
+    """Array LayerNorm over the last dim with f64 statistics.
+
+    Returns ``(y, xhat, inv)``: the output in ``x``'s dtype, plus the f64
+    normalized input and inverse deviation that the backward rule needs.
+    """
+    x64 = x.astype(np.float64)
     mu = x64.mean(axis=-1, keepdims=True)
     centered = x64 - mu
     var = np.mean(centered * centered, axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = centered * inv
-    y = xhat * gamma.data.astype(np.float64) + bias.data.astype(np.float64)
+    y = xhat * gamma.astype(np.float64) + bias.astype(np.float64)
+    return y.astype(x.dtype), xhat, inv
+
+
+def layernorm_backward(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray, gamma: np.ndarray):
+    """Gradients ``(dx, dgamma, dbias)`` of ``layernorm_forward``, all f64."""
+    g = g.astype(np.float64)
+    dgamma = np.sum(g * xhat, axis=0)
+    dbias = np.sum(g, axis=0)
+    dxhat = g * gamma.astype(np.float64)
+    m1 = dxhat.mean(axis=-1, keepdims=True)
+    m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+    return inv * (dxhat - m1 - xhat * m2), dgamma, dbias
+
+
+def layernorm(x: Tensor, gamma: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+    """LayerNorm over the last dim with trainable affine; f64 statistics."""
+    d = x.data.shape[-1]
+    if gamma.data.shape != (d,) or bias.data.shape != (d,):
+        raise DimensionError(f"layernorm affine must have shape ({d},)")
+    y, xhat, inv = layernorm_forward(x.data, gamma.data, bias.data, eps)
 
     def backward_fn():
-        g = out.grad.astype(np.float64)
+        dx, dgamma, dbias = layernorm_backward(out.grad, xhat, inv, gamma.data)
         if gamma.requires_grad:
-            _accumulate(gamma, np.sum(g * xhat, axis=0))
+            _accumulate(gamma, dgamma)
         if bias.requires_grad:
-            _accumulate(bias, np.sum(g, axis=0))
+            _accumulate(bias, dbias)
         if x.requires_grad:
-            dxhat = g * gamma.data.astype(np.float64)
-            m1 = dxhat.mean(axis=-1, keepdims=True)
-            m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-            _accumulate(x, inv * (dxhat - m1 - xhat * m2))
+            _accumulate(x, dx)
 
-    out = _result(y.astype(x.data.dtype), (x, gamma, bias), backward_fn)
+    out = _result(y, (x, gamma, bias), backward_fn)
     return out
 
 

@@ -7,27 +7,30 @@ framework: a splitmix64 state advance with Box-Muller normals, tagged
 ``splitmix64-boxmuller-v1``.  The tag is written into every artifact header
 and checked at reconstruction time.
 
-Draw conventions (frozen by the algorithm tag, do not change):
-  * ``next_u64``: splitmix64 -- state advances by the 64-bit golden gamma,
-    output is the xor/multiply finalizer of the new state.
-  * ``next_unit``: top 53 bits of ``next_u64`` scaled into [0, 1).
-  * ``next_gaussian``: Box-Muller over two consecutive unit draws
-    (u1, u2); ``sqrt(-2*ln(1-u1))`` pairs with angle ``2*pi*u2``; the
-    cosine branch is returned first and the sine branch is cached for the
-    next call.
+Draw conventions (frozen by the algorithm tag, do not change).  Every
+draw is a block; a block of n continues the stream exactly where the last
+one stopped, so one block of n and n blocks of 1 give the same values:
+  * ``u64_block``: splitmix64 -- output k = 1, 2, ... after a state is
+    the xor/multiply finalizer of ``state + k*gamma`` (64-bit golden
+    gamma), and n outputs advance the state by ``n*gamma``.
+  * ``unit_block``: the top 53 bits of each raw output times 2**-53, in
+    [0, 1).  So ``unit >= p`` holds exactly when those bits reach
+    ``ceil(p * 2**53)``; dropout masks compare the bits directly.
+  * ``gaussian_block``: Box-Muller over consecutive unit pairs (u1, u2);
+    ``sqrt(-2*ln(1-u1))`` pairs with angle ``2*pi*u2``; the cosine branch
+    comes first, and a sine branch left over by an odd count is carried
+    to the next gaussian draw.
 
-Block draws (``u64_block`` and friends) produce the exact same sequence as
-repeated scalar calls; the scalar methods are defined as 1-element blocks
-so there is a single code path.  A block is evaluated in chunks of
-``_CHUNK`` entries by one in-place kernel, so a chunk's intermediates stay
-in cache and no block-sized temporaries are allocated.  Chunking cannot
-change a bit.  The k-th raw output is ``mix64(state + k*gamma)``, a pure
-function of its flat index in exact 64-bit integer arithmetic.  The unit
-and Box-Muller steps apply the same elementwise numpy ufuncs to the same
-float64 values as a whole-array evaluation would.  Every transcendental
-runs on a contiguous operand, because numpy may pick a differently
-rounding loop for strided ones; so Box-Muller reads u1 from the odd and u2
-from the even stream offsets as two contiguous stride-2 runs.
+A block is evaluated in chunks of ``_CHUNK`` entries by one in-place
+kernel, so a chunk's intermediates stay in cache and no block-sized
+temporaries are allocated.  Chunking cannot change a bit.  The k-th raw
+output is ``mix64(state + k*gamma)``, a pure function of its flat index in
+exact 64-bit integer arithmetic.  The unit and Box-Muller steps apply the
+same elementwise numpy ufuncs to the same float64 values as a whole-array
+evaluation would.  Every transcendental runs on a contiguous operand,
+because numpy may pick a differently rounding loop for strided ones; so
+Box-Muller reads u1 from the odd and u2 from the even stream offsets as
+two contiguous stride-2 runs.
 """
 
 from __future__ import annotations
@@ -144,15 +147,9 @@ class Stream:
         self.state = (self.state + n * GOLDEN_GAMMA) & MASK64
         return out
 
-    def next_u64(self) -> int:
-        return int(self.u64_block(1)[0])
-
     def unit_block(self, n: int) -> np.ndarray:
         """Next ``n`` uniform draws in [0, 1) with 53-bit mantissas."""
         return _to_unit(self.u64_block(n))
-
-    def next_unit(self) -> float:
-        return float(self.unit_block(1)[0])
 
     def gaussian_block(self, n: int) -> np.ndarray:
         """Next ``n`` standard normal draws (Box-Muller, cos branch first)."""
@@ -189,9 +186,6 @@ class Stream:
                 self._gauss_cache = float(r[k - 1] * a[k - 1])
         self.state = (self.state + 2 * pairs * GOLDEN_GAMMA) & MASK64
         return out
-
-    def next_gaussian(self) -> float:
-        return float(self.gaussian_block(1)[0])
 
     def permutation(self, n: int) -> np.ndarray:
         """Deterministic permutation of range(n) driven by unit draws."""

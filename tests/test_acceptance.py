@@ -342,7 +342,7 @@ def test_criterion_8_numerical_properties():
     layer.adapter.b.data[:] = 0.2 * rng.standard_normal((24, 6)).astype(np.float32)
     layer.adapter.beta.data[()] = 0.8
     probe = rng.standard_normal((16, 48)).astype(np.float32)
-    out = layer.forward(tensor(probe)).data.astype(np.float64)
+    out = layer.forward(probe).astype(np.float64)
     merged = probe.astype(np.float64) @ layer.effective_weight().T
     eff_err = float(np.abs(out - merged).max() / np.abs(merged).max())
     assert eff_err < 1e-5

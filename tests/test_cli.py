@@ -147,7 +147,7 @@ def test_metalora_command_short(tmp_path, capsys, mnist_dir):
     ])
     assert code == 0
     table = json.loads(capsys.readouterr().out)
-    assert set(table) == {"static_r2", "per_epoch_r2"}
+    assert set(table) == {"static_r2", "epoch_r2"}
     assert (out / "metalora_summary.json").exists()
     assert (out / "manifest.json").exists()
 
@@ -225,13 +225,41 @@ def test_metalora_run_dirs_and_table_keys(tmp_path, capsys, fake_mnist_dir):
     out = tmp_path / "meta"
     assert run(["metalora", "--preset", "tiny", "--ranks", "2,4", "--seeds", "1", "--epochs", "1",
                 "--schedules", "static,micro:2", "--data-dir", fake_mnist_dir, "--out-dir", str(out)]) == 0
-    assert set(json.loads(capsys.readouterr().out)) == {"static_r2", "static_r4", "microbatch_r2", "microbatch_r4"}
+    assert set(json.loads(capsys.readouterr().out)) == {"static_r2", "static_r4", "micro2_r2", "micro2_r4"}
     assert sorted(p.name for p in (out / "runs").iterdir()) == [
         "tiny_normal_r2_s1_micro2", "tiny_normal_r2_s1_static",
         "tiny_normal_r4_s1_micro2", "tiny_normal_r4_s1_static",
     ]
     assert json.loads((out / "manifest.json").read_text())["command"] == "metalora"
     assert len(json.loads((out / "metalora_summary.json").read_text())) == 4
+
+
+def test_schedules_of_one_kind_keep_their_own_table_rows(tmp_path, capsys, fake_mnist_dir):
+    assert run(["metalora", "--preset", "tiny", "--ranks", "2", "--seeds", "1", "--epochs", "1",
+                "--schedules", "batch:2,batch:3", "--data-dir", fake_mnist_dir,
+                "--out-dir", str(tmp_path / "meta")]) == 0
+    table = json.loads(capsys.readouterr().out)
+    assert set(table) == {"batch2_r2", "batch3_r2"}
+    cells = json.loads((tmp_path / "meta" / "metalora_summary.json").read_text())
+    assert [table[f"batch{cell['task']['train']['resample_k']}_r2"] for cell in cells] == [
+        cell["final_test_accuracy"] for cell in cells]
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--resample", "batch:x"],
+    ["train", "--resample", "micro:x"],
+    ["metalora", "--schedules", "static,micro:"],
+    ["seedgate", "--groups", "1,a"],
+])
+@pytest.mark.parametrize("with_data", [True, False])
+def test_non_integer_schedule_or_group_is_config_error(argv, with_data, tmp_path, capsys, fake_mnist_dir,
+                                                       monkeypatch):
+    # a bad flag is a config error whether or not the data is there
+    monkeypatch.delenv("LOTTALORA_DATA_DIR", raising=False)
+    data = ["--data-dir", fake_mnist_dir] if with_data else []
+    code = run(argv + ["--preset", "tiny", "--epochs", "1", "--out-dir", str(tmp_path / "out")] + data)
+    assert code == 3
+    assert json.loads(capsys.readouterr().err)["error"] == "config"
 
 
 def test_families_take_family_params(tmp_path, capsys, fake_mnist_dir):

@@ -172,7 +172,8 @@ def test_trainables_exclude_backbones_and_all_require_grad():
     for name, t in model.trainable_params():
         assert t.requires_grad, name
     for layer in model.hidden:
-        assert not layer.w.requires_grad
+        assert not layer.backbone.data.flags.writeable
+        assert not any(np.shares_memory(layer.backbone.data, t.data) for _, t in model.trainable_params())
 
 
 def test_backbone_reproducible_from_spec():
@@ -213,7 +214,8 @@ def test_adapters_survive_backbone_swaps():
 def test_lora_head_uses_frozen_random_matrix():
     model = build("tiny", head_mode="lora")
     assert isinstance(model.head, LottaLayer)
-    assert not model.head.w.requires_grad
+    assert not model.head.backbone.data.flags.writeable
+    assert not any(np.shares_memory(model.head.backbone.data, t.data) for _, t in model.trainable_params())
     assert float(np.abs(model.head.backbone.data).max()) > 0
 
 

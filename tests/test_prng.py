@@ -10,6 +10,7 @@ from lottalora.prng import (
     GOLDEN_GAMMA,
     MASK64,
     Stream,
+    _to_unit,
     derive_stream,
     mix64,
 )
@@ -31,21 +32,21 @@ def reference_splitmix64(seed, n):
 
 def test_splitmix64_first_output_seed_zero():
     # well-known first output of splitmix64 for seed 0
-    assert Stream(0).next_u64() == 0xE220A8397B1DCDAF
+    assert Stream(0).u64_block(1)[0] == 0xE220A8397B1DCDAF
 
 
 @pytest.mark.parametrize("seed", [0, 1, 42, 0xDEADBEEF, MASK64])
 def test_splitmix64_matches_reference(seed):
     ref = reference_splitmix64(seed, 64)
     s = Stream(seed)
-    assert [s.next_u64() for _ in range(64)] == ref
+    assert [int(s.u64_block(1)[0]) for _ in range(64)] == ref
 
 
 def test_block_draws_match_scalar_draws():
     a = Stream(12345)
     b = Stream(12345)
     block = a.u64_block(100)
-    scalars = np.array([b.next_u64() for _ in range(100)], dtype=np.uint64)
+    scalars = np.concatenate([b.u64_block(1) for _ in range(100)])
     assert np.array_equal(block, scalars)
     assert a.state == b.state
 
@@ -54,11 +55,11 @@ def test_gaussian_block_matches_scalar_and_cache_carries():
     a = Stream(7)
     b = Stream(7)
     block = a.gaussian_block(7)
-    scalars = np.array([b.next_gaussian() for _ in range(7)])
+    scalars = np.concatenate([b.gaussian_block(1) for _ in range(7)])
     assert np.array_equal(block, scalars)
     # odd count leaves the sine branch cached in both
     assert a._gauss_cache == b._gauss_cache
-    assert a.next_gaussian() == b.next_gaussian()
+    assert a.gaussian_block(1)[0] == b.gaussian_block(1)[0]
 
 
 def test_gaussian_draw_order_is_cos_then_sin():
@@ -112,7 +113,21 @@ def test_unit_range_and_mean():
 
 
 def test_unit_identical_states_identical_outputs():
-    assert Stream(314).next_unit() == Stream(314).next_unit()
+    assert Stream(314).unit_block(1)[0] == Stream(314).unit_block(1)[0]
+
+
+@pytest.mark.parametrize("p", [0.1, 1 / 3, 0.5, 2.0 ** -53, 1 - 2.0 ** -53])
+def test_unit_threshold_equals_integer_threshold(p):
+    # a unit draw is its raw draw's top 53 bits times 2**-53, so comparing
+    # it with p is comparing those bits with ceil(p * 2**53)
+    threshold = math.ceil(p * 2.0 ** 53)
+    units = Stream(2025).unit_block(100_000)
+    bits = Stream(2025).u64_block(100_000)
+    assert np.array_equal(units >= p, (bits >> np.uint64(11)) >= np.uint64(threshold))
+    # random draws never land next to the extreme thresholds; these do
+    top = np.array([t for t in (threshold - 1, threshold, threshold + 1) if 0 <= t < 2 ** 53], dtype=np.uint64)
+    edges = np.concatenate([top << np.uint64(11), (top << np.uint64(11)) | np.uint64(0x7FF)])
+    assert np.array_equal(_to_unit(edges.copy()) >= p, (edges >> np.uint64(11)) >= np.uint64(threshold))
 
 
 def test_gaussian_moments():
@@ -124,8 +139,8 @@ def test_gaussian_moments():
 def test_gaussian_reproducible_bit_for_bit():
     a = Stream(123)
     b = Stream(123)
-    assert a.next_gaussian() == b.next_gaussian()
-    assert a.next_gaussian() == b.next_gaussian()
+    assert a.gaussian_block(1)[0] == b.gaussian_block(1)[0]
+    assert a.gaussian_block(1)[0] == b.gaussian_block(1)[0]
 
 
 def test_permutation_is_a_permutation_and_deterministic():
@@ -219,8 +234,8 @@ def test_interleaved_draws_with_odd_carry_match_oracle(seed):
 
 def test_scalar_draws_match_oracle_at_wraparound():
     new, old = Stream(MASK64), Stream(MASK64)
-    assert new.next_u64() == int(oracle_u64_block(old, 1)[0])
-    assert new.next_unit() == float(oracle_unit_block(old, 1)[0])
+    assert int(new.u64_block(1)[0]) == int(oracle_u64_block(old, 1)[0])
+    assert float(new.unit_block(1)[0]) == float(oracle_unit_block(old, 1)[0])
     for _ in range(3):
-        assert new.next_gaussian() == float(oracle_gaussian_block(old, 1)[0])
+        assert float(new.gaussian_block(1)[0]) == float(oracle_gaussian_block(old, 1)[0])
     assert (new.state, new._gauss_cache) == (old.state, old._gauss_cache)
