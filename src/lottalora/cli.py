@@ -97,16 +97,30 @@ def _int_list(text: str) -> list[int]:
     return [int(item) for item in text.split(",")]
 
 
+_JSON_TYPES = {dict: "object", list: "list"}
+
+
+def _read_json(path: str, what: str, kinds: tuple = (dict,)):
+    """The JSON value in ``path``; a ConfigError unless it parses to one of ``kinds``."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            value = json.load(fh)
+        except ValueError as err:  # covers UnicodeDecodeError and JSONDecodeError
+            raise ConfigError(f"{what} {path} is not valid JSON: {err}") from err
+    if not isinstance(value, kinds):
+        expected = " or ".join(_JSON_TYPES[k] for k in kinds)
+        raise ConfigError(f"{what} {path} must hold a JSON {expected}, got {type(value).__name__}")
+    return value
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _config_defaults(parser: argparse.ArgumentParser, path: str) -> dict:
     """Read a flat JSON config as parser defaults; dotted family.* keys feed
     --family-param."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            config = json.load(fh)
-        except ValueError as err:  # covers UnicodeDecodeError and JSONDecodeError
-            raise ConfigError(f"config file {path} is not valid JSON: {err}") from err
-    if not isinstance(config, dict):
-        raise ConfigError(f"config file {path} must hold a JSON object, got {type(config).__name__}")
+    config = _read_json(path, "config file")
     actions = {action.dest: action for action in parser._actions}
     defaults = {}
     for key, value in config.items():
@@ -376,8 +390,12 @@ def cmd_cost(args) -> int:
 
 
 def cmd_rankstar(args) -> int:
-    with open(args.losses, "r", encoding="utf-8") as fh:
-        losses = {int(k): float(v) for k, v in json.load(fh).items()}
+    table = _read_json(args.losses, "loss table")
+    losses = {}
+    for key, value in table.items():
+        if not _is_number(value):
+            raise ConfigError(f"loss table {args.losses}: loss for rank {key!r} is not a number: {value!r}")
+        losses[_parse_int(key, f"loss table {args.losses}: rank")] = float(value)
     try:
         result = rank_star(losses, args.full, args.eps)
     except ValueError as err:
@@ -389,11 +407,14 @@ def cmd_rankstar(args) -> int:
 def cmd_betastats(args) -> int:
     collected = []
     for path in args.summaries:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
+        payload = _read_json(path, "summary file", (dict, list))
         runs = payload if isinstance(payload, list) else [payload]
         for run in runs:
+            if not isinstance(run, dict):
+                raise ConfigError(f"summary file {path}: a run must be a JSON object, got {type(run).__name__}")
             betas = run.get("final_betas")
+            if betas is not None and not (isinstance(betas, list) and all(map(_is_number, betas))):
+                raise ConfigError(f"summary file {path}: final_betas must be a list of numbers, got {betas!r}")
             if betas:
                 collected.append(betas)
     stats = beta_summary(collected)

@@ -255,8 +255,10 @@ def _entrywise_sample(stream: Stream, fam: InitFamily, n: int, fan_in: int, fan_
         g = stream.gaussian_block(n)
         return np.where(u < p["p"], 0.0, s * g)
     if name == "beta":
-        u = stream.unit_block(3 * n).reshape(n, 3)
-        med = np.median(u, axis=1)  # median of 3 uniforms is Beta(2, 2)
+        # the median of 3 uniforms is Beta(2, 2); min/max select it exactly
+        # as np.median would, without its sorted copy of all 3n draws
+        a, b, c = stream.unit_block(3 * n).reshape(n, 3).T
+        med = np.maximum(np.minimum(a, b), np.minimum(np.maximum(a, b), c))
         return s * (2.0 * med - 1.0)
     if name == "exponential":
         e = -np.log1p(-stream.unit_block(n))
@@ -296,6 +298,30 @@ def draw_matrix(stream: Stream, fam: InitFamily, rows: int, cols: int, provenanc
     else:
         data = _entrywise_sample(stream, fam, rows * cols, cols, rows).reshape(rows, cols)
     return BackboneMatrix(rows=rows, cols=cols, data=data.astype(np.float32), provenance=provenance)
+
+
+# per-entry draws of the entrywise families, in stream order:
+# (kind, draws per entry); the matrix-level families draw one gaussian per entry
+_ENTRY_DRAWS: dict[str, tuple] = {
+    **{name: (("gaussian", 1),) for name in (
+        "normal", "truncated_normal", "orthogonal", "kaiming_normal", "xavier_normal", "spectral_radius",
+        "lowbit16", "lowbit8", "lowbit4", "lowbit2", "binary")},
+    **{name: (("unit", 1),) for name in (
+        "uniform", "kaiming_uniform", "xavier_uniform", "cauchy", "laplace", "exponential")},
+    **{name: (("unit", 1), ("gaussian", 1)) for name in (
+        "gaussian_mixture", "sparse_normal", "sparse_erdos_renyi")},
+    "beta": (("unit", 3),),
+}
+
+
+def draw_plan(fam: InitFamily, rows: int, cols: int) -> list[tuple[str, int]]:
+    """The ``(kind, count)`` block draws ``draw_matrix`` makes for this
+    family and shape, in order; ``Stream.skip`` over them leaves a stream
+    where the draw would."""
+    n = rows * cols
+    if fam.name == "student_t":
+        return [("gaussian", n * (int(fam.params["nu"]) + 1))]
+    return [(kind, per_entry * n) for kind, per_entry in _ENTRY_DRAWS[fam.name]]
 
 
 def family_moments(fam: InitFamily, n_samples: int, stream: Stream, fan_in: int = 1, fan_out: int = 1):

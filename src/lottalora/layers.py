@@ -20,6 +20,7 @@ give the same bits; the tests hold them to that.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,50 +89,72 @@ class LottaLayer:
     the frozen remnant of a standard dense layer's bias.  It sits outside
     both the backbone and adapter paths, so it is untouched by beta and
     absent from the effective weight.
+
+    ``backbone`` is either a ``BackboneMatrix`` or a deferred draw: a
+    zero-argument callable returning ``(matrix, frozen_bias)``.  A deferred
+    draw runs on the first read of ``backbone`` or ``frozen_bias`` (or on
+    ``materialize``); ``set_backbone`` drops it unread.
     """
 
-    def __init__(self, backbone: BackboneMatrix, adapter: AdapterState, use_layernorm: bool = False,
-                 frozen_bias: np.ndarray | None = None):
-        if adapter.a.shape[1] != backbone.cols or adapter.b.shape[0] != backbone.rows:
-            raise DimensionError(
-                f"adapter shapes {adapter.a.shape}/{adapter.b.shape} do not match backbone "
-                f"{backbone.rows}x{backbone.cols}"
-            )
-        self.backbone = backbone
+    def __init__(self, backbone: BackboneMatrix | Callable[[], tuple], adapter: AdapterState,
+                 use_layernorm: bool = False, frozen_bias: np.ndarray | None = None):
         self.adapter = adapter
-        self.frozen_bias = None
-        if frozen_bias is not None:
-            if frozen_bias.shape != (backbone.rows,):
-                raise DimensionError(f"frozen bias must have shape ({backbone.rows},)")
-            fb = frozen_bias.astype(np.float32)
-            fb.setflags(write=False)
-            self.frozen_bias = fb
+        self.d_in = adapter.a.shape[1]
+        self.d_out = adapter.b.shape[0]
+        self._pending = None
+        if callable(backbone):
+            self._pending = backbone
+            self._backbone = self._frozen_bias = None
+        else:
+            self._store(backbone, frozen_bias)
         self.ln_gamma = None
         self.ln_bias = None
         if use_layernorm:
-            self.ln_gamma = tensor(np.ones(backbone.rows), requires_grad=True)
-            self.ln_bias = tensor(np.zeros(backbone.rows), requires_grad=True)
+            self.ln_gamma = tensor(np.ones(self.d_out), requires_grad=True)
+            self.ln_bias = tensor(np.zeros(self.d_out), requires_grad=True)
 
-    @property
-    def d_in(self) -> int:
-        return self.backbone.cols
-
-    @property
-    def d_out(self) -> int:
-        return self.backbone.rows
-
-    def set_backbone(self, backbone: BackboneMatrix, frozen_bias: np.ndarray | None = None) -> None:
-        """Swap in a new frozen matrix (resampling / seed gating)."""
+    def _store(self, backbone: BackboneMatrix, frozen_bias: np.ndarray | None) -> None:
         if (backbone.rows, backbone.cols) != (self.d_out, self.d_in):
             raise DimensionError(
-                f"replacement backbone {backbone.rows}x{backbone.cols} does not match "
+                f"backbone {backbone.rows}x{backbone.cols} does not match the adapter's "
                 f"{self.d_out}x{self.d_in}"
             )
-        self.backbone = backbone
+        self._backbone = backbone
+        self._frozen_bias = None
         if frozen_bias is not None:
+            if frozen_bias.shape != (self.d_out,):
+                raise DimensionError(f"frozen bias must have shape ({self.d_out},), got {frozen_bias.shape}")
             fb = frozen_bias.astype(np.float32)
             fb.setflags(write=False)
-            self.frozen_bias = fb
+            self._frozen_bias = fb
+
+    def materialize(self) -> None:
+        """Run the deferred draw, if one is pending."""
+        if self._pending is not None:
+            draw, self._pending = self._pending, None
+            self._store(*draw())
+
+    @property
+    def backbone(self) -> BackboneMatrix:
+        self.materialize()
+        return self._backbone
+
+    @property
+    def frozen_bias(self) -> np.ndarray | None:
+        self.materialize()
+        return self._frozen_bias
+
+    @frozen_bias.setter
+    def frozen_bias(self, value: np.ndarray | None) -> None:
+        self.materialize()
+        self._frozen_bias = value
+
+    def set_backbone(self, backbone: BackboneMatrix, frozen_bias: np.ndarray | None = None) -> None:
+        """Replace the frozen matrix and bias (resampling / seed gating);
+        ``frozen_bias=None`` leaves the layer without one.  A pending
+        deferred draw is dropped without being computed."""
+        self._pending = None
+        self._store(backbone, frozen_bias)
 
     def forward(self, h: np.ndarray, cache: dict | None = None) -> np.ndarray:
         """Pre-activation output; LayerNorm (when enabled) wraps the sum.

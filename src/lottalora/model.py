@@ -7,6 +7,7 @@ frozen matrix, which is what makes models reconstructible from a header.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass, field
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DimensionError
-from .initfam import BackboneMatrix, InitFamily, draw_matrix
+from .initfam import BackboneMatrix, InitFamily, draw_matrix, draw_plan
 from .layers import SCALING_MODES, DenseLayer, LottaLayer, init_adapter
 from .numerics import Tensor, add_grad, tensor
 from .prng import ALGORITHM_ID, DrawKind, Stream, derive_stream
@@ -43,6 +44,27 @@ def _dropout_scale(stream: Stream, shape: tuple, p: float, dtype: np.dtype) -> n
     scale = (bits >= np.uint64(math.ceil(p * 2.0 ** 53))).astype(dtype)
     scale *= dtype.type(1.0 / (1.0 - p))
     return scale
+
+
+def _draw_frozen(cfg: "ModelConfig", family: InitFamily, i: int, stream: Stream, seed: int):
+    """Layer i's frozen matrix and bias, drawn from ``stream``."""
+    d_out, d_in = cfg.layer_shapes()[i]
+    if cfg.zero_scaffold:
+        matrix = BackboneMatrix(d_out, d_in, np.zeros((d_out, d_in), dtype=np.float32), provenance=(seed, i, "zero"))
+    else:
+        matrix = draw_matrix(stream, family, d_out, d_in, provenance=(seed, i, family))
+    if not cfg.frozen_bias:
+        return matrix, None
+    # frozen counterpart of a dense layer's bias: U(+-1/sqrt(d_in))
+    bound = 1.0 / float(d_in) ** 0.5
+    return matrix, (bound * (2.0 * stream.unit_block(d_out) - 1.0)).astype(np.float32)
+
+
+def _frozen_plan(cfg: "ModelConfig", family: InitFamily, i: int) -> list[tuple[str, int]]:
+    """The block draws ``_draw_frozen`` makes for layer i, in order."""
+    d_out, d_in = cfg.layer_shapes()[i]
+    plan = [] if cfg.zero_scaffold else draw_plan(family, d_out, d_in)
+    return plan + [("unit", d_out)] if cfg.frozen_bias else plan
 
 
 @dataclass(frozen=True)
@@ -78,6 +100,9 @@ class ModelConfig:
             raise ConfigError(f"head_mode must be one of {HEAD_MODES}, got {self.head_mode!r}")
         if self.scaling_mode not in SCALING_MODES:
             raise ConfigError(f"scaling_mode must be one of {SCALING_MODES}, got {self.scaling_mode!r}")
+        dims = (self.input_dim, *self.dims(), self.num_classes)
+        if any(d < 1 for d in dims):
+            raise ConfigError(f"input_dim, hidden_dims and num_classes must all be >= 1, got {dims}")
         if self.rank < 1:
             raise ConfigError(f"rank must be >= 1, got {self.rank}")
         if not 0.0 <= self.dropout < 1.0:
@@ -167,20 +192,6 @@ class Model:
 
     # -- construction ------------------------------------------------------
 
-    def _draw_frozen(self, i: int, stream: Stream, seed: int):
-        """Layer i's frozen matrix and bias, drawn from ``stream``."""
-        d_out, d_in = self.cfg.layer_shapes()[i]
-        if self.cfg.zero_scaffold:
-            matrix = BackboneMatrix(d_out, d_in, np.zeros((d_out, d_in), dtype=np.float32),
-                                    provenance=(seed, i, "zero"))
-        else:
-            matrix = draw_matrix(stream, self.spec.family, d_out, d_in, provenance=(seed, i, self.spec.family))
-        if not self.cfg.frozen_bias:
-            return matrix, None
-        # frozen counterpart of a dense layer's bias: U(+-1/sqrt(d_in))
-        bound = 1.0 / float(d_in) ** 0.5
-        return matrix, (bound * (2.0 * stream.unit_block(d_out) - 1.0)).astype(np.float32)
-
     def _build(self):
         cfg, seed = self.cfg, self.spec.seed
         shapes = cfg.layer_shapes()
@@ -195,16 +206,19 @@ class Model:
             if i >= self._n_lotta:
                 layers.append(DenseLayer(d_in, d_out, derive_stream(seed, i, DrawKind.HEAD_INIT)))
                 continue
+            # the layer draws its frozen state from a copy on first read;
+            # the live stream skips ahead to where that draw would leave it
             stream = derive_stream(seed, i, DrawKind.BACKBONE_WEIGHT)
+            pending = functools.partial(_draw_frozen, cfg, self.spec.family, i, stream.copy(), seed)
+            for kind, n in _frozen_plan(cfg, self.spec.family, i):
+                stream.skip(kind, n)
             self._backbone_streams.append(stream)
-            backbone, frozen_bias = self._draw_frozen(i, stream, seed)
             adapter = init_adapter(
                 cfg.rank, d_in, d_out, cfg.alpha, cfg.scaling_mode,
                 derive_stream(seed, i, DrawKind.ADAPTER_A_INIT), b_init=cfg.b_init,
             )
             is_hidden = i < len(shapes) - 1
-            layers.append(LottaLayer(backbone, adapter, use_layernorm=cfg.layernorm and is_hidden,
-                                     frozen_bias=frozen_bias))
+            layers.append(LottaLayer(pending, adapter, use_layernorm=cfg.layernorm and is_hidden))
         *self.hidden, self.head = layers
         self._dropout_streams = [derive_stream(seed, i, DrawKind.DROPOUT_MASK) for i in range(len(self.hidden))]
         if cfg.head_mode == "lora_bias" and self._n_lotta == len(shapes):
@@ -225,6 +239,9 @@ class Model:
             raise DimensionError(f"batch must be [n, {self.cfg.input_dim}], got {batch.shape}")
         p = self.cfg.dropout if training else 0.0
         layers = [*self.hidden, self.head]
+        # deferred scaffold draws run before any activation exists
+        for layer in self.lotta_layers():
+            layer.materialize()
         caches = [{} if training else None for _ in layers]
         scales = []
         h = np.ascontiguousarray(batch, dtype=np.float32)
@@ -296,7 +313,7 @@ class Model:
 
     def _redraw(self, seed: int) -> None:
         for i, (layer, stream) in enumerate(zip(self.lotta_layers(), self._backbone_streams)):
-            layer.set_backbone(*self._draw_frozen(i, stream, seed))
+            layer.set_backbone(*_draw_frozen(self.cfg, self.spec.family, i, stream, seed))
 
     def resample_backbones(self) -> None:
         """Redraw every layer's frozen state from its continuing stream."""

@@ -31,6 +31,16 @@ evaluation would.  Every transcendental runs on a contiguous operand,
 because numpy may pick a differently rounding loop for strided ones; so
 Box-Muller reads u1 from the odd and u2 from the even stream offsets as
 two contiguous stride-2 runs.
+
+A draw nobody reads need not be computed: ``skip`` moves a stream to
+where a unit or gaussian block of n would leave it, in O(1).  The skip is
+exact because the generator is counter-based.  The state after n raw
+outputs is ``state + n*gamma``, whatever the outputs were.  A unit draw
+takes one raw output and a gaussian pair takes two.  The one value that
+outlives a draw is the Box-Muller carry.  A gaussian skip consumes an
+incoming carry as a draw would.  An odd remainder leaves the last pair's
+sine as the new carry, so the skip evaluates that one pair with the block
+kernel, and the carry gets the bits a full draw would give it.
 """
 
 from __future__ import annotations
@@ -186,6 +196,24 @@ class Stream:
                 self._gauss_cache = float(r[k - 1] * a[k - 1])
         self.state = (self.state + 2 * pairs * GOLDEN_GAMMA) & MASK64
         return out
+
+    def skip(self, kind: str, n: int) -> None:
+        """Advance past ``n`` draws of ``kind`` ("unit" or "gaussian")
+        without computing them; the state and the Box-Muller carry end up
+        exactly as ``unit_block(n)``/``gaussian_block(n)`` would leave them."""
+        if n < 0:
+            raise ValueError("skip count must be nonnegative")
+        if kind == "gaussian":
+            if n and self._gauss_cache is not None:
+                self._gauss_cache = None
+                n -= 1
+            if n % 2:  # the last pair's sine becomes the carry: draw that pair
+                self.state = (self.state + (n - 1) * GOLDEN_GAMMA) & MASK64
+                self.gaussian_block(1)
+                return
+        elif kind != "unit":
+            raise ValueError(f"cannot skip draws of kind {kind!r}")
+        self.state = (self.state + n * GOLDEN_GAMMA) & MASK64
 
     def permutation(self, n: int) -> np.ndarray:
         """Deterministic permutation of range(n) driven by unit draws."""

@@ -39,6 +39,21 @@ def test_rankstar_negative_eps_is_config_error(tmp_path, capsys):
     assert run(["rankstar", "--losses", str(losses), "--full", "0.2", "--eps", "-1"]) == 3
 
 
+@pytest.mark.parametrize("text", [
+    '{"1": 0.5',  # not JSON
+    '[0.5, 0.3]',  # not an object
+    '{"x": 0.5}',  # a rank that is not an integer
+    '{"1": "x"}',  # a loss that is not a number
+    '{"1": null}',
+    '{"1": [0.5]}',
+])
+def test_malformed_loss_table_is_config_error(tmp_path, capsys, text):
+    losses = tmp_path / "losses.json"
+    losses.write_text(text)
+    assert run(["rankstar", "--losses", str(losses), "--full", "0.2", "--eps", "0.01"]) == 3
+    assert json.loads(capsys.readouterr().err)["error"] == "config"
+
+
 def test_unknown_flag_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["cost", "--archh", "900M"])
@@ -82,6 +97,20 @@ def test_betastats_command(tmp_path, capsys):
     stats = json.loads(capsys.readouterr().out)
     assert stats["mean"] == pytest.approx(1.0)
     assert stats["count"] == 2
+
+
+@pytest.mark.parametrize("text", [
+    '{"final_betas": [0.9',  # not JSON
+    '[1]',  # a run that is not an object
+    '"summary"',  # neither an object nor a list
+    '{"final_betas": 0.9}',  # betas that are not a list
+    '{"final_betas": [0.9, "x"]}',
+])
+def test_malformed_summary_is_config_error(tmp_path, capsys, text):
+    summary = tmp_path / "summary.json"
+    summary.write_text(text)
+    assert run(["betastats", str(summary)]) == 3
+    assert json.loads(capsys.readouterr().err)["error"] == "config"
 
 
 def test_scaling_flag_maps_to_rank_stabilized(tmp_path, capsys):

@@ -237,10 +237,10 @@ def to_float64(model):
     for _, p in model.trainable_params():
         p.data = p.data.astype(np.float64)
     for layer in model.lotta_layers():
-        b = layer.backbone
-        layer.set_backbone(BackboneMatrix(b.rows, b.cols, b.data.astype(np.float64)))
-        if layer.frozen_bias is not None:
-            layer.frozen_bias = layer.frozen_bias.astype(np.float64)
+        b, bias = layer.backbone, layer.frozen_bias
+        layer.set_backbone(BackboneMatrix(b.rows, b.cols, b.data.astype(np.float64)), bias)
+        if bias is not None:
+            layer.frozen_bias = bias.astype(np.float64)
 
 
 def test_explicit_backward_matches_finite_differences():

@@ -8,6 +8,7 @@ from lottalora.initfam import (
     FAMILY_NAMES,
     InitFamily,
     draw_matrix,
+    draw_plan,
     family_moments,
 )
 from lottalora.prng import Stream
@@ -210,3 +211,28 @@ def test_family_serialization_round_trip():
     fam = InitFamily("normal", {"sigma": 0.1}, scaling="explicit")
     assert InitFamily.from_dict(fam.to_dict()) == fam
     assert fam.to_dict()["name"] == "normal"
+
+
+PLAN_FAMILIES = [InitFamily(name) for name in FAMILY_NAMES] + [InitFamily("student_t", {"nu": 2})]
+
+
+@pytest.mark.parametrize("fam", PLAN_FAMILIES, ids=lambda f: f"{f.name}-{f.params.get('nu', '')}")
+@pytest.mark.parametrize("rows,cols", [(1, 1), (5, 3), (3, 5), (4, 6), (7, 9)])
+@pytest.mark.parametrize("carry", [False, True])
+def test_skipping_the_draw_plan_matches_draw_matrix(fam, rows, cols, carry):
+    drawn = Stream(2024)
+    if carry:
+        drawn.gaussian_block(1)  # an incoming Box-Muller carry
+    skipped = drawn.copy()
+    draw_matrix(drawn, fam, rows, cols)
+    for kind, n in draw_plan(fam, rows, cols):
+        skipped.skip(kind, n)
+    assert (skipped.state, skipped._gauss_cache) == (drawn.state, drawn._gauss_cache)
+    assert type(skipped._gauss_cache) is type(drawn._gauss_cache)
+
+
+def test_beta_median_of_three_equals_np_median_bitwise():
+    m = draw_matrix(Stream(8), InitFamily("beta", scaling="explicit"), 61, 67)
+    u = Stream(8).unit_block(3 * 61 * 67).reshape(-1, 3)
+    expected = 0.1 * (2.0 * np.median(u, axis=1) - 1.0)
+    assert m.data.tobytes() == expected.astype(np.float32).reshape(61, 67).tobytes()

@@ -89,6 +89,17 @@ def test_rank_zero_rejected():
         ModelConfig(rank=0)
 
 
+@pytest.mark.parametrize("dims", [
+    dict(hidden_dims=(0,)), dict(hidden_dims=(-3,)), dict(hidden_dims=(4, 0)),
+    dict(input_dim=0), dict(num_classes=0), dict(num_classes=-1, head_mode="lora"),
+])
+def test_nonpositive_dims_rejected_at_build(dims):
+    base = dict(preset=None, hidden_dims=(4,), input_dim=6, num_classes=3, rank=2)
+    with pytest.raises(ConfigError):
+        cfg = ModelConfig(**{**base, **dims})
+        build_model(cfg, BackboneSpec.from_config(cfg, 1))
+
+
 def test_explicit_dims_override_preset():
     cfg = ModelConfig(preset=None, hidden_dims=(32, 16), input_dim=20, num_classes=3)
     assert cfg.layer_shapes() == ((32, 20), (16, 32), (3, 16))

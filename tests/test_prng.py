@@ -239,3 +239,44 @@ def test_scalar_draws_match_oracle_at_wraparound():
     for _ in range(3):
         assert float(new.gaussian_block(1)[0]) == float(oracle_gaussian_block(old, 1)[0])
     assert (new.state, new._gauss_cache) == (old.state, old._gauss_cache)
+
+
+# -- skipping draws nobody reads ------------------------------------------------
+
+
+SKIP_SIZES = [0, 1, 2, 3, 4, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1]
+
+
+@pytest.mark.parametrize("seed", ORACLE_SEEDS)
+@pytest.mark.parametrize("kind", ["unit", "gaussian"])
+@pytest.mark.parametrize("carry", [False, True])
+def test_skip_leaves_the_stream_where_the_draw_would(seed, kind, carry):
+    for n in SKIP_SIZES:
+        drawn = Stream(seed)
+        if carry:
+            drawn.gaussian_block(3)  # an odd count leaves a carry
+        skipped = drawn.copy()
+        getattr(drawn, f"{kind}_block")(n)
+        skipped.skip(kind, n)
+        assert (skipped.state, skipped._gauss_cache) == (drawn.state, drawn._gauss_cache), (kind, n)
+        assert type(skipped._gauss_cache) is type(drawn._gauss_cache)
+        # and the next draws agree bit for bit
+        assert skipped.gaussian_block(5).tobytes() == drawn.gaussian_block(5).tobytes()
+
+
+def test_interleaved_skips_match_interleaved_draws():
+    calls = [("gaussian", 3), ("unit", 5), ("gaussian", 1), ("gaussian", 2 * _CHUNK + 1),
+             ("unit", 1), ("gaussian", 0), ("gaussian", 4), ("gaussian", _CHUNK - 1)]
+    for seed in range(50):
+        drawn, skipped = Stream(seed), Stream(seed)
+        for kind, n in calls:
+            getattr(drawn, f"{kind}_block")(n)
+            skipped.skip(kind, n)
+            assert (skipped.state, skipped._gauss_cache) == (drawn.state, drawn._gauss_cache)
+
+
+def test_skip_rejects_unknown_kinds_and_negative_counts():
+    with pytest.raises(ValueError):
+        Stream(1).skip("u64", 2)
+    with pytest.raises(ValueError):
+        Stream(1).skip("unit", -1)
