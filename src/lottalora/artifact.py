@@ -144,7 +144,7 @@ def reconstruct(header: dict, tensors: dict) -> Model:
             f"artifact was generated with {header.get('algorithm_id')!r}; this build expects {ALGORITHM_ID!r}"
         )
     try:
-        cfg = ModelConfig.from_dict(header["model"])
+        cfg = ModelConfig(**header["model"])
         spec = BackboneSpec.from_dict(header["backbone"])
     except (KeyError, TypeError, ValueError) as err:
         raise FormatError(f"artifact header has a missing or malformed model/backbone field: {err!r}") from err

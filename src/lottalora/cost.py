@@ -144,43 +144,9 @@ def rmt_sigma1(d: int, sigma_init: float) -> float:
     return 2.0 * (d ** 0.5) * sigma_init
 
 
-@dataclass
-class CostReport:
-    arch: str
-    rank: int
-    m_tokens: float
-    total_params: int
-    internal_full: int
-    lora_internal: int
-    flops_full: float
-    flops_lottalora: float
-    flop_ratio: float
-    mem_full_bytes: float
-    mem_lottalora_bytes: float
-    mem_ratio: float
-    dist_bytes: dict
-
-    def to_dict(self) -> dict:
-        return {
-            "arch": self.arch,
-            "rank": self.rank,
-            "m_tokens": self.m_tokens,
-            "total_params": self.total_params,
-            "internal_full": self.internal_full,
-            "lora_internal": self.lora_internal,
-            "flops_full": self.flops_full,
-            "flops_lottalora": self.flops_lottalora,
-            "flop_ratio": self.flop_ratio,
-            "mem_full_bytes": self.mem_full_bytes,
-            "mem_lottalora_bytes": self.mem_lottalora_bytes,
-            "mem_ratio": self.mem_ratio,
-            "dist_bytes": self.dist_bytes,
-            "dist_mib": {k: v / MIB for k, v in self.dist_bytes.items()},
-        }
-
-
-def cost_report(arch: TransformerArch, rank: int, m_tokens: float | None = None) -> CostReport:
-    """Assemble the full analytics for one (architecture, rank) pair."""
+def cost_report(arch: TransformerArch, rank: int, m_tokens: float | None = None) -> dict:
+    """The full analytics for one (architecture, rank) pair, as a
+    JSON-ready dict."""
     total, internal_full, lora_internal = transformer_counts(arch, rank)
     n = arch.total_params()
     # trainable set: adapters plus embeddings and norms (what actually
@@ -189,18 +155,20 @@ def cost_report(arch: TransformerArch, rank: int, m_tokens: float | None = None)
     tokens = m_tokens if m_tokens is not None else 1.0
     f_full, f_lotta, f_ratio = flops(tokens, n, min(n_tr, n))
     mem_full, mem_lotta, mem_ratio = opt_memory(n, min(n_tr, n))
-    return CostReport(
-        arch=arch.name,
-        rank=rank,
-        m_tokens=tokens,
-        total_params=total,
-        internal_full=internal_full,
-        lora_internal=lora_internal,
-        flops_full=f_full,
-        flops_lottalora=f_lotta,
-        flop_ratio=f_ratio,
-        mem_full_bytes=mem_full,
-        mem_lottalora_bytes=mem_lotta,
-        mem_ratio=mem_ratio,
-        dist_bytes={fmt: dist_size(arch, rank, fmt) for fmt in DIST_FORMATS},
-    )
+    dist_bytes = {fmt: dist_size(arch, rank, fmt) for fmt in DIST_FORMATS}
+    return {
+        "arch": arch.name,
+        "rank": rank,
+        "m_tokens": tokens,
+        "total_params": total,
+        "internal_full": internal_full,
+        "lora_internal": lora_internal,
+        "flops_full": f_full,
+        "flops_lottalora": f_lotta,
+        "flop_ratio": f_ratio,
+        "mem_full_bytes": mem_full,
+        "mem_lottalora_bytes": mem_lotta,
+        "mem_ratio": mem_ratio,
+        "dist_bytes": dist_bytes,
+        "dist_mib": {k: v / MIB for k, v in dist_bytes.items()},
+    }

@@ -146,13 +146,6 @@ class LabelPartition:
         labels = np.where(mask, dataset.labels, self.ooc_label)
         return Dataset(dataset.images, labels, dataset.split)
 
-    def eval_labels(self, labels: np.ndarray, group_index: int) -> np.ndarray:
-        """Ground-truth labels under one seed at evaluation time."""
-        if not self.ooc_mode:
-            return labels
-        mask = np.isin(labels, sorted(self.groups[group_index]))
-        return np.where(mask, labels, self.ooc_label)
-
 
 def make_partition(groups, seeds, ooc_mode: bool = False) -> LabelPartition:
     groups = tuple(frozenset(int(g) for g in group) for group in groups)

@@ -24,7 +24,7 @@ flat index.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -32,6 +32,9 @@ from .errors import ConfigError
 from .prng import Stream
 
 KAIMING_DEFAULT_A = math.sqrt(5.0)
+
+# student_t entries drawn per chunk
+_T_ROWS = 4096
 
 # the parameter that sets a scale-driven family's spread (exponential's is
 # the rate lam, so its scale is 1/lam; the gaussian mixture has none).
@@ -112,11 +115,7 @@ class InitFamily:
         _validate_params(self.name, self.params)
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "params": {k: self.params[k] for k in sorted(self.params)},
-            "scaling": self.scaling,
-        }
+        return asdict(self)
 
     @staticmethod
     def from_dict(d: dict) -> "InitFamily":
@@ -172,12 +171,11 @@ def _validate_params(name: str, p: dict) -> None:
 
 @dataclass(frozen=True)
 class BackboneMatrix:
-    """A frozen matrix plus the provenance that regenerates it."""
+    """A frozen matrix; its data is marked read-only."""
 
     rows: int
     cols: int
     data: np.ndarray  # f32, read-only
-    provenance: tuple | None = None
 
     def __post_init__(self):
         self.data.setflags(write=False)
@@ -241,10 +239,17 @@ def _entrywise_sample(stream: Stream, fam: InitFamily, n: int, fan_in: int, fan_
         u = np.maximum(stream.unit_block(n), 2.0 ** -53)
         return s * np.where(u < 0.5, np.log(2.0 * u), -np.log(2.0 * (1.0 - u)))
     if name == "student_t":
+        # entry i is z_i / sqrt(chi2_i / nu) from gaussians (i*(nu+1), ...,
+        # i*(nu+1)+nu); row chunks of the continuing stream give the same
+        # bits as one block without holding all n*(nu+1) draws at once
         nu = int(p["nu"])
-        g = stream.gaussian_block(n * (nu + 1)).reshape(n, nu + 1)
-        chi2 = np.sum(g[:, 1:] ** 2, axis=1)
-        return s * g[:, 0] / np.sqrt(chi2 / nu)
+        out = np.empty(n, dtype=np.float64)
+        for lo in range(0, n, _T_ROWS):
+            k = min(_T_ROWS, n - lo)
+            g = stream.gaussian_block(k * (nu + 1)).reshape(k, nu + 1)
+            chi2 = np.sum(g[:, 1:] ** 2, axis=1)
+            out[lo:lo + k] = s * g[:, 0] / np.sqrt(chi2 / nu)
+        return out
     if name == "gaussian_mixture":
         u = stream.unit_block(n)  # component choice first, then value
         g = stream.gaussian_block(n)
@@ -285,7 +290,7 @@ def _orthogonal_matrix(stream: Stream, gain: float, rows: int, cols: int) -> np.
     return gain * q
 
 
-def draw_matrix(stream: Stream, fam: InitFamily, rows: int, cols: int, provenance: tuple | None = None) -> BackboneMatrix:
+def draw_matrix(stream: Stream, fam: InitFamily, rows: int, cols: int) -> BackboneMatrix:
     """Generate a rows x cols frozen matrix; cols is the layer fan-in."""
     if rows < 1 or cols < 1:
         raise ConfigError(f"matrix dims must be >= 1, got {rows}x{cols}")
@@ -297,7 +302,7 @@ def draw_matrix(stream: Stream, fam: InitFamily, rows: int, cols: int, provenanc
         data = (fam.params["rho"] / sigma1) * g
     else:
         data = _entrywise_sample(stream, fam, rows * cols, cols, rows).reshape(rows, cols)
-    return BackboneMatrix(rows=rows, cols=cols, data=data.astype(np.float32), provenance=provenance)
+    return BackboneMatrix(rows=rows, cols=cols, data=data.astype(np.float32))
 
 
 # per-entry draws of the entrywise families, in stream order:

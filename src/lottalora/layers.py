@@ -119,14 +119,12 @@ class LottaLayer:
                 f"backbone {backbone.rows}x{backbone.cols} does not match the adapter's "
                 f"{self.d_out}x{self.d_in}"
             )
-        self._backbone = backbone
-        self._frozen_bias = None
         if frozen_bias is not None:
             if frozen_bias.shape != (self.d_out,):
                 raise DimensionError(f"frozen bias must have shape ({self.d_out},), got {frozen_bias.shape}")
-            fb = frozen_bias.astype(np.float32)
-            fb.setflags(write=False)
-            self._frozen_bias = fb
+            frozen_bias.setflags(write=False)
+        self._backbone = backbone
+        self._frozen_bias = frozen_bias
 
     def materialize(self) -> None:
         """Run the deferred draw, if one is pending."""
@@ -144,14 +142,10 @@ class LottaLayer:
         self.materialize()
         return self._frozen_bias
 
-    @frozen_bias.setter
-    def frozen_bias(self, value: np.ndarray | None) -> None:
-        self.materialize()
-        self._frozen_bias = value
-
     def set_backbone(self, backbone: BackboneMatrix, frozen_bias: np.ndarray | None = None) -> None:
         """Replace the frozen matrix and bias (resampling / seed gating);
-        ``frozen_bias=None`` leaves the layer without one.  A pending
+        ``frozen_bias=None`` leaves the layer without one.  Both are kept
+        as given, dtype included, and marked read-only.  A pending
         deferred draw is dropped without being computed."""
         self._pending = None
         self._store(backbone, frozen_bias)

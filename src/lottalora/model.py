@@ -10,7 +10,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -46,13 +46,13 @@ def _dropout_scale(stream: Stream, shape: tuple, p: float, dtype: np.dtype) -> n
     return scale
 
 
-def _draw_frozen(cfg: "ModelConfig", family: InitFamily, i: int, stream: Stream, seed: int):
+def _draw_frozen(cfg: "ModelConfig", family: InitFamily, i: int, stream: Stream):
     """Layer i's frozen matrix and bias, drawn from ``stream``."""
     d_out, d_in = cfg.layer_shapes()[i]
     if cfg.zero_scaffold:
-        matrix = BackboneMatrix(d_out, d_in, np.zeros((d_out, d_in), dtype=np.float32), provenance=(seed, i, "zero"))
+        matrix = BackboneMatrix(d_out, d_in, np.zeros((d_out, d_in), dtype=np.float32))
     else:
-        matrix = draw_matrix(stream, family, d_out, d_in, provenance=(seed, i, family))
+        matrix = draw_matrix(stream, family, d_out, d_in)
     if not cfg.frozen_bias:
         return matrix, None
     # frozen counterpart of a dense layer's bias: U(+-1/sqrt(d_in))
@@ -119,29 +119,7 @@ class ModelConfig:
         return tuple((dims[i + 1], dims[i]) for i in range(len(dims) - 1))
 
     def to_dict(self) -> dict:
-        return {
-            "preset": self.preset,
-            "hidden_dims": list(self.hidden_dims) if self.hidden_dims is not None else None,
-            "input_dim": self.input_dim,
-            "num_classes": self.num_classes,
-            "mode": self.mode,
-            "rank": self.rank,
-            "alpha": self.alpha,
-            "scaling_mode": self.scaling_mode,
-            "head_mode": self.head_mode,
-            "dropout": self.dropout,
-            "layernorm": self.layernorm,
-            "zero_scaffold": self.zero_scaffold,
-            "frozen_bias": self.frozen_bias,
-            "b_init": self.b_init,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "ModelConfig":
-        d = dict(d)
-        if d.get("hidden_dims") is not None:
-            d["hidden_dims"] = tuple(d["hidden_dims"])
-        return ModelConfig(**d)
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -159,12 +137,7 @@ class BackboneSpec:
         return BackboneSpec(seed=seed, family=fam, layer_shapes=cfg.layer_shapes())
 
     def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "family": self.family.to_dict(),
-            "layer_shapes": [list(s) for s in self.layer_shapes],
-            "algorithm_id": self.algorithm_id,
-        }
+        return asdict(self)
 
     @staticmethod
     def from_dict(d: dict) -> "BackboneSpec":
@@ -209,7 +182,7 @@ class Model:
             # the layer draws its frozen state from a copy on first read;
             # the live stream skips ahead to where that draw would leave it
             stream = derive_stream(seed, i, DrawKind.BACKBONE_WEIGHT)
-            pending = functools.partial(_draw_frozen, cfg, self.spec.family, i, stream.copy(), seed)
+            pending = functools.partial(_draw_frozen, cfg, self.spec.family, i, stream.copy())
             for kind, n in _frozen_plan(cfg, self.spec.family, i):
                 stream.skip(kind, n)
             self._backbone_streams.append(stream)
@@ -311,15 +284,15 @@ class Model:
             out.append(digest.hexdigest())
         return out
 
-    def _redraw(self, seed: int) -> None:
+    def _redraw(self) -> None:
         for i, (layer, stream) in enumerate(zip(self.lotta_layers(), self._backbone_streams)):
-            layer.set_backbone(*_draw_frozen(self.cfg, self.spec.family, i, stream, seed))
+            layer.set_backbone(*_draw_frozen(self.cfg, self.spec.family, i, stream))
 
     def resample_backbones(self) -> None:
         """Redraw every layer's frozen state from its continuing stream."""
         if self.cfg.zero_scaffold or self.cfg.mode == "full_training":
             return
-        self._redraw(self.spec.seed)
+        self._redraw()
 
     def swap_seed_backbones(self, seed: int) -> None:
         """Regenerate all frozen state from a different global seed
@@ -329,7 +302,7 @@ class Model:
         self._backbone_streams = [
             derive_stream(seed, i, DrawKind.BACKBONE_WEIGHT) for i in range(self._n_lotta)
         ]
-        self._redraw(seed)
+        self._redraw()
 
 
 def build_model(cfg: ModelConfig, backbone: BackboneSpec) -> Model:

@@ -307,9 +307,14 @@ def softmax_xent(logits: Tensor, labels: np.ndarray) -> Tensor:
         raise DimensionError(f"labels must have shape ({n},), got {labels.shape}")
     if labels.min() < 0 or labels.max() >= c:
         raise DataError(f"label out of range [0, {c}): found {int(labels.min())}..{int(labels.max())}")
-    probs = softmax(logits.data)
-    picked = probs[np.arange(n), labels]
-    loss = -np.mean(np.log(picked))
+    # log(sum exp z) - z_y on the max-shifted logits: finite at any margin,
+    # where the log of a softmax probability underflows to log(0)
+    z = logits.data.astype(np.float64)
+    z -= z.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    total = e.sum(axis=-1, keepdims=True)
+    probs = e / total
+    loss = np.mean(np.log(total[:, 0]) - z[np.arange(n), labels])
 
     def backward_fn():
         if logits.requires_grad:

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -31,13 +32,10 @@ class TrainConfig:
     weight_decay: float = 1e-2
     batch_size: int = 128
     epochs: int = 20
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     schedule: str = "cosine"
     resample: str = "static"
     resample_k: int = 2
-    val_fraction: float = 0.1
+    val_fraction: ClassVar[float] = 0.1  # share of the training set held out for validation
 
     def __post_init__(self):
         if self.resample not in RESAMPLE_SCHEDULES:
@@ -50,12 +48,7 @@ class TrainConfig:
             raise ConfigError("epochs and batch_size must be >= 1")
 
     def to_dict(self) -> dict:
-        return {
-            "lr": self.lr, "weight_decay": self.weight_decay, "batch_size": self.batch_size,
-            "epochs": self.epochs, "beta1": self.beta1, "beta2": self.beta2, "eps": self.eps,
-            "schedule": self.schedule, "resample": self.resample, "resample_k": self.resample_k,
-            "val_fraction": self.val_fraction,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -194,10 +187,7 @@ def _train_loop(model: Model, cfg: TrainConfig, resample: str, segments, shuffle
     Yields ``(epoch, train_loss, train_accuracy, lr)`` after each epoch;
     the train metrics are row-weighted means over every forward row.
     """
-    optimizer = AdamW(
-        [p for _, p in model.trainable_params()], lr=cfg.lr, weight_decay=cfg.weight_decay,
-        beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps,
-    )
+    optimizer = AdamW([p for _, p in model.trainable_params()], lr=cfg.lr, weight_decay=cfg.weight_decay)
     total_steps = cfg.epochs * sum(math.ceil(len(data) / cfg.batch_size) for data, _ in segments)
     step = 0
     for epoch in range(cfg.epochs):
@@ -246,7 +236,7 @@ def train_run(
     trainables = [p for _, p in model.trainable_params()]
     metrics = RunMetrics()
     best_val = -1.0
-    best_snapshot = None
+    best_params = None
     epochs = _train_loop(model, train_cfg, train_cfg.resample, [(train_split, redraw_per_epoch)], shuffle)
     for epoch, train_loss, train_acc, lr in epochs:
         val_loss, val_acc = evaluate(model, val_split)
@@ -262,24 +252,19 @@ def train_run(
             "beta_min": min(betas) if betas else None,
             "beta_median": float(np.median(betas)) if betas else None,
         })
-        if val_acc > best_val:
+        # best-val selection applies to the static schedule only, whose
+        # scaffold never changes; resampling ablations measure the damage
+        # of a churning scaffold, and selecting a lucky (scaffold, adapter)
+        # pairing from validation would mask it
+        if train_cfg.resample == "static" and val_acc > best_val:
             best_val = val_acc
             metrics.best_epoch = epoch
-            # snapshot the frozen state too: the adapters are only
-            # meaningful with the scaffold they were trained against
-            frozen = [(layer, layer.backbone, layer.frozen_bias) for layer in model.lotta_layers()]
-            best_snapshot = ([p.data.copy() for p in trainables], frozen)
+            best_params = [p.data.copy() for p in trainables]
 
-    # best-val selection applies to the static schedule only; resampling
-    # ablations measure the damage of a churning scaffold, and selecting a
-    # lucky (scaffold, adapter) pairing from validation would mask it
-    if best_snapshot is not None and train_cfg.resample == "static":
-        saved_params, frozen = best_snapshot
-        for p, saved in zip(trainables, saved_params):
+    if best_params is not None:
+        for p, saved in zip(trainables, best_params):
             p.data[...] = saved
-        for layer, matrix, bias in frozen:
-            layer.set_backbone(matrix, bias)
-    elif train_cfg.resample != "static":
+    else:
         metrics.best_epoch = train_cfg.epochs - 1
     test_loss, test_acc = evaluate(model, test_dataset)
     metrics.final_test_loss = test_loss
@@ -312,7 +297,7 @@ def seed_gated_train(
     """Train one shared adapter, cycling through the partition's backbone
     seeds within every epoch; evaluate each test digit under each seed."""
     num_classes = partition.num_model_classes(model_cfg.num_classes)
-    cfg = ModelConfig.from_dict({**model_cfg.to_dict(), "num_classes": num_classes})
+    cfg = replace(model_cfg, num_classes=num_classes)
     spec = BackboneSpec.from_config(cfg, partition.seeds[0], family)
     model = build_model(cfg, spec)
     shuffle = derive_stream(partition.seeds[0], 0, DrawKind.DATA_SHUFFLE)

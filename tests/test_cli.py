@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from lottalora.artifact import load, unpack
 from lottalora.cli import run, run_grid
 from lottalora.initfam import InitFamily
 from lottalora.model import ModelConfig
@@ -239,6 +240,22 @@ def test_train_verify_cycle_on_fake_idx(tmp_path, capsys, fake_mnist_dir):
     payload = json.loads(capsys.readouterr().out)
     assert payload["verified"] is True
     assert payload["test_accuracy"] == summary["final_test_accuracy"]
+
+
+@pytest.mark.parametrize("schedule", ["epoch", "micro:2"])
+def test_resampled_train_records_no_accuracy_to_verify(tmp_path, capsys, fake_mnist_dir, schedule):
+    # the artifact carries the build-time scaffold, not the run's last
+    # redraw, so a resampled run's test accuracy is not reproducible from it
+    out = tmp_path / "run"
+    assert run(["train", "--preset", "tiny", "--rank", "2", "--seed", "1", "--epochs", "2",
+                "--resample", schedule, "--data-dir", fake_mnist_dir, "--out-dir", str(out)]) == 0
+    header, _ = unpack(load(str(out / "model.ltlr")))
+    assert header["extra"] == {}
+    capsys.readouterr()
+    assert run(["verify", str(out / "model.ltlr"), "--data-dir", fake_mnist_dir]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["verified"] is False
+    assert payload["recorded"] is None
 
 
 def test_sweep_summary_does_not_depend_on_jobs(tmp_path, capsys, fake_mnist_dir):

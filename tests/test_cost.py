@@ -185,8 +185,7 @@ def test_rmt_sigma1_matches_drawn_matrix():
 # -- report assembly ----------------------------------------------------------------
 
 def test_cost_report_is_consistent():
-    report = cost_report(ARCHS["900M"], 8, m_tokens=1e9)
-    d = report.to_dict()
+    d = cost_report(ARCHS["900M"], 8, m_tokens=1e9)
     assert d["total_params"] == LOTTA_TOTALS[("900M", 8)]
     assert d["flop_ratio"] < 0.69  # nearly frozen at this scale
     assert d["mem_ratio"] < 0.17

@@ -30,7 +30,7 @@ def eager_build(cfg, spec):
     streams = []
     for i, layer in enumerate(model.lotta_layers()):
         stream = derive_stream(spec.seed, i, DrawKind.BACKBONE_WEIGHT)
-        layer.set_backbone(*_draw_frozen(cfg, spec.family, i, stream, spec.seed))
+        layer.set_backbone(*_draw_frozen(cfg, spec.family, i, stream))
         streams.append(stream)
     model._backbone_streams = streams
     return model
@@ -120,9 +120,9 @@ def draws(monkeypatch):
     calls = []
     original = model_mod.draw_matrix
 
-    def counting(stream, fam, rows, cols, provenance=None):
+    def counting(stream, fam, rows, cols):
         calls.append((rows, cols))
-        return original(stream, fam, rows, cols, provenance)
+        return original(stream, fam, rows, cols)
 
     monkeypatch.setattr(model_mod, "draw_matrix", counting)
     return calls

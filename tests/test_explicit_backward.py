@@ -238,9 +238,8 @@ def to_float64(model):
         p.data = p.data.astype(np.float64)
     for layer in model.lotta_layers():
         b, bias = layer.backbone, layer.frozen_bias
-        layer.set_backbone(BackboneMatrix(b.rows, b.cols, b.data.astype(np.float64)), bias)
-        if bias is not None:
-            layer.frozen_bias = bias.astype(np.float64)
+        layer.set_backbone(BackboneMatrix(b.rows, b.cols, b.data.astype(np.float64)),
+                           None if bias is None else bias.astype(np.float64))
 
 
 def test_explicit_backward_matches_finite_differences():

@@ -231,6 +231,24 @@ def test_skipping_the_draw_plan_matches_draw_matrix(fam, rows, cols, carry):
     assert type(skipped._gauss_cache) is type(drawn._gauss_cache)
 
 
+@pytest.mark.parametrize("nu", [1, 2, 3, 5, 8, 9])
+@pytest.mark.parametrize("rows,cols", [(512, 784), (7, 9), (1, 1), (17, 241)])
+@pytest.mark.parametrize("carry", [False, True])
+def test_student_t_row_chunks_match_the_whole_block_bitwise(nu, rows, cols, carry):
+    # 17x241 leaves a last chunk of one row; an incoming Box-Muller carry
+    # makes every chunk boundary fall inside a gaussian pair
+    stream = Stream(99)
+    if carry:
+        stream.gaussian_block(1)
+    whole = stream.copy()
+    m = draw_matrix(stream, InitFamily("student_t", {"nu": nu}), rows, cols)
+    g = whole.gaussian_block(rows * cols * (nu + 1)).reshape(rows * cols, nu + 1)
+    chi2 = np.sum(g[:, 1:] ** 2, axis=1)
+    expected = (1.0 * g[:, 0] / np.sqrt(chi2 / nu)).astype(np.float32).reshape(rows, cols)
+    assert m.data.tobytes() == expected.tobytes()
+    assert (stream.state, stream._gauss_cache) == (whole.state, whole._gauss_cache)
+
+
 def test_beta_median_of_three_equals_np_median_bitwise():
     m = draw_matrix(Stream(8), InitFamily("beta", scaling="explicit"), 61, 67)
     u = Stream(8).unit_block(3 * 61 * 67).reshape(-1, 3)

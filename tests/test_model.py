@@ -5,6 +5,7 @@ from lottalora.errors import ConfigError, DimensionError
 from lottalora.initfam import InitFamily
 from lottalora.layers import LottaLayer
 from lottalora.model import BackboneSpec, ModelConfig, build_model
+from lottalora.train import TrainConfig
 
 NORMAL_01 = InitFamily("normal", {"sigma": 0.1}, scaling="explicit")
 
@@ -238,4 +239,12 @@ def test_backbone_spec_round_trip():
 
 def test_model_config_round_trip():
     cfg = ModelConfig(preset="medium", rank=16, head_mode="lora_bias", layernorm=True)
-    assert ModelConfig.from_dict(cfg.to_dict()) == cfg
+    assert ModelConfig(**cfg.to_dict()) == cfg
+
+
+def test_train_config_round_trip():
+    cfg = TrainConfig(lr=3e-3, batch_size=32, epochs=2, schedule="constant", resample="microbatch", resample_k=4)
+    assert TrainConfig(**cfg.to_dict()) == cfg
+    # the AdamW constants and the validation share are not settings
+    assert set(cfg.to_dict()) == {"lr", "weight_decay", "batch_size", "epochs", "schedule", "resample",
+                                  "resample_k"}

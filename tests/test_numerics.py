@@ -119,6 +119,18 @@ def test_softmax_xent_label_out_of_range():
         softmax_xent(logits, np.array([0, 1, 3, 0]))
 
 
+def test_softmax_xent_is_finite_at_a_wide_margin():
+    # exp(-1000) underflows float64, so the label's softmax probability is
+    # 0 in the second row; the loss is still log(sum exp z) - z_y
+    logits = np.array([[0.0, 200.0, 0.0], [1000.0, 0.0, -50.0]])
+    labels = np.array([0, 2])
+    loss = softmax_xent(tensor(logits), labels)
+    closed = np.mean([200.0 + math.log1p(2.0 * math.exp(-200.0)),
+                      1050.0 + math.log1p(math.exp(-1000.0) + math.exp(-1050.0))])
+    assert math.isfinite(loss.item())
+    assert loss.item() == pytest.approx(closed, rel=1e-15)
+
+
 def test_softmax_rows_sum_to_one():
     rng = np.random.default_rng(3)
     probs = softmax(rng.standard_normal((64, 10)) * 30.0)

@@ -283,6 +283,22 @@ def test_divergence_raises_run_error():
     assert exc.value.last_finite_epoch is not None
 
 
+@pytest.mark.parametrize("resample,k", [("per_batch", 3), ("microbatch", 4)])
+def test_wide_logit_margins_are_not_divergence(resample, k):
+    # this heavy-tailed scaffold gives first-step logit margins in the
+    # hundreds to thousands, where the label's softmax probability
+    # underflows to 0; the loss stays finite
+    data = synthetic_blobs(90, 9, 3, 8.0, seed=4)
+    train, test = data.subset(np.arange(60), "train"), data.subset(np.arange(60, 90), "test")
+    cfg = ModelConfig(preset=None, hidden_dims=(7, 5), input_dim=9, num_classes=3, rank=2, dropout=0.1,
+                      head_mode="lora", frozen_bias=False)
+    spec = BackboneSpec.from_config(cfg, 23, InitFamily("student_t", {"nu": 2}))
+    tcfg = TrainConfig(epochs=1, batch_size=32, lr=1e-2, resample=resample, resample_k=k)
+    metrics = train_run(cfg, spec, tcfg, train, test)
+    assert math.isfinite(metrics.epochs[-1]["train_loss"])
+    assert math.isfinite(metrics.final_test_loss)
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_seed_gated_divergence_names_epoch_and_step():
     full = synthetic_blobs(450, 16, 3, 8.0, seed=2)
