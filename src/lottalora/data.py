@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError, ParseError
-from .prng import Stream
+from .prng import DRAW_CHUNK, Stream
 
 MNIST_MEAN = 0.1307
 MNIST_STD = 0.3081
@@ -111,8 +111,13 @@ def load_mnist(data_dir: str) -> tuple[Dataset, Dataset]:
 def split_train_val(dataset: Dataset, stream: Stream, val_fraction: float = 0.1) -> tuple[Dataset, Dataset]:
     """Deterministic 90/10 split from the supplied shuffle stream."""
     n = len(dataset)
-    perm = stream.permutation(n)
     n_val = int(round(n * val_fraction))
+    if not 0 < n_val < n:
+        raise DataError(
+            f"a {val_fraction:g} validation split of {n} rows leaves {n_val} validation and "
+            f"{n - n_val} training rows; both need at least one"
+        )
+    perm = stream.permutation(n)
     val_idx = perm[:n_val]
     train_idx = perm[n_val:]
     return dataset.subset(train_idx, "train"), dataset.subset(val_idx, "val")
@@ -174,6 +179,11 @@ def synthetic_blobs(n: int, d: int, classes: int, sep: float, seed: int) -> Data
     stream = Stream(seed)
     centers = (sep / np.sqrt(d)) * stream.gaussian_block(classes * d).reshape(classes, d)
     labels = (np.arange(n) % classes).astype(np.int64)
-    noise = stream.gaussian_block(n * d).reshape(n, d)
-    images = centers[labels] + noise
-    return Dataset(images.astype(np.float32), labels, split="train")
+    # rows of noise continue the stream chunk by chunk and are summed in
+    # f64 straight into the f32 images: the bits of one whole-block draw
+    images = np.empty((n, d), dtype=np.float32)
+    step = max(1, DRAW_CHUNK // d)
+    for lo in range(0, n, step):
+        rows = labels[lo:lo + step]
+        images[lo:lo + len(rows)] = centers[rows] + stream.gaussian_block(len(rows) * d).reshape(-1, d)
+    return Dataset(images, labels, split="train")

@@ -18,7 +18,17 @@ Scaling modes:
 Per-entry stream consumption is fixed per family (e.g. sparse families
 always burn one uniform for the mask and one gaussian for the value, even
 when the entry is zeroed) so that an entry's value depends only on its
-flat index.
+flat index.  ``_ENTRY_DRAWS`` is that consumption and the v1 stream-order
+contract: for n entries, a block of each listed kind in turn (sparse
+draws all n uniforms, then all n gaussians).  Both the draw and the
+deferred build's ``Stream.skip`` over ``draw_plan`` follow it.
+
+An entrywise draw never holds the whole block in float64: each kind
+reads from its own cursor, placed where its block would start, and
+chunks of about 16K draws run through the family rule straight into the
+float32 result.  Its peak is the result plus one chunk's scratch.  The
+matrix-level families (orthogonal, spectral_radius) need the whole
+float64 matrix for LAPACK, and scale it in place.
 """
 
 from __future__ import annotations
@@ -29,12 +39,9 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .prng import Stream
+from .prng import DRAW_CHUNK, Stream
 
 KAIMING_DEFAULT_A = math.sqrt(5.0)
-
-# student_t entries drawn per chunk
-_T_ROWS = 4096
 
 # the parameter that sets a scale-driven family's spread (exponential's is
 # the rate lam, so its scale is 1/lam; the gaussian mixture has none).
@@ -201,112 +208,10 @@ def _quantize(x: np.ndarray, sigma: float, bits: int) -> np.ndarray:
     return -half + (idx + 0.5) * width
 
 
-def _scaled_gaussians(stream: Stream, n: int, scale: float) -> np.ndarray:
-    # scaled in place: the block is the largest array of a scaffold draw
-    g = stream.gaussian_block(n)
-    np.multiply(g, scale, out=g)
-    return g
-
-
-def _entrywise_sample(stream: Stream, fam: InitFamily, n: int, fan_in: int, fan_out: int) -> np.ndarray:
-    """Draw n entries (f64) for any family that is entrywise i.i.d."""
-    name = fam.name
-    p = fam.params
-    if name in ("kaiming_normal", "xavier_normal"):
-        if name == "kaiming_normal":
-            sigma = math.sqrt(2.0 / (fan_in * (1.0 + p["a"] ** 2)))
-        else:
-            sigma = p["gain"] * math.sqrt(2.0 / (fan_in + fan_out))
-        return _scaled_gaussians(stream, n, sigma)
-    if name in ("kaiming_uniform", "xavier_uniform"):
-        if name == "kaiming_uniform":
-            bound = math.sqrt(6.0 / (fan_in * (1.0 + p["a"] ** 2)))
-        else:
-            bound = p["gain"] * math.sqrt(6.0 / (fan_in + fan_out))
-        return bound * (2.0 * stream.unit_block(n) - 1.0)
-
-    s = _scale_knob(fam, fan_in)
-    if name == "normal":
-        return _scaled_gaussians(stream, n, s)
-    if name == "truncated_normal":
-        return s * np.clip(stream.gaussian_block(n), -2.0, 2.0)
-    if name == "uniform":
-        return s * (2.0 * stream.unit_block(n) - 1.0)
-    if name == "cauchy":
-        raw = np.tan(np.pi * (stream.unit_block(n) - 0.5))
-        return s * np.clip(raw, -10.0, 10.0)
-    if name == "laplace":
-        u = np.maximum(stream.unit_block(n), 2.0 ** -53)
-        return s * np.where(u < 0.5, np.log(2.0 * u), -np.log(2.0 * (1.0 - u)))
-    if name == "student_t":
-        # entry i is z_i / sqrt(chi2_i / nu) from gaussians (i*(nu+1), ...,
-        # i*(nu+1)+nu); row chunks of the continuing stream give the same
-        # bits as one block without holding all n*(nu+1) draws at once
-        nu = int(p["nu"])
-        out = np.empty(n, dtype=np.float64)
-        for lo in range(0, n, _T_ROWS):
-            k = min(_T_ROWS, n - lo)
-            g = stream.gaussian_block(k * (nu + 1)).reshape(k, nu + 1)
-            chi2 = np.sum(g[:, 1:] ** 2, axis=1)
-            out[lo:lo + k] = s * g[:, 0] / np.sqrt(chi2 / nu)
-        return out
-    if name == "gaussian_mixture":
-        u = stream.unit_block(n)  # component choice first, then value
-        g = stream.gaussian_block(n)
-        sigmas = np.where(u < p["w1"], p["sigma1"], p["sigma2"])
-        return s * sigmas * g
-    if name in ("sparse_normal", "sparse_erdos_renyi"):
-        u = stream.unit_block(n)
-        g = stream.gaussian_block(n)
-        return np.where(u < p["p"], 0.0, s * g)
-    if name == "beta":
-        # the median of 3 uniforms is Beta(2, 2); min/max select it exactly
-        # as np.median would, without its sorted copy of all 3n draws
-        a, b, c = stream.unit_block(3 * n).reshape(n, 3).T
-        med = np.maximum(np.minimum(a, b), np.minimum(np.maximum(a, b), c))
-        return s * (2.0 * med - 1.0)
-    if name == "exponential":
-        e = -np.log1p(-stream.unit_block(n))
-        return s * (e - 1.0)
-    if name.startswith("lowbit"):
-        return _quantize(s * stream.gaussian_block(n), s, int(p["bits"]))
-    if name == "binary":
-        return np.where(stream.gaussian_block(n) >= 0.0, s, -s)
-    raise ConfigError(f"family {name!r} is not entrywise")
-
-
-def _orthogonal_matrix(stream: Stream, gain: float, rows: int, cols: int) -> np.ndarray:
-    # QR of a gaussian matrix, sign-corrected so the factorization is unique;
-    # for wide matrices the transpose is drawn and transposed back
-    transpose = rows < cols
-    r_, c_ = (cols, rows) if transpose else (rows, cols)
-    g = stream.gaussian_block(r_ * c_).reshape(r_, c_)
-    q, r = np.linalg.qr(g)
-    sign = np.sign(np.diag(r))
-    sign[sign == 0.0] = 1.0
-    q = q * sign[np.newaxis, :]
-    if transpose:
-        q = q.T
-    return gain * q
-
-
-def draw_matrix(stream: Stream, fam: InitFamily, rows: int, cols: int) -> BackboneMatrix:
-    """Generate a rows x cols frozen matrix; cols is the layer fan-in."""
-    if rows < 1 or cols < 1:
-        raise ConfigError(f"matrix dims must be >= 1, got {rows}x{cols}")
-    if fam.name == "orthogonal":
-        data = _orthogonal_matrix(stream, fam.params["gain"], rows, cols)
-    elif fam.name == "spectral_radius":
-        g = stream.gaussian_block(rows * cols).reshape(rows, cols)
-        sigma1 = np.linalg.svd(g, compute_uv=False)[0]
-        data = (fam.params["rho"] / sigma1) * g
-    else:
-        data = _entrywise_sample(stream, fam, rows * cols, cols, rows).reshape(rows, cols)
-    return BackboneMatrix(rows=rows, cols=cols, data=data.astype(np.float32))
-
-
-# per-entry draws of the entrywise families, in stream order:
-# (kind, draws per entry); the matrix-level families draw one gaussian per entry
+# per-entry draws of each family, in stream order: (kind, draws per entry).
+# This is the v1 stream-order contract: a whole-block draw of the first
+# kind for all n entries, then of the next.  The matrix-level families
+# draw one gaussian per entry, and student_t takes nu+1 (_entry_draws).
 _ENTRY_DRAWS: dict[str, tuple] = {
     **{name: (("gaussian", 1),) for name in (
         "normal", "truncated_normal", "orthogonal", "kaiming_normal", "xavier_normal", "spectral_radius",
@@ -319,14 +224,134 @@ _ENTRY_DRAWS: dict[str, tuple] = {
 }
 
 
+def _entry_draws(fam: InitFamily) -> tuple:
+    if fam.name == "student_t":
+        return (("gaussian", int(fam.params["nu"]) + 1),)
+    return _ENTRY_DRAWS[fam.name]
+
+
+def _entry_values(fam: InitFamily, draws: list, fan_in: int, fan_out: int) -> np.ndarray:
+    """A chunk of k entries (f64) from its draws, one array per kind of
+    ``_entry_draws(fam)`` holding k times that kind's draws per entry."""
+    name = fam.name
+    p = fam.params
+    if name in ("kaiming_normal", "xavier_normal"):
+        if name == "kaiming_normal":
+            sigma = math.sqrt(2.0 / (fan_in * (1.0 + p["a"] ** 2)))
+        else:
+            sigma = p["gain"] * math.sqrt(2.0 / (fan_in + fan_out))
+        return sigma * draws[0]
+    if name in ("kaiming_uniform", "xavier_uniform"):
+        if name == "kaiming_uniform":
+            bound = math.sqrt(6.0 / (fan_in * (1.0 + p["a"] ** 2)))
+        else:
+            bound = p["gain"] * math.sqrt(6.0 / (fan_in + fan_out))
+        return bound * (2.0 * draws[0] - 1.0)
+
+    s = _scale_knob(fam, fan_in)
+    if name == "normal":
+        return s * draws[0]
+    if name == "truncated_normal":
+        return s * np.clip(draws[0], -2.0, 2.0)
+    if name == "uniform":
+        return s * (2.0 * draws[0] - 1.0)
+    if name == "cauchy":
+        raw = np.tan(np.pi * (draws[0] - 0.5))
+        return s * np.clip(raw, -10.0, 10.0)
+    if name == "laplace":
+        u = np.maximum(draws[0], 2.0 ** -53)
+        return s * np.where(u < 0.5, np.log(2.0 * u), -np.log(2.0 * (1.0 - u)))
+    if name == "student_t":
+        # entry i is z_i / sqrt(chi2_i / nu) from its nu+1 gaussians
+        nu = int(p["nu"])
+        g = draws[0].reshape(-1, nu + 1)
+        chi2 = np.sum(g[:, 1:] ** 2, axis=1)
+        return s * g[:, 0] / np.sqrt(chi2 / nu)
+    if name == "gaussian_mixture":
+        u, g = draws  # component choice, then value
+        sigmas = np.where(u < p["w1"], p["sigma1"], p["sigma2"])
+        return s * sigmas * g
+    if name in ("sparse_normal", "sparse_erdos_renyi"):
+        u, g = draws
+        return np.where(u < p["p"], 0.0, s * g)
+    if name == "beta":
+        # the median of 3 uniforms is Beta(2, 2); min/max select it exactly
+        # as np.median would, without its sorted copy of the draws
+        a, b, c = draws[0].reshape(-1, 3).T
+        med = np.maximum(np.minimum(a, b), np.minimum(np.maximum(a, b), c))
+        return s * (2.0 * med - 1.0)
+    if name == "exponential":
+        e = -np.log1p(-draws[0])
+        return s * (e - 1.0)
+    if name.startswith("lowbit"):
+        return _quantize(s * draws[0], s, int(p["bits"]))
+    if name == "binary":
+        return np.where(draws[0] >= 0.0, s, -s)
+    raise ConfigError(f"family {name!r} is not entrywise")
+
+
+def _fill_entries(stream: Stream, fam: InitFamily, out: np.ndarray, fan_in: int, fan_out: int) -> None:
+    """Set the flat array ``out`` to the family's next ``len(out)`` entries.
+
+    Each kind of ``_entry_draws(fam)`` reads from its own cursor, placed
+    with ``Stream.skip`` where a whole-block draw of that kind would start;
+    the last cursor is ``stream`` itself, so it ends where the whole draw
+    would.  Chunk by chunk, the cursors' draws run through the family rule
+    in float64 and are cast into ``out``.  The rule is elementwise and each
+    block continues where the last stopped, so the chunks give the bits of
+    one whole-block draw, while only a chunk's draws are live at a time.
+    """
+    n = len(out)
+    plan = _entry_draws(fam)
+    cursors = []
+    for kind, per_entry in plan[:-1]:
+        cursors.append(stream.copy())
+        stream.skip(kind, per_entry * n)
+    cursors.append(stream)
+    step = max(1, DRAW_CHUNK // sum(per_entry for _, per_entry in plan))
+    for lo in range(0, n, step):
+        k = min(step, n - lo)
+        draws = [
+            cursor.unit_block(per_entry * k) if kind == "unit" else cursor.gaussian_block(per_entry * k)
+            for cursor, (kind, per_entry) in zip(cursors, plan)
+        ]
+        out[lo:lo + k] = _entry_values(fam, draws, fan_in, fan_out)
+
+
+def _orthogonal_matrix(stream: Stream, gain: float, rows: int, cols: int) -> np.ndarray:
+    # QR of a gaussian matrix, sign-corrected so the factorization is unique;
+    # for wide matrices the transpose is drawn and transposed back
+    transpose = rows < cols
+    r_, c_ = (cols, rows) if transpose else (rows, cols)
+    q, r = np.linalg.qr(stream.gaussian_block(r_ * c_).reshape(r_, c_))
+    sign = np.sign(np.diag(r))
+    sign[sign == 0.0] = 1.0
+    q *= sign
+    q *= gain
+    return q.T if transpose else q
+
+
+def draw_matrix(stream: Stream, fam: InitFamily, rows: int, cols: int) -> BackboneMatrix:
+    """Generate a rows x cols frozen matrix; cols is the layer fan-in."""
+    if rows < 1 or cols < 1:
+        raise ConfigError(f"matrix dims must be >= 1, got {rows}x{cols}")
+    if fam.name == "orthogonal":
+        data = _orthogonal_matrix(stream, fam.params["gain"], rows, cols).astype(np.float32)
+    elif fam.name == "spectral_radius":
+        g = stream.gaussian_block(rows * cols).reshape(rows, cols)
+        sigma1 = np.linalg.svd(g, compute_uv=False)[0]
+        data = np.multiply(g, fam.params["rho"] / sigma1, out=g).astype(np.float32)
+    else:
+        data = np.empty((rows, cols), dtype=np.float32)
+        _fill_entries(stream, fam, data.reshape(-1), cols, rows)
+    return BackboneMatrix(rows=rows, cols=cols, data=data)
+
+
 def draw_plan(fam: InitFamily, rows: int, cols: int) -> list[tuple[str, int]]:
     """The ``(kind, count)`` block draws ``draw_matrix`` makes for this
     family and shape, in order; ``Stream.skip`` over them leaves a stream
     where the draw would."""
-    n = rows * cols
-    if fam.name == "student_t":
-        return [("gaussian", n * (int(fam.params["nu"]) + 1))]
-    return [(kind, per_entry * n) for kind, per_entry in _ENTRY_DRAWS[fam.name]]
+    return [(kind, per_entry * rows * cols) for kind, per_entry in _entry_draws(fam)]
 
 
 def family_moments(fam: InitFamily, n_samples: int, stream: Stream, fan_in: int = 1, fan_out: int = 1):
@@ -342,5 +367,6 @@ def family_moments(fam: InitFamily, n_samples: int, stream: Stream, fan_in: int 
         side = math.ceil(math.sqrt(n_samples))
         entries = draw_matrix(stream, fam, side, side).data.astype(np.float64).ravel()[:n_samples]
     else:
-        entries = _entrywise_sample(stream, fam, n_samples, fan_in, fan_out)
+        entries = np.empty(n_samples, dtype=np.float64)
+        _fill_entries(stream, fam, entries, fan_in, fan_out)
     return float(entries.mean()), float(entries.var())

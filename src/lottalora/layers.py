@@ -142,6 +142,12 @@ class LottaLayer:
         self.materialize()
         return self._frozen_bias
 
+    def drop_backbone(self) -> None:
+        """Release the frozen matrix and bias, and any pending draw, so a
+        redraw does not hold the old state next to its successor."""
+        self._pending = None
+        self._backbone = self._frozen_bias = None
+
     def set_backbone(self, backbone: BackboneMatrix, frozen_bias: np.ndarray | None = None) -> None:
         """Replace the frozen matrix and bias (resampling / seed gating);
         ``frozen_bias=None`` leaves the layer without one.  Both are kept

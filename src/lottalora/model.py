@@ -285,7 +285,11 @@ class Model:
         return out
 
     def _redraw(self) -> None:
+        # eager, so a trace charges the draw to the redraw that asked for
+        # it; each layer drops its old state first, so a redraw peaks at
+        # one chunk's scratch above the live scaffold
         for i, (layer, stream) in enumerate(zip(self.lotta_layers(), self._backbone_streams)):
+            layer.drop_backbone()
             layer.set_backbone(*_draw_frozen(self.cfg, self.spec.family, i, stream))
 
     def resample_backbones(self) -> None:

@@ -67,6 +67,9 @@ _MIX_ROUNDS = (
 
 # entries per chunk: a chunk's uint64 values plus scratch fit in L2 cache
 _CHUNK = 8192
+# draws per block for a caller that streams a large draw into its result
+# chunk by chunk: one kernel chunk of gaussian pairs
+DRAW_CHUNK = 2 * _CHUNK
 # j*stride*gamma for j < _CHUNK, for the two strides the draws use
 _RAMPS = {
     stride: np.arange(_CHUNK, dtype=np.uint64) * np.uint64(stride * GOLDEN_GAMMA & MASK64)

@@ -18,7 +18,7 @@ from typing import ClassVar
 import numpy as np
 
 from .data import Dataset, split_train_val
-from .errors import ConfigError, RunError
+from .errors import ConfigError, DataError, RunError
 from .model import BackboneSpec, Model, ModelConfig, build_model
 from .numerics import softmax_xent
 from .prng import DrawKind, derive_stream
@@ -46,6 +46,10 @@ class TrainConfig:
             raise ConfigError(f"schedule must be 'cosine' or 'constant', got {self.schedule!r}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("epochs and batch_size must be >= 1")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
+        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
+            raise ConfigError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -124,6 +128,8 @@ def evaluate(model: Model, dataset: Dataset, batch_size: int = 2048) -> tuple[fl
     total_loss = 0.0
     correct = 0
     n = len(dataset)
+    if n == 0:
+        raise DataError(f"cannot evaluate on an empty {dataset.split} set")
     for start in range(0, n, batch_size):
         x = dataset.images[start:start + batch_size]
         y = dataset.labels[start:start + batch_size]

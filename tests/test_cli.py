@@ -8,7 +8,7 @@ from lottalora.initfam import InitFamily
 from lottalora.model import ModelConfig
 from lottalora.train import TrainConfig
 
-from conftest import requires_mnist
+from conftest import requires_mnist, write_fake_idx
 
 
 def test_cost_command_prints_table_and_json(capsys):
@@ -381,3 +381,21 @@ def test_flags_a_command_does_not_read_are_usage_errors(argv, fake_mnist_dir):
     with pytest.raises(SystemExit) as exc:
         run(argv + ["--data-dir", fake_mnist_dir])
     assert exc.value.code == 2
+
+
+def test_train_on_five_images_is_a_data_error(tmp_path, capsys):
+    # a 10% validation split of 5 rows rounds to none; the run must fail
+    # as bad data, not with a ZeroDivisionError from evaluating it
+    data_dir = write_fake_idx(tmp_path / "idx", n_train=5, n_test=5)
+    code = run(["train", "--preset", "tiny", "--rank", "2", "--epochs", "1",
+                "--data-dir", data_dir, "--out-dir", str(tmp_path / "run")])
+    assert code == 4
+    assert json.loads(capsys.readouterr().err)["error"] == "data"
+
+
+@pytest.mark.parametrize("flag,value", [("--lr", "-1"), ("--lr", "nan"), ("--weight-decay", "-5")])
+def test_bad_lr_or_weight_decay_is_config_error(tmp_path, capsys, fake_mnist_dir, flag, value):
+    code = run(["train", "--preset", "tiny", "--rank", "2", "--epochs", "1", flag, value,
+                "--data-dir", fake_mnist_dir, "--out-dir", str(tmp_path / "run")])
+    assert code == 3
+    assert json.loads(capsys.readouterr().err)["error"] == "config"

@@ -71,6 +71,20 @@ def test_split_is_deterministic_and_90_10():
     assert not np.array_equal(tr1.labels, tr3.labels)
 
 
+@pytest.mark.parametrize("n,val_fraction", [(4, 0.1), (1, 0.1), (10, 0.95)])
+def test_split_leaving_either_side_empty_is_a_data_error(n, val_fraction):
+    # round(0.4) == 0 validation rows; round(9.5) == 10 leaves no training rows
+    ds = synthetic_blobs(n, 4, 1, 3.0, seed=1)
+    with pytest.raises(DataError, match="at least one"):
+        split_train_val(ds, derive_stream(42, 0, DrawKind.DATA_SHUFFLE), val_fraction)
+
+
+def test_smallest_split_keeps_one_row_each_side():
+    ds = synthetic_blobs(6, 4, 2, 3.0, seed=1)
+    train, val = split_train_val(ds, derive_stream(42, 0, DrawKind.DATA_SHUFFLE))
+    assert (len(train), len(val)) == (5, 1)
+
+
 def test_partition_paper_grouping_valid():
     p = make_partition([{1, 2, 3}, {4, 5, 6}, {7, 8, 9}], [42, 43, 44])
     assert p.seeds == (42, 43, 44)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lottalora.data import make_partition, split_train_val, synthetic_blobs
-from lottalora.errors import ConfigError, RunError
+from lottalora.errors import ConfigError, DataError, RunError
 from lottalora.initfam import InitFamily
 from lottalora.model import BackboneSpec, ModelConfig, build_model
 from lottalora.numerics import softmax_xent, tensor
@@ -16,6 +16,7 @@ from lottalora.train import (
     TrainConfig,
     beta_summary,
     cosine_lr,
+    evaluate,
     seed_gated_train,
     train_run,
     write_metrics_csv,
@@ -316,6 +317,35 @@ def test_train_cfg_validation():
         TrainConfig(resample="sometimes")
     with pytest.raises(ConfigError):
         TrainConfig(resample="per_batch", resample_k=1)
+
+
+@pytest.mark.parametrize("kw", [
+    {"lr": -1.0}, {"lr": 0.0}, {"lr": float("nan")}, {"lr": float("inf")},
+    {"weight_decay": -5.0}, {"weight_decay": float("nan")}, {"weight_decay": float("inf")},
+])
+def test_train_cfg_rejects_a_bad_lr_or_weight_decay(kw):
+    with pytest.raises(ConfigError, match=next(iter(kw))):
+        TrainConfig(**kw)
+
+
+def test_train_cfg_accepts_zero_weight_decay():
+    assert TrainConfig(weight_decay=0.0).weight_decay == 0.0
+
+
+def test_train_run_on_four_rows_is_a_data_error():
+    # a 10% validation split of 4 rows rounds to none
+    train, test = blob_data(n=4)
+    cfg = blob_model_cfg()
+    with pytest.raises(DataError, match="validation"):
+        train_run(cfg, BackboneSpec.from_config(cfg, 1), quick_train_cfg(epochs=1), train, test)
+
+
+def test_evaluate_rejects_an_empty_dataset():
+    train, _ = blob_data()
+    cfg = blob_model_cfg()
+    model = build_model(cfg, BackboneSpec.from_config(cfg, 1))
+    with pytest.raises(DataError, match="empty"):
+        evaluate(model, train.subset(np.arange(0), "test"))
 
 
 # -- seed gating ------------------------------------------------------------------
