@@ -24,7 +24,7 @@ import zlib
 
 import numpy as np
 
-from .errors import FormatError, IncompatibilityError, IntegrityError
+from .errors import ConfigError, FormatError, IncompatibilityError, IntegrityError
 from .model import BackboneSpec, Model, ModelConfig, build_model
 from .prng import ALGORITHM_ID
 
@@ -146,7 +146,7 @@ def reconstruct(header: dict, tensors: dict) -> Model:
     try:
         cfg = ModelConfig(**header["model"])
         spec = BackboneSpec.from_dict(header["backbone"])
-    except (KeyError, TypeError, ValueError) as err:
+    except (KeyError, TypeError, ValueError, ConfigError) as err:
         raise FormatError(f"artifact header has a missing or malformed model/backbone field: {err!r}") from err
     model = build_model(cfg, spec)
     expected = model.trainable_params()

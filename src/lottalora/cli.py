@@ -26,6 +26,7 @@ from .data import load_mnist, make_partition
 from .errors import ConfigError, DataError, LottaError, RunError
 from .initfam import InitFamily
 from .model import BackboneSpec, ModelConfig, build_model
+from .prng import check_seed
 from .train import (
     RunMetrics,
     TrainConfig,
@@ -182,10 +183,11 @@ def _write_manifest(out_dir: str, command: str, resolved: dict) -> None:
 
 
 def _task(model_cfg: ModelConfig, family: InitFamily, seed: int, train_cfg: TrainConfig, out_dir=None) -> dict:
+    # the seed is checked here, so a grid refuses a bad one before any cell runs
     return {
         "model": model_cfg.to_dict(),
         "family": family.to_dict(),
-        "seed": seed,
+        "seed": check_seed(seed),
         "train": train_cfg.to_dict(),
         "out_dir": out_dir,
     }

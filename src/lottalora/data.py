@@ -6,6 +6,13 @@ Image pixels are scaled to [0, 1] and normalized with the fixed constants
 once.  The 90/10 train/validation split is driven by a caller-supplied
 stream (derived from the run seed with the data-shuffle kind), keeping
 data order decoupled from backbone bytes.
+
+Splits and label-group views never copy images.  ``Dataset.subset`` (and
+so ``split_train_val`` and ``LabelPartition.training_view``) returns a row
+view: the source image array plus the indices of the view's rows in it,
+composed when a view is cut from a view.  Readers take a batch with
+``Dataset.take``, one gather from the source; ``Dataset.images`` gathers
+the whole view on each access.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError, ParseError
-from .prng import DRAW_CHUNK, Stream
+from .prng import DRAW_CHUNK, Stream, check_seed
 
 MNIST_MEAN = 0.1307
 MNIST_STD = 0.3081
@@ -34,21 +41,46 @@ MNIST_FILES = {
 }
 
 
-@dataclass
 class Dataset:
-    images: np.ndarray  # [n, d] float32
-    labels: np.ndarray  # [n] int64
-    split: str = "train"
+    """Labelled rows: images [n, d] float32, labels [n] int64.
 
-    def __post_init__(self):
-        if len(self.images) != len(self.labels):
-            raise DataError(f"images/labels length mismatch: {len(self.images)} vs {len(self.labels)}")
+    Given ``rows``, the dataset is a row view: its i-th row is
+    ``images[rows[i]]``, and the source array is kept instead of a copy.
+    Either way ``images`` means this dataset's rows in order (a view
+    gathers them on each access, so no caller sees the source), and
+    ``take(key)`` is ``images[key]`` in one gather from the source.  A
+    plain dataset's ``take`` indexes its array directly, so a slice of it
+    is a numpy view, not a copy.
+    """
+
+    def __init__(self, images: np.ndarray, labels: np.ndarray, split: str = "train", rows: np.ndarray | None = None):
+        n = len(images if rows is None else rows)
+        if n != len(labels):
+            raise DataError(f"images/labels length mismatch: {n} vs {len(labels)}")
+        self._source = images
+        self.rows = rows
+        self.labels = labels
+        self.split = split
 
     def __len__(self):
         return len(self.labels)
 
-    def subset(self, indices: np.ndarray, split: str | None = None) -> "Dataset":
-        return Dataset(self.images[indices], self.labels[indices], split or self.split)
+    @property
+    def images(self) -> np.ndarray:
+        return self._source if self.rows is None else self._source[self.rows]
+
+    def take(self, key) -> np.ndarray:
+        """``images[key]`` for a slice or an index array."""
+        return self._source[key] if self.rows is None else self._source[self.rows[key]]
+
+    def subset(self, indices, split: str | None = None) -> "Dataset":
+        """A row view of rows ``indices``; labels are gathered, images are not."""
+        rows = (np.arange(len(self)) if self.rows is None else self.rows)[indices]
+        return Dataset(self._source, self.labels[indices], split or self.split, rows)
+
+    def relabeled(self, labels: np.ndarray) -> "Dataset":
+        """The same rows under new labels, sharing this dataset's images."""
+        return Dataset(self._source, labels, self.split, self.rows)
 
 
 def parse_idx(raw: bytes):
@@ -141,20 +173,22 @@ class LabelPartition:
     def training_view(self, dataset: Dataset, group_index: int) -> Dataset:
         """Data seen while training under this group's seed.
 
-        Plain mode: only the group's digits, true labels.  OOC mode: every
-        sample, with out-of-group digits (digit 0 included) relabeled OOC.
+        Plain mode: only the group's digits, true labels, as a row view; a
+        group with no rows is a DataError.  OOC mode: every sample, with
+        out-of-group digits (digit 0 included) relabeled OOC.
         """
         group = self.groups[group_index]
         mask = np.isin(dataset.labels, sorted(group))
         if not self.ooc_mode:
-            return dataset.subset(np.nonzero(mask)[0])
-        labels = np.where(mask, dataset.labels, self.ooc_label)
-        return Dataset(dataset.images, labels, dataset.split)
+            if not mask.any():
+                raise DataError(f"label group {sorted(group)} has no rows in the {dataset.split} set")
+            return dataset.subset(np.flatnonzero(mask))
+        return dataset.relabeled(np.where(mask, dataset.labels, self.ooc_label))
 
 
 def make_partition(groups, seeds, ooc_mode: bool = False) -> LabelPartition:
     groups = tuple(frozenset(int(g) for g in group) for group in groups)
-    seeds = tuple(int(s) for s in seeds)
+    seeds = tuple(check_seed(s) for s in seeds)
     if len(groups) != len(seeds):
         raise ConfigError(f"got {len(groups)} groups but {len(seeds)} seeds")
     if not groups:

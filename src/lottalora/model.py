@@ -10,6 +10,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
+import numbers
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -18,7 +19,7 @@ from .errors import ConfigError, DimensionError
 from .initfam import BackboneMatrix, InitFamily, draw_matrix, draw_plan
 from .layers import SCALING_MODES, DenseLayer, LottaLayer, init_adapter
 from .numerics import Tensor, add_grad, tensor
-from .prng import ALGORITHM_ID, DrawKind, Stream, derive_stream
+from .prng import ALGORITHM_ID, DrawKind, Stream, check_seed, derive_stream
 
 PRESETS = {
     "tiny": (128, 64),
@@ -67,6 +68,12 @@ def _frozen_plan(cfg: "ModelConfig", family: InitFamily, i: int) -> list[tuple[s
     return plan + [("unit", d_out)] if cfg.frozen_bias else plan
 
 
+def _integral(value, name: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     preset: str | None = "medium"
@@ -90,8 +97,10 @@ class ModelConfig:
     b_init: str = "zeros"
 
     def __post_init__(self):
+        for name in ("input_dim", "num_classes", "rank"):
+            object.__setattr__(self, name, _integral(getattr(self, name), name))
         if self.hidden_dims is not None:
-            object.__setattr__(self, "hidden_dims", tuple(int(d) for d in self.hidden_dims))
+            object.__setattr__(self, "hidden_dims", tuple(_integral(d, "hidden_dims") for d in self.hidden_dims))
         elif self.preset not in PRESETS:
             raise ConfigError(f"unknown preset {self.preset!r}; expected one of {sorted(PRESETS)}")
         if self.mode not in MODES:
@@ -105,6 +114,10 @@ class ModelConfig:
             raise ConfigError(f"input_dim, hidden_dims and num_classes must all be >= 1, got {dims}")
         if self.rank < 1:
             raise ConfigError(f"rank must be >= 1, got {self.rank}")
+        # checked, never coerced: the header records alpha as given
+        alpha = self.alpha
+        if isinstance(alpha, bool) or not isinstance(alpha, numbers.Real) or not (math.isfinite(alpha) and alpha > 0):
+            raise ConfigError(f"alpha must be a finite number > 0, got {alpha!r}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must lie in [0, 1), got {self.dropout}")
         if self.b_init not in ("zeros", "kaiming"):
@@ -131,6 +144,9 @@ class BackboneSpec:
     layer_shapes: tuple = ()
     algorithm_id: str = ALGORITHM_ID
 
+    def __post_init__(self):
+        object.__setattr__(self, "seed", check_seed(self.seed))
+
     @staticmethod
     def from_config(cfg: ModelConfig, seed: int, family: InitFamily | None = None) -> "BackboneSpec":
         fam = family if family is not None else InitFamily("normal")
@@ -142,11 +158,15 @@ class BackboneSpec:
     @staticmethod
     def from_dict(d: dict) -> "BackboneSpec":
         return BackboneSpec(
-            seed=int(d["seed"]),
+            seed=d["seed"],
             family=InitFamily.from_dict(d["family"]),
             layer_shapes=tuple(tuple(s) for s in d["layer_shapes"]),
             algorithm_id=d.get("algorithm_id", ALGORITHM_ID),
         )
+
+
+def _c_order(a: np.ndarray):
+    return a if a.flags.c_contiguous else a.tobytes()
 
 
 class Model:
@@ -275,12 +295,17 @@ class Model:
         return sum(breakdown.values()), breakdown
 
     def backbone_hashes(self) -> list[str]:
-        """SHA-256 of each layer's frozen bytes (matrix + bias), in order."""
+        """SHA-256 of each layer's frozen bytes (matrix + bias), in order.
+
+        hashlib reads a C-contiguous array in place; a Fortran-ordered
+        matrix (``orthogonal``'s wide layers) is hashed from a C-order copy,
+        so the digest is always that of ``tobytes()``.
+        """
         out = []
         for layer in self.lotta_layers():
-            digest = hashlib.sha256(layer.backbone.data.tobytes())
+            digest = hashlib.sha256(_c_order(layer.backbone.data))
             if layer.frozen_bias is not None:
-                digest.update(layer.frozen_bias.tobytes())
+                digest.update(_c_order(layer.frozen_bias))
             out.append(digest.hexdigest())
         return out
 

@@ -46,8 +46,11 @@ kernel, and the carry gets the bits a full draw would give it.
 from __future__ import annotations
 
 import enum
+import numbers
 
 import numpy as np
+
+from .errors import ConfigError
 
 MASK64 = (1 << 64) - 1
 GOLDEN_GAMMA = 0x9E3779B97F4A7C15
@@ -225,6 +228,17 @@ class Stream:
 
     def __repr__(self):
         return f"Stream(state=0x{self.state:016X})"
+
+
+def check_seed(seed) -> int:
+    """``seed`` as an int; a ConfigError unless it is an integer in [0, 2**64).
+
+    ``derive_stream`` reduces its seed mod 2**64, so an out-of-range seed
+    would silently build the backbones of another one.
+    """
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or not 0 <= int(seed) <= MASK64:
+        raise ConfigError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+    return int(seed)
 
 
 def derive_stream(global_seed: int, layer_index: int, kind: DrawKind) -> Stream:

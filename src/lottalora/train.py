@@ -131,7 +131,7 @@ def evaluate(model: Model, dataset: Dataset, batch_size: int = 2048) -> tuple[fl
     if n == 0:
         raise DataError(f"cannot evaluate on an empty {dataset.split} set")
     for start in range(0, n, batch_size):
-        x = dataset.images[start:start + batch_size]
+        x = dataset.take(slice(start, start + batch_size))
         y = dataset.labels[start:start + batch_size]
         logits = model.forward_logits(x)
         loss = softmax_xent(logits, y)
@@ -206,7 +206,7 @@ def _train_loop(model: Model, cfg: TrainConfig, resample: str, segments, shuffle
                 idx = perm[start:start + cfg.batch_size]
                 y = data.labels[idx]
                 loss, step_correct, step_rows = _train_step(
-                    model, optimizer, data.images[idx], y, _lr(cfg, step, total_steps), resample, cfg.resample_k
+                    model, optimizer, data.take(idx), y, _lr(cfg, step, total_steps), resample, cfg.resample_k
                 )
                 if not math.isfinite(loss):
                     raise RunError(
@@ -324,7 +324,7 @@ def seed_gated_train(
         model.swap_seed_backbones(partition.seeds[g])
         preds = []
         for start in range(0, len(test_dataset), 2048):
-            logits = model.forward_logits(test_dataset.images[start:start + 2048])
+            logits = model.forward_logits(test_dataset.take(slice(start, start + 2048)))
             preds.append(logits.data.argmax(axis=1))
         preds = np.concatenate(preds)
         counts = np.zeros((10, num_classes), dtype=np.int64)

@@ -34,11 +34,12 @@ def mnist(mnist_dir):
     return load_mnist(mnist_dir)
 
 
-def write_fake_idx(path, n_train=400, n_test=100):
+def write_fake_idx(path, n_train=400, n_test=100, classes=10):
     """Write a 4-file IDX set with MNIST's layout (uint8 28x28 images),
-    filled with ``synthetic_blobs`` rows rescaled to [0, 255]."""
+    filled with ``synthetic_blobs`` rows of digits 0..classes-1 rescaled
+    to [0, 255]."""
     os.makedirs(path, exist_ok=True)
-    blobs = synthetic_blobs(n_train + n_test, 784, 10, sep=6.0, seed=11)
+    blobs = synthetic_blobs(n_train + n_test, 784, classes, sep=6.0, seed=11)
     pixels = np.clip((blobs.images + 3.0) * (255.0 / 6.0), 0, 255).astype(np.uint8)
     for split, rows in (("train", slice(0, n_train)), ("test", slice(n_train, None))):
         images, labels = pixels[rows], blobs.labels[rows].astype(np.uint8)

@@ -258,3 +258,15 @@ def test_layer_shapes_that_are_not_a_list_is_format_error():
 def test_non_numeric_rank_is_format_error():
     with pytest.raises(FormatError):
         reconstruct_edited(lambda h: h["model"].update(rank="x"))
+
+
+@pytest.mark.parametrize("field,edit", [
+    ("seed", lambda h: h["backbone"].update(seed=-1)),
+    ("seed", lambda h: h["backbone"].update(seed=2**64)),
+    ("seed", lambda h: h["backbone"].update(seed=1.5)),
+    ("rank", lambda h: h["model"].update(rank=2.5)),
+    ("alpha", lambda h: h["model"].update(alpha=-1.0)),
+])
+def test_out_of_range_header_numbers_are_format_errors(field, edit):
+    with pytest.raises(FormatError, match=field):
+        reconstruct_edited(edit)

@@ -399,3 +399,28 @@ def test_bad_lr_or_weight_decay_is_config_error(tmp_path, capsys, fake_mnist_dir
                 "--data-dir", fake_mnist_dir, "--out-dir", str(tmp_path / "run")])
     assert code == 3
     assert json.loads(capsys.readouterr().err)["error"] == "config"
+
+
+@pytest.mark.parametrize("argv", [
+    ["pack", "--preset", "tiny", "--seed", "-1"],
+    ["pack", "--preset", "tiny", "--seed", str(2**64)],
+    ["pack", "--preset", "tiny", "--alpha", "nan"],
+    ["pack", "--preset", "tiny", "--alpha", "0"],
+    ["sweep", "--preset", "tiny", "--ranks", "2", "--seeds", "1,-1", "--epochs", "1"],
+    ["seedgate", "--preset", "tiny", "--rank", "2", "--seeds", "5,-6", "--groups", "1;2", "--epochs", "1"],
+])
+def test_out_of_range_seed_or_alpha_is_config_error(argv, tmp_path, capsys, fake_mnist_dir):
+    extra = ["--output", str(tmp_path / "m.ltlr")] if argv[0] == "pack" else [
+        "--data-dir", fake_mnist_dir, "--out-dir", str(tmp_path / "out")]
+    assert run(argv + extra) == 3
+    assert json.loads(capsys.readouterr().err)["error"] == "config"
+    assert not (tmp_path / "m.ltlr").exists()
+
+
+def test_seedgate_on_a_digit_with_no_training_rows_is_a_data_error(tmp_path, capsys):
+    data_dir = write_fake_idx(tmp_path / "idx", n_train=60, n_test=30, classes=3)
+    code = run(["seedgate", "--preset", "tiny", "--rank", "2", "--epochs", "1", "--groups", "0,1;5",
+                "--seeds", "5,6", "--data-dir", data_dir, "--out-dir", str(tmp_path / "gate")])
+    assert code == 4
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "data" and "[5]" in err["message"]

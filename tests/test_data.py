@@ -101,6 +101,22 @@ def test_partition_length_mismatch_rejected():
         make_partition([{1}, {2}], [1])
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64, 1.5, True])
+def test_partition_seeds_outside_u64_rejected(seed):
+    with pytest.raises(ConfigError, match="seed"):
+        make_partition([{1}, {2}], [3, seed])
+
+
+def test_partition_group_without_rows_is_a_data_error():
+    ds = Dataset(np.zeros((6, 2), dtype=np.float32), np.array([0, 1, 2, 0, 1, 2]))
+    p = make_partition([{0, 1}, {5}], [7, 8])
+    assert len(p.training_view(ds, 0)) == 4
+    with pytest.raises(DataError, match=r"\[5\]"):
+        p.training_view(ds, 1)
+    # OOC mode keeps every row, so no group is ever empty
+    assert len(make_partition([{5}], [7], ooc_mode=True).training_view(ds, 0)) == 6
+
+
 def test_partition_plain_training_view_filters_digits():
     ds = Dataset(np.zeros((6, 2), dtype=np.float32), np.array([0, 1, 2, 3, 4, 5]))
     p = make_partition([{1, 2}, {3, 4}], [7, 8])

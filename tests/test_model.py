@@ -1,8 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+from lottalora.artifact import pack
 from lottalora.errors import ConfigError, DimensionError
-from lottalora.initfam import InitFamily
+from lottalora.initfam import FAMILY_NAMES, InitFamily
 from lottalora.layers import LottaLayer
 from lottalora.model import BackboneSpec, ModelConfig, build_model
 from lottalora.train import TrainConfig
@@ -99,6 +102,52 @@ def test_nonpositive_dims_rejected_at_build(dims):
     with pytest.raises(ConfigError):
         cfg = ModelConfig(**{**base, **dims})
         build_model(cfg, BackboneSpec.from_config(cfg, 1))
+
+
+@pytest.mark.parametrize("field,value", [
+    ("rank", 2.5), ("rank", True), ("rank", "2"), ("input_dim", 784.0), ("num_classes", False),
+    ("hidden_dims", (7.9,)), ("hidden_dims", (8, True)),
+])
+def test_non_integer_sizes_are_config_errors(field, value):
+    base = dict(preset=None, hidden_dims=(8,), input_dim=6, num_classes=3, rank=2)
+    with pytest.raises(ConfigError, match=field):
+        ModelConfig(**{**base, field: value})
+
+
+def test_numpy_integer_sizes_become_ints():
+    cfg = ModelConfig(preset=None, hidden_dims=(np.int32(8),), input_dim=np.int64(6),
+                      num_classes=np.uint8(3), rank=np.int64(2))
+    plain = ModelConfig(preset=None, hidden_dims=(8,), input_dim=6, num_classes=3, rank=2)
+    assert cfg == plain
+    assert all(type(v) is int for v in (cfg.rank, cfg.input_dim, cfg.num_classes, *cfg.hidden_dims))
+    assert pack(build_model(cfg, BackboneSpec.from_config(cfg, 1))) == pack(build_model(plain, BackboneSpec.from_config(plain, 1)))
+
+
+@pytest.mark.parametrize("alpha", ["x", None, True, float("nan"), float("inf"), -float("inf"), 0.0, -1.0])
+def test_alpha_must_be_a_finite_number_above_zero(alpha):
+    with pytest.raises(ConfigError, match="alpha"):
+        ModelConfig(alpha=alpha)
+
+
+def test_alpha_is_checked_not_coerced():
+    # the header records alpha as given, so 2 stays an int and 0.5 a float
+    assert type(ModelConfig(alpha=2).alpha) is int
+    assert ModelConfig(alpha=0.5).to_dict()["alpha"] == 0.5
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 1, 1.5, 2.0, True, "1", None])
+def test_seeds_outside_u64_are_config_errors(seed):
+    cfg = ModelConfig(preset="tiny")
+    with pytest.raises(ConfigError, match="seed"):
+        BackboneSpec.from_config(cfg, seed)
+    with pytest.raises(ConfigError, match="seed"):
+        BackboneSpec.from_dict({**BackboneSpec.from_config(cfg, 1).to_dict(), "seed": seed})
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1, np.uint64(2**64 - 1), np.int64(7)])
+def test_every_u64_seed_is_accepted_as_an_int(seed):
+    spec = BackboneSpec.from_config(ModelConfig(preset="tiny"), seed)
+    assert type(spec.seed) is int and spec.seed == int(seed)
 
 
 def test_explicit_dims_override_preset():
@@ -229,6 +278,17 @@ def test_lora_head_uses_frozen_random_matrix():
     assert not model.head.backbone.data.flags.writeable
     assert not any(np.shares_memory(model.head.backbone.data, t.data) for _, t in model.trainable_params())
     assert float(np.abs(model.head.backbone.data).max()) > 0
+
+
+@pytest.mark.parametrize("name", FAMILY_NAMES)
+def test_backbone_hashes_are_those_of_the_c_order_bytes(name):
+    # orthogonal's wide layers are Fortran-ordered; every other family's are
+    # hashed in place
+    cfg = ModelConfig(preset="medium")
+    model = build_model(cfg, BackboneSpec.from_config(cfg, 5, InitFamily(name)))
+    expected = [hashlib.sha256(layer.backbone.data.tobytes() + layer.frozen_bias.tobytes()).hexdigest()
+                for layer in model.lotta_layers()]
+    assert model.backbone_hashes() == expected
 
 
 def test_backbone_spec_round_trip():

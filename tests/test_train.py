@@ -312,6 +312,14 @@ def test_seed_gated_divergence_names_epoch_and_step():
     assert exc.value.last_finite_epoch is not None
 
 
+@pytest.mark.parametrize("groups", [[{0, 1}, {5}], [{5}, {6}]])
+def test_seed_gating_on_a_group_without_training_rows_is_a_data_error(groups):
+    train, test = blob_data(n=120)
+    partition = make_partition(groups, [42, 43])
+    with pytest.raises(DataError, match=r"\[5\]"):
+        seed_gated_train(partition, blob_model_cfg(num_classes=10), quick_train_cfg(epochs=1), train, test)
+
+
 def test_train_cfg_validation():
     with pytest.raises(ConfigError):
         TrainConfig(resample="sometimes")
