@@ -3,7 +3,8 @@
 A family is identified by a lowercase-snake tag plus a small parameter
 dict.  Entries are drawn row-major from a single stream so a matrix is a
 pure function of (stream state, family, shape); the f32 result is marked
-read-only and never mutated afterwards.
+read-only and never mutated afterwards.  Each family is defined by one
+entry of ``_FAMILIES``, so adding a family means adding one table entry.
 
 Scaling modes:
   * ``fan_in``  -- the family's scale knob is replaced by 1/sqrt(d_in).
@@ -15,18 +16,17 @@ Scaling modes:
     the gaussian mixture) and a no-op for families that compute their own
     variance from the dims (kaiming/xavier/orthogonal/spectral_radius).
 
-Per-entry stream consumption is fixed per family (e.g. sparse families
-always burn one uniform for the mask and one gaussian for the value, even
-when the entry is zeroed) so that an entry's value depends only on its
-flat index.  ``_ENTRY_DRAWS`` is that consumption and the v1 stream-order
-contract: for n entries, a block of each listed kind in turn (sparse
-draws all n uniforms, then all n gaussians).  Both the draw and the
+Per-entry stream consumption is fixed per family (sparse families always
+burn a mask uniform and a value gaussian, even for a zeroed entry), so an
+entry's value depends only on its flat index.  Each spec's ``draws``
+field is that consumption and the v1 stream-order contract: for n
+entries, a block of each listed kind in turn.  Both the draw and the
 deferred build's ``Stream.skip`` over ``draw_plan`` follow it.
 
 An entrywise draw never holds the whole block in float64: each kind
 reads from its own cursor, placed where its block would start, and
 chunks of about 16K draws run through the family rule straight into the
-float32 result.  Its peak is the result plus one chunk's scratch.  The
+float32 result; its peak is the result plus one chunk's scratch.  The
 matrix-level families (orthogonal, spectral_radius) need the whole
 float64 matrix for LAPACK, and scale it in place.
 """
@@ -34,7 +34,9 @@ float64 matrix for LAPACK, and scale it in place.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -43,55 +45,145 @@ from .prng import DRAW_CHUNK, Stream
 
 KAIMING_DEFAULT_A = math.sqrt(5.0)
 
-# the parameter that sets a scale-driven family's spread (exponential's is
-# the rate lam, so its scale is 1/lam; the gaussian mixture has none).
-# fan_in scaling replaces it by 1/sqrt(d_in), and is the default for the
-# families whose parameter is sigma, a placeholder nominal value.
-_SCALE_PARAM: dict[str, str | None] = {
-    "normal": "sigma",
-    "truncated_normal": "sigma",
-    "uniform": "a",
-    "cauchy": "s",
-    "laplace": "b",
-    "student_t": "scale",
-    "gaussian_mixture": None,
-    "sparse_normal": "sigma",
-    "sparse_erdos_renyi": "sigma",
-    "beta": "scale",
-    "exponential": "lam",
-    "lowbit16": "sigma",
-    "lowbit8": "sigma",
-    "lowbit4": "sigma",
-    "lowbit2": "sigma",
-    "binary": "sigma",
+_GAUSSIAN = (("gaussian", 1),)
+_UNIT = (("unit", 1),)
+_UNIT_THEN_GAUSSIAN = (("unit", 1), ("gaussian", 1))
+
+
+@dataclass(frozen=True)
+class _Family:
+    """One family's definition.
+
+    ``scale`` names the parameter that sets the spread, if any (``rate``:
+    the spread is its inverse); it must be > 0 like those in ``positive``.
+    fan_in scaling replaces it by 1/sqrt(d_in), and is the default when it
+    is sigma, a placeholder nominal value.  ``check`` is a predicate on the
+    params and the message, formatted with them, for when it fails.
+    ``draws`` is the v1 draw contract, ``(kind, draws per entry)`` blocks
+    in stream order, or a function of the params giving it.  An entrywise
+    family has ``entry(draws, s, params, fan_in, fan_out)``: a chunk's f64
+    entries from its draws, one array per block, and the scale knob s.  A
+    matrix-level one has ``matrix(stream, params, rows, cols)``.
+    """
+
+    defaults: dict
+    scale: str | None = None
+    rate: bool = False
+    positive: tuple = ()
+    check: tuple | None = None
+    draws: tuple | Callable = _GAUSSIAN
+    entry: Callable | None = None
+    matrix: Callable | None = None
+
+
+def _laplace(d, s, *_):
+    u = np.maximum(d[0], 2.0 ** -53)
+    return s * np.where(u < 0.5, np.log(2.0 * u), -np.log(2.0 * (1.0 - u)))
+
+
+def _student_t(d, s, p, *_):
+    # entry i is z_i / sqrt(chi2_i / nu) from its nu+1 gaussians
+    nu = int(p["nu"])
+    g = d[0].reshape(-1, nu + 1)
+    chi2 = np.sum(g[:, 1:] ** 2, axis=1)
+    return s * g[:, 0] / np.sqrt(chi2 / nu)
+
+
+def _beta(d, s, *_):
+    # the median of 3 uniforms is Beta(2, 2); min/max select it exactly
+    # as np.median would, without its sorted copy of the draws
+    a, b, c = d[0].reshape(-1, 3).T
+    med = np.maximum(np.minimum(a, b), np.minimum(np.maximum(a, b), c))
+    return s * (2.0 * med - 1.0)
+
+
+def _orthogonal(stream: Stream, p: dict, rows: int, cols: int) -> np.ndarray:
+    # QR of a gaussian matrix, sign-corrected so the factorization is unique;
+    # for wide matrices the transpose is drawn and transposed back
+    transpose = rows < cols
+    r_, c_ = (cols, rows) if transpose else (rows, cols)
+    q, r = np.linalg.qr(stream.gaussian_block(r_ * c_).reshape(r_, c_))
+    sign = np.sign(np.diag(r))
+    sign[sign == 0.0] = 1.0
+    q *= sign
+    q *= p["gain"]
+    return q.T if transpose else q
+
+
+def _spectral_radius(stream: Stream, p: dict, rows: int, cols: int) -> np.ndarray:
+    g = stream.gaussian_block(rows * cols).reshape(rows, cols)
+    sigma1 = np.linalg.svd(g, compute_uv=False)[0]
+    return np.multiply(g, p["rho"] / sigma1, out=g)
+
+
+def _quantize(x: np.ndarray, sigma: float, bits: int) -> np.ndarray:
+    # symmetric uniform grid of 2**bits level centers over [-3s, 3s]
+    levels = 1 << bits
+    half = 3.0 * sigma
+    width = 2.0 * half / levels
+    idx = np.floor((np.clip(x, -half, half) + half) / width)
+    np.clip(idx, 0, levels - 1, out=idx)
+    return -half + (idx + 0.5) * width
+
+
+# a mask uniform, then a value gaussian, even where the entry is zeroed
+_SPARSE = _Family(
+    {"p": 0.2, "sigma": 1.0}, "sigma",
+    check=(lambda p: 0.0 <= p["p"] < 1.0, "parameter 'p' must lie in [0, 1), got {p}"),
+    draws=_UNIT_THEN_GAUSSIAN, entry=lambda d, s, p, *_: np.where(d[0] < p["p"], 0.0, s * d[1]))
+
+# every family, in FAMILY_NAMES order
+_FAMILIES: dict[str, _Family] = {
+    "normal": _Family({"sigma": 1.0}, "sigma", entry=lambda d, s, *_: s * d[0]),
+    "truncated_normal": _Family({"sigma": 1.0}, "sigma", entry=lambda d, s, *_: s * np.clip(d[0], -2.0, 2.0)),
+    "uniform": _Family({"a": 0.1}, "a", draws=_UNIT, entry=lambda d, s, *_: s * (2.0 * d[0] - 1.0)),
+    "orthogonal": _Family({"gain": 1.0}, positive=("gain",), matrix=_orthogonal),
+    "kaiming_normal": _Family(
+        {"a": KAIMING_DEFAULT_A}, positive=("a",),
+        entry=lambda d, s, p, fan_in, _: math.sqrt(2.0 / (fan_in * (1.0 + p["a"] ** 2))) * d[0]),
+    "kaiming_uniform": _Family(
+        {"a": KAIMING_DEFAULT_A}, positive=("a",), draws=_UNIT,
+        entry=lambda d, s, p, fan_in, _: math.sqrt(6.0 / (fan_in * (1.0 + p["a"] ** 2))) * (2.0 * d[0] - 1.0)),
+    "xavier_normal": _Family(
+        {"gain": 1.0}, positive=("gain",),
+        entry=lambda d, s, p, fan_in, fan_out: p["gain"] * math.sqrt(2.0 / (fan_in + fan_out)) * d[0]),
+    "xavier_uniform": _Family(
+        {"gain": 1.0}, positive=("gain",), draws=_UNIT,
+        entry=lambda d, s, p, fan_in, fan_out: p["gain"] * math.sqrt(6.0 / (fan_in + fan_out)) * (2.0 * d[0] - 1.0)),
+    "spectral_radius": _Family(
+        {"rho": 0.95}, check=(lambda p: 0.0 < p["rho"] <= 1.0, "parameter 'rho' must lie in (0, 1], got {rho}"),
+        matrix=_spectral_radius),
+    "cauchy": _Family(
+        {"s": 0.1}, "s", draws=_UNIT, entry=lambda d, s, *_: s * np.clip(np.tan(np.pi * (d[0] - 0.5)), -10.0, 10.0)),
+    "laplace": _Family({"b": 0.1}, "b", draws=_UNIT, entry=_laplace),
+    "student_t": _Family(
+        {"nu": 3, "scale": 1.0}, "scale",
+        check=(lambda p: int(p["nu"]) == p["nu"] and p["nu"] >= 1,
+               "parameter 'nu' must be a positive integer, got {nu}"),
+        draws=lambda p: (("gaussian", int(p["nu"]) + 1),), entry=_student_t),
+    "gaussian_mixture": _Family(
+        {"w1": 0.9, "sigma1": 0.05, "w2": 0.1, "sigma2": 0.5}, positive=("sigma1", "sigma2"),
+        check=(lambda p: p["w1"] > 0 and p["w2"] > 0 and abs(p["w1"] + p["w2"] - 1.0) <= 1e-9,
+               "weights 'w1'/'w2' must be positive and sum to 1"),
+        draws=_UNIT_THEN_GAUSSIAN,  # the component choice, then the value
+        entry=lambda d, s, p, *_: s * np.where(d[0] < p["w1"], p["sigma1"], p["sigma2"]) * d[1]),
+    "sparse_normal": _SPARSE,
+    "sparse_erdos_renyi": _SPARSE,
+    "beta": _Family(
+        {"alpha": 2.0, "beta": 2.0, "scale": 0.1}, "scale",
+        check=(lambda p: p["alpha"] == 2.0 and p["beta"] == 2.0,
+               "parameters 'alpha'/'beta' must both be 2 (only the symmetric Beta(2, 2) sampler is supported)"),
+        draws=(("unit", 3),), entry=_beta),
+    "exponential": _Family(
+        {"lam": 10.0}, "lam", rate=True, draws=_UNIT, entry=lambda d, s, *_: s * (-np.log1p(-d[0]) - 1.0)),
+    **{f"lowbit{bits}": _Family(
+        {"bits": bits, "sigma": 1.0}, "sigma",
+        check=(lambda p: p["bits"] in (1, 2, 4, 8, 16), "parameter 'bits' must be one of 1/2/4/8/16, got {bits}"),
+        entry=lambda d, s, p, *_: _quantize(s * d[0], s, int(p["bits"]))) for bits in (16, 8, 4, 2)},
+    "binary": _Family({"sigma": 1.0}, "sigma", entry=lambda d, s, *_: np.where(d[0] >= 0.0, s, -s)),
 }
 
-_DEFAULT_PARAMS: dict[str, dict[str, float]] = {
-    "normal": {"sigma": 1.0},
-    "truncated_normal": {"sigma": 1.0},
-    "uniform": {"a": 0.1},
-    "orthogonal": {"gain": 1.0},
-    "kaiming_normal": {"a": KAIMING_DEFAULT_A},
-    "kaiming_uniform": {"a": KAIMING_DEFAULT_A},
-    "xavier_normal": {"gain": 1.0},
-    "xavier_uniform": {"gain": 1.0},
-    "spectral_radius": {"rho": 0.95},
-    "cauchy": {"s": 0.1},
-    "laplace": {"b": 0.1},
-    "student_t": {"nu": 3, "scale": 1.0},
-    "gaussian_mixture": {"w1": 0.9, "sigma1": 0.05, "w2": 0.1, "sigma2": 0.5},
-    "sparse_normal": {"p": 0.2, "sigma": 1.0},
-    "sparse_erdos_renyi": {"p": 0.2, "sigma": 1.0},
-    "beta": {"alpha": 2.0, "beta": 2.0, "scale": 0.1},
-    "exponential": {"lam": 10.0},
-    "lowbit16": {"bits": 16, "sigma": 1.0},
-    "lowbit8": {"bits": 8, "sigma": 1.0},
-    "lowbit4": {"bits": 4, "sigma": 1.0},
-    "lowbit2": {"bits": 2, "sigma": 1.0},
-    "binary": {"sigma": 1.0},
-}
-
-FAMILY_NAMES = tuple(_DEFAULT_PARAMS)
+FAMILY_NAMES = tuple(_FAMILIES)
 
 
 @dataclass(frozen=True)
@@ -103,23 +195,31 @@ class InitFamily:
     scaling: str | None = None  # resolved in __post_init__
 
     def __post_init__(self):
-        if self.name not in _DEFAULT_PARAMS:
-            raise ConfigError(
-                f"unknown init family {self.name!r}; expected one of {sorted(FAMILY_NAMES)}"
-            )
-        merged = dict(_DEFAULT_PARAMS[self.name])
+        spec = _FAMILIES.get(self.name)
+        if spec is None:
+            raise ConfigError(f"unknown init family {self.name!r}; expected one of {sorted(FAMILY_NAMES)}")
+        p = dict(spec.defaults)
         for key, value in self.params.items():
-            if key not in merged:
+            if key not in p:
                 raise ConfigError(f"family {self.name!r} has no parameter {key!r}")
-            merged[key] = value
-        object.__setattr__(self, "params", merged)
+            p[key] = value
+        object.__setattr__(self, "params", p)
         scaling = self.scaling
         if scaling is None:
-            scaling = "fan_in" if _SCALE_PARAM.get(self.name) == "sigma" else "explicit"
+            scaling = "fan_in" if spec.scale == "sigma" else "explicit"
         if scaling not in ("fan_in", "explicit"):
             raise ConfigError(f"scaling must be 'fan_in' or 'explicit', got {scaling!r}")
         object.__setattr__(self, "scaling", scaling)
-        _validate_params(self.name, self.params)
+        # checked, never coerced: the header records the params as given
+        for key, value in p.items():
+            real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+            if not (real and (isinstance(value, numbers.Integral) or math.isfinite(value))):
+                raise ConfigError(f"family {self.name!r}: parameter {key!r} must be a finite number, got {value!r}")
+        for key in filter(None, (spec.scale, *spec.positive)):
+            if not p[key] > 0:
+                raise ConfigError(f"family {self.name!r}: parameter {key!r} must be > 0, got {p[key]}")
+        if spec.check is not None and not spec.check[0](p):
+            raise ConfigError(f"family {self.name!r}: " + spec.check[1].format(**p))
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -127,53 +227,6 @@ class InitFamily:
     @staticmethod
     def from_dict(d: dict) -> "InitFamily":
         return InitFamily(d["name"], dict(d.get("params", {})), d.get("scaling"))
-
-
-def _validate_params(name: str, p: dict) -> None:
-    def positive(key):
-        if not p[key] > 0:
-            raise ConfigError(f"family {name!r}: parameter {key!r} must be > 0, got {p[key]}")
-
-    if name in ("normal", "truncated_normal", "binary") or name.startswith("lowbit"):
-        positive("sigma")
-    if name.startswith("lowbit"):
-        if p["bits"] not in (1, 2, 4, 8, 16):
-            raise ConfigError(f"family {name!r}: parameter 'bits' must be one of 1/2/4/8/16, got {p['bits']}")
-    if name == "uniform":
-        positive("a")
-    if name in ("orthogonal", "xavier_normal", "xavier_uniform"):
-        positive("gain")
-    if name in ("kaiming_normal", "kaiming_uniform"):
-        positive("a")
-    if name == "spectral_radius":
-        if not 0.0 < p["rho"] <= 1.0:
-            raise ConfigError(f"family {name!r}: parameter 'rho' must lie in (0, 1], got {p['rho']}")
-    if name == "cauchy":
-        positive("s")
-    if name == "laplace":
-        positive("b")
-    if name == "student_t":
-        if int(p["nu"]) != p["nu"] or p["nu"] < 1:
-            raise ConfigError(f"family {name!r}: parameter 'nu' must be a positive integer, got {p['nu']}")
-        positive("scale")
-    if name == "gaussian_mixture":
-        if p["w1"] <= 0 or p["w2"] <= 0 or abs(p["w1"] + p["w2"] - 1.0) > 1e-9:
-            raise ConfigError(f"family {name!r}: weights 'w1'/'w2' must be positive and sum to 1")
-        positive("sigma1")
-        positive("sigma2")
-    if name in ("sparse_normal", "sparse_erdos_renyi"):
-        if not 0.0 <= p["p"] < 1.0:
-            raise ConfigError(f"family {name!r}: parameter 'p' must lie in [0, 1), got {p['p']}")
-        positive("sigma")
-    if name == "beta":
-        if p["alpha"] != 2.0 or p["beta"] != 2.0:
-            raise ConfigError(
-                f"family {name!r}: parameters 'alpha'/'beta' must both be 2 "
-                "(only the symmetric Beta(2, 2) sampler is supported)"
-            )
-        positive("scale")
-    if name == "exponential":
-        positive("lam")
 
 
 @dataclass(frozen=True)
@@ -192,102 +245,15 @@ def _scale_knob(fam: InitFamily, fan_in: int) -> float:
     """Effective scale multiplier for scale-driven families."""
     if fam.scaling == "fan_in":
         return 1.0 / math.sqrt(fan_in)
-    key = _SCALE_PARAM[fam.name]
-    if key is None:
+    spec = _FAMILIES[fam.name]
+    if spec.scale is None:
         return 1.0
-    return 1.0 / fam.params[key] if key == "lam" else fam.params[key]
-
-
-def _quantize(x: np.ndarray, sigma: float, bits: int) -> np.ndarray:
-    # symmetric uniform grid of 2**bits level centers over [-3s, 3s]
-    levels = 1 << bits
-    half = 3.0 * sigma
-    width = 2.0 * half / levels
-    idx = np.floor((np.clip(x, -half, half) + half) / width)
-    np.clip(idx, 0, levels - 1, out=idx)
-    return -half + (idx + 0.5) * width
-
-
-# per-entry draws of each family, in stream order: (kind, draws per entry).
-# This is the v1 stream-order contract: a whole-block draw of the first
-# kind for all n entries, then of the next.  The matrix-level families
-# draw one gaussian per entry, and student_t takes nu+1 (_entry_draws).
-_ENTRY_DRAWS: dict[str, tuple] = {
-    **{name: (("gaussian", 1),) for name in (
-        "normal", "truncated_normal", "orthogonal", "kaiming_normal", "xavier_normal", "spectral_radius",
-        "lowbit16", "lowbit8", "lowbit4", "lowbit2", "binary")},
-    **{name: (("unit", 1),) for name in (
-        "uniform", "kaiming_uniform", "xavier_uniform", "cauchy", "laplace", "exponential")},
-    **{name: (("unit", 1), ("gaussian", 1)) for name in (
-        "gaussian_mixture", "sparse_normal", "sparse_erdos_renyi")},
-    "beta": (("unit", 3),),
-}
+    return 1.0 / fam.params[spec.scale] if spec.rate else fam.params[spec.scale]
 
 
 def _entry_draws(fam: InitFamily) -> tuple:
-    if fam.name == "student_t":
-        return (("gaussian", int(fam.params["nu"]) + 1),)
-    return _ENTRY_DRAWS[fam.name]
-
-
-def _entry_values(fam: InitFamily, draws: list, fan_in: int, fan_out: int) -> np.ndarray:
-    """A chunk of k entries (f64) from its draws, one array per kind of
-    ``_entry_draws(fam)`` holding k times that kind's draws per entry."""
-    name = fam.name
-    p = fam.params
-    if name in ("kaiming_normal", "xavier_normal"):
-        if name == "kaiming_normal":
-            sigma = math.sqrt(2.0 / (fan_in * (1.0 + p["a"] ** 2)))
-        else:
-            sigma = p["gain"] * math.sqrt(2.0 / (fan_in + fan_out))
-        return sigma * draws[0]
-    if name in ("kaiming_uniform", "xavier_uniform"):
-        if name == "kaiming_uniform":
-            bound = math.sqrt(6.0 / (fan_in * (1.0 + p["a"] ** 2)))
-        else:
-            bound = p["gain"] * math.sqrt(6.0 / (fan_in + fan_out))
-        return bound * (2.0 * draws[0] - 1.0)
-
-    s = _scale_knob(fam, fan_in)
-    if name == "normal":
-        return s * draws[0]
-    if name == "truncated_normal":
-        return s * np.clip(draws[0], -2.0, 2.0)
-    if name == "uniform":
-        return s * (2.0 * draws[0] - 1.0)
-    if name == "cauchy":
-        raw = np.tan(np.pi * (draws[0] - 0.5))
-        return s * np.clip(raw, -10.0, 10.0)
-    if name == "laplace":
-        u = np.maximum(draws[0], 2.0 ** -53)
-        return s * np.where(u < 0.5, np.log(2.0 * u), -np.log(2.0 * (1.0 - u)))
-    if name == "student_t":
-        # entry i is z_i / sqrt(chi2_i / nu) from its nu+1 gaussians
-        nu = int(p["nu"])
-        g = draws[0].reshape(-1, nu + 1)
-        chi2 = np.sum(g[:, 1:] ** 2, axis=1)
-        return s * g[:, 0] / np.sqrt(chi2 / nu)
-    if name == "gaussian_mixture":
-        u, g = draws  # component choice, then value
-        sigmas = np.where(u < p["w1"], p["sigma1"], p["sigma2"])
-        return s * sigmas * g
-    if name in ("sparse_normal", "sparse_erdos_renyi"):
-        u, g = draws
-        return np.where(u < p["p"], 0.0, s * g)
-    if name == "beta":
-        # the median of 3 uniforms is Beta(2, 2); min/max select it exactly
-        # as np.median would, without its sorted copy of the draws
-        a, b, c = draws[0].reshape(-1, 3).T
-        med = np.maximum(np.minimum(a, b), np.minimum(np.maximum(a, b), c))
-        return s * (2.0 * med - 1.0)
-    if name == "exponential":
-        e = -np.log1p(-draws[0])
-        return s * (e - 1.0)
-    if name.startswith("lowbit"):
-        return _quantize(s * draws[0], s, int(p["bits"]))
-    if name == "binary":
-        return np.where(draws[0] >= 0.0, s, -s)
-    raise ConfigError(f"family {name!r} is not entrywise")
+    draws = _FAMILIES[fam.name].draws
+    return draws(fam.params) if callable(draws) else draws
 
 
 def _fill_entries(stream: Stream, fam: InitFamily, out: np.ndarray, fan_in: int, fan_out: int) -> None:
@@ -302,6 +268,8 @@ def _fill_entries(stream: Stream, fam: InitFamily, out: np.ndarray, fan_in: int,
     one whole-block draw, while only a chunk's draws are live at a time.
     """
     n = len(out)
+    rule = _FAMILIES[fam.name].entry
+    s = _scale_knob(fam, fan_in)
     plan = _entry_draws(fam)
     cursors = []
     for kind, per_entry in plan[:-1]:
@@ -315,32 +283,16 @@ def _fill_entries(stream: Stream, fam: InitFamily, out: np.ndarray, fan_in: int,
             cursor.unit_block(per_entry * k) if kind == "unit" else cursor.gaussian_block(per_entry * k)
             for cursor, (kind, per_entry) in zip(cursors, plan)
         ]
-        out[lo:lo + k] = _entry_values(fam, draws, fan_in, fan_out)
-
-
-def _orthogonal_matrix(stream: Stream, gain: float, rows: int, cols: int) -> np.ndarray:
-    # QR of a gaussian matrix, sign-corrected so the factorization is unique;
-    # for wide matrices the transpose is drawn and transposed back
-    transpose = rows < cols
-    r_, c_ = (cols, rows) if transpose else (rows, cols)
-    q, r = np.linalg.qr(stream.gaussian_block(r_ * c_).reshape(r_, c_))
-    sign = np.sign(np.diag(r))
-    sign[sign == 0.0] = 1.0
-    q *= sign
-    q *= gain
-    return q.T if transpose else q
+        out[lo:lo + k] = rule(draws, s, fam.params, fan_in, fan_out)
 
 
 def draw_matrix(stream: Stream, fam: InitFamily, rows: int, cols: int) -> BackboneMatrix:
     """Generate a rows x cols frozen matrix; cols is the layer fan-in."""
     if rows < 1 or cols < 1:
         raise ConfigError(f"matrix dims must be >= 1, got {rows}x{cols}")
-    if fam.name == "orthogonal":
-        data = _orthogonal_matrix(stream, fam.params["gain"], rows, cols).astype(np.float32)
-    elif fam.name == "spectral_radius":
-        g = stream.gaussian_block(rows * cols).reshape(rows, cols)
-        sigma1 = np.linalg.svd(g, compute_uv=False)[0]
-        data = np.multiply(g, fam.params["rho"] / sigma1, out=g).astype(np.float32)
+    matrix = _FAMILIES[fam.name].matrix
+    if matrix is not None:
+        data = matrix(stream, fam.params, rows, cols).astype(np.float32)
     else:
         data = np.empty((rows, cols), dtype=np.float32)
         _fill_entries(stream, fam, data.reshape(-1), cols, rows)
@@ -363,7 +315,7 @@ def family_moments(fam: InitFamily, n_samples: int, stream: Stream, fan_in: int 
     """
     if n_samples < 10_000:
         raise ConfigError(f"n_samples must be >= 10000, got {n_samples}")
-    if fam.name in ("orthogonal", "spectral_radius"):
+    if _FAMILIES[fam.name].matrix is not None:
         side = math.ceil(math.sqrt(n_samples))
         entries = draw_matrix(stream, fam, side, side).data.astype(np.float64).ravel()[:n_samples]
     else:

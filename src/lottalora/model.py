@@ -11,6 +11,7 @@ import functools
 import hashlib
 import math
 import numbers
+from collections.abc import Iterable
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -99,7 +100,12 @@ class ModelConfig:
     def __post_init__(self):
         for name in ("input_dim", "num_classes", "rank"):
             object.__setattr__(self, name, _integral(getattr(self, name), name))
+        for name in ("layernorm", "zero_scaffold", "frozen_bias"):
+            if not isinstance(getattr(self, name), bool):
+                raise ConfigError(f"{name} must be True or False, got {getattr(self, name)!r}")
         if self.hidden_dims is not None:
+            if not isinstance(self.hidden_dims, Iterable):
+                raise ConfigError(f"hidden_dims must be a sequence of integers, got {self.hidden_dims!r}")
             object.__setattr__(self, "hidden_dims", tuple(_integral(d, "hidden_dims") for d in self.hidden_dims))
         elif self.preset not in PRESETS:
             raise ConfigError(f"unknown preset {self.preset!r}; expected one of {sorted(PRESETS)}")
@@ -118,8 +124,9 @@ class ModelConfig:
         alpha = self.alpha
         if isinstance(alpha, bool) or not isinstance(alpha, numbers.Real) or not (math.isfinite(alpha) and alpha > 0):
             raise ConfigError(f"alpha must be a finite number > 0, got {alpha!r}")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ConfigError(f"dropout must lie in [0, 1), got {self.dropout}")
+        dropout = self.dropout
+        if isinstance(dropout, bool) or not isinstance(dropout, numbers.Real) or not 0.0 <= dropout < 1.0:
+            raise ConfigError(f"dropout must lie in [0, 1), got {dropout!r}")
         if self.b_init not in ("zeros", "kaiming"):
             raise ConfigError(f"b_init must be 'zeros' or 'kaiming', got {self.b_init!r}")
 

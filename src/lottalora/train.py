@@ -11,6 +11,7 @@ streams that keep advancing across resample events.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import asdict, dataclass, field, replace
 from typing import ClassVar
@@ -19,7 +20,7 @@ import numpy as np
 
 from .data import Dataset, split_train_val
 from .errors import ConfigError, DataError, RunError
-from .model import BackboneSpec, Model, ModelConfig, build_model
+from .model import BackboneSpec, Model, ModelConfig, _integral, build_model
 from .numerics import softmax_xent
 from .prng import DrawKind, derive_stream
 
@@ -38,6 +39,12 @@ class TrainConfig:
     val_fraction: ClassVar[float] = 0.1  # share of the training set held out for validation
 
     def __post_init__(self):
+        for name in ("batch_size", "epochs", "resample_k"):
+            object.__setattr__(self, name, _integral(getattr(self, name), name))
+        for name in ("lr", "weight_decay"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ConfigError(f"{name} must be a number, got {value!r}")
         if self.resample not in RESAMPLE_SCHEDULES:
             raise ConfigError(f"resample must be one of {RESAMPLE_SCHEDULES}, got {self.resample!r}")
         if self.resample in ("per_batch", "microbatch") and self.resample_k < 2:
@@ -286,6 +293,8 @@ class SeedGateResult:
     """Per-seed evaluation of one shared adapter across label partitions."""
 
     confusion: list  # per seed: [10, num_model_classes] row-normalized
+    # per seed: mean accuracy over the tested digits in / out of its group,
+    # None when there are none
     assigned_accuracy: list
     non_assigned_accuracy: list
     ooc_digit0_rate: list  # empty unless ooc_mode
@@ -334,10 +343,12 @@ def seed_gated_train(
                 counts[digit] = np.bincount(preds[mask], minlength=num_classes)
         rows = counts / np.maximum(counts.sum(axis=1, keepdims=True), 1)
         confusion.append(rows)
-        group = sorted(partition.groups[g])
-        others = [d for d in range(10) if d not in partition.groups[g]]
-        assigned.append(float(np.mean([rows[d, d] for d in group])))
-        non_assigned.append(float(np.mean([rows[d, d] for d in others])))
+        # a digit with no test rows counts in neither mean, and a tested
+        # digit the model has no output for scores 0.0
+        hits = {d: float(rows[d, d]) if d < num_classes else 0.0 for d in range(10) if counts[d].any()}
+        group = partition.groups[g]
+        assigned.append(_mean([hits[d] for d in sorted(group) if d in hits]))
+        non_assigned.append(_mean([hits[d] for d in range(10) if d in hits and d not in group]))
         if partition.ooc_mode:
             ooc0.append(float(rows[0, partition.ooc_label]))
 
@@ -348,6 +359,10 @@ def seed_gated_train(
         ooc_digit0_rate=ooc0,
         partition=partition,
     )
+
+
+def _mean(values: list) -> float | None:
+    return float(np.mean(values)) if values else None
 
 
 def beta_summary(final_betas_per_run) -> dict:

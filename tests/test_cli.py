@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import lottalora
 from lottalora.artifact import load, unpack
 from lottalora.cli import run, run_grid
 from lottalora.initfam import InitFamily
@@ -424,3 +428,38 @@ def test_seedgate_on_a_digit_with_no_training_rows_is_a_data_error(tmp_path, cap
     assert code == 4
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "data" and "[5]" in err["message"]
+
+
+@pytest.mark.parametrize("params", [
+    ["--family", "student_t", "--family-param", "nu=inf"],
+    ["--family", "normal", "--family-param", "sigma=inf", "--family-scaling", "explicit"],
+    ["--family", "gaussian_mixture", "--family-param", "w1=nan"],
+])
+def test_non_finite_family_params_are_config_errors(params, tmp_path, capsys):
+    path = tmp_path / "m.ltlr"
+    assert run(["pack", "--preset", "tiny", "--output", str(path)] + params) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config" and params[3].split("=")[0] in err["message"]
+    assert not path.exists()
+
+
+def run_module(*argv, cwd):
+    src = os.path.dirname(os.path.dirname(lottalora.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "lottalora.cli", *argv], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    (tmp_path / "junk.ltlr").write_bytes(b"junk")
+    proc = run_module("unpack", "junk.ltlr", cwd=tmp_path)
+    assert proc.returncode == 5
+    assert json.loads(proc.stderr)["error"] == "format"
+
+
+def test_python_dash_m_sweep_runs_spawned_workers(tmp_path, fake_mnist_dir):
+    proc = run_module("sweep", "--preset", "tiny", "--epochs", "1", "--ranks", "1,2", "--jobs", "2",
+                      "--data-dir", fake_mnist_dir, "--out-dir", "out", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert set(json.loads(proc.stdout)) == {"static_r1", "static_r2"}
+    assert len(json.loads((tmp_path / "out" / "sweep_summary.json").read_text())) == 2

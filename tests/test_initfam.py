@@ -254,3 +254,77 @@ def test_beta_median_of_three_equals_np_median_bitwise():
     u = Stream(8).unit_block(3 * 61 * 67).reshape(-1, 3)
     expected = 0.1 * (2.0 * np.median(u, axis=1) - 1.0)
     assert m.data.tobytes() == expected.astype(np.float32).reshape(61, 67).tobytes()
+
+
+def test_family_names_keep_their_order():
+    # perfbench's ship workload cycles the families in this order, and its
+    # peak_alloc_mb pass runs op(0), which must stay normal
+    assert FAMILY_NAMES == (
+        "normal", "truncated_normal", "uniform", "orthogonal", "kaiming_normal", "kaiming_uniform",
+        "xavier_normal", "xavier_uniform", "spectral_radius", "cauchy", "laplace", "student_t",
+        "gaussian_mixture", "sparse_normal", "sparse_erdos_renyi", "beta", "exponential",
+        "lowbit16", "lowbit8", "lowbit4", "lowbit2", "binary",
+    )
+
+
+DEFAULTS = {
+    "normal": ({"sigma": 1.0}, "fan_in"),
+    "truncated_normal": ({"sigma": 1.0}, "fan_in"),
+    "uniform": ({"a": 0.1}, "explicit"),
+    "orthogonal": ({"gain": 1.0}, "explicit"),
+    "kaiming_normal": ({"a": math.sqrt(5.0)}, "explicit"),
+    "kaiming_uniform": ({"a": math.sqrt(5.0)}, "explicit"),
+    "xavier_normal": ({"gain": 1.0}, "explicit"),
+    "xavier_uniform": ({"gain": 1.0}, "explicit"),
+    "spectral_radius": ({"rho": 0.95}, "explicit"),
+    "cauchy": ({"s": 0.1}, "explicit"),
+    "laplace": ({"b": 0.1}, "explicit"),
+    "student_t": ({"nu": 3, "scale": 1.0}, "explicit"),
+    "gaussian_mixture": ({"w1": 0.9, "sigma1": 0.05, "w2": 0.1, "sigma2": 0.5}, "explicit"),
+    "sparse_normal": ({"p": 0.2, "sigma": 1.0}, "fan_in"),
+    "sparse_erdos_renyi": ({"p": 0.2, "sigma": 1.0}, "fan_in"),
+    "beta": ({"alpha": 2.0, "beta": 2.0, "scale": 0.1}, "explicit"),
+    "exponential": ({"lam": 10.0}, "explicit"),
+    "lowbit16": ({"bits": 16, "sigma": 1.0}, "fan_in"),
+    "lowbit8": ({"bits": 8, "sigma": 1.0}, "fan_in"),
+    "lowbit4": ({"bits": 4, "sigma": 1.0}, "fan_in"),
+    "lowbit2": ({"bits": 2, "sigma": 1.0}, "fan_in"),
+    "binary": ({"sigma": 1.0}, "fan_in"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEFAULTS))
+def test_default_params_and_scaling(name):
+    # every artifact header records these, also where the draw ignores them
+    params, scaling = DEFAULTS[name]
+    d = InitFamily(name).to_dict()
+    assert d == {"name": name, "params": params, "scaling": scaling}
+    assert list(d["params"]) == list(params)
+    assert [type(v) for v in d["params"].values()] == [type(v) for v in params.values()]
+
+
+@pytest.mark.parametrize(
+    "name,params,scaling",
+    [
+        ("normal", {"sigma": "x"}, None),
+        ("spectral_radius", {"rho": None}, None),
+        ("student_t", {"nu": math.inf}, None),
+        ("normal", {"sigma": math.inf}, "explicit"),
+        ("gaussian_mixture", {"w1": math.nan}, None),
+        ("normal", {"sigma": True}, None),
+        ("lowbit4", {"bits": np.bool_(True)}, None),
+        ("uniform", {"a": -math.inf}, None),
+    ],
+)
+def test_params_must_be_finite_real_numbers(name, params, scaling):
+    with pytest.raises(ConfigError) as exc:
+        InitFamily(name, params, scaling)
+    assert repr(list(params)[0]) in str(exc.value)
+
+
+def test_params_are_checked_not_coerced():
+    fam = InitFamily("lowbit4", {"bits": 4.0, "sigma": np.float32(0.5)})
+    assert type(fam.params["bits"]) is float
+    assert type(fam.params["sigma"]) is np.float32
+    student = InitFamily("student_t", {"nu": np.int64(2)})
+    assert draw_plan(student, 2, 3) == [("gaussian", 18)]

@@ -123,6 +123,22 @@ def test_numpy_integer_sizes_become_ints():
     assert pack(build_model(cfg, BackboneSpec.from_config(cfg, 1))) == pack(build_model(plain, BackboneSpec.from_config(plain, 1)))
 
 
+@pytest.mark.parametrize("field,value", [
+    ("dropout", "x"), ("dropout", None), ("dropout", True), ("hidden_dims", 7), ("hidden_dims", ("8",)),
+    ("layernorm", "no"), ("layernorm", 1), ("zero_scaffold", np.bool_(False)), ("frozen_bias", 0),
+])
+def test_field_types_are_config_errors(field, value):
+    base = dict(preset=None, hidden_dims=(8,), input_dim=6, num_classes=3)
+    with pytest.raises(ConfigError, match=field):
+        ModelConfig(**{**base, field: value})
+
+
+def test_valid_config_header_fields_are_as_given():
+    cfg = ModelConfig(preset=None, hidden_dims=[8, 4], input_dim=6, num_classes=3, dropout=0, layernorm=True)
+    assert cfg.to_dict()["hidden_dims"] == (8, 4)
+    assert type(cfg.dropout) is int and cfg.layernorm is True
+
+
 @pytest.mark.parametrize("alpha", ["x", None, True, float("nan"), float("inf"), -float("inf"), 0.0, -1.0])
 def test_alpha_must_be_a_finite_number_above_zero(alpha):
     with pytest.raises(ConfigError, match="alpha"):

@@ -336,6 +336,22 @@ def test_train_cfg_rejects_a_bad_lr_or_weight_decay(kw):
         TrainConfig(**kw)
 
 
+@pytest.mark.parametrize("kw", [
+    {"batch_size": 2.5}, {"batch_size": True}, {"batch_size": "64"}, {"epochs": 1.5}, {"epochs": True},
+    {"resample_k": 2.5}, {"resample": "microbatch", "resample_k": 2.5}, {"resample_k": None},
+    {"lr": True}, {"lr": "0.1"}, {"weight_decay": False}, {"weight_decay": None},
+])
+def test_train_cfg_field_types_are_config_errors(kw):
+    with pytest.raises(ConfigError, match=list(kw)[-1]):
+        TrainConfig(**kw)
+
+
+def test_train_cfg_numpy_integers_become_ints():
+    cfg = TrainConfig(batch_size=np.int64(32), epochs=np.int32(2), resample_k=np.uint8(3))
+    assert cfg == TrainConfig(batch_size=32, epochs=2, resample_k=3)
+    assert all(type(v) is int for v in (cfg.batch_size, cfg.epochs, cfg.resample_k))
+
+
 def test_train_cfg_accepts_zero_weight_decay():
     assert TrainConfig(weight_decay=0.0).weight_decay == 0.0
 
@@ -380,6 +396,42 @@ def test_seed_gated_degenerate_single_group():
     cfg = blob_model_cfg(num_classes=10)
     result = seed_gated_train(partition, cfg, quick_train_cfg(epochs=25, lr=1e-2), train, test)
     assert result.assigned_accuracy[0] > 0.9
+
+
+def test_seed_gating_leaves_untested_digits_out_of_both_means():
+    full = synthetic_blobs(450, 12, 3, 8.0, seed=2)
+    train = full.subset(np.arange(300), "train")
+    rest = np.arange(300, 450)
+    test = full.subset(rest[full.labels[rest] < 2], "test")  # digits 0 and 1 only
+    partition = make_partition([{0, 1}, {2}], [42, 43])
+    wide = seed_gated_train(partition, blob_model_cfg(input_dim=12, num_classes=10),
+                            quick_train_cfg(epochs=6, lr=1e-2), train, test)
+    rows = wide.confusion[0]
+    assert wide.assigned_accuracy[0] == pytest.approx((rows[0, 0] + rows[1, 1]) / 2)
+    assert wide.non_assigned_accuracy[0] is None  # digit 2 and 3..9 have no test rows
+    assert wide.assigned_accuracy[1] is None
+    other = wide.confusion[1]
+    assert wide.non_assigned_accuracy[1] == pytest.approx((other[0, 0] + other[1, 1]) / 2)
+    # a model with 3 outputs has none for digits 3..9, which are untested anyway
+    narrow = seed_gated_train(partition, blob_model_cfg(input_dim=12, num_classes=3),
+                              quick_train_cfg(epochs=6, lr=1e-2), train, test)
+    assert narrow.assigned_accuracy[0] > 0.9
+    assert narrow.non_assigned_accuracy[0] is None and narrow.assigned_accuracy[1] is None
+
+
+def test_seed_gating_scores_a_tested_digit_without_an_output_as_zero():
+    # the model has outputs 0..2, the test set holds digits 0..5
+    full = synthetic_blobs(900, 12, 6, 8.0, seed=2)
+    train = full.subset(np.flatnonzero(full.labels[:600] < 3), "train")
+    test = full.subset(np.arange(600, 900), "test")
+    partition = make_partition([{0, 1}, {2}], [42, 43])
+    result = seed_gated_train(partition, blob_model_cfg(input_dim=12, num_classes=3),
+                              quick_train_cfg(epochs=2), train, test)
+    for g, (assigned, others) in enumerate([([0, 1], [2]), ([2], [0, 1])]):
+        rows = result.confusion[g]
+        # digits 3, 4 and 5 count among the others, each scoring 0.0
+        assert result.assigned_accuracy[g] == pytest.approx(np.mean([rows[d, d] for d in assigned]))
+        assert result.non_assigned_accuracy[g] == pytest.approx(np.sum([rows[d, d] for d in others]) / (len(others) + 3))
 
 
 # -- beta summary -------------------------------------------------------------------
