@@ -148,15 +148,17 @@ def reconstruct(header: dict, tensors: dict) -> Model:
         spec = BackboneSpec.from_dict(header["backbone"])
     except (KeyError, TypeError, ValueError, ConfigError) as err:
         raise FormatError(f"artifact header has a missing or malformed model/backbone field: {err!r}") from err
-    model = build_model(cfg, spec)
-    expected = model.trainable_params()
-    if [n for n, _ in expected] != list(tensors):
+    # the table is checked against the declared layout before anything is
+    # built, so a header cannot make a model the payload does not fill
+    layout = cfg.trainable_layout()
+    if [name for name, _ in layout] != list(tensors):
         raise FormatError("artifact tensor table does not match the declared architecture")
-    for name, t in expected:
-        arr = tensors[name]
-        if tuple(arr.shape) != tuple(t.data.shape):
-            raise FormatError(f"tensor {name!r} has shape {arr.shape}, expected {t.data.shape}")
-        t.data[...] = arr
+    for name, shape in layout:
+        if tuple(tensors[name].shape) != shape:
+            raise FormatError(f"tensor {name!r} has shape {tensors[name].shape}, expected {shape}")
+    model = build_model(cfg, spec)
+    for name, t in model.trainable_params():
+        t.data[...] = tensors[name]
     return model
 
 

@@ -158,8 +158,10 @@ _FAMILIES: dict[str, _Family] = {
     "laplace": _Family({"b": 0.1}, "b", draws=_UNIT, entry=_laplace),
     "student_t": _Family(
         {"nu": 3, "scale": 1.0}, "scale",
-        check=(lambda p: int(p["nu"]) == p["nu"] and p["nu"] >= 1,
-               "parameter 'nu' must be a positive integer, got {nu}"),
+        # one entry's nu+1 gaussians must fit a draw chunk
+        check=(lambda p: int(p["nu"]) == p["nu"] and 1 <= p["nu"] <= DRAW_CHUNK - 1,
+               f"parameter 'nu' must be an integer in [1, {DRAW_CHUNK - 1}] (nu + 1 draws per entry "
+               f"must fit a draw chunk of {DRAW_CHUNK}), got {{nu}}"),
         draws=lambda p: (("gaussian", int(p["nu"]) + 1),), entry=_student_t),
     "gaussian_mixture": _Family(
         {"w1": 0.9, "sigma1": 0.05, "w2": 0.1, "sigma2": 0.5}, positive=("sigma1", "sigma2"),

@@ -32,6 +32,20 @@ PRESETS = {
 HEAD_MODES = ("full", "lora", "lora_bias")
 MODES = ("lottalora", "full_training")
 
+# An eval forward runs over row blocks of at most this many rows.  On
+# OpenBLAS 0.3.31 a GEMM's rows came out the same in blocks of >= 256 rows
+# as in the whole batch (not in blocks of <= 200), and the balanced blocks
+# of a batch over this size hold >= 512.
+EVAL_BLOCK_ROWS = 1024
+
+
+def eval_blocks(n: int) -> list[tuple[int, int]]:
+    """The ``(lo, hi)`` row blocks of an n-row eval forward: the fewest
+    blocks of at most ``EVAL_BLOCK_ROWS`` rows, sizes differing by <= 1."""
+    k = max(1, -(-n // EVAL_BLOCK_ROWS))
+    edges = [n * j // k for j in range(k + 1)]
+    return list(zip(edges, edges[1:]))
+
 
 def _dropout_scale(stream: Stream, shape: tuple, p: float, dtype: np.dtype) -> np.ndarray:
     """Inverted-dropout multipliers: 1/(1-p) where an entry is kept, else 0.
@@ -138,6 +152,33 @@ class ModelConfig:
         dims = (self.input_dim,) + self.dims() + (self.num_classes,)
         return tuple((dims[i + 1], dims[i]) for i in range(len(dims) - 1))
 
+    def n_lotta(self) -> int:
+        """How many leading layers have a frozen backbone and an adapter:
+        every layer but a ``"full"`` head, or none in full_training mode."""
+        if self.mode != "lottalora":
+            return 0
+        return len(self.layer_shapes()) - (self.head_mode == "full")
+
+    def trainable_layout(self) -> list[tuple[str, tuple]]:
+        """``(name, shape)`` of each trainable tensor in canonical artifact
+        order, as ``Model.trainable_params()`` holds them, without building
+        anything."""
+        shapes = self.layer_shapes()
+        n_lotta = self.n_lotta()
+        layout = []
+        for i, (d_out, d_in) in enumerate(shapes):
+            is_hidden = i < len(shapes) - 1
+            prefix = f"layer{i}" if is_hidden else "head"
+            if i >= n_lotta:
+                layout += [(f"{prefix}.W", (d_out, d_in)), (f"{prefix}.bias", (d_out,))]
+                continue
+            layout += [(f"{prefix}.A", (self.rank, d_in)), (f"{prefix}.B", (d_out, self.rank)), (f"{prefix}.beta", ())]
+            if self.layernorm and is_hidden:
+                layout += [(f"{prefix}.ln_gamma", (d_out,)), (f"{prefix}.ln_bias", (d_out,))]
+        if self.head_mode == "lora_bias" and n_lotta == len(shapes):
+            layout.append(("head.bias", (shapes[-1][0],)))
+        return layout
+
     def to_dict(self) -> dict:
         return asdict(self)
 
@@ -185,7 +226,6 @@ class Model:
         self.hidden: list = []
         self.head = None
         self.head_bias: Tensor | None = None  # trainable head offset (head_mode "lora_bias")
-        self._n_lotta = 0  # leading layers that are LottaLayers
         self._backbone_streams: list[Stream] = []  # one per LottaLayer, advancing across redraws
         self._dropout_streams: list[Stream] = []
         self._build()
@@ -199,11 +239,10 @@ class Model:
             raise ConfigError(
                 f"backbone spec shapes {self.spec.layer_shapes} do not match config shapes {shapes}"
             )
-        if cfg.mode == "lottalora":
-            self._n_lotta = len(shapes) - (cfg.head_mode == "full")
+        n_lotta = cfg.n_lotta()
         layers = []
         for i, (d_out, d_in) in enumerate(shapes):
-            if i >= self._n_lotta:
+            if i >= n_lotta:
                 layers.append(DenseLayer(d_in, d_out, derive_stream(seed, i, DrawKind.HEAD_INIT)))
                 continue
             # the layer draws its frozen state from a copy on first read;
@@ -221,7 +260,7 @@ class Model:
             layers.append(LottaLayer(pending, adapter, use_layernorm=cfg.layernorm and is_hidden))
         *self.hidden, self.head = layers
         self._dropout_streams = [derive_stream(seed, i, DrawKind.DROPOUT_MASK) for i in range(len(self.hidden))]
-        if cfg.head_mode == "lora_bias" and self._n_lotta == len(shapes):
+        if cfg.head_mode == "lora_bias" and n_lotta == len(shapes):
             self.head_bias = tensor(np.zeros(shapes[-1][0]), requires_grad=True)
 
     # -- inference ---------------------------------------------------------
@@ -230,18 +269,30 @@ class Model:
         """Logits for a [batch, input_dim] array; dropout only in training.
 
         Runs each layer's explicit forward rule.  Eval mode keeps nothing
-        for a backward pass.  In training mode the returned tensor is one
-        tape node whose backward rule walks the layers in reverse, so
-        ``softmax_xent(logits, y).backward()`` fills every trainable's
-        ``grad``.
+        for a backward pass.  It runs the layers over ``eval_blocks(n)``,
+        balanced row blocks of at most ``EVAL_BLOCK_ROWS`` rows, and joins
+        the blocks' logits, so an eval peaks at one block's activations
+        whatever the batch size.  A row's logits are a function of that
+        fixed partition, which for n <= ``EVAL_BLOCK_ROWS`` is the whole
+        batch.  In training mode the batch is one block and the returned
+        tensor is one tape node whose backward rule walks the layers in
+        reverse, so ``softmax_xent(logits, y).backward()`` fills every
+        trainable's ``grad``.
         """
         if batch.ndim != 2 or batch.shape[1] != self.cfg.input_dim:
             raise DimensionError(f"batch must be [n, {self.cfg.input_dim}], got {batch.shape}")
-        p = self.cfg.dropout if training else 0.0
-        layers = [*self.hidden, self.head]
         # deferred scaffold draws run before any activation exists
         for layer in self.lotta_layers():
             layer.materialize()
+        if training:
+            return self._forward_rows(batch, training=True)
+        return Tensor(np.concatenate([self._forward_rows(batch[lo:hi]) for lo, hi in eval_blocks(len(batch))]))
+
+    def _forward_rows(self, batch: np.ndarray, training: bool = False):
+        """The layer loop over one block of rows: the eval logits array, or
+        in training mode the logits as a tape node."""
+        p = self.cfg.dropout if training else 0.0
+        layers = [*self.hidden, self.head]
         caches = [{} if training else None for _ in layers]
         scales = []
         h = np.ascontiguousarray(batch, dtype=np.float32)
@@ -255,7 +306,7 @@ class Model:
         if self.head_bias is not None:
             logits += self.head_bias.data
         if not training:
-            return Tensor(logits)
+            return logits
 
         def backward_fn():
             g = out.grad
@@ -282,7 +333,7 @@ class Model:
     def lotta_layers(self) -> list[LottaLayer]:
         """The layers with a frozen backbone and an adapter, in layer order
         (dense layers, when present, always come after them)."""
-        return [*self.hidden, self.head][:self._n_lotta]
+        return [*self.hidden, self.head][:self.cfg.n_lotta()]
 
     def trainable_params(self) -> list[tuple[str, Tensor]]:
         """Trainable tensors in canonical artifact order."""
@@ -336,7 +387,7 @@ class Model:
         if self.cfg.mode == "full_training":
             raise ConfigError("seed swapping requires lottalora mode")
         self._backbone_streams = [
-            derive_stream(seed, i, DrawKind.BACKBONE_WEIGHT) for i in range(self._n_lotta)
+            derive_stream(seed, i, DrawKind.BACKBONE_WEIGHT) for i in range(self.cfg.n_lotta())
         ]
         self._redraw()
 

@@ -297,7 +297,9 @@ class SeedGateResult:
     # None when there are none
     assigned_accuracy: list
     non_assigned_accuracy: list
-    ooc_digit0_rate: list  # empty unless ooc_mode
+    # per seed: share of digit-0 test rows given the OOC label, None when
+    # there are none; empty unless ooc_mode
+    ooc_digit0_rate: list
     partition: object
 
 
@@ -350,7 +352,7 @@ def seed_gated_train(
         assigned.append(_mean([hits[d] for d in sorted(group) if d in hits]))
         non_assigned.append(_mean([hits[d] for d in range(10) if d in hits and d not in group]))
         if partition.ooc_mode:
-            ooc0.append(float(rows[0, partition.ooc_label]))
+            ooc0.append(float(rows[0, partition.ooc_label]) if counts[0].any() else None)
 
     return SeedGateResult(
         confusion=confusion,

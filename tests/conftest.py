@@ -1,5 +1,7 @@
+import gc
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,6 +34,27 @@ def mnist_dir():
 @pytest.fixture(scope="session")
 def mnist(mnist_dir):
     return load_mnist(mnist_dir)
+
+
+def peak_bytes(fn, setup=None):
+    """``(peak, result)``: the most bytes ``tracemalloc`` saw allocated
+    above the live set while ``fn`` ran, and what it returned.
+
+    Memory allocated before tracing starts is invisible, and freeing it
+    does not count.  So state that ``fn`` frees is made by ``setup()``,
+    traced, and handed to ``fn`` as its argument.
+    """
+    gc.collect()
+    tracemalloc.start()
+    try:
+        args = () if setup is None else (setup(),)
+        gc.collect()
+        tracemalloc.reset_peak()
+        live = tracemalloc.get_traced_memory()[0]
+        out = fn(*args)
+        return tracemalloc.get_traced_memory()[1] - live, out
+    finally:
+        tracemalloc.stop()
 
 
 def write_fake_idx(path, n_train=400, n_test=100, classes=10):

@@ -12,6 +12,8 @@ from lottalora.model import BackboneSpec, ModelConfig, build_model
 from lottalora.data import synthetic_blobs
 from lottalora.train import TrainConfig, train_run
 
+from conftest import peak_bytes
+
 NORMAL = InitFamily("normal", {"sigma": 0.1}, scaling="explicit")
 
 
@@ -146,6 +148,19 @@ def test_tensor_table_architecture_mismatch_rejected():
     header["model"]["rank"] = 4
     with pytest.raises(FormatError):
         reconstruct(header, tensors)
+
+
+def test_tensor_table_is_checked_before_anything_is_built():
+    # built first, a rank-4096 tiny model holds 49 MiB of adapters
+    header, tensors = unpack(pack(fresh_model()))
+    header["model"]["rank"] = 4096
+
+    def attempt():
+        with pytest.raises(FormatError, match="layer0.A"):
+            reconstruct(header, tensors)
+
+    peak, _ = peak_bytes(attempt)
+    assert peak < 1 << 20
 
 
 def test_atomic_save_and_load(tmp_path):

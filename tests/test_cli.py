@@ -443,6 +443,16 @@ def test_non_finite_family_params_are_config_errors(params, tmp_path, capsys):
     assert not path.exists()
 
 
+def test_student_t_nu_over_a_draw_chunk_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "m.ltlr"
+    code = run(["pack", "--preset", "tiny", "--output", str(path), "--family", "student_t",
+                "--family-param", f"nu={10 ** 9}"])
+    assert code == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config" and "draw chunk" in err["message"]
+    assert not path.exists()
+
+
 def run_module(*argv, cwd):
     src = os.path.dirname(os.path.dirname(lottalora.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}

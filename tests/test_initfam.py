@@ -11,7 +11,7 @@ from lottalora.initfam import (
     draw_plan,
     family_moments,
 )
-from lottalora.prng import Stream
+from lottalora.prng import DRAW_CHUNK, Stream
 
 
 def power_iteration_sigma1(a, iters=300):
@@ -328,3 +328,11 @@ def test_params_are_checked_not_coerced():
     assert type(fam.params["sigma"]) is np.float32
     student = InitFamily("student_t", {"nu": np.int64(2)})
     assert draw_plan(student, 2, 3) == [("gaussian", 18)]
+
+
+def test_student_t_entries_must_fit_a_draw_chunk():
+    # nu + 1 gaussians per entry; a larger nu would plan an unbounded draw
+    assert draw_plan(InitFamily("student_t", {"nu": DRAW_CHUNK - 1}), 1, 1) == [("gaussian", DRAW_CHUNK)]
+    for nu in (DRAW_CHUNK, 10 ** 9):
+        with pytest.raises(ConfigError, match=f"nu.*{DRAW_CHUNK}"):
+            InitFamily("student_t", {"nu": nu})

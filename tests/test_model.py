@@ -324,3 +324,15 @@ def test_train_config_round_trip():
     # the AdamW constants and the validation share are not settings
     assert set(cfg.to_dict()) == {"lr", "weight_decay", "batch_size", "epochs", "schedule", "resample",
                                   "resample_k"}
+
+
+@pytest.mark.parametrize("preset", ["tiny", "small", "medium", "large", None])
+@pytest.mark.parametrize("mode", ["lottalora", "full_training"])
+@pytest.mark.parametrize("head_mode", ["full", "lora", "lora_bias"])
+@pytest.mark.parametrize("layernorm", [False, True])
+def test_trainable_layout_is_the_built_models_trainables(preset, mode, head_mode, layernorm):
+    extra = {"hidden_dims": (7, 5), "input_dim": 11, "num_classes": 3, "rank": 2} if preset is None else {}
+    cfg = ModelConfig(preset=preset, mode=mode, head_mode=head_mode, layernorm=layernorm, **extra)
+    model = build_model(cfg, BackboneSpec.from_config(cfg, 3))
+    assert cfg.trainable_layout() == [(name, t.data.shape) for name, t in model.trainable_params()]
+    assert cfg.n_lotta() == len(model.lotta_layers())

@@ -5,10 +5,8 @@ The gathering ``subset``, ``split_train_val`` and plain-mode
 run on copied datasets and a run on row views must agree bit for bit.
 """
 
-import gc
 import hashlib
 import json
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +18,8 @@ from lottalora.initfam import InitFamily
 from lottalora.model import BackboneSpec, ModelConfig, build_model
 from lottalora.prng import DrawKind, derive_stream
 from lottalora.train import TrainConfig, seed_gated_train, train_run
+
+from conftest import peak_bytes
 
 MIB = 1 << 20
 
@@ -131,14 +131,7 @@ def test_train_run_does_not_copy_the_training_images():
     spec = BackboneSpec.from_config(cfg, 9)
     scaffold = sum(layer.backbone.data.nbytes + layer.frozen_bias.nbytes
                    for layer in build_model(cfg, spec).lotta_layers())
-    gc.collect()
-    tracemalloc.start()
-    try:
-        live = tracemalloc.get_traced_memory()[0]
-        train_run(cfg, spec, TrainConfig(lr=3e-2, epochs=1), train, test)
-        peak = tracemalloc.get_traced_memory()[1] - live
-    finally:
-        tracemalloc.stop()
+    peak, _ = peak_bytes(lambda: train_run(cfg, spec, TrainConfig(lr=3e-2, epochs=1), train, test))
     assert peak < train.images.nbytes + scaffold + MIB
 
 

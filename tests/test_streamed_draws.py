@@ -6,9 +6,7 @@ The chunked draws must give its bits, leave the stream where it leaves
 it, and peak at their result plus one chunk's scratch.
 """
 
-import gc
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +15,8 @@ from lottalora.data import synthetic_blobs
 from lottalora.initfam import FAMILY_NAMES, InitFamily, _quantize, _scale_knob, draw_matrix
 from lottalora.model import BackboneSpec, ModelConfig, build_model
 from lottalora.prng import Stream
+
+from conftest import peak_bytes
 
 MIB = 2 ** 20
 
@@ -125,39 +125,24 @@ def test_synthetic_blobs_match_the_whole_block_bitwise(n, d, classes):
     assert data.labels.tobytes() == labels.tobytes()
 
 
-def traced_peak(fn):
-    """Peak bytes ``tracemalloc`` sees while ``fn`` runs, and its result."""
-    gc.collect()
-    tracemalloc.start()
-    try:
-        out = fn()
-        return tracemalloc.get_traced_memory()[1], out
-    finally:
-        tracemalloc.stop()
-
-
 @pytest.mark.parametrize("name", ENTRYWISE)
 def test_entrywise_draw_peaks_at_its_result_plus_chunk_scratch(name):
-    peak, m = traced_peak(lambda: draw_matrix(Stream(5), InitFamily(name), 512, 784))
+    peak, m = peak_bytes(lambda: draw_matrix(Stream(5), InitFamily(name), 512, 784))
     assert peak < m.data.nbytes + MIB
 
 
 def test_synthetic_blobs_peak_at_their_result_plus_chunk_scratch():
-    peak, data = traced_peak(lambda: synthetic_blobs(1024, 784, 10, 16.0, seed=3))
+    peak, data = peak_bytes(lambda: synthetic_blobs(1024, 784, 10, 16.0, seed=3))
     assert peak < data.images.nbytes + data.labels.nbytes + MIB
 
 
 def test_resample_drops_the_old_scaffold_before_drawing_the_new():
-    tracemalloc.start()
-    try:
+    def live_model():
         cfg = ModelConfig(preset="medium")
         model = build_model(cfg, BackboneSpec.from_config(cfg, 3))
         for layer in model.lotta_layers():
             layer.materialize()
-        gc.collect()
-        tracemalloc.reset_peak()
-        live = tracemalloc.get_traced_memory()[0]
-        model.resample_backbones()
-        assert tracemalloc.get_traced_memory()[1] - live <= MIB
-    finally:
-        tracemalloc.stop()
+        return model
+
+    peak, _ = peak_bytes(lambda model: model.resample_backbones(), setup=live_model)
+    assert peak <= MIB

@@ -419,6 +419,22 @@ def test_seed_gating_leaves_untested_digits_out_of_both_means():
     assert narrow.non_assigned_accuracy[0] is None and narrow.assigned_accuracy[1] is None
 
 
+def test_ooc_digit0_rate_is_none_without_digit0_test_rows():
+    full = synthetic_blobs(450, 12, 3, 8.0, seed=2)
+    train = full.subset(np.arange(300), "train")
+    rest = np.arange(300, 450)
+    test = full.subset(rest[full.labels[rest] != 0], "test")
+    partition = make_partition([{1}, {2}], [42, 43], ooc_mode=True)
+    result = seed_gated_train(partition, blob_model_cfg(input_dim=12, num_classes=10),
+                              quick_train_cfg(epochs=2, lr=1e-2), train, test)
+    assert result.ooc_digit0_rate == [None, None]
+    # with digit-0 test rows the rate is their share given the OOC label
+    with_zero = seed_gated_train(partition, blob_model_cfg(input_dim=12, num_classes=10),
+                                 quick_train_cfg(epochs=2, lr=1e-2), train, full.subset(rest, "test"))
+    for g, rate in enumerate(with_zero.ooc_digit0_rate):
+        assert rate == with_zero.confusion[g][0, partition.ooc_label]
+
+
 def test_seed_gating_scores_a_tested_digit_without_an_output_as_zero():
     # the model has outputs 0..2, the test set holds digits 0..5
     full = synthetic_blobs(900, 12, 6, 8.0, seed=2)
