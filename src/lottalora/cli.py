@@ -4,7 +4,10 @@ Commands: train, sweep, metalora, seedgate, pack, unpack, verify, cost,
 rankstar, betastats.  Every command that writes files also writes a
 manifest.json with the fully resolved configuration and seeds, sufficient
 to re-run identically.  Errors exit nonzero with a machine-readable
-category on stderr.
+category on stderr.  ``EXIT_CODES`` maps every ``LottaError`` category to
+its exit code: usage 2, config 3, data 4, parse 4, format 5, integrity 6,
+incompatibility 7, run 8, dimension 9, error 1 (and an unexpected
+exception exits 1 too).  An ``OSError`` exits as data (4).
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import numpy as np
 
 from . import artifact as artifact_mod
 from .cost import ARCHS, cost_report, rank_star
-from .data import load_mnist, make_partition
+from .data import Dataset, load_mnist, make_partition
 from .errors import ConfigError, DataError, LottaError, RunError
 from .initfam import InitFamily
 from .model import BackboneSpec, ModelConfig, build_model
@@ -45,6 +48,7 @@ EXIT_CODES = {
     "integrity": 6,
     "incompatibility": 7,
     "run": 8,
+    "dimension": 9,
     "error": 1,
 }
 
@@ -116,6 +120,15 @@ def _read_json(path: str, what: str, kinds: tuple = (dict,)):
 
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _check_width(input_dim: int, *datasets: Dataset) -> None:
+    """A DataError unless every dataset's rows have ``input_dim`` entries,
+    so a mismatched data set fails before anything is built or trained."""
+    for ds in datasets:
+        width = ds.take(slice(0, 0)).shape[1]
+        if width != input_dim:
+            raise DataError(f"the {ds.split} images have {width} pixels per row; the model expects {input_dim}")
 
 
 def _config_defaults(parser: argparse.ArgumentParser, path: str) -> dict:
@@ -200,6 +213,7 @@ def _train_task(task: dict, datasets) -> RunMetrics:
     """Train one flat task dict; writes metrics.csv and summary.json to its
     out_dir when it has one."""
     cfg = ModelConfig(**task["model"])
+    _check_width(cfg.input_dim, *datasets)
     spec = BackboneSpec.from_config(cfg, task["seed"], InitFamily.from_dict(task["family"]))
     metrics = train_run(cfg, spec, TrainConfig(**task["train"]), *datasets)
     out_dir = task.get("out_dir")
@@ -222,6 +236,8 @@ def run_single(task: dict, data_dir: str) -> dict:
     datasets = _worker_datasets(data_dir)
     try:
         metrics = _train_task(task, datasets)
+    except DataError:
+        raise
     except LottaError as err:
         return {"task": task, "status": f"failed:{err.category}", "message": str(err)}
     return {"task": task, "status": "ok", **metrics.summary()}
@@ -312,6 +328,7 @@ def cmd_seedgate(args) -> int:
     model_cfg = _model_config(args, args.rank)
     train_cfg = _train_config(args)
     train_ds, test_ds = load_mnist(_resolve_data_dir(args))
+    _check_width(model_cfg.input_dim, train_ds, test_ds)
     result = seed_gated_train(partition, model_cfg, train_cfg, train_ds, test_ds,
                               family=_resolve_family(args, args.family))
     payload = {
@@ -359,6 +376,7 @@ def cmd_verify(args) -> int:
     header, tensors = artifact_mod.unpack(artifact_mod.load(args.artifact))
     model = artifact_mod.reconstruct(header, tensors)
     _, test_ds = load_mnist(data_dir)
+    _check_width(model.cfg.input_dim, test_ds)
     loss, acc = evaluate(model, test_ds)
     recorded = header.get("extra", {}).get("final_test_accuracy")
     if recorded is not None and acc != recorded:
@@ -372,7 +390,10 @@ def cmd_verify(args) -> int:
 def cmd_cost(args) -> int:
     if args.arch not in ARCHS:
         raise ConfigError(f"unknown arch {args.arch!r}; expected one of {sorted(ARCHS)}")
-    d = cost_report(ARCHS[args.arch], args.rank, m_tokens=args.tokens)
+    try:
+        d = cost_report(ARCHS[args.arch], args.rank, m_tokens=args.tokens)
+    except ValueError as err:
+        raise ConfigError(str(err)) from err
     rows = [
         ("total params", f"{d['total_params']:,}"),
         ("internal (full)", f"{d['internal_full']:,}"),

@@ -15,6 +15,7 @@ Formatted sizes use MiB (2^20 bytes).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 MIB = float(1 << 20)
@@ -71,8 +72,8 @@ def flops(m_tokens: float, n: float, n_tr: float) -> tuple[float, float, float]:
     Full training costs ~6 FLOPs per token-parameter; freezing removes the
     weight-gradient third for frozen parameters, leaving 4N + 2N_tr.
     """
-    if m_tokens < 0:
-        raise ValueError(f"token count must be >= 0, got {m_tokens}")
+    if not (math.isfinite(m_tokens) and m_tokens >= 0):
+        raise ValueError(f"token count must be finite and >= 0, got {m_tokens}")
     if not 0 <= n_tr <= n:
         raise ValueError(f"need 0 <= N_tr <= N, got N_tr={n_tr}, N={n}")
     if n == 0:

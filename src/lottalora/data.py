@@ -18,6 +18,8 @@ the whole view on each access.
 from __future__ import annotations
 
 import gzip
+import math
+import numbers
 import os
 import struct
 from dataclasses import dataclass
@@ -186,8 +188,14 @@ class LabelPartition:
         return dataset.relabeled(np.where(mask, dataset.labels, self.ooc_label))
 
 
+def _digit(label) -> int:
+    if isinstance(label, bool) or not isinstance(label, numbers.Integral) or not 0 <= label <= 9:
+        raise ConfigError(f"labels must be digits 0-9, got {label!r}")
+    return int(label)
+
+
 def make_partition(groups, seeds, ooc_mode: bool = False) -> LabelPartition:
-    groups = tuple(frozenset(int(g) for g in group) for group in groups)
+    groups = tuple(frozenset(_digit(g) for g in group) for group in groups)
     seeds = tuple(check_seed(s) for s in seeds)
     if len(groups) != len(seeds):
         raise ConfigError(f"got {len(groups)} groups but {len(seeds)} seeds")
@@ -197,8 +205,6 @@ def make_partition(groups, seeds, ooc_mode: bool = False) -> LabelPartition:
     for group in groups:
         if not group:
             raise ConfigError("empty label group")
-        if any(d < 0 or d > 9 for d in group):
-            raise ConfigError(f"labels must be digits 0-9, got {sorted(group)}")
         overlap = seen & group
         if overlap:
             raise ConfigError(f"label groups overlap on {sorted(overlap)}")
@@ -208,9 +214,14 @@ def make_partition(groups, seeds, ooc_mode: bool = False) -> LabelPartition:
 
 def synthetic_blobs(n: int, d: int, classes: int, sep: float, seed: int) -> Dataset:
     """Gaussian class clusters; linearly separable when sep is large."""
+    for name, value in (("n", n), ("d", d), ("classes", classes)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+            raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
+    if isinstance(sep, bool) or not isinstance(sep, numbers.Real) or not math.isfinite(sep):
+        raise ConfigError(f"sep must be a finite number, got {sep!r}")
     if n < classes:
         raise ConfigError(f"need at least one point per class: n={n} < classes={classes}")
-    stream = Stream(seed)
+    stream = Stream(check_seed(seed))
     centers = (sep / np.sqrt(d)) * stream.gaussian_block(classes * d).reshape(classes, d)
     labels = (np.arange(n) % classes).astype(np.int64)
     # rows of noise continue the stream chunk by chunk and are summed in

@@ -53,13 +53,13 @@ def _dropout_scale(stream: Stream, shape: tuple, p: float, dtype: np.dtype) -> n
     An entry is kept when the top 53 bits of its raw draw reach
     ceil(p * 2**53).  A unit draw is those bits times 2**-53, so this keeps
     exactly the entries that ``unit_block(n) >= p`` keeps, from the same
-    draws, without float64 uniforms.
+    draws, without float64 uniforms.  For an integer t, ``bits >> 11 >= t``
+    holds exactly when ``bits >= t << 11``, so the raw words are compared
+    unshifted; for p < 1, t << 11 is below 2**64.
     """
     bits = stream.u64_block(math.prod(shape)).reshape(shape)
-    bits >>= np.uint64(11)
-    scale = (bits >= np.uint64(math.ceil(p * 2.0 ** 53))).astype(dtype)
-    scale *= dtype.type(1.0 / (1.0 - p))
-    return scale
+    keep = bits >= np.uint64(math.ceil(p * 2.0 ** 53) << 11)
+    return np.multiply(keep, dtype.type(1.0 / (1.0 - p)), dtype=dtype)
 
 
 def _draw_frozen(cfg: "ModelConfig", family: InitFamily, i: int, stream: Stream):

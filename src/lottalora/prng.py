@@ -21,13 +21,15 @@ one stopped, so one block of n and n blocks of 1 give the same values:
     comes first, and a sine branch left over by an odd count is carried
     to the next gaussian draw.
 
-A block is evaluated in chunks of ``_CHUNK`` entries by one in-place
-kernel, so a chunk's intermediates stay in cache and no block-sized
-temporaries are allocated.  Chunking cannot change a bit.  The k-th raw
-output is ``mix64(state + k*gamma)``, a pure function of its flat index in
-exact 64-bit integer arithmetic.  The unit and Box-Muller steps apply the
-same elementwise numpy ufuncs to the same float64 values as a whole-array
-evaluation would.  Every transcendental runs on a contiguous operand,
+A block is evaluated in chunks by one in-place kernel, so a chunk's
+intermediates stay in cache and no block-sized temporaries are allocated.
+Raw (stride-1) fills run in chunks of ``_U64_CHUNK`` = 32768 words; the
+stride-2 fills, Box-Muller pairs and unit conversion run in chunks of
+``_CHUNK`` = 8192 entries, which measured best for them.  Chunking cannot
+change a bit.  The k-th raw output is ``mix64(state + k*gamma)``, a pure
+function of its flat index in exact 64-bit integer arithmetic.  The unit
+and Box-Muller steps apply the same elementwise numpy ufuncs to the same
+float64 values as a whole-array evaluation would.  Every transcendental runs on a contiguous operand,
 because numpy may pick a differently rounding loop for strided ones; so
 Box-Muller reads u1 from the odd and u2 from the even stream offsets as
 two contiguous stride-2 runs.
@@ -68,15 +70,19 @@ _MIX_ROUNDS = (
     (np.uint64(31), None),
 )
 
-# entries per chunk: a chunk's uint64 values plus scratch fit in L2 cache
+# entries per chunk of the stride-2 fills, Box-Muller pairs and unit
+# conversion: a chunk's values plus scratch fit in L2 cache
 _CHUNK = 8192
+# words per chunk of a stride-1 (raw u64) fill; fewer, longer chunks cut
+# the per-chunk numpy overhead of the dropout-mask words
+_U64_CHUNK = 4 * _CHUNK
 # draws per block for a caller that streams a large draw into its result
 # chunk by chunk: one kernel chunk of gaussian pairs
 DRAW_CHUNK = 2 * _CHUNK
-# j*stride*gamma for j < _CHUNK, for the two strides the draws use
+# j*stride*gamma for j below the stride's chunk size; a fill's chunk is its ramp's length
 _RAMPS = {
-    stride: np.arange(_CHUNK, dtype=np.uint64) * np.uint64(stride * GOLDEN_GAMMA & MASK64)
-    for stride in (1, 2)
+    stride: np.arange(chunk, dtype=np.uint64) * np.uint64(stride * GOLDEN_GAMMA & MASK64)
+    for stride, chunk in ((1, _U64_CHUNK), (2, _CHUNK))
 }
 
 
@@ -106,13 +112,14 @@ def _mix64_fill(out: np.ndarray, state: int, offset: int, stride: int) -> None:
     """Set ``out[j] = mix64(state + (offset + j*stride)*gamma)`` in place.
 
     ``out`` is a contiguous uint64 array; uint64 arithmetic wraps mod 2**64,
-    matching the scalar path.  Works through ``out`` in chunks with one
-    scratch array.
+    matching the scalar path.  Works through ``out`` in chunks of the
+    stride's ramp length with one scratch array.
     """
     ramp = _RAMPS[stride]
-    scratch = np.empty(min(len(out), _CHUNK), dtype=np.uint64)
-    for lo in range(0, len(out), _CHUNK):
-        z = out[lo:lo + _CHUNK]
+    chunk = len(ramp)
+    scratch = np.empty(min(len(out), chunk), dtype=np.uint64)
+    for lo in range(0, len(out), chunk):
+        z = out[lo:lo + chunk]
         t = scratch[:len(z)]
         base = (state + (offset + lo * stride) * GOLDEN_GAMMA) & MASK64
         np.add(ramp[:len(z)], np.uint64(base), out=z)

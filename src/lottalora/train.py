@@ -85,40 +85,84 @@ class RunMetrics:
 
 
 class AdamW:
-    """Decoupled weight decay Adam over trainable tensors only."""
+    """Decoupled weight decay Adam over trainable tensors only, fused over
+    one flat buffer.
+
+    The constructor copies the parameters into one flat buffer and rebinds
+    each ``data`` to a view of it with the same shape and dtype.  The
+    moments are one flat buffer each; ``m`` and ``v`` return their
+    per-parameter views in the order of ``params``.  A step concatenates
+    the gradients once and runs the update rule on whole buffers; the rule
+    is elementwise, so every entry gets the bits a per-tensor update gives
+    it.  When some parameter has no gradient, or a gradient of another
+    dtype, the rule runs on each parameter's views in turn instead, and a
+    parameter without a gradient keeps its values and moments.  All
+    parameters must share one dtype.  A parameter whose ``data`` is
+    rebound after construction is no longer the one the optimizer updates,
+    so callers write into ``data`` in place.
+    """
 
     def __init__(self, params, lr=1e-3, weight_decay=1e-2, beta1=0.9, beta2=0.999, eps=1e-8):
         self.params = list(params)
+        dtypes = {p.data.dtype for p in self.params}
+        if len(dtypes) > 1:
+            raise ConfigError(f"AdamW parameters must share one dtype, got {sorted(map(str, dtypes))}")
         self.lr = lr
         self.weight_decay = weight_decay
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = [np.zeros_like(p.data) for p in self.params]
-        self.v = [np.zeros_like(p.data) for p in self.params]
+        empty = np.empty(0, dtype=dtypes.pop() if dtypes else np.float32)
+        self._flat = np.concatenate([empty] + [p.data.ravel() for p in self.params])
+        self._m = np.zeros_like(self._flat)
+        self._v = np.zeros_like(self._flat)
+        for p, view in zip(self.params, self._views(self._flat)):
+            p.data = view
+
+    def _views(self, flat: np.ndarray) -> list[np.ndarray]:
+        views, lo = [], 0
+        for p in self.params:
+            views.append(flat[lo:lo + p.data.size].reshape(p.data.shape))
+            lo += p.data.size
+        return views
+
+    @property
+    def m(self) -> list[np.ndarray]:
+        return self._views(self._m)
+
+    @property
+    def v(self) -> list[np.ndarray]:
+        return self._views(self._v)
 
     def zero_grad(self):
         for p in self.params:
             p.grad = None
 
     def step(self, lr_t: float | None = None):
-        """One update; decay shrinks the pre-step parameter by lr*wd*param."""
+        """One update of every parameter that has a gradient."""
         lr = self.lr if lr_t is None else lr_t
         self.t += 1
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
-        for p, m, v in zip(self.params, self.m, self.v):
-            if p.grad is None:
-                continue
-            g = p.grad
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            if self.weight_decay:
-                p.data *= 1.0 - lr * self.weight_decay
-            p.data -= (lr / bc1) * m / (np.sqrt(v / bc2) + self.eps)
+        rule = (lr, 1.0 - self.beta1 ** self.t, 1.0 - self.beta2 ** self.t)
+        grads = [p.grad for p in self.params]
+        if all(g is not None and g.dtype == self._flat.dtype for g in grads):
+            # the gradient buffer lives for this step only
+            flat_grad = np.concatenate([self._flat[:0]] + [g.ravel() for g in grads])
+            self._update(self._flat, self._m, self._v, flat_grad, *rule)
+            return
+        for p, m, v, g in zip(self.params, self.m, self.v, grads):
+            if g is not None:
+                self._update(p.data, m, v, g, *rule)
+
+    def _update(self, param, m, v, g, lr, bc1, bc2):
+        """The update rule, in place; decay shrinks the pre-step parameter by lr*wd*param."""
+        m *= self.beta1
+        m += (1.0 - self.beta1) * g
+        v *= self.beta2
+        v += (1.0 - self.beta2) * (g * g)
+        if self.weight_decay:
+            param *= 1.0 - lr * self.weight_decay
+        param -= (lr / bc1) * m / (np.sqrt(v / bc2) + self.eps)
 
 
 def cosine_lr(step: int, total_steps: int, lr0: float) -> float:
@@ -184,9 +228,10 @@ def _train_step(model, optimizer, x, y, lr_t, resample: str, k: int):
         loss_sum += loss.item() * len(ys)
         correct += int((logits.data.argmax(axis=1) == ys).sum())
         rows += len(ys)
-    for p in optimizer.params:
-        if p.grad is not None:
-            p.grad /= len(parts)
+    if len(parts) > 1:
+        for p in optimizer.params:
+            if p.grad is not None:
+                p.grad /= len(parts)
     optimizer.step(lr_t)
     return loss_sum / rows, correct, rows
 

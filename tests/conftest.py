@@ -57,17 +57,17 @@ def peak_bytes(fn, setup=None):
         tracemalloc.stop()
 
 
-def write_fake_idx(path, n_train=400, n_test=100, classes=10):
-    """Write a 4-file IDX set with MNIST's layout (uint8 28x28 images),
-    filled with ``synthetic_blobs`` rows of digits 0..classes-1 rescaled
-    to [0, 255]."""
+def write_fake_idx(path, n_train=400, n_test=100, classes=10, side=28):
+    """Write a 4-file IDX set with MNIST's layout (uint8 side x side
+    images, 28x28 by default), filled with ``synthetic_blobs`` rows of
+    digits 0..classes-1 rescaled to [0, 255]."""
     os.makedirs(path, exist_ok=True)
-    blobs = synthetic_blobs(n_train + n_test, 784, classes, sep=6.0, seed=11)
+    blobs = synthetic_blobs(n_train + n_test, side * side, classes, sep=6.0, seed=11)
     pixels = np.clip((blobs.images + 3.0) * (255.0 / 6.0), 0, 255).astype(np.uint8)
     for split, rows in (("train", slice(0, n_train)), ("test", slice(n_train, None))):
         images, labels = pixels[rows], blobs.labels[rows].astype(np.uint8)
         with open(os.path.join(path, MNIST_FILES[f"{split}_images"]), "wb") as fh:
-            fh.write(struct.pack(">IIII", 0x803, len(images), 28, 28) + images.tobytes())
+            fh.write(struct.pack(">IIII", 0x803, len(images), side, side) + images.tobytes())
         with open(os.path.join(path, MNIST_FILES[f"{split}_labels"]), "wb") as fh:
             fh.write(struct.pack(">II", 0x801, len(labels)) + labels.tobytes())
     return str(path)

@@ -6,10 +6,11 @@ import sys
 import pytest
 
 import lottalora
-from lottalora.artifact import load, unpack
-from lottalora.cli import run, run_grid
+from lottalora.artifact import load, pack, save, unpack
+from lottalora.cli import EXIT_CODES, run, run_grid
+from lottalora.errors import LottaError
 from lottalora.initfam import InitFamily
-from lottalora.model import ModelConfig
+from lottalora.model import BackboneSpec, ModelConfig, build_model
 from lottalora.train import TrainConfig
 
 from conftest import requires_mnist, write_fake_idx
@@ -29,6 +30,26 @@ def test_cost_unknown_arch_exits_config(capsys):
     assert run(["cost", "--arch", "9T"]) == 3
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "config"
+
+
+@pytest.mark.parametrize("flags", [["--rank", "0"], ["--tokens", "-5"], ["--tokens", "nan"], ["--tokens", "inf"]])
+def test_cost_bad_numbers_exit_config(capsys, flags):
+    assert run(["cost", "--arch", "900M", *flags]) == 3
+    captured = capsys.readouterr()
+    assert json.loads(captured.err)["error"] == "config"
+    assert captured.out == ""
+
+
+def test_every_error_category_has_a_documented_exit_code():
+    categories, todo = set(), [LottaError]
+    while todo:
+        cls = todo.pop()
+        categories.add(cls.category)
+        todo += cls.__subclasses__()
+    assert categories <= set(EXIT_CODES)
+    assert EXIT_CODES["dimension"] not in {code for name, code in EXIT_CODES.items() if name != "dimension"}
+    doc = lottalora.cli.__doc__
+    assert all(f"{name} {code}" in doc for name, code in EXIT_CODES.items())
 
 
 def test_rankstar_command(tmp_path, capsys):
@@ -419,6 +440,31 @@ def test_out_of_range_seed_or_alpha_is_config_error(argv, tmp_path, capsys, fake
     assert run(argv + extra) == 3
     assert json.loads(capsys.readouterr().err)["error"] == "config"
     assert not (tmp_path / "m.ltlr").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--rank", "2", "--seed", "1"],
+    ["sweep", "--ranks", "2", "--seeds", "1"],
+    ["seedgate", "--rank", "2", "--groups", "1;2", "--seeds", "5,6"],
+])
+def test_images_of_the_wrong_width_are_a_data_error(argv, tmp_path, capsys):
+    # 20x20-pixel images for a 784-input model: refused before any model is built
+    data_dir = write_fake_idx(tmp_path / "idx", n_train=40, n_test=20, side=20)
+    out = tmp_path / "out"
+    code = run(argv + ["--preset", "tiny", "--epochs", "1", "--data-dir", data_dir, "--out-dir", str(out)])
+    assert code == 4
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "data" and "400" in err["message"] and "784" in err["message"]
+    assert not (out / "model.ltlr").exists()
+
+
+def test_verify_of_an_artifact_of_another_width_is_a_data_error(tmp_path, capsys, fake_mnist_dir):
+    cfg = ModelConfig(preset="tiny", rank=2, input_dim=10)
+    path = str(tmp_path / "m.ltlr")
+    save(path, pack(build_model(cfg, BackboneSpec.from_config(cfg, 3))))
+    assert run(["verify", path, "--data-dir", fake_mnist_dir]) == 4
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "data" and "784" in err["message"] and "10" in err["message"]
 
 
 def test_seedgate_on_a_digit_with_no_training_rows_is_a_data_error(tmp_path, capsys):

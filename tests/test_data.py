@@ -107,6 +107,17 @@ def test_partition_seeds_outside_u64_rejected(seed):
         make_partition([{1}, {2}], [3, seed])
 
 
+@pytest.mark.parametrize("groups", [[["a"]], [[1.5]], [[True]], [[np.float64(2.0)]], [[10]], [[-1]], [{1}, {None}]])
+def test_partition_labels_that_are_not_digits_rejected(groups):
+    # 1.5 and True used to be read as digit 1; "a" ended in a raw ValueError
+    with pytest.raises(ConfigError, match="digits 0-9"):
+        make_partition(groups, [3] * len(groups))
+
+
+def test_partition_accepts_numpy_integer_labels():
+    assert make_partition([np.array([1, 2])], [3]).groups == (frozenset({1, 2}),)
+
+
 def test_partition_group_without_rows_is_a_data_error():
     ds = Dataset(np.zeros((6, 2), dtype=np.float32), np.array([0, 1, 2, 0, 1, 2]))
     p = make_partition([{0, 1}, {5}], [7, 8])
@@ -141,6 +152,22 @@ def test_blobs_deterministic_and_one_point_per_class():
     assert sorted(tiny.labels.tolist()) == [0, 1, 2]
     with pytest.raises(ConfigError):
         synthetic_blobs(2, 8, 3, 10.0, seed=9)
+
+
+@pytest.mark.parametrize("args", [
+    (10, 0, 2, 1.0, 1),  # no columns: used to divide by zero
+    (10, 5, 0, 1.0, 1),  # no classes: used to end in an IndexError
+    (10, -5, 2, 1.0, 1),
+    (10.0, 5, 2, 1.0, 1),
+    (10, 5, True, 1.0, 1),
+    (10, 5, 2, float("nan"), 1),
+    (10, 5, 2, "far", 1),
+    (10, 5, 2, 1.0, -1),
+    (10, 5, 2, 1.0, 1.5),
+])
+def test_blobs_bad_arguments_are_config_errors(args):
+    with pytest.raises(ConfigError):
+        synthetic_blobs(*args)
 
 
 def test_blobs_high_sep_linearly_separable():

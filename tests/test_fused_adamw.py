@@ -1,0 +1,177 @@
+"""AdamW updates every parameter through one flat buffer, and dropout
+masks compare the raw words with a shifted threshold.
+
+The per-parameter AdamW that the fused one replaced is kept here as the
+oracle: parameters and moments must match it bit for bit, step after step.
+The dropout scale must match the shift-then-compare form it replaced at
+the words where the two could part: just below and at each threshold.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from lottalora.data import synthetic_blobs
+from lottalora.errors import ConfigError
+from lottalora.model import BackboneSpec, ModelConfig, _dropout_scale, build_model
+from lottalora.numerics import tensor
+from lottalora.prng import MASK64
+from lottalora.train import AdamW, _train_step
+
+from test_explicit_backward import to_float64
+
+
+class PerTensorAdamW:
+    """The former AdamW: one update per parameter tensor."""
+
+    def __init__(self, params, lr=1e-3, weight_decay=1e-2, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.params = list(params)
+        self.lr = lr
+        self.weight_decay = weight_decay
+        self.beta1 = beta1
+        self.beta2 = beta2
+        self.eps = eps
+        self.t = 0
+        self.m = [np.zeros_like(p.data) for p in self.params]
+        self.v = [np.zeros_like(p.data) for p in self.params]
+
+    def zero_grad(self):
+        for p in self.params:
+            p.grad = None
+
+    def step(self, lr_t=None):
+        lr = self.lr if lr_t is None else lr_t
+        self.t += 1
+        bc1 = 1.0 - self.beta1 ** self.t
+        bc2 = 1.0 - self.beta2 ** self.t
+        for p, m, v in zip(self.params, self.m, self.v):
+            if p.grad is None:
+                continue
+            g = p.grad
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * (g * g)
+            if self.weight_decay:
+                p.data *= 1.0 - lr * self.weight_decay
+            p.data -= (lr / bc1) * m / (np.sqrt(v / bc2) + self.eps)
+
+
+def state(opt) -> tuple:
+    return (opt.t, [p.data.dtype for p in opt.params], [p.data.shape for p in opt.params],
+            [p.data.tobytes() for p in opt.params], [m.tobytes() for m in opt.m], [v.tobytes() for v in opt.v])
+
+
+# mixed shapes, the 0-d one standing for a layer's beta
+SHAPES = [(5, 7), (3,), (), (4, 2), (1,), (6, 5)]
+
+
+def make_params(dtype):
+    rng = np.random.default_rng(0)
+    return [tensor(rng.standard_normal(shape), requires_grad=True, dtype=dtype) for shape in SHAPES]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("weight_decay", [0.0, 1e-2])
+@pytest.mark.parametrize("gradless", [None, 2, 4])
+def test_fused_steps_match_the_per_tensor_oracle_bitwise(dtype, weight_decay, gradless):
+    fused_params, oracle_params = make_params(dtype), make_params(dtype)
+    fused = AdamW(fused_params, lr=3e-2, weight_decay=weight_decay)
+    oracle = PerTensorAdamW(oracle_params, lr=3e-2, weight_decay=weight_decay)
+    assert state(fused) == state(oracle)
+    rng = np.random.default_rng(1)
+    for step in range(4):
+        # parameter ``gradless`` has no gradient on steps 1 and 2
+        missing = gradless if step in (1, 2) else None
+        for i, shape in enumerate(SHAPES):
+            g = np.asarray(rng.standard_normal(shape), dtype=dtype)
+            fused_params[i].grad = None if i == missing else g.copy()
+            oracle_params[i].grad = None if i == missing else g.copy()
+        if missing is not None:
+            kept = (fused_params[missing].data.copy(), fused.m[missing].copy(), fused.v[missing].copy())
+        lr = 3e-2 * 0.8 ** step
+        fused.step(lr)
+        oracle.step(lr)
+        assert state(fused) == state(oracle), step
+        if missing is not None:
+            now = (fused_params[missing].data, fused.m[missing], fused.v[missing])
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(kept, now))
+
+
+def test_parameters_and_moments_are_views_of_flat_buffers():
+    params = make_params(np.float32)
+    opt = AdamW(params)
+    for views in ([p.data for p in params], opt.m, opt.v):
+        assert [a.shape for a in views] == SHAPES
+        assert all(a.dtype == np.float32 for a in views)
+        bases = {id(a.base) for a in views}
+        assert len(bases) == 1 and next(iter(views)).base.ndim == 1
+
+
+def test_a_gradient_of_another_dtype_takes_the_per_tensor_path():
+    fused_params, oracle_params = make_params(np.float32), make_params(np.float32)
+    fused, oracle = AdamW(fused_params, lr=0.1), PerTensorAdamW(oracle_params, lr=0.1)
+    rng = np.random.default_rng(2)
+    for step in range(3):
+        for i, shape in enumerate(SHAPES):
+            g = np.asarray(rng.standard_normal(shape), dtype=np.float64 if i == 0 else np.float32)
+            fused_params[i].grad, oracle_params[i].grad = g.copy(), g.copy()
+        fused.step()
+        oracle.step()
+        assert state(fused) == state(oracle), step
+
+
+def test_mixed_dtype_parameters_are_a_config_error():
+    params = [tensor(np.ones(3), requires_grad=True, dtype=np.float32),
+              tensor(np.ones(2), requires_grad=True, dtype=np.float64)]
+    with pytest.raises(ConfigError, match="one dtype"):
+        AdamW(params)
+
+
+@pytest.mark.parametrize("f64", [False, True])
+@pytest.mark.parametrize("resample,k", [("static", 2), ("microbatch", 3)])
+@pytest.mark.parametrize("weight_decay", [0.0, 1e-2])
+def test_training_steps_match_the_oracle_bitwise(f64, resample, k, weight_decay):
+    cfg = ModelConfig(preset=None, hidden_dims=(12, 8), input_dim=10, num_classes=4, rank=3, dropout=0.2,
+                      layernorm=True, head_mode="lora_bias")
+    data = synthetic_blobs(40, 10, 4, 3.0, seed=2)
+    outcomes = []
+    for make in (AdamW, PerTensorAdamW):
+        model = build_model(cfg, BackboneSpec.from_config(cfg, 7))
+        if f64:
+            to_float64(model)
+        opt = make([p for _, p in model.trainable_params()], lr=1e-2, weight_decay=weight_decay)
+        for step in range(3):
+            _train_step(model, opt, data.images, data.labels, 1e-2 * (1 - step / 4), resample, k)
+        assert all(p.data.dtype == (np.float64 if f64 else np.float32) for p in opt.params)
+        outcomes.append((state(opt), model.backbone_hashes()))
+    assert outcomes[0] == outcomes[1]
+
+
+# -- dropout masks from the raw words -------------------------------------------
+
+
+class Words:
+    """A stand-in stream whose raw block is a fixed word list."""
+
+    def __init__(self, words):
+        self.words = words
+
+    def u64_block(self, n):
+        assert n == len(self.words)
+        return self.words.copy()
+
+
+@pytest.mark.parametrize("p", [2.0 ** -53, 0.1, 1 / 3, 0.5, 1 - 2.0 ** -53])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_dropout_scale_matches_the_shift_form_at_each_threshold(p, dtype):
+    t = math.ceil(p * 2.0 ** 53)
+    below, at = (t << 11) - 1, t << 11
+    words = np.array([0, below, at, at | 0x7FF, ((t + 1) << 11) - 1, MASK64], dtype=np.uint64)
+    got = _dropout_scale(Words(words), (2, 3), p, np.dtype(dtype))
+    shift_form = ((words >> np.uint64(11)) >= np.uint64(t)).astype(dtype).reshape(2, 3)
+    shift_form *= dtype(1.0 / (1.0 - p))
+    assert got.dtype == dtype and got.shape == (2, 3)
+    assert got.tobytes() == shift_form.tobytes()
+    assert got[0, 1] == 0 and got[0, 2] == dtype(1.0 / (1.0 - p))  # dropped just below, kept at it

@@ -5,6 +5,7 @@ import pytest
 
 from lottalora.prng import (
     _CHUNK,
+    _U64_CHUNK,
     ALGORITHM_ID,
     DrawKind,
     GOLDEN_GAMMA,
@@ -198,7 +199,14 @@ def oracle_gaussian_block(stream, n):
 
 ORACLES = {"u64": oracle_u64_block, "unit": oracle_unit_block, "gaussian": oracle_gaussian_block}
 ORACLE_SEEDS = [0, 1, MASK64, GOLDEN_GAMMA]
-ORACLE_SIZES = [0, 1, 2, 3, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1, 573440]
+# both chunk sizes: 8192 (stride-2 fills, pairs, unit conversion) and
+# 32768 (raw fills)
+ORACLE_SIZES = [0, 1, 2, 3, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1,
+                _U64_CHUNK - 1, _U64_CHUNK, _U64_CHUNK + 1, 2 * _U64_CHUNK + 1, 573440]
+
+
+def test_chunk_sizes():
+    assert (_CHUNK, _U64_CHUNK) == (8192, 32768)
 
 
 def draw_both(new, old, kind, n):
@@ -230,6 +238,17 @@ def test_interleaved_draws_with_odd_carry_match_oracle(seed):
     for kind, n in calls:
         draw_both(new, old, kind, n)
     assert new._gauss_cache is not None  # the sequence ends on an odd carry
+
+
+@pytest.mark.parametrize("seed", ORACLE_SEEDS)
+def test_unit_and_permutation_blocks_across_a_raw_chunk_edge_match_oracle(seed):
+    new, old = Stream(seed), Stream(seed)
+    draw_both(new, old, "u64", 5)  # later blocks start off the stream's first chunk grid
+    draw_both(new, old, "unit", _U64_CHUNK + 7)
+    for n in (_U64_CHUNK - 1, _U64_CHUNK + 1, 2 * _U64_CHUNK + 3):
+        got = new.permutation(n)
+        want = np.argsort(oracle_unit_block(old, n), kind="stable")
+        assert np.array_equal(got, want) and new.state == old.state, n
 
 
 def test_scalar_draws_match_oracle_at_wraparound():
