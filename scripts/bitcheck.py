@@ -18,7 +18,11 @@ and evaluated to the same bits on this host.  The cases:
   * ``seed_gated_train`` on two label groups, plain and out-of-class;
   * a ``full_training`` run;
   * eval-mode logits of a ``tiny`` model with random trainables for row
-    counts on both sides of the eval block edges.
+    counts on both sides of the eval block edges;
+  * ``draw_matrix`` for every init family at 512x784, which spans many
+    Box-Muller chunks, and at 17x241 from a stream that holds a carry;
+  * raw ``gaussian_block`` values, state and carry for counts on both sides
+    of the chunk edges, with and without an incoming carry.
 
 BLAS runs on one thread, as in the benchmark.  The whole grid runs in
 seconds.
@@ -39,6 +43,8 @@ import numpy as np  # noqa: E402  (after the BLAS thread pin)
 
 SCHEDULES = (("static", 2), ("per_epoch", 2), ("per_batch", 3), ("microbatch", 3))
 EVAL_ROWS = (1, 255, 256, 511, 512, 513, 1024, 1025, 2048)
+# draws; a Box-Muller chunk is 8192 pairs
+GAUSSIAN_COUNTS = (0, 1, 2, 3, 7, 8191, 8192, 16383, 16384, 16385, 24577, 50001)
 
 
 def _digest(parts) -> str:
@@ -51,7 +57,7 @@ def _digest(parts) -> str:
 def _cases():
     """Yield ``(name, digest)`` for every case of the grid."""
     from lottalora import artifact, data, train
-    from lottalora.initfam import InitFamily
+    from lottalora.initfam import FAMILY_NAMES, InitFamily, draw_matrix
     from lottalora.model import BackboneSpec, ModelConfig, build_model
     from lottalora.prng import Stream
 
@@ -117,6 +123,25 @@ def _cases():
     rows = data.synthetic_blobs(max(EVAL_ROWS), 784, 10, 3.0, seed=23).images
     for n in EVAL_ROWS:
         yield f"eval n={n}", _digest([model.forward_logits(rows[:n]).data])
+
+    def stream_state(stream):
+        return json.dumps([stream.state, stream._gauss_cache]).encode()
+
+    for name in FAMILY_NAMES:
+        for rows, cols, carry in ((512, 784, False), (17, 241, True)):
+            stream = Stream(29)
+            if carry:
+                stream.gaussian_block(1)
+            m = draw_matrix(stream, InitFamily(name), rows, cols)
+            yield f"family {name} {rows}x{cols} carry={int(carry)}", _digest([m.data, stream_state(stream)])
+
+    for carry in (False, True):
+        for n in GAUSSIAN_COUNTS:
+            stream = Stream(31)
+            if carry:
+                stream.gaussian_block(1)
+            values = stream.gaussian_block(n)
+            yield f"gaussian n={n} carry={int(carry)}", _digest([values, stream_state(stream)])
 
 
 def main() -> int:

@@ -99,6 +99,8 @@ def unpack(blob: bytes) -> tuple[dict, dict]:
         raise FormatError(f"artifact header is not valid JSON: {err}") from err
     if not isinstance(header, dict):
         raise FormatError(f"artifact header must be a JSON object, got {type(header).__name__}")
+    if not isinstance(header.get("extra", {}), dict):
+        raise FormatError(f"artifact header extra must be a JSON object, got {type(header['extra']).__name__}")
 
     if header.get("algorithm_id") != ALGORITHM_ID:
         raise IncompatibilityError(
@@ -148,8 +150,11 @@ def reconstruct(header: dict, tensors: dict) -> Model:
         spec = BackboneSpec.from_dict(header["backbone"])
     except (KeyError, TypeError, ValueError, ConfigError) as err:
         raise FormatError(f"artifact header has a missing or malformed model/backbone field: {err!r}") from err
-    # the table is checked against the declared layout before anything is
-    # built, so a header cannot make a model the payload does not fill
+    # the shapes and the table are checked against the declared model before
+    # anything is built, so a header cannot make a model the payload does not
+    # fill; empty backbone shapes mean the model's own
+    if spec.layer_shapes and spec.layer_shapes != cfg.layer_shapes():
+        raise FormatError(f"backbone layer shapes {spec.layer_shapes} do not match the model's {cfg.layer_shapes()}")
     layout = cfg.trainable_layout()
     if [name for name, _ in layout] != list(tensors):
         raise FormatError("artifact tensor table does not match the declared architecture")

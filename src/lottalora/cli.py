@@ -26,7 +26,7 @@ import numpy as np
 from . import artifact as artifact_mod
 from .cost import ARCHS, cost_report, rank_star
 from .data import Dataset, load_mnist, make_partition
-from .errors import ConfigError, DataError, LottaError, RunError
+from .errors import ConfigError, DataError, FormatError, LottaError, RunError
 from .initfam import InitFamily
 from .model import BackboneSpec, ModelConfig, build_model
 from .prng import check_seed
@@ -374,11 +374,13 @@ def cmd_verify(args) -> int:
 
     data_dir = _resolve_data_dir(args)
     header, tensors = artifact_mod.unpack(artifact_mod.load(args.artifact))
+    recorded = header.get("extra", {}).get("final_test_accuracy")
+    if recorded is not None and not _is_number(recorded):
+        raise FormatError(f"recorded final_test_accuracy is not a number: {recorded!r}")
     model = artifact_mod.reconstruct(header, tensors)
     _, test_ds = load_mnist(data_dir)
     _check_width(model.cfg.input_dim, test_ds)
     loss, acc = evaluate(model, test_ds)
-    recorded = header.get("extra", {}).get("final_test_accuracy")
     if recorded is not None and acc != recorded:
         raise IntegrityError(
             f"reconstructed accuracy {acc} differs from recorded {recorded}"

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError
+from .errors import ConfigError, DimensionError, IncompatibilityError
 from .initfam import BackboneMatrix, InitFamily, draw_matrix, draw_plan
 from .layers import SCALING_MODES, DenseLayer, LottaLayer, init_adapter
 from .numerics import Tensor, add_grad, tensor
@@ -194,6 +194,11 @@ class BackboneSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "seed", check_seed(self.seed))
+        # this build draws only its own generator's bits
+        if self.algorithm_id != ALGORITHM_ID:
+            raise IncompatibilityError(
+                f"backbone was generated with {self.algorithm_id!r}; this build expects {ALGORITHM_ID!r}"
+            )
 
     @staticmethod
     def from_config(cfg: ModelConfig, seed: int, family: InitFamily | None = None) -> "BackboneSpec":

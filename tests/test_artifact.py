@@ -285,3 +285,38 @@ def test_non_numeric_rank_is_format_error():
 def test_out_of_range_header_numbers_are_format_errors(field, edit):
     with pytest.raises(FormatError, match=field):
         reconstruct_edited(edit)
+
+
+@pytest.mark.parametrize("extra", [[], "x", 3])
+def test_extra_that_is_not_an_object_is_format_error(extra):
+    blob = reheader(pack(fresh_model()), lambda h: h.update(extra=extra))
+    with pytest.raises(FormatError, match="extra"):
+        unpack(blob)
+
+
+def test_backbone_spec_refuses_another_generator_tag():
+    with pytest.raises(IncompatibilityError, match="anything"):
+        BackboneSpec(seed=1, algorithm_id="anything")
+    assert BackboneSpec(seed=1).algorithm_id == "splitmix64-boxmuller-v1"
+
+
+def test_backbone_of_another_generator_under_a_v1_header_is_incompatibility_error():
+    with pytest.raises(IncompatibilityError, match="splitmix64-boxmuller-v2"):
+        reconstruct_edited(lambda h: h["backbone"].update(algorithm_id="splitmix64-boxmuller-v2"))
+
+
+def test_backbone_shapes_are_checked_before_anything_is_built():
+    # shapes of a 4096-wide layer: built first, that scaffold alone is 12 MiB
+    def attempt():
+        with pytest.raises(FormatError, match="layer shapes"):
+            reconstruct_edited(lambda h: h["backbone"].update(layer_shapes=[[4096, 784], [64, 4096], [10, 64]]))
+
+    peak, _ = peak_bytes(attempt)
+    assert peak < 1 << 20
+
+
+def test_empty_backbone_shapes_mean_the_model_shapes():
+    model = fresh_model()
+    header, tensors = unpack(pack(model))
+    header["backbone"]["layer_shapes"] = []
+    assert reconstruct(header, tensors).backbone_hashes() == model.backbone_hashes()

@@ -14,6 +14,7 @@ from lottalora.model import BackboneSpec, ModelConfig, build_model
 from lottalora.train import TrainConfig
 
 from conftest import requires_mnist, write_fake_idx
+from test_artifact import reheader
 
 
 def test_cost_command_prints_table_and_json(capsys):
@@ -465,6 +466,23 @@ def test_verify_of_an_artifact_of_another_width_is_a_data_error(tmp_path, capsys
     assert run(["verify", path, "--data-dir", fake_mnist_dir]) == 4
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "data" and "784" in err["message"] and "10" in err["message"]
+
+
+@pytest.mark.parametrize("edit,code,category", [
+    (lambda h: h.update(extra=[]), 5, "format"),
+    (lambda h: h.update(extra="x"), 5, "format"),
+    (lambda h: h["extra"].update(final_test_accuracy="0.5"), 5, "format"),
+    (lambda h: h["backbone"].update(algorithm_id="splitmix64-boxmuller-v2"), 7, "incompatibility"),
+    (lambda h: h["backbone"].update(layer_shapes=[[5, 5]]), 5, "format"),
+], ids=["extra-list", "extra-string", "accuracy-string", "backbone-v2", "layer-shapes"])
+def test_verify_of_a_malformed_header_exits_with_its_category(edit, code, category, tmp_path, capsys,
+                                                              fake_mnist_dir):
+    cfg = ModelConfig(preset="tiny", rank=2)
+    blob = pack(build_model(cfg, BackboneSpec.from_config(cfg, 3)), extra={"final_test_accuracy": 0.5})
+    path = str(tmp_path / "m.ltlr")
+    save(path, reheader(blob, edit))
+    assert run(["verify", path, "--data-dir", fake_mnist_dir]) == code
+    assert json.loads(capsys.readouterr().err)["error"] == category
 
 
 def test_seedgate_on_a_digit_with_no_training_rows_is_a_data_error(tmp_path, capsys):
