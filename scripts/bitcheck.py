@@ -21,6 +21,11 @@ and evaluated to the same bits on this host.  The cases:
     counts on both sides of the eval block edges;
   * ``draw_matrix`` for every init family at 512x784, which spans many
     Box-Muller chunks, and at 17x241 from a stream that holds a carry;
+    ``student_t`` at each nu of ``STUDENT_T_NUS`` on both sides of the
+    pairwise-sum edges (8, 16, 128), at 17x31 after a carry, with its
+    float64 entries, whose last bits a float32 cast mostly hides; and
+    ``orthogonal`` tall, square and wide after a carry.  Each matrix's
+    digest covers its values, its C/F contiguity and the stream after it;
   * raw ``gaussian_block`` values, state and carry for counts on both sides
     of the chunk edges, with and without an incoming carry.
 
@@ -45,6 +50,8 @@ SCHEDULES = (("static", 2), ("per_epoch", 2), ("per_batch", 3), ("microbatch", 3
 EVAL_ROWS = (1, 255, 256, 511, 512, 513, 1024, 1025, 2048)
 # draws; a Box-Muller chunk is 8192 pairs
 GAUSSIAN_COUNTS = (0, 1, 2, 3, 7, 8191, 8192, 16383, 16384, 16385, 24577, 50001)
+STUDENT_T_NUS = (1, 2, 7, 8, 9, 16, 17, 129, 300)
+ORTHOGONAL_SHAPES = ((784, 512), (300, 300), (128, 256))
 
 
 def _digest(parts) -> str:
@@ -57,7 +64,7 @@ def _digest(parts) -> str:
 def _cases():
     """Yield ``(name, digest)`` for every case of the grid."""
     from lottalora import artifact, data, train
-    from lottalora.initfam import FAMILY_NAMES, InitFamily, draw_matrix
+    from lottalora.initfam import FAMILY_NAMES, InitFamily, _fill_entries, draw_matrix
     from lottalora.model import BackboneSpec, ModelConfig, build_model
     from lottalora.prng import Stream
 
@@ -127,13 +134,27 @@ def _cases():
     def stream_state(stream):
         return json.dumps([stream.state, stream._gauss_cache]).encode()
 
+    def family_case(fam, rows, cols, carry):
+        stream = Stream(29)
+        if carry:
+            stream.gaussian_block(1)
+        m = draw_matrix(stream, fam, rows, cols).data
+        layout = json.dumps([m.flags.c_contiguous, m.flags.f_contiguous]).encode()
+        return _digest([m, layout, stream_state(stream)])
+
     for name in FAMILY_NAMES:
         for rows, cols, carry in ((512, 784, False), (17, 241, True)):
-            stream = Stream(29)
-            if carry:
-                stream.gaussian_block(1)
-            m = draw_matrix(stream, InitFamily(name), rows, cols)
-            yield f"family {name} {rows}x{cols} carry={int(carry)}", _digest([m.data, stream_state(stream)])
+            yield f"family {name} {rows}x{cols} carry={int(carry)}", family_case(InitFamily(name), rows, cols, carry)
+    for nu in STUDENT_T_NUS:
+        fam = InitFamily("student_t", {"nu": nu})
+        stream = Stream(29)
+        stream.gaussian_block(1)
+        entries = np.empty(17 * 31)
+        _fill_entries(stream, fam, entries, 31, 17)
+        yield f"student_t nu={nu} 17x31 carry=1", _digest([family_case(fam, 17, 31, True).encode(), entries,
+                                                           stream_state(stream)])
+    for rows, cols in ORTHOGONAL_SHAPES:
+        yield f"orthogonal {rows}x{cols} carry=1", family_case(InitFamily("orthogonal", {"gain": 1.7}), rows, cols, True)
 
     for carry in (False, True):
         for n in GAUSSIAN_COUNTS:

@@ -28,15 +28,24 @@ reads from its own cursor, placed where its block would start, and
 chunks of about 16K draws run through the family rule straight into the
 float32 result; its peak is the result plus one chunk's scratch.  The
 matrix-level families (orthogonal, spectral_radius) need the whole
-float64 matrix for LAPACK, and scale it in place.
+float64 matrix for LAPACK, and scale it in place.  ``orthogonal`` fills
+its matrix column-major, LAPACK's own layout, in row blocks of about
+``DRAW_CHUNK`` draws that continue the stream; the stream order is that
+of one row-major block, and the result's layout is unchanged: C order,
+or for a wide matrix the transpose of a C-order Q.
+
+Every float64 operation of a family rule is part of the v1 contract, its
+order included.  ``student_t``'s chi-square is a sum of nu squares whose
+order is written out in ``_pairwise_sum`` (numpy's pairwise order for a
+contiguous run), so those bits do not rest on how numpy reduces an axis.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Callable, Mapping
 from dataclasses import asdict, dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -81,12 +90,45 @@ def _laplace(d, s, *_):
     return s * np.where(u < 0.5, np.log(2.0 * u), -np.log(2.0 * (1.0 - u)))
 
 
+def _pairwise_sum(terms: np.ndarray) -> np.ndarray:
+    """Each column's sum of an (n, k) float64 array, in the v1 order.
+
+    The order is numpy's pairwise order for a contiguous run of n terms:
+    below 8 terms, in sequence; up to 128, eight running sums r0..r7 over
+    the terms j, j+8, j+16, ... of the first n - n % 8, combined as
+    ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``, then the last n % 8 added in
+    sequence; above 128, the sum of the first n2 terms plus the sum of the
+    rest, with n2 = n // 2 rounded down to a multiple of 8.  Every step
+    adds whole rows, so all k columns follow the same tree at once.
+    """
+    n = len(terms)
+    if n < 8:
+        total = terms[0].copy()
+        for row in terms[1:]:
+            total += row
+        return total
+    if n <= 128:
+        tail = n - n % 8
+        r = terms[:8].copy()
+        for lo in range(8, tail, 8):
+            r += terms[lo:lo + 8]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for row in terms[tail:]:
+            total += row
+        return total
+    half = n // 2 - n // 2 % 8
+    return _pairwise_sum(terms[:half]) + _pairwise_sum(terms[half:])
+
+
 def _student_t(d, s, p, *_):
-    # entry i is z_i / sqrt(chi2_i / nu) from its nu+1 gaussians
+    # entry i is z_i / sqrt(chi2_i / nu) from its nu+1 gaussians; the
+    # squares are laid out one entry per column, so the chi-square sums
+    # run over whole rows rather than one short row per entry
     nu = int(p["nu"])
     g = d[0].reshape(-1, nu + 1)
-    chi2 = np.sum(g[:, 1:] ** 2, axis=1)
-    return s * g[:, 0] / np.sqrt(chi2 / nu)
+    squares = np.empty((nu, len(g)))
+    np.square(g[:, 1:].T, out=squares)
+    return s * g[:, 0] / np.sqrt(_pairwise_sum(squares) / nu)
 
 
 def _beta(d, s, *_):
@@ -99,14 +141,20 @@ def _beta(d, s, *_):
 
 def _orthogonal(stream: Stream, p: dict, rows: int, cols: int) -> np.ndarray:
     # QR of a gaussian matrix, sign-corrected so the factorization is unique;
-    # for wide matrices the transpose is drawn and transposed back
+    # for wide matrices the transpose is drawn and transposed back.  The
+    # draw fills a column-major matrix, the layout LAPACK works in, one row
+    # block of about DRAW_CHUNK draws at a time, in stream order
     transpose = rows < cols
     r_, c_ = (cols, rows) if transpose else (rows, cols)
-    q, r = np.linalg.qr(stream.gaussian_block(r_ * c_).reshape(r_, c_))
+    g = np.empty((r_, c_), order="F")
+    step = max(1, DRAW_CHUNK // c_)
+    for lo in range(0, r_, step):
+        block = g[lo:lo + step]
+        block[...] = stream.gaussian_block(block.size).reshape(block.shape)
+    q, r = np.linalg.qr(g)
     sign = np.sign(np.diag(r))
     sign[sign == 0.0] = 1.0
-    q *= sign
-    q *= p["gain"]
+    q *= sign * p["gain"]  # sign is +-1, so this is q * sign, then * gain
     return q.T if transpose else q
 
 
@@ -200,6 +248,8 @@ class InitFamily:
         spec = _FAMILIES.get(self.name)
         if spec is None:
             raise ConfigError(f"unknown init family {self.name!r}; expected one of {sorted(FAMILY_NAMES)}")
+        if not isinstance(self.params, Mapping):
+            raise ConfigError(f"family {self.name!r}: params must be a mapping, got {self.params!r}")
         p = dict(spec.defaults)
         for key, value in self.params.items():
             if key not in p:
@@ -228,7 +278,7 @@ class InitFamily:
 
     @staticmethod
     def from_dict(d: dict) -> "InitFamily":
-        return InitFamily(d["name"], dict(d.get("params", {})), d.get("scaling"))
+        return InitFamily(d["name"], d.get("params", {}), d.get("scaling"))
 
 
 @dataclass(frozen=True)
@@ -290,6 +340,8 @@ def _fill_entries(stream: Stream, fam: InitFamily, out: np.ndarray, fan_in: int,
 
 def draw_matrix(stream: Stream, fam: InitFamily, rows: int, cols: int) -> BackboneMatrix:
     """Generate a rows x cols frozen matrix; cols is the layer fan-in."""
+    if not all(isinstance(d, numbers.Integral) and not isinstance(d, bool) for d in (rows, cols)):
+        raise ConfigError(f"matrix dims must be integers, got {rows!r}x{cols!r}")
     if rows < 1 or cols < 1:
         raise ConfigError(f"matrix dims must be >= 1, got {rows}x{cols}")
     matrix = _FAMILIES[fam.name].matrix

@@ -365,8 +365,10 @@ def seed_gated_train(
     shuffle = derive_stream(partition.seeds[0], 0, DrawKind.DATA_SHUFFLE)
 
     views = [partition.training_view(train_dataset, g) for g in range(len(partition.groups))]
+    # each group's scaffold is drawn on its first swap and reinstalled after
+    drawn = {}
     segments = [
-        (view, lambda _epoch, seed=seed: model.swap_seed_backbones(seed))
+        (view, lambda _epoch, seed=seed: model.swap_seed_backbones(seed, drawn))
         for view, seed in zip(views, partition.seeds)
     ]
     for _ in _train_loop(model, train_cfg, "static", segments, shuffle):
@@ -377,7 +379,7 @@ def seed_gated_train(
     non_assigned = []
     ooc0 = []
     for g in range(len(partition.groups)):
-        model.swap_seed_backbones(partition.seeds[g])
+        model.swap_seed_backbones(partition.seeds[g], drawn)
         preds = []
         for start in range(0, len(test_dataset), 2048):
             logits = model.forward_logits(test_dataset.take(slice(start, start + 2048)))

@@ -270,6 +270,12 @@ def test_layer_shapes_that_are_not_a_list_is_format_error():
         reconstruct_edited(lambda h: h["backbone"].update(layer_shapes=5))
 
 
+@pytest.mark.parametrize("params", [None, [["sigma", 0.5]], "sigma"])
+def test_family_params_that_are_not_an_object_are_format_errors(params):
+    with pytest.raises(FormatError, match="mapping"):
+        reconstruct_edited(lambda h: h["backbone"]["family"].update(params=params))
+
+
 def test_non_numeric_rank_is_format_error():
     with pytest.raises(FormatError):
         reconstruct_edited(lambda h: h["model"].update(rank="x"))

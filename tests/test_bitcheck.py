@@ -19,12 +19,14 @@ def test_bitcheck_prints_one_stable_digest_over_the_case_grid():
     lines = runs[0].stdout.splitlines()
     assert re.fullmatch(r"digest [0-9a-f]{64}", lines[-1])
     cases = [line.split("  ", 1)[1] for line in lines[:-1]]
-    assert len(cases) == len(set(cases)) == 98
+    assert len(cases) == len(set(cases)) == 110
     assert sum(c.startswith("train ") for c in cases) == 19
     assert sum(c.startswith("seedgate ") for c in cases) == 2
     assert [c for c in cases if c.startswith("eval ")][-1] == "eval n=2048"
     assert sum(c.startswith("family ") for c in cases) == 44
     assert sum(c.startswith("gaussian ") for c in cases) == 24
+    assert sum(c.startswith("student_t ") for c in cases) == 9
+    assert sum(c.startswith("orthogonal ") for c in cases) == 3
     assert runs[1].stdout == runs[0].stdout
 
 

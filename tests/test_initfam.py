@@ -207,6 +207,25 @@ def test_bad_dims_rejected():
         draw_matrix(Stream(1), InitFamily("normal"), 0, 4)
 
 
+@pytest.mark.parametrize("rows,cols", [(2.5, 3), (True, 3), (3, False), (3, np.float64(4.0)), ("3", 3)])
+def test_non_integer_dims_are_config_errors(rows, cols):
+    with pytest.raises(ConfigError, match="integers"):
+        draw_matrix(Stream(1), InitFamily("normal"), rows, cols)
+
+
+def test_numpy_integer_dims_draw_like_ints():
+    got = draw_matrix(Stream(1), InitFamily("normal"), np.int64(3), np.int32(4))
+    assert got.data.tobytes() == draw_matrix(Stream(1), InitFamily("normal"), 3, 4).data.tobytes()
+
+
+@pytest.mark.parametrize("params", [None, [("sigma", 1.0)], "sigma", 1.0])
+def test_params_that_are_not_a_mapping_are_config_errors(params):
+    with pytest.raises(ConfigError, match="mapping"):
+        InitFamily("normal", params)
+    with pytest.raises(ConfigError, match="mapping"):
+        InitFamily.from_dict({"name": "normal", "params": params})
+
+
 def test_family_serialization_round_trip():
     fam = InitFamily("normal", {"sigma": 0.1}, scaling="explicit")
     assert InitFamily.from_dict(fam.to_dict()) == fam

@@ -280,6 +280,27 @@ def test_swap_seed_backbones_matches_fresh_build():
     assert model.backbone_hashes() == build("tiny", seed=42).backbone_hashes()
 
 
+def test_a_reinstalled_seed_scaffold_matches_a_fresh_swap():
+    model, fresh = build("tiny", seed=42), build("tiny", seed=42)
+    drawn = {}
+    for seed in (43, 44, 43):
+        model.swap_seed_backbones(seed, drawn)
+        fresh.swap_seed_backbones(seed)
+        assert model.backbone_hashes() == fresh.backbone_hashes()
+        assert [(s.state, s._gauss_cache) for s in model._backbone_streams] == \
+            [(s.state, s._gauss_cache) for s in fresh._backbone_streams]
+    # the second swap to 43 reinstalled the arrays its first swap drew
+    assert sorted(drawn) == [43, 44]
+    for layer, (matrix, bias) in zip(model.lotta_layers(), drawn[43][1]):
+        assert layer.backbone is matrix and layer.frozen_bias is bias
+    # a redraw after a reinstall continues the seed's streams, and leaves the stored arrays alone
+    model.resample_backbones()
+    fresh.resample_backbones()
+    assert model.backbone_hashes() == fresh.backbone_hashes()
+    model.swap_seed_backbones(43, drawn)
+    assert model.backbone_hashes() == build("tiny", seed=43).backbone_hashes()
+
+
 def test_adapters_survive_backbone_swaps():
     model = build("tiny", seed=42)
     model.hidden[0].adapter.b.data[:] = 1.0

@@ -6,7 +6,8 @@ import pytest
 from lottalora.data import make_partition, split_train_val, synthetic_blobs
 from lottalora.errors import ConfigError, DataError, RunError
 from lottalora.initfam import InitFamily
-from lottalora.model import BackboneSpec, ModelConfig, build_model
+from lottalora import model as model_module
+from lottalora.model import BackboneSpec, Model, ModelConfig, build_model
 from lottalora.numerics import softmax_xent, tensor
 from lottalora.prng import DrawKind, derive_stream
 from lottalora.train import (
@@ -448,6 +449,39 @@ def test_seed_gating_scores_a_tested_digit_without_an_output_as_zero():
         # digits 3, 4 and 5 count among the others, each scoring 0.0
         assert result.assigned_accuracy[g] == pytest.approx(np.mean([rows[d, d] for d in assigned]))
         assert result.non_assigned_accuracy[g] == pytest.approx(np.sum([rows[d, d] for d in others]) / (len(others) + 3))
+
+
+def gate_three_groups(**train_kw):
+    full = synthetic_blobs(450, 12, 3, 8.0, seed=2)
+    train = full.subset(np.arange(300), "train")
+    test = full.subset(np.arange(300, 450), "test")
+    partition = make_partition([{0}, {1}, {2}], [42, 43, 44])
+    return seed_gated_train(partition, blob_model_cfg(input_dim=12, num_classes=10, dropout=0.2),
+                            quick_train_cfg(**train_kw), train, test)
+
+
+def test_seed_gating_draws_each_group_scaffold_once(monkeypatch):
+    drawn = []
+    draw = model_module._draw_frozen
+
+    def counting_draw(cfg, family, i, stream):
+        drawn.append(i)
+        return draw(cfg, family, i, stream)
+
+    monkeypatch.setattr(model_module, "_draw_frozen", counting_draw)
+    gate_three_groups(epochs=3)
+    # 3 groups of 2 backbone layers (the head is a dense layer), once each
+    assert sorted(drawn) == [0, 0, 0, 1, 1, 1]
+
+
+def test_seed_gating_with_reused_scaffolds_matches_redrawing_them(monkeypatch):
+    reused = gate_three_groups(epochs=3)
+    swap = Model.swap_seed_backbones
+    monkeypatch.setattr(Model, "swap_seed_backbones", lambda model, seed, drawn=None: swap(model, seed))
+    redrawn = gate_three_groups(epochs=3)
+    for field_name in ("assigned_accuracy", "non_assigned_accuracy", "ooc_digit0_rate"):
+        assert getattr(reused, field_name) == getattr(redrawn, field_name)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(reused.confusion, redrawn.confusion))
 
 
 # -- beta summary -------------------------------------------------------------------
