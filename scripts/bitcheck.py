@@ -6,15 +6,19 @@ Usage: python scripts/bitcheck.py --src <checkout>/src
 Imports ``lottalora`` from the given ``src`` directory, runs a fixed grid
 of small cases and prints one line per case, then ``digest <sha256>`` over
 all of them.  Two checkouts whose last lines match trained, packed, gated
-and evaluated to the same bits on this host.  The cases:
+and evaluated to the same bits on this host.  A change that only moves
+what a run ships (its final rounding and packing) leaves every line but
+the ``shipped`` ones equal.  The cases:
 
   * ``train_run`` under every schedule (static, per_epoch, per_batch k=3,
     microbatch k=3) for the ``normal`` and ``orthogonal`` families, with
     and without LayerNorm and a ``lora_bias`` head, dropout 0.2, batch 37,
     and a ``tiny`` model at batch 300, whose dropout masks exceed one
-    raw-fill chunk: the run summary without its wall time, the ``pack()``
-    bytes, the AdamW step count, moments and parameters, and the backbone
-    hashes;
+    raw-fill chunk.  Each run gives two lines: ``trajectory`` covers the
+    per-epoch metrics, the best epoch, the beta trajectory, the AdamW step
+    count and moments, and the backbone hashes; ``shipped`` covers the
+    final test numbers and betas, the trained parameters and the
+    ``pack()`` bytes;
   * ``seed_gated_train`` on two label groups, plain and out-of-class;
   * a ``full_training`` run;
   * eval-mode logits of a ``tiny`` model with random trainables for row
@@ -81,36 +85,44 @@ def _cases():
         opt = made[-1]
         return [str(opt.t).encode(), *opt.m, *opt.v, *(p.data for p in opt.params)]
 
+    def as_json(obj) -> bytes:
+        return json.dumps(obj, sort_keys=True).encode()
+
     blobs = data.synthetic_blobs(300, 20, 4, 3.0, seed=7)
     train_set, test_set = blobs.subset(np.arange(240)), blobs.subset(np.arange(240, 300), "test")
 
-    def run_case(cfg, family, resample, k, batch_size=37):
+    def run_case(name, cfg, family, resample, k, batch_size=37):
+        """Yield the ``trajectory`` and ``shipped`` lines of one run."""
         spec = BackboneSpec.from_config(cfg, 11, InitFamily(family))
         train_cfg = train.TrainConfig(lr=3e-3, batch_size=batch_size, epochs=2, resample=resample, resample_k=k)
         metrics = train.train_run(cfg, spec, train_cfg, train_set, test_set)
-        summary = {k: v for k, v in metrics.summary().items() if k != "wall_time"}
-        model = metrics.model
-        return _digest([json.dumps(summary, sort_keys=True).encode(), artifact.pack(model),
-                        *optimizer_state(), json.dumps(model.backbone_hashes()).encode()])
+        opt = made[-1]
+        trajectory = [metrics.epochs, metrics.best_epoch, metrics.beta_trajectory, opt.t,
+                      metrics.model.backbone_hashes()]
+        yield f"{name} trajectory", _digest([as_json(trajectory), *opt.m, *opt.v])
+        shipped = [metrics.final_test_accuracy, metrics.final_test_loss, metrics.final_betas]
+        yield f"{name} shipped", _digest([as_json(shipped), *(p.data for p in opt.params),
+                                          artifact.pack(metrics.model)])
 
     for family in ("normal", "orthogonal"):
         for layernorm, head in ((False, "full"), (True, "lora_bias")):
             cfg = ModelConfig(preset=None, hidden_dims=(24, 16), input_dim=20, num_classes=4, rank=3,
                               dropout=0.2, layernorm=layernorm, head_mode=head)
             for resample, k in SCHEDULES:
-                yield f"train {family} ln={int(layernorm)} {head} {resample}:{k}", run_case(cfg, family, resample, k)
+                yield from run_case(f"train {family} ln={int(layernorm)} {head} {resample}:{k}", cfg, family,
+                                    resample, k)
 
     # 300 rows of 128 units: dropout masks span a raw-fill chunk edge
     wide = data.synthetic_blobs(800, 784, 10, 3.0, seed=8)
     train_set, test_set = wide.subset(np.arange(700)), wide.subset(np.arange(700, 800), "test")
     cfg = ModelConfig(preset="tiny", rank=4, dropout=0.2)
     for resample, k in (("static", 2), ("per_batch", 3)):
-        yield f"train tiny batch 300 {resample}:{k}", run_case(cfg, "normal", resample, k, batch_size=300)
+        yield from run_case(f"train tiny batch 300 {resample}:{k}", cfg, "normal", resample, k, batch_size=300)
     train_set, test_set = blobs.subset(np.arange(240)), blobs.subset(np.arange(240, 300), "test")
 
     full = ModelConfig(preset=None, hidden_dims=(24, 16), input_dim=20, num_classes=4, mode="full_training",
                        dropout=0.2)
-    yield "train full_training static", run_case(full, "normal", "static", 2)
+    yield from run_case("train full_training static", full, "normal", "static", 2)
 
     # out-of-class mode labels rows 10, so the gated model keeps all ten digit outputs
     gate_cfg = ModelConfig(preset=None, hidden_dims=(24, 16), input_dim=20, num_classes=10, rank=3, dropout=0.2)

@@ -9,8 +9,13 @@ Container layout (little-endian throughout, documented in docs/FORMAT.md):
 The header JSON carries the generator tag, the backbone spec (seed,
 family, layer shapes), the model config, and free-form extras.  The
 tensor table lists name/shape/offset for each payload tensor; the payload
-is f32 row-major in canonical parameter order.  The CRC-32 covers every
-byte before it.  Backbone matrices are never serialized.
+is row-major in canonical parameter order, f32 under version 1 and f16
+under version 2.  The CRC-32 covers every byte before it.  Backbone
+matrices are never serialized.
+
+``pack`` writes version 2 exactly when every trainable value survives
+f32 -> f16 -> f32 bit for bit, which ``to_shipping_precision`` arranges
+for a trained model; otherwise it writes version 1.
 """
 
 from __future__ import annotations
@@ -29,7 +34,32 @@ from .model import BackboneSpec, Model, ModelConfig, build_model
 from .prng import ALGORITHM_ID
 
 MAGIC = b"LTLR"
-FORMAT_VERSION = 1
+# format version -> payload element type; the version field is the dtype code
+PAYLOAD_DTYPES = {1: np.dtype("<f4"), 2: np.dtype("<f2")}
+FORMAT_VERSION = max(PAYLOAD_DTYPES)
+F16_MAX = 65504.0
+
+
+def to_shipping_precision(model: Model) -> bool:
+    """Round every trainable to the nearest f16 (ties to even) in place.
+
+    The rounded values are written back into the same arrays, so views an
+    optimizer holds stay bound.  When any value is non-finite or above
+    ``F16_MAX`` in magnitude, nothing changes and the model stays f32.
+    Returns whether the model was rounded.
+    """
+    arrays = [t.data for _, t in model.trainable_params()]
+    if not all(np.all(np.abs(a) <= F16_MAX) for a in arrays):
+        return False
+    for a in arrays:
+        a[...] = a.astype(np.float16)
+    return True
+
+
+def _f16_exact(data: np.ndarray) -> bool:
+    """Whether f32 ``data`` survives f32 -> f16 -> f32 bit for bit."""
+    with np.errstate(over="ignore"):  # a value past the f16 range is simply not exact
+        return np.array_equal(data.astype("<f2").astype("<f4").view("<u4"), data.view("<u4"))
 
 
 def _canonical_json(obj) -> bytes:
@@ -37,7 +67,9 @@ def _canonical_json(obj) -> bytes:
 
 
 def pack(model: Model, extra: dict | None = None) -> bytes:
-    """Serialize a model's trainable state into the canonical byte stream."""
+    """Serialize a model's trainable state into the canonical byte stream:
+    format version 2 (f16) when every value is f16-exact, else version 1
+    (f32)."""
     header = {
         "algorithm_id": ALGORITHM_ID,
         "backbone": model.spec.to_dict(),
@@ -46,15 +78,13 @@ def pack(model: Model, extra: dict | None = None) -> bytes:
     }
     header_bytes = _canonical_json(header)
 
+    tensors = [(name, np.asarray(t.data, dtype="<f4")) for name, t in model.trainable_params()]
+    version = 2 if all(_f16_exact(data) for _, data in tensors) else 1
     table = bytearray()
     payload = bytearray()
-    tensors = model.trainable_params()
     table += struct.pack("<I", len(tensors))
-    for name, t in tensors:
-        data = np.asarray(t.data, dtype="<f4")
-        if data.ndim and not data.flags.c_contiguous:
-            data = np.ascontiguousarray(data)
-        raw = data.tobytes()
+    for name, data in tensors:
+        raw = data.astype(PAYLOAD_DTYPES[version], copy=False).tobytes()
         encoded = name.encode("utf-8")
         table += struct.pack("<H", len(encoded)) + encoded
         table += struct.pack("<B", data.ndim)
@@ -63,22 +93,27 @@ def pack(model: Model, extra: dict | None = None) -> bytes:
         table += struct.pack("<QQ", len(payload), len(raw))
         payload += raw
 
-    body = MAGIC + struct.pack("<HI", FORMAT_VERSION, len(header_bytes)) + header_bytes + bytes(table) + bytes(payload)
+    body = MAGIC + struct.pack("<HI", version, len(header_bytes)) + header_bytes + bytes(table) + bytes(payload)
     return body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
 
 
 def unpack(blob: bytes) -> tuple[dict, dict]:
     """Validate and decode an artifact into (header, {name: f32 array}).
 
-    Every malformed blob raises ``FormatError``, ``IntegrityError`` or
-    ``IncompatibilityError``: each table read is bounds-checked against the
-    CRC, and the tensors must tile the payload back to back up to it.
+    Version 1 payloads are f32 and version 2 payloads f16, widened to f32
+    exactly.  Every malformed blob raises ``FormatError``,
+    ``IntegrityError`` or ``IncompatibilityError``: each table read is
+    bounds-checked against the CRC, and the tensors must tile the payload
+    back to back, at the version's bytes a value, up to it.
     """
     if len(blob) < 14 or blob[:4] != MAGIC:
         raise FormatError(f"not a LTLR artifact (magic {blob[:4]!r})")
     version, header_len = struct.unpack_from("<HI", blob, 4)
-    if version != FORMAT_VERSION:
-        raise IncompatibilityError(f"artifact format version {version}; this build reads {FORMAT_VERSION}")
+    if version not in PAYLOAD_DTYPES:
+        raise IncompatibilityError(
+            f"artifact format version {version}; this build reads versions {sorted(PAYLOAD_DTYPES)}"
+        )
+    dtype = PAYLOAD_DTYPES[version]
     end = len(blob) - 4
     (stored_crc,) = struct.unpack_from("<I", blob, end)
     if zlib.crc32(blob[:end]) & 0xFFFFFFFF != stored_crc:
@@ -119,10 +154,11 @@ def unpack(blob: bytes) -> tuple[dict, dict]:
         (ndim,) = struct.unpack("<B", take(1, f"ndim of {name!r}"))
         shape = struct.unpack(f"<{ndim}I", take(4 * ndim, f"shape of {name!r}"))
         offset, nbytes = struct.unpack("<QQ", take(16, f"extent of {name!r}"))
-        if offset != payload_len or nbytes != 4 * math.prod(shape):
+        if offset != payload_len or nbytes != dtype.itemsize * math.prod(shape):
             raise FormatError(
                 f"tensor {name!r} has extent ({offset}, {nbytes}); expected ({payload_len}, "
-                f"{4 * math.prod(shape)}) for shape {shape} packed back to back"
+                f"{dtype.itemsize * math.prod(shape)}) for shape {shape} packed back to back "
+                f"at {dtype.itemsize} bytes a value (format version {version})"
             )
         payload_len += nbytes
         entries.append((name, shape))
@@ -133,8 +169,8 @@ def unpack(blob: bytes) -> tuple[dict, dict]:
 
     tensors = {}
     for name, shape in entries:
-        raw = take(4 * math.prod(shape), f"payload of {name!r}")
-        tensors[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).astype(np.float32)
+        raw = take(dtype.itemsize * math.prod(shape), f"payload of {name!r}")
+        tensors[name] = np.frombuffer(raw, dtype=dtype).reshape(shape).astype(np.float32)
     return header, tensors
 
 

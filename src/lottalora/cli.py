@@ -26,7 +26,7 @@ import numpy as np
 from . import artifact as artifact_mod
 from .cost import ARCHS, cost_report, rank_star
 from .data import Dataset, load_mnist, make_partition
-from .errors import ConfigError, DataError, FormatError, LottaError, RunError
+from .errors import ConfigError, DataError, FormatError, LottaError, RunError, real
 from .initfam import InitFamily
 from .model import BackboneSpec, ModelConfig, build_model
 from .prng import check_seed
@@ -116,10 +116,6 @@ def _read_json(path: str, what: str, kinds: tuple = (dict,)):
         expected = " or ".join(_JSON_TYPES[k] for k in kinds)
         raise ConfigError(f"{what} {path} must hold a JSON {expected}, got {type(value).__name__}")
     return value
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _check_width(input_dim: int, *datasets: Dataset) -> None:
@@ -375,7 +371,7 @@ def cmd_verify(args) -> int:
     data_dir = _resolve_data_dir(args)
     header, tensors = artifact_mod.unpack(artifact_mod.load(args.artifact))
     recorded = header.get("extra", {}).get("final_test_accuracy")
-    if recorded is not None and not _is_number(recorded):
+    if recorded is not None and not real(recorded):
         raise FormatError(f"recorded final_test_accuracy is not a number: {recorded!r}")
     model = artifact_mod.reconstruct(header, tensors)
     _, test_ds = load_mnist(data_dir)
@@ -417,7 +413,7 @@ def cmd_rankstar(args) -> int:
     table = _read_json(args.losses, "loss table")
     losses = {}
     for key, value in table.items():
-        if not _is_number(value):
+        if not real(value):
             raise ConfigError(f"loss table {args.losses}: loss for rank {key!r} is not a number: {value!r}")
         losses[_parse_int(key, f"loss table {args.losses}: rank")] = float(value)
     try:
@@ -437,7 +433,7 @@ def cmd_betastats(args) -> int:
             if not isinstance(run, dict):
                 raise ConfigError(f"summary file {path}: a run must be a JSON object, got {type(run).__name__}")
             betas = run.get("final_betas")
-            if betas is not None and not (isinstance(betas, list) and all(map(_is_number, betas))):
+            if betas is not None and not (isinstance(betas, list) and all(map(real, betas))):
                 raise ConfigError(f"summary file {path}: final_betas must be a list of numbers, got {betas!r}")
             if betas:
                 collected.append(betas)

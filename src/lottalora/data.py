@@ -19,14 +19,13 @@ from __future__ import annotations
 
 import gzip
 import math
-import numbers
 import os
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, ParseError
+from .errors import ConfigError, DataError, ParseError, integral, real
 from .prng import DRAW_CHUNK, Stream, check_seed
 
 MNIST_MEAN = 0.1307
@@ -189,7 +188,7 @@ class LabelPartition:
 
 
 def _digit(label) -> int:
-    if isinstance(label, bool) or not isinstance(label, numbers.Integral) or not 0 <= label <= 9:
+    if not integral(label) or not 0 <= label <= 9:
         raise ConfigError(f"labels must be digits 0-9, got {label!r}")
     return int(label)
 
@@ -215,9 +214,9 @@ def make_partition(groups, seeds, ooc_mode: bool = False) -> LabelPartition:
 def synthetic_blobs(n: int, d: int, classes: int, sep: float, seed: int) -> Dataset:
     """Gaussian class clusters; linearly separable when sep is large."""
     for name, value in (("n", n), ("d", d), ("classes", classes)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        if not integral(value) or value < 1:
             raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
-    if isinstance(sep, bool) or not isinstance(sep, numbers.Real) or not math.isfinite(sep):
+    if not real(sep) or not math.isfinite(sep):
         raise ConfigError(f"sep must be a finite number, got {sep!r}")
     if n < classes:
         raise ConfigError(f"need at least one point per class: n={n} < classes={classes}")

@@ -1,8 +1,21 @@
 """Exception hierarchy shared across the library and the CLI.
 
 Every error carries a short machine-readable ``category`` used by the CLI
-to pick an exit code and emit a structured error line.
+to pick an exit code and emit a structured error line.  The two
+predicates below are the type checks behind many ``ConfigError``s.
 """
+
+import numbers
+
+
+def integral(value) -> bool:
+    """Whether ``value`` is an integer; a bool is not one."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def real(value) -> bool:
+    """Whether ``value`` is a real number; a bool is not one."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 class LottaError(Exception):

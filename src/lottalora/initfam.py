@@ -43,13 +43,12 @@ contiguous run), so those bits do not rest on how numpy reduces an axis.
 from __future__ import annotations
 
 import math
-import numbers
 from collections.abc import Callable, Mapping
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, integral, real
 from .prng import DRAW_CHUNK, Stream
 
 KAIMING_DEFAULT_A = math.sqrt(5.0)
@@ -264,8 +263,7 @@ class InitFamily:
         object.__setattr__(self, "scaling", scaling)
         # checked, never coerced: the header records the params as given
         for key, value in p.items():
-            real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-            if not (real and (isinstance(value, numbers.Integral) or math.isfinite(value))):
+            if not (real(value) and (integral(value) or math.isfinite(value))):
                 raise ConfigError(f"family {self.name!r}: parameter {key!r} must be a finite number, got {value!r}")
         for key in filter(None, (spec.scale, *spec.positive)):
             if not p[key] > 0:
@@ -340,7 +338,7 @@ def _fill_entries(stream: Stream, fam: InitFamily, out: np.ndarray, fan_in: int,
 
 def draw_matrix(stream: Stream, fam: InitFamily, rows: int, cols: int) -> BackboneMatrix:
     """Generate a rows x cols frozen matrix; cols is the layer fan-in."""
-    if not all(isinstance(d, numbers.Integral) and not isinstance(d, bool) for d in (rows, cols)):
+    if not (integral(rows) and integral(cols)):
         raise ConfigError(f"matrix dims must be integers, got {rows!r}x{cols!r}")
     if rows < 1 or cols < 1:
         raise ConfigError(f"matrix dims must be >= 1, got {rows}x{cols}")

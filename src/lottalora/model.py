@@ -10,13 +10,12 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
-import numbers
 from collections.abc import Iterable
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, IncompatibilityError
+from .errors import ConfigError, DimensionError, IncompatibilityError, integral, real
 from .initfam import BackboneMatrix, InitFamily, draw_matrix, draw_plan
 from .layers import SCALING_MODES, DenseLayer, LottaLayer, init_adapter
 from .numerics import Tensor, add_grad, tensor
@@ -84,7 +83,7 @@ def _frozen_plan(cfg: "ModelConfig", family: InitFamily, i: int) -> list[tuple[s
 
 
 def _integral(value, name: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+    if not integral(value):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     return int(value)
 
@@ -136,10 +135,10 @@ class ModelConfig:
             raise ConfigError(f"rank must be >= 1, got {self.rank}")
         # checked, never coerced: the header records alpha as given
         alpha = self.alpha
-        if isinstance(alpha, bool) or not isinstance(alpha, numbers.Real) or not (math.isfinite(alpha) and alpha > 0):
+        if not real(alpha) or not (math.isfinite(alpha) and alpha > 0):
             raise ConfigError(f"alpha must be a finite number > 0, got {alpha!r}")
         dropout = self.dropout
-        if isinstance(dropout, bool) or not isinstance(dropout, numbers.Real) or not 0.0 <= dropout < 1.0:
+        if not real(dropout) or not 0.0 <= dropout < 1.0:
             raise ConfigError(f"dropout must lie in [0, 1), got {dropout!r}")
         if self.b_init not in ("zeros", "kaiming"):
             raise ConfigError(f"b_init must be 'zeros' or 'kaiming', got {self.b_init!r}")

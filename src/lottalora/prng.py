@@ -1,7 +1,9 @@
-"""Deterministic, platform-independent random streams.
+"""Deterministic, platform-independent random streams; two LAPACK-drawn
+init families built on them are not platform-independent (see ``Stream``).
 
 Every frozen matrix in a model is a pure function of (global seed, layer
-index, draw kind), so serialized models never ship backbone bytes.  The
+index, draw kind) on one numpy and BLAS build, so serialized models never
+ship backbone bytes.  The
 generator is fixed and versioned rather than borrowed from any numerics
 framework: a splitmix64 state advance with Box-Muller normals, tagged
 ``splitmix64-boxmuller-v1``.  The tag is written into every artifact header
@@ -65,11 +67,10 @@ kernel, and the carry gets the bits a full draw would give it.
 from __future__ import annotations
 
 import enum
-import numbers
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, integral
 
 MASK64 = (1 << 64) - 1
 GOLDEN_GAMMA = 0x9E3779B97F4A7C15
@@ -166,7 +167,10 @@ class Stream:
 
     The visible state is a single u64 plus the Box-Muller carry; advancing
     is a pure function of the previous state, so identical seeds give
-    identical sequences on every platform.
+    identical sequences on every platform.  The matrices drawn from them
+    are not always: ``orthogonal`` (LAPACK QR) and ``spectral_radius``
+    (LAPACK SVD) can differ by one f32 ulp under other OpenBLAS kernels or
+    thread counts.
     """
 
     __slots__ = ("state", "_gauss_cache")
@@ -278,7 +282,7 @@ def check_seed(seed) -> int:
     ``derive_stream`` reduces its seed mod 2**64, so an out-of-range seed
     would silently build the backbones of another one.
     """
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or not 0 <= int(seed) <= MASK64:
+    if not integral(seed) or not 0 <= int(seed) <= MASK64:
         raise ConfigError(f"seed must be an integer in [0, 2**64), got {seed!r}")
     return int(seed)
 

@@ -11,15 +11,15 @@ streams that keep advancing across resample events.
 from __future__ import annotations
 
 import math
-import numbers
 import time
 from dataclasses import asdict, dataclass, field, replace
 from typing import ClassVar
 
 import numpy as np
 
+from .artifact import to_shipping_precision
 from .data import Dataset, split_train_val
-from .errors import ConfigError, DataError, RunError
+from .errors import ConfigError, DataError, RunError, real
 from .model import BackboneSpec, Model, ModelConfig, _integral, build_model
 from .numerics import softmax_xent
 from .prng import DrawKind, derive_stream
@@ -43,7 +43,7 @@ class TrainConfig:
             object.__setattr__(self, name, _integral(getattr(self, name), name))
         for name in ("lr", "weight_decay"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            if not real(value):
                 raise ConfigError(f"{name} must be a number, got {value!r}")
         if self.resample not in RESAMPLE_SCHEDULES:
             raise ConfigError(f"resample must be one of {RESAMPLE_SCHEDULES}, got {self.resample!r}")
@@ -281,7 +281,10 @@ def train_run(
     test_dataset: Dataset,
 ) -> RunMetrics:
     """Full training run; returns per-epoch metrics with best-val weights
-    restored before the final test evaluation."""
+    restored and rounded to the shipping precision (f16, unless a value
+    lies outside its range) before the final test evaluation, so the final
+    test numbers, ``final_betas`` and the returned model are the shipped
+    model's."""
     started = time.perf_counter()
     model = build_model(model_cfg, backbone_spec)
     shuffle = derive_stream(backbone_spec.seed, 0, DrawKind.DATA_SHUFFLE)
@@ -324,6 +327,7 @@ def train_run(
             p.data[...] = saved
     else:
         metrics.best_epoch = train_cfg.epochs - 1
+    to_shipping_precision(model)
     test_loss, test_acc = evaluate(model, test_dataset)
     metrics.final_test_loss = test_loss
     metrics.final_test_accuracy = test_acc

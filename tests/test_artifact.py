@@ -5,10 +5,12 @@ import zlib
 import numpy as np
 import pytest
 
-from lottalora.artifact import FORMAT_VERSION, MAGIC, load, pack, reconstruct, save, unpack
+from lottalora.artifact import (F16_MAX, FORMAT_VERSION, MAGIC, load, pack, reconstruct, save, to_shipping_precision,
+                                unpack)
 from lottalora.errors import FormatError, IncompatibilityError, IntegrityError
 from lottalora.initfam import InitFamily
-from lottalora.model import BackboneSpec, ModelConfig, build_model
+from lottalora.model import HEAD_MODES, PRESETS, BackboneSpec, ModelConfig, build_model
+from lottalora.prng import Stream
 from lottalora.data import synthetic_blobs
 from lottalora.train import TrainConfig, train_run
 
@@ -46,6 +48,13 @@ def test_fresh_artifact_has_all_zero_b_blocks():
     assert b_blocks and all(float(np.abs(b).max()) == 0.0 for b in b_blocks)
 
 
+def table_len(model) -> int:
+    tensor_count = len(model.trainable_params())
+    names = sum(len(n.encode()) for n, _ in model.trainable_params())
+    ndims = sum(t.data.ndim for _, t in model.trainable_params())
+    return 4 + tensor_count * (2 + 1 + 16) + names + 4 * ndims
+
+
 def test_payload_size_is_four_bytes_per_trainable():
     model = fresh_model(preset="medium", rank=8)
     total, _ = model.count_trainable()
@@ -53,12 +62,65 @@ def test_payload_size_is_four_bytes_per_trainable():
     blob = pack(model)
     header_len = struct.unpack_from("<I", blob, 6)[0]
     # everything after the table is payload + 4-byte crc
-    tensor_count = len(model.trainable_params())
-    names = sum(len(n.encode()) for n, _ in model.trainable_params())
-    ndims = sum(t.data.ndim for _, t in model.trainable_params())
-    table_len = 4 + tensor_count * (2 + 1 + 16) + names + 4 * ndims
-    payload_len = len(blob) - 10 - header_len - table_len - 4
+    payload_len = len(blob) - 10 - header_len - table_len(model) - 4
     assert payload_len == 4 * total
+    # an untrained model's Kaiming A is never f16-exact, so it ships f32
+    assert version_of(blob) == 1
+
+
+def randomized(model, seed=3):
+    """``model`` with every trainable set to a fresh gaussian draw."""
+    stream = Stream(seed)
+    for _, t in model.trainable_params():
+        t.data[...] = stream.gaussian_block(t.data.size).reshape(t.data.shape)
+    return model
+
+
+@pytest.mark.parametrize("head_mode", HEAD_MODES)
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_snapped_model_packs_as_v2_at_two_bytes_per_trainable(preset, head_mode):
+    model = randomized(fresh_model(preset=preset, rank=4, head_mode=head_mode))
+    assert to_shipping_precision(model)
+    blob = pack(model)
+    assert version_of(blob) == 2
+    header_len = struct.unpack_from("<I", blob, 6)[0]
+    total, _ = model.count_trainable()
+    assert len(blob) == 10 + header_len + table_len(model) + 2 * total + 4
+    assert pack(reconstruct(*unpack(blob))) == blob
+
+
+def test_v2_payload_widens_to_the_snapped_f32_values_exactly():
+    model = randomized(fresh_model(layernorm=True))
+    to_shipping_precision(model)
+    _, tensors = unpack(pack(model))
+    for name, t in model.trainable_params():
+        assert tensors[name].dtype == np.float32
+        assert np.array_equal(tensors[name].view(np.uint32), t.data.view(np.uint32))
+
+
+def test_rounding_to_f16_is_in_place_and_ties_to_even():
+    model = fresh_model()
+    params = model.trainable_params()
+    arrays = [t.data for _, t in params]
+    head = params[-1][1].data
+    head.flat[:3] = [1 + 2.0**-11, 1 + 3 * 2.0**-11, F16_MAX]
+    assert to_shipping_precision(model)
+    assert all(t.data is a for (_, t), a in zip(params, arrays))
+    assert head.flat[:3].tolist() == [1.0, 1 + 2.0**-9, F16_MAX]
+
+
+@pytest.mark.parametrize("value", [1e5, -65520.0, np.inf, np.nan])
+def test_a_value_outside_the_f16_range_keeps_the_whole_model_f32(value):
+    model = randomized(fresh_model())
+    params = model.trainable_params()
+    params[-1][1].data.flat[0] = value
+    before = [t.data.copy() for _, t in params]
+    assert not to_shipping_precision(model)
+    assert all(np.array_equal(t.data, b, equal_nan=True) for (_, t), b in zip(params, before))
+    blob = pack(model)
+    assert version_of(blob) == 1
+    header_len = struct.unpack_from("<I", blob, 6)[0]
+    assert len(blob) == 10 + header_len + table_len(model) + 4 * model.count_trainable()[0] + 4
 
 
 def test_single_byte_corruption_detected():
@@ -75,15 +137,43 @@ def test_wrong_magic_is_format_error():
         unpack(bytes(blob))
 
 
-def test_version_bump_is_incompatibility_error():
-    blob = bytearray(pack(fresh_model()))
-    struct.pack_into("<H", blob, 4, FORMAT_VERSION + 1)
-    # keep the checksum valid so the version check is what fires
-    import zlib
+def relabelled(blob: bytes, version: int) -> bytes:
+    """``blob`` with its version field set to ``version`` and a valid CRC."""
+    body = bytearray(blob[:-4])
+    struct.pack_into("<H", body, 4, version)
+    return with_crc(bytes(body))
 
-    struct.pack_into("<I", blob, len(blob) - 4, zlib.crc32(bytes(blob[:-4])) & 0xFFFFFFFF)
-    with pytest.raises(IncompatibilityError):
-        unpack(bytes(blob))
+
+def snapped_blob() -> bytes:
+    model = randomized(fresh_model())
+    to_shipping_precision(model)
+    return pack(model)
+
+
+def test_version_bump_is_incompatibility_error():
+    assert FORMAT_VERSION == 2
+    for blob in (pack(fresh_model()), snapped_blob()):
+        # the checksum stays valid so the version check is what fires
+        with pytest.raises(IncompatibilityError, match="version 3"):
+            unpack(relabelled(blob, 3))
+
+
+def test_a_blob_relabelled_to_the_other_version_is_format_error():
+    with pytest.raises(FormatError, match="2 bytes a value"):
+        unpack(relabelled(pack(fresh_model()), 2))
+    with pytest.raises(FormatError, match="4 bytes a value"):
+        unpack(relabelled(snapped_blob(), 1))
+
+
+def test_v2_table_claiming_four_byte_extents_is_format_error():
+    model = randomized(fresh_model())
+    v1 = pack(model)
+    to_shipping_precision(model)
+    v2 = pack(model)
+    # same header, so the v1 table (4-byte extents) splices in at the same place
+    start, end = table_start(v2), table_start(v2) + table_len(model)
+    with pytest.raises(FormatError, match="back to back"):
+        unpack(with_crc(v2[:start] + v1[start:end] + v2[end:-4]))
 
 
 def test_unknown_algorithm_id_is_incompatibility_error():
@@ -183,6 +273,10 @@ def table_start(blob: bytes) -> int:
     return 10 + struct.unpack_from("<I", blob, 6)[0]
 
 
+def version_of(blob: bytes) -> int:
+    return struct.unpack_from("<H", blob, 4)[0]
+
+
 def test_cut_tensor_table_is_format_error():
     blob = pack(fresh_model())
     # cut right after the count, then inside the first name length, name and dims
@@ -208,7 +302,7 @@ def test_non_utf8_tensor_name_is_format_error():
 def test_header_that_is_not_an_object_is_format_error():
     blob = pack(fresh_model())
     header = b'["algorithm_id"]'
-    body = MAGIC + struct.pack("<HI", FORMAT_VERSION, len(header)) + header + blob[table_start(blob):-4]
+    body = MAGIC + struct.pack("<HI", version_of(blob), len(header)) + header + blob[table_start(blob):-4]
     with pytest.raises(FormatError, match="JSON object"):
         unpack(with_crc(body))
 
@@ -238,7 +332,7 @@ def reheader(blob: bytes, edit) -> bytes:
     header, _ = unpack(blob)
     edit(header)
     raw = json.dumps(header).encode("utf-8")
-    return with_crc(MAGIC + struct.pack("<HI", FORMAT_VERSION, len(raw)) + raw + blob[table_start(blob):-4])
+    return with_crc(MAGIC + struct.pack("<HI", version_of(blob), len(raw)) + raw + blob[table_start(blob):-4])
 
 
 def reconstruct_edited(edit):

@@ -6,7 +6,7 @@ import zlib
 
 from hypothesis import given, settings, strategies as st
 
-from lottalora.artifact import pack, unpack
+from lottalora.artifact import pack, to_shipping_precision, unpack
 from lottalora.errors import FormatError, IncompatibilityError, IntegrityError
 from lottalora.model import BackboneSpec, ModelConfig, build_model
 
@@ -17,6 +17,11 @@ BLOB = pack(build_model(_CFG, BackboneSpec.from_config(_CFG, 7)))
 BODY = BLOB[:-4]
 
 FUZZ = settings(max_examples=300, deadline=None)
+
+# the same model rounded to f16, packed as format version 2
+_SNAPPED = build_model(_CFG, BackboneSpec.from_config(_CFG, 7))
+to_shipping_precision(_SNAPPED)
+BODY_V2 = pack(_SNAPPED)[:-4]
 
 
 def seal(body: bytes, recompute_crc: bool) -> bytes:
@@ -53,3 +58,13 @@ def test_any_byte_flip_unpacks_or_raises_an_artifact_error(at, mask, recompute_c
 def test_any_append_is_rejected(extra, recompute_crc):
     blob = seal(BODY + extra, True) if recompute_crc else BLOB + extra
     assert not unpack_or_artifact_error(blob)
+
+
+@FUZZ
+@given(at=st.integers(0, len(BODY_V2) - 1), mask=st.integers(1, 255), cut=st.booleans())
+def test_any_byte_flip_or_cut_of_a_v2_blob_unpacks_or_raises_an_artifact_error(at, mask, cut):
+    body = bytearray(BODY_V2[:at] if cut else BODY_V2)
+    if not cut:
+        body[at] ^= mask
+    ok = unpack_or_artifact_error(seal(bytes(body), True))
+    assert not (cut and ok)

@@ -262,6 +262,8 @@ def test_train_verify_cycle_on_fake_idx(tmp_path, capsys, fake_mnist_dir):
     assert summary["task"] == json.loads((out / "manifest.json").read_text())["resolved"]
     assert (out / "metrics.csv").read_text().splitlines()[-1].startswith("1,val,")
     capsys.readouterr()
+    # a trained model ships at f16, as format version 2
+    assert load(str(out / "model.ltlr"))[4:6] == b"\x02\x00"
     assert run(["verify", str(out / "model.ltlr"), "--data-dir", fake_mnist_dir]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["verified"] is True

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from lottalora.artifact import pack, reconstruct, unpack
 from lottalora.data import make_partition, split_train_val, synthetic_blobs
 from lottalora.errors import ConfigError, DataError, RunError
 from lottalora.initfam import InitFamily
@@ -273,6 +274,23 @@ def test_per_batch_train_accuracy_counts_every_forward_row():
     assert sum(correct) % 2 == 1  # a floored per-step count would lose half a row
     assert metrics.epochs[0]["train_accuracy"] == sum(correct) / (2 * len(split))
     assert metrics.epochs[0]["train_loss"] == pytest.approx(sum(losses) / 2, rel=1e-12)
+
+
+@pytest.mark.parametrize("resample", ["static", "per_epoch"])
+def test_train_run_returns_the_model_at_shipping_precision(resample):
+    train, test = blob_data()
+    cfg = blob_model_cfg(layernorm=True, head_mode="lora_bias")
+    spec = BackboneSpec.from_config(cfg, 7, InitFamily("normal"))
+    metrics = train_run(cfg, spec, quick_train_cfg(resample=resample), train, test)
+    for _, t in metrics.model.trainable_params():
+        assert np.array_equal(t.data.astype(np.float16).astype(np.float32), t.data)
+    assert metrics.final_betas == [float(np.float16(b)) for b in metrics.final_betas]
+    blob = pack(metrics.model)
+    assert blob[4:6] == b"\x02\x00"
+    if resample == "static":
+        # the final test numbers are the shipped model's, as verify recomputes them
+        rebuilt = reconstruct(*unpack(blob))
+        assert evaluate(rebuilt, test) == (metrics.final_test_loss, metrics.final_test_accuracy)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
