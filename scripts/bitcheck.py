@@ -20,7 +20,8 @@ the ``shipped`` ones equal.  The cases:
     final test numbers and betas, the trained parameters and the
     ``pack()`` bytes;
   * ``seed_gated_train`` on two label groups, plain and out-of-class;
-  * a ``full_training`` run;
+  * a ``full_training`` run, and static runs with a ``lora`` head and with
+    a zero scaffold (``b_init="kaiming"``, rank-stabilized scaling);
   * eval-mode logits of a ``tiny`` model with random trainables for row
     counts on both sides of the eval block edges;
   * ``draw_matrix`` for every init family at 512x784, which spans many
@@ -123,6 +124,13 @@ def _cases():
     full = ModelConfig(preset=None, hidden_dims=(24, 16), input_dim=20, num_classes=4, mode="full_training",
                        dropout=0.2)
     yield from run_case("train full_training static", full, "normal", "static", 2)
+
+    # a lora head, and a zero scaffold trained through kaiming-drawn B
+    for name, kw in (("lora head", dict(head_mode="lora")),
+                     ("zero_scaffold kaiming rank_stabilized",
+                      dict(zero_scaffold=True, b_init="kaiming", scaling_mode="rank_stabilized"))):
+        cfg = ModelConfig(preset=None, hidden_dims=(24, 16), input_dim=20, num_classes=4, rank=3, dropout=0.2, **kw)
+        yield from run_case(f"train {name} static", cfg, "normal", "static", 2)
 
     # out-of-class mode labels rows 10, so the gated model keeps all ten digit outputs
     gate_cfg = ModelConfig(preset=None, hidden_dims=(24, 16), input_dim=20, num_classes=10, rank=3, dropout=0.2)

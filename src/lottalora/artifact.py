@@ -26,6 +26,7 @@ import os
 import struct
 import tempfile
 import zlib
+from dataclasses import asdict
 
 import numpy as np
 
@@ -72,8 +73,8 @@ def pack(model: Model, extra: dict | None = None) -> bytes:
     (f32)."""
     header = {
         "algorithm_id": ALGORITHM_ID,
-        "backbone": model.spec.to_dict(),
-        "model": model.cfg.to_dict(),
+        "backbone": asdict(model.spec),
+        "model": asdict(model.cfg),
         "extra": extra or {},
     }
     header_bytes = _canonical_json(header)

@@ -19,6 +19,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict
 from multiprocessing import get_context
 
 import numpy as np
@@ -194,10 +195,10 @@ def _write_manifest(out_dir: str, command: str, resolved: dict) -> None:
 def _task(model_cfg: ModelConfig, family: InitFamily, seed: int, train_cfg: TrainConfig, out_dir=None) -> dict:
     # the seed is checked here, so a grid refuses a bad one before any cell runs
     return {
-        "model": model_cfg.to_dict(),
-        "family": family.to_dict(),
+        "model": asdict(model_cfg),
+        "family": asdict(family),
         "seed": check_seed(seed),
-        "train": train_cfg.to_dict(),
+        "train": asdict(train_cfg),
         "out_dir": out_dir,
     }
 
@@ -337,7 +338,7 @@ def cmd_seedgate(args) -> int:
         "confusion": [c.tolist() for c in result.confusion],
     }
     _write_manifest(args.out_dir, "seedgate", {
-        "model": model_cfg.to_dict(), "train": train_cfg.to_dict(),
+        "model": asdict(model_cfg), "train": asdict(train_cfg),
         "groups": [sorted(g) for g in groups], "seeds": args.seeds, "ooc": args.ooc,
     })
     _write_json(os.path.join(args.out_dir, "seedgate.json"), payload)

@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Mapping
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -270,9 +270,6 @@ class InitFamily:
                 raise ConfigError(f"family {self.name!r}: parameter {key!r} must be > 0, got {p[key]}")
         if spec.check is not None and not spec.check[0](p):
             raise ConfigError(f"family {self.name!r}: " + spec.check[1].format(**p))
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
     @staticmethod
     def from_dict(d: dict) -> "InitFamily":

@@ -11,14 +11,14 @@ import functools
 import hashlib
 import math
 from collections.abc import Iterable
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, DimensionError, IncompatibilityError, integral, real
 from .initfam import BackboneMatrix, InitFamily, draw_matrix, draw_plan
 from .layers import SCALING_MODES, DenseLayer, LottaLayer, init_adapter
-from .numerics import Tensor, add_grad, tensor
+from .numerics import Tensor, add_grad, softmax_xent, tensor
 from .prng import ALGORITHM_ID, DrawKind, Stream, check_seed, derive_stream
 
 PRESETS = {
@@ -178,9 +178,6 @@ class ModelConfig:
             layout.append(("head.bias", (shapes[-1][0],)))
         return layout
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class BackboneSpec:
@@ -203,9 +200,6 @@ class BackboneSpec:
     def from_config(cfg: ModelConfig, seed: int, family: InitFamily | None = None) -> "BackboneSpec":
         fam = family if family is not None else InitFamily("normal")
         return BackboneSpec(seed=seed, family=fam, layer_shapes=cfg.layer_shapes())
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
     @staticmethod
     def from_dict(d: dict) -> "BackboneSpec":
@@ -269,68 +263,74 @@ class Model:
 
     # -- inference ---------------------------------------------------------
 
-    def forward_logits(self, batch: np.ndarray, training: bool = False) -> Tensor:
-        """Logits for a [batch, input_dim] array; dropout only in training.
+    def forward_logits(self, batch: np.ndarray) -> Tensor:
+        """Eval-mode logits for a [batch, input_dim] array, without dropout.
 
-        Runs each layer's explicit forward rule.  Eval mode keeps nothing
-        for a backward pass.  It runs the layers over ``eval_blocks(n)``,
-        balanced row blocks of at most ``EVAL_BLOCK_ROWS`` rows, and joins
-        the blocks' logits, so an eval peaks at one block's activations
+        Runs each layer's explicit forward rule and keeps nothing for a
+        backward pass.  The layers run over ``eval_blocks(n)``, balanced
+        row blocks of at most ``EVAL_BLOCK_ROWS`` rows, and the blocks'
+        logits are joined, so an eval peaks at one block's activations
         whatever the batch size.  A row's logits are a function of that
         fixed partition, which for n <= ``EVAL_BLOCK_ROWS`` is the whole
-        batch.  In training mode the batch is one block and the returned
-        tensor is one tape node whose backward rule walks the layers in
-        reverse, so ``softmax_xent(logits, y).backward()`` fills every
-        trainable's ``grad``.
+        batch.
         """
+        self._ready(batch)
+        return Tensor(np.concatenate([self._forward_rows(batch[lo:hi]) for lo, hi in eval_blocks(len(batch))]))
+
+    def loss_and_grads(self, x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
+        """One training pass over the whole batch: ``(loss, logits)``.
+
+        Runs the forward with dropout, keeping each layer's cache, then
+        ``softmax_xent``, then the layers' backward rules in reverse, which
+        add every trainable's gradient into its ``grad``.
+        """
+        self._ready(x)
+        layers = [*self.hidden, self.head]
+        caches = [{} for _ in layers]
+        logits = self._forward_rows(x, caches)
+        loss, g = softmax_xent(logits, y)
+        if self.head_bias is not None:
+            add_grad(self.head_bias, g.sum(axis=0, dtype=np.float64))
+        for i in reversed(range(len(layers))):
+            cache = caches.pop()
+            if i < len(self.hidden):
+                # ReLU then dropout followed layer i; a post-dropout entry
+                # is positive exactly where the ReLU passed and the mask
+                # kept it, and a dropped entry's gradient is zeroed by its
+                # scale either way
+                if "scale" in cache:
+                    g *= cache.pop("scale")
+                g *= next_input > 0
+            next_input = cache["h"]
+            g = layers[i].backward(g, cache, need_dx=i > 0)
+        return loss, logits
+
+    def _ready(self, batch: np.ndarray) -> None:
+        """Check the batch's shape and run any deferred scaffold draws."""
         if batch.ndim != 2 or batch.shape[1] != self.cfg.input_dim:
             raise DimensionError(f"batch must be [n, {self.cfg.input_dim}], got {batch.shape}")
         # deferred scaffold draws run before any activation exists
         for layer in self.lotta_layers():
             layer.materialize()
-        if training:
-            return self._forward_rows(batch, training=True)
-        return Tensor(np.concatenate([self._forward_rows(batch[lo:hi]) for lo, hi in eval_blocks(len(batch))]))
 
-    def _forward_rows(self, batch: np.ndarray, training: bool = False):
-        """The layer loop over one block of rows: the eval logits array, or
-        in training mode the logits as a tape node."""
-        p = self.cfg.dropout if training else 0.0
-        layers = [*self.hidden, self.head]
-        caches = [{} if training else None for _ in layers]
-        scales = []
+    def _forward_rows(self, batch: np.ndarray, caches: list | None = None) -> np.ndarray:
+        """The layer loop over one block of rows.  Given one cache dict per
+        layer, it is a training forward: it applies dropout, and each
+        layer's cache keeps what its backward needs, a hidden layer's
+        dropout scale included."""
+        p = self.cfg.dropout if caches is not None else 0.0
+        caches = caches or [None] * (len(self.hidden) + 1)
         h = np.ascontiguousarray(batch, dtype=np.float32)
         for i, layer in enumerate(self.hidden):
             h = layer.forward(h, caches[i])
             np.maximum(h, 0, out=h)
             if p > 0.0:
-                scales.append(_dropout_scale(self._dropout_streams[i], h.shape, p, h.dtype))
-                h *= scales[-1]
+                caches[i]["scale"] = _dropout_scale(self._dropout_streams[i], h.shape, p, h.dtype)
+                h *= caches[i]["scale"]
         logits = self.head.forward(h, caches[-1])
         if self.head_bias is not None:
             logits += self.head_bias.data
-        if not training:
-            return logits
-
-        def backward_fn():
-            g = out.grad
-            if self.head_bias is not None:
-                add_grad(self.head_bias, g.sum(axis=0, dtype=np.float64))
-            for i in reversed(range(len(layers))):
-                cache = caches.pop()
-                if i < len(self.hidden):
-                    # ReLU then dropout followed layer i; a post-dropout
-                    # entry is positive exactly where the ReLU passed and
-                    # the mask kept it, and a dropped entry's gradient is
-                    # zeroed by its scale either way
-                    if scales:
-                        g *= scales.pop()
-                    g *= next_input > 0
-                next_input = cache["h"]
-                g = layers[i].backward(g, cache, need_dx=i > 0)
-
-        out = Tensor(logits, requires_grad=True, backward_fn=backward_fn)
-        return out
+        return logits
 
     # -- bookkeeping -------------------------------------------------------
 

@@ -1,22 +1,23 @@
-"""Dense tensors with reverse-mode automatic differentiation.
+"""Trainable tensors, the training loss, and the generic tape ops.
 
 ``Tensor`` is the container for every trainable: AdamW reads ``data`` and
-``grad``.  The model itself does not build its graph from the ops here.
-Its layers run explicit array-level forward/backward rules, and a
-training forward hands back one tape node (the logits), so a step's tape
-is two nodes: logits and loss (see ``Model.forward_logits``).
+``grad``.  Training runs no tape.  ``softmax_xent`` is array-level: it
+returns the loss and the logits' gradient, and ``Model.loss_and_grads``
+hands that gradient to the layers' explicit backward rules, which add
+into each trainable's ``grad`` through ``add_grad``.  LayerNorm's math
+lives in ``layernorm_forward`` / ``layernorm_backward``, array helpers the
+layers and the tape op share.
 
-The generic ops stay: matmul / linear, bias-row add, ReLU, inverted
-dropout, LayerNorm, and softmax cross-entropy.  ``softmax_xent`` is the
-loss on both paths.  Together the ops are the reference the explicit rules
-are tested against bit for bit, and they back the finite-difference
-checks.  A forward pass over them records a tape through
-``_parents``/``_backward_fn``; ``backward()`` walks it once in reverse
-topological order.  Closures are only created on paths that reach a
-``requires_grad`` leaf, so frozen matrices never get a weight-gradient
-GEMM.  LayerNorm's math lives in ``layernorm_forward`` /
-``layernorm_backward``, array helpers that the tape op and the layers
-share.
+What is left of the tape runs in no training step: ``Tensor.backward``
+and the generic ops (matmul / linear, bias-row add, ReLU, inverted
+dropout, LayerNorm).  They stay for two reasons.  With the tape form of
+the loss and the finite-difference check, which live with the tests, they
+are the reference the explicit rules are held to bit for bit.  And the
+benchmark's traced run wraps them by name.  A forward pass over them
+records a tape through ``_parents``/``_backward_fn``; ``backward()``
+walks it once in reverse topological order.  Closures are only created on
+paths that reach a ``requires_grad`` leaf, so frozen matrices never get a
+weight-gradient GEMM.
 
 Storage follows the training pipeline: f32 weights and activations, with
 loss and normalization statistics accumulated in f64.  Gradient checking
@@ -297,67 +298,31 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def softmax_xent(logits: Tensor, labels: np.ndarray) -> Tensor:
-    """Mean cross-entropy over the batch; returns a scalar f64 tensor."""
-    if logits.data.ndim != 2:
-        raise DimensionError(f"softmax_xent expects [batch, classes], got {logits.data.shape}")
-    n, c = logits.data.shape
+def softmax_xent(logits: np.ndarray, labels) -> tuple[float, np.ndarray]:
+    """Mean cross-entropy over the batch and its gradient.
+
+    Returns ``(loss, dlogits)``: the loss as a float, computed in f64, and
+    its gradient with respect to ``logits`` in the logits' dtype.
+    """
+    if logits.ndim != 2:
+        raise DimensionError(f"softmax_xent expects [batch, classes], got {logits.shape}")
+    n, c = logits.shape
     labels = np.asarray(labels)
     if labels.shape != (n,):
         raise DimensionError(f"labels must have shape ({n},), got {labels.shape}")
+    if not np.issubdtype(labels.dtype, np.integer):
+        raise DataError(f"labels must have an integer dtype, got {labels.dtype}")
     if labels.min() < 0 or labels.max() >= c:
         raise DataError(f"label out of range [0, {c}): found {int(labels.min())}..{int(labels.max())}")
     # log(sum exp z) - z_y on the max-shifted logits: finite at any margin,
     # where the log of a softmax probability underflows to log(0)
-    z = logits.data.astype(np.float64)
+    z = logits.astype(np.float64)
     z -= z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    total = e.sum(axis=-1, keepdims=True)
-    probs = e / total
-    loss = np.mean(np.log(total[:, 0]) - z[np.arange(n), labels])
-
-    def backward_fn():
-        if logits.requires_grad:
-            g = probs.copy()
-            g[np.arange(n), labels] -= 1.0
-            g *= float(out.grad) / n
-            _accumulate(logits, g)
-
-    out = _result(np.asarray(loss), (logits,), backward_fn)
-    return out
-
-
-def finite_diff_check(loss_fn, params, eps: float = 1e-5, coords_per_param: int = 64) -> float:
-    """Max relative error between analytic and central-difference gradients.
-
-    ``loss_fn`` must rebuild its graph from the live ``params`` on every
-    call and be deterministic (fix dropout masks beforehand).  Coordinates
-    are an evenly strided sample of at least ``coords_per_param`` per
-    parameter (all of them when the parameter is small).
-    """
-    if eps <= 0.0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    for p in params:
-        p.zero_grad()
-    loss_fn().backward()
-    analytic = [p.grad.copy() if p.grad is not None else np.zeros_like(p.data) for p in params]
-
-    worst = 0.0
-    for p, an in zip(params, analytic):
-        flat = p.data.reshape(-1)
-        size = flat.shape[0]
-        step = max(1, size // coords_per_param)
-        for i in range(0, size, step):
-            orig = flat[i]
-            flat[i] = orig + eps
-            up = float(loss_fn().data)
-            flat[i] = orig - eps
-            down = float(loss_fn().data)
-            flat[i] = orig
-            fd = (up - down) / (2.0 * eps)
-            a = float(an.reshape(-1)[i])
-            scale = max(abs(fd), abs(a))
-            if scale < 1e-12:
-                continue
-            worst = max(worst, abs(fd - a) / scale)
-    return worst
+    g = np.exp(z)
+    total = g.sum(axis=-1, keepdims=True)
+    rows = np.arange(n)
+    loss = float(np.mean(np.log(total[:, 0]) - z[rows, labels]))
+    g /= total
+    g[rows, labels] -= 1.0
+    g *= 1.0 / n
+    return loss, g.astype(logits.dtype, copy=False)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from typing import ClassVar
 
 import numpy as np
@@ -57,9 +57,6 @@ class TrainConfig:
             raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
         if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
             raise ConfigError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass
@@ -184,10 +181,10 @@ def evaluate(model: Model, dataset: Dataset, batch_size: int = 2048) -> tuple[fl
     for start in range(0, n, batch_size):
         x = dataset.take(slice(start, start + batch_size))
         y = dataset.labels[start:start + batch_size]
-        logits = model.forward_logits(x)
-        loss = softmax_xent(logits, y)
-        total_loss += loss.item() * len(y)
-        correct += int((logits.data.argmax(axis=1) == y).sum())
+        logits = model.forward_logits(x).data
+        loss, _ = softmax_xent(logits, y)
+        total_loss += loss * len(y)
+        correct += int((logits.argmax(axis=1) == y).sum())
     return total_loss / n, correct / n
 
 
@@ -222,11 +219,9 @@ def _train_step(model, optimizer, x, y, lr_t, resample: str, k: int):
         if resample in ("per_batch", "microbatch"):
             model.resample_backbones()
         ys = y[part]
-        logits = model.forward_logits(x[part], training=True)
-        loss = softmax_xent(logits, ys)
-        loss.backward()
-        loss_sum += loss.item() * len(ys)
-        correct += int((logits.data.argmax(axis=1) == ys).sum())
+        loss, logits = model.loss_and_grads(x[part], ys)
+        loss_sum += loss * len(ys)
+        correct += int((logits.argmax(axis=1) == ys).sum())
         rows += len(ys)
     if len(parts) > 1:
         for p in optimizer.params:

@@ -7,6 +7,7 @@ a loud reason when the MNIST IDX directory is not configured.
 """
 
 import os
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -23,17 +24,16 @@ from lottalora.numerics import (
     add_bias,
     const_scale,
     dropout,
-    finite_diff_check,
     layernorm,
     linear,
     relu,
     scalar_scale,
     softmax,
-    softmax_xent,
     tensor,
 )
 from lottalora.prng import DrawKind, Stream, derive_stream
 from lottalora.train import TrainConfig, seed_gated_train, train_run
+from tape_oracle import finite_diff_check, tape_softmax_xent
 
 SEEDS = (42, 43, 44)
 JOBS = min(2, os.cpu_count() or 1)
@@ -49,10 +49,10 @@ def make_task(preset="medium", rank=8, seed=42, mode="lottalora", family=None,
     fam = family if family is not None else PROTOCOL_FAMILY
     tcfg = TrainConfig(epochs=epochs, resample=resample, resample_k=resample_k)
     return {
-        "model": cfg.to_dict(),
-        "family": fam.to_dict(),
+        "model": asdict(cfg),
+        "family": asdict(fam),
         "seed": seed,
-        "train": tcfg.to_dict(),
+        "train": asdict(tcfg),
         "out_dir": None,
     }
 
@@ -327,7 +327,7 @@ def test_criterion_8_numerical_properties():
         h = relu(h)
         h = dropout(h, 0.25, Stream(mask_seed), training=True)
         h = const_scale(h, 1.7)
-        return softmax_xent(add_bias(linear(h, w2), bias), labels)
+        return tape_softmax_xent(add_bias(linear(h, w2), bias), labels)
 
     fd_err = finite_diff_check(loss_fn, [w, w2, bias, beta, gamma, lnb])
     assert fd_err < 1e-4, f"finite-difference max rel err {fd_err:.2e}"

@@ -19,10 +19,10 @@ def test_bitcheck_prints_one_stable_digest_over_the_case_grid():
     lines = runs[0].stdout.splitlines()
     assert re.fullmatch(r"digest [0-9a-f]{64}", lines[-1])
     cases = [line.split("  ", 1)[1] for line in lines[:-1]]
-    assert len(cases) == len(set(cases)) == 129
-    assert sum(c.startswith("train ") for c in cases) == 38
+    assert len(cases) == len(set(cases)) == 133
+    assert sum(c.startswith("train ") for c in cases) == 42
     train_lines = [c.rsplit(" ", 1) for c in cases if c.startswith("train ")]
-    assert [part for _, part in train_lines] == ["trajectory", "shipped"] * 19
+    assert [part for _, part in train_lines] == ["trajectory", "shipped"] * 21
     assert [name for name, _ in train_lines[::2]] == [name for name, _ in train_lines[1::2]]
     assert sum(c.startswith("seedgate ") for c in cases) == 2
     assert [c for c in cases if c.startswith("eval ")][-1] == "eval n=2048"

@@ -11,7 +11,7 @@ import pytest
 
 from lottalora.data import synthetic_blobs
 from lottalora.model import EVAL_BLOCK_ROWS, BackboneSpec, ModelConfig, build_model, eval_blocks
-from lottalora.numerics import Tensor, softmax_xent
+from lottalora.numerics import softmax_xent
 
 from conftest import peak_bytes
 
@@ -102,14 +102,13 @@ def test_a_medium_eval_of_2048_rows_peaks_at_one_block():
     assert peak <= 4.5 * MIB
 
 
-def test_training_forward_is_one_tape_node_over_the_whole_batch():
+def test_loss_and_grads_runs_the_whole_batch_as_one_block():
     cfg_kw = dict(preset="tiny", dropout=0.0)
     model = trained_looking(cfg_kw)
     n = EVAL_BLOCK_ROWS + 500
     x = batch(n)
-    logits = model.forward_logits(x, training=True)
-    assert isinstance(logits, Tensor) and logits.requires_grad
-    assert logits._parents == () and logits._backward_fn is not None
-    assert logits.data.tobytes() == unblocked_logits(model, x).tobytes()
-    softmax_xent(logits, np.arange(n) % 10).backward()
+    y = np.arange(n) % 10
+    loss, logits = model.loss_and_grads(x, y)
+    assert logits.tobytes() == unblocked_logits(model, x).tobytes()
+    assert loss == softmax_xent(logits, y)[0]
     assert all(t.grad is not None for _, t in model.trainable_params())

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 
 import pytest
 
@@ -360,10 +361,10 @@ def test_seedgate_on_fake_idx(tmp_path, capsys, fake_mnist_dir):
 
 def _grid_task(lr):
     return {
-        "model": ModelConfig(preset="tiny", rank=2).to_dict(),
-        "family": InitFamily("normal").to_dict(),
+        "model": asdict(ModelConfig(preset="tiny", rank=2)),
+        "family": asdict(InitFamily("normal")),
         "seed": 1,
-        "train": TrainConfig(epochs=1, lr=lr).to_dict(),
+        "train": asdict(TrainConfig(epochs=1, lr=lr)),
         "out_dir": None,
     }
 

@@ -2,16 +2,20 @@
 
 ``tape_forward_logits`` builds the forward pass from the generic tape ops
 in ``lottalora.numerics``, one tape node per op, with dropout masks from
-``unit_block(n) >= p``.  It is the bitwise oracle for
-``Model.forward_logits``: after two optimizer steps, parameters, AdamW
-moments and backbone hashes must be equal byte for byte.
+``unit_block(n) >= p``; ``tape_loss_and_grads`` adds the tape form of the
+loss and walks the tape.  They are the bitwise oracle for
+``Model.forward_logits`` and ``Model.loss_and_grads``: after two optimizer
+steps, parameters, AdamW moments and backbone hashes must be equal byte
+for byte.
 """
 
 import gc
+import math
 
 import numpy as np
 import pytest
 
+import lottalora.numerics as numerics
 import lottalora.train as train_mod
 from lottalora.data import make_partition, synthetic_blobs
 from lottalora.initfam import BackboneMatrix, InitFamily
@@ -23,7 +27,6 @@ from lottalora.numerics import (
     add_bias,
     const_scale,
     dropout,
-    finite_diff_check,
     layernorm,
     linear,
     relu,
@@ -33,6 +36,7 @@ from lottalora.numerics import (
 )
 from lottalora.prng import Stream
 from lottalora.train import AdamW, TrainConfig, _train_step, seed_gated_train, train_run
+from tape_oracle import finite_diff_check, tape_softmax_xent
 
 
 def tape_layer_forward(layer, h: Tensor) -> Tensor:
@@ -61,6 +65,13 @@ def tape_forward_logits(model, batch, training=False) -> Tensor:
     return logits
 
 
+def tape_loss_and_grads(model, x, y) -> tuple[float, np.ndarray]:
+    logits = tape_forward_logits(model, x, training=True)
+    loss = tape_softmax_xent(logits, y)
+    loss.backward()
+    return loss.item(), logits.data
+
+
 def small_cfg(**kw):
     base = dict(preset=None, hidden_dims=(32, 16), input_dim=16, num_classes=3, rank=4, dropout=0.1)
     base.update(kw)
@@ -77,10 +88,11 @@ def final_state(model, optimizer) -> tuple:
 
 
 def under_both_forwards(run, monkeypatch):
-    """``run()`` once with the explicit forward and once with the tape."""
+    """``run()`` once with the explicit rules and once with the tape."""
     explicit = run()
     with monkeypatch.context() as patch:
         patch.setattr(Model, "forward_logits", tape_forward_logits)
+        patch.setattr(Model, "loss_and_grads", tape_loss_and_grads)
         oracle = run()
     return explicit, oracle
 
@@ -175,46 +187,60 @@ def test_seed_gated_training_matches_the_tape_bitwise(monkeypatch):
 # -- structure --------------------------------------------------------------------
 
 
-def tape_nodes(root: Tensor) -> list:
-    """Every node reachable from ``root`` that carries a backward rule."""
-    seen, stack, nodes = set(), [root], []
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        if node._backward_fn is not None:
-            nodes.append(node)
-        stack.extend(node._parents)
-    return nodes
+@pytest.mark.parametrize("resample", ["static", "microbatch"])
+def test_training_runs_without_the_tape(resample, monkeypatch):
+    def no_tape(*args, **kwargs):
+        raise AssertionError("training built or walked a tape")
+
+    monkeypatch.setattr(Tensor, "backward", no_tape)
+    monkeypatch.setattr(numerics, "_result", no_tape)
+    data = blobs(n=150)
+    train, test = data.subset(np.arange(100), "train"), data.subset(np.arange(100, 150), "test")
+    cfg = small_cfg(layernorm=True, head_mode="lora_bias")
+    tcfg = TrainConfig(epochs=2, batch_size=32, lr=1e-2, resample=resample, resample_k=3)
+    metrics = train_run(cfg, BackboneSpec.from_config(cfg, 4), tcfg, train, test)
+    assert all(math.isfinite(epoch["train_loss"]) for epoch in metrics.epochs)
+    assert math.isfinite(metrics.final_test_loss)
 
 
-def test_one_training_forward_builds_two_tape_nodes():
+def test_loss_and_grads_fills_every_trainable_grad():
     data = blobs(n=20)
     cfg = small_cfg(layernorm=True, head_mode="lora_bias")
     model = build_model(cfg, BackboneSpec.from_config(cfg, 4))
-    logits = model.forward_logits(data.images, training=True)
-    loss = softmax_xent(logits, data.labels)
-    assert tape_nodes(loss) == [loss, logits]
-    loss.backward()
-    assert all(p.grad is not None for _, p in model.trainable_params())
+    loss, logits = model.loss_and_grads(data.images, data.labels)
+    assert isinstance(loss, float) and isinstance(logits, np.ndarray) and logits.shape == (20, 3)
+    assert all(p.grad is not None and p.grad.dtype == p.data.dtype for _, p in model.trainable_params())
+
+
+def no_cycles_after(run) -> bool:
+    """Whether everything ``run()`` leaves behind is freed by refcounts."""
+    gc.collect()
+    gc.disable()
+    try:
+        run()
+        return gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_eval_forward_keeps_no_tape_and_makes_no_cycles():
     data = blobs(n=20)
     cfg = small_cfg(layernorm=True, head_mode="lora_bias")
     model = build_model(cfg, BackboneSpec.from_config(cfg, 4))
-    gc.collect()
-    gc.disable()
-    try:
+
+    def run():
         logits = model.forward_logits(data.images)
         assert logits._backward_fn is None and not logits.requires_grad
-        loss = softmax_xent(logits, data.labels)
-        assert tape_nodes(loss) == []
-        del logits, loss
-        assert gc.collect() == 0
-    finally:
-        gc.enable()
+        softmax_xent(logits.data, data.labels)
+
+    assert no_cycles_after(run)
+
+
+def test_loss_and_grads_makes_no_cycles():
+    data = blobs(n=20)
+    cfg = small_cfg(layernorm=True, head_mode="lora_bias")
+    model = build_model(cfg, BackboneSpec.from_config(cfg, 4))
+    assert no_cycles_after(lambda: model.loss_and_grads(data.images, data.labels))
 
 
 # -- dropout masks ----------------------------------------------------------------
@@ -256,7 +282,7 @@ def test_explicit_backward_matches_finite_differences():
 
     def loss_fn():
         model._dropout_streams = [Stream(100 + i) for i in range(len(model.hidden))]  # fixed masks
-        return softmax_xent(model.forward_logits(x, training=True), labels)
+        return model.loss_and_grads(x, labels)[0]
 
     params = [p for _, p in model.trainable_params()]
     err = finite_diff_check(loss_fn, params)

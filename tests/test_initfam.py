@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -228,8 +229,8 @@ def test_params_that_are_not_a_mapping_are_config_errors(params):
 
 def test_family_serialization_round_trip():
     fam = InitFamily("normal", {"sigma": 0.1}, scaling="explicit")
-    assert InitFamily.from_dict(fam.to_dict()) == fam
-    assert fam.to_dict()["name"] == "normal"
+    assert InitFamily.from_dict(asdict(fam)) == fam
+    assert asdict(fam)["name"] == "normal"
 
 
 PLAN_FAMILIES = [InitFamily(name) for name in FAMILY_NAMES] + [InitFamily("student_t", {"nu": 2})]
@@ -316,7 +317,7 @@ DEFAULTS = {
 def test_default_params_and_scaling(name):
     # every artifact header records these, also where the draw ignores them
     params, scaling = DEFAULTS[name]
-    d = InitFamily(name).to_dict()
+    d = asdict(InitFamily(name))
     assert d == {"name": name, "params": params, "scaling": scaling}
     assert list(d["params"]) == list(params)
     assert [type(v) for v in d["params"].values()] == [type(v) for v in params.values()]

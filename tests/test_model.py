@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -135,7 +136,7 @@ def test_field_types_are_config_errors(field, value):
 
 def test_valid_config_header_fields_are_as_given():
     cfg = ModelConfig(preset=None, hidden_dims=[8, 4], input_dim=6, num_classes=3, dropout=0, layernorm=True)
-    assert cfg.to_dict()["hidden_dims"] == (8, 4)
+    assert asdict(cfg)["hidden_dims"] == (8, 4)
     assert type(cfg.dropout) is int and cfg.layernorm is True
 
 
@@ -148,7 +149,7 @@ def test_alpha_must_be_a_finite_number_above_zero(alpha):
 def test_alpha_is_checked_not_coerced():
     # the header records alpha as given, so 2 stays an int and 0.5 a float
     assert type(ModelConfig(alpha=2).alpha) is int
-    assert ModelConfig(alpha=0.5).to_dict()["alpha"] == 0.5
+    assert asdict(ModelConfig(alpha=0.5))["alpha"] == 0.5
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 1, 1.5, 2.0, True, "1", None])
@@ -157,7 +158,7 @@ def test_seeds_outside_u64_are_config_errors(seed):
     with pytest.raises(ConfigError, match="seed"):
         BackboneSpec.from_config(cfg, seed)
     with pytest.raises(ConfigError, match="seed"):
-        BackboneSpec.from_dict({**BackboneSpec.from_config(cfg, 1).to_dict(), "seed": seed})
+        BackboneSpec.from_dict({**asdict(BackboneSpec.from_config(cfg, 1)), "seed": seed})
 
 
 @pytest.mark.parametrize("seed", [0, 2**64 - 1, np.uint64(2**64 - 1), np.int64(7)])
@@ -231,8 +232,9 @@ def test_train_mode_dropout_changes_activations_but_is_reproducible():
     a = build("tiny", seed=3)
     b = build("tiny", seed=3)
     x = np.random.default_rng(2).standard_normal((6, 784)).astype(np.float32)
-    out_a = a.forward_logits(x, training=True).data
-    out_b = b.forward_logits(x, training=True).data
+    y = np.arange(6) % 10
+    _, out_a = a.loss_and_grads(x, y)
+    _, out_b = b.loss_and_grads(x, y)
     assert np.array_equal(out_a, out_b)  # same derived mask streams
     assert not np.array_equal(out_a, a.forward_logits(x).data)
 
@@ -331,19 +333,19 @@ def test_backbone_hashes_are_those_of_the_c_order_bytes(name):
 def test_backbone_spec_round_trip():
     cfg = ModelConfig(preset="small", rank=4)
     spec = BackboneSpec.from_config(cfg, 99, NORMAL_01)
-    assert BackboneSpec.from_dict(spec.to_dict()) == spec
+    assert BackboneSpec.from_dict(asdict(spec)) == spec
 
 
 def test_model_config_round_trip():
     cfg = ModelConfig(preset="medium", rank=16, head_mode="lora_bias", layernorm=True)
-    assert ModelConfig(**cfg.to_dict()) == cfg
+    assert ModelConfig(**asdict(cfg)) == cfg
 
 
 def test_train_config_round_trip():
     cfg = TrainConfig(lr=3e-3, batch_size=32, epochs=2, schedule="constant", resample="microbatch", resample_k=4)
-    assert TrainConfig(**cfg.to_dict()) == cfg
+    assert TrainConfig(**asdict(cfg)) == cfg
     # the AdamW constants and the validation share are not settings
-    assert set(cfg.to_dict()) == {"lr", "weight_decay", "batch_size", "epochs", "schedule", "resample",
+    assert set(asdict(cfg)) == {"lr", "weight_decay", "batch_size", "epochs", "schedule", "resample",
                                   "resample_k"}
 
 

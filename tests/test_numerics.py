@@ -10,7 +10,6 @@ from lottalora.numerics import (
     add_bias,
     const_scale,
     dropout,
-    finite_diff_check,
     layernorm,
     linear,
     matmul,
@@ -21,6 +20,7 @@ from lottalora.numerics import (
     tensor,
 )
 from lottalora.prng import Stream
+from tape_oracle import finite_diff_check, tape_softmax_xent
 
 F64 = np.float64
 
@@ -50,7 +50,7 @@ def test_matmul_gradients_match_formula_and_finite_diff():
     labels = rng.integers(0, 3, size=5)
 
     def loss_fn():
-        return softmax_xent(matmul(a, b), labels)
+        return tape_softmax_xent(matmul(a, b), labels)
 
     err = finite_diff_check(loss_fn, [a, b])
     assert err < 1e-4
@@ -63,8 +63,7 @@ def test_matmul_gradients_match_formula_and_finite_diff():
     dy = probs.copy()
     dy[np.arange(5), labels] -= 1.0
     dy /= 5.0
-    softmax_xent_loss = softmax_xent(out, labels)
-    softmax_xent_loss.backward()
+    tape_softmax_xent(out, labels).backward()
     assert np.allclose(a.grad, dy @ b.data.T, atol=1e-12)
     assert np.allclose(b.grad, a.data.T @ dy, atol=1e-12)
 
@@ -108,15 +107,39 @@ def test_dropout_rejects_bad_p():
 
 
 def test_softmax_xent_uniform_logits():
-    logits = tensor(np.zeros((8, 10)), requires_grad=True)
-    loss = softmax_xent(logits, np.zeros(8, dtype=int))
-    assert loss.item() == pytest.approx(math.log(10.0), rel=1e-12)
+    loss, dlogits = softmax_xent(np.zeros((8, 10), dtype=np.float32), np.zeros(8, dtype=int))
+    assert isinstance(loss, float)
+    assert loss == pytest.approx(math.log(10.0), rel=1e-12)
+    assert dlogits.dtype == np.float32
+    expected = np.full((8, 10), 0.1 / 8)
+    expected[:, 0] -= 1.0 / 8
+    assert np.allclose(dlogits, expected, atol=1e-8)
 
 
 def test_softmax_xent_label_out_of_range():
-    logits = tensor(np.zeros((4, 3)))
     with pytest.raises(DataError):
-        softmax_xent(logits, np.array([0, 1, 3, 0]))
+        softmax_xent(np.zeros((4, 3)), np.array([0, 1, 3, 0]))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32, bool])
+def test_softmax_xent_rejects_non_integer_labels(dtype):
+    with pytest.raises(DataError, match="integer dtype"):
+        softmax_xent(np.zeros((4, 3)), np.array([0, 1, 1, 0]).astype(dtype))
+
+
+def test_softmax_xent_takes_unsigned_labels():
+    logits = np.random.default_rng(9).standard_normal((6, 4))
+    labels = np.array([0, 3, 1, 2, 2, 0])
+    signed = softmax_xent(logits, labels)
+    unsigned = softmax_xent(logits, labels.astype(np.uint8))
+    assert signed[0] == unsigned[0] and signed[1].tobytes() == unsigned[1].tobytes()
+
+
+def test_softmax_xent_shape_errors():
+    with pytest.raises(DimensionError):
+        softmax_xent(np.zeros(4), np.zeros(4, dtype=int))
+    with pytest.raises(DimensionError):
+        softmax_xent(np.zeros((4, 3)), np.zeros(3, dtype=int))
 
 
 def test_softmax_xent_is_finite_at_a_wide_margin():
@@ -124,11 +147,26 @@ def test_softmax_xent_is_finite_at_a_wide_margin():
     # 0 in the second row; the loss is still log(sum exp z) - z_y
     logits = np.array([[0.0, 200.0, 0.0], [1000.0, 0.0, -50.0]])
     labels = np.array([0, 2])
-    loss = softmax_xent(tensor(logits), labels)
+    loss, dlogits = softmax_xent(logits, labels)
     closed = np.mean([200.0 + math.log1p(2.0 * math.exp(-200.0)),
                       1050.0 + math.log1p(math.exp(-1000.0) + math.exp(-1050.0))])
-    assert math.isfinite(loss.item())
-    assert loss.item() == pytest.approx(closed, rel=1e-15)
+    assert math.isfinite(loss)
+    assert loss == pytest.approx(closed, rel=1e-15)
+    assert np.all(np.isfinite(dlogits))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_softmax_xent_matches_the_tape_form_bitwise(dtype):
+    # the tape node's loss and the gradient its backward hands the logits
+    rng = np.random.default_rng(10)
+    logits = tensor(rng.standard_normal((37, 10)) * 4.0, requires_grad=True, dtype=dtype)
+    labels = rng.integers(0, 10, size=37)
+    tape = tape_softmax_xent(logits, labels)
+    tape.backward()
+    loss, dlogits = softmax_xent(logits.data, labels)
+    assert loss == tape.item()
+    assert dlogits.dtype == logits.grad.dtype
+    assert dlogits.tobytes() == logits.grad.tobytes()
 
 
 def test_softmax_rows_sum_to_one():
@@ -159,7 +197,7 @@ def test_logistic_regression_gradient_oracle():
     xt = tensor(x, dtype=F64)
 
     def loss_fn():
-        return softmax_xent(add_bias(linear(xt, w), b), labels)
+        return tape_softmax_xent(add_bias(linear(xt, w), b), labels)
 
     assert finite_diff_check(loss_fn, [w, b]) < 1e-6
 
@@ -187,7 +225,7 @@ def test_two_layer_mlp_finite_diff():
 
     def loss_fn():
         h = relu(add_bias(linear(xt, w1), b1))
-        return softmax_xent(add_bias(linear(h, w2), b2), labels)
+        return tape_softmax_xent(add_bias(linear(h, w2), b2), labels)
 
     assert finite_diff_check(loss_fn, [w1, b1, w2, b2]) < 1e-4
 
@@ -210,7 +248,7 @@ def test_per_op_gradients_finite_diff():
         y = const_scale(y, 0.5)
         y = dropout(y, 0.3, Stream(mask_stream_state), training=True)
         y = relu(y)
-        return softmax_xent(y, labels)
+        return tape_softmax_xent(y, labels)
 
     err = finite_diff_check(loss_fn, [w, beta, gamma, bias, other])
     assert err < 1e-4
@@ -220,7 +258,7 @@ def test_frozen_leaf_gets_no_grad():
     x = tensor(np.ones((4, 3)), dtype=F64)
     w_frozen = tensor(np.ones((2, 3)), requires_grad=False, dtype=F64)
     s = tensor(np.asarray(2.0), requires_grad=True, dtype=F64)
-    loss = softmax_xent(scalar_scale(linear(x, w_frozen), s), np.zeros(4, dtype=int))
+    loss = tape_softmax_xent(scalar_scale(linear(x, w_frozen), s), np.zeros(4, dtype=int))
     loss.backward()
     assert w_frozen.grad is None
     assert s.grad is not None
@@ -228,7 +266,7 @@ def test_frozen_leaf_gets_no_grad():
 
 def test_backward_twice_is_an_error():
     w = tensor(np.ones((2, 2)), requires_grad=True, dtype=F64)
-    loss = softmax_xent(linear(tensor(np.ones((3, 2)), dtype=F64), w), np.zeros(3, dtype=int))
+    loss = tape_softmax_xent(linear(tensor(np.ones((3, 2)), dtype=F64), w), np.zeros(3, dtype=int))
     loss.backward()
     with pytest.raises(RuntimeError):
         loss.backward()
@@ -243,7 +281,7 @@ def test_backward_requires_scalar():
 def test_finite_diff_rejects_zero_eps():
     w = tensor(np.ones((2, 2)), requires_grad=True, dtype=F64)
     with pytest.raises(ValueError):
-        finite_diff_check(lambda: softmax_xent(linear(tensor(np.ones((1, 2)), dtype=F64), w), [0]), [w], eps=0.0)
+        finite_diff_check(lambda: tape_softmax_xent(linear(tensor(np.ones((1, 2)), dtype=F64), w), [0]), [w], eps=0.0)
 
 
 def test_gradient_accumulates_across_shared_use():
@@ -252,10 +290,10 @@ def test_gradient_accumulates_across_shared_use():
     x = tensor(rng.standard_normal((4, 3)), dtype=F64)
     labels = np.array([0, 1, 0, 1])
     w = tensor(rng.standard_normal((2, 3)), requires_grad=True, dtype=F64)
-    softmax_xent(add(linear(x, w), linear(x, w)), labels).backward()
+    tape_softmax_xent(add(linear(x, w), linear(x, w)), labels).backward()
     shared = w.grad.copy()
     w.zero_grad()
-    softmax_xent(const_scale(linear(x, w), 2.0), labels).backward()
+    tape_softmax_xent(const_scale(linear(x, w), 2.0), labels).backward()
     assert np.allclose(shared, w.grad, atol=1e-12)
     assert float(np.abs(shared).max()) > 0
 

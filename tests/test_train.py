@@ -189,11 +189,9 @@ def reference_train_one_batch(model, optimizer, x, y, lr_t, cfg: TrainConfig):
         correct = 0
         for _ in range(k):
             model.resample_backbones()
-            logits = model.forward_logits(x, training=True)
-            loss = softmax_xent(logits, y)
-            loss.backward()
-            losses += loss.item()
-            correct += int((logits.data.argmax(axis=1) == y).sum())
+            loss, logits = model.loss_and_grads(x, y)
+            losses += loss
+            correct += int((logits.argmax(axis=1) == y).sum())
         for p in optimizer.params:
             if p.grad is not None:
                 p.grad /= k
@@ -209,22 +207,18 @@ def reference_train_one_batch(model, optimizer, x, y, lr_t, cfg: TrainConfig):
             if len(idx) == 0:
                 continue
             model.resample_backbones()
-            logits = model.forward_logits(x[idx], training=True)
-            loss = softmax_xent(logits, y[idx])
-            loss.backward()
-            losses += loss.item() * len(idx)
-            correct += int((logits.data.argmax(axis=1) == y[idx]).sum())
+            loss, logits = model.loss_and_grads(x[idx], y[idx])
+            losses += loss * len(idx)
+            correct += int((logits.argmax(axis=1) == y[idx]).sum())
             used += 1
         for p in optimizer.params:
             if p.grad is not None:
                 p.grad /= used
         optimizer.step(lr_t)
         return losses / len(y), correct
-    logits = model.forward_logits(x, training=True)
-    loss = softmax_xent(logits, y)
-    loss.backward()
+    loss, logits = model.loss_and_grads(x, y)
     optimizer.step(lr_t)
-    return loss.item(), int((logits.data.argmax(axis=1) == y).sum())
+    return loss, int((logits.argmax(axis=1) == y).sum())
 
 
 @pytest.mark.parametrize("resample,k,rows", [
@@ -270,7 +264,7 @@ def test_per_batch_train_accuracy_counts_every_forward_row():
         replay.resample_backbones()
         logits = replay.forward_logits(split.images)
         correct.append(int((logits.data.argmax(axis=1) == split.labels).sum()))
-        losses.append(softmax_xent(logits, split.labels).item())
+        losses.append(softmax_xent(logits.data, split.labels)[0])
     assert sum(correct) % 2 == 1  # a floored per-step count would lose half a row
     assert metrics.epochs[0]["train_accuracy"] == sum(correct) / (2 * len(split))
     assert metrics.epochs[0]["train_loss"] == pytest.approx(sum(losses) / 2, rel=1e-12)
@@ -389,6 +383,34 @@ def test_evaluate_rejects_an_empty_dataset():
     model = build_model(cfg, BackboneSpec.from_config(cfg, 1))
     with pytest.raises(DataError, match="empty"):
         evaluate(model, train.subset(np.arange(0), "test"))
+
+
+def relabeled_as(dataset, dtype):
+    return dataset.relabeled(dataset.labels.astype(dtype))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, bool])
+def test_non_integer_labels_are_a_data_error(dtype):
+    # float labels cannot index the logits, and bool labels would be taken
+    # as a row mask, not as classes
+    train, test = blob_data()
+    cfg = blob_model_cfg()
+    spec = BackboneSpec.from_config(cfg, 1)
+    with pytest.raises(DataError, match="integer dtype"):
+        train_run(cfg, spec, quick_train_cfg(epochs=1), relabeled_as(train, dtype), test)
+    with pytest.raises(DataError, match="integer dtype"):
+        evaluate(build_model(cfg, spec), relabeled_as(test, dtype))
+
+
+def test_uint8_labels_train_as_int64_labels_do():
+    train, test = blob_data()
+    cfg = blob_model_cfg(dropout=0.1)
+    spec = BackboneSpec.from_config(cfg, 1)
+    tcfg = quick_train_cfg(epochs=1)
+    wide = train_run(cfg, spec, tcfg, train, test)
+    narrow = train_run(cfg, spec, tcfg, relabeled_as(train, np.uint8), relabeled_as(test, np.uint8))
+    assert narrow.epochs == wide.epochs
+    assert (narrow.final_test_loss, narrow.final_test_accuracy) == (wide.final_test_loss, wide.final_test_accuracy)
 
 
 # -- seed gating ------------------------------------------------------------------
