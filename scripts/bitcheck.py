@@ -19,11 +19,14 @@ the ``shipped`` ones equal.  The cases:
     count and moments, and the backbone hashes; ``shipped`` covers the
     final test numbers and betas, the trained parameters and the
     ``pack()`` bytes;
-  * ``seed_gated_train`` on two label groups, plain and out-of-class;
+  * ``seed_gated_train`` on two label groups, plain and out-of-class, and
+    plain on a test set that spans two eval chunks;
   * a ``full_training`` run, and static runs with a ``lora`` head and with
     a zero scaffold (``b_init="kaiming"``, rank-stabilized scaling);
   * eval-mode logits of a ``tiny`` model with random trainables for row
-    counts on both sides of the eval block edges;
+    counts on both sides of the eval block edges, and ``evaluate``'s
+    (loss, accuracy) for row counts on both sides of one and two eval chunk
+    edges, one of them on a strided row view;
   * ``draw_matrix`` for every init family at 512x784, which spans many
     Box-Muller chunks, and at 17x241 from a stream that holds a carry;
     ``student_t`` at each nu of ``STUDENT_T_NUS`` on both sides of the
@@ -53,6 +56,8 @@ import numpy as np  # noqa: E402  (after the BLAS thread pin)
 
 SCHEDULES = (("static", 2), ("per_epoch", 2), ("per_batch", 3), ("microbatch", 3))
 EVAL_ROWS = (1, 255, 256, 511, 512, 513, 1024, 1025, 2048)
+# (rows, row view); evaluate cuts 2048-row chunks
+EVALUATE_ROWS = ((2047, False), (2048, False), (2049, True), (4097, False))
 # draws; a Box-Muller chunk is 8192 pairs
 GAUSSIAN_COUNTS = (0, 1, 2, 3, 7, 8191, 8192, 16383, 16384, 16385, 24577, 50001)
 STUDENT_T_NUS = (1, 2, 7, 8, 9, 16, 17, 129, 300)
@@ -134,13 +139,18 @@ def _cases():
 
     # out-of-class mode labels rows 10, so the gated model keeps all ten digit outputs
     gate_cfg = ModelConfig(preset=None, hidden_dims=(24, 16), input_dim=20, num_classes=10, rank=3, dropout=0.2)
-    for ooc in (False, True):
+
+    def seedgate_case(ooc, test):
         partition = data.make_partition([{0, 1}, {2, 3}], [5, 6], ooc_mode=ooc)
         result = train.seed_gated_train(partition, gate_cfg, train.TrainConfig(lr=3e-3, batch_size=37, epochs=2),
-                                        train_set, test_set)
+                                        train_set, test)
         rates = [result.assigned_accuracy, result.non_assigned_accuracy, result.ooc_digit0_rate]
-        yield f"seedgate ooc={int(ooc)}", _digest([json.dumps(rates).encode(), *result.confusion,
-                                                   *optimizer_state()])
+        return _digest([json.dumps(rates).encode(), *result.confusion, *optimizer_state()])
+
+    for ooc in (False, True):
+        yield f"seedgate ooc={int(ooc)}", seedgate_case(ooc, test_set)
+    long_test = data.synthetic_blobs(2100, 20, 4, 3.0, seed=41)
+    yield f"seedgate ooc=0 test n={len(long_test)}", seedgate_case(False, long_test)
 
     cfg = ModelConfig(preset="tiny", rank=4, layernorm=True, head_mode="lora_bias")
     model = build_model(cfg, BackboneSpec.from_config(cfg, 3))
@@ -150,6 +160,13 @@ def _cases():
     rows = data.synthetic_blobs(max(EVAL_ROWS), 784, 10, 3.0, seed=23).images
     for n in EVAL_ROWS:
         yield f"eval n={n}", _digest([model.forward_logits(rows[:n]).data])
+    evalset = data.synthetic_blobs(max(n for n, _ in EVALUATE_ROWS), 784, 10, 3.0, seed=37)
+    for n, view in EVALUATE_ROWS:
+        if view:  # every other row, so each chunk gathers from the source
+            ds = evalset.subset(np.arange(0, 2 * n - 1, 2), "test")
+        else:
+            ds = data.Dataset(evalset.images[:n], evalset.labels[:n], "test")
+        yield f"evaluate n={n} view={int(view)}", _digest([as_json(train.evaluate(model, ds))])
 
     def stream_state(stream):
         return json.dumps([stream.state, stream._gauss_cache]).encode()

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 import time
@@ -434,8 +435,10 @@ def cmd_betastats(args) -> int:
             if not isinstance(run, dict):
                 raise ConfigError(f"summary file {path}: a run must be a JSON object, got {type(run).__name__}")
             betas = run.get("final_betas")
-            if betas is not None and not (isinstance(betas, list) and all(map(real, betas))):
-                raise ConfigError(f"summary file {path}: final_betas must be a list of numbers, got {betas!r}")
+            if betas is not None and not (
+                isinstance(betas, list) and all(real(b) and math.isfinite(b) for b in betas)
+            ):
+                raise ConfigError(f"summary file {path}: final_betas must be a list of finite numbers, got {betas!r}")
             if betas:
                 collected.append(betas)
     stats = beta_summary(collected)

@@ -35,7 +35,6 @@ class TransformerArch:
     heads: int
     mlp: int
     vocab: int = 32_000
-    tied_embeddings: bool = True
 
     def total_params(self) -> int:
         d, n, m = self.hidden, self.n_layers, self.mlp
@@ -95,11 +94,6 @@ def opt_memory(n: float, n_tr: float) -> tuple[float, float, float]:
     return mem_full, mem_lotta, 1.0 / 8.0 + (7.0 / 8.0) * (n_tr / n)
 
 
-def transformer_counts(arch: TransformerArch, rank: int) -> tuple[int, int, int]:
-    """(lottalora total, fully-trained internal, lora internal), exact."""
-    return arch.lottalora_total(rank), arch.internal_params(), arch.lora_internal(rank)
-
-
 def dist_size(arch: TransformerArch, rank: int, fmt: str) -> int:
     """Distributable bytes for one storage format.
 
@@ -122,37 +116,28 @@ def dist_size(arch: TransformerArch, rank: int, fmt: str) -> int:
     raise ValueError(f"unknown distribution format {fmt!r}; expected one of {DIST_FORMATS}")
 
 
-def dist_size_mib(arch: TransformerArch, rank: int, fmt: str) -> float:
-    return dist_size(arch, rank, fmt) / MIB
-
-
 def rank_star(losses: dict, full_loss: float, epsilon: float):
     """Smallest rank whose loss is within epsilon of the fully trained
     baseline; None when no rank qualifies."""
-    if epsilon < 0:
-        raise ValueError(f"epsilon must be >= 0, got {epsilon}")
+    if not (math.isfinite(epsilon) and epsilon >= 0):
+        raise ValueError(f"epsilon must be finite and >= 0, got {epsilon}")
+    if not math.isfinite(full_loss):
+        raise ValueError(f"full_loss must be finite, got {full_loss}")
     if not losses:
         raise ValueError("losses must be nonempty")
+    for rank, loss in losses.items():
+        if not math.isfinite(loss):
+            raise ValueError(f"loss for rank {rank} must be finite, got {loss}")
     for rank in sorted(losses):
         if losses[rank] <= full_loss + epsilon:
             return rank
     return None
 
 
-def rmt_sigma1(d: int, sigma_init: float) -> float:
-    """Random-matrix prediction for the largest singular value of a d x d
-    gaussian matrix with entry std sigma_init: 2 * sqrt(d) * sigma."""
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
-    if sigma_init <= 0:
-        raise ValueError(f"sigma_init must be > 0, got {sigma_init}")
-    return 2.0 * (d ** 0.5) * sigma_init
-
-
 def cost_report(arch: TransformerArch, rank: int, m_tokens: float | None = None) -> dict:
     """The full analytics for one (architecture, rank) pair, as a
     JSON-ready dict."""
-    total, internal_full, lora_internal = transformer_counts(arch, rank)
+    lora_internal = arch.lora_internal(rank)
     n = arch.total_params()
     # trainable set: adapters plus embeddings and norms (what actually
     # receives gradients in the frozen-backbone configuration)
@@ -165,8 +150,8 @@ def cost_report(arch: TransformerArch, rank: int, m_tokens: float | None = None)
         "arch": arch.name,
         "rank": rank,
         "m_tokens": tokens,
-        "total_params": total,
-        "internal_full": internal_full,
+        "total_params": arch.lottalora_total(rank),
+        "internal_full": arch.internal_params(),
         "lora_internal": lora_internal,
         "flops_full": f_full,
         "flops_lottalora": f_lotta,

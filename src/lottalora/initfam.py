@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, integral, real
+from .errors import ConfigError, DimensionError, integral, real
 from .prng import DRAW_CHUNK, Stream
 
 KAIMING_DEFAULT_A = math.sqrt(5.0)
@@ -285,6 +285,8 @@ class BackboneMatrix:
     data: np.ndarray  # f32, read-only
 
     def __post_init__(self):
+        if self.data.shape != (self.rows, self.cols):
+            raise DimensionError(f"backbone data {self.data.shape} does not match {self.rows}x{self.cols}")
         self.data.setflags(write=False)
 
 
@@ -353,21 +355,3 @@ def draw_plan(fam: InitFamily, rows: int, cols: int) -> list[tuple[str, int]]:
     family and shape, in order; ``Stream.skip`` over them leaves a stream
     where the draw would."""
     return [(kind, per_entry * rows * cols) for kind, per_entry in _entry_draws(fam)]
-
-
-def family_moments(fam: InitFamily, n_samples: int, stream: Stream, fan_in: int = 1, fan_out: int = 1):
-    """Empirical (mean, variance) of the entry distribution.
-
-    Validation helper for comparing against analytic moments.  Families
-    defined at the matrix level (orthogonal, spectral_radius) are sampled
-    as one square matrix large enough to cover n_samples entries.
-    """
-    if n_samples < 10_000:
-        raise ConfigError(f"n_samples must be >= 10000, got {n_samples}")
-    if _FAMILIES[fam.name].matrix is not None:
-        side = math.ceil(math.sqrt(n_samples))
-        entries = draw_matrix(stream, fam, side, side).data.astype(np.float64).ravel()[:n_samples]
-    else:
-        entries = np.empty(n_samples, dtype=np.float64)
-        _fill_entries(stream, fam, entries, fan_in, fan_out)
-    return float(entries.mean()), float(entries.var())

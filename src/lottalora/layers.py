@@ -209,12 +209,6 @@ class LottaLayer:
             named += [("ln_gamma", self.ln_gamma), ("ln_bias", self.ln_bias)]
         return named
 
-    def effective_weight(self) -> np.ndarray:
-        """Merged matrix beta*W + s*(B @ A) in f64 (LayerNorm not applied)."""
-        w = self.backbone.data.astype(np.float64)
-        ba = self.adapter.b.data.astype(np.float64) @ self.adapter.a.data.astype(np.float64)
-        return float(self.adapter.beta.data) * w + self.adapter.scale * ba
-
 
 class DenseLayer:
     """Fully trainable linear layer with bias (full-training mode, heads)."""
@@ -245,31 +239,3 @@ class DenseLayer:
 
     def trainable(self) -> list[tuple[str, Tensor]]:
         return [("W", self.w), ("bias", self.b)]
-
-
-def spectral_norm(w: np.ndarray, iters: int = 100) -> float:
-    """Largest singular value by power iteration on W^T W.
-
-    Deterministic start vector; returns 0.0 for an all-zero matrix.
-    Relative error vs a full SVD is well under 1e-3 for the matrix sizes
-    used here.
-    """
-    w = np.asarray(w, dtype=np.float64)
-    if not np.any(w):
-        return 0.0
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(w.shape[1])
-    v /= np.linalg.norm(v)
-    last = 0.0
-    for _ in range(iters):
-        u = w @ v
-        norm_u = np.linalg.norm(u)
-        if norm_u == 0.0:
-            return 0.0
-        v = w.T @ (u / norm_u)
-        sigma = np.linalg.norm(v)
-        v /= sigma
-        if abs(sigma - last) <= 1e-13 * max(sigma, 1.0):
-            break
-        last = sigma
-    return float(np.linalg.norm(w @ v))

@@ -312,6 +312,8 @@ def softmax_xent(logits: np.ndarray, labels) -> tuple[float, np.ndarray]:
         raise DimensionError(f"labels must have shape ({n},), got {labels.shape}")
     if not np.issubdtype(labels.dtype, np.integer):
         raise DataError(f"labels must have an integer dtype, got {labels.dtype}")
+    if n == 0:
+        raise DataError("softmax_xent needs at least one row")
     if labels.min() < 0 or labels.max() >= c:
         raise DataError(f"label out of range [0, {c}): found {int(labels.min())}..{int(labels.max())}")
     # log(sum exp z) - z_y on the max-shifted logits: finite at any margin,

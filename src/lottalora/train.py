@@ -25,6 +25,9 @@ from .numerics import softmax_xent
 from .prng import DrawKind, derive_stream
 
 RESAMPLE_SCHEDULES = ("static", "per_epoch", "per_batch", "microbatch")
+# rows per eval forward; the logits of a row depend on the chunk it falls in
+# (through model.eval_blocks), so every dataset evaluation cuts the same chunks
+EVAL_CHUNK_ROWS = 2048
 
 
 @dataclass(frozen=True)
@@ -171,17 +174,22 @@ def cosine_lr(step: int, total_steps: int, lr0: float) -> float:
     return lr0 * (1.0 + math.cos(math.pi * step / total_steps)) / 2.0
 
 
-def evaluate(model: Model, dataset: Dataset, batch_size: int = 2048) -> tuple[float, float]:
+def _eval_chunks(model: Model, dataset: Dataset):
+    """Yield ``(logits, labels)`` for each ``EVAL_CHUNK_ROWS``-row chunk of
+    the dataset, in order, in eval mode."""
+    for start in range(0, len(dataset), EVAL_CHUNK_ROWS):
+        rows = slice(start, start + EVAL_CHUNK_ROWS)
+        yield model.forward_logits(dataset.take(rows)).data, dataset.labels[rows]
+
+
+def evaluate(model: Model, dataset: Dataset) -> tuple[float, float]:
     """(mean loss, accuracy) in eval mode."""
     total_loss = 0.0
     correct = 0
     n = len(dataset)
     if n == 0:
         raise DataError(f"cannot evaluate on an empty {dataset.split} set")
-    for start in range(0, n, batch_size):
-        x = dataset.take(slice(start, start + batch_size))
-        y = dataset.labels[start:start + batch_size]
-        logits = model.forward_logits(x).data
+    for logits, y in _eval_chunks(model, dataset):
         loss, _ = softmax_xent(logits, y)
         total_loss += loss * len(y)
         correct += int((logits.argmax(axis=1) == y).sum())
@@ -344,7 +352,6 @@ class SeedGateResult:
     # per seed: share of digit-0 test rows given the OOC label, None when
     # there are none; empty unless ooc_mode
     ooc_digit0_rate: list
-    partition: object
 
 
 def seed_gated_train(
@@ -379,11 +386,7 @@ def seed_gated_train(
     ooc0 = []
     for g in range(len(partition.groups)):
         model.swap_seed_backbones(partition.seeds[g], drawn)
-        preds = []
-        for start in range(0, len(test_dataset), 2048):
-            logits = model.forward_logits(test_dataset.take(slice(start, start + 2048)))
-            preds.append(logits.data.argmax(axis=1))
-        preds = np.concatenate(preds)
+        preds = np.concatenate([logits.argmax(axis=1) for logits, _ in _eval_chunks(model, test_dataset)])
         counts = np.zeros((10, num_classes), dtype=np.int64)
         for digit in range(10):
             mask = test_dataset.labels == digit
@@ -405,7 +408,6 @@ def seed_gated_train(
         assigned_accuracy=assigned,
         non_assigned_accuracy=non_assigned,
         ooc_digit0_rate=ooc0,
-        partition=partition,
     )
 
 

@@ -14,7 +14,7 @@ import pytest
 
 from lottalora.artifact import pack, reconstruct, unpack
 from lottalora.cli import run_grid
-from lottalora.cost import ARCHS, dist_size_mib, flops, opt_memory, transformer_counts
+from lottalora.cost import ARCHS, MIB, dist_size, flops, opt_memory
 from lottalora.data import make_partition, synthetic_blobs
 from lottalora.errors import IntegrityError
 from lottalora.initfam import InitFamily, draw_matrix
@@ -33,6 +33,7 @@ from lottalora.numerics import (
 )
 from lottalora.prng import DrawKind, Stream, derive_stream
 from lottalora.train import TrainConfig, seed_gated_train, train_run
+from helpers import effective_weight
 from tape_oracle import finite_diff_check, tape_softmax_xent
 
 SEEDS = (42, 43, 44)
@@ -160,7 +161,8 @@ def test_criterion_1_exact_count_identities():
         ("900M", 8): (1_215_660_296, 1_158_791_296, 3_621_000),
     }
     for (name, rank), expected in transformer_expect.items():
-        assert transformer_counts(ARCHS[name], rank) == expected
+        arch = ARCHS[name]
+        assert (arch.lottalora_total(rank), arch.internal_params(), arch.lora_internal(rank)) == expected
     print("criterion 1 PASS: all Table-level parameter-count integers reproduced exactly")
 
 
@@ -178,17 +180,17 @@ def test_criterion_2_cost_model():
     assert mem_full == 1.0
 
     arch = ARCHS["900M"]
-    fp16 = dist_size_mib(arch, 8, "fp16")
-    int4 = dist_size_mib(arch, 8, "int4_grouped")
-    ours = dist_size_mib(arch, 8, "lottalora")
+    fp16 = dist_size(arch, 8, "fp16") / MIB
+    int4 = dist_size(arch, 8, "int4_grouped") / MIB
+    ours = dist_size(arch, 8, "lottalora") / MIB
     assert abs(fp16 - 2312) <= 1.0
     assert abs(int4 - 650) <= 1.0
     assert abs(ours - 109) <= 1.0
 
     # the 300M/600M published sizes are inconsistent with the 2-bytes/param
     # model that reproduces the 900M row exactly; they are excluded by design
-    assert abs(dist_size_mib(ARCHS["300M"], 8, "fp16") - 586) > 1.0
-    assert abs(dist_size_mib(ARCHS["600M"], 8, "fp16") - 1184) > 1.0
+    assert abs(dist_size(ARCHS["300M"], 8, "fp16") / MIB - 586) > 1.0
+    assert abs(dist_size(ARCHS["600M"], 8, "fp16") / MIB - 1184) > 1.0
     print(
         f"criterion 2 PASS: ratio limits 2/3 and 1/8 exact; 900M row = "
         f"{fp16:.1f}/{int4:.1f}/{ours:.1f} MiB (300M/600M rows excluded as documented)"
@@ -343,11 +345,11 @@ def test_criterion_8_numerical_properties():
     layer.adapter.beta.data[()] = 0.8
     probe = rng.standard_normal((16, 48)).astype(np.float32)
     out = layer.forward(probe).astype(np.float64)
-    merged = probe.astype(np.float64) @ layer.effective_weight().T
+    merged = probe.astype(np.float64) @ effective_weight(layer).T
     eff_err = float(np.abs(out - merged).max() / np.abs(merged).max())
     assert eff_err < 1e-5
 
-    update = layer.effective_weight() - 0.8 * layer.backbone.data.astype(np.float64)
+    update = effective_weight(layer) - 0.8 * layer.backbone.data.astype(np.float64)
     singulars = np.linalg.svd(update, compute_uv=False)
     assert np.all(singulars[6:] < 1e-6 * singulars[0])
     print(
@@ -396,6 +398,7 @@ def test_criterion_10_out_of_scope_covered_by_bookkeeping_only():
     assert set(ARCHS) == {"3M", "30M", "300M", "600M", "900M"}
     loaders = [name for name in dir(data_mod) if name.startswith("load_")]
     assert loaders == ["load_mnist"]
-    total, internal, lora = transformer_counts(ARCHS["900M"], 8)
-    assert (total, internal, lora) == (1_215_660_296, 1_158_791_296, 3_621_000)
+    arch = ARCHS["900M"]
+    counts = (arch.lottalora_total(8), arch.internal_params(), arch.lora_internal(8))
+    assert counts == (1_215_660_296, 1_158_791_296, 3_621_000)
     print("criterion 10 PASS: excluded benchmarks covered by bookkeeping identities only")

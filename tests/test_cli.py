@@ -67,6 +67,15 @@ def test_rankstar_negative_eps_is_config_error(tmp_path, capsys):
     assert run(["rankstar", "--losses", str(losses), "--full", "0.2", "--eps", "-1"]) == 3
 
 
+@pytest.mark.parametrize("flags", [["--full", "0.2", "--eps", "nan"], ["--full", "nan", "--eps", "0.01"]])
+def test_rankstar_non_finite_flag_is_config_error(tmp_path, capsys, flags):
+    # a NaN compares false against every bound; unchecked, it prints {"rank_star": null}
+    losses = tmp_path / "losses.json"
+    losses.write_text(json.dumps({"1": 0.5}))
+    assert run(["rankstar", "--losses", str(losses), *flags]) == 3
+    assert json.loads(capsys.readouterr().err)["error"] == "config"
+
+
 @pytest.mark.parametrize("text", [
     '{"1": 0.5',  # not JSON
     '[0.5, 0.3]',  # not an object
@@ -74,6 +83,7 @@ def test_rankstar_negative_eps_is_config_error(tmp_path, capsys):
     '{"1": "x"}',  # a loss that is not a number
     '{"1": null}',
     '{"1": [0.5]}',
+    '{"1": 0.5, "2": NaN}',  # a loss that is not finite
 ])
 def test_malformed_loss_table_is_config_error(tmp_path, capsys, text):
     losses = tmp_path / "losses.json"
@@ -133,6 +143,8 @@ def test_betastats_command(tmp_path, capsys):
     '"summary"',  # neither an object nor a list
     '{"final_betas": 0.9}',  # betas that are not a list
     '{"final_betas": [0.9, "x"]}',
+    '{"final_betas": [0.9, NaN]}',  # printed as NaN, which is not JSON
+    '[{"final_betas": [0.9]}, {"final_betas": [Infinity]}]',
 ])
 def test_malformed_summary_is_config_error(tmp_path, capsys, text):
     summary = tmp_path / "summary.json"

@@ -1,21 +1,10 @@
 import numpy as np
 import pytest
 
-from lottalora.cost import (
-    ARCHS,
-    MIB,
-    cost_report,
-    dist_size,
-    dist_size_mib,
-    flops,
-    opt_memory,
-    rank_star,
-    rmt_sigma1,
-    transformer_counts,
-)
+from lottalora.cost import ARCHS, MIB, cost_report, dist_size, flops, opt_memory, rank_star
 from lottalora.initfam import InitFamily, draw_matrix
-from lottalora.layers import spectral_norm
 from lottalora.prng import Stream
+from helpers import rmt_sigma1, spectral_norm
 
 
 # -- exact transformer counts (golden integers) --------------------------------
@@ -67,7 +56,8 @@ def test_lora_internal_counts(name, rank):
 
 @pytest.mark.parametrize("name,rank", sorted(LOTTA_TOTALS))
 def test_lottalora_totals(name, rank):
-    total, internal, lora = transformer_counts(ARCHS[name], rank)
+    arch = ARCHS[name]
+    total, internal, lora = arch.lottalora_total(rank), arch.internal_params(), arch.lora_internal(rank)
     assert total == LOTTA_TOTALS[(name, rank)]
     assert internal == INTERNALS[name]
     assert lora == LORA_INTERNAL[(name, rank)]
@@ -122,9 +112,9 @@ def test_ratios_affine_and_increasing():
 
 def test_900m_distributable_row():
     arch = ARCHS["900M"]
-    assert dist_size_mib(arch, 8, "fp16") == pytest.approx(2312, abs=1.0)
-    assert dist_size_mib(arch, 8, "int4_grouped") == pytest.approx(650, abs=1.0)
-    assert dist_size_mib(arch, 8, "lottalora") == pytest.approx(109, abs=1.0)
+    assert dist_size(arch, 8, "fp16") / MIB == pytest.approx(2312, abs=1.0)
+    assert dist_size(arch, 8, "int4_grouped") / MIB == pytest.approx(650, abs=1.0)
+    assert dist_size(arch, 8, "lottalora") / MIB == pytest.approx(109, abs=1.0)
 
 
 def test_900m_lottalora_byte_formula():
@@ -166,6 +156,21 @@ def test_rank_star_rejects_negative_epsilon():
         rank_star({1: 1.0}, 0.5, -0.01)
     with pytest.raises(ValueError):
         rank_star({}, 0.5, 0.01)
+
+
+@pytest.mark.parametrize("losses,full_loss,epsilon", [
+    ({1: 1.0}, 0.5, float("nan")),
+    ({1: 1.0}, 0.5, float("inf")),
+    ({1: 1.0}, float("nan"), 0.01),
+    ({1: 1.0}, float("-inf"), 0.01),
+    ({1: 0.4, 2: float("nan")}, 0.5, 0.01),
+    ({1: float("inf"), 2: 0.4}, 0.5, 0.01),
+])
+def test_rank_star_rejects_non_finite_inputs(losses, full_loss, epsilon):
+    # a NaN compares false against every bound, so unchecked it would read
+    # as "no rank qualifies" (None)
+    with pytest.raises(ValueError, match="finite"):
+        rank_star(losses, full_loss, epsilon)
 
 
 # -- random-matrix prediction ------------------------------------------------------

@@ -4,15 +4,10 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from lottalora.errors import ConfigError
-from lottalora.initfam import (
-    FAMILY_NAMES,
-    InitFamily,
-    draw_matrix,
-    draw_plan,
-    family_moments,
-)
+from lottalora.errors import ConfigError, DimensionError
+from lottalora.initfam import FAMILY_NAMES, BackboneMatrix, InitFamily, draw_matrix, draw_plan
 from lottalora.prng import DRAW_CHUNK, Stream
+from helpers import family_moments
 
 
 def power_iteration_sigma1(a, iters=300):
@@ -41,6 +36,14 @@ def test_backbone_matrix_is_read_only():
     m = draw_matrix(Stream(1), InitFamily("normal"), 4, 4)
     with pytest.raises(ValueError):
         m.data[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("shape", [(5, 5), (4, 3), (12,), (3, 4, 1)])
+def test_backbone_matrix_rows_and_cols_must_match_its_data(shape):
+    # set_backbone checks only rows/cols, so a mismatch let through here
+    # would fail the next forward with a raw matmul ValueError
+    with pytest.raises(DimensionError, match="3x4"):
+        BackboneMatrix(3, 4, np.zeros(shape, np.float32))
 
 
 def test_binary_fan_in_values():

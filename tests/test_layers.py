@@ -3,9 +3,10 @@ import pytest
 
 from lottalora.errors import ConfigError
 from lottalora.initfam import BackboneMatrix, InitFamily, draw_matrix
-from lottalora.layers import AdapterState, LottaLayer, init_adapter, spectral_norm
+from lottalora.layers import AdapterState, LottaLayer, init_adapter
 from lottalora.numerics import softmax
 from lottalora.prng import DrawKind, Stream, derive_stream
+from helpers import effective_weight, spectral_norm
 
 
 def make_layer(d_in=32, d_out=16, rank=4, alpha=1.0, mode="standard", seed=42, use_ln=False):
@@ -54,7 +55,7 @@ def test_scale_factor_standard_and_rank_stabilized():
 def test_effective_weight_zero_b_is_beta_w():
     layer = make_layer()
     layer.adapter.beta.data[()] = 1.5
-    eff = layer.effective_weight()
+    eff = effective_weight(layer)
     assert np.allclose(eff, 1.5 * layer.backbone.data.astype(np.float64))
 
 
@@ -63,7 +64,7 @@ def test_effective_weight_zero_beta_is_scaled_ba_rank_bounded():
     rng = np.random.default_rng(4)
     layer.adapter.b.data[:] = rng.standard_normal((16, 3)).astype(np.float32)
     layer.adapter.beta.data[()] = 0.0
-    eff = layer.effective_weight()
+    eff = effective_weight(layer)
     expected = layer.adapter.scale * (
         layer.adapter.b.data.astype(np.float64) @ layer.adapter.a.data.astype(np.float64)
     )
@@ -78,7 +79,7 @@ def test_forward_matches_effective_weight_product():
     layer.adapter.beta.data[()] = 0.8
     x = rng.standard_normal((16, 32)).astype(np.float32)
     out = layer.forward(x).astype(np.float64)
-    merged = x.astype(np.float64) @ layer.effective_weight().T
+    merged = x.astype(np.float64) @ effective_weight(layer).T
     # matrix-level relative deviation between the two computation routes
     rel = np.abs(out - merged).max() / np.abs(merged).max()
     assert rel < 1e-5
@@ -90,7 +91,7 @@ def test_rank_bound_of_update():
     layer.adapter.a.data[:] = rng.standard_normal((4, 32)).astype(np.float32)
     layer.adapter.b.data[:] = rng.standard_normal((16, 4)).astype(np.float32)
     layer.adapter.beta.data[()] = 0.7
-    update = layer.effective_weight() - 0.7 * layer.backbone.data.astype(np.float64)
+    update = effective_weight(layer) - 0.7 * layer.backbone.data.astype(np.float64)
     singulars = np.linalg.svd(update, compute_uv=False)
     assert np.all(singulars[4:] < 1e-6 * singulars[0])
 
@@ -103,9 +104,9 @@ def test_beta_linearity():
         layer.adapter.b.data.astype(np.float64) @ layer.adapter.a.data.astype(np.float64)
     )
     layer.adapter.beta.data[()] = 1.0
-    base = layer.effective_weight() - ba_part
+    base = effective_weight(layer) - ba_part
     layer.adapter.beta.data[()] = 3.0
-    scaled = layer.effective_weight() - ba_part
+    scaled = effective_weight(layer) - ba_part
     assert np.allclose(scaled, 3.0 * base)
 
 

@@ -121,6 +121,11 @@ def test_softmax_xent_label_out_of_range():
         softmax_xent(np.zeros((4, 3)), np.array([0, 1, 3, 0]))
 
 
+def test_softmax_xent_rejects_an_empty_batch():
+    with pytest.raises(DataError, match="at least one row"):
+        softmax_xent(np.zeros((0, 3), np.float32), np.zeros(0, np.int64))
+
+
 @pytest.mark.parametrize("dtype", [np.float64, np.float32, bool])
 def test_softmax_xent_rejects_non_integer_labels(dtype):
     with pytest.raises(DataError, match="integer dtype"):
