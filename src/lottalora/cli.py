@@ -120,6 +120,14 @@ def _read_json(path: str, what: str, kinds: tuple = (dict,)):
     return value
 
 
+def _finite(value) -> bool:
+    """Whether a parsed JSON value is a real number with a finite float value."""
+    try:
+        return real(value) and math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range has none
+        return False
+
+
 def _check_width(input_dim: int, *datasets: Dataset) -> None:
     """A DataError unless every dataset's rows have ``input_dim`` entries,
     so a mismatched data set fails before anything is built or trained."""
@@ -415,8 +423,8 @@ def cmd_rankstar(args) -> int:
     table = _read_json(args.losses, "loss table")
     losses = {}
     for key, value in table.items():
-        if not real(value):
-            raise ConfigError(f"loss table {args.losses}: loss for rank {key!r} is not a number: {value!r}")
+        if not _finite(value):
+            raise ConfigError(f"loss table {args.losses}: loss for rank {key!r} is not a finite number: {value!r}")
         losses[_parse_int(key, f"loss table {args.losses}: rank")] = float(value)
     try:
         result = rank_star(losses, args.full, args.eps)
@@ -436,7 +444,7 @@ def cmd_betastats(args) -> int:
                 raise ConfigError(f"summary file {path}: a run must be a JSON object, got {type(run).__name__}")
             betas = run.get("final_betas")
             if betas is not None and not (
-                isinstance(betas, list) and all(real(b) and math.isfinite(b) for b in betas)
+                isinstance(betas, list) and all(_finite(b) for b in betas)
             ):
                 raise ConfigError(f"summary file {path}: final_betas must be a list of finite numbers, got {betas!r}")
             if betas:

@@ -85,30 +85,24 @@ def init_adapter(rank: int, d_in: int, d_out: int, alpha: float, mode: str, stre
 class LottaLayer:
     """Frozen backbone + adapter, with an optional combined-path LayerNorm.
 
-    ``frozen_bias`` is a fixed random offset (never trained, not counted):
-    the frozen remnant of a standard dense layer's bias.  It sits outside
-    both the backbone and adapter paths, so it is untouched by beta and
-    absent from the effective weight.
-
-    ``backbone`` is either a ``BackboneMatrix`` or a deferred draw: a
-    zero-argument callable returning ``(matrix, frozen_bias)``.  A deferred
-    draw runs on the first read of ``backbone`` or ``frozen_bias`` (or on
-    ``materialize``); ``set_backbone`` drops it unread.
+    ``draw`` is the layer's deferred scaffold draw: a zero-argument
+    callable returning ``(matrix, frozen_bias)``, where ``matrix`` is a
+    ``BackboneMatrix`` and ``frozen_bias`` a fixed random offset or None.
+    The offset is never trained and not counted: the frozen remnant of a
+    standard dense layer's bias.  It sits outside both the backbone and
+    adapter paths, so it is untouched by beta and absent from the
+    effective weight.  The draw runs on the first read of ``backbone`` or
+    ``frozen_bias`` (or on ``materialize``); ``set_backbone`` drops it
+    unread.
     """
 
-    def __init__(self, backbone: BackboneMatrix | Callable[[], tuple], adapter: AdapterState,
-                 use_layernorm: bool = False, frozen_bias: np.ndarray | None = None):
+    def __init__(self, draw: Callable[[], tuple], adapter: AdapterState, use_layernorm: bool = False):
         self.adapter = adapter
         self.d_in = adapter.a.shape[1]
         self.d_out = adapter.b.shape[0]
-        self._pending = None
-        if callable(backbone):
-            self._pending = backbone
-            self._backbone = self._frozen_bias = None
-        else:
-            self._store(backbone, frozen_bias)
-        self.ln_gamma = None
-        self.ln_bias = None
+        self._pending = draw
+        self._backbone = self._frozen_bias = None
+        self.ln_gamma = self.ln_bias = None
         if use_layernorm:
             self.ln_gamma = tensor(np.ones(self.d_out), requires_grad=True)
             self.ln_bias = tensor(np.zeros(self.d_out), requires_grad=True)

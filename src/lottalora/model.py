@@ -385,18 +385,18 @@ class Model:
             return
         self._redraw()
 
-    def swap_seed_backbones(self, seed: int, drawn: dict | None = None) -> None:
-        """Regenerate all frozen state from a different global seed
-        (seed gating); adapters and heads are untouched.
+    def swap_seed_backbones(self, seed: int, drawn: dict) -> None:
+        """Install the frozen state of a different global seed (seed
+        gating); adapters and heads are untouched.
 
-        With a ``drawn`` dict, each seed's scaffold is drawn once: the
-        first swap to a seed keeps its read-only arrays and the streams
-        past them under the seed, and a later swap reinstalls them, so
-        every seed's scaffold stays live in the dict.
+        The first swap to a seed draws its scaffold and keeps the
+        read-only arrays and the streams past them in ``drawn`` under the
+        seed; a later swap with the same dict reinstalls them, so every
+        seed's scaffold stays live in it.  A fresh ``{}`` draws anew.
         """
         if self.cfg.mode == "full_training":
             raise ConfigError("seed swapping requires lottalora mode")
-        if drawn is not None and seed in drawn:
+        if seed in drawn:
             streams, frozen = drawn[seed]
             self._backbone_streams = [stream.copy() for stream in streams]
             for layer, state in zip(self.lotta_layers(), frozen):
@@ -406,9 +406,8 @@ class Model:
             derive_stream(seed, i, DrawKind.BACKBONE_WEIGHT) for i in range(self.cfg.n_lotta())
         ]
         self._redraw()
-        if drawn is not None:
-            drawn[seed] = ([stream.copy() for stream in self._backbone_streams],
-                           [(layer.backbone, layer.frozen_bias) for layer in self.lotta_layers()])
+        drawn[seed] = ([stream.copy() for stream in self._backbone_streams],
+                       [(layer.backbone, layer.frozen_bias) for layer in self.lotta_layers()])
 
 
 def build_model(cfg: ModelConfig, backbone: BackboneSpec) -> Model:

@@ -33,6 +33,8 @@ import numpy as np
 from .errors import DataError, DimensionError
 from .prng import Stream
 
+LAYERNORM_EPS = 1e-5  # LayerNorm's variance offset: a fixed constant, not a setting
+
 
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn", "_done")
@@ -243,8 +245,8 @@ def dropout(x: Tensor, p: float, stream: Stream, training: bool = True) -> Tenso
     return out
 
 
-def layernorm_forward(x: np.ndarray, gamma: np.ndarray, bias: np.ndarray, eps: float = 1e-5):
-    """Array LayerNorm over the last dim with f64 statistics.
+def layernorm_forward(x: np.ndarray, gamma: np.ndarray, bias: np.ndarray):
+    """Array LayerNorm over the last dim with f64 statistics and ``LAYERNORM_EPS``.
 
     Returns ``(y, xhat, inv)``: the output in ``x``'s dtype, plus the f64
     normalized input and inverse deviation that the backward rule needs.
@@ -253,7 +255,7 @@ def layernorm_forward(x: np.ndarray, gamma: np.ndarray, bias: np.ndarray, eps: f
     mu = x64.mean(axis=-1, keepdims=True)
     centered = x64 - mu
     var = np.mean(centered * centered, axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LAYERNORM_EPS)
     xhat = centered * inv
     y = xhat * gamma.astype(np.float64) + bias.astype(np.float64)
     return y.astype(x.dtype), xhat, inv
@@ -270,12 +272,12 @@ def layernorm_backward(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray, gamma: 
     return inv * (dxhat - m1 - xhat * m2), dgamma, dbias
 
 
-def layernorm(x: Tensor, gamma: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def layernorm(x: Tensor, gamma: Tensor, bias: Tensor) -> Tensor:
     """LayerNorm over the last dim with trainable affine; f64 statistics."""
     d = x.data.shape[-1]
     if gamma.data.shape != (d,) or bias.data.shape != (d,):
         raise DimensionError(f"layernorm affine must have shape ({d},)")
-    y, xhat, inv = layernorm_forward(x.data, gamma.data, bias.data, eps)
+    y, xhat, inv = layernorm_forward(x.data, gamma.data, bias.data)
 
     def backward_fn():
         dx, dgamma, dbias = layernorm_backward(out.grad, xhat, inv, gamma.data)

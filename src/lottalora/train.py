@@ -28,6 +28,8 @@ RESAMPLE_SCHEDULES = ("static", "per_epoch", "per_batch", "microbatch")
 # rows per eval forward; the logits of a row depend on the chunk it falls in
 # (through model.eval_blocks), so every dataset evaluation cuts the same chunks
 EVAL_CHUNK_ROWS = 2048
+# AdamW's moment decay rates and denominator offset: fixed constants, not settings
+ADAMW_BETAS, ADAMW_EPS = (0.9, 0.999), 1e-8
 
 
 @dataclass(frozen=True)
@@ -86,32 +88,27 @@ class RunMetrics:
 
 class AdamW:
     """Decoupled weight decay Adam over trainable tensors only, fused over
-    one flat buffer.
+    one flat buffer, at the fixed ``ADAMW_BETAS`` and ``ADAMW_EPS``.
 
-    The constructor copies the parameters into one flat buffer and rebinds
-    each ``data`` to a view of it with the same shape and dtype.  The
-    moments are one flat buffer each; ``m`` and ``v`` return their
-    per-parameter views in the order of ``params``.  A step concatenates
-    the gradients once and runs the update rule on whole buffers; the rule
-    is elementwise, so every entry gets the bits a per-tensor update gives
-    it.  When some parameter has no gradient, or a gradient of another
-    dtype, the rule runs on each parameter's views in turn instead, and a
-    parameter without a gradient keeps its values and moments.  All
-    parameters must share one dtype.  A parameter whose ``data`` is
-    rebound after construction is no longer the one the optimizer updates,
-    so callers write into ``data`` in place.
+    The constructor copies the parameters, which share one dtype, into one
+    flat buffer and rebinds each ``data`` to a view of it with the same
+    shape and dtype.  The moments are one flat buffer each; ``m`` and
+    ``v`` return their per-parameter views in the order of ``params``.  A
+    step at rate ``lr`` concatenates the gradients once and runs the
+    update rule on whole buffers; the rule is elementwise, so every entry
+    gets the bits a per-tensor update gives it.  A missing gradient, or
+    one of another dtype, is a ``ConfigError`` that leaves the state as it
+    was.  A parameter whose ``data`` is rebound after construction is no
+    longer the one the optimizer updates, so callers write into ``data``
+    in place.
     """
 
-    def __init__(self, params, lr=1e-3, weight_decay=1e-2, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params, weight_decay: float):
         self.params = list(params)
         dtypes = {p.data.dtype for p in self.params}
         if len(dtypes) > 1:
             raise ConfigError(f"AdamW parameters must share one dtype, got {sorted(map(str, dtypes))}")
-        self.lr = lr
         self.weight_decay = weight_decay
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         empty = np.empty(0, dtype=dtypes.pop() if dtypes else np.float32)
         self._flat = np.concatenate([empty] + [p.data.ravel() for p in self.params])
@@ -139,30 +136,25 @@ class AdamW:
         for p in self.params:
             p.grad = None
 
-    def step(self, lr_t: float | None = None):
-        """One update of every parameter that has a gradient."""
-        lr = self.lr if lr_t is None else lr_t
+    def step(self, lr: float):
+        """One update of every parameter at rate ``lr``; decay shrinks the
+        pre-step parameter by lr*wd*param."""
+        for i, p in enumerate(self.params):
+            if p.grad is None or p.grad.dtype != self._flat.dtype:
+                got = "no gradient" if p.grad is None else f"a {p.grad.dtype} gradient"
+                raise ConfigError(f"AdamW parameter {i} (shape {p.data.shape}, {self._flat.dtype}) has {got}")
         self.t += 1
-        rule = (lr, 1.0 - self.beta1 ** self.t, 1.0 - self.beta2 ** self.t)
-        grads = [p.grad for p in self.params]
-        if all(g is not None and g.dtype == self._flat.dtype for g in grads):
-            # the gradient buffer lives for this step only
-            flat_grad = np.concatenate([self._flat[:0]] + [g.ravel() for g in grads])
-            self._update(self._flat, self._m, self._v, flat_grad, *rule)
-            return
-        for p, m, v, g in zip(self.params, self.m, self.v, grads):
-            if g is not None:
-                self._update(p.data, m, v, g, *rule)
-
-    def _update(self, param, m, v, g, lr, bc1, bc2):
-        """The update rule, in place; decay shrinks the pre-step parameter by lr*wd*param."""
-        m *= self.beta1
-        m += (1.0 - self.beta1) * g
-        v *= self.beta2
-        v += (1.0 - self.beta2) * (g * g)
+        b1, b2 = ADAMW_BETAS
+        # the gradient buffer lives for this step only
+        g = np.concatenate([self._flat[:0]] + [p.grad.ravel() for p in self.params])
+        m, v, param = self._m, self._v, self._flat
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * (g * g)
         if self.weight_decay:
             param *= 1.0 - lr * self.weight_decay
-        param -= (lr / bc1) * m / (np.sqrt(v / bc2) + self.eps)
+        param -= (lr / (1.0 - b1 ** self.t)) * m / (np.sqrt(v / (1.0 - b2 ** self.t)) + ADAMW_EPS)
 
 
 def cosine_lr(step: int, total_steps: int, lr0: float) -> float:
@@ -182,13 +174,17 @@ def _eval_chunks(model: Model, dataset: Dataset):
         yield model.forward_logits(dataset.take(rows)).data, dataset.labels[rows]
 
 
+def _require_rows(dataset: Dataset) -> None:
+    if len(dataset) == 0:
+        raise DataError(f"cannot evaluate on an empty {dataset.split} set")
+
+
 def evaluate(model: Model, dataset: Dataset) -> tuple[float, float]:
     """(mean loss, accuracy) in eval mode."""
+    _require_rows(dataset)
     total_loss = 0.0
     correct = 0
     n = len(dataset)
-    if n == 0:
-        raise DataError(f"cannot evaluate on an empty {dataset.split} set")
     for logits, y in _eval_chunks(model, dataset):
         loss, _ = softmax_xent(logits, y)
         total_loss += loss * len(y)
@@ -233,8 +229,7 @@ def _train_step(model, optimizer, x, y, lr_t, resample: str, k: int):
         rows += len(ys)
     if len(parts) > 1:
         for p in optimizer.params:
-            if p.grad is not None:
-                p.grad /= len(parts)
+            p.grad /= len(parts)
     optimizer.step(lr_t)
     return loss_sum / rows, correct, rows
 
@@ -248,7 +243,7 @@ def _train_loop(model: Model, cfg: TrainConfig, resample: str, segments, shuffle
     Yields ``(epoch, train_loss, train_accuracy, lr)`` after each epoch;
     the train metrics are row-weighted means over every forward row.
     """
-    optimizer = AdamW([p for _, p in model.trainable_params()], lr=cfg.lr, weight_decay=cfg.weight_decay)
+    optimizer = AdamW([p for _, p in model.trainable_params()], cfg.weight_decay)
     total_steps = cfg.epochs * sum(math.ceil(len(data) / cfg.batch_size) for data, _ in segments)
     step = 0
     for epoch in range(cfg.epochs):
@@ -364,6 +359,7 @@ def seed_gated_train(
 ) -> SeedGateResult:
     """Train one shared adapter, cycling through the partition's backbone
     seeds within every epoch; evaluate each test digit under each seed."""
+    _require_rows(test_dataset)
     num_classes = partition.num_model_classes(model_cfg.num_classes)
     cfg = replace(model_cfg, num_classes=num_classes)
     spec = BackboneSpec.from_config(cfg, partition.seeds[0], family)

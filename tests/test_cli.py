@@ -84,6 +84,8 @@ def test_rankstar_non_finite_flag_is_config_error(tmp_path, capsys, flags):
     '{"1": null}',
     '{"1": [0.5]}',
     '{"1": 0.5, "2": NaN}',  # a loss that is not finite
+    # an integer that parses but has no float value
+    pytest.param('{"1": 0.5, "2": 1%s}' % ("0" * 400), id="401-digit-loss"),
 ])
 def test_malformed_loss_table_is_config_error(tmp_path, capsys, text):
     losses = tmp_path / "losses.json"
@@ -145,6 +147,7 @@ def test_betastats_command(tmp_path, capsys):
     '{"final_betas": [0.9, "x"]}',
     '{"final_betas": [0.9, NaN]}',  # printed as NaN, which is not JSON
     '[{"final_betas": [0.9]}, {"final_betas": [Infinity]}]',
+    pytest.param('{"final_betas": [0.9, 1%s]}' % ("0" * 400), id="401-digit-beta"),
 ])
 def test_malformed_summary_is_config_error(tmp_path, capsys, text):
     summary = tmp_path / "summary.json"

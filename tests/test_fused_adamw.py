@@ -3,6 +3,8 @@ masks compare the raw words with a shifted threshold.
 
 The per-parameter AdamW that the fused one replaced is kept here as the
 oracle: parameters and moments must match it bit for bit, step after step.
+A step that lacks a parameter's gradient, or meets one of another dtype,
+is refused and leaves the state alone.
 The dropout scale must match the shift-then-compare form it replaced at
 the words where the two could part: just below and at each threshold.
 """
@@ -25,13 +27,9 @@ from test_explicit_backward import to_float64
 class PerTensorAdamW:
     """The former AdamW: one update per parameter tensor."""
 
-    def __init__(self, params, lr=1e-3, weight_decay=1e-2, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params, weight_decay):
         self.params = list(params)
-        self.lr = lr
         self.weight_decay = weight_decay
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
@@ -40,22 +38,20 @@ class PerTensorAdamW:
         for p in self.params:
             p.grad = None
 
-    def step(self, lr_t=None):
-        lr = self.lr if lr_t is None else lr_t
+    def step(self, lr):
+        beta1, beta2, eps = 0.9, 0.999, 1e-8
         self.t += 1
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
+        bc1 = 1.0 - beta1 ** self.t
+        bc2 = 1.0 - beta2 ** self.t
         for p, m, v in zip(self.params, self.m, self.v):
-            if p.grad is None:
-                continue
             g = p.grad
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
+            m *= beta1
+            m += (1.0 - beta1) * g
+            v *= beta2
+            v += (1.0 - beta2) * (g * g)
             if self.weight_decay:
                 p.data *= 1.0 - lr * self.weight_decay
-            p.data -= (lr / bc1) * m / (np.sqrt(v / bc2) + self.eps)
+            p.data -= (lr / bc1) * m / (np.sqrt(v / bc2) + eps)
 
 
 def state(opt) -> tuple:
@@ -77,31 +73,30 @@ def make_params(dtype):
 @pytest.mark.parametrize("gradless", [None, 2, 4])
 def test_fused_steps_match_the_per_tensor_oracle_bitwise(dtype, weight_decay, gradless):
     fused_params, oracle_params = make_params(dtype), make_params(dtype)
-    fused = AdamW(fused_params, lr=3e-2, weight_decay=weight_decay)
-    oracle = PerTensorAdamW(oracle_params, lr=3e-2, weight_decay=weight_decay)
+    fused = AdamW(fused_params, weight_decay)
+    oracle = PerTensorAdamW(oracle_params, weight_decay)
     assert state(fused) == state(oracle)
     rng = np.random.default_rng(1)
     for step in range(4):
-        # parameter ``gradless`` has no gradient on steps 1 and 2
-        missing = gradless if step in (1, 2) else None
         for i, shape in enumerate(SHAPES):
             g = np.asarray(rng.standard_normal(shape), dtype=dtype)
-            fused_params[i].grad = None if i == missing else g.copy()
-            oracle_params[i].grad = None if i == missing else g.copy()
-        if missing is not None:
-            kept = (fused_params[missing].data.copy(), fused.m[missing].copy(), fused.v[missing].copy())
+            fused_params[i].grad, oracle_params[i].grad = g.copy(), g.copy()
         lr = 3e-2 * 0.8 ** step
-        fused.step(lr)
-        oracle.step(lr)
+        if gradless is not None and step in (1, 2):
+            # parameter ``gradless`` has no gradient on steps 1 and 2: the
+            # step refuses it and changes nothing
+            fused_params[gradless].grad = None
+            with pytest.raises(ConfigError, match=f"parameter {gradless} .* no gradient"):
+                fused.step(lr)
+        else:
+            fused.step(lr)
+            oracle.step(lr)
         assert state(fused) == state(oracle), step
-        if missing is not None:
-            now = (fused_params[missing].data, fused.m[missing], fused.v[missing])
-            assert all(a.tobytes() == b.tobytes() for a, b in zip(kept, now))
 
 
 def test_parameters_and_moments_are_views_of_flat_buffers():
     params = make_params(np.float32)
-    opt = AdamW(params)
+    opt = AdamW(params, 1e-2)
     for views in ([p.data for p in params], opt.m, opt.v):
         assert [a.shape for a in views] == SHAPES
         assert all(a.dtype == np.float32 for a in views)
@@ -109,24 +104,25 @@ def test_parameters_and_moments_are_views_of_flat_buffers():
         assert len(bases) == 1 and next(iter(views)).base.ndim == 1
 
 
-def test_a_gradient_of_another_dtype_takes_the_per_tensor_path():
-    fused_params, oracle_params = make_params(np.float32), make_params(np.float32)
-    fused, oracle = AdamW(fused_params, lr=0.1), PerTensorAdamW(oracle_params, lr=0.1)
+def test_a_gradient_of_another_dtype_is_a_config_error():
+    params = make_params(np.float32)
+    opt = AdamW(params, 1e-2)
     rng = np.random.default_rng(2)
-    for step in range(3):
-        for i, shape in enumerate(SHAPES):
-            g = np.asarray(rng.standard_normal(shape), dtype=np.float64 if i == 0 else np.float32)
-            fused_params[i].grad, oracle_params[i].grad = g.copy(), g.copy()
-        fused.step()
-        oracle.step()
-        assert state(fused) == state(oracle), step
+    for p, shape in zip(params, SHAPES):
+        p.grad = np.asarray(rng.standard_normal(shape), dtype=np.float32)
+    opt.step(0.1)  # so the refused step meets non-zero moments
+    params[0].grad = params[0].grad.astype(np.float64)
+    before = state(opt)
+    with pytest.raises(ConfigError, match="parameter 0 .* float64 gradient"):
+        opt.step(0.1)
+    assert state(opt) == before
 
 
 def test_mixed_dtype_parameters_are_a_config_error():
     params = [tensor(np.ones(3), requires_grad=True, dtype=np.float32),
               tensor(np.ones(2), requires_grad=True, dtype=np.float64)]
     with pytest.raises(ConfigError, match="one dtype"):
-        AdamW(params)
+        AdamW(params, 1e-2)
 
 
 @pytest.mark.parametrize("f64", [False, True])
@@ -141,7 +137,7 @@ def test_training_steps_match_the_oracle_bitwise(f64, resample, k, weight_decay)
         model = build_model(cfg, BackboneSpec.from_config(cfg, 7))
         if f64:
             to_float64(model)
-        opt = make([p for _, p in model.trainable_params()], lr=1e-2, weight_decay=weight_decay)
+        opt = make([p for _, p in model.trainable_params()], weight_decay)
         for step in range(3):
             _train_step(model, opt, data.images, data.labels, 1e-2 * (1 - step / 4), resample, k)
         assert all(p.data.dtype == (np.float64 if f64 else np.float32) for p in opt.params)

@@ -276,9 +276,9 @@ def test_resample_changes_backbones_deterministically():
 
 def test_swap_seed_backbones_matches_fresh_build():
     model = build("tiny", seed=42)
-    model.swap_seed_backbones(43)
+    model.swap_seed_backbones(43, {})
     assert model.backbone_hashes() == build("tiny", seed=43).backbone_hashes()
-    model.swap_seed_backbones(42)
+    model.swap_seed_backbones(42, {})
     assert model.backbone_hashes() == build("tiny", seed=42).backbone_hashes()
 
 
@@ -287,7 +287,7 @@ def test_a_reinstalled_seed_scaffold_matches_a_fresh_swap():
     drawn = {}
     for seed in (43, 44, 43):
         model.swap_seed_backbones(seed, drawn)
-        fresh.swap_seed_backbones(seed)
+        fresh.swap_seed_backbones(seed, {})
         assert model.backbone_hashes() == fresh.backbone_hashes()
         assert [(s.state, s._gauss_cache) for s in model._backbone_streams] == \
             [(s.state, s._gauss_cache) for s in fresh._backbone_streams]
@@ -307,7 +307,7 @@ def test_adapters_survive_backbone_swaps():
     model = build("tiny", seed=42)
     model.hidden[0].adapter.b.data[:] = 1.0
     before = model.hidden[0].adapter.b.data.copy()
-    model.swap_seed_backbones(44)
+    model.swap_seed_backbones(44, {})
     assert np.array_equal(model.hidden[0].adapter.b.data, before)
 
 

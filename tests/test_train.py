@@ -12,6 +12,8 @@ from lottalora.model import BackboneSpec, Model, ModelConfig, build_model
 from lottalora.numerics import softmax_xent, tensor
 from lottalora.prng import DrawKind, derive_stream
 from lottalora.train import (
+    ADAMW_BETAS,
+    ADAMW_EPS,
     AdamW,
     _train_step,
     RunMetrics,
@@ -52,14 +54,15 @@ def quick_train_cfg(**kw):
 def test_adamw_zero_grad_zero_decay_no_change():
     p = tensor(np.array([1.0, -2.0]), requires_grad=True)
     p.grad = np.zeros(2, dtype=np.float32)
-    opt = AdamW([p], lr=0.1, weight_decay=0.0)
-    opt.step()
+    opt = AdamW([p], 0.0)
+    opt.step(0.1)
     assert np.array_equal(p.data, np.array([1.0, -2.0], dtype=np.float32))
 
 
 def test_adamw_single_scalar_step_matches_hand_arithmetic():
-    # one step on a scalar, transcribed update rule
+    # one step on a scalar, transcribed update rule at the fixed constants
     lr, wd, b1, b2, eps = 0.1, 0.0, 0.9, 0.999, 1e-8
+    assert ADAMW_BETAS == (b1, b2) and ADAMW_EPS == eps
     value, grad = 2.0, 0.5
     m = (1 - b1) * grad
     v = (1 - b2) * grad * grad
@@ -69,7 +72,7 @@ def test_adamw_single_scalar_step_matches_hand_arithmetic():
 
     p = tensor(np.asarray(value), requires_grad=True, dtype=np.float64)
     p.grad = np.asarray(grad, dtype=np.float64)
-    opt = AdamW([p], lr=lr, weight_decay=wd, beta1=b1, beta2=b2, eps=eps)
+    opt = AdamW([p], wd)
     opt.step(lr)
     assert float(p.data) == pytest.approx(expected, rel=1e-12)
 
@@ -80,17 +83,18 @@ def test_adamw_decoupled_decay_shrinks_param():
     p_decay = tensor(np.asarray(2.0), requires_grad=True, dtype=np.float64)
     for p in (p_plain, p_decay):
         p.grad = np.asarray(0.5, dtype=np.float64)
-    AdamW([p_plain], lr=lr, weight_decay=0.0).step()
-    AdamW([p_decay], lr=lr, weight_decay=wd).step()
+    AdamW([p_plain], 0.0).step(lr)
+    AdamW([p_decay], wd).step(lr)
     # extra shrink is exactly lr * wd * param on the pre-step value
     assert float(p_plain.data - p_decay.data) == pytest.approx(lr * wd * 2.0, rel=1e-12)
 
 
-def test_adamw_skips_frozen_and_gradless():
+def test_adamw_step_without_a_gradient_is_a_config_error():
     p = tensor(np.ones(3), requires_grad=True)
-    opt = AdamW([p], lr=0.1)
-    opt.step()  # no grad: untouched
-    assert np.array_equal(p.data, np.ones(3, dtype=np.float32))
+    opt = AdamW([p], 1e-2)
+    with pytest.raises(ConfigError, match="parameter 0 .* no gradient"):
+        opt.step(0.1)
+    assert np.array_equal(p.data, np.ones(3, dtype=np.float32)) and opt.t == 0
 
 
 # -- cosine schedule ------------------------------------------------------------
@@ -193,8 +197,7 @@ def reference_train_one_batch(model, optimizer, x, y, lr_t, cfg: TrainConfig):
             losses += loss
             correct += int((logits.argmax(axis=1) == y).sum())
         for p in optimizer.params:
-            if p.grad is not None:
-                p.grad /= k
+            p.grad /= k
         optimizer.step(lr_t)
         return losses / k, correct // k
     if cfg.resample == "microbatch":
@@ -212,8 +215,7 @@ def reference_train_one_batch(model, optimizer, x, y, lr_t, cfg: TrainConfig):
             correct += int((logits.argmax(axis=1) == y[idx]).sum())
             used += 1
         for p in optimizer.params:
-            if p.grad is not None:
-                p.grad /= used
+            p.grad /= used
         optimizer.step(lr_t)
         return losses / len(y), correct
     loss, logits = model.loss_and_grads(x, y)
@@ -235,7 +237,7 @@ def test_one_pass_step_matches_reference_bitwise(resample, k, rows):
 
     def state_after_two_steps(step):
         model = build_model(cfg, spec)
-        opt = AdamW([p for _, p in model.trainable_params()], lr=1e-2)
+        opt = AdamW([p for _, p in model.trainable_params()], 1e-2)
         for _ in range(2):  # the second step runs on non-zero moments and B
             step(model, opt)
         return (model.backbone_hashes(), [p.data.tobytes() for p in opt.params],
@@ -385,6 +387,15 @@ def test_evaluate_rejects_an_empty_dataset():
         evaluate(model, train.subset(np.arange(0), "test"))
 
 
+def test_seed_gated_train_rejects_an_empty_test_set_before_training(monkeypatch):
+    full = synthetic_blobs(100, 20, 4, 3.0, 7)
+    partition = make_partition([{0, 1}, {2, 3}], [5, 6])
+    monkeypatch.setattr("lottalora.train.build_model", lambda *args: pytest.fail("built a model for an empty test set"))
+    with pytest.raises(DataError, match="empty test set"):
+        seed_gated_train(partition, blob_model_cfg(input_dim=20, num_classes=10), quick_train_cfg(epochs=1),
+                         full, full.subset(np.arange(0), "test"))
+
+
 def relabeled_as(dataset, dtype):
     return dataset.relabeled(dataset.labels.astype(dtype))
 
@@ -517,7 +528,7 @@ def test_seed_gating_draws_each_group_scaffold_once(monkeypatch):
 def test_seed_gating_with_reused_scaffolds_matches_redrawing_them(monkeypatch):
     reused = gate_three_groups(epochs=3)
     swap = Model.swap_seed_backbones
-    monkeypatch.setattr(Model, "swap_seed_backbones", lambda model, seed, drawn=None: swap(model, seed))
+    monkeypatch.setattr(Model, "swap_seed_backbones", lambda model, seed, drawn: swap(model, seed, {}))
     redrawn = gate_three_groups(epochs=3)
     for field_name in ("assigned_accuracy", "non_assigned_accuracy", "ooc_digit0_rate"):
         assert getattr(reused, field_name) == getattr(redrawn, field_name)
