@@ -33,6 +33,7 @@ import sys
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 CORETYPES = ("SkylakeX", "Haswell", "Sandybridge", "Nehalem", "Prescott")
 THREADS = (1, 2)
+CHILD_TIMEOUT_S = 300  # one child of the default grid takes about 30 s
 
 
 def blas_core() -> str | None:
@@ -74,13 +75,20 @@ def child(families: list[str], presets: list[str], seeds: int) -> dict:
     return {"core": blas_core(), "hashes": hashes}
 
 
-def run_child(coretype: str, threads: int, families, presets, seeds: int) -> dict:
+def run_child(coretype: str | None, threads: int, families, presets, seeds: int) -> dict:
+    """``child``'s report from a process on ``threads`` BLAS threads under
+    the kernel ``coretype`` (None: the BLAS's default), or ``{"error": ...}``."""
     env = {k: v for k, v in os.environ.items() if k not in ("OMP_NUM_THREADS", "OPENBLAS_CORETYPE")}
-    env.update(OPENBLAS_CORETYPE=coretype, OPENBLAS_NUM_THREADS=str(threads),
+    env.update(OPENBLAS_NUM_THREADS=str(threads),
                PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    if coretype is not None:
+        env["OPENBLAS_CORETYPE"] = coretype
     spec = json.dumps({"families": families, "presets": presets, "seeds": seeds})
-    result = subprocess.run([sys.executable, os.path.abspath(__file__), "--child", spec],
-                            env=env, capture_output=True, text=True)
+    try:
+        result = subprocess.run([sys.executable, os.path.abspath(__file__), "--child", spec],
+                                env=env, capture_output=True, text=True, timeout=CHILD_TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return {"error": f"no report within {CHILD_TIMEOUT_S} s"}
     if result.returncode != 0:
         return {"error": (result.stderr.strip().splitlines() or [f"exit status {result.returncode}"])[-1]}
     return json.loads(result.stdout)

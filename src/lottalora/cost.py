@@ -10,13 +10,15 @@ RMSNorm, vocab 32,000):
     lora_internal(r) = n*(8*r*d + 4)        (adapters on the four attention
                                              projections plus per-layer gain)
 
-Formatted sizes use MiB (2^20 bytes).
+Formatted sizes use MiB (2^20 bytes).  Every bad argument raises
+``ConfigError``, an integer beyond the float range included.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+
+from .errors import ConfigError, finite, integral
 
 MIB = float(1 << 20)
 
@@ -44,8 +46,8 @@ class TransformerArch:
         return self.total_params() - self.vocab * self.hidden
 
     def lora_internal(self, rank: int) -> int:
-        if rank < 1:
-            raise ValueError(f"rank must be >= 1, got {rank}")
+        if not (integral(rank) and 1 <= rank <= self.hidden):
+            raise ConfigError(f"rank must be an integer in [1, {self.hidden}], got {rank!r}")
         return self.n_layers * (8 * rank * self.hidden + 4)
 
     def lottalora_total(self, rank: int) -> int:
@@ -65,18 +67,20 @@ ARCHS = {
 }
 
 
+def _check_counts(n, n_tr) -> None:
+    if not (finite(n) and finite(n_tr) and 0 <= n_tr <= n and n > 0):
+        raise ConfigError(f"need finite N > 0 and 0 <= N_tr <= N, got N_tr={n_tr!r}, N={n!r}")
+
+
 def flops(m_tokens: float, n: float, n_tr: float) -> tuple[float, float, float]:
     """(F_full, F_lottalora, ratio).
 
     Full training costs ~6 FLOPs per token-parameter; freezing removes the
     weight-gradient third for frozen parameters, leaving 4N + 2N_tr.
     """
-    if not (math.isfinite(m_tokens) and m_tokens >= 0):
-        raise ValueError(f"token count must be finite and >= 0, got {m_tokens}")
-    if not 0 <= n_tr <= n:
-        raise ValueError(f"need 0 <= N_tr <= N, got N_tr={n_tr}, N={n}")
-    if n == 0:
-        raise ValueError("N must be positive for the FLOPs ratio")
+    if not (finite(m_tokens) and m_tokens >= 0):
+        raise ConfigError(f"token count must be a finite number >= 0, got {m_tokens!r}")
+    _check_counts(n, n_tr)
     f_full = 6.0 * m_tokens * n
     f_lotta = m_tokens * (4.0 * n + 2.0 * n_tr)
     return f_full, f_lotta, 2.0 / 3.0 + n_tr / (3.0 * n)
@@ -85,10 +89,7 @@ def flops(m_tokens: float, n: float, n_tr: float) -> tuple[float, float, float]:
 def opt_memory(n: float, n_tr: float) -> tuple[float, float, float]:
     """(bytes full, bytes lottalora, ratio) under mixed-precision Adam
     accounting: 16 bytes per trainable parameter, 2 per frozen one."""
-    if not 0 <= n_tr <= n:
-        raise ValueError(f"need 0 <= N_tr <= N, got N_tr={n_tr}, N={n}")
-    if n == 0:
-        raise ValueError("N must be positive for the memory ratio")
+    _check_counts(n, n_tr)
     mem_full = float(BYTES_FULL_PER_PARAM) * n
     mem_lotta = float(BYTES_FROZEN_PER_PARAM) * n + float(BYTES_TRAINABLE_EXTRA) * n_tr
     return mem_full, mem_lotta, 1.0 / 8.0 + (7.0 / 8.0) * (n_tr / n)
@@ -113,21 +114,23 @@ def dist_size(arch: TransformerArch, rank: int, fmt: str) -> int:
     if fmt == "lottalora":
         shipped = arch.vocab * arch.hidden + arch.lora_internal(rank) + arch.norm_params()
         return 8 + 2 * shipped
-    raise ValueError(f"unknown distribution format {fmt!r}; expected one of {DIST_FORMATS}")
+    raise ConfigError(f"unknown distribution format {fmt!r}; expected one of {DIST_FORMATS}")
 
 
 def rank_star(losses: dict, full_loss: float, epsilon: float):
     """Smallest rank whose loss is within epsilon of the fully trained
     baseline; None when no rank qualifies."""
-    if not (math.isfinite(epsilon) and epsilon >= 0):
-        raise ValueError(f"epsilon must be finite and >= 0, got {epsilon}")
-    if not math.isfinite(full_loss):
-        raise ValueError(f"full_loss must be finite, got {full_loss}")
+    if not (finite(epsilon) and epsilon >= 0):
+        raise ConfigError(f"epsilon must be a finite number >= 0, got {epsilon!r}")
+    if not finite(full_loss):
+        raise ConfigError(f"full_loss must be a finite number, got {full_loss!r}")
     if not losses:
-        raise ValueError("losses must be nonempty")
+        raise ConfigError("losses must be nonempty")
     for rank, loss in losses.items():
-        if not math.isfinite(loss):
-            raise ValueError(f"loss for rank {rank} must be finite, got {loss}")
+        if not (integral(rank) and rank >= 1):
+            raise ConfigError(f"a rank must be an integer >= 1, got {rank!r}")
+        if not finite(loss):
+            raise ConfigError(f"loss for rank {rank} must be a finite number, got {loss!r}")
     for rank in sorted(losses):
         if losses[rank] <= full_loss + epsilon:
             return rank

@@ -18,14 +18,13 @@ the whole view on each access.
 from __future__ import annotations
 
 import gzip
-import math
 import os
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, ParseError, integral, real
+from .errors import ConfigError, DataError, ParseError, finite, integral
 from .prng import DRAW_CHUNK, Stream, check_seed
 
 MNIST_MEAN = 0.1307
@@ -216,7 +215,7 @@ def synthetic_blobs(n: int, d: int, classes: int, sep: float, seed: int) -> Data
     for name, value in (("n", n), ("d", d), ("classes", classes)):
         if not integral(value) or value < 1:
             raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
-    if not real(sep) or not math.isfinite(sep):
+    if not finite(sep):
         raise ConfigError(f"sep must be a finite number, got {sep!r}")
     if n < classes:
         raise ConfigError(f"need at least one point per class: n={n} < classes={classes}")

@@ -1,10 +1,12 @@
 """Exception hierarchy shared across the library and the CLI.
 
 Every error carries a short machine-readable ``category`` used by the CLI
-to pick an exit code and emit a structured error line.  The two
-predicates below are the type checks behind many ``ConfigError``s.
+to pick an exit code and emit a structured error line.  The three
+predicates below are the value checks behind many ``ConfigError``s; each
+is defined in this module once and used by the module that owns the value.
 """
 
+import math
 import numbers
 
 
@@ -16,6 +18,15 @@ def integral(value) -> bool:
 def real(value) -> bool:
     """Whether ``value`` is a real number; a bool is not one."""
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def finite(value) -> bool:
+    """Whether ``value`` is a real number with a finite float value; an
+    integer beyond the float range has none."""
+    try:
+        return real(value) and math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 class LottaError(Exception):

@@ -48,10 +48,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, integral, real
+from .errors import ConfigError, DimensionError, finite, integral
 from .prng import DRAW_CHUNK, Stream
 
 KAIMING_DEFAULT_A = math.sqrt(5.0)
+SCALINGS = ("fan_in", "explicit")
 
 _GAUSSIAN = (("gaussian", 1),)
 _UNIT = (("unit", 1),)
@@ -258,12 +259,12 @@ class InitFamily:
         scaling = self.scaling
         if scaling is None:
             scaling = "fan_in" if spec.scale == "sigma" else "explicit"
-        if scaling not in ("fan_in", "explicit"):
-            raise ConfigError(f"scaling must be 'fan_in' or 'explicit', got {scaling!r}")
+        if scaling not in SCALINGS:
+            raise ConfigError(f"scaling must be one of {SCALINGS}, got {scaling!r}")
         object.__setattr__(self, "scaling", scaling)
         # checked, never coerced: the header records the params as given
         for key, value in p.items():
-            if not (real(value) and (integral(value) or math.isfinite(value))):
+            if not finite(value):
                 raise ConfigError(f"family {self.name!r}: parameter {key!r} must be a finite number, got {value!r}")
         for key in filter(None, (spec.scale, *spec.positive)):
             if not p[key] > 0:

@@ -31,6 +31,7 @@ from .numerics import Tensor, add_grad, layernorm_backward, layernorm_forward, t
 from .prng import Stream
 
 SCALING_MODES = ("standard", "rank_stabilized")
+B_INITS = ("zeros", "kaiming")
 
 
 @dataclass
@@ -63,8 +64,8 @@ def init_adapter(rank: int, d_in: int, d_out: int, alpha: float, mode: str, stre
         raise ConfigError(f"rank must be >= 1, got {rank}")
     if mode not in SCALING_MODES:
         raise ConfigError(f"scaling_mode must be one of {SCALING_MODES}, got {mode!r}")
-    if b_init not in ("zeros", "kaiming"):
-        raise ConfigError(f"b_init must be 'zeros' or 'kaiming', got {b_init!r}")
+    if b_init not in B_INITS:
+        raise ConfigError(f"b_init must be one of {B_INITS}, got {b_init!r}")
     bound = math.sqrt(6.0 / (d_in * (1.0 + 5.0)))  # Kaiming uniform, a = sqrt(5)
     a_data = bound * (2.0 * stream.unit_block(rank * d_in).reshape(rank, d_in) - 1.0)
     if b_init == "kaiming":

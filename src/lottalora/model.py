@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, IncompatibilityError, integral, real
+from .errors import ConfigError, DimensionError, IncompatibilityError, finite, integral, real
 from .initfam import BackboneMatrix, InitFamily, draw_matrix, draw_plan
-from .layers import SCALING_MODES, DenseLayer, LottaLayer, init_adapter
+from .layers import B_INITS, SCALING_MODES, DenseLayer, LottaLayer, init_adapter
 from .numerics import Tensor, add_grad, softmax_xent, tensor
 from .prng import ALGORITHM_ID, DrawKind, Stream, check_seed, derive_stream
 
@@ -134,14 +134,12 @@ class ModelConfig:
         if self.rank < 1:
             raise ConfigError(f"rank must be >= 1, got {self.rank}")
         # checked, never coerced: the header records alpha as given
-        alpha = self.alpha
-        if not real(alpha) or not (math.isfinite(alpha) and alpha > 0):
-            raise ConfigError(f"alpha must be a finite number > 0, got {alpha!r}")
-        dropout = self.dropout
-        if not real(dropout) or not 0.0 <= dropout < 1.0:
-            raise ConfigError(f"dropout must lie in [0, 1), got {dropout!r}")
-        if self.b_init not in ("zeros", "kaiming"):
-            raise ConfigError(f"b_init must be 'zeros' or 'kaiming', got {self.b_init!r}")
+        if not (finite(self.alpha) and self.alpha > 0):
+            raise ConfigError(f"alpha must be a finite number > 0, got {self.alpha!r}")
+        if not (real(self.dropout) and 0.0 <= self.dropout < 1.0):
+            raise ConfigError(f"dropout must lie in [0, 1), got {self.dropout!r}")
+        if self.b_init not in B_INITS:
+            raise ConfigError(f"b_init must be one of {B_INITS}, got {self.b_init!r}")
 
     def dims(self) -> tuple:
         return self.hidden_dims if self.hidden_dims is not None else PRESETS[self.preset]

@@ -19,7 +19,7 @@ import numpy as np
 
 from .artifact import to_shipping_precision
 from .data import Dataset, split_train_val
-from .errors import ConfigError, DataError, RunError, real
+from .errors import ConfigError, DataError, RunError, finite
 from .model import BackboneSpec, Model, ModelConfig, _integral, build_model
 from .numerics import softmax_xent
 from .prng import DrawKind, derive_stream
@@ -46,10 +46,10 @@ class TrainConfig:
     def __post_init__(self):
         for name in ("batch_size", "epochs", "resample_k"):
             object.__setattr__(self, name, _integral(getattr(self, name), name))
-        for name in ("lr", "weight_decay"):
-            value = getattr(self, name)
-            if not real(value):
-                raise ConfigError(f"{name} must be a number, got {value!r}")
+        if not (finite(self.lr) and self.lr > 0):
+            raise ConfigError(f"lr must be a finite number > 0, got {self.lr!r}")
+        if not (finite(self.weight_decay) and self.weight_decay >= 0):
+            raise ConfigError(f"weight_decay must be a finite number >= 0, got {self.weight_decay!r}")
         if self.resample not in RESAMPLE_SCHEDULES:
             raise ConfigError(f"resample must be one of {RESAMPLE_SCHEDULES}, got {self.resample!r}")
         if self.resample in ("per_batch", "microbatch") and self.resample_k < 2:
@@ -58,10 +58,6 @@ class TrainConfig:
             raise ConfigError(f"schedule must be 'cosine' or 'constant', got {self.schedule!r}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("epochs and batch_size must be >= 1")
-        if not (math.isfinite(self.lr) and self.lr > 0):
-            raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
-        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
-            raise ConfigError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
 
 
 @dataclass
@@ -234,12 +230,12 @@ def _train_step(model, optimizer, x, y, lr_t, resample: str, k: int):
     return loss_sum / rows, correct, rows
 
 
-def _train_loop(model: Model, cfg: TrainConfig, resample: str, segments, shuffle):
+def _train_loop(model: Model, cfg: TrainConfig, segments, shuffle):
     """The one training loop behind ``train_run`` and ``seed_gated_train``.
 
     Every epoch runs the ``(dataset, prepare)`` segments in order:
     ``prepare(epoch)`` sets up the scaffold, then the dataset is shuffled
-    and cut into batches, each one ``_train_step`` under ``resample``.
+    and cut into batches, each one ``_train_step`` under ``cfg.resample``.
     Yields ``(epoch, train_loss, train_accuracy, lr)`` after each epoch;
     the train metrics are row-weighted means over every forward row.
     """
@@ -256,7 +252,7 @@ def _train_loop(model: Model, cfg: TrainConfig, resample: str, segments, shuffle
                 idx = perm[start:start + cfg.batch_size]
                 y = data.labels[idx]
                 loss, step_correct, step_rows = _train_step(
-                    model, optimizer, data.take(idx), y, _lr(cfg, step, total_steps), resample, cfg.resample_k
+                    model, optimizer, data.take(idx), y, _lr(cfg, step, total_steps), cfg.resample, cfg.resample_k
                 )
                 if not math.isfinite(loss):
                     raise RunError(
@@ -296,7 +292,7 @@ def train_run(
     metrics = RunMetrics()
     best_val = -1.0
     best_params = None
-    epochs = _train_loop(model, train_cfg, train_cfg.resample, [(train_split, redraw_per_epoch)], shuffle)
+    epochs = _train_loop(model, train_cfg, [(train_split, redraw_per_epoch)], shuffle)
     for epoch, train_loss, train_acc, lr in epochs:
         val_loss, val_acc = evaluate(model, val_split)
         betas = _layer_betas(model)
@@ -358,7 +354,10 @@ def seed_gated_train(
     family=None,
 ) -> SeedGateResult:
     """Train one shared adapter, cycling through the partition's backbone
-    seeds within every epoch; evaluate each test digit under each seed."""
+    seeds within every epoch; evaluate each test digit under each seed.
+    Each group has its seed's one scaffold, so the schedule is static."""
+    if train_cfg.resample != "static":
+        raise ConfigError(f"seed gating trains on static scaffolds only, got resample={train_cfg.resample!r}")
     _require_rows(test_dataset)
     num_classes = partition.num_model_classes(model_cfg.num_classes)
     cfg = replace(model_cfg, num_classes=num_classes)
@@ -373,7 +372,7 @@ def seed_gated_train(
         (view, lambda _epoch, seed=seed: model.swap_seed_backbones(seed, drawn))
         for view, seed in zip(views, partition.seeds)
     ]
-    for _ in _train_loop(model, train_cfg, "static", segments, shuffle):
+    for _ in _train_loop(model, train_cfg, segments, shuffle):
         pass  # nothing to record between epochs
 
     confusion = []
@@ -412,8 +411,12 @@ def _mean(values: list) -> float | None:
 
 
 def beta_summary(final_betas_per_run) -> dict:
-    """Descriptive stats over final per-layer backbone gains across runs."""
-    chunks = [np.asarray(b, dtype=np.float64) for b in final_betas_per_run if len(b)]
+    """Descriptive stats over final per-layer backbone gains across runs;
+    each run is a list of finite numbers, and an empty one is skipped."""
+    for betas in final_betas_per_run:
+        if not (isinstance(betas, list) and all(finite(b) for b in betas)):
+            raise ConfigError(f"a run's final betas must be a list of finite numbers, got {betas!r}")
+    chunks = [np.asarray(b, dtype=np.float64) for b in final_betas_per_run if b]
     if not chunks:
         raise ConfigError("beta_summary needs at least one run with recorded betas")
     values = np.concatenate(chunks)

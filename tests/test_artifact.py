@@ -370,6 +370,16 @@ def test_family_params_that_are_not_an_object_are_format_errors(params):
         reconstruct_edited(lambda h: h["backbone"]["family"].update(params=params))
 
 
+@pytest.mark.parametrize("edit", [
+    lambda h: h["backbone"]["family"].update(name="normal", params={"sigma": 10 ** 400}, scaling="explicit"),
+    lambda h: h["model"].update(alpha=10 ** 400),
+], ids=["family-sigma", "model-alpha"])
+def test_a_header_number_beyond_the_float_range_is_format_error(edit):
+    # such a sigma used to reconstruct, and the first forward raised OverflowError
+    with pytest.raises(FormatError):
+        reconstruct_edited(edit)
+
+
 def test_non_numeric_rank_is_format_error():
     with pytest.raises(FormatError):
         reconstruct_edited(lambda h: h["model"].update(rank="x"))

@@ -2,8 +2,8 @@
 
 Two child processes hash ``draw_matrix`` for every family at every
 ``medium`` layer shape, seeds 1 and 2, with ``scripts/portcheck.py``'s
-child: one under the default OpenBLAS kernel on one thread, one under
-``OPENBLAS_CORETYPE=Haswell`` on two.
+``run_child``: one under the default OpenBLAS kernel on one thread, one
+under ``OPENBLAS_CORETYPE=Haswell`` on two.
 Each child reports the kernel its BLAS runs, so the test knows the switch
 took.  ``orthogonal`` (LAPACK QR) and ``spectral_radius`` (LAPACK SVD) are
 platform-bound: their scaffolds can move by an ulp with the kernel or the
@@ -12,39 +12,20 @@ are not compared here.  The shapes and seeds are the preset's and the
 first two, not picked to pass.
 """
 
-import json
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
 
 from lottalora.initfam import FAMILY_NAMES
+from test_portcheck import load_portcheck
 
-ROOT = Path(__file__).resolve().parents[1]
 PLATFORM_BOUND = ("orthogonal", "spectral_radius")
 STREAM_ONLY = [name for name in FAMILY_NAMES if name not in PLATFORM_BOUND]
 SEEDS = 2  # seeds 1 and 2
 
-CHILD = """
-import json, sys
-sys.path.insert(0, sys.argv[1])
-from portcheck import child
-print(json.dumps(child(json.loads(sys.argv[2]), ["medium"], int(sys.argv[3]))))
-"""
-
 
 def draw_in_child(threads: int, coretype: str | None) -> dict:
-    env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_CORETYPE", "OMP_NUM_THREADS")}
-    env["OPENBLAS_NUM_THREADS"] = str(threads)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    if coretype is not None:
-        env["OPENBLAS_CORETYPE"] = coretype
-    result = subprocess.run([sys.executable, "-c", CHILD, str(ROOT / "scripts"), json.dumps(STREAM_ONLY), str(SEEDS)],
-                            env=env, capture_output=True, text=True, timeout=300)
-    assert result.returncode == 0, result.stderr
-    return json.loads(result.stdout)
+    outcome = load_portcheck().run_child(coretype, threads, STREAM_ONLY, ["medium"], SEEDS)
+    assert "error" not in outcome, outcome["error"]
+    return outcome
 
 
 def test_stream_only_families_hash_the_same_under_two_kernels_and_thread_counts():

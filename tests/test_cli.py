@@ -34,7 +34,10 @@ def test_cost_unknown_arch_exits_config(capsys):
     assert err["error"] == "config"
 
 
-@pytest.mark.parametrize("flags", [["--rank", "0"], ["--tokens", "-5"], ["--tokens", "nan"], ["--tokens", "inf"]])
+@pytest.mark.parametrize("flags", [
+    ["--rank", "0"], ["--rank", "1665"], ["--tokens", "-5"], ["--tokens", "nan"], ["--tokens", "inf"],
+    pytest.param(["--rank", "1" + "0" * 400], id="401-digit-rank"),
+])
 def test_cost_bad_numbers_exit_config(capsys, flags):
     assert run(["cost", "--arch", "900M", *flags]) == 3
     captured = capsys.readouterr()
@@ -80,6 +83,7 @@ def test_rankstar_non_finite_flag_is_config_error(tmp_path, capsys, flags):
     '{"1": 0.5',  # not JSON
     '[0.5, 0.3]',  # not an object
     '{"x": 0.5}',  # a rank that is not an integer
+    '{"0": 0.1, "2": 0.5}',  # a rank below 1
     '{"1": "x"}',  # a loss that is not a number
     '{"1": null}',
     '{"1": [0.5]}',
@@ -92,6 +96,18 @@ def test_malformed_loss_table_is_config_error(tmp_path, capsys, text):
     losses.write_text(text)
     assert run(["rankstar", "--losses", str(losses), "--full", "0.2", "--eps", "0.01"]) == 3
     assert json.loads(capsys.readouterr().err)["error"] == "config"
+
+
+@pytest.mark.parametrize("text", ['{"1": 0.5, "01": 0.21, "4": 0.3}', '{"4": 0.3, "1": 0.5, "01": 0.21}'])
+def test_a_rank_named_twice_is_config_error(tmp_path, capsys, text):
+    # "1" and "01" name one rank; the last one used to win, so the answer hung on key order
+    losses = tmp_path / "losses.json"
+    losses.write_text(text)
+    assert run(["rankstar", "--losses", str(losses), "--full", "0.2", "--eps", "0.02"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "config" and "rank 1" in err["message"]
 
 
 def test_unknown_flag_is_usage_error(capsys):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from lottalora.cost import ARCHS, MIB, cost_report, dist_size, flops, opt_memory, rank_star
+from lottalora.errors import ConfigError
 from lottalora.initfam import InitFamily, draw_matrix
 from lottalora.prng import Stream
 from helpers import rmt_sigma1, spectral_norm
@@ -80,9 +81,9 @@ def test_flops_frozen_limit_and_example():
 
 
 def test_flops_domain_errors():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         flops(1, 0, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         flops(1, 10, 11)
 
 
@@ -132,7 +133,7 @@ def test_advantage_grows_with_scale():
 
 
 def test_unknown_format_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         dist_size(ARCHS["3M"], 8, "int8")
 
 
@@ -152,9 +153,9 @@ def test_rank_star_none_when_unreachable():
 
 
 def test_rank_star_rejects_negative_epsilon():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         rank_star({1: 1.0}, 0.5, -0.01)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         rank_star({}, 0.5, 0.01)
 
 
@@ -165,12 +166,29 @@ def test_rank_star_rejects_negative_epsilon():
     ({1: 1.0}, float("-inf"), 0.01),
     ({1: 0.4, 2: float("nan")}, 0.5, 0.01),
     ({1: float("inf"), 2: 0.4}, 0.5, 0.01),
+    ({1: "x"}, 0.5, 0.01),
+    ({1: None}, 0.5, 0.01),
+    ({1: [0.5]}, 0.5, 0.01),
 ])
 def test_rank_star_rejects_non_finite_inputs(losses, full_loss, epsilon):
     # a NaN compares false against every bound, so unchecked it would read
     # as "no rank qualifies" (None)
-    with pytest.raises(ValueError, match="finite"):
+    with pytest.raises(ConfigError, match="finite"):
         rank_star(losses, full_loss, epsilon)
+
+
+@pytest.mark.parametrize("losses", [{"1": 0.5}, {1.0: 0.5}, {True: 0.5}, {0: 0.1, 2: 0.5}, {-3: 0.1}])
+def test_rank_star_rejects_a_rank_that_is_not_a_positive_integer(losses):
+    with pytest.raises(ConfigError, match="rank must be an integer >= 1"):
+        rank_star(losses, 0.2, 0.01)
+
+
+def test_lora_rank_is_an_integer_no_wider_than_the_hidden_width():
+    arch = ARCHS["3M"]
+    assert arch.lora_internal(arch.hidden) == arch.n_layers * (8 * arch.hidden ** 2 + 4)
+    for rank in (0, arch.hidden + 1, 2.0, True):
+        with pytest.raises(ConfigError, match="rank"):
+            arch.lora_internal(rank)
 
 
 # -- random-matrix prediction ------------------------------------------------------

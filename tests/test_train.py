@@ -396,6 +396,16 @@ def test_seed_gated_train_rejects_an_empty_test_set_before_training(monkeypatch)
                          full, full.subset(np.arange(0), "test"))
 
 
+@pytest.mark.parametrize("resample,k", [("per_epoch", 2), ("per_batch", 2), ("microbatch", 4)])
+def test_seed_gating_refuses_a_resampling_schedule(resample, k, monkeypatch):
+    # the schedule used to be ignored: microbatch:4 gave the static run's confusion matrices
+    train, test = blob_data(n=90, classes=3)
+    partition = make_partition([{0, 1}, {2}], [5, 6])
+    monkeypatch.setattr("lottalora.train.build_model", lambda *args: pytest.fail("built a model to train"))
+    with pytest.raises(ConfigError, match=resample):
+        seed_gated_train(partition, blob_model_cfg(), quick_train_cfg(resample=resample, resample_k=k), train, test)
+
+
 def relabeled_as(dataset, dtype):
     return dataset.relabeled(dataset.labels.astype(dtype))
 
@@ -549,6 +559,12 @@ def test_beta_summary_untrained_all_ones():
 def test_beta_summary_requires_data():
     with pytest.raises(ConfigError):
         beta_summary([[]])
+
+
+@pytest.mark.parametrize("runs", [[[0.9, "x"]], [[0.9, math.nan]], [0.9], [[0.9], [math.inf]], [None], [(0.9,)]])
+def test_beta_summary_rejects_a_run_that_is_not_a_list_of_finite_numbers(runs):
+    with pytest.raises(ConfigError, match="list of finite numbers"):
+        beta_summary(runs)
 
 
 def test_metrics_csv_schema(tmp_path):
