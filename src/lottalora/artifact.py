@@ -8,14 +8,18 @@ Container layout (little-endian throughout, documented in docs/FORMAT.md):
 
 The header JSON carries the generator tag, the backbone spec (seed,
 family, layer shapes), the model config, and free-form extras.  The
-tensor table lists name/shape/offset for each payload tensor; the payload
-is row-major in canonical parameter order, f32 under version 1 and f16
-under version 2.  The CRC-32 covers every byte before it.  Backbone
-matrices are never serialized.
+tensor table lists name/shape/offset for each tensor of the decoded
+payload, which is row-major in canonical parameter order: f32 under
+version 1, f16 under versions 2 and 3.  Version 2 stores the f16 values
+as they are.  Version 3 stores them as one zlib stream (level 9) over two
+byte planes, every value's low byte and then every value's high byte; the
+table's extents still count decoded f16 bytes.  The CRC-32 covers every
+byte before it.  Backbone matrices are never serialized.
 
-``pack`` writes version 2 exactly when every trainable value survives
+``pack`` writes version 3 exactly when every trainable value survives
 f32 -> f16 -> f32 bit for bit, which ``to_shipping_precision`` arranges
-for a trained model; otherwise it writes version 1.
+for a trained model; otherwise it writes version 1.  ``unpack`` reads all
+three versions.
 """
 
 from __future__ import annotations
@@ -35,8 +39,8 @@ from .model import BackboneSpec, Model, ModelConfig, build_model
 from .prng import ALGORITHM_ID
 
 MAGIC = b"LTLR"
-# format version -> payload element type; the version field is the dtype code
-PAYLOAD_DTYPES = {1: np.dtype("<f4"), 2: np.dtype("<f2")}
+# format version -> element type of the decoded payload
+PAYLOAD_DTYPES = {1: np.dtype("<f4"), 2: np.dtype("<f2"), 3: np.dtype("<f2")}
 FORMAT_VERSION = max(PAYLOAD_DTYPES)
 F16_MAX = 65504.0
 
@@ -67,10 +71,44 @@ def _canonical_json(obj) -> bytes:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
+def _byte_planes(raw: bytes) -> bytes:
+    """f16 values' bytes as two planes: every low byte, then every high byte."""
+    return np.frombuffer(raw, np.uint8).reshape(-1, 2).T.tobytes()
+
+
+def _interleaved(planes: bytes) -> bytes:
+    """The inverse of ``_byte_planes``: back to little-endian f16 values."""
+    return np.frombuffer(planes, np.uint8).reshape(2, -1).T.tobytes()
+
+
+def _inflate(stream: bytes, size: int) -> bytes:
+    """The ``size`` bytes a version 3 payload stream decodes to.
+
+    Inflating stops one byte past ``size`` (a limit of 0 would mean none),
+    so a stream that decodes to more, a decompression bomb included, costs
+    at most that much memory.  Anything but one whole zlib stream decoding
+    to exactly ``size`` bytes is a ``FormatError``.
+    """
+    inflater = zlib.decompressobj()
+    try:
+        planes = inflater.decompress(stream, size + 1)
+    except zlib.error as err:
+        raise FormatError(f"version 3 payload is not a valid zlib stream: {err}") from err
+    if len(planes) > size or inflater.unconsumed_tail:
+        raise FormatError(f"version 3 payload inflates past the {size} bytes the tensor table declares")
+    if not inflater.eof:
+        raise FormatError(f"version 3 payload stream is truncated after {len(planes)} of {size} bytes")
+    if inflater.unused_data:
+        raise FormatError(f"{len(inflater.unused_data)} bytes follow the end of the version 3 payload stream")
+    if len(planes) != size:
+        raise FormatError(f"version 3 payload inflates to {len(planes)} bytes; the tensor table declares {size}")
+    return planes
+
+
 def pack(model: Model, extra: dict | None = None) -> bytes:
     """Serialize a model's trainable state into the canonical byte stream:
-    format version 2 (f16) when every value is f16-exact, else version 1
-    (f32)."""
+    format version 3 (deflated f16 byte planes) when every value is
+    f16-exact, else version 1 (f32)."""
     header = {
         "algorithm_id": ALGORITHM_ID,
         "backbone": asdict(model.spec),
@@ -80,7 +118,7 @@ def pack(model: Model, extra: dict | None = None) -> bytes:
     header_bytes = _canonical_json(header)
 
     tensors = [(name, np.asarray(t.data, dtype="<f4")) for name, t in model.trainable_params()]
-    version = 2 if all(_f16_exact(data) for _, data in tensors) else 1
+    version = 3 if all(_f16_exact(data) for _, data in tensors) else 1
     table = bytearray()
     payload = bytearray()
     table += struct.pack("<I", len(tensors))
@@ -93,6 +131,8 @@ def pack(model: Model, extra: dict | None = None) -> bytes:
             table += struct.pack("<I", dim)
         table += struct.pack("<QQ", len(payload), len(raw))
         payload += raw
+    if version == 3:
+        payload = zlib.compress(_byte_planes(payload), 9)
 
     body = MAGIC + struct.pack("<HI", version, len(header_bytes)) + header_bytes + bytes(table) + bytes(payload)
     return body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
@@ -101,11 +141,13 @@ def pack(model: Model, extra: dict | None = None) -> bytes:
 def unpack(blob: bytes) -> tuple[dict, dict]:
     """Validate and decode an artifact into (header, {name: f32 array}).
 
-    Version 1 payloads are f32 and version 2 payloads f16, widened to f32
-    exactly.  Every malformed blob raises ``FormatError``,
+    Version 1 payloads are f32; version 2 and 3 payloads are f16, widened
+    to f32 exactly, and version 3 first inflates and re-interleaves its
+    byte planes.  Every malformed blob raises ``FormatError``,
     ``IntegrityError`` or ``IncompatibilityError``: each table read is
-    bounds-checked against the CRC, and the tensors must tile the payload
-    back to back, at the version's bytes a value, up to it.
+    bounds-checked against the CRC, the tensors must tile the decoded
+    payload back to back, at the version's bytes a value, and the decoded
+    payload must end where the last tensor does.
     """
     if len(blob) < 14 or blob[:4] != MAGIC:
         raise FormatError(f"not a LTLR artifact (magic {blob[:4]!r})")
@@ -165,14 +207,32 @@ def unpack(blob: bytes) -> tuple[dict, dict]:
         entries.append((name, shape))
     if len({name for name, _ in entries}) != len(entries):
         raise FormatError("artifact tensor table repeats a tensor name")
-    if payload_len != end - pos:
-        raise FormatError(f"payload holds {end - pos} bytes; the tensor table declares {payload_len}")
+    payload = blob[pos:end]
+    if version == 3:
+        payload = _interleaved(_inflate(payload, payload_len))
+    if len(payload) != payload_len:
+        raise FormatError(f"payload holds {len(payload)} bytes; the tensor table declares {payload_len}")
 
+    values = np.frombuffer(payload, dtype=dtype)
     tensors = {}
+    start = 0
     for name, shape in entries:
-        raw = take(dtype.itemsize * math.prod(shape), f"payload of {name!r}")
-        tensors[name] = np.frombuffer(raw, dtype=dtype).reshape(shape).astype(np.float32)
+        size = math.prod(shape)
+        tensors[name] = values[start:start + size].reshape(shape).astype(np.float32)
+        start += size
     return header, tensors
+
+
+def describe(blob: bytes, tensors: dict) -> dict:
+    """What the coding of a valid artifact saved: its format version, its
+    size in bytes and the size of its decoded payload, for ``tensors`` as
+    ``unpack(blob)`` returned them."""
+    version = struct.unpack_from("<H", blob, 4)[0]
+    return {
+        "format_version": version,
+        "bytes": len(blob),
+        "decoded_payload_bytes": PAYLOAD_DTYPES[version].itemsize * sum(t.size for t in tensors.values()),
+    }
 
 
 def reconstruct(header: dict, tensors: dict) -> Model:

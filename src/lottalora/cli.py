@@ -358,10 +358,12 @@ def cmd_pack(args) -> int:
 
 
 def cmd_unpack(args) -> int:
-    header, tensors = artifact_mod.unpack(artifact_mod.load(args.artifact))
+    blob = artifact_mod.load(args.artifact)
+    header, tensors = artifact_mod.unpack(blob)
     print(json.dumps({
         "header": header,
         "tensors": {k: list(v.shape) for k, v in tensors.items()},
+        **artifact_mod.describe(blob, tensors),
     }, indent=2, sort_keys=True))
     return 0
 
@@ -508,7 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", default="model.ltlr")
     p.set_defaults(func=cmd_pack, _parser=p)
 
-    p = sub.add_parser("unpack", help="print an artifact's header and tensor shapes")
+    p = sub.add_parser("unpack", help="print an artifact's header, tensor shapes, format version and sizes")
     p.add_argument("artifact")
     p.set_defaults(func=cmd_unpack)
 

@@ -101,11 +101,14 @@ def dist_size(arch: TransformerArch, rank: int, fmt: str) -> int:
     fp16 ships every parameter at 2 bytes.  int4_grouped ships 4-bit
     weights plus an fp16 scale per 32-weight group (4.5 bits/weight).
     lottalora ships an 8-byte seed plus fp16 embeddings, adapters, and
-    norm affine; the backbone is regenerated.  That is the payload of a
-    version 2 ``.ltlr`` artifact, which ``train_run``'s f16 rounding
-    produces; the count leaves out the artifact's JSON header, tensor
-    table and CRC, and a model that is not f16-exact ships as version 1
-    at 4 bytes a value.
+    norm affine; the backbone is regenerated.  That is the decoded payload
+    of a version 3 ``.ltlr`` artifact, which ``train_run``'s f16 rounding
+    produces.  It bounds the deflated bytes version 3 stores from above,
+    up to deflate's worst case on incompressible bytes of 5 bytes a 16 KiB
+    block plus 6; a trained payload's high-byte plane (sign and exponent)
+    compresses well below that.  The count leaves out the artifact's JSON
+    header, tensor table and CRC, and a model that is not f16-exact ships
+    as version 1 at 4 bytes a value.
     """
     if fmt == "fp16":
         return 2 * arch.total_params()

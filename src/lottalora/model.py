@@ -131,8 +131,6 @@ class ModelConfig:
         dims = (self.input_dim, *self.dims(), self.num_classes)
         if any(d < 1 for d in dims):
             raise ConfigError(f"input_dim, hidden_dims and num_classes must all be >= 1, got {dims}")
-        if self.rank < 1:
-            raise ConfigError(f"rank must be >= 1, got {self.rank}")
         # checked, never coerced: the header records alpha as given
         if not (finite(self.alpha) and self.alpha > 0):
             raise ConfigError(f"alpha must be a finite number > 0, got {self.alpha!r}")
@@ -140,6 +138,12 @@ class ModelConfig:
             raise ConfigError(f"dropout must lie in [0, 1), got {self.dropout!r}")
         if self.b_init not in B_INITS:
             raise ConfigError(f"b_init must be one of {B_INITS}, got {self.b_init!r}")
+        # as TransformerArch.lora_internal bounds its rank by the width: a
+        # d_out x d_in adapter product BA has rank at most min(d_out, d_in)
+        max_rank = max(min(shape) for shape in self.layer_shapes())
+        if not 1 <= self.rank <= max_rank:
+            raise ConfigError(f"rank must lie in [1, {max_rank}], the largest min(d_out, d_in) of a layer, "
+                              f"got {self.rank}")
 
     def dims(self) -> tuple:
         return self.hidden_dims if self.hidden_dims is not None else PRESETS[self.preset]

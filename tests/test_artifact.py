@@ -1,4 +1,5 @@
 import json
+import os
 import struct
 import zlib
 
@@ -17,6 +18,8 @@ from lottalora.train import TrainConfig, train_run
 from conftest import peak_bytes
 
 NORMAL = InitFamily("normal", {"sigma": 0.1}, scaling="explicit")
+# ``tiny`` rank 2, backbone seed 7, rounded to f16, as the version 2 writer packed it
+V2_FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "tiny_r2_seed7_v2.ltlr")
 
 
 def fresh_model(seed=42, preset="tiny", **kw):
@@ -76,26 +79,76 @@ def randomized(model, seed=3):
     return model
 
 
+def same_bits(a: dict, b: dict) -> bool:
+    return list(a) == list(b) and all(np.array_equal(a[k].view(np.uint32), b[k].view(np.uint32)) for k in a)
+
+
+def pack_v2(model) -> bytes:
+    """``model`` as the version 2 writer packed it: the header and table of
+    its version 3 blob over the raw f16 payload.  A test pins this against
+    the committed fixture that writer made."""
+    v3 = pack(model)
+    assert version_of(v3) == 3
+    prefix = bytearray(v3[:table_start(v3) + table_len(model)])
+    struct.pack_into("<H", prefix, 4, 2)
+    return with_crc(bytes(prefix) + b"".join(t.data.astype("<f2").tobytes() for _, t in model.trainable_params()))
+
+
 @pytest.mark.parametrize("head_mode", HEAD_MODES)
 @pytest.mark.parametrize("preset", sorted(PRESETS))
 def test_snapped_model_packs_as_v2_at_two_bytes_per_trainable(preset, head_mode):
+    # the version 2 form is version 3's decoded payload; both read back to
+    # the same bits and re-pack as the smaller version 3
     model = randomized(fresh_model(preset=preset, rank=4, head_mode=head_mode))
     assert to_shipping_precision(model)
-    blob = pack(model)
-    assert version_of(blob) == 2
-    header_len = struct.unpack_from("<I", blob, 6)[0]
+    v2, v3 = pack_v2(model), pack(model)
+    header_len = struct.unpack_from("<I", v2, 6)[0]
     total, _ = model.count_trainable()
-    assert len(blob) == 10 + header_len + table_len(model) + 2 * total + 4
-    assert pack(reconstruct(*unpack(blob))) == blob
+    assert len(v2) == 10 + header_len + table_len(model) + 2 * total + 4
+    assert len(v3) < len(v2)
+    assert pack(reconstruct(*unpack(v2))) == pack(reconstruct(*unpack(v3))) == v3
+    assert same_bits(unpack(v2)[1], unpack(v3)[1])
 
 
 def test_v2_payload_widens_to_the_snapped_f32_values_exactly():
     model = randomized(fresh_model(layernorm=True))
     to_shipping_precision(model)
-    _, tensors = unpack(pack(model))
-    for name, t in model.trainable_params():
-        assert tensors[name].dtype == np.float32
-        assert np.array_equal(tensors[name].view(np.uint32), t.data.view(np.uint32))
+    params = {name: t.data for name, t in model.trainable_params()}
+    for blob in (pack_v2(model), pack(model)):
+        _, tensors = unpack(blob)
+        assert all(t.dtype == np.float32 for t in tensors.values())
+        assert same_bits(tensors, params)
+
+
+def fixture_model():
+    cfg = ModelConfig(preset="tiny", rank=2)
+    model = build_model(cfg, BackboneSpec.from_config(cfg, 7))
+    assert to_shipping_precision(model)
+    return model
+
+
+def test_v2_fixture_unpacks_to_the_bits_of_the_model_today():
+    blob = load(V2_FIXTURE)
+    assert version_of(blob) == 2
+    header, tensors = unpack(blob)
+    model = fixture_model()
+    assert same_bits(tensors, {name: t.data for name, t in model.trainable_params()})
+    assert reconstruct(header, tensors).backbone_hashes() == model.backbone_hashes()
+
+
+def test_pack_v2_writes_the_fixture_bytes():
+    assert pack_v2(fixture_model()) == load(V2_FIXTURE)
+
+
+def test_the_fixture_model_now_packs_as_a_smaller_v3_of_the_same_bits():
+    model = fixture_model()
+    v2, v3 = load(V2_FIXTURE), pack(model)
+    assert version_of(v3) == 3 and len(v3) < len(v2)
+    # same header and table: only the version field and the payload coding differ
+    prefix = table_start(v2) + table_len(model)
+    assert v3[6:prefix] == v2[6:prefix]
+    assert same_bits(unpack(v3)[1], unpack(v2)[1])
+    assert pack(reconstruct(*unpack(v2))) == v3
 
 
 def test_rounding_to_f16_is_in_place_and_ties_to_even():
@@ -151,29 +204,100 @@ def snapped_blob() -> bytes:
 
 
 def test_version_bump_is_incompatibility_error():
-    assert FORMAT_VERSION == 2
-    for blob in (pack(fresh_model()), snapped_blob()):
+    assert FORMAT_VERSION == 3
+    for blob in (pack(fresh_model()), load(V2_FIXTURE), snapped_blob()):
         # the checksum stays valid so the version check is what fires
-        with pytest.raises(IncompatibilityError, match="version 3"):
-            unpack(relabelled(blob, 3))
+        with pytest.raises(IncompatibilityError, match="version 4"):
+            unpack(relabelled(blob, 4))
 
 
 def test_a_blob_relabelled_to_the_other_version_is_format_error():
-    with pytest.raises(FormatError, match="2 bytes a value"):
-        unpack(relabelled(pack(fresh_model()), 2))
-    with pytest.raises(FormatError, match="4 bytes a value"):
-        unpack(relabelled(snapped_blob(), 1))
+    for version in (2, 3):
+        with pytest.raises(FormatError, match="2 bytes a value"):
+            unpack(relabelled(pack(fresh_model()), version))
+    for blob in (load(V2_FIXTURE), snapped_blob()):
+        with pytest.raises(FormatError, match="4 bytes a value"):
+            unpack(relabelled(blob, 1))
 
 
 def test_v2_table_claiming_four_byte_extents_is_format_error():
     model = randomized(fresh_model())
     v1 = pack(model)
     to_shipping_precision(model)
-    v2 = pack(model)
-    # same header, so the v1 table (4-byte extents) splices in at the same place
-    start, end = table_start(v2), table_start(v2) + table_len(model)
-    with pytest.raises(FormatError, match="back to back"):
-        unpack(with_crc(v2[:start] + v1[start:end] + v2[end:-4]))
+    for f16 in (pack_v2(model), pack(model)):
+        # same header, so the v1 table (4-byte extents) splices in at the same place
+        start, end = table_start(f16), table_start(f16) + table_len(model)
+        with pytest.raises(FormatError, match="back to back"):
+            unpack(with_crc(f16[:start] + v1[start:end] + f16[end:-4]))
+
+
+# -- CRC-valid version 3 blobs whose deflate stream is malformed ----------------
+
+
+def v3_parts():
+    """(header and table, deflate stream, decoded byte planes) of a version 3 blob."""
+    model = fixture_model()
+    blob = pack(model)
+    prefix = table_start(blob) + table_len(model)
+    stream = blob[prefix:-4]
+    return blob[:prefix], stream, zlib.decompress(stream)
+
+
+@pytest.mark.parametrize("cut", [1, 4, 100, 2000])
+def test_a_truncated_v3_stream_is_format_error(cut):
+    prefix, stream, _ = v3_parts()
+    with pytest.raises(FormatError, match="truncated"):
+        unpack(with_crc(prefix + stream[:-cut]))
+
+
+def test_a_v3_stream_that_inflates_past_the_table_is_format_error():
+    prefix, _, planes = v3_parts()
+    with pytest.raises(FormatError, match="inflates past"):
+        unpack(with_crc(prefix + zlib.compress(planes + b"\0\0", 9)))
+
+
+def test_a_v3_stream_that_inflates_short_of_the_table_is_format_error():
+    prefix, _, planes = v3_parts()
+    with pytest.raises(FormatError, match="inflates to"):
+        unpack(with_crc(prefix + zlib.compress(planes[:-2], 9)))
+
+
+def test_a_v3_decompression_bomb_allocates_about_the_declared_size():
+    prefix, _, _ = v3_parts()
+    deflater = zlib.compressobj(9)
+    bomb = b"".join(deflater.compress(bytes(1 << 20)) for _ in range(256)) + deflater.flush()
+    blob = with_crc(prefix + bomb)  # 256 MiB of zeros in a few hundred KiB
+
+    def attempt():
+        with pytest.raises(FormatError, match="inflates past"):
+            unpack(blob)
+
+    # a few copies of the blob at most, nowhere near the 256 MiB it inflates to
+    peak, _ = peak_bytes(attempt)
+    assert peak < 4 * len(blob)
+
+
+def test_bytes_after_the_end_of_a_v3_stream_are_format_error():
+    prefix, stream, _ = v3_parts()
+    with pytest.raises(FormatError, match="follow the end"):
+        unpack(with_crc(prefix + stream + b"\0"))
+
+
+def test_a_v3_body_relabelled_as_v2_and_a_v2_body_relabelled_as_v3_are_format_errors():
+    with pytest.raises(FormatError, match="payload holds"):
+        unpack(relabelled(pack(fixture_model()), 2))
+    with pytest.raises(FormatError, match="not a valid zlib stream"):
+        unpack(relabelled(load(V2_FIXTURE), 3))
+
+
+# zlib header, deflate blocks, Adler-32 trailer (the last deflate byte's padding bits are free)
+@pytest.mark.parametrize("at", [0, 1, 2, 500, 2000, -4, -1])
+def test_a_corrupted_v3_stream_under_a_valid_crc_is_format_error(at):
+    prefix, stream, _ = v3_parts()
+    stream = bytearray(stream)
+    stream[at] ^= 0x10
+    with pytest.raises(FormatError):
+        unpack(with_crc(prefix + bytes(stream)))
 
 
 def test_unknown_algorithm_id_is_incompatibility_error():
@@ -241,12 +365,13 @@ def test_tensor_table_architecture_mismatch_rejected():
 
 
 def test_tensor_table_is_checked_before_anything_is_built():
-    # built first, a rank-4096 tiny model holds 49 MiB of adapters
+    # built first, a 4096-wide hidden layer's scaffold alone is 12 MiB
     header, tensors = unpack(pack(fresh_model()))
-    header["model"]["rank"] = 4096
+    header["model"].update(preset=None, hidden_dims=[4096, 64])
+    header["backbone"]["layer_shapes"] = []
 
     def attempt():
-        with pytest.raises(FormatError, match="layer0.A"):
+        with pytest.raises(FormatError, match="layer0.B"):
             reconstruct(header, tensors)
 
     peak, _ = peak_bytes(attempt)
@@ -395,6 +520,12 @@ def test_non_numeric_rank_is_format_error():
 def test_out_of_range_header_numbers_are_format_errors(field, edit):
     with pytest.raises(FormatError, match=field):
         reconstruct_edited(edit)
+
+
+@pytest.mark.parametrize("rank", [129, 10 ** 400])
+def test_a_header_rank_above_every_layer_width_is_format_error(rank):
+    with pytest.raises(FormatError, match="rank"):
+        reconstruct_edited(lambda h: h["model"].update(rank=rank))
 
 
 @pytest.mark.parametrize("extra", [[], "x", 3])

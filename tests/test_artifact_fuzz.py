@@ -1,12 +1,13 @@
 """Fuzzing ``artifact.unpack``: a malformed blob may only raise the
 artifact error categories, never a raw Python exception."""
 
+import os
 import struct
 import zlib
 
 from hypothesis import given, settings, strategies as st
 
-from lottalora.artifact import pack, to_shipping_precision, unpack
+from lottalora.artifact import load, pack, to_shipping_precision, unpack
 from lottalora.errors import FormatError, IncompatibilityError, IntegrityError
 from lottalora.model import BackboneSpec, ModelConfig, build_model
 
@@ -18,15 +19,26 @@ BODY = BLOB[:-4]
 
 FUZZ = settings(max_examples=300, deadline=None)
 
-# the same model rounded to f16, packed as format version 2
+# the same model rounded to f16: as the version 2 writer packed it, and as
+# pack writes it now, format version 3
+BODY_V2 = load(os.path.join(os.path.dirname(__file__), "fixtures", "tiny_r2_seed7_v2.ltlr"))[:-4]
 _SNAPPED = build_model(_CFG, BackboneSpec.from_config(_CFG, 7))
 to_shipping_precision(_SNAPPED)
-BODY_V2 = pack(_SNAPPED)[:-4]
+BODY_V3 = pack(_SNAPPED)[:-4]
 
 
 def seal(body: bytes, recompute_crc: bool) -> bytes:
     """``body`` followed by its own CRC, or by the original blob's CRC."""
     return body + (struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF) if recompute_crc else BLOB[-4:])
+
+
+def flipped_or_cut(body: bytes, at: int, mask: int, cut: bool) -> bytes:
+    """``body`` cut at ``at``, or with the byte there xor-ed with ``mask``."""
+    if cut:
+        return body[:at]
+    flipped = bytearray(body)
+    flipped[at] ^= mask
+    return bytes(flipped)
 
 
 def unpack_or_artifact_error(blob: bytes) -> bool:
@@ -63,8 +75,12 @@ def test_any_append_is_rejected(extra, recompute_crc):
 @FUZZ
 @given(at=st.integers(0, len(BODY_V2) - 1), mask=st.integers(1, 255), cut=st.booleans())
 def test_any_byte_flip_or_cut_of_a_v2_blob_unpacks_or_raises_an_artifact_error(at, mask, cut):
-    body = bytearray(BODY_V2[:at] if cut else BODY_V2)
-    if not cut:
-        body[at] ^= mask
-    ok = unpack_or_artifact_error(seal(bytes(body), True))
+    ok = unpack_or_artifact_error(seal(flipped_or_cut(BODY_V2, at, mask, cut), True))
+    assert not (cut and ok)
+
+
+@FUZZ
+@given(at=st.integers(0, len(BODY_V3) - 1), mask=st.integers(1, 255), cut=st.booleans())
+def test_any_byte_flip_or_cut_of_a_v3_blob_unpacks_or_raises_an_artifact_error(at, mask, cut):
+    ok = unpack_or_artifact_error(seal(flipped_or_cut(BODY_V3, at, mask, cut), True))
     assert not (cut and ok)

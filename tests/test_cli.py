@@ -7,7 +7,7 @@ from dataclasses import asdict
 import pytest
 
 import lottalora
-from lottalora.artifact import load, pack, save, unpack
+from lottalora.artifact import load, pack, save, to_shipping_precision, unpack
 from lottalora.cli import EXIT_CODES, run, run_grid
 from lottalora.errors import LottaError
 from lottalora.initfam import InitFamily
@@ -15,7 +15,7 @@ from lottalora.model import BackboneSpec, ModelConfig, build_model
 from lottalora.train import TrainConfig
 
 from conftest import requires_mnist, write_fake_idx
-from test_artifact import reheader
+from test_artifact import V2_FIXTURE, reheader
 
 
 def test_cost_command_prints_table_and_json(capsys):
@@ -134,6 +134,33 @@ def test_pack_unpack_round_trip(tmp_path, capsys):
     assert payload["header"]["backbone"]["seed"] == 7
     assert payload["tensors"]["layer0.A"] == [2, 784]
     assert payload["header"]["algorithm_id"] == "splitmix64-boxmuller-v1"
+
+
+def test_unpack_reports_the_format_version_and_what_the_coding_saved(tmp_path, capsys):
+    fresh, trained = tmp_path / "fresh.ltlr", tmp_path / "trained.ltlr"
+    assert run(["pack", "--preset", "tiny", "--rank", "2", "--seed", "7", "--output", str(fresh)]) == 0
+    # the committed version 2 fixture's model, rounded to f16, packs as version 3
+    cfg = ModelConfig(preset="tiny", rank=2)
+    snapped = build_model(cfg, BackboneSpec.from_config(cfg, 7))
+    to_shipping_precision(snapped)
+    save(str(trained), pack(snapped))
+    values, _ = snapped.count_trainable()
+    for path, version, value_bytes in ((fresh, 1, 4), (V2_FIXTURE, 2, 2), (trained, 3, 2)):
+        capsys.readouterr()
+        assert run(["unpack", str(path)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["format_version"] == version
+        assert out["bytes"] == os.path.getsize(path)
+        assert out["decoded_payload_bytes"] == value_bytes * values
+    assert os.path.getsize(trained) < os.path.getsize(V2_FIXTURE)
+
+
+def test_pack_of_a_rank_above_every_layer_width_is_config_error(tmp_path, capsys):
+    path = tmp_path / "wide.ltlr"
+    assert run(["pack", "--preset", "tiny", "--rank", "129", "--output", str(path)]) == EXIT_CODES["config"]
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config" and "128" in err["message"]
+    assert not path.exists()
 
 
 def test_unpack_corrupt_artifact_exit_code(tmp_path, capsys):
@@ -294,8 +321,8 @@ def test_train_verify_cycle_on_fake_idx(tmp_path, capsys, fake_mnist_dir):
     assert summary["task"] == json.loads((out / "manifest.json").read_text())["resolved"]
     assert (out / "metrics.csv").read_text().splitlines()[-1].startswith("1,val,")
     capsys.readouterr()
-    # a trained model ships at f16, as format version 2
-    assert load(str(out / "model.ltlr"))[4:6] == b"\x02\x00"
+    # a trained model ships at f16, as format version 3
+    assert load(str(out / "model.ltlr"))[4:6] == b"\x03\x00"
     assert run(["verify", str(out / "model.ltlr"), "--data-dir", fake_mnist_dir]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["verified"] is True

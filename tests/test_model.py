@@ -94,6 +94,14 @@ def test_rank_zero_rejected():
         ModelConfig(rank=0)
 
 
+@pytest.mark.parametrize("rank", [129, 10**400])
+def test_rank_above_every_layer_width_is_rejected(rank):
+    # tiny's layers are 128x784, 64x128 and 10x64: no adapter has a rank above 128
+    assert ModelConfig(preset="tiny", rank=128).rank == 128
+    with pytest.raises(ConfigError, match=r"rank must lie in \[1, 128\]"):
+        ModelConfig(preset="tiny", rank=rank)
+
+
 @pytest.mark.parametrize("dims", [
     dict(hidden_dims=(0,)), dict(hidden_dims=(-3,)), dict(hidden_dims=(4, 0)),
     dict(input_dim=0), dict(num_classes=0), dict(num_classes=-1, head_mode="lora"),
@@ -135,7 +143,8 @@ def test_field_types_are_config_errors(field, value):
 
 
 def test_valid_config_header_fields_are_as_given():
-    cfg = ModelConfig(preset=None, hidden_dims=[8, 4], input_dim=6, num_classes=3, dropout=0, layernorm=True)
+    cfg = ModelConfig(preset=None, hidden_dims=[8, 4], input_dim=6, num_classes=3, rank=4, dropout=0,
+                      layernorm=True)
     assert asdict(cfg)["hidden_dims"] == (8, 4)
     assert type(cfg.dropout) is int and cfg.layernorm is True
 
