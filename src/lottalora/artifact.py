@@ -43,6 +43,8 @@ MAGIC = b"LTLR"
 PAYLOAD_DTYPES = {1: np.dtype("<f4"), 2: np.dtype("<f2"), 3: np.dtype("<f2")}
 FORMAT_VERSION = max(PAYLOAD_DTYPES)
 F16_MAX = 65504.0
+# deflate codes a 258-byte match in 2 bits at best, so no stream decodes to more bytes a stored byte
+MAX_INFLATE_RATIO = 1032
 
 
 def to_shipping_precision(model: Model) -> bool:
@@ -82,13 +84,18 @@ def _interleaved(planes: bytes) -> bytes:
 
 
 def _inflate(stream: bytes, size: int) -> bytes:
-    """The ``size`` bytes a version 3 payload stream decodes to.
+    """What a version 3 payload stream decodes to, checked to end within
+    ``size`` bytes; ``unpack`` checks that it ends exactly there.
 
-    Inflating stops one byte past ``size`` (a limit of 0 would mean none),
-    so a stream that decodes to more, a decompression bomb included, costs
-    at most that much memory.  Anything but one whole zlib stream decoding
-    to exactly ``size`` bytes is a ``FormatError``.
+    A table declaring more than ``MAX_INFLATE_RATIO`` decoded bytes for
+    every stored byte is refused before any inflating.  Inflating stops
+    one byte past ``size`` (a limit of 0 would mean none), so a stream that
+    decodes to more, a decompression bomb included, costs at most that much
+    memory.  Anything but one whole zlib stream is a ``FormatError``.
     """
+    if size > MAX_INFLATE_RATIO * len(stream):
+        raise FormatError(f"the tensor table declares {size} payload bytes, more than deflate can code "
+                          f"in the {len(stream)} bytes stored ({MAX_INFLATE_RATIO} to 1 at most)")
     inflater = zlib.decompressobj()
     try:
         planes = inflater.decompress(stream, size + 1)
@@ -100,8 +107,6 @@ def _inflate(stream: bytes, size: int) -> bytes:
         raise FormatError(f"version 3 payload stream is truncated after {len(planes)} of {size} bytes")
     if inflater.unused_data:
         raise FormatError(f"{len(inflater.unused_data)} bytes follow the end of the version 3 payload stream")
-    if len(planes) != size:
-        raise FormatError(f"version 3 payload inflates to {len(planes)} bytes; the tensor table declares {size}")
     return planes
 
 
@@ -146,8 +151,9 @@ def unpack(blob: bytes) -> tuple[dict, dict]:
     byte planes.  Every malformed blob raises ``FormatError``,
     ``IntegrityError`` or ``IncompatibilityError``: each table read is
     bounds-checked against the CRC, the tensors must tile the decoded
-    payload back to back, at the version's bytes a value, and the decoded
-    payload must end where the last tensor does.
+    payload back to back, at the version's bytes a value, the decoded
+    payload must end where the last tensor does, and a version 3 table may
+    declare no more than ``MAX_INFLATE_RATIO`` times the bytes stored.
     """
     if len(blob) < 14 or blob[:4] != MAGIC:
         raise FormatError(f"not a LTLR artifact (magic {blob[:4]!r})")
@@ -209,11 +215,11 @@ def unpack(blob: bytes) -> tuple[dict, dict]:
         raise FormatError("artifact tensor table repeats a tensor name")
     payload = blob[pos:end]
     if version == 3:
-        payload = _interleaved(_inflate(payload, payload_len))
+        payload = _inflate(payload, payload_len)
     if len(payload) != payload_len:
         raise FormatError(f"payload holds {len(payload)} bytes; the tensor table declares {payload_len}")
 
-    values = np.frombuffer(payload, dtype=dtype)
+    values = np.frombuffer(_interleaved(payload) if version == 3 else payload, dtype=dtype)
     tensors = {}
     start = 0
     for name, shape in entries:

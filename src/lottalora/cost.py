@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ConfigError, finite, integral
+from .errors import ConfigError, finite, integral, shown
 
 MIB = float(1 << 20)
 
@@ -47,7 +47,7 @@ class TransformerArch:
 
     def lora_internal(self, rank: int) -> int:
         if not (integral(rank) and 1 <= rank <= self.hidden):
-            raise ConfigError(f"rank must be an integer in [1, {self.hidden}], got {rank!r}")
+            raise ConfigError(f"rank must be an integer in [1, {self.hidden}], got {shown(rank)}")
         return self.n_layers * (8 * rank * self.hidden + 4)
 
     def lottalora_total(self, rank: int) -> int:
@@ -69,7 +69,7 @@ ARCHS = {
 
 def _check_counts(n, n_tr) -> None:
     if not (finite(n) and finite(n_tr) and 0 <= n_tr <= n and n > 0):
-        raise ConfigError(f"need finite N > 0 and 0 <= N_tr <= N, got N_tr={n_tr!r}, N={n!r}")
+        raise ConfigError(f"need finite N > 0 and 0 <= N_tr <= N, got N_tr={shown(n_tr)}, N={shown(n)}")
 
 
 def flops(m_tokens: float, n: float, n_tr: float) -> tuple[float, float, float]:
@@ -79,7 +79,7 @@ def flops(m_tokens: float, n: float, n_tr: float) -> tuple[float, float, float]:
     weight-gradient third for frozen parameters, leaving 4N + 2N_tr.
     """
     if not (finite(m_tokens) and m_tokens >= 0):
-        raise ConfigError(f"token count must be a finite number >= 0, got {m_tokens!r}")
+        raise ConfigError(f"token count must be a finite number >= 0, got {shown(m_tokens)}")
     _check_counts(n, n_tr)
     f_full = 6.0 * m_tokens * n
     f_lotta = m_tokens * (4.0 * n + 2.0 * n_tr)
@@ -124,16 +124,16 @@ def rank_star(losses: dict, full_loss: float, epsilon: float):
     """Smallest rank whose loss is within epsilon of the fully trained
     baseline; None when no rank qualifies."""
     if not (finite(epsilon) and epsilon >= 0):
-        raise ConfigError(f"epsilon must be a finite number >= 0, got {epsilon!r}")
+        raise ConfigError(f"epsilon must be a finite number >= 0, got {shown(epsilon)}")
     if not finite(full_loss):
-        raise ConfigError(f"full_loss must be a finite number, got {full_loss!r}")
+        raise ConfigError(f"full_loss must be a finite number, got {shown(full_loss)}")
     if not losses:
         raise ConfigError("losses must be nonempty")
     for rank, loss in losses.items():
         if not (integral(rank) and rank >= 1):
-            raise ConfigError(f"a rank must be an integer >= 1, got {rank!r}")
+            raise ConfigError(f"a rank must be an integer >= 1, got {shown(rank)}")
         if not finite(loss):
-            raise ConfigError(f"loss for rank {rank} must be a finite number, got {loss!r}")
+            raise ConfigError(f"loss for rank {shown(rank)} must be a finite number, got {shown(loss)}")
     for rank in sorted(losses):
         if losses[rank] <= full_loss + epsilon:
             return rank

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, ParseError, finite, integral
+from .errors import ConfigError, DataError, ParseError, finite, integral, shown
 from .prng import DRAW_CHUNK, Stream, check_seed
 
 MNIST_MEAN = 0.1307
@@ -188,7 +188,7 @@ class LabelPartition:
 
 def _digit(label) -> int:
     if not integral(label) or not 0 <= label <= 9:
-        raise ConfigError(f"labels must be digits 0-9, got {label!r}")
+        raise ConfigError(f"labels must be digits 0-9, got {shown(label)}")
     return int(label)
 
 
@@ -214,11 +214,11 @@ def synthetic_blobs(n: int, d: int, classes: int, sep: float, seed: int) -> Data
     """Gaussian class clusters; linearly separable when sep is large."""
     for name, value in (("n", n), ("d", d), ("classes", classes)):
         if not integral(value) or value < 1:
-            raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
+            raise ConfigError(f"{name} must be an integer >= 1, got {shown(value)}")
     if not finite(sep):
-        raise ConfigError(f"sep must be a finite number, got {sep!r}")
+        raise ConfigError(f"sep must be a finite number, got {shown(sep)}")
     if n < classes:
-        raise ConfigError(f"need at least one point per class: n={n} < classes={classes}")
+        raise ConfigError(f"need at least one point per class: n={shown(n)} < classes={shown(classes)}")
     stream = Stream(check_seed(seed))
     centers = (sep / np.sqrt(d)) * stream.gaussian_block(classes * d).reshape(classes, d)
     labels = (np.arange(n) % classes).astype(np.int64)

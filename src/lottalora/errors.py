@@ -4,6 +4,7 @@ Every error carries a short machine-readable ``category`` used by the CLI
 to pick an exit code and emit a structured error line.  The three
 predicates below are the value checks behind many ``ConfigError``s; each
 is defined in this module once and used by the module that owns the value.
+``shown`` formats a rejected value so that building the message never fails.
 """
 
 import math
@@ -27,6 +28,18 @@ def finite(value) -> bool:
         return real(value) and math.isfinite(value)
     except OverflowError:
         return False
+
+
+def shown(value) -> str:
+    """``repr(value)``; when that fails on an integer past Python's
+    4300-digit limit on integer-to-string conversion, the integer's bit
+    length, or the type of what holds it."""
+    try:
+        return repr(value)
+    except ValueError:
+        if integral(value):
+            return f"an integer of {int(value).bit_length()} bits"
+        return f"a {type(value).__name__} holding an integer too long to print"
 
 
 class LottaError(Exception):

@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, finite, integral
+from .errors import ConfigError, DimensionError, finite, integral, shown
 from .prng import DRAW_CHUNK, Stream
 
 KAIMING_DEFAULT_A = math.sqrt(5.0)
@@ -265,7 +265,8 @@ class InitFamily:
         # checked, never coerced: the header records the params as given
         for key, value in p.items():
             if not finite(value):
-                raise ConfigError(f"family {self.name!r}: parameter {key!r} must be a finite number, got {value!r}")
+                raise ConfigError(f"family {self.name!r}: parameter {key!r} must be a finite number, "
+                                  f"got {shown(value)}")
         for key in filter(None, (spec.scale, *spec.positive)):
             if not p[key] > 0:
                 raise ConfigError(f"family {self.name!r}: parameter {key!r} must be > 0, got {p[key]}")
@@ -339,9 +340,9 @@ def _fill_entries(stream: Stream, fam: InitFamily, out: np.ndarray, fan_in: int,
 def draw_matrix(stream: Stream, fam: InitFamily, rows: int, cols: int) -> BackboneMatrix:
     """Generate a rows x cols frozen matrix; cols is the layer fan-in."""
     if not (integral(rows) and integral(cols)):
-        raise ConfigError(f"matrix dims must be integers, got {rows!r}x{cols!r}")
+        raise ConfigError(f"matrix dims must be integers, got {shown(rows)}x{shown(cols)}")
     if rows < 1 or cols < 1:
-        raise ConfigError(f"matrix dims must be >= 1, got {rows}x{cols}")
+        raise ConfigError(f"matrix dims must be >= 1, got {shown(rows)}x{shown(cols)}")
     matrix = _FAMILIES[fam.name].matrix
     if matrix is not None:
         data = matrix(stream, fam.params, rows, cols).astype(np.float32)

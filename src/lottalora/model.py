@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, IncompatibilityError, finite, integral, real
+from .errors import ConfigError, DimensionError, IncompatibilityError, finite, integral, real, shown
 from .initfam import BackboneMatrix, InitFamily, draw_matrix, draw_plan
 from .layers import B_INITS, SCALING_MODES, DenseLayer, LottaLayer, init_adapter
 from .numerics import Tensor, add_grad, softmax_xent, tensor
@@ -84,7 +84,7 @@ def _frozen_plan(cfg: "ModelConfig", family: InitFamily, i: int) -> list[tuple[s
 
 def _integral(value, name: str) -> int:
     if not integral(value):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
+        raise ConfigError(f"{name} must be an integer, got {shown(value)}")
     return int(value)
 
 
@@ -130,10 +130,11 @@ class ModelConfig:
             raise ConfigError(f"scaling_mode must be one of {SCALING_MODES}, got {self.scaling_mode!r}")
         dims = (self.input_dim, *self.dims(), self.num_classes)
         if any(d < 1 for d in dims):
-            raise ConfigError(f"input_dim, hidden_dims and num_classes must all be >= 1, got {dims}")
+            raise ConfigError(f"input_dim, hidden_dims and num_classes must all be >= 1, "
+                              f"got ({', '.join(map(shown, dims))})")
         # checked, never coerced: the header records alpha as given
         if not (finite(self.alpha) and self.alpha > 0):
-            raise ConfigError(f"alpha must be a finite number > 0, got {self.alpha!r}")
+            raise ConfigError(f"alpha must be a finite number > 0, got {shown(self.alpha)}")
         if not (real(self.dropout) and 0.0 <= self.dropout < 1.0):
             raise ConfigError(f"dropout must lie in [0, 1), got {self.dropout!r}")
         if self.b_init not in B_INITS:
@@ -142,8 +143,8 @@ class ModelConfig:
         # d_out x d_in adapter product BA has rank at most min(d_out, d_in)
         max_rank = max(min(shape) for shape in self.layer_shapes())
         if not 1 <= self.rank <= max_rank:
-            raise ConfigError(f"rank must lie in [1, {max_rank}], the largest min(d_out, d_in) of a layer, "
-                              f"got {self.rank}")
+            raise ConfigError(f"rank must lie in [1, {shown(max_rank)}], the largest min(d_out, d_in) of a layer, "
+                              f"got {shown(self.rank)}")
 
     def dims(self) -> tuple:
         return self.hidden_dims if self.hidden_dims is not None else PRESETS[self.preset]

@@ -70,7 +70,7 @@ import enum
 
 import numpy as np
 
-from .errors import ConfigError, integral
+from .errors import ConfigError, integral, shown
 
 MASK64 = (1 << 64) - 1
 GOLDEN_GAMMA = 0x9E3779B97F4A7C15
@@ -283,7 +283,7 @@ def check_seed(seed) -> int:
     would silently build the backbones of another one.
     """
     if not integral(seed) or not 0 <= int(seed) <= MASK64:
-        raise ConfigError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+        raise ConfigError(f"seed must be an integer in [0, 2**64), got {shown(seed)}")
     return int(seed)
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .artifact import to_shipping_precision
 from .data import Dataset, split_train_val
-from .errors import ConfigError, DataError, RunError, finite
+from .errors import ConfigError, DataError, RunError, finite, shown
 from .model import BackboneSpec, Model, ModelConfig, _integral, build_model
 from .numerics import softmax_xent
 from .prng import DrawKind, derive_stream
@@ -47,9 +47,9 @@ class TrainConfig:
         for name in ("batch_size", "epochs", "resample_k"):
             object.__setattr__(self, name, _integral(getattr(self, name), name))
         if not (finite(self.lr) and self.lr > 0):
-            raise ConfigError(f"lr must be a finite number > 0, got {self.lr!r}")
+            raise ConfigError(f"lr must be a finite number > 0, got {shown(self.lr)}")
         if not (finite(self.weight_decay) and self.weight_decay >= 0):
-            raise ConfigError(f"weight_decay must be a finite number >= 0, got {self.weight_decay!r}")
+            raise ConfigError(f"weight_decay must be a finite number >= 0, got {shown(self.weight_decay)}")
         if self.resample not in RESAMPLE_SCHEDULES:
             raise ConfigError(f"resample must be one of {RESAMPLE_SCHEDULES}, got {self.resample!r}")
         if self.resample in ("per_batch", "microbatch") and self.resample_k < 2:
@@ -415,7 +415,7 @@ def beta_summary(final_betas_per_run) -> dict:
     each run is a list of finite numbers, and an empty one is skipped."""
     for betas in final_betas_per_run:
         if not (isinstance(betas, list) and all(finite(b) for b in betas)):
-            raise ConfigError(f"a run's final betas must be a list of finite numbers, got {betas!r}")
+            raise ConfigError(f"a run's final betas must be a list of finite numbers, got {shown(betas)}")
     chunks = [np.asarray(b, dtype=np.float64) for b in final_betas_per_run if b]
     if not chunks:
         raise ConfigError("beta_summary needs at least one run with recorded betas")

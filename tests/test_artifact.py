@@ -256,17 +256,50 @@ def test_a_v3_stream_that_inflates_past_the_table_is_format_error():
         unpack(with_crc(prefix + zlib.compress(planes + b"\0\0", 9)))
 
 
-def test_a_v3_stream_that_inflates_short_of_the_table_is_format_error():
+@pytest.mark.parametrize("cut", [1, 2])
+def test_a_v3_stream_that_inflates_short_of_the_table_is_format_error(cut):
     prefix, _, planes = v3_parts()
-    with pytest.raises(FormatError, match="inflates to"):
-        unpack(with_crc(prefix + zlib.compress(planes[:-2], 9)))
+    with pytest.raises(FormatError, match="payload holds"):
+        unpack(with_crc(prefix + zlib.compress(planes[:-cut], 9)))
+
+
+def zero_bomb(mib: int) -> bytes:
+    """A zlib stream of ``mib`` MiB of zeros, about 1/1000 of that stored."""
+    deflater = zlib.compressobj(9)
+    return b"".join(deflater.compress(bytes(1 << 20)) for _ in range(mib)) + deflater.flush()
+
+
+def v3_blob_declaring(shape, stream: bytes) -> bytes:
+    """A CRC-valid version 3 blob whose table holds one f16 tensor of
+    ``shape``, with consistent extents, over ``stream``."""
+    prefix, _, _ = v3_parts()
+    table = struct.pack("<IH", 1, 1) + b"x" + struct.pack(f"<B{len(shape)}I", len(shape), *shape)
+    table += struct.pack("<QQ", 0, 2 * int(np.prod(shape, dtype=object)))
+    return with_crc(prefix[:table_start(prefix)] + table + stream)
+
+
+def test_a_v3_table_declaring_more_than_deflate_can_code_is_format_error():
+    # 2**63 decoded bytes is past what zlib's output limit can even express
+    _, stream, _ = v3_parts()
+    with pytest.raises(FormatError, match="more than deflate can code"):
+        unpack(v3_blob_declaring((2**31, 2**31), stream))
+
+
+def test_an_oversized_v3_table_over_a_bomb_is_refused_before_inflating():
+    # 1 GiB declared over a 64 MiB bomb: past deflate's ratio for the bytes stored
+    blob = v3_blob_declaring((2**29,), zero_bomb(64))
+
+    def attempt():
+        with pytest.raises(FormatError, match="more than deflate can code"):
+            unpack(blob)
+
+    peak, _ = peak_bytes(attempt)
+    assert peak < 4 * len(blob)
 
 
 def test_a_v3_decompression_bomb_allocates_about_the_declared_size():
     prefix, _, _ = v3_parts()
-    deflater = zlib.compressobj(9)
-    bomb = b"".join(deflater.compress(bytes(1 << 20)) for _ in range(256)) + deflater.flush()
-    blob = with_crc(prefix + bomb)  # 256 MiB of zeros in a few hundred KiB
+    blob = with_crc(prefix + zero_bomb(256))  # 256 MiB of zeros in a few hundred KiB
 
     def attempt():
         with pytest.raises(FormatError, match="inflates past"):

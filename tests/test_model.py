@@ -94,12 +94,18 @@ def test_rank_zero_rejected():
         ModelConfig(rank=0)
 
 
-@pytest.mark.parametrize("rank", [129, 10**400])
+@pytest.mark.parametrize("rank", [129, 10**400, 10**5000], ids=["129", "401-digits", "5001-digits"])
 def test_rank_above_every_layer_width_is_rejected(rank):
-    # tiny's layers are 128x784, 64x128 and 10x64: no adapter has a rank above 128
+    # tiny's layers are 128x784, 64x128 and 10x64: no adapter has a rank above
+    # 128; a rank past Python's 4300-digit str limit still gets its message
     assert ModelConfig(preset="tiny", rank=128).rank == 128
     with pytest.raises(ConfigError, match=r"rank must lie in \[1, 128\]"):
         ModelConfig(preset="tiny", rank=rank)
+
+
+def test_a_rank_bound_too_long_to_print_still_raises_config_error():
+    with pytest.raises(ConfigError, match=r"rank must lie in \[1, an integer of 16610 bits\]"):
+        ModelConfig(preset=None, hidden_dims=(10**5000,), input_dim=10**5000, rank=0)
 
 
 @pytest.mark.parametrize("dims", [
