@@ -28,11 +28,15 @@ reads from its own cursor, placed where its block would start, and
 chunks of about 16K draws run through the family rule straight into the
 float32 result; its peak is the result plus one chunk's scratch.  The
 matrix-level families (orthogonal, spectral_radius) need the whole
-float64 matrix for LAPACK, and scale it in place.  ``orthogonal`` fills
-its matrix column-major, LAPACK's own layout, in row blocks of about
-``DRAW_CHUNK`` draws that continue the stream; the stream order is that
-of one row-major block, and the result's layout is unchanged: C order,
-or for a wide matrix the transpose of a C-order Q.
+float64 matrix for LAPACK, and scale it in place, so they peak at that
+matrix plus the float32 result (4.6 MiB at 512x784).  ``orthogonal``
+fills its matrix column-major, LAPACK's own layout, in row blocks of
+about ``DRAW_CHUNK`` draws that continue the stream; the stream order is
+that of one row-major block.  Its v1 rule is numpy's own LAPACK
+(``lapack_lite``) run in place on that column-major matrix: ``dgeqrf``,
+then ``dorgqr``, each at the workspace its query names, the calls and
+workspaces of ``np.linalg.qr``.  The result's layout is C order, or for
+a wide matrix the transpose of a C-order Q.
 
 Every float64 operation of a family rule is part of the v1 contract, its
 order included.  ``student_t``'s chi-square is a sum of nu squares whose
@@ -47,8 +51,9 @@ from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.linalg import lapack_lite
 
-from .errors import ConfigError, DimensionError, finite, integral, shown
+from .errors import ConfigError, DimensionError, LottaError, finite, integral, shown
 from .prng import DRAW_CHUNK, Stream
 
 KAIMING_DEFAULT_A = math.sqrt(5.0)
@@ -139,11 +144,30 @@ def _beta(d, s, *_):
     return s * (2.0 * med - 1.0)
 
 
+def _lapack(routine, *args) -> None:
+    """Run ``routine`` from numpy's ``lapack_lite``, whose last arguments
+    are ``work, lwork, info``, at the workspace a query (lwork=-1) names,
+    raised to at least n (its second argument), as ``np.linalg.qr`` does."""
+    def call(work, lwork):
+        info = routine(*args, work, lwork, 0)["info"]
+        if info != 0:
+            raise LottaError(f"LAPACK {routine.__name__} failed with info {info}")
+
+    query = np.empty(1)
+    call(query, -1)
+    lwork = max(args[1], int(query[0]))
+    call(np.empty(lwork), lwork)
+
+
 def _orthogonal(stream: Stream, p: dict, rows: int, cols: int) -> np.ndarray:
     # QR of a gaussian matrix, sign-corrected so the factorization is unique;
     # for wide matrices the transpose is drawn and transposed back.  The
     # draw fills a column-major matrix, the layout LAPACK works in, one row
-    # block of about DRAW_CHUNK draws at a time, in stream order
+    # block of about DRAW_CHUNK draws at a time, in stream order.  dgeqrf
+    # then dorgqr turn it into Q in place, the two calls np.linalg.qr makes
+    # at the same workspaces, without its copies of g, Q and triu(R); the
+    # draw peaks at g plus the float32 result.  lapack_lite takes the
+    # C-contiguous g.T as that Fortran matrix
     transpose = rows < cols
     r_, c_ = (cols, rows) if transpose else (rows, cols)
     g = np.empty((r_, c_), order="F")
@@ -151,10 +175,13 @@ def _orthogonal(stream: Stream, p: dict, rows: int, cols: int) -> np.ndarray:
     for lo in range(0, r_, step):
         block = g[lo:lo + step]
         block[...] = stream.gaussian_block(block.size).reshape(block.shape)
-    q, r = np.linalg.qr(g)
-    sign = np.sign(np.diag(r))
+    tau = np.empty(c_)
+    _lapack(lapack_lite.dgeqrf, r_, c_, g.T, r_, tau)
+    sign = np.sign(g.diagonal())  # R's diagonal, before dorgqr overwrites it
     sign[sign == 0.0] = 1.0
-    q *= sign * p["gain"]  # sign is +-1, so this is q * sign, then * gain
+    _lapack(lapack_lite.dorgqr, r_, c_, c_, g.T, r_, tau)
+    g *= sign * p["gain"]  # sign is +-1, so this is g * sign, then * gain
+    q = g.astype(np.float32, order="C")
     return q.T if transpose else q
 
 
@@ -345,7 +372,7 @@ def draw_matrix(stream: Stream, fam: InitFamily, rows: int, cols: int) -> Backbo
         raise ConfigError(f"matrix dims must be >= 1, got {shown(rows)}x{shown(cols)}")
     matrix = _FAMILIES[fam.name].matrix
     if matrix is not None:
-        data = matrix(stream, fam.params, rows, cols).astype(np.float32)
+        data = matrix(stream, fam.params, rows, cols).astype(np.float32, copy=False)
     else:
         data = np.empty((rows, cols), dtype=np.float32)
         _fill_entries(stream, fam, data.reshape(-1), cols, rows)

@@ -37,6 +37,10 @@ MODES = ("lottalora", "full_training")
 # of a batch over this size hold >= 512.
 EVAL_BLOCK_ROWS = 1024
 
+# A backbone that is not C-contiguous is hashed from C-order copies of row
+# blocks of at most this many bytes (or one row, if a row is larger).
+HASH_BLOCK_BYTES = 1 << 18
+
 
 def eval_blocks(n: int) -> list[tuple[int, int]]:
     """The ``(lo, hi)`` row blocks of an n-row eval forward: the fewest
@@ -214,8 +218,17 @@ class BackboneSpec:
         )
 
 
-def _c_order(a: np.ndarray):
-    return a if a.flags.c_contiguous else a.tobytes()
+def _hash_into(digest, a: np.ndarray) -> None:
+    """Add ``a.tobytes()`` to ``digest`` without copying all of ``a``:
+    hashlib reads a C-contiguous array in place, and any other (such as
+    ``orthogonal``'s Fortran-ordered wide layers) in C-order row blocks of
+    about ``HASH_BLOCK_BYTES``."""
+    if a.flags.c_contiguous:
+        digest.update(a)
+        return
+    step = max(1, HASH_BLOCK_BYTES // a[0].nbytes)
+    for lo in range(0, len(a), step):
+        digest.update(np.ascontiguousarray(a[lo:lo + step]))
 
 
 class Model:
@@ -362,15 +375,14 @@ class Model:
     def backbone_hashes(self) -> list[str]:
         """SHA-256 of each layer's frozen bytes (matrix + bias), in order.
 
-        hashlib reads a C-contiguous array in place; a Fortran-ordered
-        matrix (``orthogonal``'s wide layers) is hashed from a C-order copy,
-        so the digest is always that of ``tobytes()``.
+        The digest is always that of ``tobytes()``, whatever the layout.
         """
         out = []
         for layer in self.lotta_layers():
-            digest = hashlib.sha256(_c_order(layer.backbone.data))
+            digest = hashlib.sha256()
+            _hash_into(digest, layer.backbone.data)
             if layer.frozen_bias is not None:
-                digest.update(_c_order(layer.frozen_bias))
+                _hash_into(digest, layer.frozen_bias)
             out.append(digest.hexdigest())
         return out
 

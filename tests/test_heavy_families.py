@@ -10,8 +10,10 @@ state and the Box-Muller carry must all match.
 
 import numpy as np
 import pytest
+from numpy.linalg import lapack_lite
 
-from lottalora.initfam import InitFamily, _fill_entries, _pairwise_sum, draw_matrix
+from lottalora.errors import LottaError
+from lottalora.initfam import InitFamily, _fill_entries, _lapack, _pairwise_sum, draw_matrix
 from lottalora.prng import DRAW_CHUNK, Stream
 
 from conftest import peak_bytes
@@ -20,7 +22,7 @@ MIB = 2 ** 20
 
 # below 8 terms, the 8-sum form with and without a tail, the recursive split
 NUS = [1, 2, 3, 7, 8, 9, 15, 16, 17, 63, 64, 65, 127, 128, 129, 130, 136, 255, 256, 257, 300, 511, 1000]
-ORTHOGONAL_SHAPES = [(1, 1), (1, 7), (7, 1), (241, 17), (64, 64), (17, 241), (784, 512), (512, 784)]
+ORTHOGONAL_SHAPES = [(1, 1), (1, 7), (7, 1), (241, 17), (64, 64), (17, 241), (784, 512), (512, 784), (1024, 784)]
 
 
 def oracle_student_t_entries(stream, fam, n, fan_in):
@@ -132,7 +134,27 @@ def test_orthogonal_rows_span_several_draw_blocks():
     assert_draw_matches(oracle_orthogonal, InitFamily("orthogonal"), rows, 20, True)
 
 
+def test_a_lapack_failure_raises_a_lotta_error():
+    # lda 0 is an illegal argument, which LAPACK reports as info -4
+    with pytest.raises(LottaError, match="dgeqrf failed with info -4"):
+        _lapack(lapack_lite.dgeqrf, 4, 3, np.zeros((3, 4)), 0, np.empty(3))
+
+
+def assert_draw_peak(name, rows, cols):
+    # LAPACK works on the whole float64 matrix; besides it and the float32
+    # result, a draw holds only small vectors
+    peak, m = peak_bytes(lambda: draw_matrix(Stream(5), InitFamily(name), rows, cols))
+    assert m.data.nbytes == rows * cols * 4
+    assert peak <= rows * cols * (8 + 4) + 0.1 * MIB
+
+
 def test_orthogonal_draw_peak():
-    peak, m = peak_bytes(lambda: draw_matrix(Stream(5), InitFamily("orthogonal"), 512, 784))
-    assert m.data.nbytes == 512 * 784 * 4
-    assert peak <= 11.6 * MIB
+    assert_draw_peak("orthogonal", 512, 784)  # 4.69 MiB
+
+
+def test_orthogonal_large_layer_draw_peak():
+    assert_draw_peak("orthogonal", 1024, 784)  # 9.29 MiB
+
+
+def test_spectral_radius_draw_peak():
+    assert_draw_peak("spectral_radius", 512, 784)  # 4.69 MiB

@@ -11,6 +11,8 @@ from lottalora.layers import LottaLayer
 from lottalora.model import BackboneSpec, ModelConfig, build_model
 from lottalora.train import TrainConfig
 
+from conftest import peak_bytes
+
 NORMAL_01 = InitFamily("normal", {"sigma": 0.1}, scaling="explicit")
 
 
@@ -343,6 +345,20 @@ def test_backbone_hashes_are_those_of_the_c_order_bytes(name):
     expected = [hashlib.sha256(layer.backbone.data.tobytes() + layer.frozen_bias.tobytes()).hexdigest()
                 for layer in model.lotta_layers()]
     assert model.backbone_hashes() == expected
+
+
+def test_a_wide_orthogonal_backbone_is_hashed_in_row_blocks():
+    # layer 0 of medium is 512x784, drawn Fortran-ordered; its digest is that
+    # of the C-order bytes, while the hash copies one row block at a time
+    cfg = ModelConfig(preset="medium")
+    model = build_model(cfg, BackboneSpec.from_config(cfg, 5, InitFamily("orthogonal")))
+    model.backbone_hashes()  # draws every layer, so the peak below is the hash's
+    data = model.lotta_layers()[0].backbone.data
+    assert data.flags.f_contiguous and not data.flags.c_contiguous
+    expected = hashlib.sha256(data.tobytes() + model.lotta_layers()[0].frozen_bias.tobytes()).hexdigest()
+    peak, hashes = peak_bytes(model.backbone_hashes)
+    assert hashes[0] == expected
+    assert peak < data.nbytes / 4
 
 
 def test_backbone_spec_round_trip():
