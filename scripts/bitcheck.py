@@ -20,13 +20,12 @@ the ``shipped`` ones equal.  The cases:
     final test numbers and betas, the trained parameters and the
     ``pack()`` bytes;
   * ``seed_gated_train`` on two label groups, plain and out-of-class, and
-    plain on a test set that spans two eval chunks;
+    plain on a test set that spans several eval blocks;
   * a ``full_training`` run, and static runs with a ``lora`` head and with
     a zero scaffold (``b_init="kaiming"``, rank-stabilized scaling);
-  * eval-mode logits of a ``tiny`` model with random trainables for row
-    counts on both sides of the eval block edges, and ``evaluate``'s
-    (loss, accuracy) for row counts on both sides of one and two eval chunk
-    edges, one of them on a strided row view;
+  * eval-mode logits of a ``tiny`` model with random trainables, and
+    ``evaluate``'s (loss, accuracy), for row counts on both sides of the
+    eval block edges, one of them on a strided row view;
   * ``draw_matrix`` for every init family at 512x784, which spans many
     Box-Muller chunks, and at 17x241 from a stream that holds a carry;
     ``student_t`` at each nu of ``STUDENT_T_NUS`` on both sides of the
@@ -55,9 +54,10 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402  (after the BLAS thread pin)
 
 SCHEDULES = (("static", 2), ("per_epoch", 2), ("per_batch", 3), ("microbatch", 3))
-EVAL_ROWS = (1, 255, 256, 511, 512, 513, 1024, 1025, 2048)
-# (rows, row view); evaluate cuts 2048-row chunks
-EVALUATE_ROWS = ((2047, False), (2048, False), (2049, True), (4097, False))
+# rows on both sides of the 1/2, 2/3 and 3/4 eval block edges (511 rows a block)
+EVAL_ROWS = (1, 255, 256, 511, 512, 1022, 1023, 1533, 1534)
+# (rows, row view); evaluate runs the same blocks
+EVALUATE_ROWS = ((511, False), (512, True), (1022, False), (1023, False), (1533, False), (1534, False))
 # draws; a Box-Muller chunk is 8192 pairs
 GAUSSIAN_COUNTS = (0, 1, 2, 3, 7, 8191, 8192, 16383, 16384, 16385, 24577, 50001)
 STUDENT_T_NUS = (1, 2, 7, 8, 9, 16, 17, 129, 300)
@@ -162,7 +162,7 @@ def _cases():
         yield f"eval n={n}", _digest([model.forward_logits(rows[:n]).data])
     evalset = data.synthetic_blobs(max(n for n, _ in EVALUATE_ROWS), 784, 10, 3.0, seed=37)
     for n, view in EVALUATE_ROWS:
-        if view:  # every other row, so each chunk gathers from the source
+        if view:  # every other row, so each block gathers from the source
             ds = evalset.subset(np.arange(0, 2 * n - 1, 2), "test")
         else:
             ds = data.Dataset(evalset.images[:n], evalset.labels[:n], "test")

@@ -31,11 +31,11 @@ PRESETS = {
 HEAD_MODES = ("full", "lora", "lora_bias")
 MODES = ("lottalora", "full_training")
 
-# An eval forward runs over row blocks of at most this many rows.  On
-# OpenBLAS 0.3.31 a GEMM's rows came out the same in blocks of >= 256 rows
-# as in the whole batch (not in blocks of <= 200), and the balanced blocks
-# of a batch over this size hold >= 512.
-EVAL_BLOCK_ROWS = 1024
+# An eval forward runs over row blocks of at most this many rows (>= 256 in
+# each block of a larger batch).  A GEMM's rows can differ in a block from
+# the whole batch, by shape and BLAS kernel, so eval logits are a function
+# of ``eval_blocks(n)`` and the kernel; one build agrees with itself.
+EVAL_BLOCK_ROWS = 511
 
 # A backbone that is not C-contiguous is hashed from C-order copies of row
 # blocks of at most this many bytes (or one row, if a row is larger).
@@ -287,8 +287,8 @@ class Model:
         row blocks of at most ``EVAL_BLOCK_ROWS`` rows, and the blocks'
         logits are joined, so an eval peaks at one block's activations
         whatever the batch size.  A row's logits are a function of that
-        fixed partition, which for n <= ``EVAL_BLOCK_ROWS`` is the whole
-        batch.
+        fixed partition (the whole batch for n <= ``EVAL_BLOCK_ROWS``) and
+        of the BLAS kernel; in other blocks they can differ in the last bit.
         """
         self._ready(batch)
         return Tensor(np.concatenate([self._forward_rows(batch[lo:hi]) for lo, hi in eval_blocks(len(batch))]))

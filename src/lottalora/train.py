@@ -20,14 +20,11 @@ import numpy as np
 from .artifact import to_shipping_precision
 from .data import Dataset, split_train_val
 from .errors import ConfigError, DataError, RunError, finite, shown
-from .model import BackboneSpec, Model, ModelConfig, _integral, build_model
+from .model import BackboneSpec, Model, ModelConfig, _integral, build_model, eval_blocks
 from .numerics import softmax_xent
 from .prng import DrawKind, derive_stream
 
 RESAMPLE_SCHEDULES = ("static", "per_epoch", "per_batch", "microbatch")
-# rows per eval forward; the logits of a row depend on the chunk it falls in
-# (through model.eval_blocks), so every dataset evaluation cuts the same chunks
-EVAL_CHUNK_ROWS = 2048
 # AdamW's moment decay rates and denominator offset: fixed constants, not settings
 ADAMW_BETAS, ADAMW_EPS = (0.9, 0.999), 1e-8
 
@@ -163,10 +160,12 @@ def cosine_lr(step: int, total_steps: int, lr0: float) -> float:
 
 
 def _eval_chunks(model: Model, dataset: Dataset):
-    """Yield ``(logits, labels)`` for each ``EVAL_CHUNK_ROWS``-row chunk of
-    the dataset, in order, in eval mode."""
-    for start in range(0, len(dataset), EVAL_CHUNK_ROWS):
-        rows = slice(start, start + EVAL_CHUNK_ROWS)
+    """Yield ``(logits, labels)`` for each block of ``eval_blocks(len(dataset))``
+    in order, in eval mode: one gather and one forward per block, so the
+    logits are ``forward_logits``'s over the whole set, a function of that
+    partition and of the BLAS kernel, and one block's rows are held."""
+    for lo, hi in eval_blocks(len(dataset)):
+        rows = slice(lo, hi)
         yield model.forward_logits(dataset.take(rows)).data, dataset.labels[rows]
 
 

@@ -6,16 +6,23 @@ peak is one block's activations, not the batch's.  The unblocked layer
 rule is written out here as the oracle for a single block.
 """
 
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from lottalora.data import synthetic_blobs
 from lottalora.model import EVAL_BLOCK_ROWS, BackboneSpec, ModelConfig, build_model, eval_blocks
 from lottalora.numerics import softmax_xent
+from lottalora.train import evaluate
 
 from conftest import peak_bytes
 
 MIB = 1 << 20
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 CONFIGS = [
     dict(preset="tiny"),
@@ -51,7 +58,7 @@ def batch(n):
     return synthetic_blobs(max(n, 10), 784, 10, 4.0, seed=1).images[:n]
 
 
-@pytest.mark.parametrize("n", [0, 1, 2, 1023, 1024, 1025, 1500, 2048, 2049, 4096, 10_000])
+@pytest.mark.parametrize("n", [0, 1, 2, 510, 511, 512, 1022, 1023, 1024, 1025, 1500, 2048, 2049, 4096, 10_000])
 def test_eval_blocks_are_the_fewest_balanced_blocks_that_fit(n):
     blocks = eval_blocks(n)
     assert len(blocks) == max(1, -(-n // EVAL_BLOCK_ROWS))
@@ -60,7 +67,7 @@ def test_eval_blocks_are_the_fewest_balanced_blocks_that_fit(n):
     sizes = [hi - lo for lo, hi in blocks]
     assert max(sizes) <= EVAL_BLOCK_ROWS and max(sizes) - min(sizes) <= 1
     # balanced blocks of a batch over one block never fall below half of one
-    assert n <= EVAL_BLOCK_ROWS or min(sizes) >= EVAL_BLOCK_ROWS // 2
+    assert n <= EVAL_BLOCK_ROWS or min(sizes) >= (EVAL_BLOCK_ROWS + 1) // 2
 
 
 @pytest.mark.parametrize("cfg_kw", CONFIGS, ids=str)
@@ -72,7 +79,7 @@ def test_one_block_is_the_unblocked_layer_rule(cfg_kw, n):
 
 
 @pytest.mark.parametrize("cfg_kw", CONFIGS, ids=str)
-@pytest.mark.parametrize("n", [EVAL_BLOCK_ROWS + 1, 1500, 2 * EVAL_BLOCK_ROWS + 1])
+@pytest.mark.parametrize("n", [EVAL_BLOCK_ROWS + 1, 2 * EVAL_BLOCK_ROWS + 1, 1025, 1500, 2049])
 def test_a_larger_batch_is_the_concatenation_of_its_blocks(cfg_kw, n):
     model = trained_looking(cfg_kw)
     x = batch(n)
@@ -88,18 +95,72 @@ def test_a_float64_batch_is_cast_block_by_block_to_the_same_bits():
     assert model.forward_logits(x.astype(np.float64)).data.tobytes() == model.forward_logits(x).data.tobytes()
 
 
+def live_medium_model():
+    model = trained_looking(dict(preset="medium"))
+    for layer in model.lotta_layers():
+        layer.materialize()
+    return model
+
+
 def test_a_medium_eval_of_2048_rows_peaks_at_one_block():
     # the whole batch at once held layer 0's backbone and adapter products
-    # for all 2048 rows, 2 x 4 MiB; a block of 1024 rows holds half of that
-    def live_model():
-        model = trained_looking(dict(preset="medium"))
-        for layer in model.lotta_layers():
-            layer.materialize()
-        return model, batch(2048)
-
-    peak, logits = peak_bytes(lambda state: state[0].forward_logits(state[1]), setup=live_model)
+    # for all 2048 rows, 2 x 4 MiB; each of its five blocks holds a fifth of that
+    peak, logits = peak_bytes(lambda state: state[0].forward_logits(state[1]),
+                              setup=lambda: (live_medium_model(), batch(2048)))
     assert logits.data.shape == (2048, 10)
-    assert peak <= 4.5 * MIB
+    assert peak <= 2.0 * MIB
+
+
+def test_a_medium_evaluate_of_a_5000_row_view_peaks_at_one_gathered_block():
+    # each block gathers its <= 511 rows from the source (1.5 MiB) and runs
+    # them; gathering all 5000 rows at once would hold 15 MiB
+    def setup():
+        source = synthetic_blobs(5000, 784, 10, 4.0, seed=2)
+        return live_medium_model(), source.subset(np.arange(5000), "test")
+
+    peak, (loss, accuracy) = peak_bytes(lambda state: evaluate(*state), setup=setup)
+    assert np.isfinite(loss) and 0.0 <= accuracy <= 1.0
+    assert peak <= 4.0 * MIB
+
+
+# evaluate on a row view and the same loss and accuracy summed over the
+# forward_logits of each block of eval_blocks(n), under the Haswell kernel
+HASWELL_CHILD = """
+import json
+import numpy as np
+from portcheck import blas_core
+from lottalora.data import synthetic_blobs
+from lottalora.model import eval_blocks
+from lottalora.numerics import softmax_xent
+from lottalora.train import evaluate
+from test_blocked_eval import trained_looking
+
+n = 2500
+model = trained_looking(dict(preset="medium"))
+test = synthetic_blobs(2 * n, 784, 10, 4.0, seed=3).subset(np.arange(0, 2 * n, 2), "test")
+x, y = test.images, test.labels
+total_loss, correct = 0.0, 0
+for lo, hi in eval_blocks(n):
+    logits = model.forward_logits(x[lo:hi]).data
+    total_loss += softmax_xent(logits, y[lo:hi])[0] * (hi - lo)
+    correct += int((logits.argmax(axis=1) == y[lo:hi]).sum())
+print(json.dumps({"core": blas_core(), "evaluate": evaluate(model, test), "blocks": [total_loss / n, correct / n]}))
+"""
+
+
+def test_evaluate_runs_the_eval_blocks_of_its_rows_under_the_haswell_kernel():
+    # under this kernel a medium GEMM's rows move with the block they fall in
+    env = {k: v for k, v in os.environ.items() if k != "OMP_NUM_THREADS"}
+    env.update(OPENBLAS_CORETYPE="Haswell", OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(os.path.join(ROOT, d) for d in ("src", "scripts", "tests")))
+    result = subprocess.run([sys.executable, "-c", HASWELL_CHILD], env=env, capture_output=True, text=True,
+                            timeout=300)
+    assert result.returncode == 0, result.stderr
+    report = json.loads(result.stdout)
+    if report["core"] is None:
+        pytest.skip("the BLAS exposes no core name, so a kernel switch cannot be confirmed")
+    assert report["core"] == "Haswell"
+    assert report["evaluate"] == report["blocks"]
 
 
 def test_loss_and_grads_runs_the_whole_batch_as_one_block():
