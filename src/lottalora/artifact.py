@@ -11,19 +11,22 @@ family, layer shapes), the model config, and free-form extras.  The
 tensor table lists name/shape/offset for each tensor of the decoded
 payload, which is row-major in canonical parameter order: f32 under
 version 1, f16 under versions 2 and 3.  Version 2 stores the f16 values
-as they are.  Version 3 stores them as one zlib stream (level 9) over two
-byte planes, every value's low byte and then every value's high byte; the
-table's extents still count decoded f16 bytes.  The CRC-32 covers every
-byte before it.  Backbone matrices are never serialized.
+as they are.  Version 3 stores them as one zlib stream that inflates to
+two byte planes, every value's low byte and then every value's high
+byte; the table's extents still count decoded f16 bytes.  The CRC-32
+covers every byte before it.  Backbone matrices are never serialized.
 
 ``pack`` writes version 3 exactly when every trainable value survives
 f32 -> f16 -> f32 bit for bit, which ``to_shipping_precision`` arranges
-for a trained model; otherwise it writes version 1.  ``unpack`` reads all
-three versions.
+for a trained model; otherwise it writes version 1.  Its version 3
+stream codes the planes tensor by tensor in deflate blocks of their own,
+with run-length matches only (``_deflate_planes``).  ``unpack`` reads all
+three versions, and any one zlib stream over the planes as version 3.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -45,6 +48,8 @@ FORMAT_VERSION = max(PAYLOAD_DTYPES)
 F16_MAX = 65504.0
 # deflate codes a 258-byte match in 2 bits at best, so no stream decodes to more bytes a stored byte
 MAX_INFLATE_RATIO = 1032
+# a version 3 deflate block ends after the tensor slice that brings it to this many bytes
+MIN_BLOCK_BYTES = 256
 
 
 def to_shipping_precision(model: Model) -> bool:
@@ -83,6 +88,42 @@ def _interleaved(planes: bytes) -> bytes:
     return np.frombuffer(planes, np.uint8).reshape(2, -1).T.tobytes()
 
 
+def _table_entry(name: str, shape: tuple, offset: int, nbytes: int) -> bytes:
+    """One tensor's entry in the tensor table: name length (u16), UTF-8
+    name, ndim (u8), dims (u32 each), then the tensor's decoded payload
+    offset and size (u64 each)."""
+    encoded = name.encode("utf-8")
+    return struct.pack(f"<H{len(encoded)}sB{len(shape)}IQQ", len(encoded), encoded, len(shape), *shape, offset, nbytes)
+
+
+def _deflate_planes(raw: bytes, sizes: list[int]) -> bytes:
+    """The version 3 payload stream for the f16 values ``raw``, whose
+    tensors hold ``sizes`` values in order: one zlib stream over
+    ``_byte_planes(raw)`` that codes each plane tensor by tensor, with
+    run-length matches only (``Z_RLE``), and ends a deflate block, whose
+    Huffman tables then start afresh, after a tensor's slice once the block
+    holds ``MIN_BLOCK_BYTES`` or the plane ends.  Tensors differ in their
+    byte statistics (B starts at zero, A is noise, the head is dense), and
+    longer matches on a noisy low plane cost more bits than they save;
+    smaller blocks would spend more on their tables than they save."""
+    planes = memoryview(_byte_planes(raw))
+    ends = list(itertools.accumulate(sizes, initial=0))
+    count = ends[-1]
+    deflater = zlib.compressobj(9, zlib.DEFLATED, 15, 8, zlib.Z_RLE)
+    stream = []
+    for base in (0, count):
+        held = 0
+        for start, stop in zip(ends, ends[1:]):
+            stream.append(deflater.compress(planes[base + start:base + stop]))
+            held += stop - start
+            # the final flush ends the last block
+            if (held >= MIN_BLOCK_BYTES or stop == count) and base + stop < 2 * count:
+                stream.append(deflater.flush(zlib.Z_BLOCK))
+                held = 0
+    stream.append(deflater.flush())
+    return b"".join(stream)
+
+
 def _inflate(stream: bytes, size: int) -> bytes:
     """What a version 3 payload stream decodes to, checked to end within
     ``size`` bytes; ``unpack`` checks that it ends exactly there.
@@ -112,8 +153,9 @@ def _inflate(stream: bytes, size: int) -> bytes:
 
 def pack(model: Model, extra: dict | None = None) -> bytes:
     """Serialize a model's trainable state into the canonical byte stream:
-    format version 3 (deflated f16 byte planes) when every value is
-    f16-exact, else version 1 (f32)."""
+    format version 3 (f16 byte planes, deflated tensor by tensor by
+    ``_deflate_planes``) when every value is f16-exact, else version 1
+    (f32)."""
     header = {
         "algorithm_id": ALGORITHM_ID,
         "backbone": asdict(model.spec),
@@ -129,15 +171,10 @@ def pack(model: Model, extra: dict | None = None) -> bytes:
     table += struct.pack("<I", len(tensors))
     for name, data in tensors:
         raw = data.astype(PAYLOAD_DTYPES[version], copy=False).tobytes()
-        encoded = name.encode("utf-8")
-        table += struct.pack("<H", len(encoded)) + encoded
-        table += struct.pack("<B", data.ndim)
-        for dim in data.shape:
-            table += struct.pack("<I", dim)
-        table += struct.pack("<QQ", len(payload), len(raw))
+        table += _table_entry(name, data.shape, len(payload), len(raw))
         payload += raw
     if version == 3:
-        payload = zlib.compress(_byte_planes(payload), 9)
+        payload = _deflate_planes(payload, [data.size for _, data in tensors])
 
     body = MAGIC + struct.pack("<HI", version, len(header_bytes)) + header_bytes + bytes(table) + bytes(payload)
     return body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
@@ -231,12 +268,15 @@ def unpack(blob: bytes) -> tuple[dict, dict]:
 
 def describe(blob: bytes, tensors: dict) -> dict:
     """What the coding of a valid artifact saved: its format version, its
-    size in bytes and the size of its decoded payload, for ``tensors`` as
+    size in bytes, the bytes its payload takes between the tensor table and
+    the CRC, and the size of that payload decoded, for ``tensors`` as
     ``unpack(blob)`` returned them."""
-    version = struct.unpack_from("<H", blob, 4)[0]
+    version, header_len = struct.unpack_from("<HI", blob, 4)
+    table_len = 4 + sum(len(_table_entry(name, t.shape, 0, 0)) for name, t in tensors.items())
     return {
         "format_version": version,
         "bytes": len(blob),
+        "stored_payload_bytes": len(blob) - 10 - header_len - table_len - 4,
         "decoded_payload_bytes": PAYLOAD_DTYPES[version].itemsize * sum(t.size for t in tensors.values()),
     }
 

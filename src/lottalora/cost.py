@@ -104,9 +104,11 @@ def dist_size(arch: TransformerArch, rank: int, fmt: str) -> int:
     norm affine; the backbone is regenerated.  That is the decoded payload
     of a version 3 ``.ltlr`` artifact, which ``train_run``'s f16 rounding
     produces.  It bounds the deflated bytes version 3 stores from above,
-    up to deflate's worst case on incompressible bytes of 5 bytes a 16 KiB
-    block plus 6; a trained payload's high-byte plane (sign and exponent)
-    compresses well below that.  The count leaves out the artifact's JSON
+    up to deflate's worst case on incompressible bytes of 5 bytes a block
+    plus 6, where a block ends at most every 16 KiB and after each
+    tensor's slice of a byte plane that brings it to 256 bytes; a trained
+    payload's high-byte plane (sign and exponent) compresses well below
+    that.  The count leaves out the artifact's JSON
     header, tensor table and CRC, and a model that is not f16-exact ships
     as version 1 at 4 bytes a value.
     """

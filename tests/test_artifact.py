@@ -2,12 +2,13 @@ import json
 import os
 import struct
 import zlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from lottalora.artifact import (F16_MAX, FORMAT_VERSION, MAGIC, load, pack, reconstruct, save, to_shipping_precision,
-                                unpack)
+from lottalora.artifact import (F16_MAX, FORMAT_VERSION, MAGIC, _byte_planes, load, pack, reconstruct, save,
+                                to_shipping_precision, unpack)
 from lottalora.errors import FormatError, IncompatibilityError, IntegrityError
 from lottalora.initfam import InitFamily
 from lottalora.model import HEAD_MODES, PRESETS, BackboneSpec, ModelConfig, build_model
@@ -20,6 +21,9 @@ from conftest import peak_bytes
 NORMAL = InitFamily("normal", {"sigma": 0.1}, scaling="explicit")
 # ``tiny`` rank 2, backbone seed 7, rounded to f16, as the version 2 writer packed it
 V2_FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "tiny_r2_seed7_v2.ltlr")
+# the same model as the first version 3 writer packed it: one level-9 zlib
+# stream over both byte planes
+V3_FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "tiny_r2_seed7_v3.ltlr")
 
 
 def fresh_model(seed=42, preset="tiny", **kw):
@@ -149,6 +153,62 @@ def test_the_fixture_model_now_packs_as_a_smaller_v3_of_the_same_bits():
     assert v3[6:prefix] == v2[6:prefix]
     assert same_bits(unpack(v3)[1], unpack(v2)[1])
     assert pack(reconstruct(*unpack(v2))) == v3
+
+
+def test_the_first_v3_writers_fixture_unpacks_to_the_bits_of_the_model_today():
+    blob = load(V3_FIXTURE)
+    assert version_of(blob) == 3
+    header, tensors = unpack(blob)
+    model = fixture_model()
+    assert same_bits(tensors, {name: t.data for name, t in model.trainable_params()})
+    assert reconstruct(header, tensors).backbone_hashes() == model.backbone_hashes()
+    # the first version 3 writer's coding: one level-9 stream over both planes
+    payload = b"".join(t.data.astype("<f2").tobytes() for _, t in model.trainable_params())
+    assert v3_stream(blob, model) == zlib.compress(_byte_planes(payload), 9)
+    # the same header and table as pack writes today; only the stream's coding differs
+    prefix = table_start(blob) + table_len(model)
+    fresh = pack(model)
+    assert fresh[:prefix] == blob[:prefix] and fresh[prefix:] != blob[prefix:]
+
+
+def test_the_first_v3_writers_fixture_repacks_to_todays_shorter_bytes():
+    old = load(V3_FIXTURE)
+    new = pack(reconstruct(*unpack(old)))
+    assert new == pack(fixture_model())
+    assert len(new) < len(old)
+
+
+def v3_stream(blob: bytes, model) -> bytes:
+    return blob[table_start(blob) + table_len(model):-4]
+
+
+def shipping_model(cfg: ModelConfig, filled: bool):
+    """``cfg``'s model rounded to f16: as built, with every B all zero, or
+    with every trainable a gaussian draw."""
+    model = build_model(cfg, BackboneSpec.from_config(cfg, 5))
+    if filled:
+        randomized(model)
+    assert to_shipping_precision(model)
+    return model
+
+
+SMALL_TENSORS = ModelConfig(preset=None, hidden_dims=(24, 16), input_dim=20, num_classes=4, rank=3)
+
+
+@pytest.mark.parametrize("filled", [False, True], ids=["built", "gaussian"])
+@pytest.mark.parametrize("layernorm", [False, True])
+@pytest.mark.parametrize("head_mode", HEAD_MODES)
+@pytest.mark.parametrize("preset", [*sorted(PRESETS), "small-tensors"])
+def test_the_v3_stream_codes_the_byte_planes_in_no_more_than_one_level_9_stream(preset, head_mode, layernorm, filled):
+    cfg = SMALL_TENSORS if preset == "small-tensors" else ModelConfig(preset=preset, rank=4)
+    model = shipping_model(replace(cfg, head_mode=head_mode, layernorm=layernorm), filled)
+    if not filled:  # all-zero B, where Huffman-only coding would spend a bit a byte
+        assert all(not t.data.any() for name, t in model.trainable_params() if name.endswith(".B"))
+    planes = _byte_planes(b"".join(t.data.astype("<f2").tobytes() for _, t in model.trainable_params()))
+    stream = v3_stream(pack(model), model)
+    assert zlib.decompress(stream) == planes
+    # the first version 3 writer's coding, kept here as the reference only
+    assert len(stream) <= len(zlib.compress(planes, 9))
 
 
 def test_rounding_to_f16_is_in_place_and_ties_to_even():
@@ -323,9 +383,21 @@ def test_a_v3_body_relabelled_as_v2_and_a_v2_body_relabelled_as_v3_are_format_er
         unpack(relabelled(load(V2_FIXTURE), 3))
 
 
-# zlib header, deflate blocks, Adler-32 trailer (the last deflate byte's padding bits are free)
+# zlib header, deflate blocks, Adler-32 trailer; bit 0 of byte 2 is the first
+# block's last-block flag, and bit 4 is flipped everywhere else too (bits 3-7
+# of byte 2 pad the stored block the stream opens with, and the padding at the
+# end of the last deflate byte is free as well)
 @pytest.mark.parametrize("at", [0, 1, 2, 500, 2000, -4, -1])
 def test_a_corrupted_v3_stream_under_a_valid_crc_is_format_error(at):
+    prefix, stream, _ = v3_parts()
+    stream = bytearray(stream)
+    stream[at] ^= 0x01
+    with pytest.raises(FormatError):
+        unpack(with_crc(prefix + bytes(stream)))
+
+
+@pytest.mark.parametrize("at", [0, 1, 500, 2000, -4, -1])
+def test_a_v3_stream_with_bit_4_flipped_under_a_valid_crc_is_format_error(at):
     prefix, stream, _ = v3_parts()
     stream = bytearray(stream)
     stream[at] ^= 0x10

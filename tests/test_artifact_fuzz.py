@@ -19,9 +19,11 @@ BODY = BLOB[:-4]
 
 FUZZ = settings(max_examples=300, deadline=None)
 
-# the same model rounded to f16: as the version 2 writer packed it, and as
-# pack writes it now, format version 3
-BODY_V2 = load(os.path.join(os.path.dirname(__file__), "fixtures", "tiny_r2_seed7_v2.ltlr"))[:-4]
+# the same model rounded to f16: as the version 2 writer and the first
+# version 3 writer packed it, and as pack writes it now, format version 3
+FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
+BODY_V2 = load(os.path.join(FIXTURES, "tiny_r2_seed7_v2.ltlr"))[:-4]
+BODY_FIRST_V3 = load(os.path.join(FIXTURES, "tiny_r2_seed7_v3.ltlr"))[:-4]
 _SNAPPED = build_model(_CFG, BackboneSpec.from_config(_CFG, 7))
 to_shipping_precision(_SNAPPED)
 BODY_V3 = pack(_SNAPPED)[:-4]
@@ -83,4 +85,11 @@ def test_any_byte_flip_or_cut_of_a_v2_blob_unpacks_or_raises_an_artifact_error(a
 @given(at=st.integers(0, len(BODY_V3) - 1), mask=st.integers(1, 255), cut=st.booleans())
 def test_any_byte_flip_or_cut_of_a_v3_blob_unpacks_or_raises_an_artifact_error(at, mask, cut):
     ok = unpack_or_artifact_error(seal(flipped_or_cut(BODY_V3, at, mask, cut), True))
+    assert not (cut and ok)
+
+
+@FUZZ
+@given(at=st.integers(0, len(BODY_FIRST_V3) - 1), mask=st.integers(1, 255), cut=st.booleans())
+def test_any_byte_flip_or_cut_of_the_first_v3_writers_blob_unpacks_or_raises_an_artifact_error(at, mask, cut):
+    ok = unpack_or_artifact_error(seal(flipped_or_cut(BODY_FIRST_V3, at, mask, cut), True))
     assert not (cut and ok)

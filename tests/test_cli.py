@@ -15,7 +15,7 @@ from lottalora.model import BackboneSpec, ModelConfig, build_model
 from lottalora.train import TrainConfig
 
 from conftest import requires_mnist, write_fake_idx
-from test_artifact import V2_FIXTURE, reheader
+from test_artifact import V2_FIXTURE, V3_FIXTURE, reheader
 
 
 def test_cost_command_prints_table_and_json(capsys):
@@ -139,20 +139,25 @@ def test_pack_unpack_round_trip(tmp_path, capsys):
 def test_unpack_reports_the_format_version_and_what_the_coding_saved(tmp_path, capsys):
     fresh, trained = tmp_path / "fresh.ltlr", tmp_path / "trained.ltlr"
     assert run(["pack", "--preset", "tiny", "--rank", "2", "--seed", "7", "--output", str(fresh)]) == 0
-    # the committed version 2 fixture's model, rounded to f16, packs as version 3
+    # the committed fixtures' model, rounded to f16, packs as version 3
     cfg = ModelConfig(preset="tiny", rank=2)
     snapped = build_model(cfg, BackboneSpec.from_config(cfg, 7))
     to_shipping_precision(snapped)
     save(str(trained), pack(snapped))
     values, _ = snapped.count_trainable()
-    for path, version, value_bytes in ((fresh, 1, 4), (V2_FIXTURE, 2, 2), (trained, 3, 2)):
+    stored = {}
+    for path, version, value_bytes in ((fresh, 1, 4), (V2_FIXTURE, 2, 2), (V3_FIXTURE, 3, 2), (trained, 3, 2)):
         capsys.readouterr()
         assert run(["unpack", str(path)]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["format_version"] == version
         assert out["bytes"] == os.path.getsize(path)
         assert out["decoded_payload_bytes"] == value_bytes * values
-    assert os.path.getsize(trained) < os.path.getsize(V2_FIXTURE)
+        stored[path] = out["stored_payload_bytes"]
+        # one header and one table layout: the files differ only in their payloads
+        assert out["bytes"] - out["stored_payload_bytes"] == os.path.getsize(V2_FIXTURE) - 2 * values
+    assert stored[fresh] == 4 * values and stored[V2_FIXTURE] == 2 * values
+    assert stored[trained] < stored[V3_FIXTURE] < stored[V2_FIXTURE]
 
 
 def test_pack_of_a_rank_above_every_layer_width_is_config_error(tmp_path, capsys):

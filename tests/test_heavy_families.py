@@ -84,8 +84,10 @@ def assert_student_t_entries_match(fam, n, fan_in, carry):
     assert stream_state(got_stream) == stream_state(want_stream)
 
 
+# 500 and 520: leaves of 8 and of 15-16 blocks of 8 rows; 16383: the largest
+# nu a draw chunk holds
 @pytest.mark.parametrize("n", [1, 2, 5, 7, 8, 9, 16, 17, 23, 64, 127, 128, 129, 130, 135, 136, 137, 255, 256,
-                               257, 300, 511, 1000, 1500])
+                               257, 300, 500, 511, 520, 1000, 1500, 4000, 16383])
 def test_pairwise_sum_matches_numpy_row_sums(n):
     rng = np.random.default_rng(n)
     rows = rng.standard_normal((37, n)) ** 2 * rng.uniform(0.01, 100.0, (37, n))
