@@ -27,7 +27,7 @@ import numpy as np
 from . import artifact as artifact_mod
 from .cost import ARCHS, cost_report, rank_star
 from .data import Dataset, load_mnist, make_partition
-from .errors import ConfigError, DataError, FormatError, LottaError, RunError, real
+from .errors import ConfigError, DataError, FormatError, IntegrityError, LottaError, RunError, real
 from .initfam import SCALINGS, InitFamily
 from .layers import B_INITS
 from .model import HEAD_MODES, PRESETS, BackboneSpec, ModelConfig, build_model
@@ -36,6 +36,7 @@ from .train import (
     RunMetrics,
     TrainConfig,
     beta_summary,
+    evaluate,
     seed_gated_train,
     train_run,
     write_metrics_csv,
@@ -369,9 +370,6 @@ def cmd_unpack(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from .errors import IntegrityError
-    from .train import evaluate
-
     data_dir = _resolve_data_dir(args)
     header, tensors = artifact_mod.unpack(artifact_mod.load(args.artifact))
     recorded = header.get("extra", {}).get("final_test_accuracy")

@@ -2,8 +2,10 @@
 
 Every error carries a short machine-readable ``category`` used by the CLI
 to pick an exit code and emit a structured error line.  The three
-predicates below are the value checks behind many ``ConfigError``s; each
-is defined in this module once and used by the module that owns the value.
+predicates below are the value checks behind many ``ConfigError``s, and
+``integer`` is the one check that turns an integer value into an ``int``
+or a ``ConfigError``; each is defined in this module once and used by the
+module that owns the value.
 ``shown`` formats a rejected value so that building the message never fails.
 """
 
@@ -14,6 +16,14 @@ import numbers
 def integral(value) -> bool:
     """Whether ``value`` is an integer; a bool is not one."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def integer(value, name: str) -> int:
+    """``value`` as an ``int``; a ConfigError naming ``name`` unless it is
+    an integer."""
+    if not integral(value):
+        raise ConfigError(f"{name} must be an integer, got {shown(value)}")
+    return int(value)
 
 
 def real(value) -> bool:

@@ -20,8 +20,9 @@ Per-entry stream consumption is fixed per family (sparse families always
 burn a mask uniform and a value gaussian, even for a zeroed entry), so an
 entry's value depends only on its flat index.  Each spec's ``draws``
 field is that consumption and the v1 stream-order contract: for n
-entries, a block of each listed kind in turn.  Both the draw and the
-deferred build's ``Stream.skip`` over ``draw_plan`` follow it.
+entries, a block of each listed kind in turn.  The draw places a cursor
+at each block's start with ``Stream.skip``, which skips only unit draws,
+so every block before a family's last is a unit block.
 
 An entrywise draw never holds the whole block in float64: each kind
 reads from its own cursor, placed where its block would start, and
@@ -378,9 +379,3 @@ def draw_matrix(stream: Stream, fam: InitFamily, rows: int, cols: int) -> Backbo
         _fill_entries(stream, fam, data.reshape(-1), cols, rows)
     return BackboneMatrix(rows=rows, cols=cols, data=data)
 
-
-def draw_plan(fam: InitFamily, rows: int, cols: int) -> list[tuple[str, int]]:
-    """The ``(kind, count)`` block draws ``draw_matrix`` makes for this
-    family and shape, in order; ``Stream.skip`` over them leaves a stream
-    where the draw would."""
-    return [(kind, per_entry * rows * cols) for kind, per_entry in _entry_draws(fam)]

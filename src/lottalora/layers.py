@@ -20,7 +20,6 @@ give the same bits; the tests hold them to that.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,29 +85,33 @@ def init_adapter(rank: int, d_in: int, d_out: int, alpha: float, mode: str, stre
 class LottaLayer:
     """Frozen backbone + adapter, with an optional combined-path LayerNorm.
 
-    ``draw`` is the layer's deferred scaffold draw: a zero-argument
-    callable returning ``(matrix, frozen_bias)``, where ``matrix`` is a
-    ``BackboneMatrix`` and ``frozen_bias`` a fixed random offset or None.
-    The offset is never trained and not counted: the frozen remnant of a
-    standard dense layer's bias.  It sits outside both the backbone and
-    adapter paths, so it is untouched by beta and absent from the
-    effective weight.  The draw runs on the first read of ``backbone`` or
-    ``frozen_bias`` (or on ``materialize``); ``set_backbone`` drops it
-    unread.
+    ``backbone`` is the frozen ``BackboneMatrix`` and ``frozen_bias`` a
+    fixed random offset or None.  The offset is never trained and not
+    counted: the frozen remnant of a standard dense layer's bias.  It sits
+    outside both the backbone and adapter paths, so it is untouched by beta
+    and absent from the effective weight.
     """
 
-    def __init__(self, draw: Callable[[], tuple], adapter: AdapterState, use_layernorm: bool = False):
+    def __init__(self, backbone: BackboneMatrix, frozen_bias: np.ndarray | None, adapter: AdapterState,
+                 use_layernorm: bool = False):
         self.adapter = adapter
         self.d_in = adapter.a.shape[1]
         self.d_out = adapter.b.shape[0]
-        self._pending = draw
-        self._backbone = self._frozen_bias = None
+        self.set_backbone(backbone, frozen_bias)
         self.ln_gamma = self.ln_bias = None
         if use_layernorm:
             self.ln_gamma = tensor(np.ones(self.d_out), requires_grad=True)
             self.ln_bias = tensor(np.zeros(self.d_out), requires_grad=True)
 
-    def _store(self, backbone: BackboneMatrix, frozen_bias: np.ndarray | None) -> None:
+    def drop_backbone(self) -> None:
+        """Release the frozen matrix and bias, so a redraw does not hold the
+        old state next to its successor."""
+        self.backbone = self.frozen_bias = None
+
+    def set_backbone(self, backbone: BackboneMatrix, frozen_bias: np.ndarray | None = None) -> None:
+        """Replace the frozen matrix and bias (resampling / seed gating);
+        ``frozen_bias=None`` leaves the layer without one.  Both are kept
+        as given, dtype included, and marked read-only."""
         if (backbone.rows, backbone.cols) != (self.d_out, self.d_in):
             raise DimensionError(
                 f"backbone {backbone.rows}x{backbone.cols} does not match the adapter's "
@@ -118,38 +121,8 @@ class LottaLayer:
             if frozen_bias.shape != (self.d_out,):
                 raise DimensionError(f"frozen bias must have shape ({self.d_out},), got {frozen_bias.shape}")
             frozen_bias.setflags(write=False)
-        self._backbone = backbone
-        self._frozen_bias = frozen_bias
-
-    def materialize(self) -> None:
-        """Run the deferred draw, if one is pending."""
-        if self._pending is not None:
-            draw, self._pending = self._pending, None
-            self._store(*draw())
-
-    @property
-    def backbone(self) -> BackboneMatrix:
-        self.materialize()
-        return self._backbone
-
-    @property
-    def frozen_bias(self) -> np.ndarray | None:
-        self.materialize()
-        return self._frozen_bias
-
-    def drop_backbone(self) -> None:
-        """Release the frozen matrix and bias, and any pending draw, so a
-        redraw does not hold the old state next to its successor."""
-        self._pending = None
-        self._backbone = self._frozen_bias = None
-
-    def set_backbone(self, backbone: BackboneMatrix, frozen_bias: np.ndarray | None = None) -> None:
-        """Replace the frozen matrix and bias (resampling / seed gating);
-        ``frozen_bias=None`` leaves the layer without one.  Both are kept
-        as given, dtype included, and marked read-only.  A pending
-        deferred draw is dropped without being computed."""
-        self._pending = None
-        self._store(backbone, frozen_bias)
+        self.backbone = backbone
+        self.frozen_bias = frozen_bias
 
     def forward(self, h: np.ndarray, cache: dict | None = None) -> np.ndarray:
         """Pre-activation output; LayerNorm (when enabled) wraps the sum.

@@ -3,11 +3,11 @@
 A model is built from a ModelConfig plus a BackboneSpec; the BackboneSpec
 (seed, generator tag, init family, layer shapes) alone determines every
 frozen matrix, which is what makes models reconstructible from a header.
+The build draws each of them, and that scaffold is the model's backbone.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import math
 from collections.abc import Iterable
@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, IncompatibilityError, finite, integral, real, shown
-from .initfam import BackboneMatrix, InitFamily, draw_matrix, draw_plan
+from .errors import ConfigError, DimensionError, IncompatibilityError, finite, integer, real, shown
+from .initfam import BackboneMatrix, InitFamily, draw_matrix
 from .layers import B_INITS, SCALING_MODES, DenseLayer, LottaLayer, init_adapter
 from .numerics import Tensor, add_grad, softmax_xent, tensor
 from .prng import ALGORITHM_ID, DrawKind, Stream, check_seed, derive_stream
@@ -79,19 +79,6 @@ def _draw_frozen(cfg: "ModelConfig", family: InitFamily, i: int, stream: Stream)
     return matrix, (bound * (2.0 * stream.unit_block(d_out) - 1.0)).astype(np.float32)
 
 
-def _frozen_plan(cfg: "ModelConfig", family: InitFamily, i: int) -> list[tuple[str, int]]:
-    """The block draws ``_draw_frozen`` makes for layer i, in order."""
-    d_out, d_in = cfg.layer_shapes()[i]
-    plan = [] if cfg.zero_scaffold else draw_plan(family, d_out, d_in)
-    return plan + [("unit", d_out)] if cfg.frozen_bias else plan
-
-
-def _integral(value, name: str) -> int:
-    if not integral(value):
-        raise ConfigError(f"{name} must be an integer, got {shown(value)}")
-    return int(value)
-
-
 @dataclass(frozen=True)
 class ModelConfig:
     preset: str | None = "medium"
@@ -116,14 +103,14 @@ class ModelConfig:
 
     def __post_init__(self):
         for name in ("input_dim", "num_classes", "rank"):
-            object.__setattr__(self, name, _integral(getattr(self, name), name))
+            object.__setattr__(self, name, integer(getattr(self, name), name))
         for name in ("layernorm", "zero_scaffold", "frozen_bias"):
             if not isinstance(getattr(self, name), bool):
                 raise ConfigError(f"{name} must be True or False, got {getattr(self, name)!r}")
         if self.hidden_dims is not None:
             if not isinstance(self.hidden_dims, Iterable):
                 raise ConfigError(f"hidden_dims must be a sequence of integers, got {self.hidden_dims!r}")
-            object.__setattr__(self, "hidden_dims", tuple(_integral(d, "hidden_dims") for d in self.hidden_dims))
+            object.__setattr__(self, "hidden_dims", tuple(integer(d, "hidden_dims") for d in self.hidden_dims))
         elif self.preset not in PRESETS:
             raise ConfigError(f"unknown preset {self.preset!r}; expected one of {sorted(PRESETS)}")
         if self.mode not in MODES:
@@ -259,19 +246,15 @@ class Model:
             if i >= n_lotta:
                 layers.append(DenseLayer(d_in, d_out, derive_stream(seed, i, DrawKind.HEAD_INIT)))
                 continue
-            # the layer draws its frozen state from a copy on first read;
-            # the live stream skips ahead to where that draw would leave it
             stream = derive_stream(seed, i, DrawKind.BACKBONE_WEIGHT)
-            pending = functools.partial(_draw_frozen, cfg, self.spec.family, i, stream.copy())
-            for kind, n in _frozen_plan(cfg, self.spec.family, i):
-                stream.skip(kind, n)
+            frozen = _draw_frozen(cfg, self.spec.family, i, stream)
             self._backbone_streams.append(stream)
             adapter = init_adapter(
                 cfg.rank, d_in, d_out, cfg.alpha, cfg.scaling_mode,
                 derive_stream(seed, i, DrawKind.ADAPTER_A_INIT), b_init=cfg.b_init,
             )
             is_hidden = i < len(shapes) - 1
-            layers.append(LottaLayer(pending, adapter, use_layernorm=cfg.layernorm and is_hidden))
+            layers.append(LottaLayer(*frozen, adapter, use_layernorm=cfg.layernorm and is_hidden))
         *self.hidden, self.head = layers
         self._dropout_streams = [derive_stream(seed, i, DrawKind.DROPOUT_MASK) for i in range(len(self.hidden))]
         if cfg.head_mode == "lora_bias" and n_lotta == len(shapes):
@@ -290,7 +273,7 @@ class Model:
         fixed partition (the whole batch for n <= ``EVAL_BLOCK_ROWS``) and
         of the BLAS kernel; in other blocks they can differ in the last bit.
         """
-        self._ready(batch)
+        self._check_batch(batch)
         return Tensor(np.concatenate([self._forward_rows(batch[lo:hi]) for lo, hi in eval_blocks(len(batch))]))
 
     def loss_and_grads(self, x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
@@ -300,7 +283,7 @@ class Model:
         ``softmax_xent``, then the layers' backward rules in reverse, which
         add every trainable's gradient into its ``grad``.
         """
-        self._ready(x)
+        self._check_batch(x)
         layers = [*self.hidden, self.head]
         caches = [{} for _ in layers]
         logits = self._forward_rows(x, caches)
@@ -321,13 +304,10 @@ class Model:
             g = layers[i].backward(g, cache, need_dx=i > 0)
         return loss, logits
 
-    def _ready(self, batch: np.ndarray) -> None:
-        """Check the batch's shape and run any deferred scaffold draws."""
+    def _check_batch(self, batch: np.ndarray) -> None:
+        """A DimensionError unless the batch is [n, input_dim]."""
         if batch.ndim != 2 or batch.shape[1] != self.cfg.input_dim:
             raise DimensionError(f"batch must be [n, {self.cfg.input_dim}], got {batch.shape}")
-        # deferred scaffold draws run before any activation exists
-        for layer in self.lotta_layers():
-            layer.materialize()
 
     def _forward_rows(self, batch: np.ndarray, caches: list | None = None) -> np.ndarray:
         """The layer loop over one block of rows.  Given one cache dict per
@@ -387,9 +367,8 @@ class Model:
         return out
 
     def _redraw(self) -> None:
-        # eager, so a trace charges the draw to the redraw that asked for
-        # it; each layer drops its old state first, so a redraw peaks at
-        # one chunk's scratch above the live scaffold
+        # each layer drops its old state first, so a redraw peaks at one
+        # chunk's scratch above the live scaffold
         for i, (layer, stream) in enumerate(zip(self.lotta_layers(), self._backbone_streams)):
             layer.drop_backbone()
             layer.set_backbone(*_draw_frozen(self.cfg, self.spec.family, i, stream))
@@ -404,10 +383,10 @@ class Model:
         """Install the frozen state of a different global seed (seed
         gating); adapters and heads are untouched.
 
-        The first swap to a seed draws its scaffold and keeps the
-        read-only arrays and the streams past them in ``drawn`` under the
-        seed; a later swap with the same dict reinstalls them, so every
-        seed's scaffold stays live in it.  A fresh ``{}`` draws anew.
+        The first swap to a seed draws its scaffold and keeps its
+        ``_scaffold()`` in ``drawn`` under the seed; a later swap with the
+        same dict reinstalls it, so every seed's scaffold stays live in it.
+        A fresh ``{}`` draws anew.
         """
         if self.cfg.mode == "full_training":
             raise ConfigError("seed swapping requires lottalora mode")
@@ -421,8 +400,13 @@ class Model:
             derive_stream(seed, i, DrawKind.BACKBONE_WEIGHT) for i in range(self.cfg.n_lotta())
         ]
         self._redraw()
-        drawn[seed] = ([stream.copy() for stream in self._backbone_streams],
-                       [(layer.backbone, layer.frozen_bias) for layer in self.lotta_layers()])
+        drawn[seed] = self._scaffold()
+
+    def _scaffold(self) -> tuple[list, list]:
+        """The live scaffold as ``swap_seed_backbones`` keeps it: copies of
+        the backbone streams, and each layer's read-only matrix and bias."""
+        return ([stream.copy() for stream in self._backbone_streams],
+                [(layer.backbone, layer.frozen_bias) for layer in self.lotta_layers()])
 
 
 def build_model(cfg: ModelConfig, backbone: BackboneSpec) -> Model:

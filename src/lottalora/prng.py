@@ -53,15 +53,11 @@ with numpy 2.4 and glibc, cos and sin of 8192 angles cost 19-27 ns each in
 stream order and 14-16 ns grouped, and the sort, gather and scatters about
 12 ns a pair.  Behind a SIMD loop the grouping only adds that cost.
 
-A draw nobody reads need not be computed: ``skip`` moves a stream to
-where a unit or gaussian block of n would leave it, in O(1).  The skip is
-exact because the generator is counter-based.  The state after n raw
-outputs is ``state + n*gamma``, whatever the outputs were.  A unit draw
-takes one raw output and a gaussian pair takes two.  The one value that
-outlives a draw is the Box-Muller carry.  A gaussian skip consumes an
-incoming carry as a draw would.  An odd remainder leaves the last pair's
-sine as the new carry, so the skip evaluates that one pair with the block
-kernel, and the carry gets the bits a full draw would give it.
+``skip`` moves a stream to where a unit block of n would leave it, in
+O(1), without computing the draws.  The skip is exact because the
+generator is counter-based: the state after n raw outputs is
+``state + n*gamma``, whatever the outputs were, and a unit draw takes one
+raw output and leaves the Box-Muller carry alone.
 """
 
 from __future__ import annotations
@@ -70,7 +66,7 @@ import enum
 
 import numpy as np
 
-from .errors import ConfigError, integral, shown
+from .errors import ConfigError, integer, integral, shown
 
 MASK64 = (1 << 64) - 1
 GOLDEN_GAMMA = 0x9E3779B97F4A7C15
@@ -250,20 +246,11 @@ class Stream:
         return out
 
     def skip(self, kind: str, n: int) -> None:
-        """Advance past ``n`` draws of ``kind`` ("unit" or "gaussian")
-        without computing them; the state and the Box-Muller carry end up
-        exactly as ``unit_block(n)``/``gaussian_block(n)`` would leave them."""
+        """Advance past ``n`` draws of ``kind`` without computing them, as
+        ``unit_block(n)`` would; "unit" is the only kind it skips."""
         if n < 0:
             raise ValueError("skip count must be nonnegative")
-        if kind == "gaussian":
-            if n and self._gauss_cache is not None:
-                self._gauss_cache = None
-                n -= 1
-            if n % 2:  # the last pair's sine becomes the carry: draw that pair
-                self.state = (self.state + (n - 1) * GOLDEN_GAMMA) & MASK64
-                self.gaussian_block(1)
-                return
-        elif kind != "unit":
+        if kind != "unit":
             raise ValueError(f"cannot skip draws of kind {kind!r}")
         self.state = (self.state + n * GOLDEN_GAMMA) & MASK64
 
@@ -279,8 +266,9 @@ class Stream:
 def check_seed(seed) -> int:
     """``seed`` as an int; a ConfigError unless it is an integer in [0, 2**64).
 
-    ``derive_stream`` reduces its seed mod 2**64, so an out-of-range seed
-    would silently build the backbones of another one.
+    ``derive_stream``'s mixing reduces a seed mod 2**64, so an
+    out-of-range seed would build the backbones of another one; it runs
+    every seed through this check.
     """
     if not integral(seed) or not 0 <= int(seed) <= MASK64:
         raise ConfigError(f"seed must be an integer in [0, 2**64), got {shown(seed)}")
@@ -292,9 +280,16 @@ def derive_stream(global_seed: int, layer_index: int, kind: DrawKind) -> Stream:
 
     Mixing folds each component through the splitmix64 finalizer in turn;
     distinct inputs give distinct states with overwhelming probability.
+    The seed and the layer index must be integers in [0, 2**64), where
+    none aliases another mod 2**64, and ``kind`` a ``DrawKind``; anything
+    else is a ConfigError.
     """
-    if layer_index < 0:
-        raise ValueError("layer_index must be nonnegative")
+    global_seed = check_seed(global_seed)
+    layer_index = integer(layer_index, "layer_index")
+    if not 0 <= layer_index <= MASK64:
+        raise ConfigError(f"layer_index must lie in [0, 2**64), got {shown(layer_index)}")
+    if not isinstance(kind, DrawKind):
+        raise ConfigError(f"kind must be a DrawKind, got {shown(kind)}")
     s = mix64((global_seed + GOLDEN_GAMMA) & MASK64)
     s = mix64((s + (layer_index + 1) * GOLDEN_GAMMA) & MASK64)
     s = mix64((s + (int(kind) + 1) * GOLDEN_GAMMA) & MASK64)

@@ -19,8 +19,8 @@ import numpy as np
 
 from .artifact import to_shipping_precision
 from .data import Dataset, split_train_val
-from .errors import ConfigError, DataError, RunError, finite, shown
-from .model import BackboneSpec, Model, ModelConfig, _integral, build_model, eval_blocks
+from .errors import ConfigError, DataError, RunError, finite, integer, shown
+from .model import BackboneSpec, Model, ModelConfig, build_model, eval_blocks
 from .numerics import softmax_xent
 from .prng import DrawKind, derive_stream
 
@@ -42,7 +42,7 @@ class TrainConfig:
 
     def __post_init__(self):
         for name in ("batch_size", "epochs", "resample_k"):
-            object.__setattr__(self, name, _integral(getattr(self, name), name))
+            object.__setattr__(self, name, integer(getattr(self, name), name))
         if not (finite(self.lr) and self.lr > 0):
             raise ConfigError(f"lr must be a finite number > 0, got {shown(self.lr)}")
         if not (finite(self.weight_decay) and self.weight_decay >= 0):
@@ -195,13 +195,15 @@ def _layer_betas(model: Model) -> list[float]:
     return [float(layer.adapter.beta.data) for layer in model.lotta_layers()]
 
 
-def _train_step(model, optimizer, x, y, lr_t, resample: str, k: int):
+def _train_step(model, optimizer, x, y, lr_t, resample: str, k: int, first: bool):
     """One optimizer step: one pass over the step's sub-batches.
 
     The sub-batches are the batch itself (static), k copies of it
     (per_batch) or its non-empty k-way splits (microbatch).  Under the two
     within-step schedules every sub-batch runs on a freshly redrawn
-    scaffold.  Gradients accumulate over the pass and are averaged, keeping
+    scaffold, except the run's first sub-batch (``first`` marks the run's
+    first step), which trains on the build-time scaffold, as per_epoch's
+    first epoch does.  Gradients accumulate over the pass and are averaged, keeping
     the lr meaningful across schedules.  Returns (mean loss over the
     forward rows, correct count, forward rows).
     """
@@ -214,8 +216,8 @@ def _train_step(model, optimizer, x, y, lr_t, resample: str, k: int):
     optimizer.zero_grad()
     loss_sum = 0.0
     correct = rows = 0
-    for part in parts:
-        if resample in ("per_batch", "microbatch"):
+    for j, part in enumerate(parts):
+        if resample in ("per_batch", "microbatch") and not (first and j == 0):
             model.resample_backbones()
         ys = y[part]
         loss, logits = model.loss_and_grads(x[part], ys)
@@ -251,7 +253,8 @@ def _train_loop(model: Model, cfg: TrainConfig, segments, shuffle):
                 idx = perm[start:start + cfg.batch_size]
                 y = data.labels[idx]
                 loss, step_correct, step_rows = _train_step(
-                    model, optimizer, data.take(idx), y, _lr(cfg, step, total_steps), cfg.resample, cfg.resample_k
+                    model, optimizer, data.take(idx), y, _lr(cfg, step, total_steps), cfg.resample, cfg.resample_k,
+                    step == 0,
                 )
                 if not math.isfinite(loss):
                     raise RunError(
@@ -365,8 +368,9 @@ def seed_gated_train(
     shuffle = derive_stream(partition.seeds[0], 0, DrawKind.DATA_SHUFFLE)
 
     views = [partition.training_view(train_dataset, g) for g in range(len(partition.groups))]
-    # each group's scaffold is drawn on its first swap and reinstalled after
-    drawn = {}
+    # the first group's scaffold is the build's; every other group's is
+    # drawn on its first swap, and each is reinstalled after
+    drawn = {partition.seeds[0]: model._scaffold()}
     segments = [
         (view, lambda _epoch, seed=seed: model.swap_seed_backbones(seed, drawn))
         for view, seed in zip(views, partition.seeds)

@@ -340,7 +340,7 @@ def test_criterion_8_numerical_properties():
 
     backbone = draw_matrix(derive_stream(3, 0, DrawKind.BACKBONE_WEIGHT), PROTOCOL_FAMILY, 24, 48)
     adapter = init_adapter(6, 48, 24, 1.0, "standard", derive_stream(3, 0, DrawKind.ADAPTER_A_INIT))
-    layer = LottaLayer(lambda: (backbone, None), adapter)
+    layer = LottaLayer(backbone, None, adapter)
     layer.adapter.b.data[:] = 0.2 * rng.standard_normal((24, 6)).astype(np.float32)
     layer.adapter.beta.data[()] = 0.8
     probe = rng.standard_normal((16, 48)).astype(np.float32)

@@ -652,10 +652,14 @@ def test_backbone_of_another_generator_under_a_v1_header_is_incompatibility_erro
 
 
 def test_backbone_shapes_are_checked_before_anything_is_built():
-    # shapes of a 4096-wide layer: built first, that scaffold alone is 12 MiB
+    # shapes of a 4096-wide layer: built first, that scaffold alone is 12 MiB;
+    # the sender is built and packed before the measured region
+    blob = pack(fresh_model())
+
     def attempt():
         with pytest.raises(FormatError, match="layer shapes"):
-            reconstruct_edited(lambda h: h["backbone"].update(layer_shapes=[[4096, 784], [64, 4096], [10, 64]]))
+            edit = lambda h: h["backbone"].update(layer_shapes=[[4096, 784], [64, 4096], [10, 64]])  # noqa: E731
+            reconstruct(*unpack(reheader(blob, edit)))
 
     peak, _ = peak_bytes(attempt)
     assert peak < 1 << 20

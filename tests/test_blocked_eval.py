@@ -95,18 +95,11 @@ def test_a_float64_batch_is_cast_block_by_block_to_the_same_bits():
     assert model.forward_logits(x.astype(np.float64)).data.tobytes() == model.forward_logits(x).data.tobytes()
 
 
-def live_medium_model():
-    model = trained_looking(dict(preset="medium"))
-    for layer in model.lotta_layers():
-        layer.materialize()
-    return model
-
-
 def test_a_medium_eval_of_2048_rows_peaks_at_one_block():
     # the whole batch at once held layer 0's backbone and adapter products
     # for all 2048 rows, 2 x 4 MiB; each of its five blocks holds a fifth of that
     peak, logits = peak_bytes(lambda state: state[0].forward_logits(state[1]),
-                              setup=lambda: (live_medium_model(), batch(2048)))
+                              setup=lambda: (trained_looking(dict(preset="medium")), batch(2048)))
     assert logits.data.shape == (2048, 10)
     assert peak <= 2.0 * MIB
 
@@ -116,7 +109,7 @@ def test_a_medium_evaluate_of_a_5000_row_view_peaks_at_one_gathered_block():
     # them; gathering all 5000 rows at once would hold 15 MiB
     def setup():
         source = synthetic_blobs(5000, 784, 10, 4.0, seed=2)
-        return live_medium_model(), source.subset(np.arange(5000), "test")
+        return trained_looking(dict(preset="medium")), source.subset(np.arange(5000), "test")
 
     peak, (loss, accuracy) = peak_bytes(lambda state: evaluate(*state), setup=setup)
     assert np.isfinite(loss) and 0.0 <= accuracy <= 1.0

@@ -1,0 +1,80 @@
+"""How many scaffolds a model draws, per build and per training schedule.
+
+A build draws each frozen layer once.  Training then redraws at every
+redraw point of its schedule but the run's first: per_epoch from the
+second epoch on, per_batch/microbatch before every sub-batch but the
+run's first; seed gating draws each group's scaffold once.  The counts
+are pinned for a ``tiny`` model (two frozen layers) on 600 rows: a 540-row
+training split in five batches of at most 128, over two epochs.
+"""
+
+import numpy as np
+import pytest
+
+import lottalora.model as model_mod
+from lottalora.artifact import pack, reconstruct, unpack
+from lottalora.data import make_partition, synthetic_blobs
+from lottalora.errors import FormatError
+from lottalora.model import BackboneSpec, ModelConfig, build_model
+from lottalora.train import TrainConfig, seed_gated_train, train_run
+
+TINY = ModelConfig(preset="tiny", rank=2)
+
+
+@pytest.fixture
+def draws(monkeypatch):
+    """Every ``draw_matrix`` call a model makes, as (rows, cols)."""
+    calls = []
+    original = model_mod.draw_matrix
+
+    def counting(stream, fam, rows, cols):
+        calls.append((rows, cols))
+        return original(stream, fam, rows, cols)
+
+    monkeypatch.setattr(model_mod, "draw_matrix", counting)
+    return calls
+
+
+def blobs():
+    data = synthetic_blobs(700, 784, 10, 8.0, seed=4)
+    return data.subset(np.arange(600), "train"), data.subset(np.arange(600, 700), "test")
+
+
+def test_a_build_draws_each_frozen_layer_once(draws):
+    model = build_model(TINY, BackboneSpec.from_config(TINY, 5))
+    assert draws == [(128, 784), (64, 128)]
+    pack(model)
+    model.forward_logits(np.zeros((2, 784), dtype=np.float32))
+    model.backbone_hashes()
+    assert len(draws) == 2
+
+
+# static: the build; per_epoch: the build and one redraw; per_batch:3 and
+# microbatch:4: one draw per sub-batch of the 10 steps, the build's included
+@pytest.mark.parametrize("resample,k,count", [
+    ("static", 2, 2),
+    ("per_epoch", 2, 4),
+    ("per_batch", 3, 60),
+    ("microbatch", 4, 80),
+])
+def test_each_schedule_draws_as_many_scaffolds_as_before(resample, k, count, draws):
+    train, test = blobs()
+    tcfg = TrainConfig(epochs=2, batch_size=128, resample=resample, resample_k=k)
+    train_run(TINY, BackboneSpec.from_config(TINY, 5), tcfg, train, test)
+    assert len(draws) == count
+
+
+def test_seed_gating_draws_each_groups_scaffold_once(draws):
+    train, test = blobs()
+    partition = make_partition([{0, 1, 2, 3, 4}, {5, 6, 7, 8, 9}], [42, 43])
+    seed_gated_train(partition, TINY, TrainConfig(epochs=2, batch_size=128), train, test)
+    assert len(draws) == 4
+
+
+def test_a_reconstruct_refused_on_its_tensor_table_draws_nothing(draws):
+    header, tensors = unpack(pack(build_model(TINY, BackboneSpec.from_config(TINY, 5))))
+    del draws[:]
+    del tensors[next(iter(tensors))]
+    with pytest.raises(FormatError):
+        reconstruct(header, tensors)
+    assert draws == []

@@ -109,8 +109,8 @@ def assert_two_steps_match_the_tape(cfg, resample, k, rows, monkeypatch):
     def run():
         model = build_model(cfg, spec)
         opt = AdamW([p for _, p in model.trainable_params()], 1e-2)
-        for _ in range(2):  # the second step runs on non-zero moments and B
-            _train_step(model, opt, x, y, 1e-2, resample, k)
+        for step in range(2):  # the second step runs on non-zero moments and B
+            _train_step(model, opt, x, y, 1e-2, resample, k, step == 0)
         return final_state(model, opt)
 
     explicit, oracle = under_both_forwards(run, monkeypatch)

@@ -139,7 +139,7 @@ def test_training_steps_match_the_oracle_bitwise(f64, resample, k, weight_decay)
             to_float64(model)
         opt = make([p for _, p in model.trainable_params()], weight_decay)
         for step in range(3):
-            _train_step(model, opt, data.images, data.labels, 1e-2 * (1 - step / 4), resample, k)
+            _train_step(model, opt, data.images, data.labels, 1e-2 * (1 - step / 4), resample, k, step == 0)
         assert all(p.data.dtype == (np.float64 if f64 else np.float32) for p in opt.params)
         outcomes.append((state(opt), model.backbone_hashes()))
     assert outcomes[0] == outcomes[1]

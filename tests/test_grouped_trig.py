@@ -76,18 +76,6 @@ def test_interleaved_grouped_draws_match_the_stream_order_kernel():
     assert new._gauss_cache is not None  # the sequence ends on an odd carry
 
 
-@pytest.mark.parametrize("carry", [False, True])
-def test_skip_of_an_odd_count_carries_the_stream_order_sine(carry):
-    for n in (1, 3, 2 * _CHUNK + 1, 4 * _CHUNK + 3):
-        skipped = Stream(99)
-        if carry:
-            skipped.gaussian_block(1)
-        drawn = skipped.copy()
-        skipped.skip("gaussian", n)
-        stream_order_gaussian_block(drawn, n)
-        assert_same_stream(skipped, drawn)
-
-
 @pytest.mark.parametrize("name", FAMILY_NAMES)
 def test_every_family_draws_the_stream_order_bits_over_several_chunks(name, monkeypatch):
     # 512x784 spans many chunks; the carry offsets every chunk edge by one draw

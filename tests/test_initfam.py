@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from lottalora.errors import ConfigError, DimensionError
-from lottalora.initfam import FAMILY_NAMES, BackboneMatrix, InitFamily, draw_matrix, draw_plan
+from lottalora.initfam import FAMILY_NAMES, BackboneMatrix, InitFamily, _entry_draws, draw_matrix
 from lottalora.prng import DRAW_CHUNK, Stream
 from helpers import family_moments
 
@@ -236,22 +236,37 @@ def test_family_serialization_round_trip():
     assert asdict(fam)["name"] == "normal"
 
 
-PLAN_FAMILIES = [InitFamily(name) for name in FAMILY_NAMES] + [InitFamily("student_t", {"nu": 2})]
+CONTRACT_FAMILIES = [InitFamily(name) for name in FAMILY_NAMES] + [InitFamily("student_t", {"nu": 2})]
 
 
-@pytest.mark.parametrize("fam", PLAN_FAMILIES, ids=lambda f: f"{f.name}-{f.params.get('nu', '')}")
+def test_only_a_familys_last_draw_block_may_be_gaussian():
+    # the draw skips a cursor past every block but the last, and
+    # Stream.skip skips unit draws only
+    early = {fam.name: _entry_draws(fam)[:-1] for fam in CONTRACT_FAMILIES}
+    assert {name: blocks for name, blocks in early.items() if any(kind != "unit" for kind, _ in blocks)} == {}
+
+
+@pytest.mark.parametrize("fam", CONTRACT_FAMILIES, ids=lambda f: f"{f.name}-{f.params.get('nu', '')}")
 @pytest.mark.parametrize("rows,cols", [(1, 1), (5, 3), (3, 5), (4, 6), (7, 9)])
 @pytest.mark.parametrize("carry", [False, True])
-def test_skipping_the_draw_plan_matches_draw_matrix(fam, rows, cols, carry):
+def test_draw_matrix_consumes_exactly_its_draw_contract(fam, rows, cols, carry):
+    # the stream after a draw is where skipping every block of the v1 draw
+    # contract but the last, then drawing the last whole, leaves it; the
+    # frozen bias is drawn next from the same stream
     drawn = Stream(2024)
     if carry:
         drawn.gaussian_block(1)  # an incoming Box-Muller carry
-    skipped = drawn.copy()
+    contract = drawn.copy()
     draw_matrix(drawn, fam, rows, cols)
-    for kind, n in draw_plan(fam, rows, cols):
-        skipped.skip(kind, n)
-    assert (skipped.state, skipped._gauss_cache) == (drawn.state, drawn._gauss_cache)
-    assert type(skipped._gauss_cache) is type(drawn._gauss_cache)
+    *leading, (kind, per_entry) = _entry_draws(fam)
+    for lead_kind, lead_per_entry in leading:
+        contract.skip(lead_kind, lead_per_entry * rows * cols)
+    if kind == "unit":
+        contract.unit_block(per_entry * rows * cols)
+    else:
+        contract.gaussian_block(per_entry * rows * cols)
+    assert (contract.state, contract._gauss_cache) == (drawn.state, drawn._gauss_cache)
+    assert type(contract._gauss_cache) is type(drawn._gauss_cache)
 
 
 @pytest.mark.parametrize("nu", [1, 2, 3, 5, 8, 9])
@@ -350,12 +365,12 @@ def test_params_are_checked_not_coerced():
     assert type(fam.params["bits"]) is float
     assert type(fam.params["sigma"]) is np.float32
     student = InitFamily("student_t", {"nu": np.int64(2)})
-    assert draw_plan(student, 2, 3) == [("gaussian", 18)]
+    assert _entry_draws(student) == (("gaussian", 3),)
 
 
 def test_student_t_entries_must_fit_a_draw_chunk():
     # nu + 1 gaussians per entry; a larger nu would plan an unbounded draw
-    assert draw_plan(InitFamily("student_t", {"nu": DRAW_CHUNK - 1}), 1, 1) == [("gaussian", DRAW_CHUNK)]
+    assert _entry_draws(InitFamily("student_t", {"nu": DRAW_CHUNK - 1})) == (("gaussian", DRAW_CHUNK),)
     for nu in (DRAW_CHUNK, 10 ** 9):
         with pytest.raises(ConfigError, match=f"nu.*{DRAW_CHUNK}"):
             InitFamily("student_t", {"nu": nu})

@@ -14,7 +14,7 @@ def make_layer(d_in=32, d_out=16, rank=4, alpha=1.0, mode="standard", seed=42, u
                            InitFamily("normal", {"sigma": 0.1}, scaling="explicit"), d_out, d_in)
     adapter = init_adapter(rank, d_in, d_out, alpha, mode,
                            derive_stream(seed, 0, DrawKind.ADAPTER_A_INIT))
-    return LottaLayer(lambda: (backbone, None), adapter, use_layernorm=use_ln)
+    return LottaLayer(backbone, None, adapter, use_layernorm=use_ln)
 
 
 def test_fresh_layer_equals_backbone_projection():

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 from dataclasses import asdict
 
@@ -318,6 +319,31 @@ def test_a_reinstalled_seed_scaffold_matches_a_fresh_swap():
     assert model.backbone_hashes() == fresh.backbone_hashes()
     model.swap_seed_backbones(43, drawn)
     assert model.backbone_hashes() == build("tiny", seed=43).backbone_hashes()
+
+
+def test_the_builds_scaffold_is_what_a_first_swap_to_its_seed_draws():
+    model, swapped = build("tiny", seed=42), build("tiny", seed=7)
+    drawn = {}
+    swapped.swap_seed_backbones(42, drawn)
+    (streams, frozen), (fresh_streams, fresh_frozen) = model._scaffold(), drawn[42]
+    assert [(s.state, s._gauss_cache) for s in streams] == [(s.state, s._gauss_cache) for s in fresh_streams]
+    for (matrix, bias), (fresh_matrix, fresh_bias) in zip(frozen, fresh_frozen):
+        assert matrix.data.tobytes() == fresh_matrix.data.tobytes() and bias.tobytes() == fresh_bias.tobytes()
+    # the entry holds copies of the streams, so a redraw leaves it as it was
+    model.resample_backbones()
+    assert streams[0].state != model._backbone_streams[0].state
+
+
+def test_a_model_is_free_of_reference_cycles():
+    gc.collect()
+    gc.disable()
+    try:
+        model = build("tiny", layernorm=True, head_mode="lora_bias")
+        model.resample_backbones()
+        del model
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_adapters_survive_backbone_swaps():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from lottalora.errors import ConfigError
 from lottalora.prng import (
     _CHUNK,
     _U64_CHUNK,
@@ -93,9 +94,30 @@ def test_derive_stream_distinct_inputs_distinct_states():
     )
 
 
-def test_derive_stream_rejects_negative_layer():
-    with pytest.raises(ValueError):
-        derive_stream(1, -1, DrawKind.BACKBONE_WEIGHT)
+@pytest.mark.parametrize("seed,layer,kind", [
+    (1, -1, DrawKind.BACKBONE_WEIGHT),
+    (1, 2 ** 64, DrawKind.BACKBONE_WEIGHT),  # would alias layer 0
+    (1, 1.5, DrawKind.BACKBONE_WEIGHT),
+    (1, 1.0, DrawKind.BACKBONE_WEIGHT),
+    (1, True, DrawKind.BACKBONE_WEIGHT),
+    (1, "0", DrawKind.BACKBONE_WEIGHT),
+    (2 ** 64 + 5, 0, DrawKind.BACKBONE_WEIGHT),  # would alias seed 5
+    (-1, 0, DrawKind.BACKBONE_WEIGHT),
+    (1.0, 0, DrawKind.BACKBONE_WEIGHT),
+    (1, 0, 0),
+    (1, 0, "BACKBONE_WEIGHT"),
+    (1, 0, None),
+])
+def test_derive_stream_rejects_bad_arguments_with_a_config_error(seed, layer, kind):
+    with pytest.raises(ConfigError):
+        derive_stream(seed, layer, kind)
+
+
+def test_derive_stream_takes_integers_of_any_type_across_the_whole_range():
+    for seed, layer in ((0, 0), (MASK64, MASK64), (np.uint64(MASK64), np.int64(3))):
+        expected = derive_stream(int(seed), int(layer), DrawKind.DROPOUT_MASK).state
+        assert derive_stream(seed, layer, DrawKind.DROPOUT_MASK).state == expected
+    assert derive_stream(1, MASK64, DrawKind.HEAD_INIT).state != derive_stream(1, 0, DrawKind.HEAD_INIT).state
 
 
 def test_stream_independence():
@@ -267,35 +289,38 @@ SKIP_SIZES = [0, 1, 2, 3, 4, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1]
 
 
 @pytest.mark.parametrize("seed", ORACLE_SEEDS)
-@pytest.mark.parametrize("kind", ["unit", "gaussian"])
 @pytest.mark.parametrize("carry", [False, True])
-def test_skip_leaves_the_stream_where_the_draw_would(seed, kind, carry):
+def test_skip_leaves_the_stream_where_the_draw_would(seed, carry):
     for n in SKIP_SIZES:
         drawn = Stream(seed)
         if carry:
             drawn.gaussian_block(3)  # an odd count leaves a carry
         skipped = drawn.copy()
-        getattr(drawn, f"{kind}_block")(n)
-        skipped.skip(kind, n)
-        assert (skipped.state, skipped._gauss_cache) == (drawn.state, drawn._gauss_cache), (kind, n)
+        drawn.unit_block(n)
+        skipped.skip("unit", n)
+        assert (skipped.state, skipped._gauss_cache) == (drawn.state, drawn._gauss_cache), n
         assert type(skipped._gauss_cache) is type(drawn._gauss_cache)
         # and the next draws agree bit for bit
         assert skipped.gaussian_block(5).tobytes() == drawn.gaussian_block(5).tobytes()
 
 
-def test_interleaved_skips_match_interleaved_draws():
+def test_unit_skips_between_gaussian_draws_match_unit_draws():
     calls = [("gaussian", 3), ("unit", 5), ("gaussian", 1), ("gaussian", 2 * _CHUNK + 1),
-             ("unit", 1), ("gaussian", 0), ("gaussian", 4), ("gaussian", _CHUNK - 1)]
+             ("unit", 1), ("gaussian", 0), ("unit", 0), ("gaussian", 4), ("gaussian", _CHUNK - 1)]
     for seed in range(50):
         drawn, skipped = Stream(seed), Stream(seed)
         for kind, n in calls:
             getattr(drawn, f"{kind}_block")(n)
-            skipped.skip(kind, n)
+            if kind == "unit":
+                skipped.skip(kind, n)
+            else:
+                skipped.gaussian_block(n)
             assert (skipped.state, skipped._gauss_cache) == (drawn.state, drawn._gauss_cache)
 
 
 def test_skip_rejects_unknown_kinds_and_negative_counts():
-    with pytest.raises(ValueError):
-        Stream(1).skip("u64", 2)
+    for kind in ("u64", "gaussian"):
+        with pytest.raises(ValueError):
+            Stream(1).skip(kind, 2)
     with pytest.raises(ValueError):
         Stream(1).skip("unit", -1)

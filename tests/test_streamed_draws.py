@@ -139,10 +139,7 @@ def test_synthetic_blobs_peak_at_their_result_plus_chunk_scratch():
 def test_resample_drops_the_old_scaffold_before_drawing_the_new():
     def live_model():
         cfg = ModelConfig(preset="medium")
-        model = build_model(cfg, BackboneSpec.from_config(cfg, 3))
-        for layer in model.lotta_layers():
-            layer.materialize()
-        return model
+        return build_model(cfg, BackboneSpec.from_config(cfg, 3))
 
     peak, _ = peak_bytes(lambda model: model.resample_backbones(), setup=live_model)
     assert peak <= MIB

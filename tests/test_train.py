@@ -183,16 +183,18 @@ def test_resampled_schedules_still_step():
 
 # -- the one-pass step against the former per-schedule step ---------------------
 
-def reference_train_one_batch(model, optimizer, x, y, lr_t, cfg: TrainConfig):
+def reference_train_one_batch(model, optimizer, x, y, lr_t, cfg: TrainConfig, first: bool):
     """The step as it was before the schedules shared one pass: a separate
-    branch per schedule.  Kept as the oracle for ``_train_step``."""
+    branch per schedule.  Kept as the oracle for ``_train_step``; the run's
+    ``first`` step trains its first sub-batch on the build-time scaffold."""
     optimizer.zero_grad()
     if cfg.resample == "per_batch":
         k = cfg.resample_k
         losses = 0.0
         correct = 0
-        for _ in range(k):
-            model.resample_backbones()
+        for j in range(k):
+            if not (first and j == 0):
+                model.resample_backbones()
             loss, logits = model.loss_and_grads(x, y)
             losses += loss
             correct += int((logits.argmax(axis=1) == y).sum())
@@ -209,7 +211,8 @@ def reference_train_one_batch(model, optimizer, x, y, lr_t, cfg: TrainConfig):
         for idx in chunks:
             if len(idx) == 0:
                 continue
-            model.resample_backbones()
+            if not (first and used == 0):
+                model.resample_backbones()
             loss, logits = model.loss_and_grads(x[idx], y[idx])
             losses += loss * len(idx)
             correct += int((logits.argmax(axis=1) == y[idx]).sum())
@@ -238,20 +241,22 @@ def test_one_pass_step_matches_reference_bitwise(resample, k, rows):
     def state_after_two_steps(step):
         model = build_model(cfg, spec)
         opt = AdamW([p for _, p in model.trainable_params()], 1e-2)
-        for _ in range(2):  # the second step runs on non-zero moments and B
-            step(model, opt)
+        for n in range(2):  # the second step runs on non-zero moments and B
+            step(model, opt, n == 0)
         return (model.backbone_hashes(), [p.data.tobytes() for p in opt.params],
                 [m.tobytes() for m in opt.m], [v.tobytes() for v in opt.v])
 
-    reference = state_after_two_steps(lambda model, opt: reference_train_one_batch(
-        model, opt, x, y, 1e-2, TrainConfig(resample=resample, resample_k=k)))
-    one_pass = state_after_two_steps(lambda model, opt: _train_step(model, opt, x, y, 1e-2, resample, k))
+    reference = state_after_two_steps(lambda model, opt, first: reference_train_one_batch(
+        model, opt, x, y, 1e-2, TrainConfig(resample=resample, resample_k=k), first))
+    one_pass = state_after_two_steps(
+        lambda model, opt, first: _train_step(model, opt, x, y, 1e-2, resample, k, first))
     assert one_pass == reference
 
 
 def test_per_batch_train_accuracy_counts_every_forward_row():
-    # one epoch, one full batch, k=2: the step sees the batch under two
-    # fresh scaffolds before any update, so it can be replayed by hand
+    # one epoch, one full batch, k=2: the step sees the batch under the
+    # build-time scaffold, then under a fresh one, before any update, so it
+    # can be replayed by hand
     train, test = blob_data()
     cfg = blob_model_cfg()
     seed = 2
@@ -262,8 +267,9 @@ def test_per_batch_train_accuracy_counts_every_forward_row():
     split, _ = split_train_val(train, derive_stream(seed, 0, DrawKind.DATA_SHUFFLE), tcfg.val_fraction)
     replay = build_model(cfg, spec)
     correct, losses = [], []
-    for _ in range(2):
-        replay.resample_backbones()
+    for j in range(2):
+        if j:
+            replay.resample_backbones()
         logits = replay.forward_logits(split.images)
         correct.append(int((logits.data.argmax(axis=1) == split.labels).sum()))
         losses.append(softmax_xent(logits.data, split.labels)[0])
