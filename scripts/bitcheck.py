@@ -14,7 +14,8 @@ the ``shipped`` ones equal.  The cases:
     microbatch k=3) for the ``normal`` and ``orthogonal`` families, with
     and without LayerNorm and a ``lora_bias`` head, dropout 0.2, batch 37,
     and a ``tiny`` model at batch 300, whose dropout masks exceed one
-    raw-fill chunk.  Each run gives two lines: ``trajectory`` covers the
+    raw-fill chunk; and a static run at dropout 0, with and without
+    LayerNorm.  Each run gives two lines: ``trajectory`` covers the
     per-epoch metrics, the best epoch, the beta trajectory, the AdamW step
     count and moments, and the backbone hashes; ``shipped`` covers the
     final test numbers and betas, the trained parameters and the
@@ -125,6 +126,12 @@ def _cases():
     for resample, k in (("static", 2), ("per_batch", 3)):
         yield from run_case(f"train tiny batch 300 {resample}:{k}", cfg, "normal", resample, k, batch_size=300)
     train_set, test_set = blobs.subset(np.arange(240)), blobs.subset(np.arange(240, 300), "test")
+
+    # without dropout the backward masks by the ReLU alone
+    for layernorm, head in ((False, "full"), (True, "lora_bias")):
+        cfg = ModelConfig(preset=None, hidden_dims=(24, 16), input_dim=20, num_classes=4, rank=3,
+                          dropout=0.0, layernorm=layernorm, head_mode=head)
+        yield from run_case(f"train dropout=0 ln={int(layernorm)} {head} static:2", cfg, "normal", "static", 2)
 
     full = ModelConfig(preset=None, hidden_dims=(24, 16), input_dim=20, num_classes=4, mode="full_training",
                        dropout=0.2)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError
+from .errors import ConfigError, DimensionError, integer
 from .initfam import BackboneMatrix
 from .numerics import Tensor, add_grad, layernorm_backward, layernorm_forward, tensor
 from .prng import Stream
@@ -59,6 +59,7 @@ def init_adapter(rank: int, d_in: int, d_out: int, alpha: float, mode: str, stre
     zero-scaffold ablation, where a zero B makes the whole network a
     gradient fixed point.  B draws follow A on the same stream.
     """
+    rank = integer(rank, "rank")
     if rank < 1:
         raise ConfigError(f"rank must be >= 1, got {rank}")
     if mode not in SCALING_MODES:
@@ -153,22 +154,26 @@ class LottaLayer:
 
     def backward(self, g: np.ndarray, cache: dict, need_dx: bool = True) -> np.ndarray | None:
         """Add the gradients of A, B, beta (and the LayerNorm affine) for the
-        output gradient ``g``; return the input's gradient if ``need_dx``."""
+        output gradient ``g``; return the input's gradient if ``need_dx``.
+
+        Consumes ``g``, which it scales in place, and the cache's backbone
+        product, which it drops once beta's gradient is taken.
+        """
         adapter = self.adapter
         if self.ln_gamma is not None:
             dx, dgamma, dbias = layernorm_backward(g, cache["xhat"], cache["inv"], self.ln_gamma.data)
             add_grad(self.ln_gamma, dgamma)
             add_grad(self.ln_bias, dbias)
             g = dx.astype(g.dtype)
-        add_grad(adapter.beta, np.asarray(np.sum(cache["backbone_path"] * g, dtype=np.float64)))
-        g_out = adapter.scale * g
-        g_low = g_out @ adapter.b.data
-        add_grad(adapter.b, g_out.T @ cache["low"])
+        add_grad(adapter.beta, np.asarray(np.sum(cache.pop("backbone_path") * g, dtype=np.float64)))
+        # the backbone path's input gradient reads g before the adapter scale
+        dh = (adapter.beta.data * g) @ self.backbone.data if need_dx else None
+        g *= adapter.scale
+        g_low = g @ adapter.b.data
+        add_grad(adapter.b, g.T @ cache["low"])
         add_grad(adapter.a, g_low.T @ cache["h"])
-        if not need_dx:
-            return None
-        dh = (adapter.beta.data * g) @ self.backbone.data
-        dh += g_low @ adapter.a.data
+        if dh is not None:
+            dh += g_low @ adapter.a.data
         return dh
 
     def trainable(self) -> list[tuple[str, Tensor]]:

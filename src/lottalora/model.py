@@ -50,19 +50,29 @@ def eval_blocks(n: int) -> list[tuple[int, int]]:
     return list(zip(edges, edges[1:]))
 
 
-def _dropout_scale(stream: Stream, shape: tuple, p: float, dtype: np.dtype) -> np.ndarray:
-    """Inverted-dropout multipliers: 1/(1-p) where an entry is kept, else 0.
+# A dropout keep mask is drawn in raw blocks of at most this many words,
+# so a mask never holds its whole u64 block.
+MASK_BLOCK_WORDS = 8192
+
+
+def _keep_mask(stream: Stream, shape: tuple, p: float) -> np.ndarray:
+    """Dropout's bool keep mask over ``shape``: True where an entry is kept.
 
     An entry is kept when the top 53 bits of its raw draw reach
     ceil(p * 2**53).  A unit draw is those bits times 2**-53, so this keeps
     exactly the entries that ``unit_block(n) >= p`` keeps, from the same
     draws, without float64 uniforms.  For an integer t, ``bits >> 11 >= t``
     holds exactly when ``bits >= t << 11``, so the raw words are compared
-    unshifted; for p < 1, t << 11 is below 2**64.
+    unshifted; for p < 1, t << 11 is below 2**64.  The words come in
+    ``u64_block`` calls of at most ``MASK_BLOCK_WORDS``, which continue the
+    stream as one block of n would.
     """
-    bits = stream.u64_block(math.prod(shape)).reshape(shape)
-    keep = bits >= np.uint64(math.ceil(p * 2.0 ** 53) << 11)
-    return np.multiply(keep, dtype.type(1.0 / (1.0 - p)), dtype=dtype)
+    threshold = np.uint64(math.ceil(p * 2.0 ** 53) << 11)
+    keep = np.empty(math.prod(shape), dtype=bool)
+    for lo in range(0, len(keep), MASK_BLOCK_WORDS):
+        part = keep[lo:lo + MASK_BLOCK_WORDS]
+        np.greater_equal(stream.u64_block(len(part)), threshold, out=part)
+    return keep.reshape(shape)
 
 
 def _draw_frozen(cfg: "ModelConfig", family: InitFamily, i: int, stream: Stream):
@@ -281,7 +291,10 @@ class Model:
 
         Runs the forward with dropout, keeping each layer's cache, then
         ``softmax_xent``, then the layers' backward rules in reverse, which
-        add every trainable's gradient into its ``grad``.
+        add every trainable's gradient into its ``grad``.  The caches hold
+        no dropout mask: the gradient through a hidden layer's ReLU and
+        dropout is masked by where the next layer's cached input, the
+        post-dropout activation, is positive, then scaled by 1/(1-p).
         """
         self._check_batch(x)
         layers = [*self.hidden, self.head]
@@ -290,30 +303,35 @@ class Model:
         loss, g = softmax_xent(logits, y)
         if self.head_bias is not None:
             add_grad(self.head_bias, g.sum(axis=0, dtype=np.float64))
+        p = self.cfg.dropout
         for i in reversed(range(len(layers))):
             cache = caches.pop()
             if i < len(self.hidden):
                 # ReLU then dropout followed layer i; a post-dropout entry
                 # is positive exactly where the ReLU passed and the mask
-                # kept it, and a dropped entry's gradient is zeroed by its
-                # scale either way
-                if "scale" in cache:
-                    g *= cache.pop("scale")
+                # kept it.  Masking before scaling gives the bits of
+                # scaling by the mask's 0 or 1/(1-p) first: g * 1 is g, and
+                # a zero factor keeps g's sign either way
                 g *= next_input > 0
+                if p > 0.0:
+                    g *= next_input.dtype.type(1.0 / (1.0 - p))
             next_input = cache["h"]
             g = layers[i].backward(g, cache, need_dx=i > 0)
         return loss, logits
 
     def _check_batch(self, batch: np.ndarray) -> None:
-        """A DimensionError unless the batch is [n, input_dim]."""
+        """A DimensionError unless the batch is an [n, input_dim] array."""
+        if not isinstance(batch, np.ndarray):
+            raise DimensionError(f"batch must be an [n, {self.cfg.input_dim}] array, got a {type(batch).__name__}")
         if batch.ndim != 2 or batch.shape[1] != self.cfg.input_dim:
             raise DimensionError(f"batch must be [n, {self.cfg.input_dim}], got {batch.shape}")
 
     def _forward_rows(self, batch: np.ndarray, caches: list | None = None) -> np.ndarray:
         """The layer loop over one block of rows.  Given one cache dict per
-        layer, it is a training forward: it applies dropout, and each
-        layer's cache keeps what its backward needs, a hidden layer's
-        dropout scale included."""
+        layer, it is a training forward: it applies dropout in place from
+        a bool keep mask, and each layer's cache keeps what its backward
+        needs.  No cache keeps the mask; the backward reads it back from
+        the next layer's cached input."""
         p = self.cfg.dropout if caches is not None else 0.0
         caches = caches or [None] * (len(self.hidden) + 1)
         h = np.ascontiguousarray(batch, dtype=np.float32)
@@ -321,8 +339,10 @@ class Model:
             h = layer.forward(h, caches[i])
             np.maximum(h, 0, out=h)
             if p > 0.0:
-                caches[i]["scale"] = _dropout_scale(self._dropout_streams[i], h.shape, p, h.dtype)
-                h *= caches[i]["scale"]
+                # h * 0 or h * 1, then times 1/(1-p): the bits of h times
+                # the mask's 0 or 1/(1-p) in h's dtype
+                h *= _keep_mask(self._dropout_streams[i], h.shape, p)
+                h *= h.dtype.type(1.0 / (1.0 - p))
         logits = self.head.forward(h, caches[-1])
         if self.head_bias is not None:
             logits += self.head_bias.data

@@ -92,7 +92,7 @@ _CHUNK = 8192
 # chunk's time, and 64 sits mid-range
 _BUCKET_SHIFT = np.uint64(58)
 # words per chunk of a stride-1 (raw u64) fill; fewer, longer chunks cut
-# the per-chunk numpy overhead of the dropout-mask words
+# the per-chunk numpy overhead of large raw and unit blocks
 _U64_CHUNK = 4 * _CHUNK
 # draws per block for a caller that streams a large draw into its result
 # chunk by chunk: one kernel chunk of gaussian pairs
@@ -166,7 +166,9 @@ class Stream:
     identical sequences on every platform.  The matrices drawn from them
     are not always: ``orthogonal`` (LAPACK QR) and ``spectral_radius``
     (LAPACK SVD) can differ by one f32 ulp under other OpenBLAS kernels or
-    thread counts.
+    thread counts.  A state outside the integers in [0, 2**64), a block
+    size or count that is not an integer >= 0, or a kind ``skip`` cannot
+    skip, is a ConfigError.
     """
 
     __slots__ = ("state", "_gauss_cache")
@@ -174,7 +176,7 @@ class Stream:
     algorithm_id = ALGORITHM_ID
 
     def __init__(self, state: int):
-        self.state = state & MASK64
+        self.state = check_seed(state)
         self._gauss_cache: float | None = None
 
     def copy(self) -> "Stream":
@@ -184,8 +186,7 @@ class Stream:
 
     def u64_block(self, n: int) -> np.ndarray:
         """Next ``n`` raw 64-bit outputs as a uint64 array."""
-        if n < 0:
-            raise ValueError("block size must be nonnegative")
+        n = _count(n, "block size")
         out = np.empty(n, dtype=np.uint64)
         _mix64_fill(out, self.state, 1, 1)
         self.state = (self.state + n * GOLDEN_GAMMA) & MASK64
@@ -201,6 +202,7 @@ class Stream:
         Each chunk's cos/sin run over its angles grouped by bucket (see the
         module docstring); the values are those of stream order, bit for bit.
         """
+        n = _count(n, "block size")
         out = np.empty(n, dtype=np.float64)
         i = 0
         if self._gauss_cache is not None and n > 0:
@@ -248,10 +250,9 @@ class Stream:
     def skip(self, kind: str, n: int) -> None:
         """Advance past ``n`` draws of ``kind`` without computing them, as
         ``unit_block(n)`` would; "unit" is the only kind it skips."""
-        if n < 0:
-            raise ValueError("skip count must be nonnegative")
+        n = _count(n, "skip count")
         if kind != "unit":
-            raise ValueError(f"cannot skip draws of kind {kind!r}")
+            raise ConfigError(f"cannot skip draws of kind {shown(kind)}")
         self.state = (self.state + n * GOLDEN_GAMMA) & MASK64
 
     def permutation(self, n: int) -> np.ndarray:
@@ -261,6 +262,15 @@ class Stream:
 
     def __repr__(self):
         return f"Stream(state=0x{self.state:016X})"
+
+
+def _count(n, name: str) -> int:
+    """``n`` as an int; a ConfigError naming ``name`` unless it is an
+    integer >= 0."""
+    n = integer(n, name)
+    if n < 0:
+        raise ConfigError(f"{name} must be >= 0, got {shown(n)}")
+    return n
 
 
 def check_seed(seed) -> int:

@@ -91,12 +91,15 @@ class AdamW:
     update rule on whole buffers; the rule is elementwise, so every entry
     gets the bits a per-tensor update gives it.  A missing gradient, or
     one of another dtype, is a ``ConfigError`` that leaves the state as it
-    was.  A parameter whose ``data`` is rebound after construction is no
+    was, and a ``weight_decay`` that is not a finite number >= 0 is one
+    too.  A parameter whose ``data`` is rebound after construction is no
     longer the one the optimizer updates, so callers write into ``data``
     in place.
     """
 
     def __init__(self, params, weight_decay: float):
+        if not (finite(weight_decay) and weight_decay >= 0):
+            raise ConfigError(f"weight_decay must be a finite number >= 0, got {shown(weight_decay)}")
         self.params = list(params)
         dtypes = {p.data.dtype for p in self.params}
         if len(dtypes) > 1:

@@ -20,7 +20,7 @@ import lottalora.train as train_mod
 from lottalora.data import make_partition, synthetic_blobs
 from lottalora.initfam import BackboneMatrix, InitFamily
 from lottalora.layers import DenseLayer
-from lottalora.model import BackboneSpec, Model, ModelConfig, _dropout_scale, build_model
+from lottalora.model import MASK_BLOCK_WORDS, BackboneSpec, Model, ModelConfig, _keep_mask, build_model
 from lottalora.numerics import (
     Tensor,
     add,
@@ -36,6 +36,7 @@ from lottalora.numerics import (
 )
 from lottalora.prng import Stream
 from lottalora.train import AdamW, TrainConfig, _train_step, seed_gated_train, train_run
+from conftest import peak_bytes
 from tape_oracle import finite_diff_check, tape_softmax_xent
 
 
@@ -123,6 +124,13 @@ def assert_two_steps_match_the_tape(cfg, resample, k, rows, monkeypatch):
 def test_two_steps_match_the_tape_bitwise(resample, k, rows, layernorm_on, head_mode, monkeypatch):
     cfg = small_cfg(layernorm=layernorm_on, head_mode=head_mode)
     assert_two_steps_match_the_tape(cfg, resample, k, rows, monkeypatch)
+
+
+@pytest.mark.parametrize("layernorm_on", [False, True])
+def test_two_steps_without_dropout_match_the_tape_bitwise(layernorm_on, monkeypatch):
+    # at p = 0 the backward masks by the ReLU alone and scales nothing
+    cfg = small_cfg(dropout=0.0, layernorm=layernorm_on)
+    assert_two_steps_match_the_tape(cfg, *STEP_SCHEDULES[0], monkeypatch)
 
 
 @pytest.mark.parametrize("resample,k,rows", [STEP_SCHEDULES[0], STEP_SCHEDULES[2]])
@@ -246,14 +254,54 @@ def test_loss_and_grads_makes_no_cycles():
 # -- dropout masks ----------------------------------------------------------------
 
 
+def keep_mask_dropout(keep, p, dtype):
+    """Ones under dropout as ``Model._forward_rows`` applies it: times the
+    keep mask, then times 1/(1-p) in the activations' dtype."""
+    h = np.ones(keep.shape, dtype=dtype)
+    h *= keep
+    h *= h.dtype.type(1.0 / (1.0 - p))
+    return h
+
+
 @pytest.mark.parametrize("p", [0.1, 1 / 3, 0.5, 2.0 ** -53, 1 - 2.0 ** -53])
-def test_dropout_scale_equals_the_tape_mask(p):
+def test_keep_mask_dropout_equals_the_tape_mask(p):
     shape = (64, 40)
     x = tensor(np.ones(shape))
     expected = dropout(x, p, Stream(17), training=True).data
-    got = _dropout_scale(Stream(17), shape, p, np.dtype(np.float32))
+    got = keep_mask_dropout(_keep_mask(Stream(17), shape, p), p, np.float32)
     assert got.dtype == np.float32
     assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(128, 512), (300, 128)])
+@pytest.mark.parametrize("p", [0.1, 0.5])
+def test_a_keep_mask_over_several_blocks_is_the_unit_draw_mask(shape, p):
+    # both masks span more than one MASK_BLOCK_WORDS block of raw words,
+    # the second ending in a partial one
+    assert math.prod(shape) > MASK_BLOCK_WORDS
+    drawn, units = Stream(23), Stream(23)
+    keep = _keep_mask(drawn, shape, p)
+    assert keep.dtype == np.bool_ and keep.shape == shape
+    assert np.array_equal(keep, (units.unit_block(math.prod(shape)) >= p).reshape(shape))
+    assert drawn.state == units.state
+
+
+# -- memory -------------------------------------------------------------------------
+
+
+def test_a_medium_training_pass_of_128_rows_holds_no_dropout_scales():
+    # above its inputs the pass holds the caches, the gradients and one
+    # layer's backward temporaries (1.19 MiB); caching an f32 dropout
+    # scale per hidden layer, drawing each mask from one whole-layer u64
+    # block and copying g in the backward read 1.69 MiB
+    def setup():
+        cfg = ModelConfig(preset="medium", rank=8, dropout=0.1)
+        data = synthetic_blobs(128, 784, 10, 4.0, seed=1)
+        return build_model(cfg, BackboneSpec.from_config(cfg, 3)), data.images, data.labels
+
+    peak, (loss, logits) = peak_bytes(lambda state: state[0].loss_and_grads(state[1], state[2]), setup=setup)
+    assert np.isfinite(loss) and logits.shape == (128, 10)
+    assert peak <= 1.35 * (1 << 20)
 
 
 # -- finite differences -------------------------------------------------------------

@@ -5,8 +5,9 @@ The per-parameter AdamW that the fused one replaced is kept here as the
 oracle: parameters and moments must match it bit for bit, step after step.
 A step that lacks a parameter's gradient, or meets one of another dtype,
 is refused and leaves the state alone.
-The dropout scale must match the shift-then-compare form it replaced at
-the words where the two could part: just below and at each threshold.
+The dropout keep mask, and dropout applied from it, must match the
+shift-then-compare form it replaced at the words where the two could
+part: just below and at each threshold.
 """
 
 import math
@@ -16,12 +17,12 @@ import pytest
 
 from lottalora.data import synthetic_blobs
 from lottalora.errors import ConfigError
-from lottalora.model import BackboneSpec, ModelConfig, _dropout_scale, build_model
+from lottalora.model import BackboneSpec, ModelConfig, _keep_mask, build_model
 from lottalora.numerics import tensor
 from lottalora.prng import MASK64
 from lottalora.train import AdamW, _train_step
 
-from test_explicit_backward import to_float64
+from test_explicit_backward import keep_mask_dropout, to_float64
 
 
 class PerTensorAdamW:
@@ -161,11 +162,13 @@ class Words:
 
 @pytest.mark.parametrize("p", [2.0 ** -53, 0.1, 1 / 3, 0.5, 1 - 2.0 ** -53])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_dropout_scale_matches_the_shift_form_at_each_threshold(p, dtype):
+def test_keep_mask_dropout_matches_the_shift_form_at_each_threshold(p, dtype):
     t = math.ceil(p * 2.0 ** 53)
     below, at = (t << 11) - 1, t << 11
     words = np.array([0, below, at, at | 0x7FF, ((t + 1) << 11) - 1, MASK64], dtype=np.uint64)
-    got = _dropout_scale(Words(words), (2, 3), p, np.dtype(dtype))
+    keep = _keep_mask(Words(words), (2, 3), p)
+    assert keep.tolist() == [[False, False, True], [True, True, True]]
+    got = keep_mask_dropout(keep, p, dtype)
     shift_form = ((words >> np.uint64(11)) >= np.uint64(t)).astype(dtype).reshape(2, 3)
     shift_form *= dtype(1.0 / (1.0 - p))
     assert got.dtype == dtype and got.shape == (2, 3)

@@ -126,6 +126,12 @@ def test_init_adapter_rejects_bad_rank_and_mode():
         init_adapter(2, 8, 8, 1.0, "rslora", Stream(1))
 
 
+@pytest.mark.parametrize("rank", [2.5, "2", None, True])
+def test_init_adapter_rejects_a_rank_that_is_not_an_integer(rank):
+    with pytest.raises(ConfigError, match="rank must be an integer"):
+        init_adapter(rank, 8, 8, 1.0, "standard", Stream(1))
+
+
 def test_backbone_frozen_under_gradient_step():
     layer = make_layer()
     before = layer.backbone.data.tobytes()

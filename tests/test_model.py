@@ -262,6 +262,15 @@ def test_batch_shape_validated():
         build("tiny").forward_logits(np.zeros((2, 100), dtype=np.float32))
 
 
+@pytest.mark.parametrize("batch", [[[0.0] * 784], (0.0,) * 784, None], ids=["list", "tuple", "None"])
+def test_a_batch_that_is_not_an_array_is_a_dimension_error(batch):
+    model = build("tiny")
+    with pytest.raises(DimensionError, match="array"):
+        model.forward_logits(batch)
+    with pytest.raises(DimensionError, match="array"):
+        model.loss_and_grads(batch, np.zeros(1, dtype=np.int64))
+
+
 # -- freezing discipline and reconstruction -----------------------------------
 
 def test_trainables_exclude_backbones_and_all_require_grad():

@@ -318,9 +318,30 @@ def test_unit_skips_between_gaussian_draws_match_unit_draws():
             assert (skipped.state, skipped._gauss_cache) == (drawn.state, drawn._gauss_cache)
 
 
-def test_skip_rejects_unknown_kinds_and_negative_counts():
-    for kind in ("u64", "gaussian"):
-        with pytest.raises(ValueError):
-            Stream(1).skip(kind, 2)
-    with pytest.raises(ValueError):
-        Stream(1).skip("unit", -1)
+@pytest.mark.parametrize("call", [
+    lambda: Stream(2 ** 64 + 5),  # would alias Stream(5)
+    lambda: Stream(-3),  # would alias Stream(2**64 - 3)
+    lambda: Stream(1.5),
+    lambda: Stream("7"),
+    lambda: Stream(True),
+    lambda: Stream(1).unit_block(2.5),
+    lambda: Stream(1).u64_block(-1),
+    lambda: Stream(1).gaussian_block(-2),
+    lambda: Stream(1).gaussian_block(3.0),
+    lambda: Stream(1).permutation(-1),
+    lambda: Stream(1).skip("unit", -1),
+    lambda: Stream(1).skip("unit", 0.5),
+    lambda: Stream(1).skip("u64", 2),  # only unit draws can be skipped
+    lambda: Stream(1).skip("gaussian", 2),
+], ids=["state 2**64+5", "state -3", "state 1.5", "state '7'", "state True", "unit 2.5", "u64 -1",
+        "gaussian -2", "gaussian 3.0", "permutation -1", "skip -1", "skip 0.5", "skip u64", "skip gaussian"])
+def test_a_bad_state_count_or_skip_kind_is_a_config_error(call):
+    with pytest.raises(ConfigError):
+        call()
+
+
+@pytest.mark.parametrize("state", [0, 42, MASK64, GOLDEN_GAMMA, np.uint64(MASK64)])
+def test_a_valid_state_is_kept_as_given(state):
+    stream = Stream(state)
+    assert type(stream.state) is int and stream.state == int(state)
+    assert stream.u64_block(3).tolist() == reference_splitmix64(int(state), 3)

@@ -97,6 +97,13 @@ def test_adamw_step_without_a_gradient_is_a_config_error():
     assert np.array_equal(p.data, np.ones(3, dtype=np.float32)) and opt.t == 0
 
 
+@pytest.mark.parametrize("weight_decay", ["x", None, -1e-3, float("nan"), float("inf"), 10 ** 400])
+def test_adamw_rejects_a_weight_decay_that_is_not_a_finite_number_at_least_zero(weight_decay):
+    p = tensor(np.ones(3), requires_grad=True)
+    with pytest.raises(ConfigError, match="weight_decay"):
+        AdamW([p], weight_decay)
+
+
 # -- cosine schedule ------------------------------------------------------------
 
 def test_cosine_lr_endpoints_and_midpoint():
