@@ -1,27 +1,32 @@
 """The distributable artifact: trainable tensors plus the reconstruction
 metadata that regenerates every frozen matrix bit-exactly.
 
-Container layout (little-endian throughout, documented in docs/FORMAT.md):
+Container layouts (little-endian throughout, documented in docs/FORMAT.md):
 
-    [magic "LTLR"][version u16][header-len u32][header JSON utf-8]
-    [tensor table][payload][crc32 u32]
+    versions 1-3: [magic "LTLR"][version u16][header-len u32][header JSON utf-8]
+                  [tensor table][payload][crc32 u32]
+    version 4:    [magic "LTLR"][version u16][header-len u32][zlib stream of the header JSON]
+                  [zlib stream of the payload's byte planes][crc32 u32]
 
 The header JSON carries the generator tag, the backbone spec (seed,
 family, layer shapes), the model config, and free-form extras.  The
-tensor table lists name/shape/offset for each tensor of the decoded
-payload, which is row-major in canonical parameter order: f32 under
-version 1, f16 under versions 2 and 3.  Version 2 stores the f16 values
-as they are.  Version 3 stores them as one zlib stream that inflates to
-two byte planes, every value's low byte and then every value's high
-byte; the table's extents still count decoded f16 bytes.  The CRC-32
-covers every byte before it.  Backbone matrices are never serialized.
+decoded payload is every trainable tensor, row-major, back to back in
+canonical parameter order: f32 under version 1, f16 under versions 2 to 4.
+Versions 1 to 3 list each tensor's name, shape and decoded payload extent
+in a tensor table.  Version 2 stores the f16 values as they are.
+Versions 3 and 4 store them as one zlib stream that inflates to two byte
+planes, every value's low byte and then every value's high byte.
+Version 4 has no table: the header's model config names the tensors and
+their shapes (``ModelConfig.trainable_layout``), and its header length is
+that of the header JSON inflated.  The CRC-32 covers every byte before it.
+Backbone matrices are never serialized.
 
-``pack`` writes version 3 exactly when every trainable value survives
+``pack`` writes version 4 exactly when every trainable value survives
 f32 -> f16 -> f32 bit for bit, which ``to_shipping_precision`` arranges
-for a trained model; otherwise it writes version 1.  Its version 3
-stream codes the planes tensor by tensor in deflate blocks of their own,
-with run-length matches only (``_deflate_planes``).  ``unpack`` reads all
-three versions, and any one zlib stream over the planes as version 3.
+for a trained model; otherwise it writes version 1.  Its planes stream
+codes the planes tensor by tensor in deflate blocks of their own, with
+run-length matches only (``_deflate_planes``).  ``unpack`` reads all four
+versions, and any one zlib stream over the planes as version 3 or 4.
 """
 
 from __future__ import annotations
@@ -43,12 +48,12 @@ from .prng import ALGORITHM_ID
 
 MAGIC = b"LTLR"
 # format version -> element type of the decoded payload
-PAYLOAD_DTYPES = {1: np.dtype("<f4"), 2: np.dtype("<f2"), 3: np.dtype("<f2")}
+PAYLOAD_DTYPES = {1: np.dtype("<f4"), 2: np.dtype("<f2"), 3: np.dtype("<f2"), 4: np.dtype("<f2")}
 FORMAT_VERSION = max(PAYLOAD_DTYPES)
 F16_MAX = 65504.0
 # deflate codes a 258-byte match in 2 bits at best, so no stream decodes to more bytes a stored byte
 MAX_INFLATE_RATIO = 1032
-# a version 3 deflate block ends after the tensor slice that brings it to this many bytes
+# a planes stream's deflate block ends after the tensor slice that brings it to this many bytes
 MIN_BLOCK_BYTES = 256
 
 
@@ -97,7 +102,7 @@ def _table_entry(name: str, shape: tuple, offset: int, nbytes: int) -> bytes:
 
 
 def _deflate_planes(raw: bytes, sizes: list[int]) -> bytes:
-    """The version 3 payload stream for the f16 values ``raw``, whose
+    """The version 3 and 4 payload stream for the f16 values ``raw``, whose
     tensors hold ``sizes`` values in order: one zlib stream over
     ``_byte_planes(raw)`` that codes each plane tensor by tensor, with
     run-length matches only (``Z_RLE``), and ends a deflate block, whose
@@ -124,38 +129,47 @@ def _deflate_planes(raw: bytes, sizes: list[int]) -> bytes:
     return b"".join(stream)
 
 
-def _inflate(stream: bytes, size: int) -> bytes:
-    """What a version 3 payload stream decodes to, checked to end within
-    ``size`` bytes; ``unpack`` checks that it ends exactly there.
+def _inflate(stream: bytes, size: int, what: str) -> tuple[bytes, bytes]:
+    """What the zlib stream at the start of ``stream`` decodes to, checked
+    to end within ``size`` bytes, and the bytes after that stream; the
+    caller checks that it ends exactly there.  ``what`` names the stream
+    in errors.
 
-    A table declaring more than ``MAX_INFLATE_RATIO`` decoded bytes for
-    every stored byte is refused before any inflating.  Inflating stops
-    one byte past ``size`` (a limit of 0 would mean none), so a stream that
-    decodes to more, a decompression bomb included, costs at most that much
-    memory.  Anything but one whole zlib stream is a ``FormatError``.
+    A declared ``size`` of more than ``MAX_INFLATE_RATIO`` decoded bytes
+    for every byte of ``stream`` is refused before any inflating.
+    Inflating stops one byte past ``size`` (a limit of 0 would mean none),
+    so a stream that decodes to more, a decompression bomb included, costs
+    at most that much memory.  Anything but one whole zlib stream is a
+    ``FormatError``.
     """
     if size > MAX_INFLATE_RATIO * len(stream):
-        raise FormatError(f"the tensor table declares {size} payload bytes, more than deflate can code "
+        raise FormatError(f"the artifact declares {size} bytes of {what}, more than deflate can code "
                           f"in the {len(stream)} bytes stored ({MAX_INFLATE_RATIO} to 1 at most)")
     inflater = zlib.decompressobj()
     try:
-        planes = inflater.decompress(stream, size + 1)
+        data = inflater.decompress(stream, size + 1)
     except zlib.error as err:
-        raise FormatError(f"version 3 payload is not a valid zlib stream: {err}") from err
-    if len(planes) > size or inflater.unconsumed_tail:
-        raise FormatError(f"version 3 payload inflates past the {size} bytes the tensor table declares")
+        raise FormatError(f"{what} is not a valid zlib stream: {err}") from err
+    if len(data) > size or inflater.unconsumed_tail:
+        raise FormatError(f"{what} inflates past the {size} bytes the artifact declares")
     if not inflater.eof:
-        raise FormatError(f"version 3 payload stream is truncated after {len(planes)} of {size} bytes")
-    if inflater.unused_data:
-        raise FormatError(f"{len(inflater.unused_data)} bytes follow the end of the version 3 payload stream")
-    return planes
+        raise FormatError(f"{what} stream is truncated after {len(data)} of {size} bytes")
+    return data, inflater.unused_data
+
+
+def _header_config(header: dict) -> ModelConfig:
+    """The header's model config; a missing or malformed one is a ``FormatError``."""
+    try:
+        return ModelConfig(**header["model"])
+    except (KeyError, TypeError, ValueError, ConfigError) as err:
+        raise FormatError(f"artifact header has a missing or malformed model field: {err!r}") from err
 
 
 def pack(model: Model, extra: dict | None = None) -> bytes:
     """Serialize a model's trainable state into the canonical byte stream:
-    format version 3 (f16 byte planes, deflated tensor by tensor by
-    ``_deflate_planes``) when every value is f16-exact, else version 1
-    (f32)."""
+    format version 4 (deflated header, f16 byte planes deflated tensor by
+    tensor by ``_deflate_planes``, no tensor table) when every value is
+    f16-exact, else version 1 (raw header, tensor table, f32)."""
     header = {
         "algorithm_id": ALGORITHM_ID,
         "backbone": asdict(model.spec),
@@ -165,32 +179,35 @@ def pack(model: Model, extra: dict | None = None) -> bytes:
     header_bytes = _canonical_json(header)
 
     tensors = [(name, np.asarray(t.data, dtype="<f4")) for name, t in model.trainable_params()]
-    version = 3 if all(_f16_exact(data) for _, data in tensors) else 1
-    table = bytearray()
-    payload = bytearray()
-    table += struct.pack("<I", len(tensors))
-    for name, data in tensors:
-        raw = data.astype(PAYLOAD_DTYPES[version], copy=False).tobytes()
-        table += _table_entry(name, data.shape, len(payload), len(raw))
-        payload += raw
-    if version == 3:
-        payload = _deflate_planes(payload, [data.size for _, data in tensors])
-
-    body = MAGIC + struct.pack("<HI", version, len(header_bytes)) + header_bytes + bytes(table) + bytes(payload)
+    if all(_f16_exact(data) for _, data in tensors):
+        raw = b"".join(data.astype("<f2").tobytes() for _, data in tensors)
+        body = (MAGIC + struct.pack("<HI", 4, len(header_bytes)) + zlib.compress(header_bytes, 9)
+                + _deflate_planes(raw, [data.size for _, data in tensors]))
+    else:
+        table = bytearray(struct.pack("<I", len(tensors)))
+        payload = bytearray()
+        for name, data in tensors:
+            table += _table_entry(name, data.shape, len(payload), data.nbytes)
+            payload += data.tobytes()
+        body = MAGIC + struct.pack("<HI", 1, len(header_bytes)) + header_bytes + bytes(table) + bytes(payload)
     return body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
 
 
 def unpack(blob: bytes) -> tuple[dict, dict]:
     """Validate and decode an artifact into (header, {name: f32 array}).
 
-    Version 1 payloads are f32; version 2 and 3 payloads are f16, widened
-    to f32 exactly, and version 3 first inflates and re-interleaves its
-    byte planes.  Every malformed blob raises ``FormatError``,
-    ``IntegrityError`` or ``IncompatibilityError``: each table read is
-    bounds-checked against the CRC, the tensors must tile the decoded
-    payload back to back, at the version's bytes a value, the decoded
-    payload must end where the last tensor does, and a version 3 table may
-    declare no more than ``MAX_INFLATE_RATIO`` times the bytes stored.
+    Version 1 payloads are f32; version 2 to 4 payloads are f16, widened
+    to f32 exactly, and versions 3 and 4 first inflate and re-interleave
+    their byte planes.  Every malformed blob raises ``FormatError``,
+    ``IntegrityError`` or ``IncompatibilityError``.  In versions 1 to 3
+    each table read is bounds-checked against the CRC, the tensors must
+    tile the decoded payload back to back, at the version's bytes a value,
+    and the decoded payload must end where the last tensor does.  Version
+    4 inflates its header to exactly the declared length, with the bytes
+    after that stream its payload stream, and takes the tensors from the
+    header's model config, whose payload must fill the planes exactly.
+    No stream may declare more than ``MAX_INFLATE_RATIO`` times the bytes
+    stored.
     """
     if len(blob) < 14 or blob[:4] != MAGIC:
         raise FormatError(f"not a LTLR artifact (magic {blob[:4]!r})")
@@ -214,9 +231,16 @@ def unpack(blob: bytes) -> tuple[dict, dict]:
         pos += size
         return blob[pos - size:pos]
 
+    if version == 4:
+        header_json, payload = _inflate(blob[pos:end], header_len, "version 4 header")
+        if len(header_json) != header_len:
+            raise FormatError(f"version 4 header inflates to {len(header_json)} bytes; "
+                              f"the artifact declares {header_len}")
+    else:
+        header_json = take(header_len, "header")
     try:
-        header = json.loads(take(header_len, "header").decode("utf-8"))
-    except ValueError as err:  # covers UnicodeDecodeError and JSONDecodeError
+        header = json.loads(header_json.decode("utf-8"))
+    except (ValueError, RecursionError) as err:  # ValueError covers UnicodeDecodeError and JSONDecodeError
         raise FormatError(f"artifact header is not valid JSON: {err}") from err
     if not isinstance(header, dict):
         raise FormatError(f"artifact header must be a JSON object, got {type(header).__name__}")
@@ -228,6 +252,33 @@ def unpack(blob: bytes) -> tuple[dict, dict]:
             f"artifact was generated with {header.get('algorithm_id')!r}; this build expects {ALGORITHM_ID!r}"
         )
 
+    if version == 4:
+        entries = _header_config(header).trainable_layout()
+        payload_len = dtype.itemsize * sum(math.prod(shape) for _, shape in entries)
+    else:
+        entries, payload_len = _read_table(take, dtype, version)
+        payload = blob[pos:end]
+    if version >= 3:
+        payload, rest = _inflate(payload, payload_len, f"version {version} payload")
+        if rest:
+            raise FormatError(f"{len(rest)} bytes follow the end of the version {version} payload stream")
+    if len(payload) != payload_len:
+        raise FormatError(f"payload holds {len(payload)} bytes; the artifact declares {payload_len}")
+
+    values = np.frombuffer(_interleaved(payload) if version >= 3 else payload, dtype=dtype)
+    tensors = {}
+    start = 0
+    for name, shape in entries:
+        size = math.prod(shape)
+        tensors[name] = values[start:start + size].reshape(shape).astype(np.float32)
+        start += size
+    return header, tensors
+
+
+def _read_table(take, dtype: np.dtype, version: int) -> tuple[list, int]:
+    """A version 1 to 3 tensor table, read through ``unpack``'s bounded
+    ``take``: its ``(name, shape)`` entries and the decoded payload bytes
+    they tile back to back."""
     (count,) = struct.unpack("<I", take(4, "tensor count"))
     entries = []
     payload_len = 0
@@ -236,7 +287,7 @@ def unpack(blob: bytes) -> tuple[dict, dict]:
         try:
             name = take(name_len, "tensor name").decode("utf-8")
         except UnicodeDecodeError as err:
-            raise FormatError(f"tensor name at byte {pos - name_len} is not UTF-8: {err}") from err
+            raise FormatError(f"the name of tensor {len(entries)} is not UTF-8: {err}") from err
         (ndim,) = struct.unpack("<B", take(1, f"ndim of {name!r}"))
         shape = struct.unpack(f"<{ndim}I", take(4 * ndim, f"shape of {name!r}"))
         offset, nbytes = struct.unpack("<QQ", take(16, f"extent of {name!r}"))
@@ -250,33 +301,32 @@ def unpack(blob: bytes) -> tuple[dict, dict]:
         entries.append((name, shape))
     if len({name for name, _ in entries}) != len(entries):
         raise FormatError("artifact tensor table repeats a tensor name")
-    payload = blob[pos:end]
-    if version == 3:
-        payload = _inflate(payload, payload_len)
-    if len(payload) != payload_len:
-        raise FormatError(f"payload holds {len(payload)} bytes; the tensor table declares {payload_len}")
-
-    values = np.frombuffer(_interleaved(payload) if version == 3 else payload, dtype=dtype)
-    tensors = {}
-    start = 0
-    for name, shape in entries:
-        size = math.prod(shape)
-        tensors[name] = values[start:start + size].reshape(shape).astype(np.float32)
-        start += size
-    return header, tensors
+    return entries, payload_len
 
 
 def describe(blob: bytes, tensors: dict) -> dict:
-    """What the coding of a valid artifact saved: its format version, its
-    size in bytes, the bytes its payload takes between the tensor table and
-    the CRC, and the size of that payload decoded, for ``tensors`` as
-    ``unpack(blob)`` returned them."""
+    """Where the bytes of a valid artifact go, for ``tensors`` as
+    ``unpack(blob)`` returned them: its format version, its size, the
+    bytes its header takes as stored (deflated in version 4), the bytes of
+    its tensor table (0 in version 4, which has none), the bytes its
+    payload takes as stored, up to the CRC, and the size of that payload
+    decoded."""
     version, header_len = struct.unpack_from("<HI", blob, 4)
-    table_len = 4 + sum(len(_table_entry(name, t.shape, 0, 0)) for name, t in tensors.items())
+    if version == 4:
+        inflater = zlib.decompressobj()
+        inflater.decompress(blob[10:-4])
+        payload_len = len(inflater.unused_data)
+        header_len = len(blob) - 14 - payload_len
+        table_len = 0
+    else:
+        table_len = 4 + sum(len(_table_entry(name, t.shape, 0, 0)) for name, t in tensors.items())
+        payload_len = len(blob) - 10 - header_len - table_len - 4
     return {
         "format_version": version,
         "bytes": len(blob),
-        "stored_payload_bytes": len(blob) - 10 - header_len - table_len - 4,
+        "stored_header_bytes": header_len,
+        "table_bytes": table_len,
+        "stored_payload_bytes": payload_len,
         "decoded_payload_bytes": PAYLOAD_DTYPES[version].itemsize * sum(t.size for t in tensors.values()),
     }
 
@@ -288,11 +338,11 @@ def reconstruct(header: dict, tensors: dict) -> Model:
         raise IncompatibilityError(
             f"artifact was generated with {header.get('algorithm_id')!r}; this build expects {ALGORITHM_ID!r}"
         )
+    cfg = _header_config(header)
     try:
-        cfg = ModelConfig(**header["model"])
         spec = BackboneSpec.from_dict(header["backbone"])
     except (KeyError, TypeError, ValueError, ConfigError) as err:
-        raise FormatError(f"artifact header has a missing or malformed model/backbone field: {err!r}") from err
+        raise FormatError(f"artifact header has a missing or malformed backbone field: {err!r}") from err
     # the shapes and the table are checked against the declared model before
     # anything is built, so a header cannot make a model the payload does not
     # fill; empty backbone shapes mean the model's own

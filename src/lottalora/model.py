@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, IncompatibilityError, finite, integer, real, shown
+from .errors import ConfigError, DataError, DimensionError, IncompatibilityError, finite, integer, real, shown
 from .initfam import BackboneMatrix, InitFamily, draw_matrix
 from .layers import B_INITS, SCALING_MODES, DenseLayer, LottaLayer, init_adapter
 from .numerics import Tensor, add_grad, softmax_xent, tensor
@@ -52,7 +52,7 @@ def eval_blocks(n: int) -> list[tuple[int, int]]:
 
 # A dropout keep mask is drawn in raw blocks of at most this many words,
 # so a mask never holds its whole u64 block.
-MASK_BLOCK_WORDS = 8192
+MASK_BLOCK_WORDS = 16384
 
 
 def _keep_mask(stream: Stream, shape: tuple, p: float) -> np.ndarray:
@@ -320,11 +320,14 @@ class Model:
         return loss, logits
 
     def _check_batch(self, batch: np.ndarray) -> None:
-        """A DimensionError unless the batch is an [n, input_dim] array."""
+        """A DimensionError unless the batch is an [n, input_dim] array, and
+        a DataError unless its values are boolean, integer or real floating."""
         if not isinstance(batch, np.ndarray):
             raise DimensionError(f"batch must be an [n, {self.cfg.input_dim}] array, got a {type(batch).__name__}")
         if batch.ndim != 2 or batch.shape[1] != self.cfg.input_dim:
             raise DimensionError(f"batch must be [n, {self.cfg.input_dim}], got {batch.shape}")
+        if batch.dtype.kind not in "biuf":
+            raise DataError(f"batch values must be boolean, integer or real floating, got dtype {batch.dtype}")
 
     def _forward_rows(self, batch: np.ndarray, caches: list | None = None) -> np.ndarray:
         """The layer loop over one block of rows.  Given one cache dict per

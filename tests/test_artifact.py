@@ -1,18 +1,20 @@
 import json
 import os
+import re
 import struct
 import zlib
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
-from lottalora.artifact import (F16_MAX, FORMAT_VERSION, MAGIC, _byte_planes, load, pack, reconstruct, save,
+from lottalora.artifact import (F16_MAX, FORMAT_VERSION, MAGIC, MAX_INFLATE_RATIO, PAYLOAD_DTYPES, _byte_planes,
+                                _deflate_planes, _table_entry, describe, load, pack, reconstruct, save,
                                 to_shipping_precision, unpack)
 from lottalora.errors import FormatError, IncompatibilityError, IntegrityError
 from lottalora.initfam import InitFamily
 from lottalora.model import HEAD_MODES, PRESETS, BackboneSpec, ModelConfig, build_model
-from lottalora.prng import Stream
+from lottalora.prng import ALGORITHM_ID, Stream
 from lottalora.data import synthetic_blobs
 from lottalora.train import TrainConfig, train_run
 
@@ -24,6 +26,9 @@ V2_FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "tiny_r2_seed7_
 # the same model as the first version 3 writer packed it: one level-9 zlib
 # stream over both byte planes
 V3_FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "tiny_r2_seed7_v3.ltlr")
+# the same model as pack writes it today, format version 4
+V4_FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "tiny_r2_seed7_v4.ltlr")
+FORMAT_DOC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "docs", "FORMAT.md")
 
 
 def fresh_model(seed=42, preset="tiny", **kw):
@@ -87,38 +92,63 @@ def same_bits(a: dict, b: dict) -> bool:
     return list(a) == list(b) and all(np.array_equal(a[k].view(np.uint32), b[k].view(np.uint32)) for k in a)
 
 
+def f16_tensors(model) -> list:
+    """``(name, little-endian f16 values)`` of each trainable, checked to be f16-exact."""
+    tensors = [(name, t.data.astype("<f2")) for name, t in model.trainable_params()]
+    assert all(np.array_equal(f16.astype(np.float32), t.data) for (_, f16), (_, t) in
+               zip(tensors, model.trainable_params()))
+    return tensors
+
+
+def pack_v3(model, extra=None) -> bytes:
+    """``model`` as the version 3 writer packed it: the raw canonical
+    header JSON and a tensor table of decoded f16 extents over the planes
+    stream of ``_deflate_planes``, which version 4 keeps unchanged.  Tests
+    pin its header and table against the first version 3 writer's fixture."""
+    header = {"algorithm_id": ALGORITHM_ID, "backbone": asdict(model.spec), "model": asdict(model.cfg),
+              "extra": extra or {}}
+    header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    tensors = f16_tensors(model)
+    table = struct.pack("<I", len(tensors))
+    offset = 0
+    for name, data in tensors:
+        table += _table_entry(name, data.shape, offset, data.nbytes)
+        offset += data.nbytes
+    stream = _deflate_planes(b"".join(data.tobytes() for _, data in tensors), [data.size for _, data in tensors])
+    return with_crc(MAGIC + struct.pack("<HI", 3, len(header_bytes)) + header_bytes + table + stream)
+
+
 def pack_v2(model) -> bytes:
     """``model`` as the version 2 writer packed it: the header and table of
     its version 3 blob over the raw f16 payload.  A test pins this against
     the committed fixture that writer made."""
-    v3 = pack(model)
-    assert version_of(v3) == 3
+    v3 = pack_v3(model)
     prefix = bytearray(v3[:table_start(v3) + table_len(model)])
     struct.pack_into("<H", prefix, 4, 2)
-    return with_crc(bytes(prefix) + b"".join(t.data.astype("<f2").tobytes() for _, t in model.trainable_params()))
+    return with_crc(bytes(prefix) + b"".join(data.tobytes() for _, data in f16_tensors(model)))
 
 
 @pytest.mark.parametrize("head_mode", HEAD_MODES)
 @pytest.mark.parametrize("preset", sorted(PRESETS))
 def test_snapped_model_packs_as_v2_at_two_bytes_per_trainable(preset, head_mode):
-    # the version 2 form is version 3's decoded payload; both read back to
-    # the same bits and re-pack as the smaller version 3
+    # the version 2 form is the decoded payload of versions 3 and 4; all
+    # read back to the same bits and re-pack as the smallest, version 4
     model = randomized(fresh_model(preset=preset, rank=4, head_mode=head_mode))
     assert to_shipping_precision(model)
-    v2, v3 = pack_v2(model), pack(model)
+    v2, v3, v4 = pack_v2(model), pack_v3(model), pack(model)
     header_len = struct.unpack_from("<I", v2, 6)[0]
     total, _ = model.count_trainable()
     assert len(v2) == 10 + header_len + table_len(model) + 2 * total + 4
-    assert len(v3) < len(v2)
-    assert pack(reconstruct(*unpack(v2))) == pack(reconstruct(*unpack(v3))) == v3
-    assert same_bits(unpack(v2)[1], unpack(v3)[1])
+    assert version_of(v4) == 4 and len(v4) < len(v3) < len(v2)
+    assert all(pack(reconstruct(*unpack(blob))) == v4 for blob in (v2, v3, v4))
+    assert same_bits(unpack(v2)[1], unpack(v4)[1]) and same_bits(unpack(v3)[1], unpack(v4)[1])
 
 
 def test_v2_payload_widens_to_the_snapped_f32_values_exactly():
     model = randomized(fresh_model(layernorm=True))
     to_shipping_precision(model)
     params = {name: t.data for name, t in model.trainable_params()}
-    for blob in (pack_v2(model), pack(model)):
+    for blob in (pack_v2(model), pack_v3(model), pack(model)):
         _, tensors = unpack(blob)
         assert all(t.dtype == np.float32 for t in tensors.values())
         assert same_bits(tensors, params)
@@ -144,15 +174,26 @@ def test_pack_v2_writes_the_fixture_bytes():
     assert pack_v2(fixture_model()) == load(V2_FIXTURE)
 
 
-def test_the_fixture_model_now_packs_as_a_smaller_v3_of_the_same_bits():
+def test_the_fixture_model_packs_as_a_smaller_v3_of_the_same_bits():
     model = fixture_model()
-    v2, v3 = load(V2_FIXTURE), pack(model)
-    assert version_of(v3) == 3 and len(v3) < len(v2)
+    v2, v3 = load(V2_FIXTURE), pack_v3(model)
+    assert len(v3) < len(v2)
     # same header and table: only the version field and the payload coding differ
     prefix = table_start(v2) + table_len(model)
     assert v3[6:prefix] == v2[6:prefix]
     assert same_bits(unpack(v3)[1], unpack(v2)[1])
-    assert pack(reconstruct(*unpack(v2))) == v3
+
+
+def test_the_fixture_model_now_packs_as_the_v4_fixture():
+    model = fixture_model()
+    v4 = load(V4_FIXTURE)
+    assert version_of(v4) == 4 and pack(model) == v4
+    assert len(v4) < len(pack_v3(model))
+    header, tensors = unpack(v4)
+    assert same_bits(tensors, {name: t.data for name, t in model.trainable_params()})
+    assert reconstruct(header, tensors).backbone_hashes() == model.backbone_hashes()
+    for older in (V2_FIXTURE, V3_FIXTURE):
+        assert pack(reconstruct(*unpack(load(older)))) == v4
 
 
 def test_the_first_v3_writers_fixture_unpacks_to_the_bits_of_the_model_today():
@@ -165,17 +206,17 @@ def test_the_first_v3_writers_fixture_unpacks_to_the_bits_of_the_model_today():
     # the first version 3 writer's coding: one level-9 stream over both planes
     payload = b"".join(t.data.astype("<f2").tobytes() for _, t in model.trainable_params())
     assert v3_stream(blob, model) == zlib.compress(_byte_planes(payload), 9)
-    # the same header and table as pack writes today; only the stream's coding differs
+    # the same header and table as the last version 3 writer; only the stream's coding differs
     prefix = table_start(blob) + table_len(model)
-    fresh = pack(model)
-    assert fresh[:prefix] == blob[:prefix] and fresh[prefix:] != blob[prefix:]
+    last = pack_v3(model)
+    assert last[:prefix] == blob[:prefix] and last[prefix:] != blob[prefix:]
 
 
 def test_the_first_v3_writers_fixture_repacks_to_todays_shorter_bytes():
     old = load(V3_FIXTURE)
     new = pack(reconstruct(*unpack(old)))
     assert new == pack(fixture_model())
-    assert len(new) < len(old)
+    assert len(new) < len(pack_v3(fixture_model())) < len(old)
 
 
 def v3_stream(blob: bytes, model) -> bytes:
@@ -205,10 +246,27 @@ def test_the_v3_stream_codes_the_byte_planes_in_no_more_than_one_level_9_stream(
     if not filled:  # all-zero B, where Huffman-only coding would spend a bit a byte
         assert all(not t.data.any() for name, t in model.trainable_params() if name.endswith(".B"))
     planes = _byte_planes(b"".join(t.data.astype("<f2").tobytes() for _, t in model.trainable_params()))
-    stream = v3_stream(pack(model), model)
+    v3 = pack_v3(model)
+    stream = v3_stream(v3, model)
     assert zlib.decompress(stream) == planes
     # the first version 3 writer's coding, kept here as the reference only
     assert len(stream) <= len(zlib.compress(planes, 9))
+    # version 4 keeps the stream, drops the table and deflates the header
+    v4 = pack(model)
+    header, payload = v4_parts(v4)
+    assert version_of(v4) == 4 and payload == stream
+    assert zlib.decompress(header) == v3[10:table_start(v3)]
+    assert unpack(v4)[0] == unpack(v3)[0] and same_bits(unpack(v4)[1], unpack(v3)[1])
+
+
+def test_the_format_docs_versions_table_lists_exactly_the_versions_unpack_reads():
+    with open(FORMAT_DOC, encoding="utf-8") as fh:
+        section = fh.read().split("\n## Versions\n", 1)[1].split("\n## ", 1)[0]
+    # | version | decoded payload element | bytes a value | ...
+    rows = [line.split("|")[1:-1] for line in section.splitlines() if re.match(r"\|\s*\d+\s*\|", line)]
+    listed = {int(cells[0]): int(cells[2]) for cells in rows}
+    assert len(listed) == len(rows)
+    assert listed == {version: dtype.itemsize for version, dtype in PAYLOAD_DTYPES.items()}
 
 
 def test_rounding_to_f16_is_in_place_and_ties_to_even():
@@ -257,34 +315,41 @@ def relabelled(blob: bytes, version: int) -> bytes:
     return with_crc(bytes(body))
 
 
-def snapped_blob() -> bytes:
+def snapped_model():
     model = randomized(fresh_model())
     to_shipping_precision(model)
-    return pack(model)
+    return model
 
 
 def test_version_bump_is_incompatibility_error():
-    assert FORMAT_VERSION == 3
-    for blob in (pack(fresh_model()), load(V2_FIXTURE), snapped_blob()):
+    assert FORMAT_VERSION == 4
+    for blob in (pack(fresh_model()), load(V2_FIXTURE), pack_v3(snapped_model()), pack(snapped_model())):
         # the checksum stays valid so the version check is what fires
-        with pytest.raises(IncompatibilityError, match="version 4"):
-            unpack(relabelled(blob, 4))
+        with pytest.raises(IncompatibilityError, match="version 5"):
+            unpack(relabelled(blob, 5))
 
 
 def test_a_blob_relabelled_to_the_other_version_is_format_error():
     for version in (2, 3):
         with pytest.raises(FormatError, match="2 bytes a value"):
             unpack(relabelled(pack(fresh_model()), version))
-    for blob in (load(V2_FIXTURE), snapped_blob()):
+    for blob in (load(V2_FIXTURE), pack_v3(snapped_model())):
         with pytest.raises(FormatError, match="4 bytes a value"):
             unpack(relabelled(blob, 1))
+    # a raw header is no zlib stream, and a deflated one is no JSON
+    for blob in (pack(fresh_model()), load(V2_FIXTURE), pack_v3(snapped_model())):
+        with pytest.raises(FormatError, match="version 4 header is not a valid zlib stream"):
+            unpack(relabelled(blob, 4))
+    for version in (1, 2, 3):
+        with pytest.raises(FormatError, match="not valid JSON"):
+            unpack(relabelled(pack(snapped_model()), version))
 
 
 def test_v2_table_claiming_four_byte_extents_is_format_error():
     model = randomized(fresh_model())
     v1 = pack(model)
     to_shipping_precision(model)
-    for f16 in (pack_v2(model), pack(model)):
+    for f16 in (pack_v2(model), pack_v3(model)):
         # same header, so the v1 table (4-byte extents) splices in at the same place
         start, end = table_start(f16), table_start(f16) + table_len(model)
         with pytest.raises(FormatError, match="back to back"):
@@ -297,7 +362,7 @@ def test_v2_table_claiming_four_byte_extents_is_format_error():
 def v3_parts():
     """(header and table, deflate stream, decoded byte planes) of a version 3 blob."""
     model = fixture_model()
-    blob = pack(model)
+    blob = pack_v3(model)
     prefix = table_start(blob) + table_len(model)
     stream = blob[prefix:-4]
     return blob[:prefix], stream, zlib.decompress(stream)
@@ -378,7 +443,7 @@ def test_bytes_after_the_end_of_a_v3_stream_are_format_error():
 
 def test_a_v3_body_relabelled_as_v2_and_a_v2_body_relabelled_as_v3_are_format_errors():
     with pytest.raises(FormatError, match="payload holds"):
-        unpack(relabelled(pack(fixture_model()), 2))
+        unpack(relabelled(pack_v3(fixture_model()), 2))
     with pytest.raises(FormatError, match="not a valid zlib stream"):
         unpack(relabelled(load(V2_FIXTURE), 3))
 
@@ -403,6 +468,218 @@ def test_a_v3_stream_with_bit_4_flipped_under_a_valid_crc_is_format_error(at):
     stream[at] ^= 0x10
     with pytest.raises(FormatError):
         unpack(with_crc(prefix + bytes(stream)))
+
+
+# -- CRC-valid version 4 blobs that are malformed --------------------------------
+
+
+def v4_parts(blob: bytes) -> tuple[bytes, bytes]:
+    """(deflated header, planes stream) of a version 4 blob."""
+    inflater = zlib.decompressobj()
+    inflater.decompress(blob[10:-4])
+    return blob[10:len(blob) - 4 - len(inflater.unused_data)], inflater.unused_data
+
+
+def v4_blob(header: bytes, payload: bytes, header_len: int | None = None) -> bytes:
+    """A CRC-valid version 4 blob over the streams ``header`` and ``payload``,
+    declaring ``header_len`` header bytes, by default what ``header`` inflates to."""
+    if header_len is None:
+        header_len = len(zlib.decompress(header))
+    return with_crc(MAGIC + struct.pack("<HI", 4, header_len) + header + payload)
+
+
+def fixture_v4_parts():
+    """(deflated header, planes stream, decoded byte planes) of the v4 fixture."""
+    header, payload = v4_parts(load(V4_FIXTURE))
+    return header, payload, zlib.decompress(payload)
+
+
+def test_the_fixture_parts_rebuild_the_v4_fixture():
+    header, payload, _ = fixture_v4_parts()
+    assert v4_blob(header, payload) == load(V4_FIXTURE)
+    header_json = zlib.decompress(header)
+    assert struct.unpack_from("<I", load(V4_FIXTURE), 6)[0] == len(header_json)
+    assert header_json == load(V3_FIXTURE)[10:table_start(load(V3_FIXTURE))]
+
+
+@pytest.mark.parametrize("cut", [1, 4, 50])
+def test_a_truncated_v4_header_stream_is_format_error(cut):
+    header, payload, _ = fixture_v4_parts()
+    header_len = len(zlib.decompress(header))
+    with pytest.raises(FormatError, match="truncated"):
+        unpack(v4_blob(header[:-cut], b"", header_len))
+    # cut short, the header stream runs on into the planes stream
+    with pytest.raises(FormatError):
+        unpack(v4_blob(header[:-cut], payload, header_len))
+
+
+@pytest.mark.parametrize("short", [1, 100])
+def test_a_v4_header_stream_that_inflates_past_the_declared_length_is_format_error(short):
+    header, payload, _ = fixture_v4_parts()
+    with pytest.raises(FormatError, match="version 4 header inflates past"):
+        unpack(v4_blob(header, payload, len(zlib.decompress(header)) - short))
+
+
+def test_a_v4_header_stream_that_inflates_short_of_the_declared_length_is_format_error():
+    header, payload, _ = fixture_v4_parts()
+    with pytest.raises(FormatError, match="version 4 header inflates to"):
+        unpack(v4_blob(header, payload, len(zlib.decompress(header)) + 1))
+
+
+def test_a_v4_header_length_past_the_ratio_bound_is_refused_before_inflating():
+    header, payload, _ = fixture_v4_parts()
+    bound = MAX_INFLATE_RATIO * (len(header) + len(payload))
+    with pytest.raises(FormatError, match="version 4 header inflates to"):
+        unpack(v4_blob(header, payload, bound))
+    with pytest.raises(FormatError, match="more than deflate can code"):
+        unpack(v4_blob(header, payload, bound + 1))
+    # 1 GiB declared over a 64 MiB bomb: refused, and nothing inflated
+    blob = v4_blob(zero_bomb(64), b"", 1 << 30)
+
+    def attempt():
+        with pytest.raises(FormatError, match="more than deflate can code"):
+            unpack(blob)
+
+    peak, _ = peak_bytes(attempt)
+    assert peak < 4 * len(blob)
+
+
+def test_a_v4_header_bomb_allocates_about_the_declared_length():
+    header, payload, _ = fixture_v4_parts()
+    blob = v4_blob(zero_bomb(256), payload, len(zlib.decompress(header)))
+
+    def attempt():
+        with pytest.raises(FormatError, match="version 4 header inflates past"):
+            unpack(blob)
+
+    peak, _ = peak_bytes(attempt)
+    assert peak < 4 * len(blob)
+
+
+@pytest.mark.parametrize("raw,match", [
+    (b"not json", "not valid JSON"),
+    (b"\xff\xfe", "not valid JSON"),
+    (b"[" * 100_000, "not valid JSON"),
+    (b'["algorithm_id"]', "JSON object"),
+    (b"7", "JSON object"),
+], ids=["text", "not-utf8", "nested-too-deep", "array", "number"])
+def test_a_v4_header_that_is_not_a_json_object_is_format_error(raw, match):
+    _, payload, _ = fixture_v4_parts()
+    with pytest.raises(FormatError, match=match):
+        unpack(v4_blob(zlib.compress(raw, 9), payload))
+
+
+def test_a_v1_header_nested_too_deep_to_parse_is_format_error():
+    # the JSON parser raises RecursionError, not ValueError, on such nesting
+    blob = pack(fresh_model())
+    raw = b"[" * 100_000
+    body = MAGIC + struct.pack("<HI", 1, len(raw)) + raw + blob[table_start(blob):-4]
+    with pytest.raises(FormatError, match="not valid JSON"):
+        unpack(with_crc(body))
+
+
+def v4_reheadered(edit) -> bytes:
+    """The v4 fixture with its header changed by ``edit`` and a valid CRC."""
+    header, _ = unpack(load(V4_FIXTURE))
+    edit(header)
+    _, payload, _ = fixture_v4_parts()
+    return v4_blob(zlib.compress(json.dumps(header).encode("utf-8"), 9), payload)
+
+
+@pytest.mark.parametrize("edit,match", [
+    (lambda h: h.pop("model"), "model"),
+    (lambda h: h.update(model=[2]), "model"),
+    (lambda h: h["model"].update(width=3), "width"),
+    (lambda h: h["model"].update(rank="x"), "rank"),
+    (lambda h: h["model"].update(rank=129), "rank"),
+    (lambda h: h["model"].update(preset=["tiny"]), "model"),
+    (lambda h: h["model"].update(hidden_dims=5), "hidden_dims"),
+    (lambda h: h["model"].update(layernorm="yes"), "layernorm"),
+], ids=["missing", "not-an-object", "unknown-key", "rank-text", "rank-too-big", "preset-list", "dims-number",
+        "layernorm-text"])
+def test_a_v4_header_with_a_malformed_model_config_is_format_error(edit, match):
+    with pytest.raises(FormatError, match=match):
+        unpack(v4_reheadered(edit))
+
+
+@pytest.mark.parametrize("edit,match", [
+    (lambda h: h["model"].update(rank=4), "payload holds"),
+    (lambda h: h["model"].update(rank=1), "inflates past"),
+    (lambda h: h["model"].update(layernorm=True), "payload holds"),
+    (lambda h: h["model"].update(head_mode="lora"), "inflates past"),
+    (lambda h: h["model"].update(preset="small"), "payload holds"),
+], ids=["rank-up", "rank-down", "layernorm", "head-mode", "preset"])
+def test_a_v4_header_whose_model_does_not_fit_the_payload_is_format_error(edit, match):
+    with pytest.raises(FormatError, match=match):
+        unpack(v4_reheadered(edit))
+
+
+def test_a_v4_header_declaring_a_model_past_the_ratio_bound_is_refused_before_inflating():
+    # 2 GiB of decoded planes for one 2**30-wide layer
+    blob = v4_reheadered(lambda h: h["model"].update(preset=None, hidden_dims=[1 << 30], rank=1))
+
+    def attempt():
+        with pytest.raises(FormatError, match="more than deflate can code"):
+            unpack(blob)
+
+    peak, _ = peak_bytes(attempt)
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("cut", [1, 4, 100, 2000])
+def test_a_truncated_v4_payload_stream_is_format_error(cut):
+    header, payload, _ = fixture_v4_parts()
+    with pytest.raises(FormatError, match="truncated"):
+        unpack(v4_blob(header, payload[:-cut]))
+
+
+@pytest.mark.parametrize("cut", [1, 2, 400])
+def test_a_v4_payload_stream_that_ends_short_of_the_derived_layout_is_format_error(cut):
+    header, _, planes = fixture_v4_parts()
+    with pytest.raises(FormatError, match="payload holds"):
+        unpack(v4_blob(header, zlib.compress(planes[:-cut], 9)))
+
+
+@pytest.mark.parametrize("extra", [1, 2, 400])
+def test_a_v4_payload_stream_that_runs_past_the_derived_layout_is_format_error(extra):
+    header, _, planes = fixture_v4_parts()
+    with pytest.raises(FormatError, match="version 4 payload inflates past"):
+        unpack(v4_blob(header, zlib.compress(planes + bytes(extra), 9)))
+
+
+def test_a_missing_v4_payload_stream_is_format_error():
+    header, _, _ = fixture_v4_parts()
+    with pytest.raises(FormatError, match="more than deflate can code in the 0 bytes"):
+        unpack(v4_blob(header, b""))
+
+
+@pytest.mark.parametrize("extra", [b"\0", b"\x78\x9c", bytes(100)])
+def test_bytes_after_the_end_of_a_v4_payload_stream_are_format_error(extra):
+    header, payload, _ = fixture_v4_parts()
+    with pytest.raises(FormatError, match="follow the end of the version 4 payload stream"):
+        unpack(v4_blob(header, payload + extra))
+
+
+def test_any_one_zlib_stream_over_the_header_and_the_planes_reads_as_version_4():
+    header, payload, planes = fixture_v4_parts()
+    blob = v4_blob(zlib.compress(zlib.decompress(header), 1), zlib.compress(planes, 1))
+    assert unpack(blob)[0] == unpack(load(V4_FIXTURE))[0]
+    assert same_bits(unpack(blob)[1], unpack(load(V4_FIXTURE))[1])
+
+
+def test_a_trained_tiny_r1_model_is_at_least_a_tenth_smaller_as_v4_than_as_v3():
+    full = synthetic_blobs(300, 784, 10, 6.0, seed=1)
+    train, test = full.subset(np.arange(200), "train"), full.subset(np.arange(200, 300), "test")
+    cfg = ModelConfig(preset="tiny", rank=1)
+    model = train_run(cfg, BackboneSpec.from_config(cfg, 3), TrainConfig(epochs=1, batch_size=64), train, test).model
+    v3, v4 = pack_v3(model), pack(model)
+    assert version_of(v4) == 4 and len(v4) <= 0.9 * len(v3)
+    assert unpack(v4)[0] == unpack(v3)[0] and same_bits(unpack(v4)[1], unpack(v3)[1])
+    # the same planes stream: the saving is the table and the deflated header
+    _, tensors = unpack(v4)
+    d3, d4 = describe(v3, tensors), describe(v4, tensors)
+    assert d4["table_bytes"] == 0 < d3["table_bytes"] and d4["stored_header_bytes"] < d3["stored_header_bytes"]
+    assert d4["stored_payload_bytes"] == d3["stored_payload_bytes"]
 
 
 def test_unknown_algorithm_id_is_incompatibility_error():

@@ -11,6 +11,8 @@ from lottalora.artifact import load, pack, to_shipping_precision, unpack
 from lottalora.errors import FormatError, IncompatibilityError, IntegrityError
 from lottalora.model import BackboneSpec, ModelConfig, build_model
 
+from test_artifact import pack_v3
+
 ARTIFACT_ERRORS = (FormatError, IntegrityError, IncompatibilityError)
 
 _CFG = ModelConfig(preset="tiny", rank=2)
@@ -19,14 +21,15 @@ BODY = BLOB[:-4]
 
 FUZZ = settings(max_examples=300, deadline=None)
 
-# the same model rounded to f16: as the version 2 writer and the first
-# version 3 writer packed it, and as pack writes it now, format version 3
+# the same model rounded to f16: as the version 2 writer, the first and the
+# last version 3 writer packed it, and as pack writes it now, format version 4
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 BODY_V2 = load(os.path.join(FIXTURES, "tiny_r2_seed7_v2.ltlr"))[:-4]
 BODY_FIRST_V3 = load(os.path.join(FIXTURES, "tiny_r2_seed7_v3.ltlr"))[:-4]
 _SNAPPED = build_model(_CFG, BackboneSpec.from_config(_CFG, 7))
 to_shipping_precision(_SNAPPED)
-BODY_V3 = pack(_SNAPPED)[:-4]
+BODY_V3 = pack_v3(_SNAPPED)[:-4]
+BODY_V4 = pack(_SNAPPED)[:-4]
 
 
 def seal(body: bytes, recompute_crc: bool) -> bytes:
@@ -85,6 +88,28 @@ def test_any_byte_flip_or_cut_of_a_v2_blob_unpacks_or_raises_an_artifact_error(a
 @given(at=st.integers(0, len(BODY_V3) - 1), mask=st.integers(1, 255), cut=st.booleans())
 def test_any_byte_flip_or_cut_of_a_v3_blob_unpacks_or_raises_an_artifact_error(at, mask, cut):
     ok = unpack_or_artifact_error(seal(flipped_or_cut(BODY_V3, at, mask, cut), True))
+    assert not (cut and ok)
+
+
+@FUZZ
+@given(at=st.integers(0, len(BODY_V4) - 1), mask=st.integers(1, 255), cut=st.booleans())
+def test_any_byte_flip_or_cut_of_a_v4_blob_unpacks_or_raises_an_artifact_error(at, mask, cut):
+    ok = unpack_or_artifact_error(seal(flipped_or_cut(BODY_V4, at, mask, cut), True))
+    assert not (cut and ok)
+
+
+_V4_INFLATER = zlib.decompressobj()
+V4_HEADER_JSON = _V4_INFLATER.decompress(BODY_V4[10:])
+V4_PAYLOAD = _V4_INFLATER.unused_data
+
+
+@FUZZ
+@given(at=st.integers(0, len(V4_HEADER_JSON) - 1), mask=st.integers(1, 255), cut=st.booleans())
+def test_any_byte_flip_or_cut_of_a_v4_header_json_unpacks_or_raises_an_artifact_error(at, mask, cut):
+    # the header deflated again, so the flip reaches the JSON and the model config
+    header = flipped_or_cut(V4_HEADER_JSON, at, mask, cut)
+    body = BODY_V4[:4] + struct.pack("<HI", 4, len(header)) + zlib.compress(header, 9) + V4_PAYLOAD
+    ok = unpack_or_artifact_error(seal(body, True))
     assert not (cut and ok)
 
 

@@ -15,7 +15,7 @@ from lottalora.model import BackboneSpec, ModelConfig, build_model
 from lottalora.train import TrainConfig
 
 from conftest import requires_mnist, write_fake_idx
-from test_artifact import V2_FIXTURE, V3_FIXTURE, reheader
+from test_artifact import V2_FIXTURE, V3_FIXTURE, V4_FIXTURE, reheader
 
 
 def test_cost_command_prints_table_and_json(capsys):
@@ -136,26 +136,35 @@ def test_pack_unpack_round_trip(tmp_path, capsys):
     assert payload["header"]["algorithm_id"] == "splitmix64-boxmuller-v1"
 
 
-def test_unpack_reports_the_format_version_and_what_the_coding_saved(tmp_path, capsys):
+def test_unpack_reports_the_format_version_and_where_the_bytes_go(tmp_path, capsys):
     fresh, trained = tmp_path / "fresh.ltlr", tmp_path / "trained.ltlr"
     assert run(["pack", "--preset", "tiny", "--rank", "2", "--seed", "7", "--output", str(fresh)]) == 0
-    # the committed fixtures' model, rounded to f16, packs as version 3
+    # the committed fixtures' model, rounded to f16, packs as version 4
     cfg = ModelConfig(preset="tiny", rank=2)
     snapped = build_model(cfg, BackboneSpec.from_config(cfg, 7))
     to_shipping_precision(snapped)
     save(str(trained), pack(snapped))
     values, _ = snapped.count_trainable()
-    stored = {}
-    for path, version, value_bytes in ((fresh, 1, 4), (V2_FIXTURE, 2, 2), (V3_FIXTURE, 3, 2), (trained, 3, 2)):
+    header_len = len(json.dumps(unpack(load(V2_FIXTURE))[0], sort_keys=True, separators=(",", ":")))
+    cases = ((fresh, 1, 4), (V2_FIXTURE, 2, 2), (V3_FIXTURE, 3, 2), (V4_FIXTURE, 4, 2), (trained, 4, 2))
+    outs = {}
+    for path, version, value_bytes in cases:
         capsys.readouterr()
         assert run(["unpack", str(path)]) == 0
-        out = json.loads(capsys.readouterr().out)
+        out = outs[path] = json.loads(capsys.readouterr().out)
         assert out["format_version"] == version
         assert out["bytes"] == os.path.getsize(path)
         assert out["decoded_payload_bytes"] == value_bytes * values
-        stored[path] = out["stored_payload_bytes"]
-        # one header and one table layout: the files differ only in their payloads
-        assert out["bytes"] - out["stored_payload_bytes"] == os.path.getsize(V2_FIXTURE) - 2 * values
+        # magic, version and header length, then the header, table and payload as stored, then the CRC
+        assert out["bytes"] == 10 + out["stored_header_bytes"] + out["table_bytes"] + out["stored_payload_bytes"] + 4
+    # versions 1 to 3 share one raw header and one table layout; version 4
+    # deflates the header, has no table and keeps version 3's planes stream
+    for path in (fresh, V2_FIXTURE, V3_FIXTURE):
+        assert outs[path]["stored_header_bytes"] == header_len
+        assert outs[path]["table_bytes"] == outs[V2_FIXTURE]["table_bytes"] > 0
+    assert outs[V4_FIXTURE] == outs[trained]
+    assert outs[trained]["table_bytes"] == 0 and outs[trained]["stored_header_bytes"] < header_len
+    stored = {path: out["stored_payload_bytes"] for path, out in outs.items()}
     assert stored[fresh] == 4 * values and stored[V2_FIXTURE] == 2 * values
     assert stored[trained] < stored[V3_FIXTURE] < stored[V2_FIXTURE]
 
@@ -326,8 +335,8 @@ def test_train_verify_cycle_on_fake_idx(tmp_path, capsys, fake_mnist_dir):
     assert summary["task"] == json.loads((out / "manifest.json").read_text())["resolved"]
     assert (out / "metrics.csv").read_text().splitlines()[-1].startswith("1,val,")
     capsys.readouterr()
-    # a trained model ships at f16, as format version 3
-    assert load(str(out / "model.ltlr"))[4:6] == b"\x03\x00"
+    # a trained model ships at f16, as format version 4
+    assert load(str(out / "model.ltlr"))[4:6] == b"\x04\x00"
     assert run(["verify", str(out / "model.ltlr"), "--data-dir", fake_mnist_dir]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["verified"] is True

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from lottalora.artifact import pack
-from lottalora.errors import ConfigError, DimensionError
+from lottalora.errors import ConfigError, DataError, DimensionError
 from lottalora.initfam import FAMILY_NAMES, InitFamily
 from lottalora.layers import LottaLayer
 from lottalora.model import BackboneSpec, ModelConfig, build_model
@@ -269,6 +269,26 @@ def test_a_batch_that_is_not_an_array_is_a_dimension_error(batch):
         model.forward_logits(batch)
     with pytest.raises(DimensionError, match="array"):
         model.loss_and_grads(batch, np.zeros(1, dtype=np.int64))
+
+
+@pytest.mark.parametrize("batch,dtype", [
+    (np.full((2, 784), "1"), "<U1"),
+    (np.ones((2, 784), dtype=np.complex128), "complex128"),
+    (np.full((2, 784), "1", dtype=object), "object"),
+], ids=["unicode", "complex", "object-strings"])
+def test_a_batch_that_is_not_boolean_integer_or_real_is_a_data_error(batch, dtype):
+    model = build("tiny")
+    with pytest.raises(DataError, match=f"dtype {dtype}"):
+        model.forward_logits(batch)
+    with pytest.raises(DataError, match=f"dtype {dtype}"):
+        model.loss_and_grads(batch, np.zeros(2, dtype=np.int64))
+
+
+@pytest.mark.parametrize("dtype", [np.bool_, np.uint8, np.int64, np.float16, np.float64])
+def test_a_boolean_integer_or_real_batch_runs_as_its_f32_cast(dtype):
+    model = build("tiny")
+    batch = (np.arange(2 * 784) % 3).reshape(2, 784).astype(dtype)
+    assert np.array_equal(model.forward_logits(batch).data, model.forward_logits(batch.astype(np.float32)).data)
 
 
 # -- freezing discipline and reconstruction -----------------------------------

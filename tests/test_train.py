@@ -295,7 +295,7 @@ def test_train_run_returns_the_model_at_shipping_precision(resample):
         assert np.array_equal(t.data.astype(np.float16).astype(np.float32), t.data)
     assert metrics.final_betas == [float(np.float16(b)) for b in metrics.final_betas]
     blob = pack(metrics.model)
-    assert blob[4:6] == b"\x03\x00"
+    assert blob[4:6] == b"\x04\x00"
     if resample == "static":
         # the final test numbers are the shipped model's, as verify recomputes them
         rebuilt = reconstruct(*unpack(blob))
