@@ -21,7 +21,8 @@ the ``shipped`` ones equal.  The cases:
     final test numbers and betas, the trained parameters and the
     ``pack()`` bytes;
   * ``seed_gated_train`` on two label groups, plain and out-of-class, and
-    plain on a test set that spans several eval blocks;
+    plain on a test set that spans several eval blocks; and on three
+    groups with a ``lora`` head, whose frozen matrix each group swaps too;
   * a ``full_training`` run, and static runs with a ``lora`` head and with
     a zero scaffold (``b_init="kaiming"``, rank-stabilized scaling);
   * eval-mode logits of a ``tiny`` model with random trainables, and
@@ -147,9 +148,9 @@ def _cases():
     # out-of-class mode labels rows 10, so the gated model keeps all ten digit outputs
     gate_cfg = ModelConfig(preset=None, hidden_dims=(24, 16), input_dim=20, num_classes=10, rank=3, dropout=0.2)
 
-    def seedgate_case(ooc, test):
-        partition = data.make_partition([{0, 1}, {2, 3}], [5, 6], ooc_mode=ooc)
-        result = train.seed_gated_train(partition, gate_cfg, train.TrainConfig(lr=3e-3, batch_size=37, epochs=2),
+    def seedgate_case(ooc, test, groups=({0, 1}, {2, 3}), cfg=gate_cfg):
+        partition = data.make_partition(groups, [5, 6, 7][:len(groups)], ooc_mode=ooc)
+        result = train.seed_gated_train(partition, cfg, train.TrainConfig(lr=3e-3, batch_size=37, epochs=2),
                                         train_set, test)
         rates = [result.assigned_accuracy, result.non_assigned_accuracy, result.ooc_digit0_rate]
         return _digest([json.dumps(rates).encode(), *result.confusion, *optimizer_state()])
@@ -158,6 +159,9 @@ def _cases():
         yield f"seedgate ooc={int(ooc)}", seedgate_case(ooc, test_set)
     long_test = data.synthetic_blobs(2100, 20, 4, 3.0, seed=41)
     yield f"seedgate ooc=0 test n={len(long_test)}", seedgate_case(False, long_test)
+    lora_gate_cfg = ModelConfig(preset=None, hidden_dims=(24, 16), input_dim=20, num_classes=10, rank=3,
+                                dropout=0.2, head_mode="lora")
+    yield "seedgate ooc=0 3 groups lora head", seedgate_case(False, test_set, ({0}, {1, 2}, {3}), lora_gate_cfg)
 
     cfg = ModelConfig(preset="tiny", rank=4, layernorm=True, head_mode="lora_bias")
     model = build_model(cfg, BackboneSpec.from_config(cfg, 3))

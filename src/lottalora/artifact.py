@@ -209,6 +209,12 @@ def unpack(blob: bytes) -> tuple[dict, dict]:
     No stream may declare more than ``MAX_INFLATE_RATIO`` times the bytes
     stored.
     """
+    header, tensors, _ = _read(blob)
+    return header, tensors
+
+
+def _read(blob: bytes) -> tuple[dict, dict, dict]:
+    """``unpack``'s parse: the header, the tensors and ``describe``'s sizes."""
     if len(blob) < 14 or blob[:4] != MAGIC:
         raise FormatError(f"not a LTLR artifact (magic {blob[:4]!r})")
     version, header_len = struct.unpack_from("<HI", blob, 4)
@@ -255,9 +261,19 @@ def unpack(blob: bytes) -> tuple[dict, dict]:
     if version == 4:
         entries = _header_config(header).trainable_layout()
         payload_len = dtype.itemsize * sum(math.prod(shape) for _, shape in entries)
+        table_len = 0
     else:
         entries, payload_len = _read_table(take, dtype, version)
+        table_len = pos - 10 - header_len
         payload = blob[pos:end]
+    sizes = {
+        "format_version": version,
+        "bytes": len(blob),
+        "stored_header_bytes": end - 10 - table_len - len(payload),
+        "table_bytes": table_len,
+        "stored_payload_bytes": len(payload),
+        "decoded_payload_bytes": payload_len,
+    }
     if version >= 3:
         payload, rest = _inflate(payload, payload_len, f"version {version} payload")
         if rest:
@@ -272,7 +288,7 @@ def unpack(blob: bytes) -> tuple[dict, dict]:
         size = math.prod(shape)
         tensors[name] = values[start:start + size].reshape(shape).astype(np.float32)
         start += size
-    return header, tensors
+    return header, tensors, sizes
 
 
 def _read_table(take, dtype: np.dtype, version: int) -> tuple[list, int]:
@@ -304,31 +320,14 @@ def _read_table(take, dtype: np.dtype, version: int) -> tuple[list, int]:
     return entries, payload_len
 
 
-def describe(blob: bytes, tensors: dict) -> dict:
-    """Where the bytes of a valid artifact go, for ``tensors`` as
-    ``unpack(blob)`` returned them: its format version, its size, the
-    bytes its header takes as stored (deflated in version 4), the bytes of
-    its tensor table (0 in version 4, which has none), the bytes its
-    payload takes as stored, up to the CRC, and the size of that payload
-    decoded."""
-    version, header_len = struct.unpack_from("<HI", blob, 4)
-    if version == 4:
-        inflater = zlib.decompressobj()
-        inflater.decompress(blob[10:-4])
-        payload_len = len(inflater.unused_data)
-        header_len = len(blob) - 14 - payload_len
-        table_len = 0
-    else:
-        table_len = 4 + sum(len(_table_entry(name, t.shape, 0, 0)) for name, t in tensors.items())
-        payload_len = len(blob) - 10 - header_len - table_len - 4
-    return {
-        "format_version": version,
-        "bytes": len(blob),
-        "stored_header_bytes": header_len,
-        "table_bytes": table_len,
-        "stored_payload_bytes": payload_len,
-        "decoded_payload_bytes": PAYLOAD_DTYPES[version].itemsize * sum(t.size for t in tensors.values()),
-    }
+def describe(blob: bytes) -> dict:
+    """Where the bytes of an artifact go, as the parse ``unpack`` runs
+    finds them: its format version, its size, the bytes its header takes
+    as stored (deflated in version 4), the bytes of its tensor table (0 in
+    version 4, which has none), the bytes its payload takes as stored, up
+    to the CRC, and the size of that payload decoded.  A blob ``unpack``
+    refuses raises the same error here."""
+    return _read(blob)[2]
 
 
 def reconstruct(header: dict, tensors: dict) -> Model:

@@ -132,7 +132,9 @@ def _check_width(input_dim: int, *datasets: Dataset) -> None:
 
 def _config_defaults(parser: argparse.ArgumentParser, path: str) -> dict:
     """Read a flat JSON config as parser defaults; dotted family.* keys feed
-    --family-param."""
+    --family-param.  A typed flag's value goes through the flag's type; any
+    other value must have its flag's JSON kind: a boolean for a store_true
+    flag, a list of strings for --family-param, a string otherwise."""
     config = _read_json(path, "config file")
     actions = {action.dest: action for action in parser._actions}
     defaults = {}
@@ -150,6 +152,15 @@ def _config_defaults(parser: argparse.ArgumentParser, path: str) -> dict:
                 value = action.type(str(value))
             except (TypeError, ValueError) as err:
                 raise ConfigError(f"config key {key!r}: invalid value {value!r}") from err
+        elif action.nargs == 0:
+            if not isinstance(value, bool):
+                raise ConfigError(f"config key {key!r}: expected true or false, got {value!r}")
+        elif isinstance(action, argparse._AppendAction):
+            if not (isinstance(value, list) and all(isinstance(item, str) for item in value)):
+                raise ConfigError(f"config key {key!r}: expected a list of strings, got {value!r}")
+            value = defaults.get(dest, []) + value  # keeps the family.* keys read before it
+        elif not isinstance(value, str):
+            raise ConfigError(f"config key {key!r}: expected a string, got {value!r}")
         if action.choices is not None and value not in action.choices:
             raise ConfigError(f"config key {key!r}: {value!r} is not one of {list(action.choices)}")
         defaults[dest] = value
@@ -364,7 +375,7 @@ def cmd_unpack(args) -> int:
     print(json.dumps({
         "header": header,
         "tensors": {k: list(v.shape) for k, v in tensors.items()},
-        **artifact_mod.describe(blob, tensors),
+        **artifact_mod.describe(blob),
     }, indent=2, sort_keys=True))
     return 0
 

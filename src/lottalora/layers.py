@@ -176,11 +176,13 @@ class LottaLayer:
             dh += g_low @ adapter.a.data
         return dh
 
-    def trainable(self) -> list[tuple[str, Tensor]]:
-        named = [("A", self.adapter.a), ("B", self.adapter.b), ("beta", self.adapter.beta)]
+    def trainable(self) -> list[Tensor]:
+        """A, B and beta, then the LayerNorm affine if any, in the order
+        ``ModelConfig.trainable_layout()`` names them."""
+        tensors = [self.adapter.a, self.adapter.b, self.adapter.beta]
         if self.ln_gamma is not None:
-            named += [("ln_gamma", self.ln_gamma), ("ln_bias", self.ln_bias)]
-        return named
+            tensors += [self.ln_gamma, self.ln_bias]
+        return tensors
 
 
 class DenseLayer:
@@ -210,5 +212,5 @@ class DenseLayer:
         add_grad(self.w, g.T @ cache["h"])
         return g @ self.w.data if need_dx else None
 
-    def trainable(self) -> list[tuple[str, Tensor]]:
-        return [("W", self.w), ("bias", self.b)]
+    def trainable(self) -> list[Tensor]:
+        return [self.w, self.b]

@@ -3,7 +3,9 @@
 A model is built from a ModelConfig plus a BackboneSpec; the BackboneSpec
 (seed, generator tag, init family, layer shapes) alone determines every
 frozen matrix, which is what makes models reconstructible from a header.
-The build draws each of them, and that scaffold is the model's backbone.
+``draw_scaffold`` is that rule: frozen layer i is drawn from
+``derive_stream(seed, i, BACKBONE_WEIGHT)``.  The build takes its scaffold
+from it, and ``ModelConfig.trainable_layout`` names the trainable tensors.
 """
 
 from __future__ import annotations
@@ -87,6 +89,18 @@ def _draw_frozen(cfg: "ModelConfig", family: InitFamily, i: int, stream: Stream)
     # frozen counterpart of a dense layer's bias: U(+-1/sqrt(d_in))
     bound = 1.0 / float(d_in) ** 0.5
     return matrix, (bound * (2.0 * stream.unit_block(d_out) - 1.0)).astype(np.float32)
+
+
+def draw_scaffold(cfg: "ModelConfig", family: InitFamily, seed: int) -> tuple[list[Stream], list[tuple]]:
+    """A seed's scaffold: each frozen layer i's ``(matrix, bias)``, drawn
+    from ``derive_stream(seed, i, BACKBONE_WEIGHT)``, and those streams,
+    each left just past its layer's draw."""
+    streams, frozen = [], []
+    for i in range(cfg.n_lotta()):
+        stream = derive_stream(seed, i, DrawKind.BACKBONE_WEIGHT)
+        frozen.append(_draw_frozen(cfg, family, i, stream))
+        streams.append(stream)
+    return streams, frozen
 
 
 @dataclass(frozen=True)
@@ -251,20 +265,18 @@ class Model:
                 f"backbone spec shapes {self.spec.layer_shapes} do not match config shapes {shapes}"
             )
         n_lotta = cfg.n_lotta()
+        self._backbone_streams, frozen = draw_scaffold(cfg, self.spec.family, seed)
         layers = []
         for i, (d_out, d_in) in enumerate(shapes):
             if i >= n_lotta:
                 layers.append(DenseLayer(d_in, d_out, derive_stream(seed, i, DrawKind.HEAD_INIT)))
                 continue
-            stream = derive_stream(seed, i, DrawKind.BACKBONE_WEIGHT)
-            frozen = _draw_frozen(cfg, self.spec.family, i, stream)
-            self._backbone_streams.append(stream)
             adapter = init_adapter(
                 cfg.rank, d_in, d_out, cfg.alpha, cfg.scaling_mode,
                 derive_stream(seed, i, DrawKind.ADAPTER_A_INIT), b_init=cfg.b_init,
             )
             is_hidden = i < len(shapes) - 1
-            layers.append(LottaLayer(*frozen, adapter, use_layernorm=cfg.layernorm and is_hidden))
+            layers.append(LottaLayer(*frozen[i], adapter, use_layernorm=cfg.layernorm and is_hidden))
         *self.hidden, self.head = layers
         self._dropout_streams = [derive_stream(seed, i, DrawKind.DROPOUT_MASK) for i in range(len(self.hidden))]
         if cfg.head_mode == "lora_bias" and n_lotta == len(shapes):
@@ -359,14 +371,12 @@ class Model:
         return [*self.hidden, self.head][:self.cfg.n_lotta()]
 
     def trainable_params(self) -> list[tuple[str, Tensor]]:
-        """Trainable tensors in canonical artifact order."""
-        named = []
-        for i, layer in enumerate(self.hidden):
-            named += [(f"layer{i}.{n}", t) for n, t in layer.trainable()]
-        named += [(f"head.{n}", t) for n, t in self.head.trainable()]
+        """Trainable tensors in canonical artifact order, named by
+        ``ModelConfig.trainable_layout()``."""
+        tensors = [t for layer in (*self.hidden, self.head) for t in layer.trainable()]
         if self.head_bias is not None:
-            named.append(("head.bias", self.head_bias))
-        return named
+            tensors.append(self.head_bias)
+        return [(name, t) for (name, _), t in zip(self.cfg.trainable_layout(), tensors, strict=True)]
 
     def count_trainable(self) -> tuple[int, dict]:
         breakdown: dict[str, int] = {}
@@ -389,47 +399,15 @@ class Model:
             out.append(digest.hexdigest())
         return out
 
-    def _redraw(self) -> None:
+    def resample_backbones(self) -> None:
+        """Redraw every layer's frozen state from its continuing stream."""
+        if self.cfg.zero_scaffold or self.cfg.mode == "full_training":
+            return
         # each layer drops its old state first, so a redraw peaks at one
         # chunk's scratch above the live scaffold
         for i, (layer, stream) in enumerate(zip(self.lotta_layers(), self._backbone_streams)):
             layer.drop_backbone()
             layer.set_backbone(*_draw_frozen(self.cfg, self.spec.family, i, stream))
-
-    def resample_backbones(self) -> None:
-        """Redraw every layer's frozen state from its continuing stream."""
-        if self.cfg.zero_scaffold or self.cfg.mode == "full_training":
-            return
-        self._redraw()
-
-    def swap_seed_backbones(self, seed: int, drawn: dict) -> None:
-        """Install the frozen state of a different global seed (seed
-        gating); adapters and heads are untouched.
-
-        The first swap to a seed draws its scaffold and keeps its
-        ``_scaffold()`` in ``drawn`` under the seed; a later swap with the
-        same dict reinstalls it, so every seed's scaffold stays live in it.
-        A fresh ``{}`` draws anew.
-        """
-        if self.cfg.mode == "full_training":
-            raise ConfigError("seed swapping requires lottalora mode")
-        if seed in drawn:
-            streams, frozen = drawn[seed]
-            self._backbone_streams = [stream.copy() for stream in streams]
-            for layer, state in zip(self.lotta_layers(), frozen):
-                layer.set_backbone(*state)
-            return
-        self._backbone_streams = [
-            derive_stream(seed, i, DrawKind.BACKBONE_WEIGHT) for i in range(self.cfg.n_lotta())
-        ]
-        self._redraw()
-        drawn[seed] = self._scaffold()
-
-    def _scaffold(self) -> tuple[list, list]:
-        """The live scaffold as ``swap_seed_backbones`` keeps it: copies of
-        the backbone streams, and each layer's read-only matrix and bias."""
-        return ([stream.copy() for stream in self._backbone_streams],
-                [(layer.backbone, layer.frozen_bias) for layer in self.lotta_layers()])
 
 
 def build_model(cfg: ModelConfig, backbone: BackboneSpec) -> Model:

@@ -5,7 +5,9 @@ seed-gated multitask training.
 Every run is deterministic given (run seed, configs): data order comes
 from the shuffle stream derived from the run seed, dropout masks from
 per-layer mask streams, and scaffold redraws from per-layer backbone
-streams that keep advancing across resample events.
+streams that keep advancing across resample events.  Seed gating trains
+each label group on its seed's scaffold, the one ``draw_scaffold`` gives
+and a fresh build for that seed has, drawn once per distinct seed.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 from .artifact import to_shipping_precision
 from .data import Dataset, split_train_val
 from .errors import ConfigError, DataError, RunError, finite, integer, shown
-from .model import BackboneSpec, Model, ModelConfig, build_model, eval_blocks
+from .model import BackboneSpec, Model, ModelConfig, build_model, draw_scaffold, eval_blocks
 from .numerics import softmax_xent
 from .prng import DrawKind, derive_stream
 
@@ -360,7 +362,10 @@ def seed_gated_train(
 ) -> SeedGateResult:
     """Train one shared adapter, cycling through the partition's backbone
     seeds within every epoch; evaluate each test digit under each seed.
-    Each group has its seed's one scaffold, so the schedule is static."""
+    Each group has its seed's one scaffold, so the schedule is static, and
+    the mode is lottalora, the one whose frozen layers a seed draws."""
+    if model_cfg.mode != "lottalora":
+        raise ConfigError(f"seed gating requires lottalora mode, got mode={model_cfg.mode!r}")
     if train_cfg.resample != "static":
         raise ConfigError(f"seed gating trains on static scaffolds only, got resample={train_cfg.resample!r}")
     _require_rows(test_dataset)
@@ -371,13 +376,17 @@ def seed_gated_train(
     shuffle = derive_stream(partition.seeds[0], 0, DrawKind.DATA_SHUFFLE)
 
     views = [partition.training_view(train_dataset, g) for g in range(len(partition.groups))]
-    # the first group's scaffold is the build's; every other group's is
-    # drawn on its first swap, and each is reinstalled after
-    drawn = {partition.seeds[0]: model._scaffold()}
-    segments = [
-        (view, lambda _epoch, seed=seed: model.swap_seed_backbones(seed, drawn))
-        for view, seed in zip(views, partition.seeds)
-    ]
+    # one scaffold per distinct seed, the first seed's the build's
+    scaffolds = {partition.seeds[0]: [(layer.backbone, layer.frozen_bias) for layer in model.lotta_layers()]}
+    for seed in partition.seeds:
+        if seed not in scaffolds:
+            scaffolds[seed] = draw_scaffold(cfg, spec.family, seed)[1]
+
+    def install(seed):
+        for layer, frozen in zip(model.lotta_layers(), scaffolds[seed]):
+            layer.set_backbone(*frozen)
+
+    segments = [(view, lambda _epoch, seed=seed: install(seed)) for view, seed in zip(views, partition.seeds)]
     for _ in _train_loop(model, train_cfg, segments, shuffle):
         pass  # nothing to record between epochs
 
@@ -386,7 +395,7 @@ def seed_gated_train(
     non_assigned = []
     ooc0 = []
     for g in range(len(partition.groups)):
-        model.swap_seed_backbones(partition.seeds[g], drawn)
+        install(partition.seeds[g])
         preds = np.concatenate([logits.argmax(axis=1) for logits, _ in _eval_chunks(model, test_dataset)])
         counts = np.zeros((10, num_classes), dtype=np.int64)
         for digit in range(10):

@@ -266,6 +266,46 @@ def test_malformed_config_file_is_config_error(tmp_path, capsys, text):
     assert not (tmp_path / "m.ltlr").exists()
 
 
+@pytest.mark.parametrize("command,config", [
+    ("pack", {"output": 5}),
+    ("pack", {"family": ["normal"]}),
+    ("pack", {"full": "false"}),
+    ("pack", {"layernorm": 1}),
+    ("pack", {"family_param": "sigma=0.5"}),
+    ("seedgate", {"ooc": "false"}),
+    ("seedgate", {"data_dir": None}),
+])
+def test_a_config_value_of_another_json_kind_than_its_flags_is_config_error(command, config, tmp_path, capsys,
+                                                                            monkeypatch):
+    # a string "false" is truthy, and a number is no path
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("LOTTALORA_DATA_DIR", raising=False)
+    path = tmp_path / "conf.json"
+    path.write_text(json.dumps(config))
+    assert run([command, "--preset", "tiny", "--config", str(path)]) == EXIT_CODES["config"]
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config" and repr(next(iter(config))) in err["message"]
+    assert os.listdir(tmp_path) == ["conf.json"]
+
+
+@pytest.mark.parametrize("params", [
+    {"family_param": ["sigma1=0.07"], "family.sigma2": 0.4},
+    {"family.sigma2": 0.4, "family_param": ["sigma1=0.07"]},  # a later list keeps the dotted key
+])
+def test_a_config_file_sets_a_switch_a_path_and_family_params(params, tmp_path, capsys):
+    path = tmp_path / "m.ltlr"
+    config = tmp_path / "conf.json"
+    config.write_text(json.dumps({"layernorm": True, "full": False, "output": str(path),
+                                  "family": "gaussian_mixture", **params}))
+    assert run(["pack", "--preset", "tiny", "--config", str(config)]) == 0
+    capsys.readouterr()
+    run(["unpack", str(path)])
+    header = json.loads(capsys.readouterr().out)["header"]
+    assert (header["model"]["layernorm"], header["model"]["mode"]) == (True, "lottalora")
+    family_params = header["backbone"]["family"]["params"]
+    assert (family_params["sigma1"], family_params["sigma2"]) == (0.07, 0.4)
+
+
 @requires_mnist
 def test_metalora_command_short(tmp_path, capsys, mnist_dir):
     out = tmp_path / "meta"

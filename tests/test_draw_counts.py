@@ -3,18 +3,21 @@
 A build draws each frozen layer once.  Training then redraws at every
 redraw point of its schedule but the run's first: per_epoch from the
 second epoch on, per_batch/microbatch before every sub-batch but the
-run's first; seed gating draws each group's scaffold once.  The counts
+run's first; seed gating draws each distinct seed's scaffold once.  The counts
 are pinned for a ``tiny`` model (two frozen layers) on 600 rows: a 540-row
 training split in five batches of at most 128, over two epochs.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import lottalora.model as model_mod
+import lottalora.train as train_mod
 from lottalora.artifact import pack, reconstruct, unpack
 from lottalora.data import make_partition, synthetic_blobs
-from lottalora.errors import FormatError
+from lottalora.errors import ConfigError, FormatError
 from lottalora.model import BackboneSpec, ModelConfig, build_model
 from lottalora.train import TrainConfig, seed_gated_train, train_run
 
@@ -69,6 +72,25 @@ def test_seed_gating_draws_each_groups_scaffold_once(draws):
     partition = make_partition([{0, 1, 2, 3, 4}, {5, 6, 7, 8, 9}], [42, 43])
     seed_gated_train(partition, TINY, TrainConfig(epochs=2, batch_size=128), train, test)
     assert len(draws) == 4
+
+
+def test_a_partition_that_repeats_a_seed_draws_its_scaffold_once(draws):
+    train, test = blobs()
+    partition = make_partition([{0, 1, 2}, {3, 4, 5}, {6, 7, 8, 9}], [42, 43, 42])
+    seed_gated_train(partition, TINY, TrainConfig(epochs=2, batch_size=128), train, test)
+    assert len(draws) == 4
+
+
+def test_seed_gating_refuses_full_training_before_it_builds_or_draws(draws, monkeypatch):
+    def no_build(*args):
+        raise AssertionError("built a model")
+
+    monkeypatch.setattr(train_mod, "build_model", no_build)
+    train, test = blobs()
+    partition = make_partition([{0, 1, 2, 3, 4}, {5, 6, 7, 8, 9}], [42, 43])
+    with pytest.raises(ConfigError, match="lottalora mode"):
+        seed_gated_train(partition, replace(TINY, mode="full_training"), TrainConfig(epochs=2), train, test)
+    assert draws == []
 
 
 def test_a_reconstruct_refused_on_its_tensor_table_draws_nothing(draws):

@@ -4,6 +4,7 @@ import pytest
 from lottalora.errors import ConfigError
 from lottalora.initfam import BackboneMatrix, InitFamily, draw_matrix
 from lottalora.layers import AdapterState, LottaLayer, init_adapter
+from lottalora.model import BackboneSpec, ModelConfig, build_model
 from lottalora.numerics import softmax
 from lottalora.prng import DrawKind, Stream, derive_stream
 from helpers import effective_weight, spectral_norm
@@ -132,8 +133,15 @@ def test_init_adapter_rejects_a_rank_that_is_not_an_integer(rank):
         init_adapter(rank, 8, 8, 1.0, "standard", Stream(1))
 
 
+def model_layer(use_ln=False):
+    """A one-hidden-layer model and its 32 -> 16 hidden LottaLayer."""
+    cfg = ModelConfig(preset=None, hidden_dims=(16,), input_dim=32, num_classes=4, rank=4, layernorm=use_ln)
+    model = build_model(cfg, BackboneSpec.from_config(cfg, 42))
+    return model, model.hidden[0]
+
+
 def test_backbone_frozen_under_gradient_step():
-    layer = make_layer()
+    model, layer = model_layer()
     before = layer.backbone.data.tobytes()
     x = np.random.default_rng(8).standard_normal((8, 32)).astype(np.float32)
     cache = {}
@@ -142,17 +150,19 @@ def test_backbone_frozen_under_gradient_step():
     g[:, 0] -= 1.0
     g /= 8.0
     assert layer.backward(g.astype(np.float32), cache).shape == x.shape
-    # the gradient reaches exactly the trainables; the backbone has no slot
-    assert [n for n, p in layer.trainable() if p.grad is not None] == ["A", "B", "beta"]
-    for _, p in layer.trainable():
+    # the gradient reaches exactly the layer's trainables; the backbone has no slot
+    graded = [(n, p) for n, p in model.trainable_params() if p.grad is not None]
+    assert [n for n, _ in graded] == ["layer0.A", "layer0.B", "layer0.beta"]
+    for _, p in graded:
         p.data -= 0.1 * p.grad
     assert layer.backbone.data.tobytes() == before
 
 
 def test_layernorm_path_has_trainable_affine():
-    layer = make_layer(use_ln=True)
-    names = [n for n, _ in layer.trainable()]
-    assert names == ["A", "B", "beta", "ln_gamma", "ln_bias"]
+    model, layer = model_layer(use_ln=True)
+    named = [(n, t) for n, t in model.trainable_params() if n.startswith("layer0.")]
+    assert [n for n, _ in named] == ["layer0.A", "layer0.B", "layer0.beta", "layer0.ln_gamma", "layer0.ln_bias"]
+    assert all(t is mine for (_, t), mine in zip(named, layer.trainable(), strict=True))
     x = np.random.default_rng(9).standard_normal((4, 32)).astype(np.float32)
     out = layer.forward(x)
     # unit-affine LayerNorm output has near-zero row means

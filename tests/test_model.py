@@ -9,7 +9,7 @@ from lottalora.artifact import pack
 from lottalora.errors import ConfigError, DataError, DimensionError
 from lottalora.initfam import FAMILY_NAMES, InitFamily
 from lottalora.layers import LottaLayer
-from lottalora.model import BackboneSpec, ModelConfig, build_model
+from lottalora.model import BackboneSpec, ModelConfig, build_model, draw_scaffold
 from lottalora.train import TrainConfig
 
 from conftest import peak_bytes
@@ -321,46 +321,17 @@ def test_resample_changes_backbones_deterministically():
     assert b.backbone_hashes() == once  # continuing streams are deterministic
 
 
-def test_swap_seed_backbones_matches_fresh_build():
-    model = build("tiny", seed=42)
-    model.swap_seed_backbones(43, {})
-    assert model.backbone_hashes() == build("tiny", seed=43).backbone_hashes()
-    model.swap_seed_backbones(42, {})
-    assert model.backbone_hashes() == build("tiny", seed=42).backbone_hashes()
-
-
-def test_a_reinstalled_seed_scaffold_matches_a_fresh_swap():
-    model, fresh = build("tiny", seed=42), build("tiny", seed=42)
-    drawn = {}
-    for seed in (43, 44, 43):
-        model.swap_seed_backbones(seed, drawn)
-        fresh.swap_seed_backbones(seed, {})
-        assert model.backbone_hashes() == fresh.backbone_hashes()
-        assert [(s.state, s._gauss_cache) for s in model._backbone_streams] == \
-            [(s.state, s._gauss_cache) for s in fresh._backbone_streams]
-    # the second swap to 43 reinstalled the arrays its first swap drew
-    assert sorted(drawn) == [43, 44]
-    for layer, (matrix, bias) in zip(model.lotta_layers(), drawn[43][1]):
-        assert layer.backbone is matrix and layer.frozen_bias is bias
-    # a redraw after a reinstall continues the seed's streams, and leaves the stored arrays alone
-    model.resample_backbones()
-    fresh.resample_backbones()
-    assert model.backbone_hashes() == fresh.backbone_hashes()
-    model.swap_seed_backbones(43, drawn)
-    assert model.backbone_hashes() == build("tiny", seed=43).backbone_hashes()
-
-
-def test_the_builds_scaffold_is_what_a_first_swap_to_its_seed_draws():
-    model, swapped = build("tiny", seed=42), build("tiny", seed=7)
-    drawn = {}
-    swapped.swap_seed_backbones(42, drawn)
-    (streams, frozen), (fresh_streams, fresh_frozen) = model._scaffold(), drawn[42]
-    assert [(s.state, s._gauss_cache) for s in streams] == [(s.state, s._gauss_cache) for s in fresh_streams]
-    for (matrix, bias), (fresh_matrix, fresh_bias) in zip(frozen, fresh_frozen):
-        assert matrix.data.tobytes() == fresh_matrix.data.tobytes() and bias.tobytes() == fresh_bias.tobytes()
-    # the entry holds copies of the streams, so a redraw leaves it as it was
-    model.resample_backbones()
-    assert streams[0].state != model._backbone_streams[0].state
+@pytest.mark.parametrize("kw", [dict(), dict(head_mode="lora", frozen_bias=False),
+                                dict(zero_scaffold=True, b_init="kaiming"), dict(mode="full_training")])
+def test_the_builds_scaffold_is_what_draw_scaffold_gives_its_seed(kw):
+    model = build("tiny", seed=42, **kw)
+    streams, frozen = draw_scaffold(model.cfg, NORMAL_01, 42)
+    assert len(frozen) == len(model.lotta_layers()) == model.cfg.n_lotta()
+    assert [(s.state, s._gauss_cache) for s in streams] == \
+        [(s.state, s._gauss_cache) for s in model._backbone_streams]
+    for layer, (matrix, bias) in zip(model.lotta_layers(), frozen):
+        assert matrix.data.tobytes() == layer.backbone.data.tobytes()
+        assert (bias is None and layer.frozen_bias is None) or bias.tobytes() == layer.frozen_bias.tobytes()
 
 
 def test_a_model_is_free_of_reference_cycles():
@@ -373,14 +344,6 @@ def test_a_model_is_free_of_reference_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
-
-
-def test_adapters_survive_backbone_swaps():
-    model = build("tiny", seed=42)
-    model.hidden[0].adapter.b.data[:] = 1.0
-    before = model.hidden[0].adapter.b.data.copy()
-    model.swap_seed_backbones(44, {})
-    assert np.array_equal(model.hidden[0].adapter.b.data, before)
 
 
 def test_lora_head_uses_frozen_random_matrix():

@@ -8,7 +8,8 @@ from lottalora.data import make_partition, split_train_val, synthetic_blobs
 from lottalora.errors import ConfigError, DataError, RunError
 from lottalora.initfam import InitFamily
 from lottalora import model as model_module
-from lottalora.model import BackboneSpec, Model, ModelConfig, build_model
+from lottalora import train as train_module
+from lottalora.model import BackboneSpec, ModelConfig, build_model
 from lottalora.numerics import softmax_xent, tensor
 from lottalora.prng import DrawKind, derive_stream
 from lottalora.train import (
@@ -548,14 +549,39 @@ def test_seed_gating_draws_each_group_scaffold_once(monkeypatch):
     assert sorted(drawn) == [0, 0, 0, 1, 1, 1]
 
 
-def test_seed_gating_with_reused_scaffolds_matches_redrawing_them(monkeypatch):
-    reused = gate_three_groups(epochs=3)
-    swap = Model.swap_seed_backbones
-    monkeypatch.setattr(Model, "swap_seed_backbones", lambda model, seed, drawn: swap(model, seed, {}))
-    redrawn = gate_three_groups(epochs=3)
-    for field_name in ("assigned_accuracy", "non_assigned_accuracy", "ooc_digit0_rate"):
-        assert getattr(reused, field_name) == getattr(redrawn, field_name)
-    assert all(a.tobytes() == b.tobytes() for a, b in zip(reused.confusion, redrawn.confusion))
+@pytest.mark.parametrize("head_mode", ["full", "lora"])
+def test_each_group_trains_and_evaluates_on_a_fresh_build_of_its_seed(head_mode, monkeypatch):
+    # three groups, the last reusing the first one's seed
+    full = synthetic_blobs(450, 12, 3, 8.0, seed=2)
+    train, test = full.subset(np.arange(300), "train"), full.subset(np.arange(300, 450), "test")
+    seeds = [42, 43, 42]
+    cfg = blob_model_cfg(input_dim=12, num_classes=10, dropout=0.2, head_mode=head_mode)
+    expected = [build_model(cfg, BackboneSpec.from_config(cfg, seed)).backbone_hashes() for seed in seeds]
+    trained, evaluated = [], []
+    loop, eval_chunks = train_module._train_loop, train_module._eval_chunks
+
+    def watched_loop(model, tcfg, segments, shuffle):
+        def watch(g, prepare):
+            def run(epoch):
+                before = [p.data.copy() for _, p in model.trainable_params()]
+                prepare(epoch)
+                # a scaffold swap leaves every adapter and the head as they were
+                assert all(np.array_equal(a, p.data) for a, (_, p) in zip(before, model.trainable_params()))
+                trained.append((epoch, g, model.backbone_hashes()))
+            return run
+        return loop(model, tcfg, [(data, watch(g, prepare)) for g, (data, prepare) in enumerate(segments)], shuffle)
+
+    def watched_eval(model, dataset):
+        evaluated.append(model.backbone_hashes())
+        return eval_chunks(model, dataset)
+
+    monkeypatch.setattr(train_module, "_train_loop", watched_loop)
+    monkeypatch.setattr(train_module, "_eval_chunks", watched_eval)
+    seed_gated_train(make_partition([{0}, {1}, {2}], seeds), cfg, quick_train_cfg(epochs=2), train, test)
+    assert [(epoch, g) for epoch, g, _ in trained] == [(e, g) for e in range(2) for g in range(3)]
+    assert [hashes for _, _, hashes in trained] == expected * 2
+    assert evaluated == expected
+    assert expected[0] != expected[1]
 
 
 # -- beta summary -------------------------------------------------------------------
