@@ -12,13 +12,15 @@ The header JSON carries the generator tag, the backbone spec (seed,
 family, layer shapes), the model config, and free-form extras.  The
 decoded payload is every trainable tensor, row-major, back to back in
 canonical parameter order: f32 under version 1, f16 under versions 2 to 4.
-Versions 1 to 3 list each tensor's name, shape and decoded payload extent
-in a tensor table.  Version 2 stores the f16 values as they are.
+In every version the header's model config names the tensors and their
+shapes (``ModelConfig.trainable_layout``).  Versions 1 to 3 also store
+that layout as a tensor table of each tensor's name, shape and decoded
+payload extent (``_table``), which a reader derives and compares byte for
+byte instead of parsing.  Version 2 stores the f16 values as they are.
 Versions 3 and 4 store them as one zlib stream that inflates to two byte
 planes, every value's low byte and then every value's high byte.
-Version 4 has no table: the header's model config names the tensors and
-their shapes (``ModelConfig.trainable_layout``), and its header length is
-that of the header JSON inflated.  The CRC-32 covers every byte before it.
+Version 4 has no table, and its header length is that of the header JSON
+inflated.  The CRC-32 covers every byte before it.
 Backbone matrices are never serialized.
 
 ``pack`` writes version 4 exactly when every trainable value survives
@@ -99,6 +101,19 @@ def _table_entry(name: str, shape: tuple, offset: int, nbytes: int) -> bytes:
     offset and size (u64 each)."""
     encoded = name.encode("utf-8")
     return struct.pack(f"<H{len(encoded)}sB{len(shape)}IQQ", len(encoded), encoded, len(shape), *shape, offset, nbytes)
+
+
+def _table(entries: list, dtype: np.dtype) -> bytes:
+    """The version 1 to 3 tensor table of the ``(name, shape)`` tensors
+    ``entries``, packed back to back at ``dtype``'s bytes a value: their
+    count (u32), then each tensor's ``_table_entry``."""
+    table = [struct.pack("<I", len(entries))]
+    offset = 0
+    for name, shape in entries:
+        nbytes = dtype.itemsize * math.prod(shape)
+        table.append(_table_entry(name, shape, offset, nbytes))
+        offset += nbytes
+    return b"".join(table)
 
 
 def _deflate_planes(raw: bytes, sizes: list[int]) -> bytes:
@@ -184,12 +199,9 @@ def pack(model: Model, extra: dict | None = None) -> bytes:
         body = (MAGIC + struct.pack("<HI", 4, len(header_bytes)) + zlib.compress(header_bytes, 9)
                 + _deflate_planes(raw, [data.size for _, data in tensors]))
     else:
-        table = bytearray(struct.pack("<I", len(tensors)))
-        payload = bytearray()
-        for name, data in tensors:
-            table += _table_entry(name, data.shape, len(payload), data.nbytes)
-            payload += data.tobytes()
-        body = MAGIC + struct.pack("<HI", 1, len(header_bytes)) + header_bytes + bytes(table) + bytes(payload)
+        body = (MAGIC + struct.pack("<HI", 1, len(header_bytes)) + header_bytes
+                + _table(model.cfg.trainable_layout(), PAYLOAD_DTYPES[1])
+                + b"".join(data.tobytes() for _, data in tensors))
     return body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
 
 
@@ -199,15 +211,13 @@ def unpack(blob: bytes) -> tuple[dict, dict]:
     Version 1 payloads are f32; version 2 to 4 payloads are f16, widened
     to f32 exactly, and versions 3 and 4 first inflate and re-interleave
     their byte planes.  Every malformed blob raises ``FormatError``,
-    ``IntegrityError`` or ``IncompatibilityError``.  In versions 1 to 3
-    each table read is bounds-checked against the CRC, the tensors must
-    tile the decoded payload back to back, at the version's bytes a value,
-    and the decoded payload must end where the last tensor does.  Version
-    4 inflates its header to exactly the declared length, with the bytes
-    after that stream its payload stream, and takes the tensors from the
-    header's model config, whose payload must fill the planes exactly.
-    No stream may declare more than ``MAX_INFLATE_RATIO`` times the bytes
-    stored.
+    ``IntegrityError`` or ``IncompatibilityError``.  Version 4 inflates
+    its header to exactly the declared length, with the bytes after that
+    stream its payload stream.  Every version takes the tensors from the
+    header's model config, whose decoded payload must be exactly the
+    file's; in versions 1 to 3 the stored tensor table must be the one
+    ``_table`` encodes for that config, byte for byte.  No stream may
+    declare more than ``MAX_INFLATE_RATIO`` times the bytes stored.
     """
     header, tensors, _ = _read(blob)
     return header, tensors
@@ -228,22 +238,15 @@ def _read(blob: bytes) -> tuple[dict, dict, dict]:
     if zlib.crc32(blob[:end]) & 0xFFFFFFFF != stored_crc:
         raise IntegrityError("artifact checksum mismatch; the file is corrupt")
 
-    pos = 10
-
-    def take(size: int, what: str) -> bytes:
-        nonlocal pos
-        if size > end - pos:
-            raise FormatError(f"artifact truncated: {what} at byte {pos} runs past the payload end {end}")
-        pos += size
-        return blob[pos - size:pos]
-
     if version == 4:
-        header_json, payload = _inflate(blob[pos:end], header_len, "version 4 header")
+        header_json, payload = _inflate(blob[10:end], header_len, "version 4 header")
         if len(header_json) != header_len:
             raise FormatError(f"version 4 header inflates to {len(header_json)} bytes; "
                               f"the artifact declares {header_len}")
+    elif header_len > end - 10:
+        raise FormatError(f"artifact truncated: the {header_len}-byte header runs past the payload end {end}")
     else:
-        header_json = take(header_len, "header")
+        header_json = blob[10:10 + header_len]
     try:
         header = json.loads(header_json.decode("utf-8"))
     except (ValueError, RecursionError) as err:  # ValueError covers UnicodeDecodeError and JSONDecodeError
@@ -258,14 +261,21 @@ def _read(blob: bytes) -> tuple[dict, dict, dict]:
             f"artifact was generated with {header.get('algorithm_id')!r}; this build expects {ALGORITHM_ID!r}"
         )
 
-    if version == 4:
-        entries = _header_config(header).trainable_layout()
-        payload_len = dtype.itemsize * sum(math.prod(shape) for _, shape in entries)
-        table_len = 0
-    else:
-        entries, payload_len = _read_table(take, dtype, version)
-        table_len = pos - 10 - header_len
-        payload = blob[pos:end]
+    entries = _header_config(header).trainable_layout()
+    payload_len = dtype.itemsize * sum(math.prod(shape) for _, shape in entries)
+    table_len = 0
+    if version < 4:
+        try:
+            table = _table(entries, dtype)
+        except struct.error as err:  # a dimension or extent past the table's u32 and u64 fields
+            raise FormatError(f"the artifact's model config declares a tensor no tensor table can describe: "
+                              f"{err}") from err
+        table_len = len(table)
+        if not blob.startswith(table, 10 + header_len, end):
+            raise FormatError(f"the tensor table is not the table of the {len(entries)} tensors its header's "
+                              f"model config declares, packed back to back at {dtype.itemsize} bytes a value "
+                              f"(format version {version})")
+        payload = blob[10 + header_len + table_len:end]
     sizes = {
         "format_version": version,
         "bytes": len(blob),
@@ -289,35 +299,6 @@ def _read(blob: bytes) -> tuple[dict, dict, dict]:
         tensors[name] = values[start:start + size].reshape(shape).astype(np.float32)
         start += size
     return header, tensors, sizes
-
-
-def _read_table(take, dtype: np.dtype, version: int) -> tuple[list, int]:
-    """A version 1 to 3 tensor table, read through ``unpack``'s bounded
-    ``take``: its ``(name, shape)`` entries and the decoded payload bytes
-    they tile back to back."""
-    (count,) = struct.unpack("<I", take(4, "tensor count"))
-    entries = []
-    payload_len = 0
-    for _ in range(count):
-        (name_len,) = struct.unpack("<H", take(2, "tensor name length"))
-        try:
-            name = take(name_len, "tensor name").decode("utf-8")
-        except UnicodeDecodeError as err:
-            raise FormatError(f"the name of tensor {len(entries)} is not UTF-8: {err}") from err
-        (ndim,) = struct.unpack("<B", take(1, f"ndim of {name!r}"))
-        shape = struct.unpack(f"<{ndim}I", take(4 * ndim, f"shape of {name!r}"))
-        offset, nbytes = struct.unpack("<QQ", take(16, f"extent of {name!r}"))
-        if offset != payload_len or nbytes != dtype.itemsize * math.prod(shape):
-            raise FormatError(
-                f"tensor {name!r} has extent ({offset}, {nbytes}); expected ({payload_len}, "
-                f"{dtype.itemsize * math.prod(shape)}) for shape {shape} packed back to back "
-                f"at {dtype.itemsize} bytes a value (format version {version})"
-            )
-        payload_len += nbytes
-        entries.append((name, shape))
-    if len({name for name, _ in entries}) != len(entries):
-        raise FormatError("artifact tensor table repeats a tensor name")
-    return entries, payload_len
 
 
 def describe(blob: bytes) -> dict:

@@ -136,7 +136,8 @@ def _config_defaults(parser: argparse.ArgumentParser, path: str) -> dict:
     other value must have its flag's JSON kind: a boolean for a store_true
     flag, a list of strings for --family-param, a string otherwise."""
     config = _read_json(path, "config file")
-    actions = {action.dest: action for action in parser._actions}
+    # --config and --help name no setting, so they are unknown keys too
+    actions = {action.dest: action for action in parser._actions if action.dest not in ("config", "help")}
     defaults = {}
     for key, value in config.items():
         if key.startswith("family."):

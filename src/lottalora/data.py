@@ -20,6 +20,7 @@ from __future__ import annotations
 import gzip
 import os
 import struct
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,8 +117,11 @@ def _read_idx_file(data_dir: str, stem: str) -> bytes:
         path = os.path.join(data_dir, name)
         if os.path.exists(path):
             if name.endswith(".gz"):
-                with gzip.open(path, "rb") as fh:
-                    return fh.read()
+                try:
+                    with gzip.open(path, "rb") as fh:
+                        return fh.read()
+                except (EOFError, zlib.error, gzip.BadGzipFile) as err:
+                    raise ParseError(f"{path} is not a valid gzip file: {err}") from err
             with open(path, "rb") as fh:
                 return fh.read()
     raise DataError(f"missing MNIST file {stem}[.gz] in {data_dir}")

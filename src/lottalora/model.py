@@ -11,6 +11,7 @@ from it, and ``ModelConfig.trainable_layout`` names the trainable tensors.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass, field
@@ -29,6 +30,11 @@ PRESETS = {
     "medium": (512, 256, 128, 64),
     "large": (1024, 512, 256, 128, 64),
 }
+
+# A config is also read from an artifact's header, and its tensor layout,
+# tensor table and scaffold grow with its depth, so a few bytes of deflated
+# header must not declare a million layers; the presets use 2 to 5.
+MAX_HIDDEN_LAYERS = 1024
 
 HEAD_MODES = ("full", "lora", "lora_bias")
 MODES = ("lottalora", "full_training")
@@ -134,7 +140,10 @@ class ModelConfig:
         if self.hidden_dims is not None:
             if not isinstance(self.hidden_dims, Iterable):
                 raise ConfigError(f"hidden_dims must be a sequence of integers, got {self.hidden_dims!r}")
-            object.__setattr__(self, "hidden_dims", tuple(integer(d, "hidden_dims") for d in self.hidden_dims))
+            dims = tuple(itertools.islice(self.hidden_dims, MAX_HIDDEN_LAYERS + 1))
+            if len(dims) > MAX_HIDDEN_LAYERS:
+                raise ConfigError(f"hidden_dims may list at most {MAX_HIDDEN_LAYERS} layers")
+            object.__setattr__(self, "hidden_dims", tuple(integer(d, "hidden_dims") for d in dims))
         elif self.preset not in PRESETS:
             raise ConfigError(f"unknown preset {self.preset!r}; expected one of {sorted(PRESETS)}")
         if self.mode not in MODES:

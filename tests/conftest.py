@@ -1,4 +1,5 @@
 import gc
+import gzip
 import os
 import struct
 import tracemalloc
@@ -71,6 +72,18 @@ def write_fake_idx(path, n_train=400, n_test=100, classes=10, side=28):
         with open(os.path.join(path, MNIST_FILES[f"{split}_labels"]), "wb") as fh:
             fh.write(struct.pack(">II", 0x801, len(labels)) + labels.tobytes())
     return str(path)
+
+
+def spoil_as_gz(data_dir, key, spoil):
+    """Replace ``data_dir``'s raw MNIST file ``key`` with its gzip after
+    ``spoil`` (bytes -> bytes) edits it; returns the new file's path."""
+    raw_path = os.path.join(data_dir, MNIST_FILES[key])
+    with open(raw_path, "rb") as fh:
+        raw = fh.read()
+    os.remove(raw_path)
+    with open(raw_path + ".gz", "wb") as fh:
+        fh.write(spoil(gzip.compress(raw, mtime=0)))
+    return raw_path + ".gz"
 
 
 @pytest.fixture(scope="session")

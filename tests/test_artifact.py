@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import re
@@ -9,11 +10,11 @@ import numpy as np
 import pytest
 
 from lottalora.artifact import (F16_MAX, FORMAT_VERSION, MAGIC, MAX_INFLATE_RATIO, PAYLOAD_DTYPES, _byte_planes,
-                                _deflate_planes, _table_entry, describe, load, pack, reconstruct, save,
+                                _deflate_planes, _table, describe, load, pack, reconstruct, save,
                                 to_shipping_precision, unpack)
 from lottalora.errors import FormatError, IncompatibilityError, IntegrityError
 from lottalora.initfam import InitFamily
-from lottalora.model import HEAD_MODES, PRESETS, BackboneSpec, ModelConfig, build_model
+from lottalora.model import HEAD_MODES, MAX_HIDDEN_LAYERS, PRESETS, BackboneSpec, ModelConfig, build_model
 from lottalora.prng import ALGORITHM_ID, Stream
 from lottalora.data import synthetic_blobs
 from lottalora.train import TrainConfig, train_run
@@ -109,11 +110,7 @@ def pack_v3(model, extra=None) -> bytes:
               "extra": extra or {}}
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     tensors = f16_tensors(model)
-    table = struct.pack("<I", len(tensors))
-    offset = 0
-    for name, data in tensors:
-        table += _table_entry(name, data.shape, offset, data.nbytes)
-        offset += data.nbytes
+    table = _table(model.cfg.trainable_layout(), PAYLOAD_DTYPES[3])
     stream = _deflate_planes(b"".join(data.tobytes() for _, data in tensors), [data.size for _, data in tensors])
     return with_crc(MAGIC + struct.pack("<HI", 3, len(header_bytes)) + header_bytes + table + stream)
 
@@ -217,6 +214,15 @@ def test_the_first_v3_writers_fixture_repacks_to_todays_shorter_bytes():
     new = pack(reconstruct(*unpack(old)))
     assert new == pack(fixture_model())
     assert len(new) < len(pack_v3(fixture_model())) < len(old)
+
+
+def test_the_v2_and_v3_fixtures_hold_the_tables_their_headers_configs_give():
+    for path in (V2_FIXTURE, V3_FIXTURE):
+        blob = load(path)
+        header, _ = unpack(blob)
+        table = _table(ModelConfig(**header["model"]).trainable_layout(), PAYLOAD_DTYPES[version_of(blob)])
+        assert blob[table_start(blob):table_start(blob) + len(table)] == table
+        assert describe(blob)["table_bytes"] == len(table)
 
 
 def v3_stream(blob: bytes, model) -> bytes:
@@ -394,25 +400,29 @@ def zero_bomb(mib: int) -> bytes:
     return b"".join(deflater.compress(bytes(1 << 20)) for _ in range(mib)) + deflater.flush()
 
 
-def v3_blob_declaring(shape, stream: bytes) -> bytes:
-    """A CRC-valid version 3 blob whose table holds one f16 tensor of
-    ``shape``, with consistent extents, over ``stream``."""
-    prefix, _, _ = v3_parts()
-    table = struct.pack("<IH", 1, 1) + b"x" + struct.pack(f"<B{len(shape)}I", len(shape), *shape)
-    table += struct.pack("<QQ", 0, 2 * int(np.prod(shape, dtype=object)))
-    return with_crc(prefix[:table_start(prefix)] + table + stream)
+def v3_blob_declaring(model: dict, stream: bytes) -> bytes:
+    """A CRC-valid version 3 blob whose header declares the model config
+    ``model`` and whose table is that config's, over ``stream``."""
+    header, _ = unpack(load(V3_FIXTURE))
+    header["model"] = asdict(ModelConfig(**model))
+    raw = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    table = _table(ModelConfig(**model).trainable_layout(), PAYLOAD_DTYPES[3])
+    return with_crc(MAGIC + struct.pack("<HI", 3, len(raw)) + raw + table + stream)
 
 
 def test_a_v3_table_declaring_more_than_deflate_can_code_is_format_error():
-    # 2**63 decoded bytes is past what zlib's output limit can even express
+    # 2**63 + 2**61 + 4 decoded bytes, past what zlib's output limit can even
+    # express; the layer0.A of 2**30 x (2**32 - 1) values alone is 2**63 - 2**31
     _, stream, _ = v3_parts()
+    model = dict(preset=None, input_dim=2**32 - 1, hidden_dims=[2**30], num_classes=1, rank=2**30)
     with pytest.raises(FormatError, match="more than deflate can code"):
-        unpack(v3_blob_declaring((2**31, 2**31), stream))
+        unpack(v3_blob_declaring(model, stream))
 
 
 def test_an_oversized_v3_table_over_a_bomb_is_refused_before_inflating():
     # 1 GiB declared over a 64 MiB bomb: past deflate's ratio for the bytes stored
-    blob = v3_blob_declaring((2**29,), zero_bomb(64))
+    model = dict(preset=None, input_dim=2**29, hidden_dims=[1], num_classes=1, rank=1)
+    blob = v3_blob_declaring(model, zero_bomb(64))
 
     def attempt():
         with pytest.raises(FormatError, match="more than deflate can code"):
@@ -626,6 +636,25 @@ def test_a_v4_header_declaring_a_model_past_the_ratio_bound_is_refused_before_in
     assert peak < 1 << 20
 
 
+def test_a_small_v4_header_declaring_a_million_hidden_layers_is_refused_at_the_layer_bound():
+    # about 2.3 KB stored: the header's 2 MB of JSON deflates a thousandfold
+    header, _ = unpack(pack(trained_tiny_r1()))
+    header["model"].update(preset=None, hidden_dims=[1] * 1_000_000)
+    header["backbone"]["layer_shapes"] = []
+    raw = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    blob = v4_blob(zlib.compress(raw, 9), bytes(16))
+    assert len(blob) < 2400
+
+    def attempt():
+        with pytest.raises(FormatError, match=f"at most {MAX_HIDDEN_LAYERS} layers"):
+            unpack(blob)
+
+    # inflating and parsing the header costs about 12 MiB; a layout of a
+    # million layers cost over 600 MiB
+    peak, _ = peak_bytes(attempt)
+    assert peak < 24 << 20
+
+
 @pytest.mark.parametrize("cut", [1, 4, 100, 2000])
 def test_a_truncated_v4_payload_stream_is_format_error(cut):
     header, payload, _ = fixture_v4_parts()
@@ -667,11 +696,16 @@ def test_any_one_zlib_stream_over_the_header_and_the_planes_reads_as_version_4()
     assert same_bits(unpack(blob)[1], unpack(load(V4_FIXTURE))[1])
 
 
-def test_a_trained_tiny_r1_model_is_at_least_a_tenth_smaller_as_v4_than_as_v3():
+@functools.cache
+def trained_tiny_r1():
     full = synthetic_blobs(300, 784, 10, 6.0, seed=1)
     train, test = full.subset(np.arange(200), "train"), full.subset(np.arange(200, 300), "test")
     cfg = ModelConfig(preset="tiny", rank=1)
-    model = train_run(cfg, BackboneSpec.from_config(cfg, 3), TrainConfig(epochs=1, batch_size=64), train, test).model
+    return train_run(cfg, BackboneSpec.from_config(cfg, 3), TrainConfig(epochs=1, batch_size=64), train, test).model
+
+
+def test_a_trained_tiny_r1_model_is_at_least_a_tenth_smaller_as_v4_than_as_v3():
+    model = trained_tiny_r1()
     v3, v4 = pack_v3(model), pack(model)
     assert version_of(v4) == 4 and len(v4) <= 0.9 * len(v3)
     assert unpack(v4)[0] == unpack(v3)[0] and same_bits(unpack(v4)[1], unpack(v3)[1])
@@ -799,9 +833,10 @@ def test_bogus_tensor_count_is_format_error():
 
 
 def test_non_utf8_tensor_name_is_format_error():
+    # a stored name is compared byte for byte with the one the header's config gives
     body = bytearray(pack(fresh_model())[:-4])
     body[table_start(body) + 4 + 2] = 0xFF
-    with pytest.raises(FormatError, match="UTF-8"):
+    with pytest.raises(FormatError, match="tensor table is not the table"):
         unpack(with_crc(bytes(body)))
 
 
@@ -828,6 +863,50 @@ def test_tensor_extent_must_match_its_shape():
     struct.pack_into("<Q", body, size_at, struct.unpack_from("<Q", body, size_at)[0] - 4)
     with pytest.raises(FormatError, match="back to back"):
         unpack(with_crc(bytes(body)))
+
+
+def table_of(model, itemsize: int) -> bytes:
+    """The tensor table of ``model``'s own trainable arrays, entry by entry,
+    as ``pack`` wrote it before the table was derived from the config."""
+    table, offset = struct.pack("<I", len(model.trainable_params())), 0
+    for name, t in model.trainable_params():
+        nbytes = itemsize * t.data.size
+        table += struct.pack(f"<H{len(name)}sB{t.data.ndim}IQQ", len(name), name.encode(), t.data.ndim,
+                             *t.data.shape, offset, nbytes)
+        offset += nbytes
+    return table
+
+
+@pytest.mark.parametrize("layernorm", [False, True])
+@pytest.mark.parametrize("head_mode", HEAD_MODES)
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_a_v1_pack_writes_the_table_its_config_gives(preset, head_mode, layernorm):
+    model = fresh_model(preset=preset, rank=4, head_mode=head_mode, layernorm=layernorm)
+    blob = pack(model)
+    table = _table(model.cfg.trainable_layout(), PAYLOAD_DTYPES[1])
+    assert version_of(blob) == 1 and table == table_of(model, 4)
+    assert blob[table_start(blob):table_start(blob) + len(table)] == table
+
+
+@pytest.mark.parametrize("edit", [
+    lambda h: h["model"].update(rank=4),
+    lambda h: h["model"].update(layernorm=True),
+    lambda h: h["model"].update(head_mode="lora"),
+    lambda h: h["model"].update(preset="small"),
+], ids=["rank", "layernorm", "head-mode", "preset"])
+def test_a_self_consistent_v1_table_of_another_architecture_than_its_header_is_format_error(edit):
+    # the rank 2 tiny model's table and payload, whole, under another model's header
+    with pytest.raises(FormatError, match="tensor table is not the table"):
+        unpack(reheader(pack(fresh_model(rank=2)), edit))
+
+
+@pytest.mark.parametrize("model", [
+    dict(preset=None, input_dim=2**32, hidden_dims=[1], rank=1),  # layer0.A's dims past a u32
+    dict(preset=None, input_dim=2**32 - 1, hidden_dims=[2**31], rank=2**31),  # extents past a u64
+], ids=["dim", "extent"])
+def test_a_v1_header_declaring_a_model_no_table_can_describe_is_format_error(model):
+    with pytest.raises(FormatError, match="no tensor table can describe"):
+        unpack(reheader(pack(fresh_model()), lambda h: h["model"].update(model)))
 
 
 # -- CRC-valid artifacts whose header fields are missing or mistyped ------------

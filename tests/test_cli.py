@@ -14,7 +14,7 @@ from lottalora.initfam import InitFamily
 from lottalora.model import BackboneSpec, ModelConfig, build_model
 from lottalora.train import TrainConfig
 
-from conftest import requires_mnist, write_fake_idx
+from conftest import requires_mnist, spoil_as_gz, write_fake_idx
 from test_artifact import V2_FIXTURE, V3_FIXTURE, V4_FIXTURE, reheader
 
 
@@ -256,6 +256,8 @@ def test_explicit_flag_beats_config_file(tmp_path, capsys):
     '[{"rank": 4}]',  # not an object
     '{"rank": "x"}',  # rejected by the flag's type
     '{"scaling": "wide"}',  # not one of the flag's choices
+    '{"config": "other.json"}',  # a config file never loads a second one
+    '{"help": true}',  # no setting
 ])
 def test_malformed_config_file_is_config_error(tmp_path, capsys, text):
     config = tmp_path / "conf.json"
@@ -532,6 +534,16 @@ def test_train_on_five_images_is_a_data_error(tmp_path, capsys):
                 "--data-dir", data_dir, "--out-dir", str(tmp_path / "run")])
     assert code == 4
     assert json.loads(capsys.readouterr().err)["error"] == "data"
+
+
+def test_train_on_a_truncated_gz_idx_file_is_a_parse_error(tmp_path, capsys):
+    data_dir = write_fake_idx(tmp_path / "idx", n_train=20, n_test=10)
+    path = spoil_as_gz(data_dir, "test_labels", lambda gz: gz[:-10])
+    code = run(["train", "--preset", "tiny", "--rank", "2", "--epochs", "1",
+                "--data-dir", data_dir, "--out-dir", str(tmp_path / "run")])
+    assert code == EXIT_CODES["parse"] == 4
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "parse" and path in err["message"]
 
 
 @pytest.mark.parametrize("flag,value", [("--lr", "-1"), ("--lr", "nan"), ("--weight-decay", "-5")])

@@ -1,4 +1,7 @@
+import gzip
+import re
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -15,7 +18,7 @@ from lottalora.data import (
 )
 from lottalora.prng import DrawKind, Stream, derive_stream
 
-from conftest import requires_mnist
+from conftest import requires_mnist, spoil_as_gz, write_fake_idx
 
 
 def build_label_buffer(labels):
@@ -198,3 +201,28 @@ def test_missing_dir_raises_data_error():
 
     with pytest.raises(DataError):
         load_mnist("/nonexistent/path")
+
+
+@pytest.mark.parametrize("spoil,cause", [
+    (lambda gz: gz[:len(gz) // 2], EOFError),
+    (lambda gz: gz[:20] + bytes([gz[20] ^ 0xFF]) + gz[21:], zlib.error),
+    (lambda gz: b"\0" + gz[1:], gzip.BadGzipFile),
+], ids=["truncated", "corrupt-deflate", "not-gzip"])
+def test_a_bad_gz_idx_file_is_a_parse_error_naming_it(tmp_path, spoil, cause):
+    from lottalora.data import load_mnist
+
+    data_dir = write_fake_idx(tmp_path / "idx", n_train=20, n_test=10)
+    path = spoil_as_gz(data_dir, "train_images", spoil)
+    with pytest.raises(ParseError, match=re.escape(path)) as exc:
+        load_mnist(data_dir)
+    assert isinstance(exc.value.__cause__, cause)
+
+
+def test_an_intact_gz_idx_file_loads_as_the_raw_one(tmp_path):
+    from lottalora.data import load_mnist
+
+    data_dir = write_fake_idx(tmp_path / "idx", n_train=20, n_test=10)
+    raw_train, _ = load_mnist(data_dir)
+    spoil_as_gz(data_dir, "train_images", lambda gz: gz)
+    train, _ = load_mnist(data_dir)
+    assert np.array_equal(train.images, raw_train.images)

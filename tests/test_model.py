@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import itertools
 from dataclasses import asdict
 
 import numpy as np
@@ -9,7 +10,7 @@ from lottalora.artifact import pack
 from lottalora.errors import ConfigError, DataError, DimensionError
 from lottalora.initfam import FAMILY_NAMES, InitFamily
 from lottalora.layers import LottaLayer
-from lottalora.model import BackboneSpec, ModelConfig, build_model, draw_scaffold
+from lottalora.model import MAX_HIDDEN_LAYERS, BackboneSpec, ModelConfig, build_model, draw_scaffold
 from lottalora.train import TrainConfig
 
 from conftest import peak_bytes
@@ -109,6 +110,15 @@ def test_rank_above_every_layer_width_is_rejected(rank):
 def test_a_rank_bound_too_long_to_print_still_raises_config_error():
     with pytest.raises(ConfigError, match=r"rank must lie in \[1, an integer of 16610 bits\]"):
         ModelConfig(preset=None, hidden_dims=(10**5000,), input_dim=10**5000, rank=0)
+
+
+def test_hidden_dims_may_list_at_most_the_layer_bound():
+    base = dict(preset=None, input_dim=3, num_classes=2, rank=1)
+    assert len(ModelConfig(**base, hidden_dims=[1] * MAX_HIDDEN_LAYERS).layer_shapes()) == MAX_HIDDEN_LAYERS + 1
+    for dims in ([1] * (MAX_HIDDEN_LAYERS + 1), ["x"] * 1_000_000, itertools.repeat(1)):
+        # refused before any layer is checked, and an endless iterable is never drawn to its end
+        with pytest.raises(ConfigError, match=f"at most {MAX_HIDDEN_LAYERS} layers"):
+            ModelConfig(**base, hidden_dims=dims)
 
 
 @pytest.mark.parametrize("dims", [
