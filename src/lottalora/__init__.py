@@ -6,7 +6,7 @@ from .artifact import pack, reconstruct, unpack
 from .cost import ARCHS, TransformerArch, cost_report, rank_star
 from .data import Dataset, load_mnist, make_partition, synthetic_blobs
 from .initfam import FAMILY_NAMES, BackboneMatrix, InitFamily, draw_matrix
-from .layers import AdapterState, LottaLayer, init_adapter
+from .layers import LottaLayer, init_adapter
 from .model import BackboneSpec, Model, ModelConfig, build_model
 from .prng import ALGORITHM_ID, DrawKind, Stream, derive_stream
 from .train import AdamW, RunMetrics, TrainConfig, beta_summary, cosine_lr, seed_gated_train, train_run
@@ -17,7 +17,6 @@ __all__ = [
     "ALGORITHM_ID",
     "ARCHS",
     "AdamW",
-    "AdapterState",
     "BackboneMatrix",
     "BackboneSpec",
     "Dataset",

@@ -21,6 +21,7 @@ import gzip
 import os
 import struct
 import zlib
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,15 +85,22 @@ class Dataset:
         return Dataset(self._source, labels, self.split, self.rows)
 
 
-def parse_idx(raw: bytes):
+_KINDS = {LABELS_MAGIC: "labels", IMAGES_MAGIC: "images"}
+
+
+def parse_idx(raw: bytes, expect: int | None = None):
     """Parse one IDX buffer.
 
     Labels (magic 0x801) come back as an int64 vector; images (magic
     0x803) as a normalized float32 matrix flattened to [n, rows*cols].
+    Given ``expect``, any other magic than that one is a ParseError.
     """
     if len(raw) < 8:
         raise ParseError("IDX buffer too short for magic/count header", offset=len(raw))
     (magic,) = struct.unpack_from(">I", raw, 0)
+    if expect is not None and magic != expect:
+        raise ParseError(f"expected IDX magic 0x{expect:08X} ({_KINDS[expect]}), got 0x{magic:08X}"
+                         + (f" ({_KINDS[magic]})" if magic in _KINDS else ""), offset=0)
     if magic == LABELS_MAGIC:
         (count,) = struct.unpack_from(">I", raw, 4)
         if len(raw) < 8 + count:
@@ -112,36 +120,38 @@ def parse_idx(raw: bytes):
     raise ParseError(f"bad IDX magic 0x{magic:08X}", offset=0)
 
 
-def _read_idx_file(data_dir: str, stem: str) -> bytes:
+def _read_idx_file(data_dir: str, stem: str) -> tuple[str, bytes]:
+    """The path and the (gunzipped) bytes of MNIST file ``stem``[.gz]."""
     for name in (stem, stem + ".gz"):
         path = os.path.join(data_dir, name)
         if os.path.exists(path):
             if name.endswith(".gz"):
                 try:
                     with gzip.open(path, "rb") as fh:
-                        return fh.read()
+                        return path, fh.read()
                 except (EOFError, zlib.error, gzip.BadGzipFile) as err:
                     raise ParseError(f"{path} is not a valid gzip file: {err}") from err
             with open(path, "rb") as fh:
-                return fh.read()
+                return path, fh.read()
     raise DataError(f"missing MNIST file {stem}[.gz] in {data_dir}")
+
+
+def _load_idx(data_dir: str, key: str):
+    """Parse the MNIST file of slot ``key``, which must hold that slot's
+    kind (images or labels); a ParseError names the file."""
+    path, raw = _read_idx_file(data_dir, MNIST_FILES[key])
+    try:
+        return parse_idx(raw, IMAGES_MAGIC if key.endswith("images") else LABELS_MAGIC)
+    except ParseError as err:
+        raise ParseError(f"{path}: {err}") from err
 
 
 def load_mnist(data_dir: str) -> tuple[Dataset, Dataset]:
     """Load the standard 4-file IDX set (raw or gzipped) as (train, test)."""
     if not data_dir or not os.path.isdir(data_dir):
         raise DataError(f"MNIST data directory not found: {data_dir!r}")
-    train = Dataset(
-        parse_idx(_read_idx_file(data_dir, MNIST_FILES["train_images"])),
-        parse_idx(_read_idx_file(data_dir, MNIST_FILES["train_labels"])),
-        split="train",
-    )
-    test = Dataset(
-        parse_idx(_read_idx_file(data_dir, MNIST_FILES["test_images"])),
-        parse_idx(_read_idx_file(data_dir, MNIST_FILES["test_labels"])),
-        split="test",
-    )
-    return train, test
+    return tuple(Dataset(_load_idx(data_dir, f"{split}_images"), _load_idx(data_dir, f"{split}_labels"), split=split)
+                 for split in ("train", "test"))
 
 
 def split_train_val(dataset: Dataset, stream: Stream, val_fraction: float = 0.1) -> tuple[Dataset, Dataset]:
@@ -197,12 +207,20 @@ def _digit(label) -> int:
 
 
 def make_partition(groups, seeds, ooc_mode: bool = False) -> LabelPartition:
+    if not (isinstance(groups, Iterable) and isinstance(seeds, Iterable)):
+        raise ConfigError(f"groups and seeds must be sequences, got {shown(groups)} and {shown(seeds)}")
+    groups = tuple(groups)
+    for group in groups:
+        if not isinstance(group, Iterable):
+            raise ConfigError(f"a label group must be a sequence of digits, got {shown(group)}")
     groups = tuple(frozenset(_digit(g) for g in group) for group in groups)
     seeds = tuple(check_seed(s) for s in seeds)
     if len(groups) != len(seeds):
         raise ConfigError(f"got {len(groups)} groups but {len(seeds)} seeds")
     if not groups:
         raise ConfigError("partition needs at least one group")
+    if not isinstance(ooc_mode, bool):
+        raise ConfigError(f"ooc_mode must be True or False, got {ooc_mode!r}")
     seen: set[int] = set()
     for group in groups:
         if not group:

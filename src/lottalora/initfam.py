@@ -273,7 +273,7 @@ class InitFamily:
     scaling: str | None = None  # resolved in __post_init__
 
     def __post_init__(self):
-        spec = _FAMILIES.get(self.name)
+        spec = _FAMILIES.get(self.name) if isinstance(self.name, str) else None
         if spec is None:
             raise ConfigError(f"unknown init family {self.name!r}; expected one of {sorted(FAMILY_NAMES)}")
         if not isinstance(self.params, Mapping):

@@ -6,6 +6,9 @@ frozen matrix, which is what makes models reconstructible from a header.
 ``draw_scaffold`` is that rule: frozen layer i is drawn from
 ``derive_stream(seed, i, BACKBONE_WEIGHT)``.  The build takes its scaffold
 from it, and ``ModelConfig.trainable_layout`` names the trainable tensors.
+Each layer holds its own trainables (a ``lora_bias`` head its offset too)
+and its adapter scale, ``ModelConfig.adapter_scale``; ``trainable_params``
+flattens the layers' ``trainable()`` lists in layer order.
 """
 
 from __future__ import annotations
@@ -20,8 +23,8 @@ import numpy as np
 
 from .errors import ConfigError, DataError, DimensionError, IncompatibilityError, finite, integer, real, shown
 from .initfam import BackboneMatrix, InitFamily, draw_matrix
-from .layers import B_INITS, SCALING_MODES, DenseLayer, LottaLayer, init_adapter
-from .numerics import Tensor, add_grad, softmax_xent, tensor
+from .layers import B_INITS, DenseLayer, LottaLayer, init_adapter
+from .numerics import Tensor, softmax_xent
 from .prng import ALGORITHM_ID, DrawKind, Stream, check_seed, derive_stream
 
 PRESETS = {
@@ -38,6 +41,7 @@ MAX_HIDDEN_LAYERS = 1024
 
 HEAD_MODES = ("full", "lora", "lora_bias")
 MODES = ("lottalora", "full_training")
+SCALING_MODES = ("standard", "rank_stabilized")
 
 # An eval forward runs over row blocks of at most this many rows (>= 256 in
 # each block of a larger batch).  A GEMM's rows can differ in a block from
@@ -144,7 +148,7 @@ class ModelConfig:
             if len(dims) > MAX_HIDDEN_LAYERS:
                 raise ConfigError(f"hidden_dims may list at most {MAX_HIDDEN_LAYERS} layers")
             object.__setattr__(self, "hidden_dims", tuple(integer(d, "hidden_dims") for d in dims))
-        elif self.preset not in PRESETS:
+        elif not isinstance(self.preset, str) or self.preset not in PRESETS:
             raise ConfigError(f"unknown preset {self.preset!r}; expected one of {sorted(PRESETS)}")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
@@ -169,6 +173,10 @@ class ModelConfig:
         if not 1 <= self.rank <= max_rank:
             raise ConfigError(f"rank must lie in [1, {shown(max_rank)}], the largest min(d_out, d_in) of a layer, "
                               f"got {shown(self.rank)}")
+
+    def adapter_scale(self) -> float:
+        """The adapter scale s: alpha/r, or alpha/sqrt(r) when rank-stabilized."""
+        return self.alpha / (math.sqrt(self.rank) if self.scaling_mode == "rank_stabilized" else self.rank)
 
     def dims(self) -> tuple:
         return self.hidden_dims if self.hidden_dims is not None else PRESETS[self.preset]
@@ -201,8 +209,8 @@ class ModelConfig:
             layout += [(f"{prefix}.A", (self.rank, d_in)), (f"{prefix}.B", (d_out, self.rank)), (f"{prefix}.beta", ())]
             if self.layernorm and is_hidden:
                 layout += [(f"{prefix}.ln_gamma", (d_out,)), (f"{prefix}.ln_bias", (d_out,))]
-        if self.head_mode == "lora_bias" and n_lotta == len(shapes):
-            layout.append(("head.bias", (shapes[-1][0],)))
+            if self.head_mode == "lora_bias" and not is_hidden:
+                layout.append(("head.bias", (d_out,)))
         return layout
 
 
@@ -217,6 +225,8 @@ class BackboneSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "seed", check_seed(self.seed))
+        if not isinstance(self.family, InitFamily):
+            raise ConfigError(f"family must be an InitFamily, got {self.family!r}")
         # this build draws only its own generator's bits
         if self.algorithm_id != ALGORITHM_ID:
             raise IncompatibilityError(
@@ -259,7 +269,6 @@ class Model:
         self.spec = spec
         self.hidden: list = []
         self.head = None
-        self.head_bias: Tensor | None = None  # trainable head offset (head_mode "lora_bias")
         self._backbone_streams: list[Stream] = []  # one per LottaLayer, advancing across redraws
         self._dropout_streams: list[Stream] = []
         self._build()
@@ -273,23 +282,19 @@ class Model:
             raise ConfigError(
                 f"backbone spec shapes {self.spec.layer_shapes} do not match config shapes {shapes}"
             )
-        n_lotta = cfg.n_lotta()
         self._backbone_streams, frozen = draw_scaffold(cfg, self.spec.family, seed)
+        scale = cfg.adapter_scale()
         layers = []
         for i, (d_out, d_in) in enumerate(shapes):
-            if i >= n_lotta:
+            if i >= cfg.n_lotta():
                 layers.append(DenseLayer(d_in, d_out, derive_stream(seed, i, DrawKind.HEAD_INIT)))
                 continue
-            adapter = init_adapter(
-                cfg.rank, d_in, d_out, cfg.alpha, cfg.scaling_mode,
-                derive_stream(seed, i, DrawKind.ADAPTER_A_INIT), b_init=cfg.b_init,
-            )
+            a, b = init_adapter(cfg.rank, d_in, d_out, derive_stream(seed, i, DrawKind.ADAPTER_A_INIT), cfg.b_init)
             is_hidden = i < len(shapes) - 1
-            layers.append(LottaLayer(*frozen[i], adapter, use_layernorm=cfg.layernorm and is_hidden))
+            layers.append(LottaLayer(*frozen[i], a, b, scale, use_layernorm=cfg.layernorm and is_hidden,
+                                     use_bias=cfg.head_mode == "lora_bias" and not is_hidden))
         *self.hidden, self.head = layers
         self._dropout_streams = [derive_stream(seed, i, DrawKind.DROPOUT_MASK) for i in range(len(self.hidden))]
-        if cfg.head_mode == "lora_bias" and n_lotta == len(shapes):
-            self.head_bias = tensor(np.zeros(shapes[-1][0]), requires_grad=True)
 
     # -- inference ---------------------------------------------------------
 
@@ -322,8 +327,6 @@ class Model:
         caches = [{} for _ in layers]
         logits = self._forward_rows(x, caches)
         loss, g = softmax_xent(logits, y)
-        if self.head_bias is not None:
-            add_grad(self.head_bias, g.sum(axis=0, dtype=np.float64))
         p = self.cfg.dropout
         for i in reversed(range(len(layers))):
             cache = caches.pop()
@@ -367,10 +370,7 @@ class Model:
                 # the mask's 0 or 1/(1-p) in h's dtype
                 h *= _keep_mask(self._dropout_streams[i], h.shape, p)
                 h *= h.dtype.type(1.0 / (1.0 - p))
-        logits = self.head.forward(h, caches[-1])
-        if self.head_bias is not None:
-            logits += self.head_bias.data
-        return logits
+        return self.head.forward(h, caches[-1])
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -383,8 +383,6 @@ class Model:
         """Trainable tensors in canonical artifact order, named by
         ``ModelConfig.trainable_layout()``."""
         tensors = [t for layer in (*self.hidden, self.head) for t in layer.trainable()]
-        if self.head_bias is not None:
-            tensors.append(self.head_bias)
         return [(name, t) for (name, _), t in zip(self.cfg.trainable_layout(), tensors, strict=True)]
 
     def count_trainable(self) -> tuple[int, dict]:
@@ -410,7 +408,7 @@ class Model:
 
     def resample_backbones(self) -> None:
         """Redraw every layer's frozen state from its continuing stream."""
-        if self.cfg.zero_scaffold or self.cfg.mode == "full_training":
+        if self.cfg.zero_scaffold:
             return
         # each layer drops its old state first, so a redraw peaks at one
         # chunk's scratch above the live scaffold

@@ -197,7 +197,7 @@ def _lr(cfg: TrainConfig, step: int, total_steps: int) -> float:
 
 
 def _layer_betas(model: Model) -> list[float]:
-    return [float(layer.adapter.beta.data) for layer in model.lotta_layers()]
+    return [float(layer.beta.data) for layer in model.lotta_layers()]
 
 
 def _train_step(model, optimizer, x, y, lr_t, resample: str, k: int, first: bool):

@@ -86,6 +86,16 @@ def spoil_as_gz(data_dir, key, spoil):
     return raw_path + ".gz"
 
 
+def swap_train_files(data_dir):
+    """Swap the names of ``data_dir``'s raw train images and labels files;
+    returns the (images, labels) paths, each now holding the other kind."""
+    images, labels = (os.path.join(data_dir, MNIST_FILES[k]) for k in ("train_images", "train_labels"))
+    os.rename(images, images + ".swap")
+    os.rename(labels, images)
+    os.rename(images + ".swap", labels)
+    return images, labels
+
+
 @pytest.fixture(scope="session")
 def fake_mnist_dir(tmp_path_factory):
     """A small MNIST-shaped IDX directory, so the data commands run offline."""

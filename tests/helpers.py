@@ -46,8 +46,8 @@ def spectral_norm(w: np.ndarray, iters: int = 100) -> float:
 def effective_weight(layer: LottaLayer) -> np.ndarray:
     """Merged matrix beta*W + s*(B @ A) in f64 (LayerNorm not applied)."""
     w = layer.backbone.data.astype(np.float64)
-    ba = layer.adapter.b.data.astype(np.float64) @ layer.adapter.a.data.astype(np.float64)
-    return float(layer.adapter.beta.data) * w + layer.adapter.scale * ba
+    ba = layer.b.data.astype(np.float64) @ layer.a.data.astype(np.float64)
+    return float(layer.beta.data) * w + layer.scale * ba
 
 
 def rmt_sigma1(d: int, sigma_init: float) -> float:

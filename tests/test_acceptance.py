@@ -339,10 +339,10 @@ def test_criterion_8_numerical_properties():
     assert sum_dev < 1e-12
 
     backbone = draw_matrix(derive_stream(3, 0, DrawKind.BACKBONE_WEIGHT), PROTOCOL_FAMILY, 24, 48)
-    adapter = init_adapter(6, 48, 24, 1.0, "standard", derive_stream(3, 0, DrawKind.ADAPTER_A_INIT))
-    layer = LottaLayer(backbone, None, adapter)
-    layer.adapter.b.data[:] = 0.2 * rng.standard_normal((24, 6)).astype(np.float32)
-    layer.adapter.beta.data[()] = 0.8
+    a, b = init_adapter(6, 48, 24, derive_stream(3, 0, DrawKind.ADAPTER_A_INIT))
+    layer = LottaLayer(backbone, None, a, b, 1.0 / 6)
+    layer.b.data[:] = 0.2 * rng.standard_normal((24, 6)).astype(np.float32)
+    layer.beta.data[()] = 0.8
     probe = rng.standard_normal((16, 48)).astype(np.float32)
     out = layer.forward(probe).astype(np.float64)
     merged = probe.astype(np.float64) @ effective_weight(layer).T

@@ -48,10 +48,7 @@ def unblocked_logits(model, x):
     h = np.ascontiguousarray(x, dtype=np.float32)
     for layer in model.hidden:
         h = np.maximum(layer.forward(h), 0)
-    logits = model.head.forward(h)
-    if model.head_bias is not None:
-        logits += model.head_bias.data
-    return logits
+    return model.head.forward(h)
 
 
 def batch(n):

@@ -14,7 +14,7 @@ from lottalora.initfam import InitFamily
 from lottalora.model import BackboneSpec, ModelConfig, build_model
 from lottalora.train import TrainConfig
 
-from conftest import requires_mnist, spoil_as_gz, write_fake_idx
+from conftest import requires_mnist, spoil_as_gz, swap_train_files, write_fake_idx
 from test_artifact import V2_FIXTURE, V3_FIXTURE, V4_FIXTURE, reheader
 
 
@@ -544,6 +544,16 @@ def test_train_on_a_truncated_gz_idx_file_is_a_parse_error(tmp_path, capsys):
     assert code == EXIT_CODES["parse"] == 4
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "parse" and path in err["message"]
+
+
+def test_train_on_swapped_idx_files_is_a_parse_error(tmp_path, capsys):
+    data_dir = write_fake_idx(tmp_path / "idx", n_train=40, n_test=10)
+    images, _ = swap_train_files(data_dir)
+    code = run(["train", "--preset", "tiny", "--rank", "2", "--epochs", "1",
+                "--data-dir", data_dir, "--out-dir", str(tmp_path / "run")])
+    assert code == EXIT_CODES["parse"] == 4
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "parse" and images in err["message"]
 
 
 @pytest.mark.parametrize("flag,value", [("--lr", "-1"), ("--lr", "nan"), ("--weight-decay", "-5")])

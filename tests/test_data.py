@@ -1,5 +1,7 @@
 import gzip
+import os
 import re
+import shutil
 import struct
 import zlib
 
@@ -9,6 +11,7 @@ import pytest
 from lottalora.errors import ConfigError, DataError, ParseError
 from lottalora.data import (
     Dataset,
+    MNIST_FILES,
     MNIST_MEAN,
     MNIST_STD,
     make_partition,
@@ -18,7 +21,7 @@ from lottalora.data import (
 )
 from lottalora.prng import DrawKind, Stream, derive_stream
 
-from conftest import requires_mnist, spoil_as_gz, write_fake_idx
+from conftest import requires_mnist, spoil_as_gz, swap_train_files, write_fake_idx
 
 
 def build_label_buffer(labels):
@@ -216,6 +219,40 @@ def test_a_bad_gz_idx_file_is_a_parse_error_naming_it(tmp_path, spoil, cause):
     with pytest.raises(ParseError, match=re.escape(path)) as exc:
         load_mnist(data_dir)
     assert isinstance(exc.value.__cause__, cause)
+
+
+def test_each_mnist_file_must_hold_its_slots_kind(tmp_path):
+    from lottalora.data import load_mnist
+
+    data_dir = write_fake_idx(tmp_path / "idx", n_train=40, n_test=10)
+    images, _ = swap_train_files(data_dir)
+    # the first slot read is the images slot, which now holds labels
+    with pytest.raises(ParseError, match=re.escape(images) + r".*expected IDX magic 0x00000803 \(images\), "
+                                         r"got 0x00000801 \(labels\)"):
+        load_mnist(data_dir)
+
+
+def test_a_labels_slot_holding_images_is_a_parse_error(tmp_path):
+    from lottalora.data import load_mnist
+
+    data_dir = write_fake_idx(tmp_path / "idx", n_train=40, n_test=10)
+    test_images, test_labels = (os.path.join(data_dir, MNIST_FILES[k]) for k in ("test_images", "test_labels"))
+    shutil.copyfile(test_images, test_labels)
+    with pytest.raises(ParseError, match=re.escape(test_labels) + r".*expected IDX magic 0x00000801 \(labels\)"):
+        load_mnist(data_dir)
+
+
+def test_a_truncated_raw_idx_file_is_a_parse_error_naming_it(tmp_path):
+    from lottalora.data import load_mnist
+
+    data_dir = write_fake_idx(tmp_path / "idx", n_train=20, n_test=10)
+    path = os.path.join(data_dir, MNIST_FILES["test_labels"])
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    with open(path, "wb") as fh:
+        fh.write(raw[:-3])
+    with pytest.raises(ParseError, match=re.escape(path) + ": label payload truncated"):
+        load_mnist(data_dir)
 
 
 def test_an_intact_gz_idx_file_loads_as_the_raw_one(tmp_path):

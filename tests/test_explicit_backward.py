@@ -43,12 +43,13 @@ from tape_oracle import finite_diff_check, tape_softmax_xent
 def tape_layer_forward(layer, h: Tensor) -> Tensor:
     if isinstance(layer, DenseLayer):
         return add_bias(linear(h, layer.w), layer.b)
-    adapter = layer.adapter
-    backbone_path = scalar_scale(linear(h, Tensor(layer.backbone.data)), adapter.beta)
-    low_rank = linear(linear(h, adapter.a), adapter.b)
-    out = add(backbone_path, const_scale(low_rank, adapter.scale))
+    backbone_path = scalar_scale(linear(h, Tensor(layer.backbone.data)), layer.beta)
+    low_rank = linear(linear(h, layer.a), layer.b)
+    out = add(backbone_path, const_scale(low_rank, layer.scale))
     if layer.frozen_bias is not None:
         out = add_bias(out, Tensor(layer.frozen_bias))
+    if layer.bias is not None:
+        out = add_bias(out, layer.bias)
     if layer.ln_gamma is not None:
         out = layernorm(out, layer.ln_gamma, layer.ln_bias)
     return out
@@ -60,10 +61,7 @@ def tape_forward_logits(model, batch, training=False) -> Tensor:
         h = relu(tape_layer_forward(layer, h))
         if training and model.cfg.dropout > 0.0:
             h = dropout(h, model.cfg.dropout, model._dropout_streams[i], training=True)
-    logits = tape_layer_forward(model.head, h)
-    if model.head_bias is not None:
-        logits = add_bias(logits, model.head_bias)
-    return logits
+    return tape_layer_forward(model.head, h)
 
 
 def tape_loss_and_grads(model, x, y) -> tuple[float, np.ndarray]:

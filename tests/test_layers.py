@@ -3,19 +3,18 @@ import pytest
 
 from lottalora.errors import ConfigError
 from lottalora.initfam import BackboneMatrix, InitFamily, draw_matrix
-from lottalora.layers import AdapterState, LottaLayer, init_adapter
+from lottalora.layers import LottaLayer, init_adapter
 from lottalora.model import BackboneSpec, ModelConfig, build_model
 from lottalora.numerics import softmax
 from lottalora.prng import DrawKind, Stream, derive_stream
 from helpers import effective_weight, spectral_norm
 
 
-def make_layer(d_in=32, d_out=16, rank=4, alpha=1.0, mode="standard", seed=42, use_ln=False):
+def make_layer(d_in=32, d_out=16, rank=4, seed=42, use_ln=False):
     backbone = draw_matrix(derive_stream(seed, 0, DrawKind.BACKBONE_WEIGHT),
                            InitFamily("normal", {"sigma": 0.1}, scaling="explicit"), d_out, d_in)
-    adapter = init_adapter(rank, d_in, d_out, alpha, mode,
-                           derive_stream(seed, 0, DrawKind.ADAPTER_A_INIT))
-    return LottaLayer(backbone, None, adapter, use_layernorm=use_ln)
+    a, b = init_adapter(rank, d_in, d_out, derive_stream(seed, 0, DrawKind.ADAPTER_A_INIT))
+    return LottaLayer(backbone, None, a, b, 1.0 / rank, use_layernorm=use_ln)
 
 
 def test_fresh_layer_equals_backbone_projection():
@@ -29,7 +28,7 @@ def test_fresh_layer_equals_backbone_projection():
 def test_fresh_output_independent_of_a_values():
     a_layer = make_layer(seed=1)
     b_layer = make_layer(seed=1)
-    b_layer.adapter.a.data[:] = 123.0  # B = 0 kills the adapter path
+    b_layer.a.data[:] = 123.0  # B = 0 kills the adapter path
     x = np.random.default_rng(1).standard_normal((4, 32)).astype(np.float32)
     assert np.array_equal(a_layer.forward(x), b_layer.forward(x))
 
@@ -38,24 +37,28 @@ def test_zero_backbone_leaves_only_adapter_path():
     layer = make_layer()
     zero = BackboneMatrix(16, 32, np.zeros((16, 32), dtype=np.float32))
     layer.set_backbone(zero)
-    layer.adapter.b.data[:] = np.random.default_rng(2).standard_normal((16, 4)).astype(np.float32)
-    layer.adapter.beta.data[()] = 7.0  # any beta: the backbone path is zero
+    layer.b.data[:] = np.random.default_rng(2).standard_normal((16, 4)).astype(np.float32)
+    layer.beta.data[()] = 7.0  # any beta: the backbone path is zero
     x = np.random.default_rng(3).standard_normal((8, 32)).astype(np.float32)
     out = layer.forward(x)
-    expected = layer.adapter.scale * (x @ layer.adapter.a.data.T @ layer.adapter.b.data.T)
+    expected = layer.scale * (x @ layer.a.data.T @ layer.b.data.T)
     assert np.allclose(out, expected, rtol=1e-5, atol=1e-7)
 
 
 def test_scale_factor_standard_and_rank_stabilized():
-    std = make_layer(rank=4, alpha=1.0, mode="standard")
-    rs = make_layer(rank=4, alpha=1.0, mode="rank_stabilized")
-    assert std.adapter.scale == pytest.approx(0.25)
-    assert rs.adapter.scale == pytest.approx(0.5)
+    # s is fixed at build from the config, and every adapted layer holds it
+    for mode, alpha, scale in [("standard", 1.0, 0.25), ("rank_stabilized", 1.0, 0.5),
+                               ("standard", 2.0, 0.5), ("rank_stabilized", 3.0, 1.5)]:
+        cfg = ModelConfig(preset=None, hidden_dims=(16, 8), input_dim=32, num_classes=4, rank=4,
+                          alpha=alpha, scaling_mode=mode, head_mode="lora")
+        assert cfg.adapter_scale() == scale
+        layers = build_model(cfg, BackboneSpec.from_config(cfg, 1)).lotta_layers()
+        assert len(layers) == 3 and all(layer.scale == scale for layer in layers)
 
 
 def test_effective_weight_zero_b_is_beta_w():
     layer = make_layer()
-    layer.adapter.beta.data[()] = 1.5
+    layer.beta.data[()] = 1.5
     eff = effective_weight(layer)
     assert np.allclose(eff, 1.5 * layer.backbone.data.astype(np.float64))
 
@@ -63,11 +66,11 @@ def test_effective_weight_zero_b_is_beta_w():
 def test_effective_weight_zero_beta_is_scaled_ba_rank_bounded():
     layer = make_layer(rank=3)
     rng = np.random.default_rng(4)
-    layer.adapter.b.data[:] = rng.standard_normal((16, 3)).astype(np.float32)
-    layer.adapter.beta.data[()] = 0.0
+    layer.b.data[:] = rng.standard_normal((16, 3)).astype(np.float32)
+    layer.beta.data[()] = 0.0
     eff = effective_weight(layer)
-    expected = layer.adapter.scale * (
-        layer.adapter.b.data.astype(np.float64) @ layer.adapter.a.data.astype(np.float64)
+    expected = layer.scale * (
+        layer.b.data.astype(np.float64) @ layer.a.data.astype(np.float64)
     )
     assert np.allclose(eff, expected)
     assert np.linalg.matrix_rank(eff, tol=1e-6) <= 3
@@ -76,8 +79,8 @@ def test_effective_weight_zero_beta_is_scaled_ba_rank_bounded():
 def test_forward_matches_effective_weight_product():
     layer = make_layer(rank=5)
     rng = np.random.default_rng(5)
-    layer.adapter.b.data[:] = 0.3 * rng.standard_normal((16, 5)).astype(np.float32)
-    layer.adapter.beta.data[()] = 0.8
+    layer.b.data[:] = 0.3 * rng.standard_normal((16, 5)).astype(np.float32)
+    layer.beta.data[()] = 0.8
     x = rng.standard_normal((16, 32)).astype(np.float32)
     out = layer.forward(x).astype(np.float64)
     merged = x.astype(np.float64) @ effective_weight(layer).T
@@ -89,9 +92,9 @@ def test_forward_matches_effective_weight_product():
 def test_rank_bound_of_update():
     layer = make_layer(rank=4)
     rng = np.random.default_rng(6)
-    layer.adapter.a.data[:] = rng.standard_normal((4, 32)).astype(np.float32)
-    layer.adapter.b.data[:] = rng.standard_normal((16, 4)).astype(np.float32)
-    layer.adapter.beta.data[()] = 0.7
+    layer.a.data[:] = rng.standard_normal((4, 32)).astype(np.float32)
+    layer.b.data[:] = rng.standard_normal((16, 4)).astype(np.float32)
+    layer.beta.data[()] = 0.7
     update = effective_weight(layer) - 0.7 * layer.backbone.data.astype(np.float64)
     singulars = np.linalg.svd(update, compute_uv=False)
     assert np.all(singulars[4:] < 1e-6 * singulars[0])
@@ -100,37 +103,42 @@ def test_rank_bound_of_update():
 def test_beta_linearity():
     layer = make_layer()
     rng = np.random.default_rng(7)
-    layer.adapter.b.data[:] = rng.standard_normal((16, 4)).astype(np.float32)
-    ba_part = layer.adapter.scale * (
-        layer.adapter.b.data.astype(np.float64) @ layer.adapter.a.data.astype(np.float64)
+    layer.b.data[:] = rng.standard_normal((16, 4)).astype(np.float32)
+    ba_part = layer.scale * (
+        layer.b.data.astype(np.float64) @ layer.a.data.astype(np.float64)
     )
-    layer.adapter.beta.data[()] = 1.0
+    layer.beta.data[()] = 1.0
     base = effective_weight(layer) - ba_part
-    layer.adapter.beta.data[()] = 3.0
+    layer.beta.data[()] = 3.0
     scaled = effective_weight(layer) - ba_part
     assert np.allclose(scaled, 3.0 * base)
 
 
 def test_init_adapter_contract():
-    adapter = init_adapter(8, 784, 512, 1.0, "standard", Stream(9))
-    assert float(np.abs(adapter.b.data).max()) == 0.0
-    assert float(adapter.beta.data) == 1.0
+    a, b = init_adapter(8, 784, 512, Stream(9))
+    assert a.shape == (8, 784) and b.shape == (512, 8)
+    assert a.requires_grad and b.requires_grad
+    assert float(np.abs(b.data).max()) == 0.0
     bound = (6.0 / (784 * 6.0)) ** 0.5
     assert bound == pytest.approx(0.035714, abs=1e-6)
-    assert float(np.abs(adapter.a.data).max()) <= bound + 1e-7
+    assert float(np.abs(a.data).max()) <= bound + 1e-7
+    # the layer around them starts at beta = 1, with no trainable offset
+    layer = LottaLayer(draw_matrix(Stream(1), InitFamily("normal"), 512, 784), None, a, b, 0.125)
+    assert float(layer.beta.data) == 1.0 and layer.bias is None
+    assert layer.trainable() == [a, b, layer.beta]
 
 
-def test_init_adapter_rejects_bad_rank_and_mode():
+def test_init_adapter_rejects_bad_rank_and_b_init():
     with pytest.raises(ConfigError):
-        init_adapter(0, 8, 8, 1.0, "standard", Stream(1))
-    with pytest.raises(ConfigError):
-        init_adapter(2, 8, 8, 1.0, "rslora", Stream(1))
+        init_adapter(0, 8, 8, Stream(1))
+    with pytest.raises(ConfigError, match="b_init"):
+        init_adapter(2, 8, 8, Stream(1), b_init="orthogonal")
 
 
 @pytest.mark.parametrize("rank", [2.5, "2", None, True])
 def test_init_adapter_rejects_a_rank_that_is_not_an_integer(rank):
     with pytest.raises(ConfigError, match="rank must be an integer"):
-        init_adapter(rank, 8, 8, 1.0, "standard", Stream(1))
+        init_adapter(rank, 8, 8, Stream(1))
 
 
 def model_layer(use_ln=False):
@@ -167,6 +175,28 @@ def test_layernorm_path_has_trainable_affine():
     out = layer.forward(x)
     # unit-affine LayerNorm output has near-zero row means
     assert np.abs(out.mean(axis=-1)).max() < 1e-5
+
+
+def test_lora_bias_head_holds_its_trainable_offset():
+    cfg = ModelConfig(preset=None, hidden_dims=(16,), input_dim=32, num_classes=4, rank=4, head_mode="lora_bias")
+    model = build_model(cfg, BackboneSpec.from_config(cfg, 42))
+    head = model.head
+    assert [n for n, _ in model.trainable_params()][-4:] == ["head.A", "head.B", "head.beta", "head.bias"]
+    assert head.trainable() == [head.a, head.b, head.beta, head.bias]
+    assert model.trainable_params()[-1][1] is head.bias
+    assert all(layer.bias is None for layer in model.hidden)
+    rng = np.random.default_rng(11)
+    h = rng.standard_normal((8, 16)).astype(np.float32)
+    before = head.forward(h)
+    head.bias.data[:] = [1.0, -2.0, 0.5, 3.0]
+    # added right after the frozen offset: the output moves by exactly d
+    assert np.array_equal(head.forward(h), before + head.bias.data)
+    g = rng.standard_normal((8, 4)).astype(np.float32)
+    cache = {}
+    head.forward(h, cache)
+    head.backward(g.copy(), cache)
+    # taken from g before the adapter scale (here 1/4) touches it
+    assert np.array_equal(head.bias.grad, g.sum(axis=0, dtype=np.float64).astype(np.float32))
 
 
 def test_spectral_norm_identity_and_diag():

@@ -6,7 +6,9 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+from lottalora import prng
 from lottalora.artifact import pack
+from lottalora.data import make_partition
 from lottalora.errors import ConfigError, DataError, DimensionError
 from lottalora.initfam import FAMILY_NAMES, InitFamily
 from lottalora.layers import LottaLayer
@@ -91,6 +93,23 @@ def test_unknown_preset_rejected():
 def test_unknown_head_mode_rejected():
     with pytest.raises(ConfigError):
         ModelConfig(head_mode="frozen")
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ModelConfig(preset=[]),
+    lambda: InitFamily([]),
+    lambda: BackboneSpec(seed=1, family="normal"),
+    lambda: make_partition([[1]], [1], ooc_mode="yes"),
+    lambda: make_partition(5, [1]),
+    lambda: make_partition([[1]], 5),
+    lambda: make_partition([5], [1]),
+    lambda: ModelConfig(scaling_mode="rslora"),
+    lambda: ModelConfig(b_init="orthogonal"),
+], ids=["list-preset", "list-family-name", "family-name-not-family", "ooc-mode-string", "int-groups", "int-seeds",
+        "int-group", "scaling-mode", "b-init"])
+def test_a_malformed_library_config_is_a_config_error(make):
+    with pytest.raises(ConfigError):
+        make()
 
 
 def test_rank_zero_rejected():
@@ -342,6 +361,19 @@ def test_the_builds_scaffold_is_what_draw_scaffold_gives_its_seed(kw):
     for layer, (matrix, bias) in zip(model.lotta_layers(), frozen):
         assert matrix.data.tobytes() == layer.backbone.data.tobytes()
         assert (bias is None and layer.frozen_bias is None) or bias.tobytes() == layer.frozen_bias.tobytes()
+
+
+def test_a_full_training_models_resample_draws_nothing(monkeypatch):
+    model = build("tiny", mode="full_training")
+    before = [(name, t.data.tobytes()) for name, t in model.trainable_params()]
+
+    def no_draw(*args):
+        raise AssertionError("a full_training model has no scaffold to redraw")
+
+    monkeypatch.setattr(prng, "_mix64_fill", no_draw)  # every draw fills through it
+    model.resample_backbones()
+    assert model.lotta_layers() == [] and model.backbone_hashes() == []
+    assert [(name, t.data.tobytes()) for name, t in model.trainable_params()] == before
 
 
 def test_a_model_is_free_of_reference_cycles():
