@@ -11,7 +11,8 @@ Container layouts (little-endian throughout, documented in docs/FORMAT.md):
 The header JSON carries the generator tag, the backbone spec (seed,
 family, layer shapes), the model config, and free-form extras.  The
 decoded payload is every trainable tensor, row-major, back to back in
-canonical parameter order: f32 under version 1, f16 under versions 2 to 4.
+canonical parameter order, which is ``Model.params``: f32 under version
+1, f16 under versions 2 to 4.
 In every version the header's model config names the tensors and their
 shapes (``ModelConfig.trainable_layout``).  Versions 1 to 3 also store
 that layout as a tensor table of each tensor's name, shape and decoded
@@ -62,16 +63,15 @@ MIN_BLOCK_BYTES = 256
 def to_shipping_precision(model: Model) -> bool:
     """Round every trainable to the nearest f16 (ties to even) in place.
 
-    The rounded values are written back into the same arrays, so views an
-    optimizer holds stay bound.  When any value is non-finite or above
-    ``F16_MAX`` in magnitude, nothing changes and the model stays f32.
-    Returns whether the model was rounded.
+    The rounded values are written back into ``model.params``, so the
+    trainables' views and an optimizer's buffers stay bound.  When any
+    value is non-finite or above ``F16_MAX`` in magnitude, nothing changes
+    and the model stays f32.  Returns whether the model was rounded.
     """
-    arrays = [t.data for _, t in model.trainable_params()]
-    if not all(np.all(np.abs(a) <= F16_MAX) for a in arrays):
+    params = model.params
+    if not np.all(np.abs(params) <= F16_MAX):
         return False
-    for a in arrays:
-        a[...] = a.astype(np.float16)
+    params[...] = params.astype(np.float16)
     return True
 
 
@@ -193,15 +193,14 @@ def pack(model: Model, extra: dict | None = None) -> bytes:
     }
     header_bytes = _canonical_json(header)
 
-    tensors = [(name, np.asarray(t.data, dtype="<f4")) for name, t in model.trainable_params()]
-    if all(_f16_exact(data) for _, data in tensors):
-        raw = b"".join(data.astype("<f2").tobytes() for _, data in tensors)
+    layout = model.cfg.trainable_layout()
+    values = np.asarray(model.params, dtype="<f4")
+    if _f16_exact(values):
         body = (MAGIC + struct.pack("<HI", 4, len(header_bytes)) + zlib.compress(header_bytes, 9)
-                + _deflate_planes(raw, [data.size for _, data in tensors]))
+                + _deflate_planes(values.astype("<f2").tobytes(), [math.prod(shape) for _, shape in layout]))
     else:
         body = (MAGIC + struct.pack("<HI", 1, len(header_bytes)) + header_bytes
-                + _table(model.cfg.trainable_layout(), PAYLOAD_DTYPES[1])
-                + b"".join(data.tobytes() for _, data in tensors))
+                + _table(layout, PAYLOAD_DTYPES[1]) + values.tobytes())
     return body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
 
 
@@ -219,12 +218,19 @@ def unpack(blob: bytes) -> tuple[dict, dict]:
     ``_table`` encodes for that config, byte for byte.  No stream may
     declare more than ``MAX_INFLATE_RATIO`` times the bytes stored.
     """
-    header, tensors, _ = _read(blob)
+    header, tensors, _ = read(blob)
     return header, tensors
 
 
-def _read(blob: bytes) -> tuple[dict, dict, dict]:
-    """``unpack``'s parse: the header, the tensors and ``describe``'s sizes."""
+def read(blob: bytes) -> tuple[dict, dict, dict]:
+    """``unpack``'s parse: the header, the tensors, and where the bytes go.
+
+    The sizes are the format version, the blob's size, the bytes its
+    header takes as stored (deflated in version 4), the bytes of its
+    tensor table (0 in version 4, which has none), the bytes its payload
+    takes as stored, up to the CRC, and the size of that payload decoded.
+    A blob ``unpack`` refuses raises the same error here.
+    """
     if len(blob) < 14 or blob[:4] != MAGIC:
         raise FormatError(f"not a LTLR artifact (magic {blob[:4]!r})")
     version, header_len = struct.unpack_from("<HI", blob, 4)
@@ -301,16 +307,6 @@ def _read(blob: bytes) -> tuple[dict, dict, dict]:
     return header, tensors, sizes
 
 
-def describe(blob: bytes) -> dict:
-    """Where the bytes of an artifact go, as the parse ``unpack`` runs
-    finds them: its format version, its size, the bytes its header takes
-    as stored (deflated in version 4), the bytes of its tensor table (0 in
-    version 4, which has none), the bytes its payload takes as stored, up
-    to the CRC, and the size of that payload decoded.  A blob ``unpack``
-    refuses raises the same error here."""
-    return _read(blob)[2]
-
-
 def reconstruct(header: dict, tensors: dict) -> Model:
     """Rebuild the full model: frozen matrices regenerated from the seed,
     trainable tensors restored from the payload."""
@@ -335,8 +331,7 @@ def reconstruct(header: dict, tensors: dict) -> Model:
         if tuple(tensors[name].shape) != shape:
             raise FormatError(f"tensor {name!r} has shape {tensors[name].shape}, expected {shape}")
     model = build_model(cfg, spec)
-    for name, t in model.trainable_params():
-        t.data[...] = tensors[name]
+    model.params[...] = np.concatenate([tensors[name].ravel() for name, _ in layout])
     return model
 
 

@@ -372,11 +372,11 @@ def cmd_pack(args) -> int:
 
 def cmd_unpack(args) -> int:
     blob = artifact_mod.load(args.artifact)
-    header, tensors = artifact_mod.unpack(blob)
+    header, tensors, sizes = artifact_mod.read(blob)
     print(json.dumps({
         "header": header,
         "tensors": {k: list(v.shape) for k, v in tensors.items()},
-        **artifact_mod.describe(blob),
+        **sizes,
     }, indent=2, sort_keys=True))
     return 0
 

@@ -13,10 +13,11 @@ d at 0.  Gradients reach A, B, beta, d and the LayerNorm affine, never W or c.
 Since only these and the dense layers learn, each layer's gradient is a
 fixed rule, so layers are array-level: ``forward(h, cache)`` returns the
 output array and, given a ``cache`` dict, keeps what ``backward(g, cache)``
-needs; ``backward`` adds the trainables' gradients into their ``grad`` and
-returns the input's gradient.  The rules keep the op order and dtypes of
-the same layer built from the generic tape ops in ``numerics``, so both
-give the same bits; the tests hold them to that.
+needs; ``backward`` adds the trainables' gradients into their ``grad``,
+views of the model's ``grads`` buffer, and returns the input's gradient.
+The rules keep the op order and dtypes of the same layer built from the
+generic tape ops in ``numerics``, so both give the same bits; the tests
+hold them to that.
 """
 
 from __future__ import annotations

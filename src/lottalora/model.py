@@ -8,7 +8,10 @@ frozen matrix, which is what makes models reconstructible from a header.
 from it, and ``ModelConfig.trainable_layout`` names the trainable tensors.
 Each layer holds its own trainables (a ``lora_bias`` head its offset too)
 and its adapter scale, ``ModelConfig.adapter_scale``; ``trainable_params``
-flattens the layers' ``trainable()`` lists in layer order.
+flattens the layers' ``trainable()`` lists in layer order.  The model owns
+their storage: one f32 buffer ``params`` and one ``grads``, both laid out
+by ``trainable_layout``, whose views the trainables' ``data`` and ``grad``
+are.
 """
 
 from __future__ import annotations
@@ -262,7 +265,15 @@ def _hash_into(digest, a: np.ndarray) -> None:
 
 
 class Model:
-    """An assembled network plus its trainable-parameter handles."""
+    """An assembled network plus its trainable-parameter handles.
+
+    ``params`` and ``grads`` are the trainables' storage: two flat f32
+    buffers in ``ModelConfig.trainable_layout()`` order, ``params`` the
+    artifact payload's values.  Each trainable's ``data`` and ``grad`` are
+    views of them (``views``), bound once at build, so callers write into
+    them in place.  ``grads`` starts at -0.0, IEEE's additive identity,
+    and ``loss_and_grads`` adds into it; a training step refills it.
+    """
 
     def __init__(self, cfg: ModelConfig, spec: BackboneSpec):
         self.cfg = cfg
@@ -295,6 +306,11 @@ class Model:
                                      use_bias=cfg.head_mode == "lora_bias" and not is_hidden))
         *self.hidden, self.head = layers
         self._dropout_streams = [derive_stream(seed, i, DrawKind.DROPOUT_MASK) for i in range(len(self.hidden))]
+        tensors = [t for _, t in self.trainable_params()]
+        self.params = np.concatenate([t.data.ravel() for t in tensors])
+        self.grads = np.full_like(self.params, -0.0)
+        for t, data, grad in zip(tensors, self.views(self.params), self.views(self.grads), strict=True):
+            t.data, t.grad = data, grad
 
     # -- inference ---------------------------------------------------------
 
@@ -317,10 +333,10 @@ class Model:
 
         Runs the forward with dropout, keeping each layer's cache, then
         ``softmax_xent``, then the layers' backward rules in reverse, which
-        add every trainable's gradient into its ``grad``.  The caches hold
-        no dropout mask: the gradient through a hidden layer's ReLU and
-        dropout is masked by where the next layer's cached input, the
-        post-dropout activation, is positive, then scaled by 1/(1-p).
+        add every trainable's gradient into its view of ``grads``.  The
+        caches hold no dropout mask: the gradient through a hidden layer's
+        ReLU and dropout is masked by where the next layer's cached input,
+        the post-dropout activation, is positive, then scaled by 1/(1-p).
         """
         self._check_batch(x)
         layers = [*self.hidden, self.head]
@@ -385,12 +401,12 @@ class Model:
         tensors = [t for layer in (*self.hidden, self.head) for t in layer.trainable()]
         return [(name, t) for (name, _), t in zip(self.cfg.trainable_layout(), tensors, strict=True)]
 
-    def count_trainable(self) -> tuple[int, dict]:
-        breakdown: dict[str, int] = {}
-        for name, t in self.trainable_params():
-            group = name.split(".")[0]
-            breakdown[group] = breakdown.get(group, 0) + int(np.prod(t.shape) if t.shape else 1)
-        return sum(breakdown.values()), breakdown
+    def views(self, flat: np.ndarray) -> list[np.ndarray]:
+        """Views of a buffer laid out as ``params``, one per trainable in
+        ``trainable_layout()`` order, each in its tensor's shape."""
+        shapes = [shape for _, shape in self.cfg.trainable_layout()]
+        ends = list(itertools.accumulate(map(math.prod, shapes), initial=0))
+        return [flat[lo:hi].reshape(shape) for lo, hi, shape in zip(ends, ends[1:], shapes)]
 
     def backbone_hashes(self) -> list[str]:
         """SHA-256 of each layer's frozen bytes (matrix + bias), in order.

@@ -1,10 +1,11 @@
 """Trainable tensors, the training loss, and the generic tape ops.
 
-``Tensor`` is the container for every trainable: AdamW reads ``data`` and
-``grad``.  Training runs no tape.  ``softmax_xent`` is array-level: it
-returns the loss and the logits' gradient, and ``Model.loss_and_grads``
-hands that gradient to the layers' explicit backward rules, which add
-into each trainable's ``grad`` through ``add_grad``.  LayerNorm's math
+``Tensor`` is the handle of every trainable: its ``data`` and ``grad`` are
+views of the model's ``params`` and ``grads`` buffers, which AdamW steps.
+Training runs no tape.  ``softmax_xent`` is array-level: it returns the
+loss and the logits' gradient, and ``Model.loss_and_grads`` hands that
+gradient to the layers' explicit backward rules, which add into each
+trainable's ``grad`` view through ``add_grad``.  LayerNorm's math
 lives in ``layernorm_forward`` / ``layernorm_backward``, array helpers the
 layers and the tape op share.
 
@@ -59,7 +60,11 @@ class Tensor:
         return float(self.data)
 
     def zero_grad(self):
-        self.grad = None
+        """Fill the gradient with -0.0 in place, so a ``grad`` that is a view
+        of a buffer stays one; -0.0 is IEEE's additive identity, so the
+        next ``+=`` gives the added value's bits, signed zeros included."""
+        if self.grad is not None:
+            self.grad.fill(-0.0)
 
     def backward(self):
         """Backpropagate from a scalar; a tape can be walked only once."""
@@ -110,14 +115,12 @@ def _accumulate(t: Tensor, g: np.ndarray):
 
 
 def add_grad(t: Tensor, g: np.ndarray) -> None:
-    """Add ``g`` into ``t.grad`` in ``t``'s dtype; an explicit backward rule
-    hands each trainable its gradient this way, without a zero-filled start."""
-    if g.dtype != t.data.dtype:
-        g = g.astype(t.data.dtype)
-    if t.grad is None:
-        t.grad = g
-    else:
-        t.grad += g
+    """Add ``g`` into ``t.grad``, a view of the model's gradient buffer; an
+    explicit backward rule hands each trainable its gradient this way.
+    ``g`` is cast to the buffer's dtype first, so an f64 gradient is
+    rounded once and then added, as it would be assigned; adding it
+    unrounded would round the sum instead."""
+    t.grad += g.astype(t.grad.dtype, copy=False)
 
 
 def _result(data, parents, backward_fn):

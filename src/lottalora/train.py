@@ -82,70 +82,37 @@ class RunMetrics:
 
 
 class AdamW:
-    """Decoupled weight decay Adam over trainable tensors only, fused over
-    one flat buffer, at the fixed ``ADAMW_BETAS`` and ``ADAMW_EPS``.
+    """Decoupled weight decay Adam over a model's trainables, at the fixed
+    ``ADAMW_BETAS`` and ``ADAMW_EPS``.
 
-    The constructor copies the parameters, which share one dtype, into one
-    flat buffer and rebinds each ``data`` to a view of it with the same
-    shape and dtype.  The moments are one flat buffer each; ``m`` and
-    ``v`` return their per-parameter views in the order of ``params``.  A
-    step at rate ``lr`` concatenates the gradients once and runs the
-    update rule on whole buffers; the rule is elementwise, so every entry
-    gets the bits a per-tensor update gives it.  A missing gradient, or
-    one of another dtype, is a ``ConfigError`` that leaves the state as it
-    was, and a ``weight_decay`` that is not a finite number >= 0 is one
-    too.  A parameter whose ``data`` is rebound after construction is no
-    longer the one the optimizer updates, so callers write into ``data``
-    in place.
+    It steps the model's two flat buffers, ``params`` from ``grads``, and
+    keeps one flat buffer per moment; ``params`` holds the stepped
+    ``Tensor``s and ``m`` and ``v`` the moments' per-trainable views, all
+    in ``Model.trainable_params()`` order.  The update rule is elementwise,
+    so every entry gets the bits a per-tensor update gives it.  A
+    ``weight_decay`` that is not a finite number >= 0 is a ``ConfigError``.
     """
 
-    def __init__(self, params, weight_decay: float):
+    def __init__(self, model: Model, weight_decay: float):
         if not (finite(weight_decay) and weight_decay >= 0):
             raise ConfigError(f"weight_decay must be a finite number >= 0, got {shown(weight_decay)}")
-        self.params = list(params)
-        dtypes = {p.data.dtype for p in self.params}
-        if len(dtypes) > 1:
-            raise ConfigError(f"AdamW parameters must share one dtype, got {sorted(map(str, dtypes))}")
+        self.params = [t for _, t in model.trainable_params()]
         self.weight_decay = weight_decay
         self.t = 0
-        empty = np.empty(0, dtype=dtypes.pop() if dtypes else np.float32)
-        self._flat = np.concatenate([empty] + [p.data.ravel() for p in self.params])
-        self._m = np.zeros_like(self._flat)
-        self._v = np.zeros_like(self._flat)
-        for p, view in zip(self.params, self._views(self._flat)):
-            p.data = view
-
-    def _views(self, flat: np.ndarray) -> list[np.ndarray]:
-        views, lo = [], 0
-        for p in self.params:
-            views.append(flat[lo:lo + p.data.size].reshape(p.data.shape))
-            lo += p.data.size
-        return views
-
-    @property
-    def m(self) -> list[np.ndarray]:
-        return self._views(self._m)
-
-    @property
-    def v(self) -> list[np.ndarray]:
-        return self._views(self._v)
+        self._param, self._grad = model.params, model.grads
+        self._m = np.zeros_like(self._param)
+        self._v = np.zeros_like(self._param)
+        self.m, self.v = model.views(self._m), model.views(self._v)
 
     def zero_grad(self):
-        for p in self.params:
-            p.grad = None
+        self._grad.fill(-0.0)
 
     def step(self, lr: float):
         """One update of every parameter at rate ``lr``; decay shrinks the
         pre-step parameter by lr*wd*param."""
-        for i, p in enumerate(self.params):
-            if p.grad is None or p.grad.dtype != self._flat.dtype:
-                got = "no gradient" if p.grad is None else f"a {p.grad.dtype} gradient"
-                raise ConfigError(f"AdamW parameter {i} (shape {p.data.shape}, {self._flat.dtype}) has {got}")
         self.t += 1
         b1, b2 = ADAMW_BETAS
-        # the gradient buffer lives for this step only
-        g = np.concatenate([self._flat[:0]] + [p.grad.ravel() for p in self.params])
-        m, v, param = self._m, self._v, self._flat
+        g, m, v, param = self._grad, self._m, self._v, self._param
         m *= b1
         m += (1.0 - b1) * g
         v *= b2
@@ -208,9 +175,9 @@ def _train_step(model, optimizer, x, y, lr_t, resample: str, k: int, first: bool
     within-step schedules every sub-batch runs on a freshly redrawn
     scaffold, except the run's first sub-batch (``first`` marks the run's
     first step), which trains on the build-time scaffold, as per_epoch's
-    first epoch does.  Gradients accumulate over the pass and are averaged, keeping
-    the lr meaningful across schedules.  Returns (mean loss over the
-    forward rows, correct count, forward rows).
+    first epoch does.  Gradients accumulate in ``model.grads`` over the
+    pass and are averaged, keeping the lr meaningful across schedules.
+    Returns (mean loss over the forward rows, correct count, forward rows).
     """
     if resample == "per_batch":
         parts = [slice(None)] * k
@@ -230,8 +197,7 @@ def _train_step(model, optimizer, x, y, lr_t, resample: str, k: int, first: bool
         correct += int((logits.argmax(axis=1) == ys).sum())
         rows += len(ys)
     if len(parts) > 1:
-        for p in optimizer.params:
-            p.grad /= len(parts)
+        model.grads /= len(parts)
     optimizer.step(lr_t)
     return loss_sum / rows, correct, rows
 
@@ -245,7 +211,7 @@ def _train_loop(model: Model, cfg: TrainConfig, segments, shuffle):
     Yields ``(epoch, train_loss, train_accuracy, lr)`` after each epoch;
     the train metrics are row-weighted means over every forward row.
     """
-    optimizer = AdamW([p for _, p in model.trainable_params()], cfg.weight_decay)
+    optimizer = AdamW(model, cfg.weight_decay)
     total_steps = cfg.epochs * sum(math.ceil(len(data) / cfg.batch_size) for data, _ in segments)
     step = 0
     for epoch in range(cfg.epochs):
@@ -285,7 +251,7 @@ def train_run(
     restored and rounded to the shipping precision (f16, unless a value
     lies outside its range) before the final test evaluation, so the final
     test numbers, ``final_betas`` and the returned model are the shipped
-    model's."""
+    model's.  The best-val weights are a copy of ``model.params``."""
     started = time.perf_counter()
     model = build_model(model_cfg, backbone_spec)
     shuffle = derive_stream(backbone_spec.seed, 0, DrawKind.DATA_SHUFFLE)
@@ -295,7 +261,6 @@ def train_run(
         if train_cfg.resample == "per_epoch" and epoch > 0:
             model.resample_backbones()
 
-    trainables = [p for _, p in model.trainable_params()]
     metrics = RunMetrics()
     best_val = -1.0
     best_params = None
@@ -321,11 +286,10 @@ def train_run(
         if train_cfg.resample == "static" and val_acc > best_val:
             best_val = val_acc
             metrics.best_epoch = epoch
-            best_params = [p.data.copy() for p in trainables]
+            best_params = model.params.copy()
 
     if best_params is not None:
-        for p, saved in zip(trainables, best_params):
-            p.data[...] = saved
+        model.params[...] = best_params
     else:
         metrics.best_epoch = train_cfg.epochs - 1
     to_shipping_precision(model)
@@ -396,7 +360,9 @@ def seed_gated_train(
     ooc0 = []
     for g in range(len(partition.groups)):
         install(partition.seeds[g])
-        preds = np.concatenate([logits.argmax(axis=1) for logits, _ in _eval_chunks(model, test_dataset)])
+        preds = np.empty(len(test_dataset), dtype=np.intp)
+        for (lo, hi), (logits, _) in zip(eval_blocks(len(test_dataset)), _eval_chunks(model, test_dataset)):
+            preds[lo:hi] = logits.argmax(axis=1)
         counts = np.zeros((10, num_classes), dtype=np.int64)
         for digit in range(10):
             mask = test_dataset.labels == digit
@@ -431,10 +397,9 @@ def beta_summary(final_betas_per_run) -> dict:
     for betas in final_betas_per_run:
         if not (isinstance(betas, list) and all(finite(b) for b in betas)):
             raise ConfigError(f"a run's final betas must be a list of finite numbers, got {shown(betas)}")
-    chunks = [np.asarray(b, dtype=np.float64) for b in final_betas_per_run if b]
-    if not chunks:
+    values = np.array([b for betas in final_betas_per_run for b in betas], dtype=np.float64)
+    if not values.size:
         raise ConfigError("beta_summary needs at least one run with recorded betas")
-    values = np.concatenate(chunks)
     q1, q3 = np.percentile(values, [25, 75])
     return {
         "mean": float(values.mean()),

@@ -139,7 +139,7 @@ def test_criterion_1_exact_count_identities():
     for preset, expected in full_expect.items():
         cfg = ModelConfig(preset=preset, mode="full_training")
         model = build_model(cfg, BackboneSpec.from_config(cfg, 1, PROTOCOL_FAMILY))
-        assert model.count_trainable()[0] == expected
+        assert model.params.size == expected
 
     lora_expect = {
         ("tiny", 1): 1_756, ("tiny", 2): 2_860, ("tiny", 4): 5_068, ("tiny", 8): 9_484,
@@ -150,7 +150,7 @@ def test_criterion_1_exact_count_identities():
     for (preset, rank), expected in lora_expect.items():
         cfg = ModelConfig(preset=preset, rank=rank)
         model = build_model(cfg, BackboneSpec.from_config(cfg, 1, PROTOCOL_FAMILY))
-        assert model.count_trainable()[0] == expected
+        assert model.params.size == expected
 
     transformer_expect = {
         ("3M", 1): (2_371_416, 320_320, 3_096),

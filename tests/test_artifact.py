@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from lottalora.artifact import (F16_MAX, FORMAT_VERSION, MAGIC, MAX_INFLATE_RATIO, PAYLOAD_DTYPES, _byte_planes,
-                                _deflate_planes, _table, describe, load, pack, reconstruct, save,
+                                _deflate_planes, _table, load, pack, read, reconstruct, save,
                                 to_shipping_precision, unpack)
 from lottalora.errors import FormatError, IncompatibilityError, IntegrityError
 from lottalora.initfam import InitFamily
@@ -70,7 +70,7 @@ def table_len(model) -> int:
 
 def test_payload_size_is_four_bytes_per_trainable():
     model = fresh_model(preset="medium", rank=8)
-    total, _ = model.count_trainable()
+    total = model.params.size
     assert total == 21_774
     blob = pack(model)
     header_len = struct.unpack_from("<I", blob, 6)[0]
@@ -134,7 +134,7 @@ def test_snapped_model_packs_as_v2_at_two_bytes_per_trainable(preset, head_mode)
     assert to_shipping_precision(model)
     v2, v3, v4 = pack_v2(model), pack_v3(model), pack(model)
     header_len = struct.unpack_from("<I", v2, 6)[0]
-    total, _ = model.count_trainable()
+    total = model.params.size
     assert len(v2) == 10 + header_len + table_len(model) + 2 * total + 4
     assert version_of(v4) == 4 and len(v4) < len(v3) < len(v2)
     assert all(pack(reconstruct(*unpack(blob))) == v4 for blob in (v2, v3, v4))
@@ -222,7 +222,7 @@ def test_the_v2_and_v3_fixtures_hold_the_tables_their_headers_configs_give():
         header, _ = unpack(blob)
         table = _table(ModelConfig(**header["model"]).trainable_layout(), PAYLOAD_DTYPES[version_of(blob)])
         assert blob[table_start(blob):table_start(blob) + len(table)] == table
-        assert describe(blob)["table_bytes"] == len(table)
+        assert read(blob)[2]["table_bytes"] == len(table)
 
 
 def v3_stream(blob: bytes, model) -> bytes:
@@ -297,7 +297,7 @@ def test_a_value_outside_the_f16_range_keeps_the_whole_model_f32(value):
     blob = pack(model)
     assert version_of(blob) == 1
     header_len = struct.unpack_from("<I", blob, 6)[0]
-    assert len(blob) == 10 + header_len + table_len(model) + 4 * model.count_trainable()[0] + 4
+    assert len(blob) == 10 + header_len + table_len(model) + 4 * model.params.size + 4
 
 
 def test_single_byte_corruption_detected():
@@ -710,7 +710,7 @@ def test_a_trained_tiny_r1_model_is_at_least_a_tenth_smaller_as_v4_than_as_v3():
     assert version_of(v4) == 4 and len(v4) <= 0.9 * len(v3)
     assert unpack(v4)[0] == unpack(v3)[0] and same_bits(unpack(v4)[1], unpack(v3)[1])
     # the same planes stream: the saving is the table and the deflated header
-    d3, d4 = describe(v3), describe(v4)
+    d3, d4 = read(v3)[2], read(v4)[2]
     assert d4["table_bytes"] == 0 < d3["table_bytes"] and d4["stored_header_bytes"] < d3["stored_header_bytes"]
     assert d4["stored_payload_bytes"] == d3["stored_payload_bytes"]
 
@@ -767,8 +767,7 @@ def test_payload_scales_linearly_not_quadratically_with_width():
     dense_ratio = (256 * 256) / (64 * 64)  # 16x
     assert w_pay / n_pay < dense_ratio / 2
     # and the adapter payload follows the linear count exactly
-    n_total, _ = narrow.count_trainable()
-    w_total, _ = wide.count_trainable()
+    n_total, w_total = narrow.params.size, wide.params.size
     assert (w_pay - 4 * w_total) - (n_pay - 4 * n_total) < 200  # headers nearly equal
 
 

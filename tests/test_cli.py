@@ -7,7 +7,8 @@ from dataclasses import asdict
 import pytest
 
 import lottalora
-from lottalora.artifact import load, pack, save, to_shipping_precision, unpack
+import lottalora.artifact as artifact_mod
+from lottalora.artifact import load, pack, read, save, to_shipping_precision, unpack
 from lottalora.cli import EXIT_CODES, run, run_grid
 from lottalora.errors import LottaError
 from lottalora.initfam import InitFamily
@@ -144,7 +145,7 @@ def test_unpack_reports_the_format_version_and_where_the_bytes_go(tmp_path, caps
     snapped = build_model(cfg, BackboneSpec.from_config(cfg, 7))
     to_shipping_precision(snapped)
     save(str(trained), pack(snapped))
-    values, _ = snapped.count_trainable()
+    values = snapped.params.size
     header_len = len(json.dumps(unpack(load(V2_FIXTURE))[0], sort_keys=True, separators=(",", ":")))
     cases = ((fresh, 1, 4), (V2_FIXTURE, 2, 2), (V3_FIXTURE, 3, 2), (V4_FIXTURE, 4, 2), (trained, 4, 2))
     outs = {}
@@ -167,6 +168,25 @@ def test_unpack_reports_the_format_version_and_where_the_bytes_go(tmp_path, caps
     stored = {path: out["stored_payload_bytes"] for path, out in outs.items()}
     assert stored[fresh] == 4 * values and stored[V2_FIXTURE] == 2 * values
     assert stored[trained] < stored[V3_FIXTURE] < stored[V2_FIXTURE]
+
+
+@pytest.mark.parametrize("path", [V2_FIXTURE, V3_FIXTURE, V4_FIXTURE])
+def test_unpack_parses_the_artifact_once(path, capsys, monkeypatch):
+    blob = load(path)
+    header, tensors = unpack(blob)
+    expected = json.dumps({"header": header, "tensors": {k: list(v.shape) for k, v in tensors.items()},
+                           **artifact_mod.read(blob)[2]}, indent=2, sort_keys=True) + "\n"
+    parses = []
+
+    def counting_read(data):
+        parses.append(len(data))
+        return read(data)
+
+    monkeypatch.setattr(artifact_mod, "read", counting_read)
+    capsys.readouterr()
+    assert run(["unpack", str(path)]) == 0
+    assert parses == [len(blob)]
+    assert capsys.readouterr().out == expected
 
 
 def test_pack_of_a_rank_above_every_layer_width_is_config_error(tmp_path, capsys):

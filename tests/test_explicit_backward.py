@@ -15,6 +15,7 @@ import math
 import numpy as np
 import pytest
 
+import lottalora.layers as layers_mod
 import lottalora.numerics as numerics
 import lottalora.train as train_mod
 from lottalora.data import make_partition, synthetic_blobs
@@ -107,7 +108,7 @@ def assert_two_steps_match_the_tape(cfg, resample, k, rows, monkeypatch):
 
     def run():
         model = build_model(cfg, spec)
-        opt = AdamW([p for _, p in model.trainable_params()], 1e-2)
+        opt = AdamW(model, 1e-2)
         for step in range(2):  # the second step runs on non-zero moments and B
             _train_step(model, opt, x, y, 1e-2, resample, k, step == 0)
         return final_state(model, opt)
@@ -209,13 +210,47 @@ def test_training_runs_without_the_tape(resample, monkeypatch):
     assert math.isfinite(metrics.final_test_loss)
 
 
-def test_loss_and_grads_fills_every_trainable_grad():
+def write_counts(model, x, y, monkeypatch) -> np.ndarray:
+    """How many times one ``loss_and_grads`` adds into each entry of
+    ``model.grads``, read from the memory each ``add_grad`` writes."""
+    counts = np.zeros(model.grads.size, dtype=np.int64)
+    base = model.grads.__array_interface__["data"][0]
+
+    def recording_add_grad(t, g):
+        assert np.shares_memory(t.grad, model.grads) and t.grad.flags.c_contiguous
+        lo = (t.grad.__array_interface__["data"][0] - base) // t.grad.itemsize
+        counts[lo:lo + t.grad.size] += 1
+        numerics.add_grad(t, g)
+
+    monkeypatch.setattr(layers_mod, "add_grad", recording_add_grad)
+    loss, logits = model.loss_and_grads(x, y)
+    assert isinstance(loss, float) and isinstance(logits, np.ndarray)
+    assert logits.shape == (len(y), model.cfg.num_classes)
+    return counts
+
+
+@pytest.mark.parametrize("cfg_kw", [
+    *(dict(head_mode=head_mode, layernorm=layernorm_on)
+      for head_mode in ("full", "lora", "lora_bias") for layernorm_on in (False, True)),
+    dict(mode="full_training"),
+], ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()))
+def test_one_pass_writes_every_gradient_entry_once_as_the_tape_does(cfg_kw, monkeypatch):
+    # B is drawn, not zero, so A's gradient is not legitimately zero
+    cfg = small_cfg(b_init="kaiming", **cfg_kw)
+    spec = BackboneSpec.from_config(cfg, 4)
     data = blobs(n=20)
-    cfg = small_cfg(layernorm=True, head_mode="lora_bias")
-    model = build_model(cfg, BackboneSpec.from_config(cfg, 4))
-    loss, logits = model.loss_and_grads(data.images, data.labels)
-    assert isinstance(loss, float) and isinstance(logits, np.ndarray) and logits.shape == (20, 3)
-    assert all(p.grad is not None and p.grad.dtype == p.data.dtype for _, p in model.trainable_params())
+    model = build_model(cfg, spec)
+    counts = write_counts(model, data.images, data.labels, monkeypatch)
+    names = [name for name, _ in cfg.trainable_layout()]
+    unwritten = [n for n, c in zip(names, model.views(counts)) if np.any(c != 1)]
+    assert not unwritten, f"entries not written exactly once: {unwritten}"
+    # every view holds the tape's gradient, bit for bit
+    oracle = build_model(cfg, spec)
+    tape_loss_and_grads(oracle, data.images, data.labels)
+    differ = [n for n, got, want in zip(names, model.views(model.grads), oracle.views(oracle.grads))
+              if got.tobytes() != want.tobytes()]
+    assert not differ, f"gradients that differ from the tape's: {differ}"
+    assert all(np.any(g) for g in model.views(model.grads))
 
 
 def no_cycles_after(run) -> bool:
@@ -306,8 +341,11 @@ def test_a_medium_training_pass_of_128_rows_holds_no_dropout_scales():
 
 
 def to_float64(model):
-    for _, p in model.trainable_params():
-        p.data = p.data.astype(np.float64)
+    """Move the model to f64: its buffers, the trainables' views of them,
+    and its frozen matrices."""
+    model.params, model.grads = model.params.astype(np.float64), model.grads.astype(np.float64)
+    for (_, p), data, grad in zip(model.trainable_params(), model.views(model.params), model.views(model.grads)):
+        p.data, p.grad = data, grad
     for layer in model.lotta_layers():
         b, bias = layer.backbone, layer.frozen_bias
         layer.set_backbone(BackboneMatrix(b.rows, b.cols, b.data.astype(np.float64)),

@@ -151,7 +151,9 @@ def model_layer(use_ln=False):
 def test_backbone_frozen_under_gradient_step():
     model, layer = model_layer()
     before = layer.backbone.data.tobytes()
-    x = np.random.default_rng(8).standard_normal((8, 32)).astype(np.float32)
+    rng = np.random.default_rng(8)
+    layer.b.data[...] = 0.1 * rng.standard_normal(layer.b.shape)  # so A's gradient is not zero
+    x = rng.standard_normal((8, 32)).astype(np.float32)
     cache = {}
     out = layer.forward(x, cache)
     g = softmax(out)  # gradient of the mean cross-entropy against label 0
@@ -159,8 +161,9 @@ def test_backbone_frozen_under_gradient_step():
     g /= 8.0
     assert layer.backward(g.astype(np.float32), cache).shape == x.shape
     # the gradient reaches exactly the layer's trainables; the backbone has no slot
-    graded = [(n, p) for n, p in model.trainable_params() if p.grad is not None]
+    graded = [(n, p) for n, p in model.trainable_params() if np.any(p.grad)]
     assert [n for n, _ in graded] == ["layer0.A", "layer0.B", "layer0.beta"]
+    assert model.grads.size == model.params.size == sum(p.data.size for _, p in model.trainable_params())
     for _, p in graded:
         p.data -= 0.1 * p.grad
     assert layer.backbone.data.tobytes() == before

@@ -45,39 +45,44 @@ LORA_COUNTS = {
 }
 
 
+def group_counts(model) -> dict:
+    """Entries of ``params`` per name prefix (``layer0``, ..., ``head``),
+    summed over the views of each named tensor."""
+    counts: dict[str, int] = {}
+    for (name, _), view in zip(model.cfg.trainable_layout(), model.views(model.params), strict=True):
+        counts[name.split(".")[0]] = counts.get(name.split(".")[0], 0) + view.size
+    return counts
+
+
 @pytest.mark.parametrize("preset,expected", sorted(FULL_COUNTS.items()))
 def test_full_training_counts(preset, expected):
     model = build(preset, mode="full_training")
-    total, _ = model.count_trainable()
-    assert total == expected
+    assert model.params.size == expected
 
 
 @pytest.mark.parametrize("preset,rank", sorted(LORA_COUNTS))
 def test_lottalora_counts(preset, rank):
     model = build(preset, rank=rank)
-    total, breakdown = model.count_trainable()
-    assert total == LORA_COUNTS[(preset, rank)]
-    assert breakdown["head"] == 10 * model.cfg.dims()[-1] + 10
+    assert model.params.size == sum(group_counts(model).values()) == LORA_COUNTS[(preset, rank)]
+    assert group_counts(model)["head"] == 10 * model.cfg.dims()[-1] + 10
 
 
 def test_per_layer_count_formula():
-    model = build("medium", rank=8)
-    _, breakdown = model.count_trainable()
+    breakdown = group_counts(build("medium", rank=8))
     dims = (784, 512, 256, 128, 64)
     for i in range(4):
         assert breakdown[f"layer{i}"] == 8 * (dims[i] + dims[i + 1]) + 1
 
 
 def test_layernorm_adds_two_d_per_layer():
-    base, _ = build("tiny", rank=4).count_trainable()
-    with_ln, _ = build("tiny", rank=4, layernorm=True).count_trainable()
+    base = build("tiny", rank=4).params.size
+    with_ln = build("tiny", rank=4, layernorm=True).params.size
     assert with_ln - base == 2 * (128 + 64)
 
 
 def test_head_mode_counts():
-    full, _ = build("tiny", rank=4, head_mode="full").count_trainable()
-    lora, _ = build("tiny", rank=4, head_mode="lora").count_trainable()
-    lora_bias, _ = build("tiny", rank=4, head_mode="lora_bias").count_trainable()
+    full, lora, lora_bias = (build("tiny", rank=4, head_mode=mode).params.size
+                             for mode in ("full", "lora", "lora_bias"))
     # frozen random head + adapter replaces the 650-parameter dense head
     assert lora == full - 650 + (4 * (64 + 10) + 1)
     assert lora_bias == lora + 10

@@ -10,7 +10,7 @@ from lottalora.initfam import InitFamily
 from lottalora import model as model_module
 from lottalora import train as train_module
 from lottalora.model import BackboneSpec, ModelConfig, build_model
-from lottalora.numerics import softmax_xent, tensor
+from lottalora.numerics import softmax_xent
 from lottalora.prng import DrawKind, derive_stream
 from lottalora.train import (
     ADAMW_BETAS,
@@ -52,12 +52,19 @@ def quick_train_cfg(**kw):
 
 # -- AdamW --------------------------------------------------------------------
 
+def scalar_model():
+    """A 1 -> 1 -> 1 fully trained model: four scalar trainables."""
+    cfg = ModelConfig(preset=None, hidden_dims=(1,), input_dim=1, num_classes=1, rank=1, mode="full_training")
+    return build_model(cfg, BackboneSpec.from_config(cfg, 0))
+
+
 def test_adamw_zero_grad_zero_decay_no_change():
-    p = tensor(np.array([1.0, -2.0]), requires_grad=True)
-    p.grad = np.zeros(2, dtype=np.float32)
-    opt = AdamW([p], 0.0)
+    model = scalar_model()
+    model.params[...] = [1.0, -2.0, 3.0, 0.5]
+    opt = AdamW(model, 0.0)
+    opt.zero_grad()
     opt.step(0.1)
-    assert np.array_equal(p.data, np.array([1.0, -2.0], dtype=np.float32))
+    assert np.array_equal(model.params, np.array([1.0, -2.0, 3.0, 0.5], dtype=np.float32))
 
 
 def test_adamw_single_scalar_step_matches_hand_arithmetic():
@@ -71,38 +78,27 @@ def test_adamw_single_scalar_step_matches_hand_arithmetic():
     vhat = v / (1 - b2)
     expected = value - lr * mhat / (math.sqrt(vhat) + eps)
 
-    p = tensor(np.asarray(value), requires_grad=True, dtype=np.float64)
-    p.grad = np.asarray(grad, dtype=np.float64)
-    opt = AdamW([p], wd)
-    opt.step(lr)
-    assert float(p.data) == pytest.approx(expected, rel=1e-12)
+    model = scalar_model()
+    model.params[...], model.grads[...] = value, grad
+    AdamW(model, wd).step(lr)
+    assert model.params.tolist() == pytest.approx([expected] * 4, rel=1e-7)
 
 
 def test_adamw_decoupled_decay_shrinks_param():
     lr, wd = 0.1, 0.5
-    p_plain = tensor(np.asarray(2.0), requires_grad=True, dtype=np.float64)
-    p_decay = tensor(np.asarray(2.0), requires_grad=True, dtype=np.float64)
-    for p in (p_plain, p_decay):
-        p.grad = np.asarray(0.5, dtype=np.float64)
-    AdamW([p_plain], 0.0).step(lr)
-    AdamW([p_decay], wd).step(lr)
+    plain, decay = scalar_model(), scalar_model()
+    for model in (plain, decay):
+        model.params[...], model.grads[...] = 2.0, 0.5
+    AdamW(plain, 0.0).step(lr)
+    AdamW(decay, wd).step(lr)
     # extra shrink is exactly lr * wd * param on the pre-step value
-    assert float(p_plain.data - p_decay.data) == pytest.approx(lr * wd * 2.0, rel=1e-12)
-
-
-def test_adamw_step_without_a_gradient_is_a_config_error():
-    p = tensor(np.ones(3), requires_grad=True)
-    opt = AdamW([p], 1e-2)
-    with pytest.raises(ConfigError, match="parameter 0 .* no gradient"):
-        opt.step(0.1)
-    assert np.array_equal(p.data, np.ones(3, dtype=np.float32)) and opt.t == 0
+    assert (plain.params - decay.params).tolist() == pytest.approx([lr * wd * 2.0] * 4, rel=1e-6)
 
 
 @pytest.mark.parametrize("weight_decay", ["x", None, -1e-3, float("nan"), float("inf"), 10 ** 400])
 def test_adamw_rejects_a_weight_decay_that_is_not_a_finite_number_at_least_zero(weight_decay):
-    p = tensor(np.ones(3), requires_grad=True)
     with pytest.raises(ConfigError, match="weight_decay"):
-        AdamW([p], weight_decay)
+        AdamW(scalar_model(), weight_decay)
 
 
 # -- cosine schedule ------------------------------------------------------------
@@ -248,7 +244,7 @@ def test_one_pass_step_matches_reference_bitwise(resample, k, rows):
 
     def state_after_two_steps(step):
         model = build_model(cfg, spec)
-        opt = AdamW([p for _, p in model.trainable_params()], 1e-2)
+        opt = AdamW(model, 1e-2)
         for n in range(2):  # the second step runs on non-zero moments and B
             step(model, opt, n == 0)
         return (model.backbone_hashes(), [p.data.tobytes() for p in opt.params],
