@@ -331,7 +331,8 @@ def reconstruct(header: dict, tensors: dict) -> Model:
         if tuple(tensors[name].shape) != shape:
             raise FormatError(f"tensor {name!r} has shape {tensors[name].shape}, expected {shape}")
     model = build_model(cfg, spec)
-    model.params[...] = np.concatenate([tensors[name].ravel() for name, _ in layout])
+    for (name, _), view in zip(layout, model.views(model.params), strict=True):
+        view[...] = tensors[name]
     return model
 
 

@@ -14,7 +14,8 @@ Since only these and the dense layers learn, each layer's gradient is a
 fixed rule, so layers are array-level: ``forward(h, cache)`` returns the
 output array and, given a ``cache`` dict, keeps what ``backward(g, cache)``
 needs; ``backward`` adds the trainables' gradients into their ``grad``,
-views of the model's ``grads`` buffer, and returns the input's gradient.
+views of the model's ``grads`` buffer (a layer no model holds has its
+own, from ``trainable_leaf``), and returns the input's gradient.
 The rules keep the op order and dtypes of the same layer built from the
 generic tape ops in ``numerics``, so both give the same bits; the tests
 hold them to that.
@@ -28,7 +29,7 @@ import numpy as np
 
 from .errors import ConfigError, DimensionError, integer
 from .initfam import BackboneMatrix
-from .numerics import Tensor, add_grad, layernorm_backward, layernorm_forward, tensor
+from .numerics import Tensor, add_grad, layernorm_backward, layernorm_forward, trainable_leaf
 from .prng import Stream
 
 B_INITS = ("zeros", "kaiming")
@@ -55,9 +56,9 @@ def init_adapter(rank: int, d_in: int, d_out: int, stream: Stream, b_init: str =
         raise ConfigError(f"rank must be >= 1, got {rank}")
     if b_init not in B_INITS:
         raise ConfigError(f"b_init must be one of {B_INITS}, got {b_init!r}")
-    a = tensor(kaiming_uniform(stream, rank, d_in), requires_grad=True)
+    a = trainable_leaf(kaiming_uniform(stream, rank, d_in))
     b_data = kaiming_uniform(stream, d_out, rank) if b_init == "kaiming" else np.zeros((d_out, rank))
-    return a, tensor(b_data, requires_grad=True)
+    return a, trainable_leaf(b_data)
 
 
 class LottaLayer:
@@ -77,16 +78,16 @@ class LottaLayer:
                  scale: float, use_layernorm: bool = False, use_bias: bool = False):
         self.a = a  # [rank, d_in]
         self.b = b  # [d_out, rank]
-        self.beta = tensor(np.asarray(1.0), requires_grad=True)
+        self.beta = trainable_leaf(np.asarray(1.0))
         self.scale = scale
         self.d_in = a.shape[1]
         self.d_out = b.shape[0]
         self.set_backbone(backbone, frozen_bias)
-        self.bias = tensor(np.zeros(self.d_out), requires_grad=True) if use_bias else None
+        self.bias = trainable_leaf(np.zeros(self.d_out)) if use_bias else None
         self.ln_gamma = self.ln_bias = None
         if use_layernorm:
-            self.ln_gamma = tensor(np.ones(self.d_out), requires_grad=True)
-            self.ln_bias = tensor(np.zeros(self.d_out), requires_grad=True)
+            self.ln_gamma = trainable_leaf(np.ones(self.d_out))
+            self.ln_bias = trainable_leaf(np.zeros(self.d_out))
 
     def drop_backbone(self) -> None:
         """Release the frozen matrix and bias, so a redraw does not hold the
@@ -178,8 +179,8 @@ class DenseLayer:
     """Fully trainable linear layer with bias (full-training mode, heads)."""
 
     def __init__(self, d_in: int, d_out: int, stream: Stream):
-        self.w = tensor(kaiming_uniform(stream, d_out, d_in), requires_grad=True)
-        self.b = tensor(np.zeros(d_out), requires_grad=True)
+        self.w = trainable_leaf(kaiming_uniform(stream, d_out, d_in))
+        self.b = trainable_leaf(np.zeros(d_out))
         self.d_in = d_in
         self.d_out = d_out
 

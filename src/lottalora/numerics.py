@@ -106,6 +106,15 @@ def tensor(data, requires_grad=False, dtype=np.float32) -> Tensor:
     return Tensor(arr, requires_grad=requires_grad)
 
 
+def trainable_leaf(data) -> Tensor:
+    """A trainable f32 leaf with a -0.0 ``grad`` of its own, so a layer
+    that no model holds can still run its backward; ``Model._build``
+    rebinds ``data`` and ``grad`` to views of its buffers."""
+    t = tensor(data, requires_grad=True)
+    t.grad = np.full_like(t.data, -0.0)
+    return t
+
+
 def _accumulate(t: Tensor, g: np.ndarray):
     if g.dtype != t.data.dtype:
         g = g.astype(t.data.dtype)
@@ -115,8 +124,9 @@ def _accumulate(t: Tensor, g: np.ndarray):
 
 
 def add_grad(t: Tensor, g: np.ndarray) -> None:
-    """Add ``g`` into ``t.grad``, a view of the model's gradient buffer; an
-    explicit backward rule hands each trainable its gradient this way.
+    """Add ``g`` into ``t.grad``, a view of the model's gradient buffer (or
+    a lone layer's own, from ``trainable_leaf``); an explicit backward rule
+    hands each trainable its gradient this way.
     ``g`` is cast to the buffer's dtype first, so an f64 gradient is
     rounded once and then added, as it would be assigned; adding it
     unrounded would round the sum instead."""

@@ -360,9 +360,7 @@ def seed_gated_train(
     ooc0 = []
     for g in range(len(partition.groups)):
         install(partition.seeds[g])
-        preds = np.empty(len(test_dataset), dtype=np.intp)
-        for (lo, hi), (logits, _) in zip(eval_blocks(len(test_dataset)), _eval_chunks(model, test_dataset)):
-            preds[lo:hi] = logits.argmax(axis=1)
+        preds = np.concatenate([logits.argmax(axis=1) for logits, _ in _eval_chunks(model, test_dataset)])
         counts = np.zeros((10, num_classes), dtype=np.int64)
         for digit in range(10):
             mask = test_dataset.labels == digit

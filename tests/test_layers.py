@@ -202,6 +202,36 @@ def test_lora_bias_head_holds_its_trainable_offset():
     assert np.array_equal(head.bias.grad, g.sum(axis=0, dtype=np.float64).astype(np.float32))
 
 
+@pytest.mark.parametrize("use_ln", [False, True])
+def test_a_layer_no_model_holds_adds_its_gradients_into_its_own(use_ln):
+    backbone = draw_matrix(derive_stream(7, 0, DrawKind.BACKBONE_WEIGHT),
+                           InitFamily("normal", {"sigma": 0.1}, scaling="explicit"), 16, 32)
+    a, b = init_adapter(4, 32, 16, derive_stream(7, 0, DrawKind.ADAPTER_A_INIT))
+    layer = LottaLayer(backbone, None, a, b, 0.25, use_layernorm=use_ln, use_bias=True)
+    assert all(np.array_equal(t.grad, np.full(t.shape, -0.0)) and np.signbit(t.grad).all() for t in layer.trainable())
+    rng = np.random.default_rng(12)
+    layer.b.data[...] = rng.standard_normal(layer.b.shape)
+    h = rng.standard_normal((8, 32)).astype(np.float32)
+    g = rng.standard_normal((8, 16)).astype(np.float32)
+    cache = {}
+    layer.forward(h, cache)
+    layer.backward(g.copy(), cache)
+    first = [t.grad.copy() for t in layer.trainable()]
+    assert all(np.all(grad != 0) for grad in first)
+    if not use_ln:  # closed forms of d(sum(out * g)) for the un-normalised layer
+        h64, g64 = h.astype(np.float64), g.astype(np.float64)
+        a64, b64 = layer.a.data.astype(np.float64), layer.b.data.astype(np.float64)
+        expected = [0.25 * (g64 @ b64).T @ h64, 0.25 * g64.T @ (h64 @ a64.T),
+                    np.sum((h64 @ layer.backbone.data.T.astype(np.float64)) * g64), g64.sum(axis=0)]
+        for grad, want in zip(first, expected, strict=True):
+            assert np.allclose(grad, want, rtol=1e-5, atol=1e-5)
+    # a second pass adds onto the first
+    layer.forward(h, cache)
+    layer.backward(g.copy(), cache)
+    for t, grad in zip(layer.trainable(), first, strict=True):
+        assert np.array_equal(t.grad, 2 * grad)
+
+
 def test_spectral_norm_identity_and_diag():
     assert spectral_norm(np.eye(6)) == pytest.approx(1.0, abs=1e-9)
     assert spectral_norm(np.diag([3.0, 1.0])) == pytest.approx(3.0, abs=1e-9)

@@ -27,6 +27,8 @@ from lottalora.train import (
     write_metrics_csv,
 )
 
+from test_explicit_backward import to_float64
+
 
 def blob_data(n=600, d=16, classes=3, sep=8.0, seed=5):
     # one draw shares cluster centers; round-robin labels keep both
@@ -52,10 +54,14 @@ def quick_train_cfg(**kw):
 
 # -- AdamW --------------------------------------------------------------------
 
-def scalar_model():
-    """A 1 -> 1 -> 1 fully trained model: four scalar trainables."""
+def scalar_model(f64=False):
+    """A 1 -> 1 -> 1 fully trained model: four scalar trainables, in f64
+    when ``f64``, so AdamW's arithmetic can be checked to 1e-12."""
     cfg = ModelConfig(preset=None, hidden_dims=(1,), input_dim=1, num_classes=1, rank=1, mode="full_training")
-    return build_model(cfg, BackboneSpec.from_config(cfg, 0))
+    model = build_model(cfg, BackboneSpec.from_config(cfg, 0))
+    if f64:
+        to_float64(model)
+    return model
 
 
 def test_adamw_zero_grad_zero_decay_no_change():
@@ -78,21 +84,21 @@ def test_adamw_single_scalar_step_matches_hand_arithmetic():
     vhat = v / (1 - b2)
     expected = value - lr * mhat / (math.sqrt(vhat) + eps)
 
-    model = scalar_model()
+    model = scalar_model(f64=True)
     model.params[...], model.grads[...] = value, grad
     AdamW(model, wd).step(lr)
-    assert model.params.tolist() == pytest.approx([expected] * 4, rel=1e-7)
+    assert model.params.tolist() == pytest.approx([expected] * 4, rel=1e-12)
 
 
 def test_adamw_decoupled_decay_shrinks_param():
     lr, wd = 0.1, 0.5
-    plain, decay = scalar_model(), scalar_model()
+    plain, decay = scalar_model(f64=True), scalar_model(f64=True)
     for model in (plain, decay):
         model.params[...], model.grads[...] = 2.0, 0.5
     AdamW(plain, 0.0).step(lr)
     AdamW(decay, wd).step(lr)
     # extra shrink is exactly lr * wd * param on the pre-step value
-    assert (plain.params - decay.params).tolist() == pytest.approx([lr * wd * 2.0] * 4, rel=1e-6)
+    assert (plain.params - decay.params).tolist() == pytest.approx([lr * wd * 2.0] * 4, rel=1e-12)
 
 
 @pytest.mark.parametrize("weight_decay", ["x", None, -1e-3, float("nan"), float("inf"), 10 ** 400])
