@@ -180,16 +180,33 @@ def _header_config(header: dict) -> ModelConfig:
         raise FormatError(f"artifact header has a missing or malformed model field: {err!r}") from err
 
 
+def _checked_extra(extra) -> dict:
+    """``extra`` as the header holds it, ``{}`` for None; a ConfigError
+    unless it is a dict that strict JSON reads back as given: str keys at
+    every level, lists rather than tuples, finite numbers."""
+    if extra is None:
+        return {}
+    try:
+        same = isinstance(extra, dict) and json.loads(json.dumps(extra, allow_nan=False)) == extra
+    except (TypeError, ValueError, RecursionError):
+        same = False
+    if not same:
+        raise ConfigError(f"extra must be a dict that JSON reads back as given (str keys at every level, lists, "
+                          f"finite numbers), got a {type(extra).__name__}")
+    return extra
+
+
 def pack(model: Model, extra: dict | None = None) -> bytes:
     """Serialize a model's trainable state into the canonical byte stream:
     format version 4 (deflated header, f16 byte planes deflated tensor by
     tensor by ``_deflate_planes``, no tensor table) when every value is
-    f16-exact, else version 1 (raw header, tensor table, f32)."""
+    f16-exact, else version 1 (raw header, tensor table, f32).  ``extra``
+    must be JSON that reads back as given (``_checked_extra``)."""
     header = {
         "algorithm_id": ALGORITHM_ID,
         "backbone": asdict(model.spec),
         "model": asdict(model.cfg),
-        "extra": extra or {},
+        "extra": _checked_extra(extra),
     }
     header_bytes = _canonical_json(header)
 

@@ -65,31 +65,6 @@ def eval_blocks(n: int) -> list[tuple[int, int]]:
     return list(zip(edges, edges[1:]))
 
 
-# A dropout keep mask is drawn in raw blocks of at most this many words,
-# so a mask never holds its whole u64 block.
-MASK_BLOCK_WORDS = 16384
-
-
-def _keep_mask(stream: Stream, shape: tuple, p: float) -> np.ndarray:
-    """Dropout's bool keep mask over ``shape``: True where an entry is kept.
-
-    An entry is kept when the top 53 bits of its raw draw reach
-    ceil(p * 2**53).  A unit draw is those bits times 2**-53, so this keeps
-    exactly the entries that ``unit_block(n) >= p`` keeps, from the same
-    draws, without float64 uniforms.  For an integer t, ``bits >> 11 >= t``
-    holds exactly when ``bits >= t << 11``, so the raw words are compared
-    unshifted; for p < 1, t << 11 is below 2**64.  The words come in
-    ``u64_block`` calls of at most ``MASK_BLOCK_WORDS``, which continue the
-    stream as one block of n would.
-    """
-    threshold = np.uint64(math.ceil(p * 2.0 ** 53) << 11)
-    keep = np.empty(math.prod(shape), dtype=bool)
-    for lo in range(0, len(keep), MASK_BLOCK_WORDS):
-        part = keep[lo:lo + MASK_BLOCK_WORDS]
-        np.greater_equal(stream.u64_block(len(part)), threshold, out=part)
-    return keep.reshape(shape)
-
-
 def _draw_frozen(cfg: "ModelConfig", family: InitFamily, i: int, stream: Stream):
     """Layer i's frozen matrix and bias, drawn from ``stream``."""
     d_out, d_in = cfg.layer_shapes()[i]
@@ -334,9 +309,10 @@ class Model:
         Runs the forward with dropout, keeping each layer's cache, then
         ``softmax_xent``, then the layers' backward rules in reverse, which
         add every trainable's gradient into its view of ``grads``.  The
-        caches hold no dropout mask: the gradient through a hidden layer's
-        ReLU and dropout is masked by where the next layer's cached input,
-        the post-dropout activation, is positive, then scaled by 1/(1-p).
+        forward's dropout masks are ``Stream.keep_block`` draws, and no
+        cache holds one: the gradient through a hidden layer's ReLU and
+        dropout is masked by where the next layer's cached input, the
+        post-dropout activation, is positive, then scaled by 1/(1-p).
         """
         self._check_batch(x)
         layers = [*self.hidden, self.head]
@@ -371,10 +347,12 @@ class Model:
 
     def _forward_rows(self, batch: np.ndarray, caches: list | None = None) -> np.ndarray:
         """The layer loop over one block of rows.  Given one cache dict per
-        layer, it is a training forward: it applies dropout in place from
-        a bool keep mask, and each layer's cache keeps what its backward
-        needs.  No cache keeps the mask; the backward reads it back from
-        the next layer's cached input."""
+        layer, it is a training forward: after each hidden layer's ReLU it
+        applies dropout in place from the layer's dropout stream's
+        ``keep_block`` over the activations, reshaped to them, and each
+        layer's cache keeps what its backward needs.  No cache keeps the
+        mask; the backward reads it back from the next layer's cached
+        input."""
         p = self.cfg.dropout if caches is not None else 0.0
         caches = caches or [None] * (len(self.hidden) + 1)
         h = np.ascontiguousarray(batch, dtype=np.float32)
@@ -384,7 +362,7 @@ class Model:
             if p > 0.0:
                 # h * 0 or h * 1, then times 1/(1-p): the bits of h times
                 # the mask's 0 or 1/(1-p) in h's dtype
-                h *= _keep_mask(self._dropout_streams[i], h.shape, p)
+                h *= self._dropout_streams[i].keep_block(h.size, p).reshape(h.shape)
                 h *= h.dtype.type(1.0 / (1.0 - p))
         return self.head.forward(h, caches[-1])
 

@@ -17,24 +17,24 @@ one stopped, so one block of n and n blocks of 1 give the same values:
     gamma), and n outputs advance the state by ``n*gamma``.
   * ``unit_block``: the top 53 bits of each raw output times 2**-53, in
     [0, 1).  So ``unit >= p`` holds exactly when those bits reach
-    ``ceil(p * 2**53)``; dropout masks compare the bits directly.
+    ``ceil(p * 2**53)``; dropout's ``keep_block`` compares the raw words.
   * ``gaussian_block``: Box-Muller over consecutive unit pairs (u1, u2);
     ``sqrt(-2*ln(1-u1))`` pairs with angle ``2*pi*u2``; the cosine branch
     comes first, and a sine branch left over by an odd count is carried
     to the next gaussian draw.
 
-A block is evaluated in chunks by one in-place kernel, so a chunk's
+This module is the one place that turns raw words into draws.  A block
+is evaluated in chunks by one in-place kernel, so a chunk's
 intermediates stay in cache and no block-sized temporaries are allocated.
-Raw (stride-1) fills run in chunks of ``_U64_CHUNK`` = 32768 words; the
-stride-2 fills, Box-Muller pairs and unit conversion run in chunks of
-``_CHUNK`` = 8192 entries, which measured best for them.  Chunking cannot
-change a bit.  The k-th raw output is ``mix64(state + k*gamma)``, a pure
-function of its flat index in exact 64-bit integer arithmetic.  The unit
-and Box-Muller steps apply the same elementwise numpy ufuncs to the same
-float64 values as a whole-array evaluation would.  Every transcendental runs on a contiguous operand,
-because numpy may pick a differently rounding loop for strided ones; so
-Box-Muller reads u1 from the odd and u2 from the even stream offsets as
-two contiguous stride-2 runs.
+Raw fills are stride 1, in stream order, in chunks of ``_U64_CHUNK`` =
+32768 words; Box-Muller pairs and unit conversion run in chunks of
+``_CHUNK`` = 8192 entries, which measured best for them.  A chunk's pair
+p takes u1 and u2 from its words 2p and 2p+1.  Chunking cannot change a
+bit: raw output k is ``mix64(state + k*gamma)`` in exact 64-bit integer
+arithmetic, and the unit and Box-Muller steps apply the same elementwise
+ufuncs to the same float64 values as a whole-array evaluation would.
+Every transcendental runs on a contiguous operand, because numpy may
+pick a differently rounding loop for strided ones.
 
 Within a Box-Muller chunk, cos and sin do not run over the angles in
 stream order.  The top ``64 - _BUCKET_SHIFT`` bits of each angle's raw word
@@ -63,10 +63,11 @@ raw output and leaves the Box-Muller carry alone.
 from __future__ import annotations
 
 import enum
+import math
 
 import numpy as np
 
-from .errors import ConfigError, integer, integral, shown
+from .errors import ConfigError, integer, integral, real, shown
 
 MASK64 = (1 << 64) - 1
 GOLDEN_GAMMA = 0x9E3779B97F4A7C15
@@ -84,8 +85,8 @@ _MIX_ROUNDS = (
     (np.uint64(31), None),
 )
 
-# entries per chunk of the stride-2 fills, Box-Muller pairs and unit
-# conversion: a chunk's values plus scratch fit in L2 cache
+# entries per chunk of Box-Muller pairs and unit conversion: a chunk's
+# values plus scratch fit in L2 cache
 _CHUNK = 8192
 # the top 64 - _BUCKET_SHIFT bits of an angle's raw word pick its bucket
 # (width 2*pi/64); 8 to 256 buckets all took 0.90-0.92 of a stream-order
@@ -97,11 +98,8 @@ _U64_CHUNK = 4 * _CHUNK
 # draws per block for a caller that streams a large draw into its result
 # chunk by chunk: one kernel chunk of gaussian pairs
 DRAW_CHUNK = 2 * _CHUNK
-# j*stride*gamma for j below the stride's chunk size; a fill's chunk is its ramp's length
-_RAMPS = {
-    stride: np.arange(chunk, dtype=np.uint64) * np.uint64(stride * GOLDEN_GAMMA & MASK64)
-    for stride, chunk in ((1, _U64_CHUNK), (2, _CHUNK))
-}
+# j*gamma for j below _U64_CHUNK: a fill chunk's offsets from its base
+_RAMP = np.arange(_U64_CHUNK, dtype=np.uint64) * np.uint64(GOLDEN_GAMMA)
 
 
 class DrawKind(enum.IntEnum):
@@ -126,21 +124,19 @@ def mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def _mix64_fill(out: np.ndarray, state: int, offset: int, stride: int) -> None:
-    """Set ``out[j] = mix64(state + (offset + j*stride)*gamma)`` in place.
+def _mix64_fill(out: np.ndarray, state: int, offset: int) -> None:
+    """Set ``out[j] = mix64(state + (offset + j)*gamma)`` in place.
 
     ``out`` is a contiguous uint64 array; uint64 arithmetic wraps mod 2**64,
-    matching the scalar path.  Works through ``out`` in chunks of the
-    stride's ramp length with one scratch array.
+    matching the scalar path.  Works through ``out`` in chunks of
+    ``_U64_CHUNK`` words with one scratch array.
     """
-    ramp = _RAMPS[stride]
-    chunk = len(ramp)
-    scratch = np.empty(min(len(out), chunk), dtype=np.uint64)
-    for lo in range(0, len(out), chunk):
-        z = out[lo:lo + chunk]
+    scratch = np.empty(min(len(out), _U64_CHUNK), dtype=np.uint64)
+    for lo in range(0, len(out), _U64_CHUNK):
+        z = out[lo:lo + _U64_CHUNK]
         t = scratch[:len(z)]
-        base = (state + (offset + lo * stride) * GOLDEN_GAMMA) & MASK64
-        np.add(ramp[:len(z)], np.uint64(base), out=z)
+        base = (state + (offset + lo) * GOLDEN_GAMMA) & MASK64
+        np.add(_RAMP[:len(z)], np.uint64(base), out=z)
         for shift, mult in _MIX_ROUNDS:
             np.right_shift(z, shift, out=t)
             np.bitwise_xor(z, t, out=z)
@@ -188,13 +184,29 @@ class Stream:
         """Next ``n`` raw 64-bit outputs as a uint64 array."""
         n = _count(n, "block size")
         out = np.empty(n, dtype=np.uint64)
-        _mix64_fill(out, self.state, 1, 1)
+        _mix64_fill(out, self.state, 1)
         self.state = (self.state + n * GOLDEN_GAMMA) & MASK64
         return out
 
     def unit_block(self, n: int) -> np.ndarray:
         """Next ``n`` uniform draws in [0, 1) with 53-bit mantissas."""
         return _to_unit(self.u64_block(n))
+
+    def keep_block(self, n: int, p: float) -> np.ndarray:
+        """Dropout's keep mask over the next ``n`` draws: True where
+        ``unit_block(n) >= p`` would be, from the same words, which come in
+        ``u64_block`` calls of at most ``DRAW_CHUNK``.  A unit reaches p
+        exactly when its word reaches ceil(p * 2**53) << 11, below 2**64
+        for p < 1.  A ``p`` outside [0, 1) is a ConfigError."""
+        n = _count(n, "block size")
+        if not (real(p) and 0.0 <= p < 1.0):
+            raise ConfigError(f"dropout p must lie in [0, 1), got {shown(p)}")
+        threshold = np.uint64(math.ceil(p * 2.0 ** 53) << 11)
+        keep = np.empty(n, dtype=bool)
+        for lo in range(0, n, DRAW_CHUNK):
+            part = keep[lo:lo + DRAW_CHUNK]
+            np.greater_equal(self.u64_block(len(part)), threshold, out=part)
+        return keep
 
     def gaussian_block(self, n: int) -> np.ndarray:
         """Next ``n`` standard normal draws (Box-Muller, cos branch first).
@@ -212,27 +224,31 @@ class Stream:
         # pair p takes u1 from stream offset 2p+1 and u2 from offset 2p+2
         m = n - i
         pairs = (m + 1) // 2
-        radius, angle, tmp, grouped = np.empty((4, min(pairs, _CHUNK)), dtype=np.float64)
+        words = np.empty(2 * min(pairs, _CHUNK), dtype=np.uint64)
+        radius, angle = np.empty((2, min(pairs, _CHUNK)), dtype=np.float64)
         keys = np.empty(min(pairs, _CHUNK), dtype=np.uint8)
         for lo in range(0, pairs, _CHUNK):
             k = min(_CHUNK, pairs - lo)
-            r, a, t, g = radius[:k], angle[:k], tmp[:k], grouped[:k]
-            _mix64_fill(r.view(np.uint64), self.state, 2 * lo + 1, 2)
-            _to_unit(r.view(np.uint64))
+            w, r, a = words[:2 * k], radius[:k], angle[:k]
+            _mix64_fill(w, self.state, 2 * lo + 1)
+            np.right_shift(w[1::2], _BUCKET_SHIFT, out=keys[:k], casting="unsafe")
+            order = np.argsort(keys[:k], kind="stable")
+            # a unit is its top 53 bits times 2**-53, and a 53-bit integer
+            # is exact in float64, so -u1 and 2*pi*u2 are one product each:
+            # scaling by a power of two commutes with rounding
+            np.right_shift(w, _UNIT_SHIFT, out=w)
+            np.multiply(w[0::2], -_INV_2_53, out=r)
             # 1-u1 lies in (0, 1], so the log is always finite
-            np.negative(r, out=r)
             np.log1p(r, out=r)
             np.multiply(r, -2.0, out=r)
             np.sqrt(r, out=r)
-            _mix64_fill(a.view(np.uint64), self.state, 2 * lo + 2, 2)
-            np.right_shift(a.view(np.uint64), _BUCKET_SHIFT, out=keys[:k], casting="unsafe")
-            order = np.argsort(keys[:k], kind="stable")
-            _to_unit(a.view(np.uint64))
-            np.multiply(a, 2.0 * np.pi, out=a)
-            # cos/sin run over the angles grouped by bucket; ``a`` then
-            # takes each grouped result and scatters it back to stream order.
+            np.multiply(w[1::2], 2.0 * np.pi * _INV_2_53, out=a)
+            # cos/sin run over the angles grouped by bucket, ``g``; ``a``
+            # takes each grouped result and scatters it back to stream
+            # order.  The spent words hold ``g`` and the cosines' scatter.
             # ``order`` is a permutation, so "clip" never clips; it only
             # skips the bounds check
+            g, t = w.view(np.float64).reshape(2, k)
             np.take(a, order, out=g, mode="clip")
             z = out[i + 2 * lo:i + 2 * (lo + k)]
             np.cos(g, out=a)

@@ -12,7 +12,7 @@ import pytest
 from lottalora.artifact import (F16_MAX, FORMAT_VERSION, MAGIC, MAX_INFLATE_RATIO, PAYLOAD_DTYPES, _byte_planes,
                                 _deflate_planes, _table, load, pack, read, reconstruct, save,
                                 to_shipping_precision, unpack)
-from lottalora.errors import FormatError, IncompatibilityError, IntegrityError
+from lottalora.errors import ConfigError, FormatError, IncompatibilityError, IntegrityError
 from lottalora.initfam import InitFamily
 from lottalora.model import HEAD_MODES, MAX_HIDDEN_LAYERS, PRESETS, BackboneSpec, ModelConfig, build_model
 from lottalora.prng import ALGORITHM_ID, Stream
@@ -737,6 +737,44 @@ def test_round_trip_bit_identical_backbone_and_logits():
     assert rebuilt.backbone_hashes() == hashes_before
     assert np.array_equal(rebuilt.forward_logits(probe).data, logits_before)
     assert header["extra"]["note"] == "trained"
+
+
+@pytest.mark.parametrize("extra", [
+    ["a"], [], "x", {"a": {1, 2}}, {1: 2, "a": 3}, {1: 2}, {"x": float("nan")}, {"x": float("inf")},
+    {"a": (1, 2)}, {"a": {1: "b"}}, {"a": np.int64(3)}, {"a": b"bytes"},
+], ids=["list", "empty list", "str", "set value", "mixed keys", "int key", "nan", "inf", "tuple", "nested int key",
+        "numpy int", "bytes"])
+def test_pack_refuses_an_extra_that_would_not_read_back_with_a_config_error(extra):
+    with pytest.raises(ConfigError, match="extra"):
+        pack(fresh_model(), extra=extra)
+
+
+def test_every_extra_pack_accepts_reads_back_as_given():
+    # random nests of JSON values and of values JSON cannot hold as given
+    rng = np.random.default_rng(5)
+    atoms = [0, -1, 2 ** 70, 0.5, -0.0, 1e308, float("nan"), float("inf"), True, None, "s", "\u00fc\n",
+             np.float64(0.25), np.int32(3), (1, 2), {1, 2}, b"b"]
+    keys = ["k", "", "\u00fc", 1, 2.5, None]
+
+    def value(depth):
+        kind = rng.integers(3) if depth < 3 else 0
+        if kind == 0:
+            return atoms[rng.integers(len(atoms))]
+        if kind == 1:
+            return [value(depth + 1) for _ in range(rng.integers(3))]
+        return {keys[rng.integers(len(keys))]: value(depth + 1) for _ in range(rng.integers(3))}
+
+    model, accepted = fresh_model(), 0
+    for _ in range(300):
+        extra = {keys[rng.integers(3)]: value(0) for _ in range(rng.integers(1, 4))}
+        try:
+            blob = pack(model, extra=extra)
+        except ConfigError:
+            continue
+        accepted += 1
+        assert unpack(blob)[0]["extra"] == extra
+    assert 30 <= accepted <= 270  # both outcomes are exercised
+    assert unpack(pack(model))[0]["extra"] == {}
 
 
 def test_same_payload_different_seed_different_logits():

@@ -21,7 +21,7 @@ import lottalora.train as train_mod
 from lottalora.data import make_partition, synthetic_blobs
 from lottalora.initfam import BackboneMatrix, InitFamily
 from lottalora.layers import DenseLayer
-from lottalora.model import MASK_BLOCK_WORDS, BackboneSpec, Model, ModelConfig, _keep_mask, build_model
+from lottalora.model import BackboneSpec, Model, ModelConfig, build_model
 from lottalora.numerics import (
     Tensor,
     add,
@@ -35,7 +35,7 @@ from lottalora.numerics import (
     softmax_xent,
     tensor,
 )
-from lottalora.prng import Stream
+from lottalora.prng import DRAW_CHUNK, Stream
 from lottalora.train import AdamW, TrainConfig, _train_step, seed_gated_train, train_run
 from conftest import peak_bytes
 from tape_oracle import finite_diff_check, tape_softmax_xent
@@ -301,7 +301,7 @@ def test_keep_mask_dropout_equals_the_tape_mask(p):
     shape = (64, 40)
     x = tensor(np.ones(shape))
     expected = dropout(x, p, Stream(17), training=True).data
-    got = keep_mask_dropout(_keep_mask(Stream(17), shape, p), p, np.float32)
+    got = keep_mask_dropout(Stream(17).keep_block(math.prod(shape), p).reshape(shape), p, np.float32)
     assert got.dtype == np.float32
     assert got.tobytes() == expected.tobytes()
 
@@ -309,13 +309,14 @@ def test_keep_mask_dropout_equals_the_tape_mask(p):
 @pytest.mark.parametrize("shape", [(128, 512), (300, 128)])
 @pytest.mark.parametrize("p", [0.1, 0.5])
 def test_a_keep_mask_over_several_blocks_is_the_unit_draw_mask(shape, p):
-    # both masks span more than one MASK_BLOCK_WORDS block of raw words,
-    # the second ending in a partial one
-    assert math.prod(shape) > MASK_BLOCK_WORDS
+    # both masks span more than one DRAW_CHUNK block of raw words, the
+    # second ending in a partial one
+    n = math.prod(shape)
+    assert n > DRAW_CHUNK
     drawn, units = Stream(23), Stream(23)
-    keep = _keep_mask(drawn, shape, p)
-    assert keep.dtype == np.bool_ and keep.shape == shape
-    assert np.array_equal(keep, (units.unit_block(math.prod(shape)) >= p).reshape(shape))
+    keep = drawn.keep_block(n, p)
+    assert keep.dtype == np.bool_ and keep.shape == (n,)
+    assert np.array_equal(keep, units.unit_block(n) >= p)
     assert drawn.state == units.state
 
 

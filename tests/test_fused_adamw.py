@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 from lottalora.data import synthetic_blobs
-from lottalora.model import BackboneSpec, ModelConfig, _keep_mask, build_model
-from lottalora.prng import MASK64
+from lottalora.model import BackboneSpec, ModelConfig, build_model
+from lottalora.prng import MASK64, Stream
 from lottalora.train import AdamW, _train_step
 
 from test_explicit_backward import keep_mask_dropout, to_float64
@@ -134,7 +134,7 @@ def test_keep_mask_dropout_matches_the_shift_form_at_each_threshold(p, dtype):
     t = math.ceil(p * 2.0 ** 53)
     below, at = (t << 11) - 1, t << 11
     words = np.array([0, below, at, at | 0x7FF, ((t + 1) << 11) - 1, MASK64], dtype=np.uint64)
-    keep = _keep_mask(Words(words), (2, 3), p)
+    keep = Stream.keep_block(Words(words), 6, p).reshape(2, 3)
     assert keep.tolist() == [[False, False, True], [True, True, True]]
     got = keep_mask_dropout(keep, p, dtype)
     shift_form = ((words >> np.uint64(11)) >= np.uint64(t)).astype(dtype).reshape(2, 3)

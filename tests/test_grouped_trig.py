@@ -1,46 +1,34 @@
 """``Stream.gaussian_block`` evaluates cos/sin over angles grouped by
-bucket; every value, the state and the carry must equal the stream-order
-chunk kernel it replaced, kept here as the oracle."""
+bucket; every value, the state and the carry must equal a stream-order
+Box-Muller built from the public draw rule, kept here as the oracle."""
 
 import numpy as np
 import pytest
 
 from lottalora.initfam import FAMILY_NAMES, InitFamily, draw_matrix
-from lottalora.prng import _CHUNK, GOLDEN_GAMMA, MASK64, Stream, _mix64_fill, _to_unit
+from lottalora.prng import _CHUNK, GOLDEN_GAMMA, MASK64, Stream
 
 
 def stream_order_gaussian_block(self, n):
-    """The chunk kernel before grouping: cos/sin in stream order."""
+    """Box-Muller in stream order from ``unit_block``: after a carried
+    sine, pair p takes u1 and u2 from unit draws 2p and 2p+1."""
     out = np.empty(n, dtype=np.float64)
     i = 0
     if self._gauss_cache is not None and n > 0:
         out[0] = self._gauss_cache
         self._gauss_cache = None
         i = 1
-    m = n - i
-    pairs = (m + 1) // 2
-    radius, angle, tmp = np.empty((3, min(pairs, _CHUNK)), dtype=np.float64)
-    for lo in range(0, pairs, _CHUNK):
-        k = min(_CHUNK, pairs - lo)
-        r, a, t = radius[:k], angle[:k], tmp[:k]
-        _mix64_fill(r.view(np.uint64), self.state, 2 * lo + 1, 2)
-        _to_unit(r.view(np.uint64))
-        np.negative(r, out=r)
-        np.log1p(r, out=r)
-        np.multiply(r, -2.0, out=r)
-        np.sqrt(r, out=r)
-        _mix64_fill(a.view(np.uint64), self.state, 2 * lo + 2, 2)
-        _to_unit(a.view(np.uint64))
-        np.multiply(a, 2.0 * np.pi, out=a)
-        z = out[i + 2 * lo:i + 2 * (lo + k)]
-        np.cos(a, out=t)
-        np.multiply(r, t, out=z[0::2])
-        np.sin(a, out=a)
-        sines = z[1::2]
-        np.multiply(r[:len(sines)], a[:len(sines)], out=sines)
-        if len(sines) < k:
-            self._gauss_cache = float(r[k - 1] * a[k - 1])
-    self.state = (self.state + 2 * pairs * GOLDEN_GAMMA) & MASK64
+    pairs = (n - i + 1) // 2
+    units = self.unit_block(2 * pairs)
+    # every transcendental runs on a contiguous operand, as in the kernel
+    u1, u2 = np.ascontiguousarray(units[0::2]), np.ascontiguousarray(units[1::2])
+    radius = np.sqrt(-2.0 * np.log1p(-u1))
+    angle = 2.0 * np.pi * u2
+    cosines, sines = radius * np.cos(angle), radius * np.sin(angle)
+    out[i::2] = cosines
+    out[i + 1::2] = sines[:len(out[i + 1::2])]
+    if len(out[i + 1::2]) < pairs:  # odd count: the last sine is carried
+        self._gauss_cache = float(sines[-1])
     return out
 
 

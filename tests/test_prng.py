@@ -221,7 +221,7 @@ def oracle_gaussian_block(stream, n):
 
 ORACLES = {"u64": oracle_u64_block, "unit": oracle_unit_block, "gaussian": oracle_gaussian_block}
 ORACLE_SEEDS = [0, 1, MASK64, GOLDEN_GAMMA]
-# both chunk sizes: 8192 (stride-2 fills, pairs, unit conversion) and
+# both chunk sizes: 8192 (Box-Muller pairs, unit conversion) and
 # 32768 (raw fills)
 ORACLE_SIZES = [0, 1, 2, 3, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1,
                 _U64_CHUNK - 1, _U64_CHUNK, _U64_CHUNK + 1, 2 * _U64_CHUNK + 1, 573440]
@@ -333,8 +333,14 @@ def test_unit_skips_between_gaussian_draws_match_unit_draws():
     lambda: Stream(1).skip("unit", 0.5),
     lambda: Stream(1).skip("u64", 2),  # only unit draws can be skipped
     lambda: Stream(1).skip("gaussian", 2),
+    lambda: Stream(1).keep_block(-1, 0.1),
+    lambda: Stream(1).keep_block(2, 1.0),  # p = 1 would drop everything
+    lambda: Stream(1).keep_block(2, -0.1),
+    lambda: Stream(1).keep_block(2, float("nan")),
+    lambda: Stream(1).keep_block(2, True),
 ], ids=["state 2**64+5", "state -3", "state 1.5", "state '7'", "state True", "unit 2.5", "u64 -1",
-        "gaussian -2", "gaussian 3.0", "permutation -1", "skip -1", "skip 0.5", "skip u64", "skip gaussian"])
+        "gaussian -2", "gaussian 3.0", "permutation -1", "skip -1", "skip 0.5", "skip u64", "skip gaussian",
+        "keep -1", "keep p 1", "keep p -0.1", "keep p nan", "keep p True"])
 def test_a_bad_state_count_or_skip_kind_is_a_config_error(call):
     with pytest.raises(ConfigError):
         call()
