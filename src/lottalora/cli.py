@@ -30,7 +30,7 @@ from .data import Dataset, load_mnist, make_partition
 from .errors import ConfigError, DataError, FormatError, IntegrityError, LottaError, RunError, real
 from .initfam import SCALINGS, InitFamily
 from .layers import B_INITS
-from .model import HEAD_MODES, PRESETS, BackboneSpec, ModelConfig, build_model
+from .model import HEAD_MODES, PRESETS, BackboneSpec, ModelConfig, build_model, scaffold_key
 from .prng import check_seed
 from .train import (
     RunMetrics,
@@ -220,12 +220,16 @@ def _task(model_cfg: ModelConfig, family: InitFamily, seed: int, train_cfg: Trai
 # -- runs and grids -----------------------------------------------------------------
 
 
+def _task_model(task: dict) -> tuple[ModelConfig, BackboneSpec]:
+    cfg = ModelConfig(**task["model"])
+    return cfg, BackboneSpec.from_config(cfg, task["seed"], InitFamily.from_dict(task["family"]))
+
+
 def _train_task(task: dict, datasets) -> RunMetrics:
     """Train one flat task dict; writes metrics.csv and summary.json to its
     out_dir when it has one."""
-    cfg = ModelConfig(**task["model"])
+    cfg, spec = _task_model(task)
     _check_width(cfg.input_dim, *datasets)
-    spec = BackboneSpec.from_config(cfg, task["seed"], InitFamily.from_dict(task["family"]))
     metrics = train_run(cfg, spec, TrainConfig(**task["train"]), *datasets)
     out_dir = task.get("out_dir")
     if out_dir:
@@ -254,24 +258,60 @@ def run_single(task: dict, data_dir: str) -> dict:
     return {"task": task, "status": "ok", **metrics.summary()}
 
 
+def run_unit(tasks: list[dict], data_dir: str) -> list[dict]:
+    """Grid cells run in turn in one pool worker."""
+    return [run_single(task, data_dir) for task in tasks]
+
+
+def _static_scaffold(task: dict) -> str | None:
+    """A static cell's ``scaffold_key``; None for a cell that redraws, or
+    whose model cannot be built (its worker reports it failed)."""
+    if task["train"]["resample"] != "static":
+        return None
+    try:
+        return scaffold_key(*_task_model(task))
+    except LottaError:
+        return None
+
+
+def _worker_units(tasks: list[dict], workers: int) -> list[list[int]]:
+    """The grid's task indices cut into the units a worker runs in turn:
+    the static cells of one scaffold, so that a unit draws it once, at
+    most ceil(len(tasks) / workers) to a unit, so that a grid of like
+    cells takes no more rounds than a cell at a time would; every other
+    cell alone."""
+    size = -(-len(tasks) // workers)
+    groups: dict = {}
+    for i, task in enumerate(tasks):
+        groups.setdefault(_static_scaffold(task) or i, []).append(i)
+    return [cells[lo:lo + size] for cells in groups.values() for lo in range(0, len(cells), size)]
+
+
 def run_grid(tasks: list[dict], jobs: int, data_dir: str) -> list[dict]:
     """Run a task grid in up to ``jobs`` spawned processes; results in task
     order.
 
     Every cell runs in a worker with single-threaded BLAS, whatever
     ``jobs`` is, so a grid's numbers do not depend on it and parallel
-    workers do not oversubscribe each other.  Workers are spawned, so a
-    script that calls this needs the ``if __name__ == "__main__"`` guard.
+    workers do not oversubscribe each other.  Static cells of one scaffold
+    run one after another in one worker (``_worker_units``).  Workers are
+    spawned, so a script that calls this needs the
+    ``if __name__ == "__main__"`` guard.
     """
     saved = {}
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS"):
         saved[var] = os.environ.get(var)
         os.environ[var] = "1"
     try:
-        with ProcessPoolExecutor(
-            max_workers=max(1, min(jobs, len(tasks))), mp_context=get_context("spawn"),
-        ) as pool:
-            return list(pool.map(run_single, tasks, [data_dir] * len(tasks)))
+        workers = max(1, min(jobs, len(tasks)))
+        units = _worker_units(tasks, workers)
+        results: list = [None] * len(tasks)
+        with ProcessPoolExecutor(max_workers=workers, mp_context=get_context("spawn")) as pool:
+            done = pool.map(run_unit, [[tasks[i] for i in unit] for unit in units], [data_dir] * len(units))
+            for unit, unit_results in zip(units, done):
+                for i, result in zip(unit, unit_results):
+                    results[i] = result
+        return results
     finally:
         for var, old in saved.items():
             if old is None:
@@ -536,8 +576,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_cost)
 
     p = sub.add_parser("rankstar", help="minimum sufficient rank from a loss table")
-    p.add_argument("--losses", required=True, help="JSON file mapping rank -> loss")
-    p.add_argument("--full", type=float, required=True)
+    p.add_argument("--losses", required=True,
+                   help="JSON file mapping rank -> loss; use test error (1 - accuracy): the test loss of "
+                        "the best-val model is not monotone in rank and can name a rank below rank*")
+    p.add_argument("--full", type=float, required=True,
+                   help="the fully trained run's value in the table's units (its test error)")
     p.add_argument("--eps", type=float, required=True)
     p.set_defaults(func=cmd_rankstar)
 

@@ -125,7 +125,13 @@ def dist_size(arch: TransformerArch, rank: int, fmt: str) -> int:
 
 def rank_star(losses: dict, full_loss: float, epsilon: float):
     """Smallest rank whose loss is within epsilon of the fully trained
-    baseline; None when no rank qualifies."""
+    baseline; None when no rank qualifies.
+
+    The answer is as monotone in rank as the table is.  The test loss of
+    ``train_run``'s shipped, best-val-accuracy model is not, so on a
+    test-loss table a rank below rank* can qualify.  Estimate rank* from a
+    test-error table instead: 1 - accuracy per rank, with the fully
+    trained run's error as ``full_loss``."""
     if not (finite(epsilon) and epsilon >= 0):
         raise ConfigError(f"epsilon must be a finite number >= 0, got {shown(epsilon)}")
     if not finite(full_loss):

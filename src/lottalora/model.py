@@ -4,8 +4,12 @@ A model is built from a ModelConfig plus a BackboneSpec; the BackboneSpec
 (seed, generator tag, init family, layer shapes) alone determines every
 frozen matrix, which is what makes models reconstructible from a header.
 ``draw_scaffold`` is that rule: frozen layer i is drawn from
-``derive_stream(seed, i, BACKBONE_WEIGHT)``.  The build takes its scaffold
-from it, and ``ModelConfig.trainable_layout`` names the trainable tensors.
+``derive_stream(seed, i, BACKBONE_WEIGHT)``.  It reads only its
+arguments, which ``scaffold_args`` gives for a config and spec, so two
+models of one ``scaffold_key`` may share one draw's read-only arrays
+(``train_run``'s memo does).  A ``Model`` takes a drawn scaffold, its
+streams and frozen arrays, and ``build_model`` draws it afresh.
+``ModelConfig.trainable_layout`` names the trainable tensors.
 Each layer holds its own trainables (a ``lora_bias`` head its offset too)
 and its adapter scale, ``ModelConfig.adapter_scale``; ``trainable_params``
 flattens the layers' ``trainable()`` lists in layer order.  The model owns
@@ -65,30 +69,50 @@ def eval_blocks(n: int) -> list[tuple[int, int]]:
     return list(zip(edges, edges[1:]))
 
 
-def _draw_frozen(cfg: "ModelConfig", family: InitFamily, i: int, stream: Stream):
-    """Layer i's frozen matrix and bias, drawn from ``stream``."""
-    d_out, d_in = cfg.layer_shapes()[i]
-    if cfg.zero_scaffold:
+def _draw_frozen(shape: tuple, zero_scaffold: bool, frozen_bias: bool, family: InitFamily, stream: Stream):
+    """A frozen ``(d_out, d_in)`` layer's matrix and bias, drawn from ``stream``."""
+    d_out, d_in = shape
+    if zero_scaffold:
         matrix = BackboneMatrix(d_out, d_in, np.zeros((d_out, d_in), dtype=np.float32))
     else:
         matrix = draw_matrix(stream, family, d_out, d_in)
-    if not cfg.frozen_bias:
+    if not frozen_bias:
         return matrix, None
     # frozen counterpart of a dense layer's bias: U(+-1/sqrt(d_in))
     bound = 1.0 / float(d_in) ** 0.5
     return matrix, (bound * (2.0 * stream.unit_block(d_out) - 1.0)).astype(np.float32)
 
 
-def draw_scaffold(cfg: "ModelConfig", family: InitFamily, seed: int) -> tuple[list[Stream], list[tuple]]:
-    """A seed's scaffold: each frozen layer i's ``(matrix, bias)``, drawn
-    from ``derive_stream(seed, i, BACKBONE_WEIGHT)``, and those streams,
-    each left just past its layer's draw."""
+def draw_scaffold(shapes: tuple, zero_scaffold: bool, frozen_bias: bool, family: InitFamily,
+                  seed: int) -> tuple[list[Stream], list[tuple]]:
+    """A seed's scaffold: each frozen layer i's ``(matrix, bias)`` of
+    ``shapes[i]``, drawn from ``derive_stream(seed, i, BACKBONE_WEIGHT)``,
+    and those streams, each left just past its layer's draw.  It reads
+    nothing but its arguments."""
     streams, frozen = [], []
-    for i in range(cfg.n_lotta()):
+    for i, shape in enumerate(shapes):
         stream = derive_stream(seed, i, DrawKind.BACKBONE_WEIGHT)
-        frozen.append(_draw_frozen(cfg, family, i, stream))
+        frozen.append(_draw_frozen(shape, zero_scaffold, frozen_bias, family, stream))
         streams.append(stream)
     return streams, frozen
+
+
+def scaffold_args(cfg: "ModelConfig", spec: "BackboneSpec") -> tuple:
+    """``draw_scaffold``'s arguments for a model of ``cfg`` on ``spec``: the
+    frozen layers' shapes, ``zero_scaffold``, ``frozen_bias``, the family
+    and the seed.  A spec whose layer shapes are not the config's is
+    refused here, before anything is drawn."""
+    shapes = cfg.layer_shapes()
+    if spec.layer_shapes and tuple(spec.layer_shapes) != shapes:
+        raise ConfigError(f"backbone spec shapes {spec.layer_shapes} do not match config shapes {shapes}")
+    return shapes[:cfg.n_lotta()], cfg.zero_scaffold, cfg.frozen_bias, spec.family, spec.seed
+
+
+def scaffold_key(cfg: "ModelConfig", spec: "BackboneSpec") -> str:
+    """The ``repr`` of ``scaffold_args``: models with equal keys have equal
+    scaffolds, and values that compare equal yet may draw otherwise (1
+    and 1.0, 0.0 and -0.0) give different keys."""
+    return repr(scaffold_args(cfg, spec))
 
 
 @dataclass(frozen=True)
@@ -250,25 +274,25 @@ class Model:
     and ``loss_and_grads`` adds into it; a training step refills it.
     """
 
-    def __init__(self, cfg: ModelConfig, spec: BackboneSpec):
+    def __init__(self, cfg: ModelConfig, spec: BackboneSpec, scaffold: tuple[list[Stream], list[tuple]]):
         self.cfg = cfg
         self.spec = spec
         self.hidden: list = []
         self.head = None
         self._backbone_streams: list[Stream] = []  # one per LottaLayer, advancing across redraws
         self._dropout_streams: list[Stream] = []
-        self._build()
+        self._build(scaffold)
 
     # -- construction ------------------------------------------------------
 
-    def _build(self):
+    def _build(self, scaffold):
         cfg, seed = self.cfg, self.spec.seed
         shapes = cfg.layer_shapes()
-        if self.spec.layer_shapes and tuple(self.spec.layer_shapes) != shapes:
-            raise ConfigError(
-                f"backbone spec shapes {self.spec.layer_shapes} do not match config shapes {shapes}"
-            )
-        self._backbone_streams, frozen = draw_scaffold(cfg, self.spec.family, seed)
+        # what a redraw draws with; refuses a spec of other shapes
+        self._scaffold_args = scaffold_args(cfg, self.spec)
+        # draw_scaffold's (streams, frozen): the streams are the model's own,
+        # the read-only frozen arrays may be shared with other models
+        self._backbone_streams, frozen = scaffold
         scale = cfg.adapter_scale()
         layers = []
         for i, (d_out, d_in) in enumerate(shapes):
@@ -402,14 +426,16 @@ class Model:
 
     def resample_backbones(self) -> None:
         """Redraw every layer's frozen state from its continuing stream."""
-        if self.cfg.zero_scaffold:
+        shapes, zero_scaffold, frozen_bias, family, _ = self._scaffold_args
+        if zero_scaffold:
             return
         # each layer drops its old state first, so a redraw peaks at one
         # chunk's scratch above the live scaffold
-        for i, (layer, stream) in enumerate(zip(self.lotta_layers(), self._backbone_streams)):
+        for layer, stream, shape in zip(self.lotta_layers(), self._backbone_streams, shapes):
             layer.drop_backbone()
-            layer.set_backbone(*_draw_frozen(self.cfg, self.spec.family, i, stream))
+            layer.set_backbone(*_draw_frozen(shape, zero_scaffold, frozen_bias, family, stream))
 
 
 def build_model(cfg: ModelConfig, backbone: BackboneSpec) -> Model:
-    return Model(cfg, backbone)
+    """A model on a fresh draw of ``backbone``'s scaffold."""
+    return Model(cfg, backbone, draw_scaffold(*scaffold_args(cfg, backbone)))

@@ -8,6 +8,14 @@ per-layer mask streams, and scaffold redraws from per-layer backbone
 streams that keep advancing across resample events.  Seed gating trains
 each label group on its seed's scaffold, the one ``draw_scaffold`` gives
 and a fresh build for that seed has, drawn once per distinct seed.
+
+A static run builds on the scaffold of the process's last static run
+when both have one ``scaffold_key``, the ``repr`` of the arguments
+``draw_scaffold`` takes and reads nothing but: it takes copies of that draw's streams, left just past the draw, and shares
+its read-only arrays, so its bits are a cold build's.  The memo holds that
+one scaffold and is dropped before any other draw: by a static run of
+another key, and by a run under any other schedule, which builds
+afresh.
 """
 
 from __future__ import annotations
@@ -22,13 +30,16 @@ import numpy as np
 from .artifact import to_shipping_precision
 from .data import Dataset, split_train_val
 from .errors import ConfigError, DataError, RunError, finite, integer, shown
-from .model import BackboneSpec, Model, ModelConfig, build_model, draw_scaffold, eval_blocks
+from .model import BackboneSpec, Model, ModelConfig, build_model, draw_scaffold, eval_blocks, scaffold_args, scaffold_key
 from .numerics import softmax_xent
 from .prng import DrawKind, derive_stream
 
 RESAMPLE_SCHEDULES = ("static", "per_epoch", "per_batch", "microbatch")
 # AdamW's moment decay rates and denominator offset: fixed constants, not settings
 ADAMW_BETAS, ADAMW_EPS = (0.9, 0.999), 1e-8
+# ``(scaffold_key, (streams, frozen))`` of the last static run's scaffold,
+# or None; replaced whole, in one assignment
+_scaffold_memo: tuple | None = None
 
 
 @dataclass(frozen=True)
@@ -240,6 +251,25 @@ def _train_loop(model: Model, cfg: TrainConfig, segments, shuffle):
         yield epoch, loss_sum / batch_rows, correct / rows, _lr(cfg, step, total_steps)
 
 
+def _run_model(cfg: ModelConfig, spec: BackboneSpec, resample: str) -> Model:
+    """The run's model.  A static run builds on the memo's scaffold,
+    drawn first unless the memo was drawn with the run's arguments; any
+    other schedule redraws its scaffold, so it empties the memo and builds
+    afresh."""
+    global _scaffold_memo
+    if resample != "static":
+        _scaffold_memo = None
+        return build_model(cfg, spec)
+    key = scaffold_key(cfg, spec)
+    memo = _scaffold_memo
+    if memo is None or memo[0] != key:
+        # the old scaffold goes before the draw, so a miss holds one scaffold
+        memo = _scaffold_memo = None
+        memo = _scaffold_memo = (key, draw_scaffold(*scaffold_args(cfg, spec)))
+    streams, frozen = memo[1]
+    return Model(cfg, spec, ([stream.copy() for stream in streams], frozen))
+
+
 def train_run(
     model_cfg: ModelConfig,
     backbone_spec: BackboneSpec,
@@ -253,7 +283,7 @@ def train_run(
     test numbers, ``final_betas`` and the returned model are the shipped
     model's.  The best-val weights are a copy of ``model.params``."""
     started = time.perf_counter()
-    model = build_model(model_cfg, backbone_spec)
+    model = _run_model(model_cfg, backbone_spec, train_cfg.resample)
     shuffle = derive_stream(backbone_spec.seed, 0, DrawKind.DATA_SHUFFLE)
     train_split, val_split = split_train_val(train_dataset, shuffle, train_cfg.val_fraction)
 
@@ -344,7 +374,7 @@ def seed_gated_train(
     scaffolds = {partition.seeds[0]: [(layer.backbone, layer.frozen_bias) for layer in model.lotta_layers()]}
     for seed in partition.seeds:
         if seed not in scaffolds:
-            scaffolds[seed] = draw_scaffold(cfg, spec.family, seed)[1]
+            scaffolds[seed] = draw_scaffold(*scaffold_args(cfg, replace(spec, seed=seed)))[1]
 
     def install(seed):
         for layer, frozen in zip(model.lotta_layers(), scaffolds[seed]):

@@ -7,6 +7,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import lottalora.model as model_mod
+import lottalora.train as train_mod
 from lottalora.data import MNIST_FILES, load_mnist, synthetic_blobs
 
 
@@ -56,6 +58,28 @@ def peak_bytes(fn, setup=None):
         return tracemalloc.get_traced_memory()[1] - live, out
     finally:
         tracemalloc.stop()
+
+
+def empty_scaffold_memo():
+    """Drop ``train_run``'s scaffold memo, so the next static run draws its
+    scaffold whatever ran before it."""
+    train_mod._scaffold_memo = None
+
+
+@pytest.fixture
+def draws(monkeypatch):
+    """Every ``draw_matrix`` call a model makes, as (rows, cols), from an
+    empty scaffold memo, so no count depends on which test ran before."""
+    empty_scaffold_memo()
+    calls = []
+    original = model_mod.draw_matrix
+
+    def counting(stream, fam, rows, cols):
+        calls.append((rows, cols))
+        return original(stream, fam, rows, cols)
+
+    monkeypatch.setattr(model_mod, "draw_matrix", counting)
+    return calls
 
 
 def write_fake_idx(path, n_train=400, n_test=100, classes=10, side=28):

@@ -1,10 +1,11 @@
 """The build-time scaffold draw against a hand-drawn oracle.
 
-``hand_build`` replaces each layer's frozen matrix and bias with a draw
-made here, from a fresh ``derive_stream(seed, i, BACKBONE_WEIGHT)`` per
-layer, and leaves each stream just past it.  That is the documented
-derivation of a seed's backbone; ``Model`` must give its bits everywhere,
-at build, through every training schedule and through seed gating.
+``hand_scaffold`` draws each layer's frozen matrix and bias here, from a
+fresh ``derive_stream(seed, i, BACKBONE_WEIGHT)`` per layer, and leaves
+each stream just past it; ``hand_build`` assembles a ``Model`` on it.
+That is the documented derivation of a seed's backbone; ``Model`` must
+give its bits everywhere, at build, through every training schedule
+(the static one from an empty scaffold memo) and through seed gating.
 """
 
 import numpy as np
@@ -15,24 +16,35 @@ from lottalora.artifact import pack
 from lottalora.data import make_partition, synthetic_blobs
 from lottalora.errors import RunError
 from lottalora.initfam import InitFamily
-from lottalora.model import BackboneSpec, ModelConfig, _draw_frozen, build_model
+from lottalora.model import BackboneSpec, Model, ModelConfig, _draw_frozen, build_model, scaffold_args
 from lottalora.prng import DrawKind, derive_stream
 from lottalora.train import TrainConfig, seed_gated_train, train_run
+
+from conftest import empty_scaffold_memo
 
 INPUT_DIM = 9
 
 
-def hand_build(cfg, spec):
-    """A model whose frozen state was redrawn here, layer by layer."""
-    model = build_model(cfg, spec)
-    streams = []
-    for i, layer in enumerate(model.lotta_layers()):
-        stream = derive_stream(spec.seed, i, DrawKind.BACKBONE_WEIGHT)
-        layer.drop_backbone()
-        layer.set_backbone(*_draw_frozen(cfg, spec.family, i, stream))
+def hand_scaffold(shapes, zero_scaffold, frozen_bias, family, seed):
+    """A seed's ``(streams, frozen)`` drawn here, layer by layer."""
+    streams, frozen = [], []
+    for i, shape in enumerate(shapes):
+        stream = derive_stream(seed, i, DrawKind.BACKBONE_WEIGHT)
+        frozen.append(_draw_frozen(shape, zero_scaffold, frozen_bias, family, stream))
         streams.append(stream)
-    model._backbone_streams = streams
-    return model
+    return streams, frozen
+
+
+def hand_build(cfg, spec):
+    """A model on the scaffold drawn here."""
+    return Model(cfg, spec, hand_scaffold(*scaffold_args(cfg, spec)))
+
+
+def draw_by_hand(monkeypatch):
+    """Make ``lottalora.train`` build and draw by hand, from an empty memo."""
+    empty_scaffold_memo()
+    monkeypatch.setattr(train_mod, "build_model", hand_build)
+    monkeypatch.setattr(train_mod, "draw_scaffold", hand_scaffold)
 
 
 def odd_cfg(**kw):
@@ -89,8 +101,9 @@ def run_outcome(cfg, spec, tcfg):
 def test_train_run_matches_the_hand_drawn_build_bitwise(resample, k, epochs, cfg, fam, monkeypatch):
     spec = BackboneSpec.from_config(cfg, 23, fam)
     tcfg = TrainConfig(epochs=epochs, batch_size=32, lr=1e-2, resample=resample, resample_k=k)
+    empty_scaffold_memo()
     built = run_outcome(cfg, spec, tcfg)
-    monkeypatch.setattr(train_mod, "build_model", hand_build)
+    draw_by_hand(monkeypatch)
     assert built == run_outcome(cfg, spec, tcfg)
 
 
@@ -106,5 +119,5 @@ def test_seed_gated_training_matches_the_hand_drawn_build_bitwise(layernorm_on, 
         return [c.tobytes() for c in seed_gated_train(partition, cfg, tcfg, train, test).confusion]
 
     built = confusion()
-    monkeypatch.setattr(train_mod, "build_model", hand_build)
+    draw_by_hand(monkeypatch)
     assert built == confusion()

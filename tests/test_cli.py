@@ -9,7 +9,7 @@ import pytest
 import lottalora
 import lottalora.artifact as artifact_mod
 from lottalora.artifact import load, pack, read, save, to_shipping_precision, unpack
-from lottalora.cli import EXIT_CODES, run, run_grid
+from lottalora.cli import EXIT_CODES, _worker_units, run, run_grid, run_unit
 from lottalora.errors import LottaError
 from lottalora.initfam import InitFamily
 from lottalora.model import BackboneSpec, ModelConfig, build_model
@@ -510,6 +510,36 @@ def test_run_grid_survives_a_failing_cell(fake_mnist_dir):
     assert fine["status"] == "ok"
     assert fine["task"] == _grid_task(1e-3)
     assert 0.0 <= fine["final_test_accuracy"] <= 1.0
+
+
+def _cell(rank, seed, resample="static", family="normal"):
+    task = _grid_task(1e-3)
+    task["model"]["rank"], task["seed"] = rank, seed
+    task["train"]["resample"], task["family"] = resample, asdict(InitFamily(family))
+    return task
+
+
+# rank 500 is past tiny's widths, so that cell's model cannot be built
+GRID = [_cell(2, 1), _cell(2, 2), _cell(4, 1), _cell(4, 2), _cell(2, 1, "per_epoch"), _cell(8, 1),
+        _cell(4, 1, family="binary"), _cell(500, 1), _cell(2, 1, "per_epoch")]
+
+
+@pytest.mark.parametrize("workers,units", [
+    (1, [[0, 2, 5], [1, 3], [4], [6], [7], [8]]),
+    (2, [[0, 2, 5], [1, 3], [4], [6], [7], [8]]),
+    (5, [[0, 2], [5], [1, 3], [4], [6], [7], [8]]),
+    (9, [[0], [2], [5], [1], [3], [4], [6], [7], [8]]),
+])
+def test_a_grid_runs_the_static_cells_of_one_scaffold_together(workers, units):
+    # by seed and family, whatever the rank, in units of at most
+    # ceil(9 / workers) cells; a resampling or unbuildable cell runs alone
+    assert _worker_units(GRID, workers) == units
+
+
+def test_a_unit_draws_its_scaffold_once(fake_mnist_dir, draws):
+    results = run_unit([_cell(2, 1), _cell(4, 1), _cell(8, 1)], fake_mnist_dir)
+    assert [result["status"] for result in results] == ["ok"] * 3
+    assert draws == [(128, 784), (64, 128)]
 
 
 def test_failed_cells_are_summarized_then_exit_run(tmp_path, capsys, fake_mnist_dir):

@@ -3,7 +3,9 @@
 A build draws each frozen layer once.  Training then redraws at every
 redraw point of its schedule but the run's first: per_epoch from the
 second epoch on, per_batch/microbatch before every sub-batch but the
-run's first; seed gating draws each distinct seed's scaffold once.  The counts
+run's first; seed gating draws each distinct seed's scaffold once.  A
+static run after a static run of its scaffold's key draws nothing; every
+count here starts from an empty scaffold memo.  The counts
 are pinned for a ``tiny`` model (two frozen layers) on 600 rows: a 540-row
 training split in five batches of at most 128, over two epochs.
 """
@@ -13,7 +15,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-import lottalora.model as model_mod
 import lottalora.train as train_mod
 from lottalora.artifact import pack, reconstruct, unpack
 from lottalora.data import make_partition, synthetic_blobs
@@ -22,20 +23,6 @@ from lottalora.model import BackboneSpec, ModelConfig, build_model
 from lottalora.train import TrainConfig, seed_gated_train, train_run
 
 TINY = ModelConfig(preset="tiny", rank=2)
-
-
-@pytest.fixture
-def draws(monkeypatch):
-    """Every ``draw_matrix`` call a model makes, as (rows, cols)."""
-    calls = []
-    original = model_mod.draw_matrix
-
-    def counting(stream, fam, rows, cols):
-        calls.append((rows, cols))
-        return original(stream, fam, rows, cols)
-
-    monkeypatch.setattr(model_mod, "draw_matrix", counting)
-    return calls
 
 
 def blobs():
@@ -52,18 +39,23 @@ def test_a_build_draws_each_frozen_layer_once(draws):
     assert len(draws) == 2
 
 
-# static: the build; per_epoch: the build and one redraw; per_batch:3 and
-# microbatch:4: one draw per sub-batch of the 10 steps, the build's included
-@pytest.mark.parametrize("resample,k,count", [
-    ("static", 2, 2),
-    ("per_epoch", 2, 4),
-    ("per_batch", 3, 60),
-    ("microbatch", 4, 80),
+# static: the build, and nothing when a static run of its key came first
+# (``warm``, whose draws are not counted); per_epoch: the build and one
+# redraw; per_batch:3 and microbatch:4: one draw per sub-batch of the 10
+# steps, the build's included
+@pytest.mark.parametrize("resample,k,warm,count", [
+    ("static", 2, False, 2),
+    ("static", 2, True, 0),
+    ("per_epoch", 2, False, 4),
+    ("per_batch", 3, False, 60),
+    ("microbatch", 4, False, 80),
 ])
-def test_each_schedule_draws_as_many_scaffolds_as_before(resample, k, count, draws):
+def test_each_schedule_draws_as_many_scaffolds_as_before(resample, k, warm, count, draws):
     train, test = blobs()
     tcfg = TrainConfig(epochs=2, batch_size=128, resample=resample, resample_k=k)
-    train_run(TINY, BackboneSpec.from_config(TINY, 5), tcfg, train, test)
+    for _ in range(1 + warm):
+        del draws[:]
+        train_run(TINY, BackboneSpec.from_config(TINY, 5), tcfg, train, test)
     assert len(draws) == count
 
 
@@ -90,6 +82,17 @@ def test_seed_gating_refuses_full_training_before_it_builds_or_draws(draws, monk
     partition = make_partition([{0, 1, 2, 3, 4}, {5, 6, 7, 8, 9}], [42, 43])
     with pytest.raises(ConfigError, match="lottalora mode"):
         seed_gated_train(partition, replace(TINY, mode="full_training"), TrainConfig(epochs=2), train, test)
+    assert draws == []
+
+
+@pytest.mark.parametrize("resample", ["static", "per_epoch"])
+def test_a_spec_of_other_shapes_is_refused_before_anything_is_drawn(resample, draws):
+    train, test = blobs()
+    spec = BackboneSpec.from_config(replace(TINY, preset="small"), 5)
+    with pytest.raises(ConfigError, match="do not match"):
+        build_model(TINY, spec)
+    with pytest.raises(ConfigError, match="do not match"):
+        train_run(TINY, spec, TrainConfig(epochs=1, resample=resample), train, test)
     assert draws == []
 
 

@@ -12,7 +12,7 @@ from lottalora.data import make_partition
 from lottalora.errors import ConfigError, DataError, DimensionError
 from lottalora.initfam import FAMILY_NAMES, InitFamily
 from lottalora.layers import LottaLayer
-from lottalora.model import MAX_HIDDEN_LAYERS, BackboneSpec, ModelConfig, build_model, draw_scaffold
+from lottalora.model import MAX_HIDDEN_LAYERS, BackboneSpec, ModelConfig, build_model, draw_scaffold, scaffold_args
 from lottalora.train import TrainConfig
 
 from conftest import peak_bytes
@@ -359,7 +359,7 @@ def test_resample_changes_backbones_deterministically():
                                 dict(zero_scaffold=True, b_init="kaiming"), dict(mode="full_training")])
 def test_the_builds_scaffold_is_what_draw_scaffold_gives_its_seed(kw):
     model = build("tiny", seed=42, **kw)
-    streams, frozen = draw_scaffold(model.cfg, NORMAL_01, 42)
+    streams, frozen = draw_scaffold(*scaffold_args(model.cfg, BackboneSpec.from_config(model.cfg, 42, NORMAL_01)))
     assert len(frozen) == len(model.lotta_layers()) == model.cfg.n_lotta()
     assert [(s.state, s._gauss_cache) for s in streams] == \
         [(s.state, s._gauss_cache) for s in model._backbone_streams]

@@ -541,14 +541,14 @@ def test_seed_gating_draws_each_group_scaffold_once(monkeypatch):
     drawn = []
     draw = model_module._draw_frozen
 
-    def counting_draw(cfg, family, i, stream):
-        drawn.append(i)
-        return draw(cfg, family, i, stream)
+    def counting_draw(shape, *args):
+        drawn.append(shape)
+        return draw(shape, *args)
 
     monkeypatch.setattr(model_module, "_draw_frozen", counting_draw)
     gate_three_groups(epochs=3)
     # 3 groups of 2 backbone layers (the head is a dense layer), once each
-    assert sorted(drawn) == [0, 0, 0, 1, 1, 1]
+    assert sorted(drawn) == [(16, 32)] * 3 + [(32, 12)] * 3
 
 
 @pytest.mark.parametrize("head_mode", ["full", "lora"])
