@@ -8,7 +8,7 @@ of small cases and prints one line per case, then ``digest <sha256>`` over
 all of them.  Two checkouts whose last lines match trained, packed, gated
 and evaluated to the same bits on this host.  A change that only moves
 what a run ships (its final rounding and packing) leaves every line but
-the ``shipped`` ones equal.  The cases:
+the ``shipped`` ones and the ``shipping grid`` case equal.  The cases:
 
   * ``train_run`` under every schedule (static, per_epoch, per_batch k=3,
     microbatch k=3) for the ``normal`` and ``orthogonal`` families, with
@@ -25,6 +25,11 @@ the ``shipped`` ones equal.  The cases:
     groups with a ``lora`` head, whose frozen matrix each group swaps too;
   * a ``full_training`` run, and static runs with a ``lora`` head and with
     a zero scaffold (``b_init="kaiming"``, rank-stabilized scaling);
+  * ``to_shipping_precision`` on fixed adversarial tensors: ties at
+    q +- 0.5, a largest magnitude exactly at 127 * 2**e and one ulp above
+    it, values under the e >= -24 clamp, zeros and -0.0, the grid's top
+    and subnormals; then once more after a value past the grid, which it
+    must refuse.  The digest covers both answers and both buffers;
   * eval-mode logits of a ``tiny`` model with random trainables, and
     ``evaluate``'s (loss, accuracy), for row counts on both sides of the
     eval block edges, one of them on a strided row view;
@@ -46,6 +51,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import os
 import sys
@@ -144,6 +150,28 @@ def _cases():
                       dict(zero_scaffold=True, b_init="kaiming", scaling_mode="rank_stabilized"))):
         cfg = ModelConfig(preset=None, hidden_dims=(24, 16), input_dim=20, num_classes=4, rank=3, dropout=0.2, **kw)
         yield from run_case(f"train {name} static", cfg, "normal", "static", 2)
+
+    # each tensor repeats one pattern; the 1-value betas take its first entry
+    cfg = ModelConfig(preset=None, hidden_dims=(24, 16), input_dim=20, num_classes=4, rank=3, layernorm=True,
+                      head_mode="lora_bias")
+    model = build_model(cfg, BackboneSpec.from_config(cfg, 11))
+    one_ulp_above = float(np.nextafter(np.float32(127 * 2.0**-1), np.float32(np.inf)))
+    patterns = (
+        [127 * 2.0**-3, *((k + 0.5) * 2.0**-3 for k in range(-40, 40))],  # ties at q +- 0.5
+        [127 * 2.0**5, -127 * 2.0**5, 1.0, -31.0],  # m exactly at 127 * 2**e
+        [one_ulp_above, 127 * 2.0**-1, -0.25],
+        [k * 2.0**-30 for k in range(-70, 70, 3)],  # under the clamp
+        [0.0, -0.0],
+        [-0.0],
+        [127 * 2.0**9, -1e-45, 2.0**-149, 3 * 2.0**-26],  # the grid's top, subnormals
+    )
+    for (_, t), pattern in zip(model.trainable_params(), itertools.cycle(patterns)):
+        t.data[...] = np.resize(np.array(pattern, np.float32), t.data.shape)
+    rounded = artifact.to_shipping_precision(model)
+    grid = model.params.copy()
+    model.params[0] = 65100.0
+    refused = artifact.to_shipping_precision(model)
+    yield "shipping grid adversarial", _digest([as_json([rounded, refused]), grid, model.params])
 
     # out-of-class mode labels rows 10, so the gated model keeps all ten digit outputs
     gate_cfg = ModelConfig(preset=None, hidden_dims=(24, 16), input_dim=20, num_classes=10, rank=3, dropout=0.2)

@@ -25,10 +25,14 @@ inflated.  The CRC-32 covers every byte before it.
 Backbone matrices are never serialized.
 
 ``pack`` writes version 4 exactly when every trainable value survives
-f32 -> f16 -> f32 bit for bit, which ``to_shipping_precision`` arranges
-for a trained model; otherwise it writes version 1.  Its planes stream
-codes the planes tensor by tensor in deflate blocks of their own, with
-run-length matches only (``_deflate_planes``).  ``unpack`` reads all four
+f32 -> f16 -> f32 bit for bit, and version 1 otherwise.  A trained model
+ships as version 4: ``to_shipping_precision`` rounds each of its
+trainable tensors to an int8 grid, integers in [-127, 127] times a
+power-of-two scale of the tensor's own (ties to even, the scale at least
+2**-24), and f16 holds every such value exactly.  Each value then keeps
+at most 7 significant bits, so most of the low byte plane is zero bits.
+The planes stream codes the planes tensor by tensor in deflate blocks of
+their own, with run-length matches only (``_deflate_planes``).  ``unpack`` reads all four
 versions, and any one zlib stream over the planes as version 3 or 4.
 """
 
@@ -53,7 +57,10 @@ MAGIC = b"LTLR"
 # format version -> element type of the decoded payload
 PAYLOAD_DTYPES = {1: np.dtype("<f4"), 2: np.dtype("<f2"), 3: np.dtype("<f2"), 4: np.dtype("<f2")}
 FORMAT_VERSION = max(PAYLOAD_DTYPES)
-F16_MAX = 65504.0
+# the shipping grid: each tensor's values as integers in [-127, 127] times
+# a power of two 2**e, GRID_MIN_EXP <= e <= 9, all of which f16 holds exactly
+GRID_MIN_EXP = -24
+GRID_MAX = 127 * 2.0**9
 # deflate codes a 258-byte match in 2 bits at best, so no stream decodes to more bytes a stored byte
 MAX_INFLATE_RATIO = 1032
 # a planes stream's deflate block ends after the tensor slice that brings it to this many bytes
@@ -61,17 +68,30 @@ MIN_BLOCK_BYTES = 256
 
 
 def to_shipping_precision(model: Model) -> bool:
-    """Round every trainable to the nearest f16 (ties to even) in place.
+    """Round every trainable tensor to an int8 grid of its own in place.
 
-    The rounded values are written back into ``model.params``, so the
-    trainables' views and an optimizer's buffers stay bound.  When any
-    value is non-finite or above ``F16_MAX`` in magnitude, nothing changes
-    and the model stays f32.  Returns whether the model was rounded.
+    Tensor by tensor, in ``trainable_layout()`` order: with m the largest
+    magnitude, e is the smallest integer with m <= 127 * 2**e, read
+    exactly off ``np.frexp(m)`` and clamped to e >= ``GRID_MIN_EXP``, and
+    each value becomes ``rint(x / 2**e) * 2**e`` (ties to even; -0.0 keeps
+    its sign).  Scaling by a power of two is exact, so every value ends
+    up an integer of at most 7 significant bits times 2**e, which f16
+    holds exactly; an all-zero tensor is left as it is.  The rounded
+    values are written back into ``model.params``, so the trainables'
+    views and an optimizer's buffers stay bound.  When any value is
+    non-finite or above ``GRID_MAX`` in magnitude, nothing changes and the
+    model stays f32.  Returns whether the model was rounded.
     """
     params = model.params
-    if not np.all(np.abs(params) <= F16_MAX):
+    if not np.all(np.abs(params) <= GRID_MAX):
         return False
-    params[...] = params.astype(np.float16)
+    sizes = [math.prod(shape) for _, shape in model.cfg.trainable_layout()]
+    starts = np.cumsum([0, *sizes[:-1]])
+    mantissas, exps = np.frexp(np.maximum.reduceat(np.abs(params), starts))
+    # m = f * 2**k with f in [0.5, 1): m <= 127 * 2**(k-7) exactly when f <= 127/128
+    exps = np.maximum(exps - 7 + (mantissas > np.float32(127 / 128)), GRID_MIN_EXP)
+    scales = np.repeat(np.ldexp(np.float32(1), exps), sizes)
+    params[...] = np.rint(params / scales) * scales
     return True
 
 

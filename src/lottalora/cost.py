@@ -102,16 +102,18 @@ def dist_size(arch: TransformerArch, rank: int, fmt: str) -> int:
     weights plus an fp16 scale per 32-weight group (4.5 bits/weight).
     lottalora ships an 8-byte seed plus fp16 embeddings, adapters, and
     norm affine; the backbone is regenerated.  That is the decoded payload
-    of a version 4 ``.ltlr`` artifact, which ``train_run``'s f16 rounding
-    produces.  It bounds the deflated planes stream version 4 stores from
-    above, up to deflate's worst case on incompressible bytes of 5 bytes a
-    block plus 6, where a block ends at most every 16 KiB and after each
-    tensor's slice of a byte plane that brings it to 256 bytes; a trained
-    payload's high-byte plane (sign and exponent) compresses well below
-    that.  The count leaves out the artifact's 10-byte prefix, deflated
-    JSON header and CRC (version 4 has no tensor table), and a model that
-    is not f16-exact ships as version 1 at 4 bytes a value, with a raw
-    header and a tensor table.
+    of a version 4 ``.ltlr`` artifact, which ``train_run``'s rounding to
+    the shipping grid (``to_shipping_precision``: per-tensor int8 codes
+    times a power of two, all f16-exact) produces.  It bounds the deflated
+    planes stream version 4 stores from above, up to deflate's worst case
+    on incompressible bytes of 5 bytes a block plus 6, where a block ends
+    at most every 16 KiB and after each tensor's slice of a byte plane
+    that brings it to 256 bytes; a trained payload compresses well below
+    that, its high-byte plane (sign and exponent) repeating and its
+    low-byte plane mostly zero bits.  The count leaves out the artifact's
+    10-byte prefix, deflated JSON header and CRC (version 4 has no tensor
+    table), and a model that is not f16-exact ships as version 1 at 4
+    bytes a value, with a raw header and a tensor table.
     """
     if fmt == "fp16":
         return 2 * arch.total_params()

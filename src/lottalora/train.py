@@ -79,6 +79,7 @@ class RunMetrics:
     final_test_accuracy: float = 0.0
     final_test_loss: float = 0.0
     wall_time: float = 0.0
+    shipped: bool = False  # whether the model was rounded to the shipping grid, or stayed f32
     model: object = None  # trained Model (best-val weights restored)
 
     def summary(self) -> dict:
@@ -87,6 +88,7 @@ class RunMetrics:
             "final_test_loss": self.final_test_loss,
             "best_epoch": self.best_epoch,
             "final_betas": self.final_betas,
+            "shipped": self.shipped,
             "epochs": self.epochs,
             "wall_time": self.wall_time,
         }
@@ -278,10 +280,13 @@ def train_run(
     test_dataset: Dataset,
 ) -> RunMetrics:
     """Full training run; returns per-epoch metrics with best-val weights
-    restored and rounded to the shipping precision (f16, unless a value
-    lies outside its range) before the final test evaluation, so the final
-    test numbers, ``final_betas`` and the returned model are the shipped
-    model's.  The best-val weights are a copy of ``model.params``."""
+    restored and rounded to the shipping grid (``to_shipping_precision``:
+    each tensor on an int8 grid with its own power-of-two scale, unless a
+    value lies outside the grid's range) before the final test evaluation,
+    so the final test numbers, ``final_betas`` and the returned model are
+    the shipped model's; ``shipped`` records whether the rounding took
+    place, or the model stays f32 and packs as format version 1.  The
+    best-val weights are a copy of ``model.params``."""
     started = time.perf_counter()
     model = _run_model(model_cfg, backbone_spec, train_cfg.resample)
     shuffle = derive_stream(backbone_spec.seed, 0, DrawKind.DATA_SHUFFLE)
@@ -322,7 +327,7 @@ def train_run(
         model.params[...] = best_params
     else:
         metrics.best_epoch = train_cfg.epochs - 1
-    to_shipping_precision(model)
+    metrics.shipped = to_shipping_precision(model)
     test_loss, test_acc = evaluate(model, test_dataset)
     metrics.final_test_loss = test_loss
     metrics.final_test_accuracy = test_acc

@@ -9,7 +9,7 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
-from lottalora.artifact import (F16_MAX, FORMAT_VERSION, MAGIC, MAX_INFLATE_RATIO, PAYLOAD_DTYPES, _byte_planes,
+from lottalora.artifact import (GRID_MAX, FORMAT_VERSION, MAGIC, MAX_INFLATE_RATIO, PAYLOAD_DTYPES, _byte_planes,
                                 _deflate_planes, _table, load, pack, read, reconstruct, save,
                                 to_shipping_precision, unpack)
 from lottalora.errors import ConfigError, FormatError, IncompatibilityError, IntegrityError
@@ -151,11 +151,20 @@ def test_v2_payload_widens_to_the_snapped_f32_values_exactly():
         assert same_bits(tensors, params)
 
 
-def fixture_model():
-    cfg = ModelConfig(preset="tiny", rank=2)
-    model = build_model(cfg, BackboneSpec.from_config(cfg, 7))
-    assert to_shipping_precision(model)
+def round_to_f16(model):
+    """``model`` with every trainable rounded to the nearest f16 (ties to
+    even) in place: the shipping rule the committed fixtures were written
+    under, before trained models shipped on the int8 grid."""
+    assert np.all(np.abs(model.params) <= 65504.0)
+    model.params[...] = model.params.astype(np.float16)
     return model
+
+
+def fixture_model():
+    """The committed fixtures' model: ``tiny`` rank 2, backbone seed 7, as
+    built, rounded to f16."""
+    cfg = ModelConfig(preset="tiny", rank=2)
+    return round_to_f16(build_model(cfg, BackboneSpec.from_config(cfg, 7)))
 
 
 def test_v2_fixture_unpacks_to_the_bits_of_the_model_today():
@@ -230,13 +239,13 @@ def v3_stream(blob: bytes, model) -> bytes:
 
 
 def shipping_model(cfg: ModelConfig, filled: bool):
-    """``cfg``'s model rounded to f16: as built, with every B all zero, or
-    with every trainable a gaussian draw."""
+    """``cfg``'s model rounded to f16 by ``round_to_f16``, the rule the
+    planes stream's coding was chosen under: as built, with every B all
+    zero, or with every trainable a gaussian draw."""
     model = build_model(cfg, BackboneSpec.from_config(cfg, 5))
     if filled:
         randomized(model)
-    assert to_shipping_precision(model)
-    return model
+    return round_to_f16(model)
 
 
 SMALL_TENSORS = ModelConfig(preset=None, hidden_dims=(24, 16), input_dim=20, num_classes=4, rank=3)
@@ -275,29 +284,38 @@ def test_the_format_docs_versions_table_lists_exactly_the_versions_unpack_reads(
     assert listed == {version: dtype.itemsize for version, dtype in PAYLOAD_DTYPES.items()}
 
 
-def test_rounding_to_f16_is_in_place_and_ties_to_even():
+def test_rounding_to_the_grid_is_in_place_and_ties_to_even():
     model = fresh_model()
     params = model.trainable_params()
     arrays = [t.data for _, t in params]
     head = params[-1][1].data
-    head.flat[:3] = [1 + 2.0**-11, 1 + 3 * 2.0**-11, F16_MAX]
+    # the head's largest magnitude 127 * 2**-3 gives it the scale 2**-3
+    head.flat[:6] = [127 / 8, 0.5 / 8, 1.5 / 8, 2.5 / 8, -0.5 / 8, -0.0]
     assert to_shipping_precision(model)
     assert all(t.data is a for (_, t), a in zip(params, arrays))
-    assert head.flat[:3].tolist() == [1.0, 1 + 2.0**-9, F16_MAX]
+    assert head.flat[:6].tolist() == [127 / 8, 0.0, 2 / 8, 2 / 8, -0.0, -0.0]
+    assert np.signbit(head.flat[4:6]).all()
 
 
-@pytest.mark.parametrize("value", [1e5, -65520.0, np.inf, np.nan])
-def test_a_value_outside_the_f16_range_keeps_the_whole_model_f32(value):
+@pytest.mark.parametrize("value", [1e5, -65520.0, 65100.0, -65025.0, np.inf, np.nan])
+def test_a_value_outside_the_grid_keeps_the_whole_model_f32(value):
     model = randomized(fresh_model())
     params = model.trainable_params()
     params[-1][1].data.flat[0] = value
     before = [t.data.copy() for _, t in params]
     assert not to_shipping_precision(model)
-    assert all(np.array_equal(t.data, b, equal_nan=True) for (_, t), b in zip(params, before))
+    assert all(np.array_equal(t.data.view(np.uint32), b.view(np.uint32)) for (_, t), b in zip(params, before))
     blob = pack(model)
     assert version_of(blob) == 1
     header_len = struct.unpack_from("<I", blob, 6)[0]
     assert len(blob) == 10 + header_len + table_len(model) + 4 * model.params.size + 4
+
+
+def test_the_grids_largest_value_ships():
+    model = randomized(fresh_model())
+    model.params[0] = -GRID_MAX
+    assert to_shipping_precision(model)
+    assert model.params[0] == -GRID_MAX and version_of(pack(model)) == 4
 
 
 def test_single_byte_corruption_detected():

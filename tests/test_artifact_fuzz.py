@@ -7,11 +7,11 @@ import zlib
 
 from hypothesis import given, settings, strategies as st
 
-from lottalora.artifact import load, pack, to_shipping_precision, unpack
+from lottalora.artifact import load, pack, unpack
 from lottalora.errors import FormatError, IncompatibilityError, IntegrityError
 from lottalora.model import BackboneSpec, ModelConfig, build_model
 
-from test_artifact import pack_v3
+from test_artifact import pack_v3, round_to_f16
 
 ARTIFACT_ERRORS = (FormatError, IntegrityError, IncompatibilityError)
 
@@ -26,8 +26,7 @@ FUZZ = settings(max_examples=300, deadline=None)
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 BODY_V2 = load(os.path.join(FIXTURES, "tiny_r2_seed7_v2.ltlr"))[:-4]
 BODY_FIRST_V3 = load(os.path.join(FIXTURES, "tiny_r2_seed7_v3.ltlr"))[:-4]
-_SNAPPED = build_model(_CFG, BackboneSpec.from_config(_CFG, 7))
-to_shipping_precision(_SNAPPED)
+_SNAPPED = round_to_f16(build_model(_CFG, BackboneSpec.from_config(_CFG, 7)))
 BODY_V3 = pack_v3(_SNAPPED)[:-4]
 BODY_V4 = pack(_SNAPPED)[:-4]
 

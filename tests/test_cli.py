@@ -8,7 +8,7 @@ import pytest
 
 import lottalora
 import lottalora.artifact as artifact_mod
-from lottalora.artifact import load, pack, read, save, to_shipping_precision, unpack
+from lottalora.artifact import load, pack, read, save, unpack
 from lottalora.cli import EXIT_CODES, _worker_units, run, run_grid, run_unit
 from lottalora.errors import LottaError
 from lottalora.initfam import InitFamily
@@ -16,7 +16,7 @@ from lottalora.model import BackboneSpec, ModelConfig, build_model
 from lottalora.train import TrainConfig
 
 from conftest import requires_mnist, spoil_as_gz, swap_train_files, write_fake_idx
-from test_artifact import V2_FIXTURE, V3_FIXTURE, V4_FIXTURE, reheader
+from test_artifact import V2_FIXTURE, V3_FIXTURE, V4_FIXTURE, reheader, round_to_f16
 
 
 def test_cost_command_prints_table_and_json(capsys):
@@ -142,8 +142,7 @@ def test_unpack_reports_the_format_version_and_where_the_bytes_go(tmp_path, caps
     assert run(["pack", "--preset", "tiny", "--rank", "2", "--seed", "7", "--output", str(fresh)]) == 0
     # the committed fixtures' model, rounded to f16, packs as version 4
     cfg = ModelConfig(preset="tiny", rank=2)
-    snapped = build_model(cfg, BackboneSpec.from_config(cfg, 7))
-    to_shipping_precision(snapped)
+    snapped = round_to_f16(build_model(cfg, BackboneSpec.from_config(cfg, 7)))
     save(str(trained), pack(snapped))
     values = snapped.params.size
     header_len = len(json.dumps(unpack(load(V2_FIXTURE))[0], sort_keys=True, separators=(",", ":")))
@@ -397,7 +396,7 @@ def test_train_verify_cycle_on_fake_idx(tmp_path, capsys, fake_mnist_dir):
     assert summary["task"] == json.loads((out / "manifest.json").read_text())["resolved"]
     assert (out / "metrics.csv").read_text().splitlines()[-1].startswith("1,val,")
     capsys.readouterr()
-    # a trained model ships at f16, as format version 4
+    # a trained model ships on the int8 grid, as format version 4
     assert load(str(out / "model.ltlr"))[4:6] == b"\x04\x00"
     assert run(["verify", str(out / "model.ltlr"), "--data-dir", fake_mnist_dir]) == 0
     payload = json.loads(capsys.readouterr().out)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from lottalora.artifact import pack, reconstruct, unpack
+from lottalora.artifact import GRID_MAX, pack, reconstruct, to_shipping_precision, unpack
 from lottalora.data import make_partition, split_train_val, synthetic_blobs
 from lottalora.errors import ConfigError, DataError, RunError
 from lottalora.initfam import InitFamily
@@ -294,15 +294,32 @@ def test_train_run_returns_the_model_at_shipping_precision(resample):
     cfg = blob_model_cfg(layernorm=True, head_mode="lora_bias")
     spec = BackboneSpec.from_config(cfg, 7, InitFamily("normal"))
     metrics = train_run(cfg, spec, quick_train_cfg(resample=resample), train, test)
+    assert metrics.shipped is metrics.summary()["shipped"] is True
     for _, t in metrics.model.trainable_params():
         assert np.array_equal(t.data.astype(np.float16).astype(np.float32), t.data)
     assert metrics.final_betas == [float(np.float16(b)) for b in metrics.final_betas]
+    # the shipped values are on the grid already, so rounding again moves no bit
+    shipped = metrics.model.params.copy()
+    assert to_shipping_precision(metrics.model)
+    assert np.array_equal(metrics.model.params.view(np.uint32), shipped.view(np.uint32))
     blob = pack(metrics.model)
     assert blob[4:6] == b"\x04\x00"
     if resample == "static":
         # the final test numbers are the shipped model's, as verify recomputes them
         rebuilt = reconstruct(*unpack(blob))
         assert evaluate(rebuilt, test) == (metrics.final_test_loss, metrics.final_test_accuracy)
+
+
+def test_a_run_whose_values_leave_the_grid_records_that_it_ships_f32():
+    # one AdamW step at lr 1e5 moves every trained value by about 1e5,
+    # past the grid's 65024, while the loss stays finite
+    train, test = blob_data()
+    cfg = blob_model_cfg()
+    spec = BackboneSpec.from_config(cfg, 3, InitFamily("normal"))
+    metrics = train_run(cfg, spec, quick_train_cfg(lr=1e5, epochs=1, batch_size=len(train)), train, test)
+    assert metrics.shipped is metrics.summary()["shipped"] is False
+    assert np.abs(metrics.model.params).max() > GRID_MAX
+    assert pack(metrics.model)[4:6] == b"\x01\x00"
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
