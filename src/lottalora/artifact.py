@@ -32,7 +32,8 @@ power-of-two scale of the tensor's own (ties to even, the scale at least
 2**-24), and f16 holds every such value exactly.  Each value then keeps
 at most 7 significant bits, so most of the low byte plane is zero bits.
 The planes stream codes the planes tensor by tensor in deflate blocks of
-their own, with run-length matches only (``_deflate_planes``).  ``unpack`` reads all four
+their own, with run-length matches only, or as one plain level-9 stream
+where that is shorter (``_deflate_planes``).  ``unpack`` reads all four
 versions, and any one zlib stream over the planes as version 3 or 4.
 """
 
@@ -145,8 +146,12 @@ def _deflate_planes(raw: bytes, sizes: list[int]) -> bytes:
     holds ``MIN_BLOCK_BYTES`` or the plane ends.  Tensors differ in their
     byte statistics (B starts at zero, A is noise, the head is dense), and
     longer matches on a noisy low plane cost more bits than they save;
-    smaller blocks would spend more on their tables than they save."""
-    planes = memoryview(_byte_planes(raw))
+    smaller blocks would spend more on their tables than they save.  On a
+    few small models, whose grid-rounded planes repeat more than they
+    differ, one plain level-9 stream over both planes is shorter; the
+    shorter of the two is returned, the per-tensor one on a tie."""
+    whole = _byte_planes(raw)
+    planes = memoryview(whole)
     ends = list(itertools.accumulate(sizes, initial=0))
     count = ends[-1]
     deflater = zlib.compressobj(9, zlib.DEFLATED, 15, 8, zlib.Z_RLE)
@@ -161,7 +166,8 @@ def _deflate_planes(raw: bytes, sizes: list[int]) -> bytes:
                 stream.append(deflater.flush(zlib.Z_BLOCK))
                 held = 0
     stream.append(deflater.flush())
-    return b"".join(stream)
+    blocked, plain = b"".join(stream), zlib.compress(whole, 9)
+    return plain if len(plain) < len(blocked) else blocked
 
 
 def _inflate(stream: bytes, size: int, what: str) -> tuple[bytes, bytes]:

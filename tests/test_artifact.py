@@ -9,7 +9,7 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
-from lottalora.artifact import (GRID_MAX, FORMAT_VERSION, MAGIC, MAX_INFLATE_RATIO, PAYLOAD_DTYPES, _byte_planes,
+from lottalora.artifact import (FORMAT_VERSION, MAGIC, MAX_INFLATE_RATIO, PAYLOAD_DTYPES, _byte_planes,
                                 _deflate_planes, _table, load, pack, read, reconstruct, save,
                                 to_shipping_precision, unpack)
 from lottalora.errors import ConfigError, FormatError, IncompatibilityError, IntegrityError
@@ -238,34 +238,44 @@ def v3_stream(blob: bytes, model) -> bytes:
     return blob[table_start(blob) + table_len(model):-4]
 
 
-def shipping_model(cfg: ModelConfig, filled: bool):
-    """``cfg``'s model rounded to f16 by ``round_to_f16``, the rule the
-    planes stream's coding was chosen under: as built, with every B all
-    zero, or with every trainable a gaussian draw."""
+def shipping_model(cfg: ModelConfig, filled: bool, rule: str):
+    """``cfg``'s model as built, with every B all zero, or with every
+    trainable a gaussian draw, rounded by ``rule``: the shipping rule
+    ``to_shipping_precision`` ("grid"), or ``round_to_f16`` ("f16"), under
+    which older files were written."""
     model = build_model(cfg, BackboneSpec.from_config(cfg, 5))
     if filled:
         randomized(model)
-    return round_to_f16(model)
+    if rule == "f16":
+        return round_to_f16(model)
+    assert to_shipping_precision(model)
+    return model
 
 
 SMALL_TENSORS = ModelConfig(preset=None, hidden_dims=(24, 16), input_dim=20, num_classes=4, rank=3)
 
 
+@pytest.mark.parametrize("rule", ["grid", "f16"])
 @pytest.mark.parametrize("filled", [False, True], ids=["built", "gaussian"])
 @pytest.mark.parametrize("layernorm", [False, True])
 @pytest.mark.parametrize("head_mode", HEAD_MODES)
 @pytest.mark.parametrize("preset", [*sorted(PRESETS), "small-tensors"])
-def test_the_v3_stream_codes_the_byte_planes_in_no_more_than_one_level_9_stream(preset, head_mode, layernorm, filled):
+def test_the_v3_stream_codes_the_byte_planes_in_no_more_than_one_level_9_stream(preset, head_mode, layernorm, filled,
+                                                                                   rule):
     cfg = SMALL_TENSORS if preset == "small-tensors" else ModelConfig(preset=preset, rank=4)
-    model = shipping_model(replace(cfg, head_mode=head_mode, layernorm=layernorm), filled)
+    model = shipping_model(replace(cfg, head_mode=head_mode, layernorm=layernorm), filled, rule)
     if not filled:  # all-zero B, where Huffman-only coding would spend a bit a byte
         assert all(not t.data.any() for name, t in model.trainable_params() if name.endswith(".B"))
     planes = _byte_planes(b"".join(t.data.astype("<f2").tobytes() for _, t in model.trainable_params()))
     v3 = pack_v3(model)
     stream = v3_stream(v3, model)
     assert zlib.decompress(stream) == planes
-    # the first version 3 writer's coding, kept here as the reference only
-    assert len(stream) <= len(zlib.compress(planes, 9))
+    # the first version 3 writer's coding: the writer falls back to it where
+    # it is shorter, which no preset's model needs
+    plain = zlib.compress(planes, 9)
+    assert len(stream) <= len(plain)
+    if preset in PRESETS:
+        assert stream != plain
     # version 4 keeps the stream, drops the table and deflates the header
     v4 = pack(model)
     header, payload = v4_parts(v4)
@@ -297,7 +307,7 @@ def test_rounding_to_the_grid_is_in_place_and_ties_to_even():
     assert np.signbit(head.flat[4:6]).all()
 
 
-@pytest.mark.parametrize("value", [1e5, -65520.0, 65100.0, -65025.0, np.inf, np.nan])
+@pytest.mark.parametrize("value", [1e5, -65520.0, np.inf, np.nan])
 def test_a_value_outside_the_grid_keeps_the_whole_model_f32(value):
     model = randomized(fresh_model())
     params = model.trainable_params()
@@ -309,13 +319,6 @@ def test_a_value_outside_the_grid_keeps_the_whole_model_f32(value):
     assert version_of(blob) == 1
     header_len = struct.unpack_from("<I", blob, 6)[0]
     assert len(blob) == 10 + header_len + table_len(model) + 4 * model.params.size + 4
-
-
-def test_the_grids_largest_value_ships():
-    model = randomized(fresh_model())
-    model.params[0] = -GRID_MAX
-    assert to_shipping_precision(model)
-    assert model.params[0] == -GRID_MAX and version_of(pack(model)) == 4
 
 
 def test_single_byte_corruption_detected():
