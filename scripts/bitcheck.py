@@ -2,6 +2,7 @@
 """Print one digest over the bits that a speedup must not move.
 
 Usage: python scripts/bitcheck.py --src <checkout>/src
+       python scripts/bitcheck.py --key
 
 Imports ``lottalora`` from the given ``src`` directory, runs a fixed grid
 of small cases and prints one line per case, then ``digest <sha256>`` over
@@ -45,6 +46,11 @@ the ``shipped`` ones and the ``shipping grid`` case equal.  The cases:
 
 BLAS runs on one thread, as in the benchmark.  The whole grid runs in
 seconds.
+
+The bits depend on the numpy build, the BLAS and the kernel it runs, and
+zlib.  ``--key`` prints them as one name, the stem of the file under
+``tests/fixtures/bitcheck`` that holds this grid's committed output for
+them.
 """
 
 from __future__ import annotations
@@ -241,10 +247,31 @@ def _cases():
             yield f"gaussian n={n} carry={int(carry)}", _digest([values, stream_state(stream)])
 
 
+def fixture_key() -> str:
+    """``numpy-<v>_<blas>-<v>_<core>_zlib-<v>`` for this process: the numpy
+    version, its BLAS build and the kernel that BLAS runs, and zlib's
+    runtime version."""
+    import zlib
+
+    sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+    from portcheck import blas_core
+
+    config = getattr(np, "__config__", None)
+    blas = getattr(config, "CONFIG", {}).get("Build Dependencies", {}).get("blas", {})
+    return (f"numpy-{np.__version__}_{blas.get('name', 'blas')}-{blas.get('version', 'unknown')}_"
+            f"{blas_core()}_zlib-{zlib.ZLIB_RUNTIME_VERSION}")
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--src", required=True, help="the src directory of the checkout to check")
+    parser.add_argument("--src", help="the src directory of the checkout to check")
+    parser.add_argument("--key", action="store_true", help="print this process's fixture key and exit")
     args = parser.parse_args()
+    if args.key:
+        print(fixture_key())
+        return 0
+    if args.src is None:
+        parser.error("--src is required")
     src = os.path.abspath(args.src)
     if not os.path.isdir(os.path.join(src, "lottalora")):
         parser.error(f"no lottalora package under {src}")

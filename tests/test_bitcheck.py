@@ -1,16 +1,29 @@
-"""Smoke test for ``scripts/bitcheck.py``, the parent-comparison digest."""
+"""``scripts/bitcheck.py``, the parent-comparison digest, and its
+committed output: ``tests/fixtures/bitcheck`` holds one file per fixture
+key (numpy, BLAS, kernel and zlib versions), the lines the grid printed
+there when the file was written."""
 
 import os
 import re
 import subprocess
 import sys
 
+import pytest
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCRIPT = os.path.join(ROOT, "scripts", "bitcheck.py")
+FIXTURES = os.path.join(ROOT, "tests", "fixtures", "bitcheck")
+# the BLAS's own pick (None), then each kernel a fixture names; a key is
+# numpy-<v>_<blas>-<v>_<core>_zlib-<v>
+CORES = (None, *sorted({name.rsplit("_", 2)[1] for name in os.listdir(FIXTURES)}))
 
 
-def bitcheck(src):
-    return subprocess.run([sys.executable, SCRIPT, "--src", src], capture_output=True, text=True, timeout=300)
+def bitcheck(src, core=None, *flags):
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    if core is not None:
+        env["OPENBLAS_CORETYPE"] = core
+    args = [sys.executable, SCRIPT, *flags] + (["--src", src] if src else [])
+    return subprocess.run(args, capture_output=True, text=True, timeout=300, env=env)
 
 
 def test_bitcheck_prints_one_stable_digest_over_the_case_grid():
@@ -39,3 +52,21 @@ def test_bitcheck_prints_one_stable_digest_over_the_case_grid():
 def test_bitcheck_refuses_a_directory_without_the_package(tmp_path):
     result = bitcheck(str(tmp_path))
     assert result.returncode == 2 and "no lottalora package" in result.stderr
+
+
+@pytest.mark.parametrize("core", CORES, ids=lambda core: core or "default")
+def test_bitcheck_prints_the_committed_lines_of_its_fixture_key(core):
+    key = bitcheck(None, core, "--key")
+    assert key.returncode == 0, key.stderr
+    key = key.stdout.strip()
+    path = os.path.join(FIXTURES, key + ".txt")
+    if not os.path.exists(path):
+        pytest.skip(f"no bitcheck fixture for the key {key}")
+    result = bitcheck(os.path.join(ROOT, "src"), core)
+    assert result.returncode == 0, result.stderr
+    with open(path, encoding="utf-8") as fh:
+        want = fh.read().splitlines()
+    got = result.stdout.splitlines()
+    assert len(got) == len(want) == 147
+    moved = [line.split("  ", 1)[-1] for line, old in zip(got, want) if line != old]
+    assert not moved, f"lines that moved under {key}: {moved}"
