@@ -103,7 +103,7 @@ def _cases():
 
     def optimizer_state():
         opt = made[-1]
-        return [str(opt.t).encode(), *opt.m, *opt.v, *(p.data for p in opt.params)]
+        return [str(opt.t).encode(), opt.m, opt.v, opt.params]
 
     def as_json(obj) -> bytes:
         return json.dumps(obj, sort_keys=True).encode()
@@ -119,10 +119,9 @@ def _cases():
         opt = made[-1]
         trajectory = [metrics.epochs, metrics.best_epoch, metrics.beta_trajectory, opt.t,
                       metrics.model.backbone_hashes()]
-        yield f"{name} trajectory", _digest([as_json(trajectory), *opt.m, *opt.v])
+        yield f"{name} trajectory", _digest([as_json(trajectory), opt.m, opt.v])
         shipped = [metrics.final_test_accuracy, metrics.final_test_loss, metrics.final_betas]
-        yield f"{name} shipped", _digest([as_json(shipped), *(p.data for p in opt.params),
-                                          artifact.pack(metrics.model)])
+        yield f"{name} shipped", _digest([as_json(shipped), opt.params, artifact.pack(metrics.model)])
 
     for family in ("normal", "orthogonal"):
         for layernorm, head in ((False, "full"), (True, "lora_bias")):

@@ -14,7 +14,9 @@ It prints every run's end-to-end metrics, as ``BENCHMARK.json`` in A
 lists them, then for each metric: each side's median and quartiles, in
 how many pairs B is better than A, and B's median change against A's
 next to the metric's relative bound; ``WORSE`` marks a change past the
-bound in the worse direction.
+bound in the worse direction.  ``UNRESOLVED`` marks a metric whose A runs
+spread wider than its bound (A's interquartile range over A's median), so
+an unchanged median shows nothing, unless every B run beats every A run.
 """
 
 from __future__ import annotations
@@ -47,6 +49,30 @@ def quartiles(values: list) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
+def median_change(qa: tuple, qb: tuple) -> float:
+    """B's median change relative to A's, from their ``quartiles``."""
+    return (qb[1] - qa[1]) / qa[1] if qa[1] else 0.0
+
+
+def marks(a: list, b: list, spec: dict) -> list[str]:
+    """The marks of one metric's A and B runs under its ``BENCHMARK.json``
+    entry: ``WORSE`` when B's median is past the bound from A's in the
+    worse direction, ``UNRESOLVED`` when A's interquartile range over A's
+    median is wider than the bound and some B run does not beat every A
+    run."""
+    lower = spec["better"] == "lower"
+    qa = quartiles(a)
+    change = median_change(qa, quartiles(b))
+    spread = (qa[2] - qa[0]) / abs(qa[1]) if qa[1] else 0.0
+    separated = max(b) < min(a) if lower else min(b) > max(a)
+    found = []
+    if (change if lower else -change) > spec["bound"]:
+        found.append("WORSE")
+    if spread > spec["bound"] and not separated:
+        found.append("UNRESOLVED")
+    return found
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--a", required=True, help="the reference checkout")
@@ -76,10 +102,10 @@ def main(argv=None) -> int:
         b = [m[name] for m in runs["B"]]
         wins = sum((y < x) if lower else (y > x) for x, y in zip(a, b))
         qa, qb = quartiles(a), quartiles(b)
-        change = (qb[1] - qa[1]) / qa[1] if qa[1] else 0.0
-        worse = (change if lower else -change) > spec["bound"]
+        change = median_change(qa, qb)
         print(f"{name:<16} {'/'.join(f'{v:.5g}' for v in qa):>32} {'/'.join(f'{v:.5g}' for v in qb):>32} "
-              f"{wins:>5}/{args.pairs:<3} {change:>+9.4f} {spec['bound']:>7.3f}" + ("  WORSE" if worse else ""))
+              f"{wins:>5}/{args.pairs:<3} {change:>+9.4f} {spec['bound']:>7.3f}"
+              + "".join(f"  {mark}" for mark in marks(a, b, spec)))
     return 0
 
 

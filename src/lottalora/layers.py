@@ -12,13 +12,13 @@ d at 0.  Gradients reach A, B, beta, d and the LayerNorm affine, never W or c.
 
 Since only these and the dense layers learn, each layer's gradient is a
 fixed rule, so layers are array-level: ``forward(h, cache)`` returns the
-output array and, given a ``cache`` dict, keeps what ``backward(g, cache)``
-needs; ``backward`` adds the trainables' gradients into their ``grad``,
-views of the model's ``grads`` buffer (a layer no model holds has its
-own, from ``trainable_leaf``), and returns the input's gradient.
-The rules keep the op order and dtypes of the same layer built from the
-generic tape ops in ``numerics``, so both give the same bits; the tests
-hold them to that.
+output array and, given a ``cache`` dict, keeps what
+``backward(g, cache, grads)`` needs; ``backward`` adds the trainables'
+gradients into ``grads``, arrays its caller owns, one per trainable in
+``trainable()`` order, and returns the input's gradient.  The rules keep
+the op order and dtypes of the same layer built from the generic tape
+ops in ``numerics``, so both give the same bits; the tests hold them to
+that.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import ConfigError, DimensionError, integer
 from .initfam import BackboneMatrix
-from .numerics import Tensor, add_grad, layernorm_backward, layernorm_forward, trainable_leaf
+from .numerics import Tensor, add_grad, layernorm_backward, layernorm_forward, tensor
 from .prng import Stream
 
 B_INITS = ("zeros", "kaiming")
@@ -56,9 +56,9 @@ def init_adapter(rank: int, d_in: int, d_out: int, stream: Stream, b_init: str =
         raise ConfigError(f"rank must be >= 1, got {rank}")
     if b_init not in B_INITS:
         raise ConfigError(f"b_init must be one of {B_INITS}, got {b_init!r}")
-    a = trainable_leaf(kaiming_uniform(stream, rank, d_in))
+    a = tensor(kaiming_uniform(stream, rank, d_in), requires_grad=True)
     b_data = kaiming_uniform(stream, d_out, rank) if b_init == "kaiming" else np.zeros((d_out, rank))
-    return a, trainable_leaf(b_data)
+    return a, tensor(b_data, requires_grad=True)
 
 
 class LottaLayer:
@@ -78,16 +78,16 @@ class LottaLayer:
                  scale: float, use_layernorm: bool = False, use_bias: bool = False):
         self.a = a  # [rank, d_in]
         self.b = b  # [d_out, rank]
-        self.beta = trainable_leaf(np.asarray(1.0))
+        self.beta = tensor(1.0, requires_grad=True)
         self.scale = scale
         self.d_in = a.shape[1]
         self.d_out = b.shape[0]
         self.set_backbone(backbone, frozen_bias)
-        self.bias = trainable_leaf(np.zeros(self.d_out)) if use_bias else None
+        self.bias = tensor(np.zeros(self.d_out), requires_grad=True) if use_bias else None
         self.ln_gamma = self.ln_bias = None
         if use_layernorm:
-            self.ln_gamma = trainable_leaf(np.ones(self.d_out))
-            self.ln_bias = trainable_leaf(np.zeros(self.d_out))
+            self.ln_gamma = tensor(np.ones(self.d_out), requires_grad=True)
+            self.ln_bias = tensor(np.zeros(self.d_out), requires_grad=True)
 
     def drop_backbone(self) -> None:
         """Release the frozen matrix and bias, so a redraw does not hold the
@@ -138,28 +138,29 @@ class LottaLayer:
                 cache.update(xhat=xhat, inv=inv)
         return out
 
-    def backward(self, g: np.ndarray, cache: dict, need_dx: bool = True) -> np.ndarray | None:
-        """Add the gradients of A, B, beta (and the offset and LayerNorm
-        affine) for the output gradient ``g``; return the input's gradient
-        if ``need_dx``.
+    def backward(self, g: np.ndarray, cache: dict, grads: list, need_dx: bool = True) -> np.ndarray | None:
+        """Add the gradients of A, B, beta (and the LayerNorm affine and the
+        offset) for the output gradient ``g`` into ``grads``, in
+        ``trainable()`` order; return the input's gradient if ``need_dx``.
 
         Consumes ``g``, which it scales in place, and the cache's backbone
         product, which it drops once beta's gradient is taken.
         """
+        grad_a, grad_b, grad_beta, *rest = grads
         if self.ln_gamma is not None:
             dx, dgamma, dbias = layernorm_backward(g, cache["xhat"], cache["inv"], self.ln_gamma.data)
-            add_grad(self.ln_gamma, dgamma)
-            add_grad(self.ln_bias, dbias)
+            add_grad(rest[0], dgamma)
+            add_grad(rest[1], dbias)
             g = dx.astype(g.dtype)
         if self.bias is not None:
-            add_grad(self.bias, g.sum(axis=0, dtype=np.float64))
-        add_grad(self.beta, np.asarray(np.sum(cache.pop("backbone_path") * g, dtype=np.float64)))
+            add_grad(rest[-1], g.sum(axis=0, dtype=np.float64))
+        add_grad(grad_beta, np.asarray(np.sum(cache.pop("backbone_path") * g, dtype=np.float64)))
         # the backbone path's input gradient reads g before the adapter scale
         dh = (self.beta.data * g) @ self.backbone.data if need_dx else None
         g *= self.scale
         g_low = g @ self.b.data
-        add_grad(self.b, g.T @ cache["low"])
-        add_grad(self.a, g_low.T @ cache["h"])
+        add_grad(grad_b, g.T @ cache["low"])
+        add_grad(grad_a, g_low.T @ cache["h"])
         if dh is not None:
             dh += g_low @ self.a.data
         return dh
@@ -179,8 +180,8 @@ class DenseLayer:
     """Fully trainable linear layer with bias (full-training mode, heads)."""
 
     def __init__(self, d_in: int, d_out: int, stream: Stream):
-        self.w = trainable_leaf(kaiming_uniform(stream, d_out, d_in))
-        self.b = trainable_leaf(np.zeros(d_out))
+        self.w = tensor(kaiming_uniform(stream, d_out, d_in), requires_grad=True)
+        self.b = tensor(np.zeros(d_out), requires_grad=True)
         self.d_in = d_in
         self.d_out = d_out
 
@@ -194,10 +195,11 @@ class DenseLayer:
             cache["h"] = h
         return out
 
-    def backward(self, g: np.ndarray, cache: dict, need_dx: bool = True) -> np.ndarray | None:
-        """Add the gradients of W and bias; return the input's gradient if ``need_dx``."""
-        add_grad(self.b, g.sum(axis=0, dtype=np.float64))
-        add_grad(self.w, g.T @ cache["h"])
+    def backward(self, g: np.ndarray, cache: dict, grads: list, need_dx: bool = True) -> np.ndarray | None:
+        """Add the gradients of W and bias into ``grads``; return the input's gradient if ``need_dx``."""
+        grad_w, grad_b = grads
+        add_grad(grad_b, g.sum(axis=0, dtype=np.float64))
+        add_grad(grad_w, g.T @ cache["h"])
         return g @ self.w.data if need_dx else None
 
     def trainable(self) -> list[Tensor]:

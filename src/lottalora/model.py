@@ -13,9 +13,11 @@ streams and frozen arrays, and ``build_model`` draws it afresh.
 Each layer holds its own trainables (a ``lora_bias`` head its offset too)
 and its adapter scale, ``ModelConfig.adapter_scale``; ``trainable_params``
 flattens the layers' ``trainable()`` lists in layer order.  The model owns
-their storage: one f32 buffer ``params`` and one ``grads``, both laid out
-by ``trainable_layout``, whose views the trainables' ``data`` and ``grad``
-are.
+their values: one f32 buffer ``params``, laid out by ``trainable_layout``,
+whose views the trainables' ``data`` are.  It holds no gradient: its
+caller owns the buffer ``loss_and_grads`` adds into (``AdamW.grads`` in
+training), so a built or reconstructed model is its scaffold and
+``params``.
 """
 
 from __future__ import annotations
@@ -266,12 +268,10 @@ def _hash_into(digest, a: np.ndarray) -> None:
 class Model:
     """An assembled network plus its trainable-parameter handles.
 
-    ``params`` and ``grads`` are the trainables' storage: two flat f32
-    buffers in ``ModelConfig.trainable_layout()`` order, ``params`` the
-    artifact payload's values.  Each trainable's ``data`` and ``grad`` are
-    views of them (``views``), bound once at build, so callers write into
-    them in place.  ``grads`` starts at -0.0, IEEE's additive identity,
-    and ``loss_and_grads`` adds into it; a training step refills it.
+    ``params`` is the trainables' storage: one flat f32 buffer in
+    ``ModelConfig.trainable_layout()`` order, the artifact payload's
+    values.  Each trainable's ``data`` is a view of it (``views``), bound
+    once at build, so callers write into it in place.
     """
 
     def __init__(self, cfg: ModelConfig, spec: BackboneSpec, scaffold: tuple[list[Stream], list[tuple]]):
@@ -307,9 +307,8 @@ class Model:
         self._dropout_streams = [derive_stream(seed, i, DrawKind.DROPOUT_MASK) for i in range(len(self.hidden))]
         tensors = [t for _, t in self.trainable_params()]
         self.params = np.concatenate([t.data.ravel() for t in tensors])
-        self.grads = np.full_like(self.params, -0.0)
-        for t, data, grad in zip(tensors, self.views(self.params), self.views(self.grads), strict=True):
-            t.data, t.grad = data, grad
+        for t, data in zip(tensors, self.views(self.params), strict=True):
+            t.data = data
 
     # -- inference ---------------------------------------------------------
 
@@ -327,12 +326,13 @@ class Model:
         self._check_batch(batch)
         return Tensor(np.concatenate([self._forward_rows(batch[lo:hi]) for lo, hi in eval_blocks(len(batch))]))
 
-    def loss_and_grads(self, x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
+    def loss_and_grads(self, x: np.ndarray, y: np.ndarray, grads: list) -> tuple[float, np.ndarray]:
         """One training pass over the whole batch: ``(loss, logits)``.
 
         Runs the forward with dropout, keeping each layer's cache, then
         ``softmax_xent``, then the layers' backward rules in reverse, which
-        add every trainable's gradient into its view of ``grads``.  The
+        add every trainable's gradient into ``grads``, the caller's arrays
+        in ``trainable_layout()`` order (``views`` of a buffer).  The
         forward's dropout masks are ``Stream.keep_block`` draws, and no
         cache holds one: the gradient through a hidden layer's ReLU and
         dropout is masked by where the next layer's cached input, the
@@ -340,6 +340,7 @@ class Model:
         """
         self._check_batch(x)
         layers = [*self.hidden, self.head]
+        ends = list(itertools.accumulate((len(layer.trainable()) for layer in layers), initial=0))
         caches = [{} for _ in layers]
         logits = self._forward_rows(x, caches)
         loss, g = softmax_xent(logits, y)
@@ -356,7 +357,7 @@ class Model:
                 if p > 0.0:
                     g *= next_input.dtype.type(1.0 / (1.0 - p))
             next_input = cache["h"]
-            g = layers[i].backward(g, cache, need_dx=i > 0)
+            g = layers[i].backward(g, cache, grads[ends[i]:ends[i + 1]], need_dx=i > 0)
         return loss, logits
 
     def _check_batch(self, batch: np.ndarray) -> None:

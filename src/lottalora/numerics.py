@@ -1,13 +1,13 @@
 """Trainable tensors, the training loss, and the generic tape ops.
 
-``Tensor`` is the handle of every trainable: its ``data`` and ``grad`` are
-views of the model's ``params`` and ``grads`` buffers, which AdamW steps.
-Training runs no tape.  ``softmax_xent`` is array-level: it returns the
-loss and the logits' gradient, and ``Model.loss_and_grads`` hands that
-gradient to the layers' explicit backward rules, which add into each
-trainable's ``grad`` view through ``add_grad``.  LayerNorm's math
-lives in ``layernorm_forward`` / ``layernorm_backward``, array helpers the
-layers and the tape op share.
+``Tensor`` is the handle of every trainable: its ``data`` is a view of the
+model's ``params`` buffer.  Training runs no tape and no ``Tensor.grad``:
+``softmax_xent`` is array-level, it returns the loss and the logits'
+gradient, and ``Model.loss_and_grads`` hands that gradient to the layers'
+explicit backward rules, which add each trainable's gradient through
+``add_grad`` into arrays their caller owns (in training, views of AdamW's
+``grads`` buffer).  LayerNorm's math lives in ``layernorm_forward`` /
+``layernorm_backward``, array helpers the layers and the tape op share.
 
 What is left of the tape runs in no training step: ``Tensor.backward``
 and the generic ops (matmul / linear, bias-row add, ReLU, inverted
@@ -16,7 +16,8 @@ the loss and the finite-difference check, which live with the tests, they
 are the reference the explicit rules are held to bit for bit.  And the
 benchmark's traced run wraps them by name.  A forward pass over them
 records a tape through ``_parents``/``_backward_fn``; ``backward()``
-walks it once in reverse topological order.  Closures are only created on
+walks it once in reverse topological order and adds into each leaf's
+``grad``, the only reader and writer of it.  Closures are only created on
 paths that reach a ``requires_grad`` leaf, so frozen matrices never get a
 weight-gradient GEMM.
 
@@ -60,9 +61,9 @@ class Tensor:
         return float(self.data)
 
     def zero_grad(self):
-        """Fill the gradient with -0.0 in place, so a ``grad`` that is a view
-        of a buffer stays one; -0.0 is IEEE's additive identity, so the
-        next ``+=`` gives the added value's bits, signed zeros included."""
+        """Fill ``grad`` with -0.0 in place, so an array the caller bound it
+        to stays bound; -0.0 is IEEE's additive identity, so the next
+        ``+=`` gives the added value's bits, signed zeros included."""
         if self.grad is not None:
             self.grad.fill(-0.0)
 
@@ -106,31 +107,19 @@ def tensor(data, requires_grad=False, dtype=np.float32) -> Tensor:
     return Tensor(arr, requires_grad=requires_grad)
 
 
-def trainable_leaf(data) -> Tensor:
-    """A trainable f32 leaf with a -0.0 ``grad`` of its own, so a layer
-    that no model holds can still run its backward; ``Model._build``
-    rebinds ``data`` and ``grad`` to views of its buffers."""
-    t = tensor(data, requires_grad=True)
-    t.grad = np.full_like(t.data, -0.0)
-    return t
+def add_grad(into: np.ndarray, g: np.ndarray) -> None:
+    """Add the gradient ``g`` into ``into`` in place: the one rule by which
+    the tape and the layers' explicit backward rules hand out gradients.
+    ``g`` is cast to ``into``'s dtype first, so an f64 gradient is rounded
+    once and then added, as it would be assigned; adding it unrounded
+    would round the sum instead."""
+    into += g.astype(into.dtype, copy=False)
 
 
 def _accumulate(t: Tensor, g: np.ndarray):
-    if g.dtype != t.data.dtype:
-        g = g.astype(t.data.dtype)
     if t.grad is None:
         t.grad = np.zeros_like(t.data)
-    t.grad += g
-
-
-def add_grad(t: Tensor, g: np.ndarray) -> None:
-    """Add ``g`` into ``t.grad``, a view of the model's gradient buffer (or
-    a lone layer's own, from ``trainable_leaf``); an explicit backward rule
-    hands each trainable its gradient this way.
-    ``g`` is cast to the buffer's dtype first, so an f64 gradient is
-    rounded once and then added, as it would be assigned; adding it
-    unrounded would round the sum instead."""
-    t.grad += g.astype(t.grad.dtype, copy=False)
+    add_grad(t.grad, g)
 
 
 def _result(data, parents, backward_fn):

@@ -9,11 +9,15 @@ streams that keep advancing across resample events.  Seed gating trains
 each label group on its seed's scaffold, the one ``draw_scaffold`` gives
 and a fresh build for that seed has, drawn once per distinct seed.
 
+The model holds its scaffold and ``params``; a run's ``AdamW`` holds the
+rest of the training state, the gradient buffer and both moments.
+
 A static run builds on the scaffold of the process's last static run
 when both have one ``scaffold_key``, the ``repr`` of the arguments
-``draw_scaffold`` takes and reads nothing but: it takes copies of that draw's streams, left just past the draw, and shares
-its read-only arrays, so its bits are a cold build's.  The memo holds that
-one scaffold and is dropped before any other draw: by a static run of
+``draw_scaffold`` takes and reads nothing but: it takes copies of that
+draw's streams, left just past the draw, and shares its read-only
+arrays, so its bits are a cold build's.  The memo holds that one
+scaffold and is dropped before any other draw: by a static run of
 another key, and by a run under any other schedule, which builds
 afresh.
 """
@@ -98,34 +102,35 @@ class AdamW:
     """Decoupled weight decay Adam over a model's trainables, at the fixed
     ``ADAMW_BETAS`` and ``ADAMW_EPS``.
 
-    It steps the model's two flat buffers, ``params`` from ``grads``, and
-    keeps one flat buffer per moment; ``params`` holds the stepped
-    ``Tensor``s and ``m`` and ``v`` the moments' per-trainable views, all
-    in ``Model.trainable_params()`` order.  The update rule is elementwise,
-    so every entry gets the bits a per-tensor update gives it.  A
-    ``weight_decay`` that is not a finite number >= 0 is a ``ConfigError``.
+    It holds four flat buffers laid out by ``ModelConfig.trainable_layout()``:
+    ``params`` is the model's, which it steps, and ``grads``, ``m`` and
+    ``v`` are its own.  A training step's ``Model.loss_and_grads`` adds
+    into ``model.views(grads)``; ``grads`` starts at, and ``zero_grad``
+    refills it with, -0.0, IEEE's additive identity, so the first gradient
+    added keeps its bits.  The update rule is elementwise, so every entry
+    gets the bits a per-tensor update gives it.  A ``weight_decay`` that is
+    not a finite number >= 0 is a ``ConfigError``.
     """
 
     def __init__(self, model: Model, weight_decay: float):
         if not (finite(weight_decay) and weight_decay >= 0):
             raise ConfigError(f"weight_decay must be a finite number >= 0, got {shown(weight_decay)}")
-        self.params = [t for _, t in model.trainable_params()]
         self.weight_decay = weight_decay
         self.t = 0
-        self._param, self._grad = model.params, model.grads
-        self._m = np.zeros_like(self._param)
-        self._v = np.zeros_like(self._param)
-        self.m, self.v = model.views(self._m), model.views(self._v)
+        self.params = model.params
+        self.grads = np.full_like(self.params, -0.0)
+        self.m = np.zeros_like(self.params)
+        self.v = np.zeros_like(self.params)
 
     def zero_grad(self):
-        self._grad.fill(-0.0)
+        self.grads.fill(-0.0)
 
     def step(self, lr: float):
         """One update of every parameter at rate ``lr``; decay shrinks the
         pre-step parameter by lr*wd*param."""
         self.t += 1
         b1, b2 = ADAMW_BETAS
-        g, m, v, param = self._grad, self._m, self._v, self._param
+        g, m, v, param = self.grads, self.m, self.v, self.params
         m *= b1
         m += (1.0 - b1) * g
         v *= b2
@@ -180,7 +185,7 @@ def _layer_betas(model: Model) -> list[float]:
     return [float(layer.beta.data) for layer in model.lotta_layers()]
 
 
-def _train_step(model, optimizer, x, y, lr_t, resample: str, k: int, first: bool):
+def _train_step(model, optimizer, grads, x, y, lr_t, resample: str, k: int, first: bool):
     """One optimizer step: one pass over the step's sub-batches.
 
     The sub-batches are the batch itself (static), k copies of it
@@ -188,8 +193,9 @@ def _train_step(model, optimizer, x, y, lr_t, resample: str, k: int, first: bool
     within-step schedules every sub-batch runs on a freshly redrawn
     scaffold, except the run's first sub-batch (``first`` marks the run's
     first step), which trains on the build-time scaffold, as per_epoch's
-    first epoch does.  Gradients accumulate in ``model.grads`` over the
-    pass and are averaged, keeping the lr meaningful across schedules.
+    first epoch does.  Gradients accumulate in ``optimizer.grads``, through
+    its per-trainable views ``grads``, over the pass and are averaged,
+    keeping the lr meaningful across schedules.
     Returns (mean loss over the forward rows, correct count, forward rows).
     """
     if resample == "per_batch":
@@ -205,12 +211,12 @@ def _train_step(model, optimizer, x, y, lr_t, resample: str, k: int, first: bool
         if resample in ("per_batch", "microbatch") and not (first and j == 0):
             model.resample_backbones()
         ys = y[part]
-        loss, logits = model.loss_and_grads(x[part], ys)
+        loss, logits = model.loss_and_grads(x[part], ys, grads)
         loss_sum += loss * len(ys)
         correct += int((logits.argmax(axis=1) == ys).sum())
         rows += len(ys)
     if len(parts) > 1:
-        model.grads /= len(parts)
+        optimizer.grads /= len(parts)
     optimizer.step(lr_t)
     return loss_sum / rows, correct, rows
 
@@ -225,6 +231,7 @@ def _train_loop(model: Model, cfg: TrainConfig, segments, shuffle):
     the train metrics are row-weighted means over every forward row.
     """
     optimizer = AdamW(model, cfg.weight_decay)
+    grads = model.views(optimizer.grads)
     total_steps = cfg.epochs * sum(math.ceil(len(data) / cfg.batch_size) for data, _ in segments)
     step = 0
     for epoch in range(cfg.epochs):
@@ -237,7 +244,7 @@ def _train_loop(model: Model, cfg: TrainConfig, segments, shuffle):
                 idx = perm[start:start + cfg.batch_size]
                 y = data.labels[idx]
                 loss, step_correct, step_rows = _train_step(
-                    model, optimizer, data.take(idx), y, _lr(cfg, step, total_steps), cfg.resample, cfg.resample_k,
+                    model, optimizer, grads, data.take(idx), y, _lr(cfg, step, total_steps), cfg.resample, cfg.resample_k,
                     step == 0,
                 )
                 if not math.isfinite(loss):

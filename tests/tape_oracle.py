@@ -48,7 +48,8 @@ def finite_diff_check(loss_fn, params, eps: float = 1e-5, coords_per_param: int 
     ``loss_fn`` must rebuild its loss from the live ``params`` on every
     call and be deterministic (fix dropout masks beforehand).  It returns
     either a scalar tape ``Tensor``, whose ``backward`` fills the grads, or
-    a float after filling them itself (as ``Model.loss_and_grads`` does).
+    a float after adding into the params' ``grad`` arrays itself (as
+    ``Model.loss_and_grads`` does into the views the caller bound there).
     Coordinates are an evenly strided sample of at least
     ``coords_per_param`` per parameter (all of them when the parameter is
     small).

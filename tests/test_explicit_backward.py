@@ -3,7 +3,8 @@
 ``tape_forward_logits`` builds the forward pass from the generic tape ops
 in ``lottalora.numerics``, one tape node per op, with dropout masks from
 ``unit_block(n) >= p``; ``tape_loss_and_grads`` adds the tape form of the
-loss and walks the tape.  They are the bitwise oracle for
+loss and walks the tape into the views it is given, as the leaves'
+``grad``.  They are the bitwise oracle for
 ``Model.forward_logits`` and ``Model.loss_and_grads``: after two optimizer
 steps, parameters, AdamW moments and backbone hashes must be equal byte
 for byte.
@@ -65,10 +66,19 @@ def tape_forward_logits(model, batch, training=False) -> Tensor:
     return tape_layer_forward(model.head, h)
 
 
-def tape_loss_and_grads(model, x, y) -> tuple[float, np.ndarray]:
-    logits = tape_forward_logits(model, x, training=True)
-    loss = tape_softmax_xent(logits, y)
-    loss.backward()
+def tape_loss_and_grads(model, x, y, grads) -> tuple[float, np.ndarray]:
+    """``Model.loss_and_grads`` on the tape: each trainable leaf's ``grad``
+    is bound to its array of ``grads`` for the walk, then unbound."""
+    params = [t for _, t in model.trainable_params()]
+    for t, grad in zip(params, grads, strict=True):
+        t.grad = grad
+    try:
+        logits = tape_forward_logits(model, x, training=True)
+        loss = tape_softmax_xent(logits, y)
+        loss.backward()
+    finally:
+        for t in params:
+            t.grad = None
     return loss.item(), logits.data
 
 
@@ -83,8 +93,7 @@ def blobs(n=120, classes=3, seed=5):
 
 
 def final_state(model, optimizer) -> tuple:
-    return (model.backbone_hashes(), [p.data.tobytes() for p in optimizer.params],
-            [m.tobytes() for m in optimizer.m], [v.tobytes() for v in optimizer.v])
+    return model.backbone_hashes(), optimizer.params.tobytes(), optimizer.m.tobytes(), optimizer.v.tobytes()
 
 
 def under_both_forwards(run, monkeypatch):
@@ -110,7 +119,7 @@ def assert_two_steps_match_the_tape(cfg, resample, k, rows, monkeypatch):
         model = build_model(cfg, spec)
         opt = AdamW(model, 1e-2)
         for step in range(2):  # the second step runs on non-zero moments and B
-            _train_step(model, opt, x, y, 1e-2, resample, k, step == 0)
+            _train_step(model, opt, model.views(opt.grads), x, y, 1e-2, resample, k, step == 0)
         return final_state(model, opt)
 
     explicit, oracle = under_both_forwards(run, monkeypatch)
@@ -210,23 +219,30 @@ def test_training_runs_without_the_tape(resample, monkeypatch):
     assert math.isfinite(metrics.final_test_loss)
 
 
-def write_counts(model, x, y, monkeypatch) -> np.ndarray:
-    """How many times one ``loss_and_grads`` adds into each entry of
-    ``model.grads``, read from the memory each ``add_grad`` writes."""
-    counts = np.zeros(model.grads.size, dtype=np.int64)
-    base = model.grads.__array_interface__["data"][0]
+def grad_buffer(model) -> np.ndarray:
+    """A -0.0 buffer laid out as the model's ``params``, as AdamW's ``grads``."""
+    return np.full_like(model.params, -0.0)
 
-    def recording_add_grad(t, g):
-        assert np.shares_memory(t.grad, model.grads) and t.grad.flags.c_contiguous
-        lo = (t.grad.__array_interface__["data"][0] - base) // t.grad.itemsize
-        counts[lo:lo + t.grad.size] += 1
-        numerics.add_grad(t, g)
+
+def write_counts(model, x, y, monkeypatch) -> tuple[np.ndarray, np.ndarray]:
+    """One ``loss_and_grads`` into views of a fresh ``grad_buffer``: the
+    buffer, and how many times the pass adds into each of its entries,
+    read from the memory each ``add_grad`` writes."""
+    grads = grad_buffer(model)
+    counts = np.zeros(grads.size, dtype=np.int64)
+    base = grads.__array_interface__["data"][0]
+
+    def recording_add_grad(into, g):
+        assert np.shares_memory(into, grads) and into.flags.c_contiguous
+        lo = (into.__array_interface__["data"][0] - base) // into.itemsize
+        counts[lo:lo + into.size] += 1
+        numerics.add_grad(into, g)
 
     monkeypatch.setattr(layers_mod, "add_grad", recording_add_grad)
-    loss, logits = model.loss_and_grads(x, y)
+    loss, logits = model.loss_and_grads(x, y, model.views(grads))
     assert isinstance(loss, float) and isinstance(logits, np.ndarray)
     assert logits.shape == (len(y), model.cfg.num_classes)
-    return counts
+    return grads, counts
 
 
 @pytest.mark.parametrize("cfg_kw", [
@@ -240,17 +256,19 @@ def test_one_pass_writes_every_gradient_entry_once_as_the_tape_does(cfg_kw, monk
     spec = BackboneSpec.from_config(cfg, 4)
     data = blobs(n=20)
     model = build_model(cfg, spec)
-    counts = write_counts(model, data.images, data.labels, monkeypatch)
+    grads, counts = write_counts(model, data.images, data.labels, monkeypatch)
     names = [name for name, _ in cfg.trainable_layout()]
     unwritten = [n for n, c in zip(names, model.views(counts)) if np.any(c != 1)]
     assert not unwritten, f"entries not written exactly once: {unwritten}"
     # every view holds the tape's gradient, bit for bit
     oracle = build_model(cfg, spec)
-    tape_loss_and_grads(oracle, data.images, data.labels)
-    differ = [n for n, got, want in zip(names, model.views(model.grads), oracle.views(oracle.grads))
+    oracle_grads = grad_buffer(oracle)
+    tape_loss_and_grads(oracle, data.images, data.labels, oracle.views(oracle_grads))
+    assert all(t.grad is None for _, t in oracle.trainable_params())
+    differ = [n for n, got, want in zip(names, model.views(grads), oracle.views(oracle_grads))
               if got.tobytes() != want.tobytes()]
     assert not differ, f"gradients that differ from the tape's: {differ}"
-    assert all(np.any(g) for g in model.views(model.grads))
+    assert all(np.any(g) for g in model.views(grads))
 
 
 def no_cycles_after(run) -> bool:
@@ -281,7 +299,8 @@ def test_loss_and_grads_makes_no_cycles():
     data = blobs(n=20)
     cfg = small_cfg(layernorm=True, head_mode="lora_bias")
     model = build_model(cfg, BackboneSpec.from_config(cfg, 4))
-    assert no_cycles_after(lambda: model.loss_and_grads(data.images, data.labels))
+    grads = model.views(grad_buffer(model))
+    assert no_cycles_after(lambda: model.loss_and_grads(data.images, data.labels, grads))
 
 
 # -- dropout masks ----------------------------------------------------------------
@@ -331,9 +350,10 @@ def test_a_medium_training_pass_of_128_rows_holds_no_dropout_scales():
     def setup():
         cfg = ModelConfig(preset="medium", rank=8, dropout=0.1)
         data = synthetic_blobs(128, 784, 10, 4.0, seed=1)
-        return build_model(cfg, BackboneSpec.from_config(cfg, 3)), data.images, data.labels
+        model = build_model(cfg, BackboneSpec.from_config(cfg, 3))
+        return model, data.images, data.labels, model.views(grad_buffer(model))
 
-    peak, (loss, logits) = peak_bytes(lambda state: state[0].loss_and_grads(state[1], state[2]), setup=setup)
+    peak, (loss, logits) = peak_bytes(lambda state: state[0].loss_and_grads(*state[1:]), setup=setup)
     assert np.isfinite(loss) and logits.shape == (128, 10)
     assert peak <= 1.35 * (1 << 20)
 
@@ -342,11 +362,11 @@ def test_a_medium_training_pass_of_128_rows_holds_no_dropout_scales():
 
 
 def to_float64(model):
-    """Move the model to f64: its buffers, the trainables' views of them,
+    """Move the model to f64: its ``params``, the trainables' views of it,
     and its frozen matrices."""
-    model.params, model.grads = model.params.astype(np.float64), model.grads.astype(np.float64)
-    for (_, p), data, grad in zip(model.trainable_params(), model.views(model.params), model.views(model.grads)):
-        p.data, p.grad = data, grad
+    model.params = model.params.astype(np.float64)
+    for (_, p), data in zip(model.trainable_params(), model.views(model.params), strict=True):
+        p.data = data
     for layer in model.lotta_layers():
         b, bias = layer.backbone, layer.frozen_bias
         layer.set_backbone(BackboneMatrix(b.rows, b.cols, b.data.astype(np.float64)),
@@ -364,12 +384,15 @@ def test_explicit_backward_matches_finite_differences():
             p.data += 0.3 * rng.standard_normal(p.data.shape)  # off the identity
     x = rng.standard_normal((9, 10))
     labels = rng.integers(0, 4, size=9)
+    params = [p for _, p in model.trainable_params()]
+    grads = model.views(grad_buffer(model))
+    for p, grad in zip(params, grads):  # where finite_diff_check reads the gradients
+        p.grad = grad
 
     def loss_fn():
         model._dropout_streams = [Stream(100 + i) for i in range(len(model.hidden))]  # fixed masks
-        return model.loss_and_grads(x, labels)[0]
+        return model.loss_and_grads(x, labels, grads)[0]
 
-    params = [p for _, p in model.trainable_params()]
     err = finite_diff_check(loss_fn, params)
     assert err < 1e-5
     assert all(p.grad.dtype == np.float64 and np.any(p.grad) for p in params)

@@ -1,8 +1,10 @@
-"""AdamW steps a model's flat ``params`` buffer from its ``grads`` buffer,
-and dropout masks compare the raw words with a shifted threshold.
+"""AdamW steps a model's flat ``params`` buffer from its own flat ``grads``
+buffer, and dropout masks compare the raw words with a shifted threshold.
 
 The per-parameter AdamW that the fused one replaced is kept here as the
-oracle: parameters and moments must match it bit for bit, step after step.
+oracle, stepping each tensor from its view of a ``grads`` buffer laid out
+as AdamW's: parameters and moments must match it bit for bit, step after
+step.
 The dropout keep mask, and dropout applied from it, must match the
 shift-then-compare form it replaced at the words where the two could
 part: just below and at each threshold.
@@ -22,26 +24,28 @@ from test_explicit_backward import keep_mask_dropout, to_float64
 
 
 class PerTensorAdamW:
-    """The former AdamW: one update per parameter tensor."""
+    """The former AdamW: one update per parameter tensor, each from its
+    view of ``grads``."""
 
     def __init__(self, model, weight_decay):
-        self.params = [p for _, p in model.trainable_params()]
+        self.tensors = [p for _, p in model.trainable_params()]
         self.weight_decay = weight_decay
         self.t = 0
-        self.m = [np.zeros_like(p.data) for p in self.params]
-        self.v = [np.zeros_like(p.data) for p in self.params]
+        self.grads = np.full_like(model.params, -0.0)
+        self.grad_views = model.views(self.grads)
+        self.m = [np.zeros_like(p.data) for p in self.tensors]
+        self.v = [np.zeros_like(p.data) for p in self.tensors]
 
     def zero_grad(self):
-        for p in self.params:
-            p.zero_grad()
+        for g in self.grad_views:
+            g.fill(-0.0)
 
     def step(self, lr):
         beta1, beta2, eps = 0.9, 0.999, 1e-8
         self.t += 1
         bc1 = 1.0 - beta1 ** self.t
         bc2 = 1.0 - beta2 ** self.t
-        for p, m, v in zip(self.params, self.m, self.v):
-            g = p.grad
+        for p, g, m, v in zip(self.tensors, self.grad_views, self.m, self.v):
             m *= beta1
             m += (1.0 - beta1) * g
             v *= beta2
@@ -51,9 +55,15 @@ class PerTensorAdamW:
             p.data -= (lr / bc1) * m / (np.sqrt(v / bc2) + eps)
 
 
-def state(opt) -> tuple:
-    return (opt.t, [p.data.dtype for p in opt.params], [p.data.shape for p in opt.params],
-            [p.data.tobytes() for p in opt.params], [m.tobytes() for m in opt.m], [v.tobytes() for v in opt.v])
+def state(model, opt) -> tuple:
+    """The step count, the trainables' dtypes, shapes and bytes, and the
+    moments' bytes, whether the moments are flat buffers or per-tensor."""
+    def joined(moment):
+        return b"".join(a.tobytes() for a in ([moment] if isinstance(moment, np.ndarray) else moment))
+
+    tensors = [p.data for _, p in model.trainable_params()]
+    return (opt.t, [a.dtype for a in tensors], [a.shape for a in tensors], [a.tobytes() for a in tensors],
+            joined(opt.m), joined(opt.v))
 
 
 # mixed shapes: A, B, the 0-d beta, the LayerNorm affine and the head's offset
@@ -73,29 +83,30 @@ def make_model(f64: bool):
 def test_fused_steps_match_the_per_tensor_oracle_bitwise(f64, weight_decay):
     fused_model, oracle_model = make_model(f64), make_model(f64)
     fused, oracle = AdamW(fused_model, weight_decay), PerTensorAdamW(oracle_model, weight_decay)
-    assert state(fused) == state(oracle)
+    assert state(fused_model, fused) == state(oracle_model, oracle)
     rng = np.random.default_rng(1)
     for step in range(4):
-        g = rng.standard_normal(fused_model.grads.size)
-        fused_model.grads[...], oracle_model.grads[...] = g, g
+        g = rng.standard_normal(fused.grads.size)
+        fused.grads[...], oracle.grads[...] = g, g
         lr = 3e-2 * 0.8 ** step
         fused.step(lr)
         oracle.step(lr)
-        assert state(fused) == state(oracle), step
+        assert state(fused_model, fused) == state(oracle_model, oracle), step
 
 
-def test_parameters_gradients_and_moments_are_views_of_flat_buffers():
+def test_adamw_holds_four_flat_buffers_and_the_trainables_view_the_params():
     model = make_model(False)
     opt = AdamW(model, 1e-2)
-    shapes = [shape for _, shape in CFG.trainable_layout()]
-    for flat, views in ((model.params, [p.data for p in opt.params]), (model.grads, [p.grad for p in opt.params]),
-                        (None, opt.m), (None, opt.v)):
-        assert [a.shape for a in views] == shapes
-        assert all(a.dtype == np.float32 for a in views)
-        bases = {id(a.base) for a in views}
-        assert len(bases) == 1 and views[0].base.ndim == 1
-        assert flat is None or views[0].base is flat
-        assert sum(a.size for a in views) == views[0].base.size
+    assert opt.params is model.params
+    buffers = (opt.params, opt.grads, opt.m, opt.v)
+    for i, a in enumerate(buffers):
+        assert not any(np.shares_memory(a, b) for b in buffers[i + 1:])
+    size = sum(math.prod(shape) for _, shape in CFG.trainable_layout())
+    assert all(b.shape == (size,) and b.dtype == np.float32 and b.flags.c_contiguous for b in buffers)
+    assert np.signbit(opt.grads).all() and not opt.grads.any()
+    views = [p.data for _, p in model.trainable_params()]
+    assert [a.shape for a in views] == [shape for _, shape in CFG.trainable_layout()]
+    assert all(a.base is model.params for a in views)
 
 
 @pytest.mark.parametrize("f64", [False, True])
@@ -107,10 +118,11 @@ def test_training_steps_match_the_oracle_bitwise(f64, resample, k, weight_decay)
     for make in (AdamW, PerTensorAdamW):
         model = make_model(f64)
         opt = make(model, weight_decay)
+        grads = model.views(opt.grads)
         for step in range(3):
-            _train_step(model, opt, data.images, data.labels, 1e-2 * (1 - step / 4), resample, k, step == 0)
-        assert all(p.data.dtype == (np.float64 if f64 else np.float32) for p in opt.params)
-        outcomes.append((state(opt), model.backbone_hashes()))
+            _train_step(model, opt, grads, data.images, data.labels, 1e-2 * (1 - step / 4), resample, k, step == 0)
+        assert opt.grads.dtype == model.params.dtype == (np.float64 if f64 else np.float32)
+        outcomes.append((state(model, opt), model.backbone_hashes()))
     assert outcomes[0] == outcomes[1]
 
 

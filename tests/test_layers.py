@@ -159,13 +159,15 @@ def test_backbone_frozen_under_gradient_step():
     g = softmax(out)  # gradient of the mean cross-entropy against label 0
     g[:, 0] -= 1.0
     g /= 8.0
-    assert layer.backward(g.astype(np.float32), cache).shape == x.shape
+    grads = np.full_like(model.params, -0.0)
+    views = model.views(grads)
+    assert layer.backward(g.astype(np.float32), cache, views[:len(layer.trainable())]).shape == x.shape
     # the gradient reaches exactly the layer's trainables; the backbone has no slot
-    graded = [(n, p) for n, p in model.trainable_params() if np.any(p.grad)]
-    assert [n for n, _ in graded] == ["layer0.A", "layer0.B", "layer0.beta"]
-    assert model.grads.size == model.params.size == sum(p.data.size for _, p in model.trainable_params())
-    for _, p in graded:
-        p.data -= 0.1 * p.grad
+    graded = [(n, p, grad) for (n, p), grad in zip(model.trainable_params(), views) if np.any(grad)]
+    assert [n for n, _, _ in graded] == ["layer0.A", "layer0.B", "layer0.beta"]
+    assert grads.size == model.params.size == sum(p.data.size for _, p in model.trainable_params())
+    for _, p, grad in graded:
+        p.data -= 0.1 * grad
     assert layer.backbone.data.tobytes() == before
 
 
@@ -197,26 +199,29 @@ def test_lora_bias_head_holds_its_trainable_offset():
     g = rng.standard_normal((8, 4)).astype(np.float32)
     cache = {}
     head.forward(h, cache)
-    head.backward(g.copy(), cache)
+    grads = [np.full_like(t.data, -0.0) for t in head.trainable()]
+    head.backward(g.copy(), cache, grads)
     # taken from g before the adapter scale (here 1/4) touches it
-    assert np.array_equal(head.bias.grad, g.sum(axis=0, dtype=np.float64).astype(np.float32))
+    assert np.array_equal(grads[-1], g.sum(axis=0, dtype=np.float64).astype(np.float32))
 
 
 @pytest.mark.parametrize("use_ln", [False, True])
-def test_a_layer_no_model_holds_adds_its_gradients_into_its_own(use_ln):
+def test_a_layer_adds_its_gradients_into_the_arrays_it_is_given(use_ln):
     backbone = draw_matrix(derive_stream(7, 0, DrawKind.BACKBONE_WEIGHT),
                            InitFamily("normal", {"sigma": 0.1}, scaling="explicit"), 16, 32)
     a, b = init_adapter(4, 32, 16, derive_stream(7, 0, DrawKind.ADAPTER_A_INIT))
     layer = LottaLayer(backbone, None, a, b, 0.25, use_layernorm=use_ln, use_bias=True)
-    assert all(np.array_equal(t.grad, np.full(t.shape, -0.0)) and np.signbit(t.grad).all() for t in layer.trainable())
+    assert all(t.grad is None for t in layer.trainable())  # a layer holds no gradient
     rng = np.random.default_rng(12)
     layer.b.data[...] = rng.standard_normal(layer.b.shape)
     h = rng.standard_normal((8, 32)).astype(np.float32)
     g = rng.standard_normal((8, 16)).astype(np.float32)
+    grads = [np.full_like(t.data, -0.0) for t in layer.trainable()]
     cache = {}
     layer.forward(h, cache)
-    layer.backward(g.copy(), cache)
-    first = [t.grad.copy() for t in layer.trainable()]
+    layer.backward(g.copy(), cache, grads)
+    assert all(t.grad is None for t in layer.trainable())
+    first = [grad.copy() for grad in grads]
     assert all(np.all(grad != 0) for grad in first)
     if not use_ln:  # closed forms of d(sum(out * g)) for the un-normalised layer
         h64, g64 = h.astype(np.float64), g.astype(np.float64)
@@ -227,9 +232,9 @@ def test_a_layer_no_model_holds_adds_its_gradients_into_its_own(use_ln):
             assert np.allclose(grad, want, rtol=1e-5, atol=1e-5)
     # a second pass adds onto the first
     layer.forward(h, cache)
-    layer.backward(g.copy(), cache)
-    for t, grad in zip(layer.trainable(), first, strict=True):
-        assert np.array_equal(t.grad, 2 * grad)
+    layer.backward(g.copy(), cache, grads)
+    for got, grad in zip(grads, first, strict=True):
+        assert np.array_equal(got, 2 * grad)
 
 
 def test_spectral_norm_identity_and_diag():

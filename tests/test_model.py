@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from lottalora import prng
-from lottalora.artifact import pack
+from lottalora.artifact import pack, reconstruct, unpack
 from lottalora.data import make_partition
 from lottalora.errors import ConfigError, DataError, DimensionError
 from lottalora.initfam import FAMILY_NAMES, InitFamily
@@ -23,6 +23,11 @@ NORMAL_01 = InitFamily("normal", {"sigma": 0.1}, scaling="explicit")
 def build(preset="medium", seed=42, **kw):
     cfg = ModelConfig(preset=preset, **kw)
     return build_model(cfg, BackboneSpec.from_config(cfg, seed, NORMAL_01))
+
+
+def grad_views(model):
+    """Views of a -0.0 buffer laid out as ``params``: what ``loss_and_grads`` adds into."""
+    return model.views(np.full_like(model.params, -0.0))
 
 
 # -- exact trainable counts (golden integers) --------------------------------
@@ -285,8 +290,8 @@ def test_train_mode_dropout_changes_activations_but_is_reproducible():
     b = build("tiny", seed=3)
     x = np.random.default_rng(2).standard_normal((6, 784)).astype(np.float32)
     y = np.arange(6) % 10
-    _, out_a = a.loss_and_grads(x, y)
-    _, out_b = b.loss_and_grads(x, y)
+    _, out_a = a.loss_and_grads(x, y, grad_views(a))
+    _, out_b = b.loss_and_grads(x, y, grad_views(b))
     assert np.array_equal(out_a, out_b)  # same derived mask streams
     assert not np.array_equal(out_a, a.forward_logits(x).data)
 
@@ -302,7 +307,7 @@ def test_a_batch_that_is_not_an_array_is_a_dimension_error(batch):
     with pytest.raises(DimensionError, match="array"):
         model.forward_logits(batch)
     with pytest.raises(DimensionError, match="array"):
-        model.loss_and_grads(batch, np.zeros(1, dtype=np.int64))
+        model.loss_and_grads(batch, np.zeros(1, dtype=np.int64), grad_views(model))
 
 
 @pytest.mark.parametrize("batch,dtype", [
@@ -315,7 +320,7 @@ def test_a_batch_that_is_not_boolean_integer_or_real_is_a_data_error(batch, dtyp
     with pytest.raises(DataError, match=f"dtype {dtype}"):
         model.forward_logits(batch)
     with pytest.raises(DataError, match=f"dtype {dtype}"):
-        model.loss_and_grads(batch, np.zeros(2, dtype=np.int64))
+        model.loss_and_grads(batch, np.zeros(2, dtype=np.int64), grad_views(model))
 
 
 @pytest.mark.parametrize("dtype", [np.bool_, np.uint8, np.int64, np.float16, np.float64])
@@ -334,6 +339,16 @@ def test_trainables_exclude_backbones_and_all_require_grad():
     for layer in model.hidden:
         assert not layer.backbone.data.flags.writeable
         assert not any(np.shares_memory(layer.backbone.data, t.data) for _, t in model.trainable_params())
+
+
+@pytest.mark.parametrize("head_mode,mode", [("full", "lottalora"), ("lora_bias", "lottalora"),
+                                            ("full", "full_training")])
+def test_a_built_or_reconstructed_model_holds_no_gradient(head_mode, mode):
+    built = build("tiny", rank=2, layernorm=True, head_mode=head_mode, mode=mode)
+    for model in (built, reconstruct(*unpack(pack(built)))):
+        assert not hasattr(model, "grads")
+        assert all(t.grad is None for _, t in model.trainable_params())
+        assert all(t.data.base is model.params for _, t in model.trainable_params())
 
 
 def test_backbone_reproducible_from_spec():

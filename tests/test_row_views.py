@@ -66,7 +66,7 @@ def digest(arrays) -> str:
 
 
 def moments(optimizer) -> tuple:
-    return optimizer.t, digest(optimizer.m), digest(optimizer.v), digest(p.data for p in optimizer.params)
+    return optimizer.t, digest([optimizer.m]), digest([optimizer.v]), digest([optimizer.params])
 
 
 def blob_sets(copy: bool):

@@ -55,7 +55,7 @@ def outcome(monkeypatch) -> tuple:
     summary = metrics.summary()
     del summary["wall_time"]
     model, opt = metrics.model, optimizers[-1]
-    return (summary, metrics.beta_trajectory, model.params.tobytes(), opt._m.tobytes(), opt._v.tobytes(),
+    return (summary, metrics.beta_trajectory, model.params.tobytes(), opt.m.tobytes(), opt.v.tobytes(),
             pack(model), model.backbone_hashes())
 
 

@@ -85,18 +85,19 @@ def test_adamw_single_scalar_step_matches_hand_arithmetic():
     expected = value - lr * mhat / (math.sqrt(vhat) + eps)
 
     model = scalar_model(f64=True)
-    model.params[...], model.grads[...] = value, grad
-    AdamW(model, wd).step(lr)
+    opt = AdamW(model, wd)
+    model.params[...], opt.grads[...] = value, grad
+    opt.step(lr)
     assert model.params.tolist() == pytest.approx([expected] * 4, rel=1e-12)
 
 
 def test_adamw_decoupled_decay_shrinks_param():
     lr, wd = 0.1, 0.5
     plain, decay = scalar_model(f64=True), scalar_model(f64=True)
-    for model in (plain, decay):
-        model.params[...], model.grads[...] = 2.0, 0.5
-    AdamW(plain, 0.0).step(lr)
-    AdamW(decay, wd).step(lr)
+    for model, weight_decay in ((plain, 0.0), (decay, wd)):
+        opt = AdamW(model, weight_decay)
+        model.params[...], opt.grads[...] = 2.0, 0.5
+        opt.step(lr)
     # extra shrink is exactly lr * wd * param on the pre-step value
     assert (plain.params - decay.params).tolist() == pytest.approx([lr * wd * 2.0] * 4, rel=1e-12)
 
@@ -193,10 +194,11 @@ def test_resampled_schedules_still_step():
 
 # -- the one-pass step against the former per-schedule step ---------------------
 
-def reference_train_one_batch(model, optimizer, x, y, lr_t, cfg: TrainConfig, first: bool):
+def reference_train_one_batch(model, optimizer, grads, x, y, lr_t, cfg: TrainConfig, first: bool):
     """The step as it was before the schedules shared one pass: a separate
-    branch per schedule.  Kept as the oracle for ``_train_step``; the run's
-    ``first`` step trains its first sub-batch on the build-time scaffold."""
+    branch per schedule, averaging view by view.  Kept as the oracle for
+    ``_train_step``; the run's ``first`` step trains its first sub-batch
+    on the build-time scaffold."""
     optimizer.zero_grad()
     if cfg.resample == "per_batch":
         k = cfg.resample_k
@@ -205,11 +207,11 @@ def reference_train_one_batch(model, optimizer, x, y, lr_t, cfg: TrainConfig, fi
         for j in range(k):
             if not (first and j == 0):
                 model.resample_backbones()
-            loss, logits = model.loss_and_grads(x, y)
+            loss, logits = model.loss_and_grads(x, y, grads)
             losses += loss
             correct += int((logits.argmax(axis=1) == y).sum())
-        for p in optimizer.params:
-            p.grad /= k
+        for grad in grads:
+            grad /= k
         optimizer.step(lr_t)
         return losses / k, correct // k
     if cfg.resample == "microbatch":
@@ -223,15 +225,15 @@ def reference_train_one_batch(model, optimizer, x, y, lr_t, cfg: TrainConfig, fi
                 continue
             if not (first and used == 0):
                 model.resample_backbones()
-            loss, logits = model.loss_and_grads(x[idx], y[idx])
+            loss, logits = model.loss_and_grads(x[idx], y[idx], grads)
             losses += loss * len(idx)
             correct += int((logits.argmax(axis=1) == y[idx]).sum())
             used += 1
-        for p in optimizer.params:
-            p.grad /= used
+        for grad in grads:
+            grad /= used
         optimizer.step(lr_t)
         return losses / len(y), correct
-    loss, logits = model.loss_and_grads(x, y)
+    loss, logits = model.loss_and_grads(x, y, grads)
     optimizer.step(lr_t)
     return loss, int((logits.argmax(axis=1) == y).sum())
 
@@ -251,15 +253,15 @@ def test_one_pass_step_matches_reference_bitwise(resample, k, rows):
     def state_after_two_steps(step):
         model = build_model(cfg, spec)
         opt = AdamW(model, 1e-2)
+        grads = model.views(opt.grads)
         for n in range(2):  # the second step runs on non-zero moments and B
-            step(model, opt, n == 0)
-        return (model.backbone_hashes(), [p.data.tobytes() for p in opt.params],
-                [m.tobytes() for m in opt.m], [v.tobytes() for v in opt.v])
+            step(model, opt, grads, n == 0)
+        return model.backbone_hashes(), opt.params.tobytes(), opt.m.tobytes(), opt.v.tobytes()
 
-    reference = state_after_two_steps(lambda model, opt, first: reference_train_one_batch(
-        model, opt, x, y, 1e-2, TrainConfig(resample=resample, resample_k=k), first))
+    reference = state_after_two_steps(lambda model, opt, grads, first: reference_train_one_batch(
+        model, opt, grads, x, y, 1e-2, TrainConfig(resample=resample, resample_k=k), first))
     one_pass = state_after_two_steps(
-        lambda model, opt, first: _train_step(model, opt, x, y, 1e-2, resample, k, first))
+        lambda model, opt, grads, first: _train_step(model, opt, grads, x, y, 1e-2, resample, k, first))
     assert one_pass == reference
 
 
