@@ -30,7 +30,7 @@ from .data import Dataset, load_mnist, make_partition
 from .errors import ConfigError, DataError, FormatError, IntegrityError, LottaError, RunError, real
 from .initfam import SCALINGS, InitFamily
 from .layers import B_INITS
-from .model import HEAD_MODES, PRESETS, BackboneSpec, ModelConfig, build_model, scaffold_key
+from .model import HEAD_MODES, PRESETS, BackboneSpec, ModelConfig, build_model
 from .prng import check_seed
 from .train import (
     RunMetrics,
@@ -220,16 +220,12 @@ def _task(model_cfg: ModelConfig, family: InitFamily, seed: int, train_cfg: Trai
 # -- runs and grids -----------------------------------------------------------------
 
 
-def _task_model(task: dict) -> tuple[ModelConfig, BackboneSpec]:
-    cfg = ModelConfig(**task["model"])
-    return cfg, BackboneSpec.from_config(cfg, task["seed"], InitFamily.from_dict(task["family"]))
-
-
 def _train_task(task: dict, datasets) -> RunMetrics:
     """Train one flat task dict; writes metrics.csv and summary.json to its
     out_dir when it has one."""
-    cfg, spec = _task_model(task)
+    cfg = ModelConfig(**task["model"])
     _check_width(cfg.input_dim, *datasets)
+    spec = BackboneSpec.from_config(cfg, task["seed"], InitFamily.from_dict(task["family"]))
     metrics = train_run(cfg, spec, TrainConfig(**task["train"]), *datasets)
     out_dir = task.get("out_dir")
     if out_dir:
@@ -258,60 +254,26 @@ def run_single(task: dict, data_dir: str) -> dict:
     return {"task": task, "status": "ok", **metrics.summary()}
 
 
-def run_unit(tasks: list[dict], data_dir: str) -> list[dict]:
-    """Grid cells run in turn in one pool worker."""
-    return [run_single(task, data_dir) for task in tasks]
-
-
-def _static_scaffold(task: dict) -> str | None:
-    """A static cell's ``scaffold_key``; None for a cell that redraws, or
-    whose model cannot be built (its worker reports it failed)."""
-    if task["train"]["resample"] != "static":
-        return None
-    try:
-        return scaffold_key(*_task_model(task))
-    except LottaError:
-        return None
-
-
-def _worker_units(tasks: list[dict], workers: int) -> list[list[int]]:
-    """The grid's task indices cut into the units a worker runs in turn:
-    the static cells of one scaffold, so that a unit draws it once, at
-    most ceil(len(tasks) / workers) to a unit, so that a grid of like
-    cells takes no more rounds than a cell at a time would; every other
-    cell alone."""
-    size = -(-len(tasks) // workers)
-    groups: dict = {}
-    for i, task in enumerate(tasks):
-        groups.setdefault(_static_scaffold(task) or i, []).append(i)
-    return [cells[lo:lo + size] for cells in groups.values() for lo in range(0, len(cells), size)]
-
-
 def run_grid(tasks: list[dict], jobs: int, data_dir: str) -> list[dict]:
-    """Run a task grid in up to ``jobs`` spawned processes; results in task
-    order.
+    """Run a task grid in up to ``jobs`` spawned processes, one cell per
+    worker call; results in task order.  ``jobs`` below 1 is a ConfigError.
 
     Every cell runs in a worker with single-threaded BLAS, whatever
     ``jobs`` is, so a grid's numbers do not depend on it and parallel
-    workers do not oversubscribe each other.  Static cells of one scaffold
-    run one after another in one worker (``_worker_units``).  Workers are
-    spawned, so a script that calls this needs the
-    ``if __name__ == "__main__"`` guard.
+    workers do not oversubscribe each other.  Workers are spawned, so a
+    script that calls this needs the ``if __name__ == "__main__"`` guard.
     """
+    if jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {jobs}")
     saved = {}
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS"):
         saved[var] = os.environ.get(var)
         os.environ[var] = "1"
     try:
-        workers = max(1, min(jobs, len(tasks)))
-        units = _worker_units(tasks, workers)
-        results: list = [None] * len(tasks)
-        with ProcessPoolExecutor(max_workers=workers, mp_context=get_context("spawn")) as pool:
-            done = pool.map(run_unit, [[tasks[i] for i in unit] for unit in units], [data_dir] * len(units))
-            for unit, unit_results in zip(units, done):
-                for i, result in zip(unit, unit_results):
-                    results[i] = result
-        return results
+        with ProcessPoolExecutor(
+            max_workers=max(1, min(jobs, len(tasks))), mp_context=get_context("spawn"),
+        ) as pool:
+            return list(pool.map(run_single, tasks, [data_dir] * len(tasks)))
     finally:
         for var, old in saved.items():
             if old is None:
@@ -354,9 +316,11 @@ def cmd_grid(args) -> int:
                 model_cfg = _model_config(args, rank)
                 key = f"{family.name}_{name}_r{rank}" if len(families) > 1 else f"{name}_r{rank}"
                 for seed in args.seeds:
-                    tag = f"{args.preset}_{family.name}_r{rank}_s{seed}_{name}"
-                    tasks.append(_task(model_cfg, family, seed, train_cfg,
-                                       out_dir=os.path.join(args.out_dir, "runs", tag)))
+                    run_dir = os.path.join(args.out_dir, "runs", f"{args.preset}_{family.name}_r{rank}_s{seed}_{name}")
+                    if any(task["out_dir"] == run_dir for task in tasks):
+                        raise ConfigError(f"the grid names run dir {run_dir} twice: a family, schedule, "
+                                          "rank or seed is repeated")
+                    tasks.append(_task(model_cfg, family, seed, train_cfg, out_dir=run_dir))
                     keys.append(key)
     results = run_grid(tasks, args.jobs, _resolve_data_dir(args))
     _write_manifest(args.out_dir, args.command, {"tasks": tasks})

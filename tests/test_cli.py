@@ -9,7 +9,7 @@ import pytest
 import lottalora
 import lottalora.artifact as artifact_mod
 from lottalora.artifact import load, pack, read, save, unpack
-from lottalora.cli import EXIT_CODES, _worker_units, run, run_grid, run_unit
+from lottalora.cli import EXIT_CODES, run, run_grid
 from lottalora.errors import LottaError
 from lottalora.initfam import InitFamily
 from lottalora.model import BackboneSpec, ModelConfig, build_model
@@ -492,53 +492,55 @@ def test_seedgate_on_fake_idx(tmp_path, capsys, fake_mnist_dir):
     assert json.loads((out / "seedgate.json").read_text())["seeds"] == [5, 6]
 
 
-def _grid_task(lr):
+def _cell(rank, resample="static", lr=1e-3):
     return {
-        "model": asdict(ModelConfig(preset="tiny", rank=2)),
+        "model": {**asdict(ModelConfig(preset="tiny")), "rank": rank},
         "family": asdict(InitFamily("normal")),
         "seed": 1,
-        "train": asdict(TrainConfig(epochs=1, lr=lr)),
+        "train": asdict(TrainConfig(epochs=1, lr=lr, resample=resample)),
         "out_dir": None,
     }
 
 
 def test_run_grid_survives_a_failing_cell(fake_mnist_dir):
-    diverging, fine = run_grid([_grid_task(1e30), _grid_task(1e-3)], 2, fake_mnist_dir)
-    assert diverging["status"] == "failed:run"
+    # rank 500 is past tiny's widths, so that cell's model cannot be built
+    tasks = [_cell(2, lr=1e30), _cell(2), _cell(500), _cell(2, "per_epoch")]
+    results = run_grid(tasks, 2, fake_mnist_dir)
+    assert [result["task"] for result in results] == tasks
+    assert [result["status"] for result in results] == ["failed:run", "ok", "failed:config", "ok"]
+    diverging, fine, unbuildable, resampled = results
     assert "diverged at epoch 0, step 1" in diverging["message"]
-    assert fine["status"] == "ok"
-    assert fine["task"] == _grid_task(1e-3)
-    assert 0.0 <= fine["final_test_accuracy"] <= 1.0
+    assert "rank must lie in" in unbuildable["message"]
+    for result in (fine, resampled):
+        assert 0.0 <= result["final_test_accuracy"] <= 1.0
 
 
-def _cell(rank, seed, resample="static", family="normal"):
-    task = _grid_task(1e-3)
-    task["model"]["rank"], task["seed"] = rank, seed
-    task["train"]["resample"], task["family"] = resample, asdict(InitFamily(family))
-    return task
+@pytest.mark.parametrize("jobs", ["0", "-4"])
+def test_jobs_below_one_is_config_error(tmp_path, capsys, fake_mnist_dir, jobs):
+    out = tmp_path / "grid"
+    assert run(["sweep", "--preset", "tiny", "--ranks", "2", "--epochs", "1", "--jobs", jobs,
+                "--data-dir", fake_mnist_dir, "--out-dir", str(out)]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config" and "--jobs" in err["message"]
+    assert not out.exists()
 
 
-# rank 500 is past tiny's widths, so that cell's model cannot be built
-GRID = [_cell(2, 1), _cell(2, 2), _cell(4, 1), _cell(4, 2), _cell(2, 1, "per_epoch"), _cell(8, 1),
-        _cell(4, 1, family="binary"), _cell(500, 1), _cell(2, 1, "per_epoch")]
-
-
-@pytest.mark.parametrize("workers,units", [
-    (1, [[0, 2, 5], [1, 3], [4], [6], [7], [8]]),
-    (2, [[0, 2, 5], [1, 3], [4], [6], [7], [8]]),
-    (5, [[0, 2], [5], [1, 3], [4], [6], [7], [8]]),
-    (9, [[0], [2], [5], [1], [3], [4], [6], [7], [8]]),
+@pytest.mark.parametrize("flags", [
+    ["--seeds", "1,1"], ["--ranks", "2,02"], ["--families", "normal,normal"], ["--schedules", "static,static"],
 ])
-def test_a_grid_runs_the_static_cells_of_one_scaffold_together(workers, units):
-    # by seed and family, whatever the rank, in units of at most
-    # ceil(9 / workers) cells; a resampling or unbuildable cell runs alone
-    assert _worker_units(GRID, workers) == units
-
-
-def test_a_unit_draws_its_scaffold_once(fake_mnist_dir, draws):
-    results = run_unit([_cell(2, 1), _cell(4, 1), _cell(8, 1)], fake_mnist_dir)
-    assert [result["status"] for result in results] == ["ok"] * 3
-    assert draws == [(128, 784), (64, 128)]
+def test_a_grid_that_repeats_a_cell_is_config_error(tmp_path, capsys, fake_mnist_dir, flags):
+    # two tasks with one run dir would write into it at once, and the table
+    # would average the cell twice as if it were two seeds; a flag given
+    # twice takes its last value, so ``flags`` overrides the one-cell grid
+    out = tmp_path / "grid"
+    assert run(["sweep", "--preset", "tiny", "--ranks", "2", "--seeds", "1", "--epochs", "1", *flags,
+                "--data-dir", fake_mnist_dir, "--out-dir", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "config"
+    assert os.path.join(str(out), "runs", "tiny_normal_r2_s1_static") in err["message"]
+    assert not out.exists()
 
 
 def test_failed_cells_are_summarized_then_exit_run(tmp_path, capsys, fake_mnist_dir):
