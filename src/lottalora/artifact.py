@@ -57,7 +57,6 @@ from .prng import ALGORITHM_ID
 MAGIC = b"LTLR"
 # format version -> element type of the decoded payload
 PAYLOAD_DTYPES = {1: np.dtype("<f4"), 2: np.dtype("<f2"), 3: np.dtype("<f2"), 4: np.dtype("<f2")}
-FORMAT_VERSION = max(PAYLOAD_DTYPES)
 # the shipping grid: each tensor's values as integers in [-127, 127] times
 # a power of two 2**e, GRID_MIN_EXP <= e <= 9, all of which f16 holds exactly
 GRID_MIN_EXP = -24

@@ -54,7 +54,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.linalg import lapack_lite
 
-from .errors import ConfigError, DimensionError, LottaError, finite, integral, shown
+from .errors import ConfigError, LottaError, finite, integral, shown
 from .prng import DRAW_CHUNK, Stream
 
 KAIMING_DEFAULT_A = math.sqrt(5.0)
@@ -308,15 +308,12 @@ class InitFamily:
 
 @dataclass(frozen=True)
 class BackboneMatrix:
-    """A frozen matrix; its data is marked read-only."""
+    """A frozen ``[d_out, d_in]`` matrix.  ``data`` is its only field, so
+    its shape is read there; it is marked read-only."""
 
-    rows: int
-    cols: int
     data: np.ndarray  # f32, read-only
 
     def __post_init__(self):
-        if self.data.shape != (self.rows, self.cols):
-            raise DimensionError(f"backbone data {self.data.shape} does not match {self.rows}x{self.cols}")
         self.data.setflags(write=False)
 
 
@@ -338,10 +335,11 @@ def _entry_draws(fam: InitFamily) -> tuple:
 def _fill_entries(stream: Stream, fam: InitFamily, out: np.ndarray, fan_in: int, fan_out: int) -> None:
     """Set the flat array ``out`` to the family's next ``len(out)`` entries.
 
-    Each kind of ``_entry_draws(fam)`` reads from its own cursor, placed
-    with ``Stream.skip`` where a whole-block draw of that kind would start;
-    the last cursor is ``stream`` itself, so it ends where the whole draw
-    would.  Chunk by chunk, the cursors' draws run through the family rule
+    Each block of ``_entry_draws(fam)`` reads from its own cursor, placed
+    with ``Stream.skip`` where a whole-block draw of it would start: every
+    block before a family's last is a unit block, so the skip is its count
+    of unit draws.  The last cursor is ``stream`` itself, so it ends where
+    the whole draw would.  Chunk by chunk, the cursors' draws run through the family rule
     in float64 and are cast into ``out``.  The rule is elementwise and each
     block continues where the last stopped, so the chunks give the bits of
     one whole-block draw, while only a chunk's draws are live at a time.
@@ -351,9 +349,9 @@ def _fill_entries(stream: Stream, fam: InitFamily, out: np.ndarray, fan_in: int,
     s = _scale_knob(fam, fan_in)
     plan = _entry_draws(fam)
     cursors = []
-    for kind, per_entry in plan[:-1]:
+    for _, per_entry in plan[:-1]:
         cursors.append(stream.copy())
-        stream.skip(kind, per_entry * n)
+        stream.skip(per_entry * n)
     cursors.append(stream)
     step = max(1, DRAW_CHUNK // sum(per_entry for _, per_entry in plan))
     for lo in range(0, n, step):
@@ -377,5 +375,5 @@ def draw_matrix(stream: Stream, fam: InitFamily, rows: int, cols: int) -> Backbo
     else:
         data = np.empty((rows, cols), dtype=np.float32)
         _fill_entries(stream, fam, data.reshape(-1), cols, rows)
-    return BackboneMatrix(rows=rows, cols=cols, data=data)
+    return BackboneMatrix(data)
 

@@ -80,8 +80,8 @@ class LottaLayer:
         self.b = b  # [d_out, rank]
         self.beta = tensor(1.0, requires_grad=True)
         self.scale = scale
-        self.d_in = a.shape[1]
-        self.d_out = b.shape[0]
+        self.d_in = a.data.shape[1]
+        self.d_out = b.data.shape[0]
         self.set_backbone(backbone, frozen_bias)
         self.bias = tensor(np.zeros(self.d_out), requires_grad=True) if use_bias else None
         self.ln_gamma = self.ln_bias = None
@@ -98,10 +98,9 @@ class LottaLayer:
         """Replace the frozen matrix and bias (resampling / seed gating);
         ``frozen_bias=None`` leaves the layer without one.  Both are kept
         as given, dtype included, and marked read-only."""
-        if (backbone.rows, backbone.cols) != (self.d_out, self.d_in):
+        if backbone.data.shape != (self.d_out, self.d_in):
             raise DimensionError(
-                f"backbone {backbone.rows}x{backbone.cols} does not match the adapter's "
-                f"{self.d_out}x{self.d_in}"
+                f"backbone {backbone.data.shape} does not match the adapter's {self.d_out}x{self.d_in}"
             )
         if frozen_bias is not None:
             if frozen_bias.shape != (self.d_out,):

@@ -75,7 +75,7 @@ def _draw_frozen(shape: tuple, zero_scaffold: bool, frozen_bias: bool, family: I
     """A frozen ``(d_out, d_in)`` layer's matrix and bias, drawn from ``stream``."""
     d_out, d_in = shape
     if zero_scaffold:
-        matrix = BackboneMatrix(d_out, d_in, np.zeros((d_out, d_in), dtype=np.float32))
+        matrix = BackboneMatrix(np.zeros((d_out, d_in), dtype=np.float32))
     else:
         matrix = draw_matrix(stream, family, d_out, d_in)
     if not frozen_bias:
@@ -277,21 +277,13 @@ class Model:
     def __init__(self, cfg: ModelConfig, spec: BackboneSpec, scaffold: tuple[list[Stream], list[tuple]]):
         self.cfg = cfg
         self.spec = spec
-        self.hidden: list = []
-        self.head = None
-        self._backbone_streams: list[Stream] = []  # one per LottaLayer, advancing across redraws
-        self._dropout_streams: list[Stream] = []
-        self._build(scaffold)
-
-    # -- construction ------------------------------------------------------
-
-    def _build(self, scaffold):
-        cfg, seed = self.cfg, self.spec.seed
+        seed = spec.seed
         shapes = cfg.layer_shapes()
         # what a redraw draws with; refuses a spec of other shapes
-        self._scaffold_args = scaffold_args(cfg, self.spec)
+        self._scaffold_args = scaffold_args(cfg, spec)
         # draw_scaffold's (streams, frozen): the streams are the model's own,
-        # the read-only frozen arrays may be shared with other models
+        # one per LottaLayer and advancing across redraws; the read-only
+        # frozen arrays may be shared with other models
         self._backbone_streams, frozen = scaffold
         scale = cfg.adapter_scale()
         layers = []

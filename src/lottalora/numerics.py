@@ -39,7 +39,11 @@ LAYERNORM_EPS = 1e-5  # LayerNorm's variance offset: a fixed constant, not a set
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn", "_done")
+    """A trainable's handle, or a node of the tape: ``data`` is the array
+    (read its shape, dtype and value there), ``grad`` the tape's gradient,
+    and ``_parents``/``_backward_fn`` the tape's record."""
+
+    __slots__ =("data", "grad", "requires_grad", "_parents", "_backward_fn", "_done")
 
     def __init__(self, data, requires_grad=False, parents=(), backward_fn=None):
         self.data = data
@@ -48,17 +52,6 @@ class Tensor:
         self._parents = parents
         self._backward_fn = backward_fn
         self._done = False
-
-    @property
-    def shape(self):
-        return self.data.shape
-
-    @property
-    def dtype(self):
-        return self.data.dtype
-
-    def item(self) -> float:
-        return float(self.data)
 
     def zero_grad(self):
         """Fill ``grad`` with -0.0 in place, so an array the caller bound it

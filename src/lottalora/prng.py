@@ -163,13 +163,10 @@ class Stream:
     are not always: ``orthogonal`` (LAPACK QR) and ``spectral_radius``
     (LAPACK SVD) can differ by one f32 ulp under other OpenBLAS kernels or
     thread counts.  A state outside the integers in [0, 2**64), a block
-    size or count that is not an integer >= 0, or a kind ``skip`` cannot
-    skip, is a ConfigError.
+    size or count that is not an integer >= 0 is a ConfigError.
     """
 
     __slots__ = ("state", "_gauss_cache")
-
-    algorithm_id = ALGORITHM_ID
 
     def __init__(self, state: int):
         self.state = check_seed(state)
@@ -263,12 +260,11 @@ class Stream:
         self.state = (self.state + 2 * pairs * GOLDEN_GAMMA) & MASK64
         return out
 
-    def skip(self, kind: str, n: int) -> None:
-        """Advance past ``n`` draws of ``kind`` without computing them, as
-        ``unit_block(n)`` would; "unit" is the only kind it skips."""
+    def skip(self, n: int) -> None:
+        """Advance past ``n`` unit draws without computing them, as
+        ``unit_block(n)`` would.  Only unit draws are skipped: a gaussian
+        block's state also holds the Box-Muller carry."""
         n = _count(n, "skip count")
-        if kind != "unit":
-            raise ConfigError(f"cannot skip draws of kind {shown(kind)}")
         self.state = (self.state + n * GOLDEN_GAMMA) & MASK64
 
     def permutation(self, n: int) -> np.ndarray:

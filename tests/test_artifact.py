@@ -9,7 +9,7 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
-from lottalora.artifact import (FORMAT_VERSION, MAGIC, MAX_INFLATE_RATIO, PAYLOAD_DTYPES, _byte_planes,
+from lottalora.artifact import (MAGIC, MAX_INFLATE_RATIO, PAYLOAD_DTYPES, _byte_planes,
                                 _deflate_planes, _table, load, pack, read, reconstruct, save,
                                 to_shipping_precision, unpack)
 from lottalora.errors import ConfigError, FormatError, IncompatibilityError, IntegrityError
@@ -349,7 +349,7 @@ def snapped_model():
 
 
 def test_version_bump_is_incompatibility_error():
-    assert FORMAT_VERSION == 4
+    assert max(PAYLOAD_DTYPES) == 4
     for blob in (pack(fresh_model()), load(V2_FIXTURE), pack_v3(snapped_model()), pack(snapped_model())):
         # the checksum stays valid so the version check is what fires
         with pytest.raises(IncompatibilityError, match="version 5"):

@@ -79,7 +79,7 @@ def tape_loss_and_grads(model, x, y, grads) -> tuple[float, np.ndarray]:
     finally:
         for t in params:
             t.grad = None
-    return loss.item(), logits.data
+    return float(loss.data), logits.data
 
 
 def small_cfg(**kw):
@@ -369,7 +369,7 @@ def to_float64(model):
         p.data = data
     for layer in model.lotta_layers():
         b, bias = layer.backbone, layer.frozen_bias
-        layer.set_backbone(BackboneMatrix(b.rows, b.cols, b.data.astype(np.float64)),
+        layer.set_backbone(BackboneMatrix(b.data.astype(np.float64)),
                            None if bias is None else bias.astype(np.float64))
 
 

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from lottalora.errors import ConfigError
+from lottalora.errors import ConfigError, DimensionError
 from lottalora.initfam import BackboneMatrix, InitFamily, draw_matrix
-from lottalora.layers import LottaLayer, init_adapter
+from lottalora.layers import DenseLayer, LottaLayer, init_adapter
 from lottalora.model import BackboneSpec, ModelConfig, build_model
 from lottalora.numerics import softmax
 from lottalora.prng import DrawKind, Stream, derive_stream
@@ -35,7 +35,7 @@ def test_fresh_output_independent_of_a_values():
 
 def test_zero_backbone_leaves_only_adapter_path():
     layer = make_layer()
-    zero = BackboneMatrix(16, 32, np.zeros((16, 32), dtype=np.float32))
+    zero = BackboneMatrix(np.zeros((16, 32), dtype=np.float32))
     layer.set_backbone(zero)
     layer.b.data[:] = np.random.default_rng(2).standard_normal((16, 4)).astype(np.float32)
     layer.beta.data[()] = 7.0  # any beta: the backbone path is zero
@@ -43,6 +43,38 @@ def test_zero_backbone_leaves_only_adapter_path():
     out = layer.forward(x)
     expected = layer.scale * (x @ layer.a.data.T @ layer.b.data.T)
     assert np.allclose(out, expected, rtol=1e-5, atol=1e-7)
+
+
+@pytest.mark.parametrize("shape", [(5, 5), (4, 3), (12,), (3, 4, 1)])
+def test_a_backbone_of_another_shape_is_refused_before_any_forward(shape):
+    # a matrix the layer let through would fail the next forward with a
+    # raw matmul ValueError, or not at all for a (3, 4, 1) one
+    a, b = init_adapter(2, 4, 3, Stream(1))
+    bad = BackboneMatrix(np.zeros(shape, np.float32))
+    with pytest.raises(DimensionError, match=r"3x4"):
+        LottaLayer(bad, None, a, b, 0.5)
+    layer = LottaLayer(BackboneMatrix(np.zeros((3, 4), np.float32)), None, a, b, 0.5)
+    with pytest.raises(DimensionError, match=r"3x4"):
+        layer.set_backbone(bad)
+
+
+@pytest.mark.parametrize("shape", [(4,), (2,), (3, 1), ()])
+def test_a_frozen_bias_of_another_shape_is_refused(shape):
+    layer = make_layer(d_in=4, d_out=3, rank=2)
+    with pytest.raises(DimensionError, match=r"\(3,\)"):
+        layer.set_backbone(layer.backbone, np.zeros(shape, np.float32))
+
+
+@pytest.mark.parametrize("h", [np.zeros((2, 5), np.float32), np.zeros((2, 3), np.float32),
+                               np.zeros(4, np.float32), np.zeros((2, 4, 1), np.float32)])
+def test_an_input_of_another_width_is_refused(h):
+    lotta = make_layer(d_in=4, d_out=3, rank=2)
+    dense = DenseLayer(4, 3, Stream(1))
+    for layer in (lotta, dense):
+        with pytest.raises(DimensionError, match="d_in 4"):
+            layer.forward(h)
+        with pytest.raises(DimensionError, match="d_in 4"):
+            layer.forward(h, {})
 
 
 def test_scale_factor_standard_and_rank_stabilized():
@@ -116,7 +148,7 @@ def test_beta_linearity():
 
 def test_init_adapter_contract():
     a, b = init_adapter(8, 784, 512, Stream(9))
-    assert a.shape == (8, 784) and b.shape == (512, 8)
+    assert a.data.shape == (8, 784) and b.data.shape == (512, 8)
     assert a.requires_grad and b.requires_grad
     assert float(np.abs(b.data).max()) == 0.0
     bound = (6.0 / (784 * 6.0)) ** 0.5
@@ -152,7 +184,7 @@ def test_backbone_frozen_under_gradient_step():
     model, layer = model_layer()
     before = layer.backbone.data.tobytes()
     rng = np.random.default_rng(8)
-    layer.b.data[...] = 0.1 * rng.standard_normal(layer.b.shape)  # so A's gradient is not zero
+    layer.b.data[...] = 0.1 * rng.standard_normal(layer.b.data.shape)  # so A's gradient is not zero
     x = rng.standard_normal((8, 32)).astype(np.float32)
     cache = {}
     out = layer.forward(x, cache)
@@ -213,7 +245,7 @@ def test_a_layer_adds_its_gradients_into_the_arrays_it_is_given(use_ln):
     layer = LottaLayer(backbone, None, a, b, 0.25, use_layernorm=use_ln, use_bias=True)
     assert all(t.grad is None for t in layer.trainable())  # a layer holds no gradient
     rng = np.random.default_rng(12)
-    layer.b.data[...] = rng.standard_normal(layer.b.shape)
+    layer.b.data[...] = rng.standard_normal(layer.b.data.shape)
     h = rng.standard_normal((8, 32)).astype(np.float32)
     g = rng.standard_normal((8, 16)).astype(np.float32)
     grads = [np.full_like(t.data, -0.0) for t in layer.trainable()]

@@ -180,7 +180,6 @@ def test_mix64_matches_reference_finalizer():
 
 def test_algorithm_id_is_versioned():
     assert ALGORITHM_ID == "splitmix64-boxmuller-v1"
-    assert Stream(0).algorithm_id == ALGORITHM_ID
 
 
 # -- oracle: the whole-array block draws the chunked kernel replaced --------
@@ -297,7 +296,7 @@ def test_skip_leaves_the_stream_where_the_draw_would(seed, carry):
             drawn.gaussian_block(3)  # an odd count leaves a carry
         skipped = drawn.copy()
         drawn.unit_block(n)
-        skipped.skip("unit", n)
+        skipped.skip(n)
         assert (skipped.state, skipped._gauss_cache) == (drawn.state, drawn._gauss_cache), n
         assert type(skipped._gauss_cache) is type(drawn._gauss_cache)
         # and the next draws agree bit for bit
@@ -312,7 +311,7 @@ def test_unit_skips_between_gaussian_draws_match_unit_draws():
         for kind, n in calls:
             getattr(drawn, f"{kind}_block")(n)
             if kind == "unit":
-                skipped.skip(kind, n)
+                skipped.skip(n)
             else:
                 skipped.gaussian_block(n)
             assert (skipped.state, skipped._gauss_cache) == (drawn.state, drawn._gauss_cache)
@@ -329,19 +328,17 @@ def test_unit_skips_between_gaussian_draws_match_unit_draws():
     lambda: Stream(1).gaussian_block(-2),
     lambda: Stream(1).gaussian_block(3.0),
     lambda: Stream(1).permutation(-1),
-    lambda: Stream(1).skip("unit", -1),
-    lambda: Stream(1).skip("unit", 0.5),
-    lambda: Stream(1).skip("u64", 2),  # only unit draws can be skipped
-    lambda: Stream(1).skip("gaussian", 2),
+    lambda: Stream(1).skip(-1),
+    lambda: Stream(1).skip(0.5),
     lambda: Stream(1).keep_block(-1, 0.1),
     lambda: Stream(1).keep_block(2, 1.0),  # p = 1 would drop everything
     lambda: Stream(1).keep_block(2, -0.1),
     lambda: Stream(1).keep_block(2, float("nan")),
     lambda: Stream(1).keep_block(2, True),
 ], ids=["state 2**64+5", "state -3", "state 1.5", "state '7'", "state True", "unit 2.5", "u64 -1",
-        "gaussian -2", "gaussian 3.0", "permutation -1", "skip -1", "skip 0.5", "skip u64", "skip gaussian",
+        "gaussian -2", "gaussian 3.0", "permutation -1", "skip -1", "skip 0.5",
         "keep -1", "keep p 1", "keep p -0.1", "keep p nan", "keep p True"])
-def test_a_bad_state_count_or_skip_kind_is_a_config_error(call):
+def test_a_bad_state_or_count_is_a_config_error(call):
     with pytest.raises(ConfigError):
         call()
 
