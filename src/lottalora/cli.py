@@ -310,8 +310,11 @@ def cmd_grid(args) -> int:
     tasks, keys = [], []
     for family in families:
         for schedule in args.schedules.split(","):
-            train_cfg = _train_config(args, *_parse_resample(schedule))
-            name = schedule.replace(":", "")  # names the schedule in run dirs and table keys
+            kind, k = _parse_resample(schedule)
+            train_cfg = _train_config(args, kind, k)
+            # names the schedule in run dirs and table keys, built from its
+            # parsed form so that batch:2 and batch:02 name one cell
+            name = {"per_epoch": "epoch", "per_batch": f"batch{k}", "microbatch": f"micro{k}"}.get(kind, kind)
             for rank in args.ranks:
                 model_cfg = _model_config(args, rank)
                 key = f"{family.name}_{name}_r{rank}" if len(families) > 1 else f"{name}_r{rank}"

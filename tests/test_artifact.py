@@ -860,6 +860,17 @@ def test_atomic_save_and_load(tmp_path):
     assert not list(tmp_path.glob("*.tmp"))
 
 
+@pytest.mark.parametrize("blob,target,error", [
+    ("not bytes", "model.ltlr", TypeError),  # the write fails
+    (b"LTLR", "a_dir", IsADirectoryError),  # the rename fails
+])
+def test_a_failed_save_leaves_no_temp_file(tmp_path, blob, target, error):
+    (tmp_path / "a_dir").mkdir()
+    with pytest.raises(error):
+        save(str(tmp_path / target), blob)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a_dir"]
+
+
 # -- malformed blobs whose CRC is valid ---------------------------------------
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -206,6 +207,13 @@ def test_unpack_corrupt_artifact_exit_code(tmp_path, capsys):
     assert run(["unpack", str(path)]) == 6  # integrity
 
 
+def test_unpack_of_a_missing_file_is_a_data_error(tmp_path, capsys):
+    path = tmp_path / "missing.ltlr"
+    assert run(["unpack", str(path)]) == 4
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "data" and str(path) in err["message"]
+
+
 def test_betastats_command(tmp_path, capsys):
     summary = tmp_path / "summary.json"
     summary.write_text(json.dumps({"final_betas": [0.9, 1.1]}))
@@ -402,6 +410,14 @@ def test_train_verify_cycle_on_fake_idx(tmp_path, capsys, fake_mnist_dir):
     payload = json.loads(capsys.readouterr().out)
     assert payload["verified"] is True
     assert payload["test_accuracy"] == summary["final_test_accuracy"]
+    # a recorded accuracy one ulp off the reconstruction's fails the check
+    off = str(tmp_path / "off.ltlr")
+    nudged = math.nextafter(summary["final_test_accuracy"], 2.0)
+    trained = artifact_mod.reconstruct(*unpack(load(str(out / "model.ltlr"))))
+    save(off, pack(trained, extra={"final_test_accuracy": nudged}))
+    assert run(["verify", off, "--data-dir", fake_mnist_dir]) == 6
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "integrity" and repr(nudged) in err["message"]
 
 
 @pytest.mark.parametrize("schedule", ["epoch", "micro:2"])
@@ -456,7 +472,9 @@ def test_schedules_of_one_kind_keep_their_own_table_rows(tmp_path, capsys, fake_
 @pytest.mark.parametrize("argv", [
     ["train", "--resample", "batch:x"],
     ["train", "--resample", "micro:x"],
+    ["train", "--resample", "weekly"],
     ["metalora", "--schedules", "static,micro:"],
+    ["metalora", "--schedules", "static,weekly"],
     ["seedgate", "--groups", "1,a"],
 ])
 @pytest.mark.parametrize("with_data", [True, False])
@@ -540,6 +558,20 @@ def test_a_grid_that_repeats_a_cell_is_config_error(tmp_path, capsys, fake_mnist
     err = json.loads(captured.err)
     assert err["error"] == "config"
     assert os.path.join(str(out), "runs", "tiny_normal_r2_s1_static") in err["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("schedules,name", [
+    ("batch:2,batch:02", "batch2"), ("micro:4,micro:+4", "micro4"), ("batch:2,batch: 2", "batch2"),
+])
+def test_two_spellings_of_one_schedule_repeat_a_cell(tmp_path, capsys, fake_mnist_dir, schedules, name):
+    # a run dir and table key are named from the parsed schedule, not its text
+    out = tmp_path / "grid"
+    assert run(["metalora", "--preset", "tiny", "--ranks", "2", "--seeds", "1", "--epochs", "1",
+                "--schedules", schedules, "--data-dir", fake_mnist_dir, "--out-dir", str(out)]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config"
+    assert os.path.join(str(out), "runs", f"tiny_normal_r2_s1_{name}") in err["message"]
     assert not out.exists()
 
 
@@ -692,6 +724,15 @@ def test_non_finite_family_params_are_config_errors(params, tmp_path, capsys):
     assert run(["pack", "--preset", "tiny", "--output", str(path)] + params) == 3
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "config" and params[3].split("=")[0] in err["message"]
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("pair,message", [("sigma", "key=value"), ("sigma=abc", "not a number")])
+def test_a_malformed_family_param_is_a_config_error(pair, message, tmp_path, capsys):
+    path = tmp_path / "m.ltlr"
+    assert run(["pack", "--preset", "tiny", "--output", str(path), "--family-param", pair]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config" and message in err["message"]
     assert not path.exists()
 
 

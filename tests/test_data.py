@@ -57,6 +57,24 @@ def test_parse_truncated_labels():
         parse_idx(build_label_buffer([1, 2, 3])[:-1])
 
 
+@pytest.mark.parametrize("raw,message", [
+    (b"", "too short"),
+    (struct.pack(">I", 0x00000801) + b"\0\0\0", "too short"),
+    (build_image_buffer([1] * 4, 2, 2)[:12], "image header truncated"),
+    (build_image_buffer([1] * 4, 2, 2)[:15], "image header truncated"),
+])
+def test_parse_a_truncated_header(raw, message):
+    with pytest.raises(ParseError, match=message) as exc:
+        parse_idx(raw)
+    assert exc.value.offset == len(raw)
+
+
+@pytest.mark.parametrize("rows", [None, np.arange(2)])
+def test_a_dataset_needs_one_label_per_row(rows):
+    with pytest.raises(DataError, match="length mismatch"):
+        Dataset(np.zeros((3, 4), np.float32), np.zeros(3 if rows is not None else 2, np.int64), rows=rows)
+
+
 def test_parse_bad_magic():
     with pytest.raises(ParseError) as exc:
         parse_idx(struct.pack(">II", 0x00000999, 1) + b"\x00")
@@ -100,6 +118,16 @@ def test_partition_paper_grouping_valid():
 def test_partition_overlap_rejected():
     with pytest.raises(ConfigError):
         make_partition([{1, 2}, {2, 3}], [1, 2])
+
+
+@pytest.mark.parametrize("groups,seeds,message", [
+    ([], [], "at least one group"),
+    ([{1}, set()], [1, 2], "empty label group"),
+    ([set()], [1], "empty label group"),
+])
+def test_partition_needs_a_group_and_no_group_empty(groups, seeds, message):
+    with pytest.raises(ConfigError, match=message):
+        make_partition(groups, seeds)
 
 
 def test_partition_length_mismatch_rejected():
@@ -204,6 +232,16 @@ def test_missing_dir_raises_data_error():
 
     with pytest.raises(DataError):
         load_mnist("/nonexistent/path")
+
+
+@pytest.mark.parametrize("key", sorted(MNIST_FILES))
+def test_a_missing_mnist_file_is_a_data_error_naming_it(tmp_path, key):
+    from lottalora.data import load_mnist
+
+    data_dir = write_fake_idx(tmp_path / "idx", n_train=20, n_test=10)
+    os.remove(os.path.join(data_dir, MNIST_FILES[key]))
+    with pytest.raises(DataError, match=re.escape(f"missing MNIST file {MNIST_FILES[key]}[.gz]")):
+        load_mnist(data_dir)
 
 
 @pytest.mark.parametrize("spoil,cause", [

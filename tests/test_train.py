@@ -377,6 +377,12 @@ def test_train_cfg_validation():
         TrainConfig(resample="per_batch", resample_k=1)
 
 
+@pytest.mark.parametrize("kw", [{"schedule": "linear"}, {"epochs": 0}, {"batch_size": 0}, {"epochs": -1}])
+def test_train_cfg_rejects_an_unknown_lr_schedule_or_a_count_below_one(kw):
+    with pytest.raises(ConfigError, match=list(kw)[-1]):
+        TrainConfig(**kw)
+
+
 @pytest.mark.parametrize("kw", [
     {"lr": -1.0}, {"lr": 0.0}, {"lr": float("nan")}, {"lr": float("inf")},
     {"weight_decay": -5.0}, {"weight_decay": float("nan")}, {"weight_decay": float("inf")},
