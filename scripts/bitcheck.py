@@ -42,7 +42,10 @@ the ``shipped`` ones and the ``shipping grid`` case equal.  The cases:
     ``orthogonal`` tall, square and wide after a carry.  Each matrix's
     digest covers its values, its C/F contiguity and the stream after it;
   * raw ``gaussian_block`` values, state and carry for counts on both sides
-    of the chunk edges, with and without an incoming carry.
+    of the chunk edges, with and without an incoming carry;
+  * the committed trained artifact ``tests/fixtures/tiny_trained_v4.ltlr``
+    (format version 4), reconstructed, and the argmax and eval-mode logits
+    of a fixed 64-row ``synthetic_blobs`` probe through it.
 
 BLAS runs on one thread, as in the benchmark.  The whole grid runs in
 seconds.
@@ -76,6 +79,8 @@ EVALUATE_ROWS = ((511, False), (512, True), (1022, False), (1023, False), (1533,
 GAUSSIAN_COUNTS = (0, 1, 2, 3, 7, 8191, 8192, 16383, 16384, 16385, 24577, 50001)
 STUDENT_T_NUS = (1, 2, 7, 8, 9, 16, 17, 129, 300)
 ORTHOGONAL_SHAPES = ((784, 512), (300, 300), (128, 256))
+TRAINED_V4 = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tests", "fixtures",
+                          "tiny_trained_v4.ltlr")
 
 
 def _digest(parts) -> str:
@@ -244,6 +249,10 @@ def _cases():
                 stream.gaussian_block(1)
             values = stream.gaussian_block(n)
             yield f"gaussian n={n} carry={int(carry)}", _digest([values, stream_state(stream)])
+
+    trained = artifact.reconstruct(*artifact.unpack(artifact.load(TRAINED_V4)))
+    logits = trained.forward_logits(data.synthetic_blobs(64, 784, 10, 10.0, seed=43).images).data
+    yield "trained v4 fixture probe n=64", _digest([logits.argmax(axis=1), logits])
 
 
 def fixture_key() -> str:

@@ -29,6 +29,9 @@ V2_FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "tiny_r2_seed7_
 V3_FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "tiny_r2_seed7_v3.ltlr")
 # the same model as pack writes it today, format version 4
 V4_FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "tiny_r2_seed7_v4.ltlr")
+# ``tiny`` rank 2, seed 7, trained 2 epochs on synthetic_blobs and packed as
+# ``train`` packs a static run; written by ``write_trained_v4``
+TRAINED_V4_FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "tiny_trained_v4.ltlr")
 FORMAT_DOC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "docs", "FORMAT.md")
 
 
@@ -523,6 +526,33 @@ def fixture_v4_parts():
     """(deflated header, planes stream, decoded byte planes) of the v4 fixture."""
     header, payload = v4_parts(load(V4_FIXTURE))
     return header, payload, zlib.decompress(payload)
+
+
+def write_trained_v4(path: str = TRAINED_V4_FIXTURE) -> None:
+    """Train and pack the model of ``TRAINED_V4_FIXTURE`` into ``path``.  The
+    bits depend on the host's numpy and BLAS, so the fixture is this
+    function's output on one host, not a value every host reproduces."""
+    blobs = synthetic_blobs(600, 784, 10, 10.0, seed=5)
+    cfg = ModelConfig(preset="tiny", rank=2)
+    metrics = train_run(cfg, BackboneSpec.from_config(cfg, 7), TrainConfig(lr=3e-2, batch_size=32, epochs=2),
+                        blobs.subset(np.arange(500)), blobs.subset(np.arange(500, 600), "test"))
+    extra = {"final_test_accuracy": metrics.final_test_accuracy, "final_test_loss": metrics.final_test_loss}
+    save(path, pack(metrics.model, extra=extra))
+
+
+def test_the_committed_trained_artifact_is_v4_on_the_shipping_grid():
+    """The fixture is what a trained run ships, made by
+    ``PYTHONPATH=src:tests python -c "import test_artifact; test_artifact.write_trained_v4()"``.
+    Its checks hold on every host: it reads as format 4, its values already
+    lie on the shipping grid, and it rebuilds a model."""
+    header, tensors, sizes = read(load(TRAINED_V4_FIXTURE))
+    assert sizes["format_version"] == 4
+    assert header["model"]["preset"] == "tiny" and set(header["extra"]) == {"final_test_accuracy", "final_test_loss"}
+    model = reconstruct(header, tensors)
+    shipped = model.params.copy()
+    assert to_shipping_precision(model)
+    assert model.params.tobytes() == shipped.tobytes()
+    assert model.forward_logits(np.zeros((1, 784), np.float32)).data.shape == (1, 10)
 
 
 def test_the_fixture_parts_rebuild_the_v4_fixture():

@@ -32,7 +32,7 @@ def test_bitcheck_prints_one_stable_digest_over_the_case_grid():
     lines = runs[0].stdout.splitlines()
     assert re.fullmatch(r"digest [0-9a-f]{64}", lines[-1])
     cases = [line.split("  ", 1)[1] for line in lines[:-1]]
-    assert len(cases) == len(set(cases)) == 146
+    assert len(cases) == len(set(cases)) == 147
     assert sum(c.startswith("train ") for c in cases) == 46
     train_lines = [c.rsplit(" ", 1) for c in cases if c.startswith("train ")]
     assert [part for _, part in train_lines] == ["trajectory", "shipped"] * 23
@@ -46,6 +46,7 @@ def test_bitcheck_prints_one_stable_digest_over_the_case_grid():
     assert sum(c.startswith("gaussian ") for c in cases) == 24
     assert sum(c.startswith("student_t ") for c in cases) == 9
     assert sum(c.startswith("orthogonal ") for c in cases) == 3
+    assert cases[-1] == "trained v4 fixture probe n=64"
     assert runs[1].stdout == runs[0].stdout
 
 
@@ -67,6 +68,6 @@ def test_bitcheck_prints_the_committed_lines_of_its_fixture_key(core):
     with open(path, encoding="utf-8") as fh:
         want = fh.read().splitlines()
     got = result.stdout.splitlines()
-    assert len(got) == len(want) == 147
+    assert len(got) == len(want) == 148
     moved = [line.split("  ", 1)[-1] for line, old in zip(got, want) if line != old]
     assert not moved, f"lines that moved under {key}: {moved}"
