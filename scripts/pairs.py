@@ -17,6 +17,8 @@ next to the metric's relative bound; ``WORSE`` marks a change past the
 bound in the worse direction.  ``UNRESOLVED`` marks a metric whose A runs
 spread wider than its bound (A's interquartile range over A's median), so
 an unchanged median shows nothing, unless every B run beats every A run.
+Its last line is the same per-metric summary as one JSON object
+(``summary``), for a record of the comparison.
 """
 
 from __future__ import annotations
@@ -73,6 +75,25 @@ def marks(a: list, b: list, spec: dict) -> list[str]:
     return found
 
 
+def summary(specs: list, runs: dict, workload: str, seed: int) -> dict:
+    """The comparison of the A and B ``runs`` (lists of metric dicts, one
+    per pair) under the ``BENCHMARK.json`` ``specs``: for each metric,
+    each side's quartiles, in how many pairs B is better, B's median
+    change, the bound and the ``marks``."""
+    metrics = {}
+    for spec in specs:
+        name, lower = spec["name"], spec["better"] == "lower"
+        a = [m[name] for m in runs["A"]]
+        b = [m[name] for m in runs["B"]]
+        qa, qb = quartiles(a), quartiles(b)
+        metrics[name] = {
+            "a": list(qa), "b": list(qb),
+            "b_better": sum((y < x) if lower else (y > x) for x, y in zip(a, b)),
+            "change": median_change(qa, qb), "bound": spec["bound"], "marks": marks(a, b, spec),
+        }
+    return {"workload": workload, "seed": seed, "pairs": len(runs["A"]), "metrics": metrics}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--a", required=True, help="the reference checkout")
@@ -94,18 +115,14 @@ def main(argv=None) -> int:
             runs[side].append(metrics)
             print(f"pair {i} {side}: " + " ".join(f"{name}={metrics[name]:.6g}" for name in names), flush=True)
 
+    result = summary(specs, runs, args.workload, args.seed)
     print(f"\n{args.workload} seed={args.seed}, {args.pairs} pairs; A={args.a} B={args.b}")
     print(f"{'metric':<16} {'A q1/median/q3':>32} {'B q1/median/q3':>32} {'B better':>9} {'change':>9} {'bound':>7}")
-    for spec in specs:
-        name, lower = spec["name"], spec["better"] == "lower"
-        a = [m[name] for m in runs["A"]]
-        b = [m[name] for m in runs["B"]]
-        wins = sum((y < x) if lower else (y > x) for x, y in zip(a, b))
-        qa, qb = quartiles(a), quartiles(b)
-        change = median_change(qa, qb)
-        print(f"{name:<16} {'/'.join(f'{v:.5g}' for v in qa):>32} {'/'.join(f'{v:.5g}' for v in qb):>32} "
-              f"{wins:>5}/{args.pairs:<3} {change:>+9.4f} {spec['bound']:>7.3f}"
-              + "".join(f"  {mark}" for mark in marks(a, b, spec)))
+    for name, m in result["metrics"].items():
+        print(f"{name:<16} {'/'.join(f'{v:.5g}' for v in m['a']):>32} {'/'.join(f'{v:.5g}' for v in m['b']):>32} "
+              f"{m['b_better']:>5}/{args.pairs:<3} {m['change']:>+9.4f} {m['bound']:>7.3f}"
+              + "".join(f"  {mark}" for mark in m["marks"]))
+    print(json.dumps(result, sort_keys=True))
     return 0
 
 

@@ -37,3 +37,17 @@ def test_a_wide_spread_is_resolved_when_every_b_run_beats_every_a_run():
     assert pairs.marks(BIMODAL, [v + 61.0 for v in BIMODAL], HIGHER) == []
     # one B run that does not beat A's best leaves it unresolved
     assert pairs.marks(BIMODAL, [v - 61.0 for v in BIMODAL[:-1]] + [70.0], LOWER) == ["UNRESOLVED"]
+
+
+def test_the_summary_holds_each_metrics_quartiles_wins_change_bound_and_marks():
+    runs = {"A": [{"op_ms_p50": a, "samples_per_s": 1000.0 / a} for a in BIMODAL],
+            "B": [{"op_ms_p50": a * 1.2, "samples_per_s": 1000.0 / a} for a in BIMODAL]}
+    got = pairs.summary([LOWER, HIGHER], runs, "ship", 3)
+    assert (got["workload"], got["seed"], got["pairs"]) == ("ship", 3, 8)
+    op = got["metrics"]["op_ms_p50"]
+    assert op["a"] == [80.0, 100.0, 120.0] and op["b"] == [96.0, 120.0, 144.0]
+    assert op["b_better"] == 0 and op["change"] == 0.2 and op["bound"] == 0.1
+    assert op["marks"] == ["WORSE", "UNRESOLVED"]
+    speed = got["metrics"]["samples_per_s"]
+    assert speed["b_better"] == 0 and speed["change"] == 0.0 and speed["marks"] == ["UNRESOLVED"]
+    assert list(got["metrics"]) == ["op_ms_p50", "samples_per_s"]
