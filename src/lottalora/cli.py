@@ -312,8 +312,7 @@ def cmd_grid(args) -> int:
         for schedule in args.schedules.split(","):
             kind, k = _parse_resample(schedule)
             train_cfg = _train_config(args, kind, k)
-            # names the schedule in run dirs and table keys, built from its
-            # parsed form so that batch:2 and batch:02 name one cell
+            # run dirs and table keys name the parsed schedule: batch:2 and batch:02 are one cell
             name = {"per_epoch": "epoch", "per_batch": f"batch{k}", "microbatch": f"micro{k}"}.get(kind, kind)
             for rank in args.ranks:
                 model_cfg = _model_config(args, rank)

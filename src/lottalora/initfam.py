@@ -308,8 +308,9 @@ class InitFamily:
 
 @dataclass(frozen=True)
 class BackboneMatrix:
-    """A frozen ``[d_out, d_in]`` matrix.  ``data`` is its only field, so
-    its shape is read there; it is marked read-only."""
+    """A frozen ``[d_out, d_in]`` matrix, marked read-only.  ``data`` is its
+    only field, so its shape is read there; ``LottaLayer.set_backbone``
+    holds it to the layer's widths."""
 
     data: np.ndarray  # f32, read-only
 
@@ -339,10 +340,11 @@ def _fill_entries(stream: Stream, fam: InitFamily, out: np.ndarray, fan_in: int,
     with ``Stream.skip`` where a whole-block draw of it would start: every
     block before a family's last is a unit block, so the skip is its count
     of unit draws.  The last cursor is ``stream`` itself, so it ends where
-    the whole draw would.  Chunk by chunk, the cursors' draws run through the family rule
-    in float64 and are cast into ``out``.  The rule is elementwise and each
-    block continues where the last stopped, so the chunks give the bits of
-    one whole-block draw, while only a chunk's draws are live at a time.
+    the whole draw would.  Chunk by chunk, the cursors' draws run through
+    the family rule in float64 and are cast into ``out``.  The rule is
+    elementwise and each block continues where the last stopped, so the
+    chunks give the bits of one whole-block draw, while only a chunk's
+    draws are live at a time.
     """
     n = len(out)
     rule = _FAMILIES[fam.name].entry

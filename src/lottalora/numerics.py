@@ -43,7 +43,7 @@ class Tensor:
     (read its shape, dtype and value there), ``grad`` the tape's gradient,
     and ``_parents``/``_backward_fn`` the tape's record."""
 
-    __slots__ =("data", "grad", "requires_grad", "_parents", "_backward_fn", "_done")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn", "_done")
 
     def __init__(self, data, requires_grad=False, parents=(), backward_fn=None):
         self.data = data

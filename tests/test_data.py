@@ -69,10 +69,10 @@ def test_parse_a_truncated_header(raw, message):
     assert exc.value.offset == len(raw)
 
 
-@pytest.mark.parametrize("rows", [None, np.arange(2)])
-def test_a_dataset_needs_one_label_per_row(rows):
+@pytest.mark.parametrize("rows,n_labels", [(None, 2), (np.arange(2), 3)])
+def test_a_dataset_needs_one_label_per_row(rows, n_labels):
     with pytest.raises(DataError, match="length mismatch"):
-        Dataset(np.zeros((3, 4), np.float32), np.zeros(3 if rows is not None else 2, np.int64), rows=rows)
+        Dataset(np.zeros((3, 4), np.float32), np.zeros(n_labels, np.int64), rows=rows)
 
 
 def test_parse_bad_magic():
