@@ -9,7 +9,8 @@ Container layouts (little-endian throughout, documented in docs/FORMAT.md):
                   [zlib stream of the payload's byte planes][crc32 u32]
 
 The header JSON carries the generator tag, the backbone spec (seed,
-family, layer shapes), the model config, and free-form extras.  The
+family, layer shapes, the tag again), the model config, and free-form
+extras.  The
 decoded payload is every trainable tensor, row-major, back to back in
 canonical parameter order, which is ``Model.params``: f32 under version
 1, f16 under versions 2 to 4.
@@ -43,8 +44,8 @@ import itertools
 import json
 import math
 import os
+import secrets
 import struct
-import tempfile
 import zlib
 from dataclasses import asdict
 
@@ -52,7 +53,7 @@ import numpy as np
 
 from .errors import ConfigError, FormatError, IncompatibilityError, IntegrityError
 from .model import BackboneSpec, Model, ModelConfig, build_model
-from .prng import ALGORITHM_ID
+from .prng import ALGORITHM_ID, check_tag
 
 MAGIC = b"LTLR"
 # format version -> element type of the decoded payload
@@ -198,7 +199,9 @@ def _inflate(stream: bytes, size: int, what: str) -> tuple[bytes, bytes]:
 
 
 def _header_config(header: dict) -> ModelConfig:
-    """The header's model config; a missing or malformed one is a ``FormatError``."""
+    """The header's model config, once its generator tag is this build's
+    (``check_tag``); a missing or malformed config is a ``FormatError``."""
+    check_tag(header.get("algorithm_id"), "artifact")
     try:
         return ModelConfig(**header["model"])
     except (KeyError, TypeError, ValueError, ConfigError) as err:
@@ -229,7 +232,8 @@ def pack(model: Model, extra: dict | None = None) -> bytes:
     must be JSON that reads back as given (``_checked_extra``)."""
     header = {
         "algorithm_id": ALGORITHM_ID,
-        "backbone": asdict(model.spec),
+        # a constant of the format, which ``BackboneSpec.from_dict`` checks
+        "backbone": {**asdict(model.spec), "algorithm_id": ALGORITHM_ID},
         "model": asdict(model.cfg),
         "extra": _checked_extra(extra),
     }
@@ -304,12 +308,8 @@ def read(blob: bytes) -> tuple[dict, dict, dict]:
     if not isinstance(header.get("extra", {}), dict):
         raise FormatError(f"artifact header extra must be a JSON object, got {type(header['extra']).__name__}")
 
-    if header.get("algorithm_id") != ALGORITHM_ID:
-        raise IncompatibilityError(
-            f"artifact was generated with {header.get('algorithm_id')!r}; this build expects {ALGORITHM_ID!r}"
-        )
-
-    entries = _header_config(header).trainable_layout()
+    cfg = _header_config(header)
+    entries = cfg.trainable_layout()
     payload_len = dtype.itemsize * sum(math.prod(shape) for _, shape in entries)
     table_len = 0
     if version < 4:
@@ -339,23 +339,13 @@ def read(blob: bytes) -> tuple[dict, dict, dict]:
     if len(payload) != payload_len:
         raise FormatError(f"payload holds {len(payload)} bytes; the artifact declares {payload_len}")
 
-    values = np.frombuffer(_interleaved(payload) if version >= 3 else payload, dtype=dtype)
-    tensors = {}
-    start = 0
-    for name, shape in entries:
-        size = math.prod(shape)
-        tensors[name] = values[start:start + size].reshape(shape).astype(np.float32)
-        start += size
-    return header, tensors, sizes
+    values = np.frombuffer(_interleaved(payload) if version >= 3 else payload, dtype=dtype).astype(np.float32)
+    return header, dict(zip([name for name, _ in entries], cfg.views(values))), sizes
 
 
 def reconstruct(header: dict, tensors: dict) -> Model:
     """Rebuild the full model: frozen matrices regenerated from the seed,
     trainable tensors restored from the payload."""
-    if header.get("algorithm_id") != ALGORITHM_ID:
-        raise IncompatibilityError(
-            f"artifact was generated with {header.get('algorithm_id')!r}; this build expects {ALGORITHM_ID!r}"
-        )
     cfg = _header_config(header)
     try:
         spec = BackboneSpec.from_dict(header["backbone"])
@@ -373,15 +363,16 @@ def reconstruct(header: dict, tensors: dict) -> Model:
         if tuple(tensors[name].shape) != shape:
             raise FormatError(f"tensor {name!r} has shape {tensors[name].shape}, expected {shape}")
     model = build_model(cfg, spec)
-    for (name, _), view in zip(layout, model.views(model.params), strict=True):
+    for (name, _), view in zip(layout, cfg.views(model.params), strict=True):
         view[...] = tensors[name]
     return model
 
 
 def save(path: str, blob: bytes) -> None:
-    """Atomic write via temp file + rename."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".ltlr.tmp")
+    """Atomic write: a uniquely named new file beside ``path``, created as
+    ``open(path, "wb")`` creates one (0o666 less the umask), replaces it."""
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f"tmp{secrets.token_hex(8)}.ltlr.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(blob)

@@ -1,7 +1,7 @@
 """MLP assembly: presets, head modes, trainable-parameter accounting.
 
-A model is built from a ModelConfig plus a BackboneSpec; the BackboneSpec
-(seed, generator tag, init family, layer shapes) alone determines every
+A model is built from a ModelConfig plus a BackboneSpec: the spec's seed
+and family and the config's fields in ``scaffold_args`` determine every
 frozen matrix, which is what makes models reconstructible from a header.
 ``draw_scaffold`` is that rule: frozen layer i is drawn from
 ``derive_stream(seed, i, BACKBONE_WEIGHT)``.  It reads only its
@@ -14,10 +14,10 @@ Each layer holds its own trainables (a ``lora_bias`` head its offset too)
 and its adapter scale, ``ModelConfig.adapter_scale``; ``trainable_params``
 flattens the layers' ``trainable()`` lists in layer order.  The model owns
 their values: one f32 buffer ``params``, laid out by ``trainable_layout``,
-whose views the trainables' ``data`` are.  It holds no gradient: its
-caller owns the buffer ``loss_and_grads`` adds into (``AdamW.grads`` in
-training), so a built or reconstructed model is its scaffold and
-``params``.
+whose ``ModelConfig.views`` the trainables' ``data`` are.  It holds no
+gradient: its caller owns the buffer ``loss_and_grads`` adds into
+(``AdamW.grads`` in training), so a built or reconstructed model is its
+scaffold and ``params``.
 """
 
 from __future__ import annotations
@@ -30,11 +30,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DataError, DimensionError, IncompatibilityError, finite, integer, real, shown
+from .errors import ConfigError, DataError, DimensionError, finite, integer, real, shown
 from .initfam import BackboneMatrix, InitFamily, draw_matrix
 from .layers import B_INITS, DenseLayer, LottaLayer, init_adapter
 from .numerics import Tensor, softmax_xent
-from .prng import ALGORITHM_ID, DrawKind, Stream, check_seed, derive_stream
+from .prng import ALGORITHM_ID, DrawKind, Stream, check_seed, check_tag, derive_stream
 
 PRESETS = {
     "tiny": (128, 64),
@@ -217,25 +217,27 @@ class ModelConfig:
                 layout.append(("head.bias", (d_out,)))
         return layout
 
+    def views(self, flat: np.ndarray) -> list[np.ndarray]:
+        """Views of a flat buffer laid out by ``trainable_layout()``, one per
+        trainable tensor in that order, each in its tensor's shape."""
+        shapes = [shape for _, shape in self.trainable_layout()]
+        ends = list(itertools.accumulate(map(math.prod, shapes), initial=0))
+        return [flat[lo:hi].reshape(shape) for lo, hi, shape in zip(ends, ends[1:], shapes)]
+
 
 @dataclass(frozen=True)
 class BackboneSpec:
-    """Everything needed to regenerate the frozen matrices bit-exactly."""
+    """The frozen matrices' seed, family and layer shapes (empty: the
+    config's); with ``scaffold_args`` they regenerate them bit-exactly."""
 
     seed: int
     family: InitFamily = field(default_factory=lambda: InitFamily("normal"))
     layer_shapes: tuple = ()
-    algorithm_id: str = ALGORITHM_ID
 
     def __post_init__(self):
         object.__setattr__(self, "seed", check_seed(self.seed))
         if not isinstance(self.family, InitFamily):
             raise ConfigError(f"family must be an InitFamily, got {self.family!r}")
-        # this build draws only its own generator's bits
-        if self.algorithm_id != ALGORITHM_ID:
-            raise IncompatibilityError(
-                f"backbone was generated with {self.algorithm_id!r}; this build expects {ALGORITHM_ID!r}"
-            )
 
     @staticmethod
     def from_config(cfg: ModelConfig, seed: int, family: InitFamily | None = None) -> "BackboneSpec":
@@ -244,12 +246,14 @@ class BackboneSpec:
 
     @staticmethod
     def from_dict(d: dict) -> "BackboneSpec":
-        return BackboneSpec(
+        """A header's ``backbone``, whose tag, if any, must be this build's."""
+        spec = BackboneSpec(
             seed=d["seed"],
             family=InitFamily.from_dict(d["family"]),
             layer_shapes=tuple(tuple(s) for s in d["layer_shapes"]),
-            algorithm_id=d.get("algorithm_id", ALGORITHM_ID),
         )
+        check_tag(d.get("algorithm_id", ALGORITHM_ID), "backbone")
+        return spec
 
 
 def _hash_into(digest, a: np.ndarray) -> None:
@@ -270,8 +274,8 @@ class Model:
 
     ``params`` is the trainables' storage: one flat f32 buffer in
     ``ModelConfig.trainable_layout()`` order, the artifact payload's
-    values.  Each trainable's ``data`` is a view of it (``views``), bound
-    once at build, so callers write into it in place.
+    values, whose ``ModelConfig.views`` the trainables' ``data`` are,
+    bound once at build, so callers write into it in place.
     """
 
     def __init__(self, cfg: ModelConfig, spec: BackboneSpec, scaffold: tuple[list[Stream], list[tuple]]):
@@ -299,7 +303,7 @@ class Model:
         self._dropout_streams = [derive_stream(seed, i, DrawKind.DROPOUT_MASK) for i in range(len(self.hidden))]
         tensors = [t for _, t in self.trainable_params()]
         self.params = np.concatenate([t.data.ravel() for t in tensors])
-        for t, data in zip(tensors, self.views(self.params), strict=True):
+        for t, data in zip(tensors, cfg.views(self.params), strict=True):
             t.data = data
 
     # -- inference ---------------------------------------------------------
@@ -324,7 +328,7 @@ class Model:
         Runs the forward with dropout, keeping each layer's cache, then
         ``softmax_xent``, then the layers' backward rules in reverse, which
         add every trainable's gradient into ``grads``, the caller's arrays
-        in ``trainable_layout()`` order (``views`` of a buffer).  The
+        in ``trainable_layout()`` order (``cfg.views`` of a buffer).  The
         forward's dropout masks are ``Stream.keep_block`` draws, and no
         cache holds one: the gradient through a hidden layer's ReLU and
         dropout is masked by where the next layer's cached input, the
@@ -395,13 +399,6 @@ class Model:
         ``ModelConfig.trainable_layout()``."""
         tensors = [t for layer in (*self.hidden, self.head) for t in layer.trainable()]
         return [(name, t) for (name, _), t in zip(self.cfg.trainable_layout(), tensors, strict=True)]
-
-    def views(self, flat: np.ndarray) -> list[np.ndarray]:
-        """Views of a buffer laid out as ``params``, one per trainable in
-        ``trainable_layout()`` order, each in its tensor's shape."""
-        shapes = [shape for _, shape in self.cfg.trainable_layout()]
-        ends = list(itertools.accumulate(map(math.prod, shapes), initial=0))
-        return [flat[lo:hi].reshape(shape) for lo, hi, shape in zip(ends, ends[1:], shapes)]
 
     def backbone_hashes(self) -> list[str]:
         """SHA-256 of each layer's frozen bytes (matrix + bias), in order.

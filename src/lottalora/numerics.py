@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DataError, DimensionError
+from .errors import DataError, DimensionError, LottaError
 from .prng import Stream
 
 LAYERNORM_EPS = 1e-5  # LayerNorm's variance offset: a fixed constant, not a setting
@@ -65,7 +65,7 @@ class Tensor:
         if self.data.shape != ():
             raise DimensionError(f"backward requires a scalar, got shape {self.data.shape}")
         if self._done:
-            raise RuntimeError("backward was already called on this graph; rebuild the forward pass")
+            raise LottaError("backward was already called on this graph; rebuild the forward pass")
         topo = []
         visited = set()
         stack = [(self, False)]

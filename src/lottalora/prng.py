@@ -67,7 +67,7 @@ import math
 
 import numpy as np
 
-from .errors import ConfigError, integer, integral, real, shown
+from .errors import ConfigError, IncompatibilityError, integer, integral, real, shown
 
 MASK64 = (1 << 64) - 1
 GOLDEN_GAMMA = 0x9E3779B97F4A7C15
@@ -75,6 +75,13 @@ MIX_MULT_1 = 0xBF58476D1CE4E5B9
 MIX_MULT_2 = 0x94D049BB133111EB
 
 ALGORITHM_ID = "splitmix64-boxmuller-v1"
+
+
+def check_tag(tag, what: str) -> None:
+    """An ``IncompatibilityError`` naming ``what`` unless ``tag`` is this build's generator tag."""
+    if tag != ALGORITHM_ID:
+        raise IncompatibilityError(f"{what} was generated with {tag!r}; this build expects {ALGORITHM_ID!r}")
+
 
 _INV_2_53 = 2.0 ** -53
 _UNIT_SHIFT = np.uint64(11)

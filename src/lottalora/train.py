@@ -105,7 +105,7 @@ class AdamW:
     It holds four flat buffers laid out by ``ModelConfig.trainable_layout()``:
     ``params`` is the model's, which it steps, and ``grads``, ``m`` and
     ``v`` are its own.  A training step's ``Model.loss_and_grads`` adds
-    into ``model.views(grads)``; ``grads`` starts at, and ``zero_grad``
+    into ``ModelConfig.views(grads)``; ``grads`` starts at, and ``zero_grad``
     refills it with, -0.0, IEEE's additive identity, so the first gradient
     added keeps its bits.  The update rule is elementwise, so every entry
     gets the bits a per-tensor update gives it.  A ``weight_decay`` that is
@@ -231,7 +231,7 @@ def _train_loop(model: Model, cfg: TrainConfig, segments, shuffle):
     the train metrics are row-weighted means over every forward row.
     """
     optimizer = AdamW(model, cfg.weight_decay)
-    grads = model.views(optimizer.grads)
+    grads = model.cfg.views(optimizer.grads)
     total_steps = cfg.epochs * sum(math.ceil(len(data) / cfg.batch_size) for data, _ in segments)
     step = 0
     for epoch in range(cfg.epochs):

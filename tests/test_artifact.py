@@ -1,20 +1,23 @@
 import functools
 import json
+import math
 import os
 import re
+import stat
 import struct
 import zlib
 from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lottalora.artifact import (MAGIC, MAX_INFLATE_RATIO, PAYLOAD_DTYPES, _byte_planes,
                                 _deflate_planes, _table, load, pack, read, reconstruct, save,
                                 to_shipping_precision, unpack)
 from lottalora.errors import ConfigError, FormatError, IncompatibilityError, IntegrityError
 from lottalora.initfam import InitFamily
-from lottalora.model import HEAD_MODES, MAX_HIDDEN_LAYERS, PRESETS, BackboneSpec, ModelConfig, build_model
+from lottalora.model import HEAD_MODES, MAX_HIDDEN_LAYERS, MODES, PRESETS, BackboneSpec, ModelConfig, build_model
 from lottalora.prng import ALGORITHM_ID, Stream
 from lottalora.data import synthetic_blobs
 from lottalora.train import TrainConfig, train_run
@@ -96,6 +99,39 @@ def same_bits(a: dict, b: dict) -> bool:
     return list(a) == list(b) and all(np.array_equal(a[k].view(np.uint32), b[k].view(np.uint32)) for k in a)
 
 
+@st.composite
+def small_configs(draw):
+    """A config of a preset or of up to three hidden widths, on small inputs
+    and outputs, in either mode, any head mode, LayerNorm on or off."""
+    hidden = draw(st.none() | st.lists(st.integers(1, 12), max_size=3).map(tuple))
+    kw = dict(preset=draw(st.sampled_from(sorted(PRESETS))) if hidden is None else None, hidden_dims=hidden,
+              input_dim=draw(st.integers(1, 12)), num_classes=draw(st.integers(1, 5)),
+              mode=draw(st.sampled_from(MODES)), head_mode=draw(st.sampled_from(HEAD_MODES)),
+              layernorm=draw(st.booleans()))
+    max_rank = max(min(shape) for shape in ModelConfig(rank=1, **kw).layer_shapes())
+    return ModelConfig(rank=draw(st.integers(1, min(max_rank, 4))), **kw)
+
+
+@settings(max_examples=40, deadline=None)
+@given(cfg=small_configs(), f16=st.booleans())
+def test_views_slice_a_buffer_by_the_layout_as_unpack_reads_the_payload(cfg, f16):
+    layout = cfg.trainable_layout()
+    n = sum(math.prod(shape) for _, shape in layout)
+    views = cfg.views(np.arange(n))
+    assert [v.shape for v in views] == [shape for _, shape in layout]
+    assert np.array_equal(np.concatenate([v.ravel() for v in views]), np.arange(n))
+
+    # f32 values pack as format version 1, f16-exact ones as version 4
+    model = randomized(build_model(cfg, BackboneSpec.from_config(cfg, 5)))
+    if f16:
+        round_to_f16(model)
+    _, tensors = unpack(pack(model))
+    assert same_bits(tensors, dict(zip([name for name, _ in layout], model.cfg.views(model.params))))
+    for i, t in enumerate(tensors.values()):
+        t[...] = i + 1
+    assert all(np.all(t == i + 1) for i, t in enumerate(tensors.values()))
+
+
 def f16_tensors(model) -> list:
     """``(name, little-endian f16 values)`` of each trainable, checked to be f16-exact."""
     tensors = [(name, t.data.astype("<f2")) for name, t in model.trainable_params()]
@@ -109,8 +145,8 @@ def pack_v3(model, extra=None) -> bytes:
     header JSON and a tensor table of decoded f16 extents over the planes
     stream of ``_deflate_planes``, which version 4 keeps unchanged.  Tests
     pin its header and table against the first version 3 writer's fixture."""
-    header = {"algorithm_id": ALGORITHM_ID, "backbone": asdict(model.spec), "model": asdict(model.cfg),
-              "extra": extra or {}}
+    header = {"algorithm_id": ALGORITHM_ID, "backbone": {**asdict(model.spec), "algorithm_id": ALGORITHM_ID},
+              "model": asdict(model.cfg), "extra": extra or {}}
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     tensors = f16_tensors(model)
     table = _table(model.cfg.trainable_layout(), PAYLOAD_DTYPES[3])
@@ -901,6 +937,18 @@ def test_a_failed_save_leaves_no_temp_file(tmp_path, blob, target, error):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["a_dir"]
 
 
+@pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_a_saved_artifact_gets_the_mode_open_gives_a_new_file(tmp_path, umask, mode):
+    old = os.umask(umask)
+    try:
+        save(str(tmp_path / "model.ltlr"), b"LTLR")
+        (tmp_path / "plain").open("wb").close()
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE((tmp_path / "model.ltlr").stat().st_mode) == mode
+    assert stat.S_IMODE((tmp_path / "plain").stat().st_mode) == mode
+
+
 # -- malformed blobs whose CRC is valid ---------------------------------------
 
 
@@ -1094,15 +1142,14 @@ def test_extra_that_is_not_an_object_is_format_error(extra):
         unpack(blob)
 
 
-def test_backbone_spec_refuses_another_generator_tag():
-    with pytest.raises(IncompatibilityError, match="anything"):
-        BackboneSpec(seed=1, algorithm_id="anything")
-    assert BackboneSpec(seed=1).algorithm_id == "splitmix64-boxmuller-v1"
-
-
 def test_backbone_of_another_generator_under_a_v1_header_is_incompatibility_error():
     with pytest.raises(IncompatibilityError, match="splitmix64-boxmuller-v2"):
         reconstruct_edited(lambda h: h["backbone"].update(algorithm_id="splitmix64-boxmuller-v2"))
+
+
+def test_a_backbone_without_a_generator_tag_is_read_as_this_builds():
+    # pack writes the tag back, as a constant of the format
+    assert pack(reconstruct_edited(lambda h: h["backbone"].pop("algorithm_id"))) == pack(fresh_model())
 
 
 def test_backbone_shapes_are_checked_before_anything_is_built():

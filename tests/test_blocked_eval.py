@@ -159,7 +159,7 @@ def test_loss_and_grads_runs_the_whole_batch_as_one_block():
     n = EVAL_BLOCK_ROWS + 500
     x = batch(n)
     y = np.arange(n) % 10
-    grads = model.views(np.full_like(model.params, -0.0))
+    grads = model.cfg.views(np.full_like(model.params, -0.0))
     loss, logits = model.loss_and_grads(x, y, grads)
     assert logits.tobytes() == unblocked_logits(model, x).tobytes()
     assert loss == softmax_xent(logits, y)[0]

@@ -119,7 +119,7 @@ def assert_two_steps_match_the_tape(cfg, resample, k, rows, monkeypatch):
         model = build_model(cfg, spec)
         opt = AdamW(model, 1e-2)
         for step in range(2):  # the second step runs on non-zero moments and B
-            _train_step(model, opt, model.views(opt.grads), x, y, 1e-2, resample, k, step == 0)
+            _train_step(model, opt, model.cfg.views(opt.grads), x, y, 1e-2, resample, k, step == 0)
         return final_state(model, opt)
 
     explicit, oracle = under_both_forwards(run, monkeypatch)
@@ -239,7 +239,7 @@ def write_counts(model, x, y, monkeypatch) -> tuple[np.ndarray, np.ndarray]:
         numerics.add_grad(into, g)
 
     monkeypatch.setattr(layers_mod, "add_grad", recording_add_grad)
-    loss, logits = model.loss_and_grads(x, y, model.views(grads))
+    loss, logits = model.loss_and_grads(x, y, model.cfg.views(grads))
     assert isinstance(loss, float) and isinstance(logits, np.ndarray)
     assert logits.shape == (len(y), model.cfg.num_classes)
     return grads, counts
@@ -258,17 +258,17 @@ def test_one_pass_writes_every_gradient_entry_once_as_the_tape_does(cfg_kw, monk
     model = build_model(cfg, spec)
     grads, counts = write_counts(model, data.images, data.labels, monkeypatch)
     names = [name for name, _ in cfg.trainable_layout()]
-    unwritten = [n for n, c in zip(names, model.views(counts)) if np.any(c != 1)]
+    unwritten = [n for n, c in zip(names, model.cfg.views(counts)) if np.any(c != 1)]
     assert not unwritten, f"entries not written exactly once: {unwritten}"
     # every view holds the tape's gradient, bit for bit
     oracle = build_model(cfg, spec)
     oracle_grads = grad_buffer(oracle)
-    tape_loss_and_grads(oracle, data.images, data.labels, oracle.views(oracle_grads))
+    tape_loss_and_grads(oracle, data.images, data.labels, oracle.cfg.views(oracle_grads))
     assert all(t.grad is None for _, t in oracle.trainable_params())
-    differ = [n for n, got, want in zip(names, model.views(grads), oracle.views(oracle_grads))
+    differ = [n for n, got, want in zip(names, model.cfg.views(grads), oracle.cfg.views(oracle_grads))
               if got.tobytes() != want.tobytes()]
     assert not differ, f"gradients that differ from the tape's: {differ}"
-    assert all(np.any(g) for g in model.views(grads))
+    assert all(np.any(g) for g in model.cfg.views(grads))
 
 
 def no_cycles_after(run) -> bool:
@@ -299,7 +299,7 @@ def test_loss_and_grads_makes_no_cycles():
     data = blobs(n=20)
     cfg = small_cfg(layernorm=True, head_mode="lora_bias")
     model = build_model(cfg, BackboneSpec.from_config(cfg, 4))
-    grads = model.views(grad_buffer(model))
+    grads = model.cfg.views(grad_buffer(model))
     assert no_cycles_after(lambda: model.loss_and_grads(data.images, data.labels, grads))
 
 
@@ -351,7 +351,7 @@ def test_a_medium_training_pass_of_128_rows_holds_no_dropout_scales():
         cfg = ModelConfig(preset="medium", rank=8, dropout=0.1)
         data = synthetic_blobs(128, 784, 10, 4.0, seed=1)
         model = build_model(cfg, BackboneSpec.from_config(cfg, 3))
-        return model, data.images, data.labels, model.views(grad_buffer(model))
+        return model, data.images, data.labels, model.cfg.views(grad_buffer(model))
 
     peak, (loss, logits) = peak_bytes(lambda state: state[0].loss_and_grads(*state[1:]), setup=setup)
     assert np.isfinite(loss) and logits.shape == (128, 10)
@@ -365,7 +365,7 @@ def to_float64(model):
     """Move the model to f64: its ``params``, the trainables' views of it,
     and its frozen matrices."""
     model.params = model.params.astype(np.float64)
-    for (_, p), data in zip(model.trainable_params(), model.views(model.params), strict=True):
+    for (_, p), data in zip(model.trainable_params(), model.cfg.views(model.params), strict=True):
         p.data = data
     for layer in model.lotta_layers():
         b, bias = layer.backbone, layer.frozen_bias
@@ -385,7 +385,7 @@ def test_explicit_backward_matches_finite_differences():
     x = rng.standard_normal((9, 10))
     labels = rng.integers(0, 4, size=9)
     params = [p for _, p in model.trainable_params()]
-    grads = model.views(grad_buffer(model))
+    grads = model.cfg.views(grad_buffer(model))
     for p, grad in zip(params, grads):  # where finite_diff_check reads the gradients
         p.grad = grad
 

@@ -32,7 +32,7 @@ class PerTensorAdamW:
         self.weight_decay = weight_decay
         self.t = 0
         self.grads = np.full_like(model.params, -0.0)
-        self.grad_views = model.views(self.grads)
+        self.grad_views = model.cfg.views(self.grads)
         self.m = [np.zeros_like(p.data) for p in self.tensors]
         self.v = [np.zeros_like(p.data) for p in self.tensors]
 
@@ -118,7 +118,7 @@ def test_training_steps_match_the_oracle_bitwise(f64, resample, k, weight_decay)
     for make in (AdamW, PerTensorAdamW):
         model = make_model(f64)
         opt = make(model, weight_decay)
-        grads = model.views(opt.grads)
+        grads = model.cfg.views(opt.grads)
         for step in range(3):
             _train_step(model, opt, grads, data.images, data.labels, 1e-2 * (1 - step / 4), resample, k, step == 0)
         assert opt.grads.dtype == model.params.dtype == (np.float64 if f64 else np.float32)

@@ -192,7 +192,7 @@ def test_backbone_frozen_under_gradient_step():
     g[:, 0] -= 1.0
     g /= 8.0
     grads = np.full_like(model.params, -0.0)
-    views = model.views(grads)
+    views = model.cfg.views(grads)
     assert layer.backward(g.astype(np.float32), cache, views[:len(layer.trainable())]).shape == x.shape
     # the gradient reaches exactly the layer's trainables; the backbone has no slot
     graded = [(n, p, grad) for (n, p), grad in zip(model.trainable_params(), views) if np.any(grad)]

@@ -27,7 +27,7 @@ def build(preset="medium", seed=42, **kw):
 
 def grad_views(model):
     """Views of a -0.0 buffer laid out as ``params``: what ``loss_and_grads`` adds into."""
-    return model.views(np.full_like(model.params, -0.0))
+    return model.cfg.views(np.full_like(model.params, -0.0))
 
 
 # -- exact trainable counts (golden integers) --------------------------------
@@ -54,7 +54,7 @@ def group_counts(model) -> dict:
     """Entries of ``params`` per name prefix (``layer0``, ..., ``head``),
     summed over the views of each named tensor."""
     counts: dict[str, int] = {}
-    for (name, _), view in zip(model.cfg.trainable_layout(), model.views(model.params), strict=True):
+    for (name, _), view in zip(model.cfg.trainable_layout(), model.cfg.views(model.params), strict=True):
         counts[name.split(".")[0]] = counts.get(name.split(".")[0], 0) + view.size
     return counts
 

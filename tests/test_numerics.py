@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from lottalora.errors import DataError, DimensionError
+from lottalora.errors import DataError, DimensionError, LottaError
 from lottalora.numerics import (
     Tensor,
     add,
@@ -273,7 +273,7 @@ def test_backward_twice_is_an_error():
     w = tensor(np.ones((2, 2)), requires_grad=True, dtype=F64)
     loss = tape_softmax_xent(linear(tensor(np.ones((3, 2)), dtype=F64), w), np.zeros(3, dtype=int))
     loss.backward()
-    with pytest.raises(RuntimeError):
+    with pytest.raises(LottaError, match="already called"):
         loss.backward()
 
 

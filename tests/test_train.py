@@ -253,7 +253,7 @@ def test_one_pass_step_matches_reference_bitwise(resample, k, rows):
     def state_after_two_steps(step):
         model = build_model(cfg, spec)
         opt = AdamW(model, 1e-2)
-        grads = model.views(opt.grads)
+        grads = model.cfg.views(opt.grads)
         for n in range(2):  # the second step runs on non-zero moments and B
             step(model, opt, grads, n == 0)
         return model.backbone_hashes(), opt.params.tobytes(), opt.m.tobytes(), opt.v.tobytes()
