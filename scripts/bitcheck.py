@@ -23,7 +23,9 @@ the ``shipped`` ones and the ``shipping grid`` case equal.  The cases:
     ``pack()`` bytes;
   * ``seed_gated_train`` on two label groups, plain and out-of-class, and
     plain on a test set that spans several eval blocks; and on three
-    groups with a ``lora`` head, whose frozen matrix each group swaps too;
+    groups with a ``lora`` head, whose frozen matrix each group swaps too,
+    at seeds 5, 6, 7 and at 5, 6, 5, whose last group swaps back to the
+    first group's scaffold;
   * a ``full_training`` run, and static runs with a ``lora`` head and with
     a zero scaffold (``b_init="kaiming"``, rank-stabilized scaling);
   * ``to_shipping_precision`` on fixed adversarial tensors: ties at
@@ -186,8 +188,8 @@ def _cases():
     # out-of-class mode labels rows 10, so the gated model keeps all ten digit outputs
     gate_cfg = ModelConfig(preset=None, hidden_dims=(24, 16), input_dim=20, num_classes=10, rank=3, dropout=0.2)
 
-    def seedgate_case(ooc, test, groups=({0, 1}, {2, 3}), cfg=gate_cfg):
-        partition = data.make_partition(groups, [5, 6, 7][:len(groups)], ooc_mode=ooc)
+    def seedgate_case(ooc, test, groups=({0, 1}, {2, 3}), cfg=gate_cfg, seeds=(5, 6)):
+        partition = data.make_partition(groups, seeds, ooc_mode=ooc)
         result = train.seed_gated_train(partition, cfg, train.TrainConfig(lr=3e-3, batch_size=37, epochs=2),
                                         train_set, test)
         rates = [result.assigned_accuracy, result.non_assigned_accuracy, result.ooc_digit0_rate]
@@ -199,7 +201,10 @@ def _cases():
     yield f"seedgate ooc=0 test n={len(long_test)}", seedgate_case(False, long_test)
     lora_gate_cfg = ModelConfig(preset=None, hidden_dims=(24, 16), input_dim=20, num_classes=10, rank=3,
                                 dropout=0.2, head_mode="lora")
-    yield "seedgate ooc=0 3 groups lora head", seedgate_case(False, test_set, ({0}, {1, 2}, {3}), lora_gate_cfg)
+    yield "seedgate ooc=0 3 groups lora head", seedgate_case(False, test_set, ({0}, {1, 2}, {3}), lora_gate_cfg,
+                                                             (5, 6, 7))
+    yield "seedgate ooc=0 3 groups seeds 5,6,5 lora head", seedgate_case(False, test_set, ({0}, {1, 2}, {3}),
+                                                                         lora_gate_cfg, (5, 6, 5))
 
     cfg = ModelConfig(preset="tiny", rank=4, layernorm=True, head_mode="lora_bias")
     model = build_model(cfg, BackboneSpec.from_config(cfg, 3))

@@ -32,13 +32,13 @@ def test_bitcheck_prints_one_stable_digest_over_the_case_grid():
     lines = runs[0].stdout.splitlines()
     assert re.fullmatch(r"digest [0-9a-f]{64}", lines[-1])
     cases = [line.split("  ", 1)[1] for line in lines[:-1]]
-    assert len(cases) == len(set(cases)) == 147
+    assert len(cases) == len(set(cases)) == 148
     assert sum(c.startswith("train ") for c in cases) == 46
     train_lines = [c.rsplit(" ", 1) for c in cases if c.startswith("train ")]
     assert [part for _, part in train_lines] == ["trajectory", "shipped"] * 23
     assert [name for name, _ in train_lines[::2]] == [name for name, _ in train_lines[1::2]]
     assert cases.count("shipping grid adversarial") == 1
-    assert sum(c.startswith("seedgate ") for c in cases) == 4
+    assert sum(c.startswith("seedgate ") for c in cases) == 5
     assert [c for c in cases if c.startswith("eval ")][-1] == "eval n=1534"
     assert [c for c in cases if c.startswith("evaluate ")][-1] == "evaluate n=1534 view=0"
     assert sum(c.startswith("evaluate ") for c in cases) == 6
@@ -68,6 +68,6 @@ def test_bitcheck_prints_the_committed_lines_of_its_fixture_key(core):
     with open(path, encoding="utf-8") as fh:
         want = fh.read().splitlines()
     got = result.stdout.splitlines()
-    assert len(got) == len(want) == 148
+    assert len(got) == len(want) == 149
     moved = [line.split("  ", 1)[-1] for line, old in zip(got, want) if line != old]
     assert not moved, f"lines that moved under {key}: {moved}"
