@@ -5,9 +5,10 @@ seed-gated multitask training.
 Every run is deterministic given (run seed, configs): data order comes
 from the shuffle stream derived from the run seed, dropout masks from
 per-layer mask streams, and scaffold redraws from per-layer backbone
-streams that keep advancing across resample events.  Seed gating trains
-each label group on its seed's scaffold, the one ``draw_scaffold`` gives
-and a fresh build for that seed has, drawn once per distinct seed.
+streams that keep advancing across resample events.  The loop takes
+its scaffolds as data, ``(dataset, frozen)`` segments.  Seed gating
+draws each distinct seed once with ``draw_scaffold``, builds on the first
+seed's draw and gives each label group its seed's frozen arrays.
 
 The model holds its scaffold and ``params``; a run's ``AdamW`` holds the
 rest of the training state, the gradient buffer and both moments.
@@ -221,12 +222,20 @@ def _train_step(model, optimizer, grads, x, y, lr_t, resample: str, k: int, firs
     return loss_sum / rows, correct, rows
 
 
+def _install_scaffold(model: Model, frozen: list) -> None:
+    """Set each LottaLayer's matrix and bias from ``frozen``, a scaffold's ``(matrix, bias)`` list."""
+    for layer, pair in zip(model.lotta_layers(), frozen, strict=True):
+        layer.set_backbone(*pair)
+
+
 def _train_loop(model: Model, cfg: TrainConfig, segments, shuffle):
     """The one training loop behind ``train_run`` and ``seed_gated_train``.
 
-    Every epoch runs the ``(dataset, prepare)`` segments in order:
-    ``prepare(epoch)`` sets up the scaffold, then the dataset is shuffled
-    and cut into batches, each one ``_train_step`` under ``cfg.resample``.
+    Every epoch runs the ``(dataset, frozen)`` segments in order: a
+    scaffold's ``(matrix, bias)`` list ``frozen`` is installed (None keeps
+    the model's), then the dataset is shuffled and cut into batches, each
+    one ``_train_step`` under ``cfg.resample``.  Under ``per_epoch`` each
+    epoch but the first starts with a redraw.
     Yields ``(epoch, train_loss, train_accuracy, lr)`` after each epoch;
     the train metrics are row-weighted means over every forward row.
     """
@@ -235,10 +244,13 @@ def _train_loop(model: Model, cfg: TrainConfig, segments, shuffle):
     total_steps = cfg.epochs * sum(math.ceil(len(data) / cfg.batch_size) for data, _ in segments)
     step = 0
     for epoch in range(cfg.epochs):
+        if cfg.resample == "per_epoch" and epoch > 0:
+            model.resample_backbones()
         loss_sum = 0.0
         correct = rows = batch_rows = 0
-        for data, prepare in segments:
-            prepare(epoch)
+        for data, frozen in segments:
+            if frozen is not None:
+                _install_scaffold(model, frozen)
             perm = shuffle.permutation(len(data))
             for start in range(0, len(data), cfg.batch_size):
                 idx = perm[start:start + cfg.batch_size]
@@ -299,14 +311,10 @@ def train_run(
     shuffle = derive_stream(backbone_spec.seed, 0, DrawKind.DATA_SHUFFLE)
     train_split, val_split = split_train_val(train_dataset, shuffle, train_cfg.val_fraction)
 
-    def redraw_per_epoch(epoch):
-        if train_cfg.resample == "per_epoch" and epoch > 0:
-            model.resample_backbones()
-
     metrics = RunMetrics()
     best_val = -1.0
     best_params = None
-    epochs = _train_loop(model, train_cfg, [(train_split, redraw_per_epoch)], shuffle)
+    epochs = _train_loop(model, train_cfg, [(train_split, None)], shuffle)
     for epoch, train_loss, train_acc, lr in epochs:
         val_loss, val_acc = evaluate(model, val_split)
         betas = _layer_betas(model)
@@ -378,22 +386,13 @@ def seed_gated_train(
     num_classes = partition.num_model_classes(model_cfg.num_classes)
     cfg = replace(model_cfg, num_classes=num_classes)
     spec = BackboneSpec.from_config(cfg, partition.seeds[0], family)
-    model = build_model(cfg, spec)
-    shuffle = derive_stream(partition.seeds[0], 0, DrawKind.DATA_SHUFFLE)
-
+    draws = {seed: draw_scaffold(*scaffold_args(cfg, replace(spec, seed=seed)))
+             for seed in dict.fromkeys(partition.seeds)}
+    model = Model(cfg, spec, draws[spec.seed])
+    shuffle = derive_stream(spec.seed, 0, DrawKind.DATA_SHUFFLE)
+    frozen = [draws[seed][1] for seed in partition.seeds]
     views = [partition.training_view(train_dataset, g) for g in range(len(partition.groups))]
-    # one scaffold per distinct seed, the first seed's the build's
-    scaffolds = {partition.seeds[0]: [(layer.backbone, layer.frozen_bias) for layer in model.lotta_layers()]}
-    for seed in partition.seeds:
-        if seed not in scaffolds:
-            scaffolds[seed] = draw_scaffold(*scaffold_args(cfg, replace(spec, seed=seed)))[1]
-
-    def install(seed):
-        for layer, frozen in zip(model.lotta_layers(), scaffolds[seed]):
-            layer.set_backbone(*frozen)
-
-    segments = [(view, lambda _epoch, seed=seed: install(seed)) for view, seed in zip(views, partition.seeds)]
-    for _ in _train_loop(model, train_cfg, segments, shuffle):
+    for _ in _train_loop(model, train_cfg, list(zip(views, frozen)), shuffle):
         pass  # nothing to record between epochs
 
     confusion = []
@@ -401,7 +400,7 @@ def seed_gated_train(
     non_assigned = []
     ooc0 = []
     for g in range(len(partition.groups)):
-        install(partition.seeds[g])
+        _install_scaffold(model, frozen[g])
         preds = np.concatenate([logits.argmax(axis=1) for logits, _ in _eval_chunks(model, test_dataset)])
         counts = np.zeros((10, num_classes), dtype=np.int64)
         for digit in range(10):

@@ -147,22 +147,18 @@ def test_full_training_matches_the_tape_bitwise(resample, k, rows, monkeypatch):
 
 
 def recorded_run(run, monkeypatch):
-    """``run()`` with the models and optimizers that ``lottalora.train``
-    builds recorded; returns (run's result, state of the last ones)."""
+    """``run()`` with the optimizers that ``lottalora.train`` makes, and
+    their models, recorded; returns (run's result, state of the last ones)."""
     models, optimizers = [], []
 
     class RecordingAdamW(AdamW):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
+        def __init__(self, model, weight_decay):
+            super().__init__(model, weight_decay)
+            models.append(model)
             optimizers.append(self)
-
-    def recording_build(cfg, spec):
-        models.append(build_model(cfg, spec))
-        return models[-1]
 
     with monkeypatch.context() as patch:
         patch.setattr(train_mod, "AdamW", RecordingAdamW)
-        patch.setattr(train_mod, "build_model", recording_build)
         result = run()
     return result, final_state(models[-1], optimizers[-1])
 

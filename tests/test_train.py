@@ -584,25 +584,31 @@ def test_each_group_trains_and_evaluates_on_a_fresh_build_of_its_seed(head_mode,
     seeds = [42, 43, 42]
     cfg = blob_model_cfg(input_dim=12, num_classes=10, dropout=0.2, head_mode=head_mode)
     expected = [build_model(cfg, BackboneSpec.from_config(cfg, seed)).backbone_hashes() for seed in seeds]
-    trained, evaluated = [], []
-    loop, eval_chunks = train_module._train_loop, train_module._eval_chunks
+    trained, evaluated, epochs, group_of = [], [], [], {}
+    loop, install, eval_chunks = train_module._train_loop, train_module._install_scaffold, train_module._eval_chunks
 
     def watched_loop(model, tcfg, segments, shuffle):
-        def watch(g, prepare):
-            def run(epoch):
-                before = [p.data.copy() for _, p in model.trainable_params()]
-                prepare(epoch)
-                # a scaffold swap leaves every adapter and the head as they were
-                assert all(np.array_equal(a, p.data) for a, (_, p) in zip(before, model.trainable_params()))
-                trained.append((epoch, g, model.backbone_hashes()))
-            return run
-        return loop(model, tcfg, [(data, watch(g, prepare)) for g, (data, prepare) in enumerate(segments)], shuffle)
+        # each group trains on its own copy of its seed's list, so an install names its group
+        segments = [(data, list(frozen)) for data, frozen in segments]
+        group_of.update((id(frozen), g) for g, (_, frozen) in enumerate(segments))
+        for epoch, *rest in loop(model, tcfg, segments, shuffle):
+            epochs.append(epoch)
+            yield epoch, *rest
+
+    def watched_install(model, frozen):
+        before = [p.data.copy() for _, p in model.trainable_params()]
+        install(model, frozen)
+        # a scaffold swap leaves every adapter and the head as they were
+        assert all(np.array_equal(a, p.data) for a, (_, p) in zip(before, model.trainable_params()))
+        if id(frozen) in group_of:  # a training segment's, not the evaluation's
+            trained.append((len(epochs), group_of[id(frozen)], model.backbone_hashes()))
 
     def watched_eval(model, dataset):
         evaluated.append(model.backbone_hashes())
         return eval_chunks(model, dataset)
 
     monkeypatch.setattr(train_module, "_train_loop", watched_loop)
+    monkeypatch.setattr(train_module, "_install_scaffold", watched_install)
     monkeypatch.setattr(train_module, "_eval_chunks", watched_eval)
     seed_gated_train(make_partition([{0}, {1}, {2}], seeds), cfg, quick_train_cfg(epochs=2), train, test)
     assert [(epoch, g) for epoch, g, _ in trained] == [(e, g) for e in range(2) for g in range(3)]
