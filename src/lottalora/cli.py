@@ -457,29 +457,29 @@ def cmd_betastats(args) -> int:
 
 
 def _add_model_flags(p: argparse.ArgumentParser, rank: bool = True):
-    p.add_argument("--preset", default="medium", choices=list(PRESETS))
+    p.add_argument("--preset", default=ModelConfig.preset, choices=list(PRESETS))
     if rank:
-        p.add_argument("--rank", type=int, default=8)
-    p.add_argument("--alpha", type=float, default=1.0)
+        p.add_argument("--rank", type=int, default=ModelConfig.rank)
+    p.add_argument("--alpha", type=float, default=ModelConfig.alpha)
     p.add_argument("--scaling", default="standard", choices=["standard", "rslora"])
     p.add_argument("--family", default="normal")
     p.add_argument("--family-param", action="append", metavar="K=V")
     p.add_argument("--family-scaling", default=None, choices=SCALINGS)
-    p.add_argument("--head", default="full", choices=HEAD_MODES)
-    p.add_argument("--dropout", type=float, default=0.1)
+    p.add_argument("--head", default=ModelConfig.head_mode, choices=HEAD_MODES)
+    p.add_argument("--dropout", type=float, default=ModelConfig.dropout)
     p.add_argument("--layernorm", action="store_true")
     p.add_argument("--full", action="store_true", help="fully trained baseline (no frozen backbone)")
     p.add_argument("--zero-scaffold", action="store_true")
-    p.add_argument("--b-init", default="zeros", choices=B_INITS,
+    p.add_argument("--b-init", default=ModelConfig.b_init, choices=B_INITS,
                    help="adapter B init; use kaiming with --zero-scaffold")
     p.add_argument("--config", default=None, help="flat JSON config; flags override")
 
 
 def _add_train_flags(p: argparse.ArgumentParser):
-    p.add_argument("--epochs", type=int, default=20)
-    p.add_argument("--batch-size", type=int, default=128)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--weight-decay", type=float, default=1e-2)
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
+    p.add_argument("--lr", type=float, default=TrainConfig.lr)
+    p.add_argument("--weight-decay", type=float, default=TrainConfig.weight_decay)
     p.add_argument("--data-dir", default=None)
     p.add_argument("--out-dir", default="out")
 

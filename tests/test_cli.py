@@ -10,7 +10,7 @@ import pytest
 import lottalora
 import lottalora.artifact as artifact_mod
 from lottalora.artifact import load, pack, read, save, unpack
-from lottalora.cli import EXIT_CODES, run, run_grid
+from lottalora.cli import EXIT_CODES, _model_config, _resolve_family, _train_config, build_parser, run, run_grid
 from lottalora.errors import LottaError
 from lottalora.initfam import InitFamily
 from lottalora.model import BackboneSpec, ModelConfig, build_model
@@ -238,6 +238,18 @@ def test_malformed_summary_is_config_error(tmp_path, capsys, text):
     summary.write_text(text)
     assert run(["betastats", str(summary)]) == 3
     assert json.loads(capsys.readouterr().err)["error"] == "config"
+
+
+def test_commands_parsed_with_no_flags_give_the_library_defaults():
+    # the CLI restates no default: an unset flag reads the config's field
+    parser = build_parser()
+    parsed = {name: parser.parse_args([name]) for name in ("train", "pack", "seedgate", "sweep")}
+    for name in ("train", "pack", "seedgate"):
+        assert _model_config(parsed[name], parsed[name].rank) == ModelConfig(), name
+    for name in ("train", "seedgate", "sweep"):
+        assert _train_config(parsed[name]) == TrainConfig(), name
+    for name, args in parsed.items():
+        assert _resolve_family(args, args.family) == BackboneSpec(seed=0).family, name
 
 
 def test_scaling_flag_maps_to_rank_stabilized(tmp_path, capsys):
