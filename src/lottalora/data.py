@@ -31,6 +31,8 @@ from .prng import DRAW_CHUNK, Stream, check_seed
 
 MNIST_MEAN = 0.1307
 MNIST_STD = 0.3081
+# share of the training set held out for validation: a fixed constant, not a setting
+VAL_FRACTION = 0.1
 
 IMAGES_MAGIC = 0x00000803
 LABELS_MAGIC = 0x00000801
@@ -154,13 +156,14 @@ def load_mnist(data_dir: str) -> tuple[Dataset, Dataset]:
                  for split in ("train", "test"))
 
 
-def split_train_val(dataset: Dataset, stream: Stream, val_fraction: float = 0.1) -> tuple[Dataset, Dataset]:
-    """Deterministic 90/10 split from the supplied shuffle stream."""
+def split_train_val(dataset: Dataset, stream: Stream) -> tuple[Dataset, Dataset]:
+    """Deterministic split, ``VAL_FRACTION`` held out for validation, from
+    the supplied shuffle stream."""
     n = len(dataset)
-    n_val = int(round(n * val_fraction))
+    n_val = int(round(n * VAL_FRACTION))
     if not 0 < n_val < n:
         raise DataError(
-            f"a {val_fraction:g} validation split of {n} rows leaves {n_val} validation and "
+            f"a {VAL_FRACTION:g} validation split of {n} rows leaves {n_val} validation and "
             f"{n - n_val} training rows; both need at least one"
         )
     perm = stream.permutation(n)

@@ -33,7 +33,7 @@ from typing import ClassVar
 import numpy as np
 
 from .artifact import to_shipping_precision
-from .data import Dataset, split_train_val
+from .data import VAL_FRACTION, Dataset, split_train_val
 from .errors import ConfigError, DataError, RunError, finite, integer, shown
 from .model import BackboneSpec, Model, ModelConfig, build_model, draw_scaffold, eval_blocks, scaffold_args, scaffold_key
 from .numerics import softmax_xent
@@ -56,7 +56,7 @@ class TrainConfig:
     schedule: str = "cosine"
     resample: str = "static"
     resample_k: int = 2
-    val_fraction: ClassVar[float] = 0.1  # share of the training set held out for validation
+    val_fraction: ClassVar[float] = VAL_FRACTION
 
     def __post_init__(self):
         for name in ("batch_size", "epochs", "resample_k"):
@@ -309,7 +309,7 @@ def train_run(
     started = time.perf_counter()
     model = _run_model(model_cfg, backbone_spec, train_cfg.resample)
     shuffle = derive_stream(backbone_spec.seed, 0, DrawKind.DATA_SHUFFLE)
-    train_split, val_split = split_train_val(train_dataset, shuffle, train_cfg.val_fraction)
+    train_split, val_split = split_train_val(train_dataset, shuffle)
 
     metrics = RunMetrics()
     best_val = -1.0

@@ -13,7 +13,7 @@ import pytest
 
 import lottalora.train as train_mod
 from lottalora.artifact import pack
-from lottalora.data import Dataset, LabelPartition, make_partition, split_train_val, synthetic_blobs
+from lottalora.data import VAL_FRACTION, Dataset, LabelPartition, make_partition, split_train_val, synthetic_blobs
 from lottalora.initfam import InitFamily
 from lottalora.model import BackboneSpec, ModelConfig, build_model
 from lottalora.prng import DrawKind, derive_stream
@@ -30,9 +30,9 @@ def copying_subset(dataset, indices, split=None):
     return Dataset(dataset.images[indices], dataset.labels[indices], split or dataset.split)
 
 
-def copying_split_train_val(dataset, stream, val_fraction=0.1):
+def copying_split_train_val(dataset, stream):
     n = len(dataset)
-    n_val = int(round(n * val_fraction))
+    n_val = int(round(n * VAL_FRACTION))
     perm = stream.permutation(n)
     return copying_subset(dataset, perm[n_val:], "train"), copying_subset(dataset, perm[:n_val], "val")
 

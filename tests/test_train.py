@@ -276,7 +276,7 @@ def test_per_batch_train_accuracy_counts_every_forward_row():
     tcfg = quick_train_cfg(epochs=1, batch_size=len(train), resample="per_batch", resample_k=2)
     metrics = train_run(cfg, spec, tcfg, train, test)
 
-    split, _ = split_train_val(train, derive_stream(seed, 0, DrawKind.DATA_SHUFFLE), tcfg.val_fraction)
+    split, _ = split_train_val(train, derive_stream(seed, 0, DrawKind.DATA_SHUFFLE))
     replay = build_model(cfg, spec)
     correct, losses = [], []
     for j in range(2):
