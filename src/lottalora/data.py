@@ -31,8 +31,7 @@ from .prng import DRAW_CHUNK, Stream, check_seed
 
 MNIST_MEAN = 0.1307
 MNIST_STD = 0.3081
-# share of the training set held out for validation: a fixed constant, not a setting
-VAL_FRACTION = 0.1
+VAL_FRACTION = 0.1  # share of the training set held out for validation: a constant, not a setting
 
 IMAGES_MAGIC = 0x00000803
 LABELS_MAGIC = 0x00000801
@@ -157,8 +156,7 @@ def load_mnist(data_dir: str) -> tuple[Dataset, Dataset]:
 
 
 def split_train_val(dataset: Dataset, stream: Stream) -> tuple[Dataset, Dataset]:
-    """Deterministic split, ``VAL_FRACTION`` held out for validation, from
-    the supplied shuffle stream."""
+    """Deterministic split, ``VAL_FRACTION`` held out, from the supplied shuffle stream."""
     n = len(dataset)
     n_val = int(round(n * VAL_FRACTION))
     if not 0 < n_val < n:
