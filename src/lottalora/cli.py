@@ -92,9 +92,9 @@ def _parse_int(text: str, what: str) -> int:
 
 def _parse_resample(text: str) -> tuple[str, int]:
     if text == "static":
-        return "static", 2
+        return "static", TrainConfig.resample_k
     if text == "epoch":
-        return "per_epoch", 2
+        return "per_epoch", TrainConfig.resample_k
     for prefix, kind in (("batch:", "per_batch"), ("micro:", "microbatch")):
         if text.startswith(prefix):
             return kind, _parse_int(text[len(prefix):], f"schedule {text!r}")
@@ -184,7 +184,7 @@ def _model_config(args, rank: int) -> ModelConfig:
     )
 
 
-def _train_config(args, resample="static", resample_k=2) -> TrainConfig:
+def _train_config(args, resample=TrainConfig.resample, resample_k=TrainConfig.resample_k) -> TrainConfig:
     return TrainConfig(
         lr=args.lr,
         weight_decay=args.weight_decay,
@@ -462,7 +462,7 @@ def _add_model_flags(p: argparse.ArgumentParser, rank: bool = True):
         p.add_argument("--rank", type=int, default=ModelConfig.rank)
     p.add_argument("--alpha", type=float, default=ModelConfig.alpha)
     p.add_argument("--scaling", default="standard", choices=["standard", "rslora"])
-    p.add_argument("--family", default="normal")
+    p.add_argument("--family", default=BackboneSpec(seed=0).family.name)
     p.add_argument("--family-param", action="append", metavar="K=V")
     p.add_argument("--family-scaling", default=None, choices=SCALINGS)
     p.add_argument("--head", default=ModelConfig.head_mode, choices=HEAD_MODES)

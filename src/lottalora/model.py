@@ -26,7 +26,7 @@ import hashlib
 import itertools
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -241,8 +241,8 @@ class BackboneSpec:
 
     @staticmethod
     def from_config(cfg: ModelConfig, seed: int, family: InitFamily | None = None) -> "BackboneSpec":
-        fam = family if family is not None else InitFamily("normal")
-        return BackboneSpec(seed=seed, family=fam, layer_shapes=cfg.layer_shapes())
+        spec = BackboneSpec(seed=seed, layer_shapes=cfg.layer_shapes())
+        return spec if family is None else replace(spec, family=family)
 
     @staticmethod
     def from_dict(d: dict) -> "BackboneSpec":

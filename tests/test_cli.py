@@ -10,7 +10,9 @@ import pytest
 import lottalora
 import lottalora.artifact as artifact_mod
 from lottalora.artifact import load, pack, read, save, unpack
-from lottalora.cli import EXIT_CODES, _model_config, _resolve_family, _train_config, build_parser, run, run_grid
+from lottalora.cli import (
+    EXIT_CODES, _model_config, _parse_resample, _resolve_family, _train_config, build_parser, run, run_grid,
+)
 from lottalora.errors import LottaError
 from lottalora.initfam import InitFamily
 from lottalora.model import BackboneSpec, ModelConfig, build_model
@@ -248,8 +250,13 @@ def test_commands_parsed_with_no_flags_give_the_library_defaults():
         assert _model_config(parsed[name], parsed[name].rank) == ModelConfig(), name
     for name in ("train", "seedgate", "sweep"):
         assert _train_config(parsed[name]) == TrainConfig(), name
+    # the default schedules parse to the config's resample and resample_k
+    for schedule in (parsed["train"].resample, parsed["sweep"].schedules):
+        assert _train_config(parsed["train"], *_parse_resample(schedule)) == TrainConfig(), schedule
+    default_family = BackboneSpec(seed=0).family
+    assert BackboneSpec.from_config(ModelConfig(), 0).family == default_family
     for name, args in parsed.items():
-        assert _resolve_family(args, args.family) == BackboneSpec(seed=0).family, name
+        assert _resolve_family(args, args.family) == default_family, name
 
 
 def test_scaling_flag_maps_to_rank_stabilized(tmp_path, capsys):
