@@ -26,7 +26,7 @@ import numpy as np
 
 from . import artifact as artifact_mod
 from .cost import ARCHS, cost_report, rank_star
-from .data import Dataset, load_mnist, make_partition
+from .data import load_mnist, make_partition
 from .errors import ConfigError, DataError, FormatError, IntegrityError, LottaError, RunError, real
 from .initfam import SCALINGS, InitFamily
 from .layers import B_INITS
@@ -119,15 +119,6 @@ def _read_json(path: str, what: str, kinds: tuple = (dict,)):
         expected = " or ".join(_JSON_TYPES[k] for k in kinds)
         raise ConfigError(f"{what} {path} must hold a JSON {expected}, got {type(value).__name__}")
     return value
-
-
-def _check_width(input_dim: int, *datasets: Dataset) -> None:
-    """A DataError unless every dataset's rows have ``input_dim`` entries,
-    so a mismatched data set fails before anything is built or trained."""
-    for ds in datasets:
-        width = ds.take(slice(0, 0)).shape[1]
-        if width != input_dim:
-            raise DataError(f"the {ds.split} images have {width} pixels per row; the model expects {input_dim}")
 
 
 def _config_defaults(parser: argparse.ArgumentParser, path: str) -> dict:
@@ -224,7 +215,6 @@ def _train_task(task: dict, datasets) -> RunMetrics:
     """Train one flat task dict; writes metrics.csv and summary.json to its
     out_dir when it has one."""
     cfg = ModelConfig(**task["model"])
-    _check_width(cfg.input_dim, *datasets)
     spec = BackboneSpec.from_config(cfg, task["seed"], InitFamily.from_dict(task["family"]))
     metrics = train_run(cfg, spec, TrainConfig(**task["train"]), *datasets)
     out_dir = task.get("out_dir")
@@ -345,7 +335,6 @@ def cmd_seedgate(args) -> int:
     model_cfg = _model_config(args, args.rank)
     train_cfg = _train_config(args)
     train_ds, test_ds = load_mnist(_resolve_data_dir(args))
-    _check_width(model_cfg.input_dim, train_ds, test_ds)
     result = seed_gated_train(partition, model_cfg, train_cfg, train_ds, test_ds,
                               family=_resolve_family(args, args.family))
     payload = {
@@ -395,7 +384,6 @@ def cmd_verify(args) -> int:
         raise FormatError(f"recorded final_test_accuracy is not a number: {recorded!r}")
     model = artifact_mod.reconstruct(header, tensors)
     _, test_ds = load_mnist(data_dir)
-    _check_width(model.cfg.input_dim, test_ds)
     loss, acc = evaluate(model, test_ds)
     if recorded is not None and acc != recorded:
         raise IntegrityError(

@@ -160,14 +160,20 @@ def _eval_chunks(model: Model, dataset: Dataset):
         yield model.forward_logits(dataset.take(rows)).data, dataset.labels[rows]
 
 
-def _require_rows(dataset: Dataset) -> None:
-    if len(dataset) == 0:
-        raise DataError(f"cannot evaluate on an empty {dataset.split} set")
+def _check_datasets(input_dim: int, *datasets: Dataset) -> None:
+    """A DataError unless every dataset has rows, each of ``input_dim`` pixels."""
+    for ds in datasets:
+        if len(ds) == 0:
+            raise DataError(f"cannot train or evaluate on an empty {ds.split} set")
+        row = ds.take(slice(0, 0)).shape[1:]
+        if row != (input_dim,):
+            width = "x".join(map(str, row)) or "no"
+            raise DataError(f"the {ds.split} images have {width} pixels per row; the model expects {input_dim}")
 
 
 def evaluate(model: Model, dataset: Dataset) -> tuple[float, float]:
     """(mean loss, accuracy) in eval mode."""
-    _require_rows(dataset)
+    _check_datasets(model.cfg.input_dim, dataset)
     total_loss = 0.0
     correct = 0
     n = len(dataset)
@@ -307,9 +313,10 @@ def train_run(
     place, or the model stays f32 and packs as format version 1.  The
     best-val weights are a copy of ``model.params``."""
     started = time.perf_counter()
-    model = _run_model(model_cfg, backbone_spec, train_cfg.resample)
+    _check_datasets(model_cfg.input_dim, train_dataset, test_dataset)
     shuffle = derive_stream(backbone_spec.seed, 0, DrawKind.DATA_SHUFFLE)
     train_split, val_split = split_train_val(train_dataset, shuffle)
+    model = _run_model(model_cfg, backbone_spec, train_cfg.resample)
 
     metrics = RunMetrics()
     best_val = -1.0
@@ -382,8 +389,9 @@ def seed_gated_train(
         raise ConfigError(f"seed gating requires lottalora mode, got mode={model_cfg.mode!r}")
     if train_cfg.resample != "static":
         raise ConfigError(f"seed gating trains on static scaffolds only, got resample={train_cfg.resample!r}")
-    _require_rows(test_dataset)
     num_classes = partition.num_model_classes(model_cfg.num_classes)
+    _check_datasets(model_cfg.input_dim, train_dataset, test_dataset)
+    views = [partition.training_view(train_dataset, g) for g in range(len(partition.groups))]
     cfg = replace(model_cfg, num_classes=num_classes)
     spec = BackboneSpec.from_config(cfg, partition.seeds[0], family)
     draws = {seed: draw_scaffold(*scaffold_args(cfg, replace(spec, seed=seed)))
@@ -391,7 +399,6 @@ def seed_gated_train(
     model = Model(cfg, spec, draws[spec.seed])
     shuffle = derive_stream(spec.seed, 0, DrawKind.DATA_SHUFFLE)
     frozen = [draws[seed][1] for seed in partition.seeds]
-    views = [partition.training_view(train_dataset, g) for g in range(len(partition.groups))]
     for _ in _train_loop(model, train_cfg, list(zip(views, frozen)), shuffle):
         pass  # nothing to record between epochs
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lottalora.artifact import GRID_MAX, pack, reconstruct, to_shipping_precision, unpack
-from lottalora.data import make_partition, split_train_val, synthetic_blobs
+from lottalora.data import Dataset, make_partition, split_train_val, synthetic_blobs
 from lottalora.errors import ConfigError, DataError, RunError
 from lottalora.initfam import InitFamily
 from lottalora import model as model_module
@@ -362,10 +362,19 @@ def test_seed_gated_divergence_names_epoch_and_step():
     assert exc.value.last_finite_epoch is not None
 
 
+def refuse_to_build(monkeypatch):
+    """Make a scaffold draw or a model build fail the test, so a refusal
+    that passes shows the run checked its input before either."""
+    monkeypatch.setattr(train_module, "_scaffold_memo", None)
+    for name in ("draw_scaffold", "build_model"):
+        monkeypatch.setattr(f"lottalora.train.{name}", lambda *args, name=name: pytest.fail(f"called {name} on a refused input"))
+
+
 @pytest.mark.parametrize("groups", [[{0, 1}, {5}], [{5}, {6}]])
-def test_seed_gating_on_a_group_without_training_rows_is_a_data_error(groups):
+def test_seed_gating_on_a_group_without_training_rows_is_a_data_error(groups, monkeypatch):
     train, test = blob_data(n=120)
     partition = make_partition(groups, [42, 43])
+    refuse_to_build(monkeypatch)
     with pytest.raises(DataError, match=r"\[5\]"):
         seed_gated_train(partition, blob_model_cfg(num_classes=10), quick_train_cfg(epochs=1), train, test)
 
@@ -412,29 +421,53 @@ def test_train_cfg_accepts_zero_weight_decay():
     assert TrainConfig(weight_decay=0.0).weight_decay == 0.0
 
 
-def test_train_run_on_four_rows_is_a_data_error():
-    # a 10% validation split of 4 rows rounds to none
-    train, test = blob_data(n=4)
+def bad_sets(n=120):
+    """``(train, test)`` pairs for a 16-input model that a run must refuse,
+    each with the message it is refused with."""
+    train, test = blob_data(n=n)
+    narrow_train, narrow_test = blob_data(n=n, d=12)
+    return {
+        # a 10% validation split of 4 rows rounds to none
+        "four train rows": ((blob_data(n=4)[0], test), "validation"),
+        "empty test": ((train, test.subset(np.arange(0))), "empty test set"),
+        "narrow train": ((narrow_train, test), "train images have 12 pixels per row; the model expects 16"),
+        "narrow test": ((train, narrow_test), "test images have 12 pixels per row; the model expects 16"),
+        "empty train": ((train.subset(np.arange(0)), test), "empty train set"),
+    }
+
+
+@pytest.mark.parametrize("case", ["four train rows", "empty test", "narrow train", "narrow test"])
+@pytest.mark.parametrize("resample", ["static", "per_epoch"])
+def test_train_run_refuses_a_bad_data_set_before_drawing(case, resample, monkeypatch):
+    datasets, match = bad_sets()[case]
     cfg = blob_model_cfg()
-    with pytest.raises(DataError, match="validation"):
-        train_run(cfg, BackboneSpec.from_config(cfg, 1), quick_train_cfg(epochs=1), train, test)
+    refuse_to_build(monkeypatch)
+    with pytest.raises(DataError, match=match):
+        train_run(cfg, BackboneSpec.from_config(cfg, 1), quick_train_cfg(epochs=1, resample=resample), *datasets)
 
 
-def test_evaluate_rejects_an_empty_dataset():
-    train, _ = blob_data()
+@pytest.mark.parametrize("dataset,match", [
+    (blob_data()[0].subset(np.arange(0), "test"), "empty test set"),
+    (blob_data(d=12)[1], "test images have 12 pixels per row; the model expects 16"),
+    (Dataset(np.zeros((5, 4, 4), np.float32), np.zeros(5, np.int64), "test"), "4x4 pixels per row"),
+    (Dataset(np.zeros(5, np.float32), np.zeros(5, np.int64), "test"), "no pixels per row"),
+], ids=["empty", "narrow", "square", "flat"])
+def test_evaluate_rejects_an_empty_or_wrong_width_dataset(dataset, match):
     cfg = blob_model_cfg()
     model = build_model(cfg, BackboneSpec.from_config(cfg, 1))
-    with pytest.raises(DataError, match="empty"):
-        evaluate(model, train.subset(np.arange(0), "test"))
+    with pytest.raises(DataError, match=match):
+        evaluate(model, dataset)
 
 
-def test_seed_gated_train_rejects_an_empty_test_set_before_training(monkeypatch):
-    full = synthetic_blobs(100, 20, 4, 3.0, 7)
-    partition = make_partition([{0, 1}, {2, 3}], [5, 6])
-    monkeypatch.setattr("lottalora.train.build_model", lambda *args: pytest.fail("built a model for an empty test set"))
-    with pytest.raises(DataError, match="empty test set"):
-        seed_gated_train(partition, blob_model_cfg(input_dim=20, num_classes=10), quick_train_cfg(epochs=1),
-                         full, full.subset(np.arange(0), "test"))
+@pytest.mark.parametrize("case,ooc", [("empty test", False), ("narrow train", False), ("narrow test", False),
+                                      ("empty train", True)])
+def test_seed_gated_train_refuses_a_bad_data_set_before_drawing(case, ooc, monkeypatch):
+    # an empty OOC training set used to reach the loop and divide by zero rows
+    datasets, match = bad_sets()[case]
+    partition = make_partition([{0, 1}, {2}], [5, 6], ooc_mode=ooc)
+    refuse_to_build(monkeypatch)
+    with pytest.raises(DataError, match=match):
+        seed_gated_train(partition, blob_model_cfg(num_classes=10), quick_train_cfg(epochs=1), *datasets)
 
 
 @pytest.mark.parametrize("resample,k", [("per_epoch", 2), ("per_batch", 2), ("microbatch", 4)])
@@ -442,7 +475,7 @@ def test_seed_gating_refuses_a_resampling_schedule(resample, k, monkeypatch):
     # the schedule used to be ignored: microbatch:4 gave the static run's confusion matrices
     train, test = blob_data(n=90, classes=3)
     partition = make_partition([{0, 1}, {2}], [5, 6])
-    monkeypatch.setattr("lottalora.train.build_model", lambda *args: pytest.fail("built a model to train"))
+    refuse_to_build(monkeypatch)
     with pytest.raises(ConfigError, match=resample):
         seed_gated_train(partition, blob_model_cfg(), quick_train_cfg(resample=resample, resample_k=k), train, test)
 
