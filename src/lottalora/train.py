@@ -384,12 +384,16 @@ def seed_gated_train(
     """Train one shared adapter, cycling through the partition's backbone
     seeds within every epoch; evaluate each test digit under each seed.
     Each group has its seed's one scaffold, so the schedule is static, and
-    the mode is lottalora, the one whose frozen layers a seed draws."""
+    the mode is lottalora, the one whose frozen layers a seed draws.  A
+    label the model has no output for is a ConfigError before any draw."""
     if model_cfg.mode != "lottalora":
         raise ConfigError(f"seed gating requires lottalora mode, got mode={model_cfg.mode!r}")
     if train_cfg.resample != "static":
         raise ConfigError(f"seed gating trains on static scaffolds only, got resample={train_cfg.resample!r}")
     num_classes = partition.num_model_classes(model_cfg.num_classes)
+    labels = set().union(*partition.groups, [partition.ooc_label] if partition.ooc_mode else [])
+    if max(labels) >= num_classes:
+        raise ConfigError(f"seed gating trains label {max(labels)}, but the model has {num_classes} outputs")
     _check_datasets(model_cfg.input_dim, train_dataset, test_dataset)
     views = [partition.training_view(train_dataset, g) for g in range(len(partition.groups))]
     cfg = replace(model_cfg, num_classes=num_classes)

@@ -470,6 +470,18 @@ def test_seed_gated_train_refuses_a_bad_data_set_before_drawing(case, ooc, monke
         seed_gated_train(partition, blob_model_cfg(num_classes=10), quick_train_cfg(epochs=1), *datasets)
 
 
+@pytest.mark.parametrize("groups,ooc,match", [
+    ([{0, 1}, {2}], True, "label 10, but the model has 5 outputs"),
+    ([{0, 1}, {2, 7}], False, "label 7, but the model has 4 outputs"),
+])
+def test_seed_gating_refuses_a_label_the_model_cannot_output_before_drawing(groups, ooc, match, monkeypatch):
+    train, test = blob_data(n=120, classes=10)  # digit 7 has rows
+    refuse_to_build(monkeypatch)
+    with pytest.raises(ConfigError, match=match):
+        seed_gated_train(make_partition(groups, [5, 6], ooc_mode=ooc), blob_model_cfg(num_classes=4),
+                         quick_train_cfg(epochs=1), train, test)
+
+
 @pytest.mark.parametrize("resample,k", [("per_epoch", 2), ("per_batch", 2), ("microbatch", 4)])
 def test_seed_gating_refuses_a_resampling_schedule(resample, k, monkeypatch):
     # the schedule used to be ignored: microbatch:4 gave the static run's confusion matrices
