@@ -10,6 +10,10 @@ its scaffolds as data, ``(dataset, frozen)`` segments.  Seed gating
 draws each distinct seed once with ``draw_scaffold``, builds on the first
 seed's draw and gives each label group its seed's frozen arrays.
 
+A run checks its datasets before it draws a scaffold: a set with no rows,
+or rows not of ``input_dim`` pixels, is a ``DataError``.  ``Model`` checks
+each batch it is given.
+
 The model holds its scaffold and ``params``; a run's ``AdamW`` holds the
 rest of the training state, the gradient buffer and both moments.
 
