@@ -367,7 +367,8 @@ def refuse_to_build(monkeypatch):
     that passes shows the run checked its input before either."""
     monkeypatch.setattr(train_module, "_scaffold_memo", None)
     for name in ("draw_scaffold", "build_model"):
-        monkeypatch.setattr(f"lottalora.train.{name}", lambda *args, name=name: pytest.fail(f"called {name} on a refused input"))
+        monkeypatch.setattr(train_module, name,
+                            lambda *args, name=name: pytest.fail(f"called {name} on a refused input"))
 
 
 @pytest.mark.parametrize("groups", [[{0, 1}, {5}], [{5}, {6}]])
@@ -421,11 +422,11 @@ def test_train_cfg_accepts_zero_weight_decay():
     assert TrainConfig(weight_decay=0.0).weight_decay == 0.0
 
 
-def bad_sets(n=120):
+def bad_sets():
     """``(train, test)`` pairs for a 16-input model that a run must refuse,
     each with the message it is refused with."""
-    train, test = blob_data(n=n)
-    narrow_train, narrow_test = blob_data(n=n, d=12)
+    train, test = blob_data(n=120)
+    narrow_train, narrow_test = blob_data(n=120, d=12)
     return {
         # a 10% validation split of 4 rows rounds to none
         "four train rows": ((blob_data(n=4)[0], test), "validation"),
@@ -462,7 +463,7 @@ def test_evaluate_rejects_an_empty_or_wrong_width_dataset(dataset, match):
 @pytest.mark.parametrize("case,ooc", [("empty test", False), ("narrow train", False), ("narrow test", False),
                                       ("empty train", True)])
 def test_seed_gated_train_refuses_a_bad_data_set_before_drawing(case, ooc, monkeypatch):
-    # an empty OOC training set used to reach the loop and divide by zero rows
+    # an empty OOC training set would reach the loop with zero rows to divide by
     datasets, match = bad_sets()[case]
     partition = make_partition([{0, 1}, {2}], [5, 6], ooc_mode=ooc)
     refuse_to_build(monkeypatch)
