@@ -47,7 +47,10 @@ the ``shipped`` ones and the ``shipping grid`` case equal.  The cases:
     of the chunk edges, with and without an incoming carry;
   * the committed trained artifact ``tests/fixtures/tiny_trained_v4.ltlr``
     (format version 4), reconstructed, and the argmax and eval-mode logits
-    of a fixed 64-row ``synthetic_blobs`` probe through it.
+    of a fixed 64-row ``synthetic_blobs`` probe through it;
+  * the ``pack()`` bytes of an untrained 24x16 model with LayerNorm and a
+    ``lora_bias`` head, rounded to the shipping grid: few small tensors
+    and all-zero B, whose planes code otherwise than a trained model's.
 
 BLAS runs on one thread, as in the benchmark.  The whole grid runs in
 seconds.
@@ -258,6 +261,12 @@ def _cases():
     trained = artifact.reconstruct(*artifact.unpack(artifact.load(TRAINED_V4)))
     logits = trained.forward_logits(data.synthetic_blobs(64, 784, 10, 10.0, seed=43).images).data
     yield "trained v4 fixture probe n=64", _digest([logits.argmax(axis=1), logits])
+
+    cfg = ModelConfig(preset=None, hidden_dims=(24, 16), input_dim=20, num_classes=4, rank=3, layernorm=True,
+                      head_mode="lora_bias")
+    model = build_model(cfg, BackboneSpec.from_config(cfg, 11))
+    artifact.to_shipping_precision(model)
+    yield "pack built ln=1 lora_bias shipped", _digest([artifact.pack(model)])
 
 
 def fixture_key() -> str:

@@ -33,9 +33,10 @@ power-of-two scale of the tensor's own (ties to even, the scale at least
 2**-24), and f16 holds every such value exactly.  Each value then keeps
 at most 7 significant bits, so most of the low byte plane is zero bits.
 The planes stream codes the planes tensor by tensor in deflate blocks of
-their own, with run-length matches only, or as one plain level-9 stream
-where that is shorter (``_deflate_planes``).  ``unpack`` reads all four
-versions, and any one zlib stream over the planes as version 3 or 4.
+their own, with run-length matches only (``_deflate_planes``).
+``unpack`` reads all four versions, and any one zlib stream over the
+planes as version 3 or 4, such as the first version 3 writer's plain
+level-9 stream.
 """
 
 from __future__ import annotations
@@ -96,12 +97,6 @@ def to_shipping_precision(model: Model) -> bool:
     return True
 
 
-def _f16_exact(data: np.ndarray) -> bool:
-    """Whether f32 ``data`` survives f32 -> f16 -> f32 bit for bit."""
-    with np.errstate(over="ignore"):  # a value past the f16 range is simply not exact
-        return np.array_equal(data.astype("<f2").astype("<f4").view("<u4"), data.view("<u4"))
-
-
 def _canonical_json(obj) -> bytes:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
@@ -146,12 +141,8 @@ def _deflate_planes(raw: bytes, sizes: list[int]) -> bytes:
     holds ``MIN_BLOCK_BYTES`` or the plane ends.  Tensors differ in their
     byte statistics (B starts at zero, A is noise, the head is dense), and
     longer matches on a noisy low plane cost more bits than they save;
-    smaller blocks would spend more on their tables than they save.  On a
-    few small models, whose grid-rounded planes repeat more than they
-    differ, one plain level-9 stream over both planes is shorter; the
-    shorter of the two is returned, the per-tensor one on a tie."""
-    whole = _byte_planes(raw)
-    planes = memoryview(whole)
+    smaller blocks would spend more on their tables than they save."""
+    planes = memoryview(_byte_planes(raw))
     ends = list(itertools.accumulate(sizes, initial=0))
     count = ends[-1]
     deflater = zlib.compressobj(9, zlib.DEFLATED, 15, 8, zlib.Z_RLE)
@@ -166,8 +157,7 @@ def _deflate_planes(raw: bytes, sizes: list[int]) -> bytes:
                 stream.append(deflater.flush(zlib.Z_BLOCK))
                 held = 0
     stream.append(deflater.flush())
-    blocked, plain = b"".join(stream), zlib.compress(whole, 9)
-    return plain if len(plain) < len(blocked) else blocked
+    return b"".join(stream)
 
 
 def _inflate(stream: bytes, size: int, what: str) -> tuple[bytes, bytes]:
@@ -227,9 +217,10 @@ def _checked_extra(extra) -> dict:
 def pack(model: Model, extra: dict | None = None) -> bytes:
     """Serialize a model's trainable state into the canonical byte stream:
     format version 4 (deflated header, f16 byte planes deflated tensor by
-    tensor by ``_deflate_planes``, no tensor table) when every value is
-    f16-exact, else version 1 (raw header, tensor table, f32).  ``extra``
-    must be JSON that reads back as given (``_checked_extra``)."""
+    tensor by ``_deflate_planes``, no tensor table) when every value
+    survives f32 -> f16 -> f32 bit for bit, else version 1 (raw header,
+    tensor table, f32).  ``extra`` must be JSON that reads back as given
+    (``_checked_extra``)."""
     header = {
         "algorithm_id": ALGORITHM_ID,
         # a constant of the format, which ``BackboneSpec.from_dict`` checks
@@ -241,9 +232,11 @@ def pack(model: Model, extra: dict | None = None) -> bytes:
 
     layout = model.cfg.trainable_layout()
     values = np.asarray(model.params, dtype="<f4")
-    if _f16_exact(values):
+    with np.errstate(over="ignore"):  # a value past the f16 range is simply not exact
+        half = values.astype("<f2")
+    if np.array_equal(half.astype("<f4").view("<u4"), values.view("<u4")):
         body = (MAGIC + struct.pack("<HI", 4, len(header_bytes)) + zlib.compress(header_bytes, 9)
-                + _deflate_planes(values.astype("<f2").tobytes(), [math.prod(shape) for _, shape in layout]))
+                + _deflate_planes(half.tobytes(), [math.prod(shape) for _, shape in layout]))
     else:
         body = (MAGIC + struct.pack("<HI", 1, len(header_bytes)) + header_bytes
                 + _table(layout, PAYLOAD_DTYPES[1]) + values.tobytes())

@@ -309,12 +309,11 @@ def test_the_v3_stream_codes_the_byte_planes_in_no_more_than_one_level_9_stream(
     v3 = pack_v3(model)
     stream = v3_stream(v3, model)
     assert zlib.decompress(stream) == planes
-    # the first version 3 writer's coding: the writer falls back to it where
-    # it is shorter, which no preset's model needs
-    plain = zlib.compress(planes, 9)
-    assert len(stream) <= len(plain)
+    # the first version 3 writer's coding: every preset's model codes shorter
+    # without it; a few models of only small tensors, built, code longer
     if preset in PRESETS:
-        assert stream != plain
+        plain = zlib.compress(planes, 9)
+        assert len(stream) <= len(plain) and stream != plain
     # version 4 keeps the stream, drops the table and deflates the header
     v4 = pack(model)
     header, payload = v4_parts(v4)
