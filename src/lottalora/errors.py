@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the library and the CLI.
 
 Every error carries a short machine-readable ``category`` used by the CLI
-to pick an exit code and emit a structured error line.  The three
+to pick an exit code and emit a structured error line.  The four
 predicates below are the value checks behind many ``ConfigError``s, and
 ``integer`` is the one check that turns an integer value into an ``int``
 or a ``ConfigError``; each is defined in this module once and used by the
@@ -38,6 +38,13 @@ def finite(value) -> bool:
         return real(value) and math.isfinite(value)
     except OverflowError:
         return False
+
+
+def json_number(value) -> bool:
+    """Whether ``value`` is a finite number that JSON writes as given: a
+    Python ``int`` or ``float`` (``np.float64`` is a float), not a bool or
+    another numpy scalar."""
+    return isinstance(value, (int, float)) and finite(value)
 
 
 def shown(value) -> str:

@@ -54,7 +54,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.linalg import lapack_lite
 
-from .errors import ConfigError, LottaError, finite, integral, shown
+from .errors import ConfigError, LottaError, integral, json_number, shown
 from .prng import DRAW_CHUNK, Stream
 
 KAIMING_DEFAULT_A = math.sqrt(5.0)
@@ -292,8 +292,8 @@ class InitFamily:
         object.__setattr__(self, "scaling", scaling)
         # checked, never coerced: the header records the params as given
         for key, value in p.items():
-            if not finite(value):
-                raise ConfigError(f"family {self.name!r}: parameter {key!r} must be a finite number, "
+            if not json_number(value):
+                raise ConfigError(f"family {self.name!r}: parameter {key!r} must be a finite int or float, "
                                   f"got {shown(value)}")
         for key in filter(None, (spec.scale, *spec.positive)):
             if not p[key] > 0:

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigError, DataError, DimensionError, finite, integer, real, shown
+from .errors import ConfigError, DataError, DimensionError, integer, json_number, shown
 from .initfam import BackboneMatrix, InitFamily, draw_matrix
 from .layers import B_INITS, DenseLayer, LottaLayer, init_adapter
 from .numerics import Tensor, softmax_xent
@@ -164,11 +164,11 @@ class ModelConfig:
         if any(d < 1 for d in dims):
             raise ConfigError(f"input_dim, hidden_dims and num_classes must all be >= 1, "
                               f"got ({', '.join(map(shown, dims))})")
-        # checked, never coerced: the header records alpha as given
-        if not (finite(self.alpha) and self.alpha > 0):
-            raise ConfigError(f"alpha must be a finite number > 0, got {shown(self.alpha)}")
-        if not (real(self.dropout) and 0.0 <= self.dropout < 1.0):
-            raise ConfigError(f"dropout must lie in [0, 1), got {self.dropout!r}")
+        # checked, never coerced: the header records alpha and dropout as given
+        if not (json_number(self.alpha) and self.alpha > 0):
+            raise ConfigError(f"alpha must be a finite int or float > 0, got {shown(self.alpha)}")
+        if not (json_number(self.dropout) and 0.0 <= self.dropout < 1.0):
+            raise ConfigError(f"dropout must be an int or float in [0, 1), got {shown(self.dropout)}")
         if self.b_init not in B_INITS:
             raise ConfigError(f"b_init must be one of {B_INITS}, got {self.b_init!r}")
         # as TransformerArch.lora_internal bounds its rank by the width: a

@@ -189,7 +189,7 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
 def scalar_scale(x: Tensor, s: Tensor) -> Tensor:
     """Multiply a matrix by a trainable scalar (shape-() tensor)."""
     if s.data.shape != ():
-        raise DimensionError(f"scalar_scale expects a scalar tensor, got shape {s.data.shape}")
+        raise DimensionError(f"scalar_scale expects a scalar tensor of shape (), got shape {s.data.shape}")
 
     def backward_fn():
         g = out.grad
@@ -271,7 +271,7 @@ def layernorm(x: Tensor, gamma: Tensor, bias: Tensor) -> Tensor:
     """LayerNorm over the last dim with trainable affine; f64 statistics."""
     d = x.data.shape[-1]
     if gamma.data.shape != (d,) or bias.data.shape != (d,):
-        raise DimensionError(f"layernorm affine must have shape ({d},)")
+        raise DimensionError(f"layernorm affine must have shape ({d},), got {gamma.data.shape} and {bias.data.shape}")
     y, xhat, inv = layernorm_forward(x.data, gamma.data, bias.data)
 
     def backward_fn():

@@ -11,8 +11,9 @@ draws each distinct seed once with ``draw_scaffold``, builds on the first
 seed's draw and gives each label group its seed's frozen arrays.
 
 A run checks its datasets before it draws a scaffold: a set with no rows,
-or rows not of ``input_dim`` pixels, is a ``DataError``.  ``Model`` checks
-each batch it is given.
+or rows not of ``input_dim`` pixels, is a ``DataError``, and so, in
+``train_run``, is a label that is not an integer in ``[0, num_classes)``.
+``Model`` checks each batch it is given.
 
 The model holds its scaffold and ``params``; a run's ``AdamW`` holds the
 rest of the training state, the gradient buffer and both moments.
@@ -73,8 +74,8 @@ class TrainConfig:
             raise ConfigError(f"resample must be one of {RESAMPLE_SCHEDULES}, got {self.resample!r}")
         if self.resample in ("per_batch", "microbatch") and self.resample_k < 2:
             raise ConfigError(f"resample_k must be >= 2 for {self.resample}, got {self.resample_k}")
-        if self.schedule not in ("cosine", "constant"):
-            raise ConfigError(f"schedule must be 'cosine' or 'constant', got {self.schedule!r}")
+        if self.schedule != "cosine":
+            raise ConfigError(f"schedule must be 'cosine', got {self.schedule!r}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("epochs and batch_size must be >= 1")
 
@@ -175,6 +176,17 @@ def _check_datasets(input_dim: int, *datasets: Dataset) -> None:
             raise DataError(f"the {ds.split} images have {width} pixels per row; the model expects {input_dim}")
 
 
+def _check_labels(num_classes: int, *datasets: Dataset) -> None:
+    """A DataError unless every dataset's labels are integers in ``[0, num_classes)``."""
+    for ds in datasets:
+        labels = np.asarray(ds.labels)
+        if not np.issubdtype(labels.dtype, np.integer):
+            raise DataError(f"the {ds.split} labels must have an integer dtype, got {labels.dtype}")
+        if labels.min() < 0 or labels.max() >= num_classes:
+            raise DataError(f"the {ds.split} labels must lie in [0, {num_classes}), "
+                            f"got {labels.min()} to {labels.max()}")
+
+
 def evaluate(model: Model, dataset: Dataset) -> tuple[float, float]:
     """(mean loss, accuracy) in eval mode."""
     _check_datasets(model.cfg.input_dim, dataset)
@@ -186,10 +198,6 @@ def evaluate(model: Model, dataset: Dataset) -> tuple[float, float]:
         total_loss += loss * len(y)
         correct += int((logits.argmax(axis=1) == y).sum())
     return total_loss / n, correct / n
-
-
-def _lr(cfg: TrainConfig, step: int, total_steps: int) -> float:
-    return cosine_lr(step, total_steps, cfg.lr) if cfg.schedule == "cosine" else cfg.lr
 
 
 def _layer_betas(model: Model) -> list[float]:
@@ -266,8 +274,8 @@ def _train_loop(model: Model, cfg: TrainConfig, segments, shuffle):
                 idx = perm[start:start + cfg.batch_size]
                 y = data.labels[idx]
                 loss, step_correct, step_rows = _train_step(
-                    model, optimizer, grads, data.take(idx), y, _lr(cfg, step, total_steps), cfg.resample, cfg.resample_k,
-                    step == 0,
+                    model, optimizer, grads, data.take(idx), y, cosine_lr(step, total_steps, cfg.lr), cfg.resample,
+                    cfg.resample_k, step == 0,
                 )
                 if not math.isfinite(loss):
                     raise RunError(
@@ -279,7 +287,7 @@ def _train_loop(model: Model, cfg: TrainConfig, segments, shuffle):
                 rows += step_rows
                 batch_rows += len(y)
                 step += 1
-        yield epoch, loss_sum / batch_rows, correct / rows, _lr(cfg, step, total_steps)
+        yield epoch, loss_sum / batch_rows, correct / rows, cosine_lr(step, total_steps, cfg.lr)
 
 
 def _run_model(cfg: ModelConfig, spec: BackboneSpec, resample: str) -> Model:
@@ -318,6 +326,7 @@ def train_run(
     best-val weights are a copy of ``model.params``."""
     started = time.perf_counter()
     _check_datasets(model_cfg.input_dim, train_dataset, test_dataset)
+    _check_labels(model_cfg.num_classes, train_dataset, test_dataset)
     shuffle = derive_stream(backbone_spec.seed, 0, DrawKind.DATA_SHUFFLE)
     train_split, val_split = split_train_val(train_dataset, shuffle)
     model = _run_model(model_cfg, backbone_spec, train_cfg.resample)

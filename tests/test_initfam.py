@@ -346,6 +346,8 @@ def test_default_params_and_scaling(name):
         ("normal", {"sigma": True}, None),
         ("lowbit4", {"bits": np.bool_(True)}, None),
         ("uniform", {"a": -math.inf}, None),
+        ("normal", {"sigma": np.float32(2.0)}, None),
+        ("student_t", {"nu": np.int64(5)}, None),
     ],
 )
 def test_params_must_be_finite_real_numbers(name, params, scaling):
@@ -355,10 +357,10 @@ def test_params_must_be_finite_real_numbers(name, params, scaling):
 
 
 def test_params_are_checked_not_coerced():
-    fam = InitFamily("lowbit4", {"bits": 4.0, "sigma": np.float32(0.5)})
+    fam = InitFamily("lowbit4", {"bits": 4.0, "sigma": np.float64(0.5)})
     assert type(fam.params["bits"]) is float
-    assert type(fam.params["sigma"]) is np.float32
-    student = InitFamily("student_t", {"nu": np.int64(2)})
+    assert type(fam.params["sigma"]) is np.float64  # a float, which JSON writes
+    student = InitFamily("student_t", {"nu": 2.0})
     assert _entry_draws(student) == (("gaussian", 3),)
 
 

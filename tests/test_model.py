@@ -115,8 +115,9 @@ def test_unknown_head_mode_rejected():
     lambda: make_partition([5], [1]),
     lambda: ModelConfig(scaling_mode="rslora"),
     lambda: ModelConfig(b_init="orthogonal"),
+    lambda: ModelConfig(mode="frozen_training"),
 ], ids=["list-preset", "list-family-name", "family-name-not-family", "ooc-mode-string", "int-groups", "int-seeds",
-        "int-group", "scaling-mode", "b-init"])
+        "int-group", "scaling-mode", "b-init", "mode"])
 def test_a_malformed_library_config_is_a_config_error(make):
     with pytest.raises(ConfigError):
         make()
@@ -183,6 +184,7 @@ def test_numpy_integer_sizes_become_ints():
 @pytest.mark.parametrize("field,value", [
     ("dropout", "x"), ("dropout", None), ("dropout", True), ("hidden_dims", 7), ("hidden_dims", ("8",)),
     ("layernorm", "no"), ("layernorm", 1), ("zero_scaffold", np.bool_(False)), ("frozen_bias", 0),
+    ("dropout", np.float32(0.1)), ("alpha", np.float32(1.0)),
 ])
 def test_field_types_are_config_errors(field, value):
     base = dict(preset=None, hidden_dims=(8,), input_dim=6, num_classes=3)
@@ -197,7 +199,8 @@ def test_valid_config_header_fields_are_as_given():
     assert type(cfg.dropout) is int and cfg.layernorm is True
 
 
-@pytest.mark.parametrize("alpha", ["x", None, True, float("nan"), float("inf"), -float("inf"), 0.0, -1.0])
+@pytest.mark.parametrize("alpha", ["x", None, True, float("nan"), float("inf"), -float("inf"), 0.0, -1.0,
+                                   np.float32(1.0), np.int64(2)])
 def test_alpha_must_be_a_finite_number_above_zero(alpha):
     with pytest.raises(ConfigError, match="alpha"):
         ModelConfig(alpha=alpha)
@@ -207,6 +210,7 @@ def test_alpha_is_checked_not_coerced():
     # the header records alpha as given, so 2 stays an int and 0.5 a float
     assert type(ModelConfig(alpha=2).alpha) is int
     assert asdict(ModelConfig(alpha=0.5))["alpha"] == 0.5
+    assert type(ModelConfig(alpha=np.float64(0.5)).alpha) is np.float64  # a float, which JSON writes
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 1, 1.5, 2.0, True, "1", None])
@@ -453,7 +457,7 @@ def test_model_config_round_trip():
 
 
 def test_train_config_round_trip():
-    cfg = TrainConfig(lr=3e-3, batch_size=32, epochs=2, schedule="constant", resample="microbatch", resample_k=4)
+    cfg = TrainConfig(lr=3e-3, batch_size=32, epochs=2, schedule="cosine", resample="microbatch", resample_k=4)
     assert TrainConfig(**asdict(cfg)) == cfg
     # the AdamW constants and the validation share are not settings
     assert set(asdict(cfg)) == {"lr", "weight_decay", "batch_size", "epochs", "schedule", "resample",

@@ -37,10 +37,18 @@ def test_matmul_hand_case():
     assert matmul(a, b).data.tolist() == [[3.0], [7.0]]
 
 
-def test_matmul_shape_error_names_both_shapes():
+@pytest.mark.parametrize("op,shapes,named", [
+    (matmul, [(2, 3), (2, 3)], ["(2, 3) @ (2, 3)"]),
+    (linear, [(2, 3), (4, 5)], ["(2, 3)", "(4, 5)"]),
+    (add, [(2, 3), (3, 2)], ["(2, 3)", "(3, 2)"]),
+    (add_bias, [(2, 3), (4,)], ["(2, 3)", "(4,)"]),
+    (scalar_scale, [(2, 3), (2,)], ["()", "(2,)"]),
+    (layernorm, [(2, 3), (4,), (3,)], ["(3,)", "(4,)"]),
+], ids=["matmul", "linear", "add", "add_bias", "scalar_scale", "layernorm"])
+def test_matmul_shape_error_names_both_shapes(op, shapes, named):
     with pytest.raises(DimensionError) as exc:
-        matmul(tensor(np.zeros((2, 3))), tensor(np.zeros((2, 3))))
-    assert "(2, 3)" in str(exc.value)
+        op(*(tensor(np.zeros(shape)) for shape in shapes))
+    assert all(shape in str(exc.value) for shape in named)
 
 
 def test_matmul_gradients_match_formula_and_finite_diff():

@@ -387,7 +387,8 @@ def test_train_cfg_validation():
         TrainConfig(resample="per_batch", resample_k=1)
 
 
-@pytest.mark.parametrize("kw", [{"schedule": "linear"}, {"epochs": 0}, {"batch_size": 0}, {"epochs": -1}])
+@pytest.mark.parametrize("kw", [{"schedule": "linear"}, {"epochs": 0}, {"batch_size": 0}, {"epochs": -1},
+                                {"schedule": "constant"}])
 def test_train_cfg_rejects_an_unknown_lr_schedule_or_a_count_below_one(kw):
     with pytest.raises(ConfigError, match=list(kw)[-1]):
         TrainConfig(**kw)
@@ -434,10 +435,15 @@ def bad_sets():
         "narrow train": ((narrow_train, test), "train images have 12 pixels per row; the model expects 16"),
         "narrow test": ((train, narrow_test), "test images have 12 pixels per row; the model expects 16"),
         "empty train": ((train.subset(np.arange(0)), test), "empty train set"),
+        "train label -1": ((train.relabeled(np.where(np.arange(len(train)) == 7, -1, train.labels)), test),
+                           r"train labels must lie in \[0, 3\), got -1 to 2"),
+        "test label 3": ((train, test.relabeled(np.where(test.labels == 2, 3, test.labels))),
+                         r"test labels must lie in \[0, 3\), got 0 to 3"),
     }
 
 
-@pytest.mark.parametrize("case", ["four train rows", "empty test", "narrow train", "narrow test"])
+@pytest.mark.parametrize("case", ["four train rows", "empty test", "narrow train", "narrow test", "train label -1",
+                                  "test label 3"])
 @pytest.mark.parametrize("resample", ["static", "per_epoch"])
 def test_train_run_refuses_a_bad_data_set_before_drawing(case, resample, monkeypatch):
     datasets, match = bad_sets()[case]
